@@ -19,7 +19,6 @@ from .cayley import (
     TwoChain,
     boundary_2,
     build_ball,
-    cycle_length,
     loop_to_cycle,
 )
 from .errors import DomainError, HomfillError, InvariantError, ParseError, ResourceError

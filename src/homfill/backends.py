@@ -12,7 +12,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 
-from .errors import DomainError, ResourceError
+from .errors import DomainError, ParseError, ResourceError
 from .presentation import AutLift, apply_lift
 from .words import Word, check_letters, free_reduce, inverse_word
 
@@ -21,7 +21,12 @@ DEFAULT_VERTEX_BUDGET = 200_000
 
 def vertex_budget_default() -> int:
     env = os.environ.get("HOMFILL_BUDGET_VERTICES")
-    return int(env) if env else DEFAULT_VERTEX_BUDGET
+    if not env:
+        return DEFAULT_VERTEX_BUDGET
+    try:
+        return int(env)
+    except ValueError:
+        raise ParseError(f"HOMFILL_BUDGET_VERTICES must be an integer, got {env!r}") from None
 
 
 class GroupBackend:

@@ -5,12 +5,20 @@ edge between stored vertices, and one 2-cell per (base vertex, marked
 relator) whose full boundary loop stays inside the ball.  Indexing is
 deterministic: vertices in BFS-lexicographic discovery order, edges by
 (source, generator), cells by (base, relator).
+
+Normal forms are computed once per ball, to enumerate the vertices and to
+find each vertex's outgoing edges.  The edge list is then indexed into one
+neighbour table, ``succ[v][letter] -> (edge, sign, next vertex)`` with an
+entry for both ``+g`` and ``-g``; ``step``, cell construction, word tracing,
+edge lookups and hop distances are all lookups in that table.  Only
+``vertex_of``, which places arbitrary words, still calls ``normal_form``.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .backends import GroupBackend, enumerate_ball_vertices
 from .errors import DomainError, InvariantError
@@ -122,7 +130,7 @@ class CayleyBall:
     vertex_index: dict[Word, int]
     distance: list[int]
     edges: list[tuple[int, int, int]]  # (source, generator 1-based, target)
-    edge_index: dict[tuple[int, int], int]
+    succ: list[dict[int, tuple[int, int, int]]]  # [v][+-g] -> (edge, sign, next)
     cells: list[Cell]
     cell_index: dict[tuple[int, int], int] = field(default_factory=dict)
     coset_labels: list[Word] = field(default_factory=list)
@@ -142,23 +150,47 @@ class CayleyBall:
 
     def step(self, vertex: int, letter: int) -> tuple[int, int, int]:
         """Traverse one letter: returns (edge, sign, next vertex) or raises."""
-        word = self.vertices[vertex]
-        target_word = self.backend.normal_form(word + (letter,))
-        if target_word not in self.vertex_index:
+        hop = self.succ[vertex].get(letter)
+        if hop is None:
             raise DomainError(
                 f"path leaves ball at prefix ending {format_word((letter,), self.generators)}"
-                f" from {format_word(word, self.generators) or 'e'}"
+                f" from {format_word(self.vertices[vertex], self.generators) or 'e'}"
             )
-        nxt = self.vertex_index[target_word]
-        if letter > 0:
-            key = (vertex, letter)
-            sign = 1
-        else:
-            key = (nxt, -letter)
-            sign = -1
-        if key not in self.edge_index:
-            raise InvariantError("edge between ball vertices missing from index")
-        return self.edge_index[key], sign, nxt
+        return hop
+
+    @cached_property
+    def net_columns(self) -> list[dict[int, int]]:
+        """Net boundary coefficient per edge for every cell (doubled traversals
+        merge to +-2, opposite traversals cancel); built on first use."""
+        cols = []
+        for cell in self.cells:
+            col: dict[int, int] = {}
+            for edge, sign in cell.boundary:
+                col[edge] = col.get(edge, 0) + sign
+                if not col[edge]:
+                    del col[edge]
+            cols.append(col)
+        return cols
+
+
+def hop_distances(succ: list[dict[int, tuple[int, int, int]]], sources) -> list[int]:
+    """Hop distances from a vertex set over the ball 1-skeleton; vertices the
+    sources cannot reach get ``len(succ) + 1``."""
+    dist = [len(succ) + 1] * len(succ)
+    frontier = sorted(sources)
+    for v in frontier:
+        dist[v] = 0
+    d = 0
+    while frontier:
+        d += 1
+        new = []
+        for v in frontier:
+            for _, _, u in succ[v].values():
+                if dist[u] > d:
+                    dist[u] = d
+                    new.append(u)
+        frontier = new
+    return dist
 
 
 def build_ball(
@@ -174,33 +206,15 @@ def build_ball(
     vertices = enumerate_ball_vertices(backend, radius, vertex_budget)
     vertex_index = {w: i for i, w in enumerate(vertices)}
 
-    distance = [0] * len(vertices)
-    # discovery order is by BFS level, so recompute levels with a fresh BFS
-    seen = {vertices[0]: 0}
-    frontier = [vertices[0]]
-    level = 0
-    while frontier:
-        level += 1
-        new = []
-        for v in sorted(frontier):
-            for j in range(backend.rank):
-                for letter in (j + 1, -(j + 1)):
-                    u = backend.normal_form(v + (letter,))
-                    if u in vertex_index and u not in seen:
-                        seen[u] = level
-                        new.append(u)
-        frontier = new
-    for w, d in seen.items():
-        distance[vertex_index[w]] = d
-
     edges: list[tuple[int, int, int]] = []
-    edge_index: dict[tuple[int, int], int] = {}
+    succ: list[dict[int, tuple[int, int, int]]] = [{} for _ in vertices]
     for source, word in enumerate(vertices):
         for g in range(1, backend.rank + 1):
-            target_word = backend.normal_form(word + (g,))
-            if target_word in vertex_index:
-                edge_index[(source, g)] = len(edges)
-                edges.append((source, g, vertex_index[target_word]))
+            target = vertex_index.get(backend.normal_form(word + (g,)))
+            if target is not None:
+                succ[source][g] = (len(edges), 1, target)
+                succ[target][-g] = (len(edges), -1, source)
+                edges.append((source, g, target))
 
     ball = CayleyBall(
         backend=backend,
@@ -208,29 +222,26 @@ def build_ball(
         radius=radius,
         vertices=vertices,
         vertex_index=vertex_index,
-        distance=distance,
+        distance=hop_distances(succ, [0]),
         edges=edges,
-        edge_index=edge_index,
+        succ=succ,
         cells=[],
     )
 
     marked = hom_pres.marked_relators
     for base in range(len(vertices)):
         for r in marked:
-            rel = hom_pres.base.relators[r]
             boundary = []
             path = []
             v = base
-            ok = True
-            for letter in rel:
+            for letter in hom_pres.base.relators[r]:
                 path.append(v)
-                try:
-                    edge, sign, v = ball.step(v, letter)
-                except DomainError:
-                    ok = False
+                hop = succ[v].get(letter)
+                if hop is None:
                     break
+                edge, sign, v = hop
                 boundary.append((edge, sign))
-            if ok:
+            else:
                 if v != base:
                     raise InvariantError("relator loop did not close in the ball")
                 ball.cell_index[(base, r)] = len(ball.cells)
@@ -263,10 +274,6 @@ def vertex_incidence(ball: CayleyBall, cycle: OneCycle) -> dict[int, int]:
 
 def is_cycle(ball: CayleyBall, cycle: OneCycle) -> bool:
     return not vertex_incidence(ball, cycle)
-
-
-def cycle_length(cycle: OneCycle) -> int:
-    return cycle.length()
 
 
 def trace_word(ball: CayleyBall, start: int, w: Word) -> tuple[list[tuple[int, int]], int]:
@@ -315,11 +322,10 @@ def translate_cycle(ball: CayleyBall, g: Word, cycle: OneCycle) -> OneCycle:
     out: dict[int, int] = {}
     for edge, coeff in cycle.coeffs.items():
         source, label, _ = ball.edges[edge]
-        new_source = translate_vertex(ball, g, source)
-        key = (new_source, label)
-        if key not in ball.edge_index:
+        hop = ball.succ[translate_vertex(ball, g, source)].get(label)
+        if hop is None:
             raise DomainError("translated edge leaves the ball")
-        e = ball.edge_index[key]
+        e = hop[0]
         out[e] = out.get(e, 0) + coeff
     return OneCycle(out)
 

@@ -33,6 +33,7 @@ from .extension import (
 from .experiments import hyperbolic_ar_pair, measure_ar_pair, polynomial_degree_report
 from .filling import TRUNCATION_NOTE, fa_estimate, harea_fill
 from .presentation import (
+    ExtensionLayout,
     HomPresentation,
     Presentation,
     PresentationFile,
@@ -57,7 +58,7 @@ class LoadedGroup:
     source: str
     k_pres: HomPresentation | None = None
     k_backend: GroupBackend | None = None
-    layout=None
+    layout: ExtensionLayout | None = None
     lifts: tuple = ()
 
     @property
@@ -116,9 +117,9 @@ def load_group(path: str) -> LoadedGroup:
             k_pres, pf.lifts, pf.stable_names, k_normal_form=k_backend.normal_form
         )
         backend = ExtensionBackend(k_backend, pf.lifts)
-        loaded = LoadedGroup(hom, backend, path, k_pres=k_pres, k_backend=k_backend, lifts=pf.lifts)
-        loaded.layout = layout
-        return loaded
+        return LoadedGroup(
+            hom, backend, path, k_pres=k_pres, k_backend=k_backend, layout=layout, lifts=pf.lifts
+        )
     raise ParseError(f"unknown backend {pf.backend_kind!r} (free, free_abelian, extension)")
 
 
@@ -375,7 +376,10 @@ def cmd_degree(args) -> int:
 
 def cmd_verify(args) -> int:
     with open(args.diagram, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
+        try:
+            doc = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ParseError(f"diagram is not JSON: {exc.msg}", exc.lineno, exc.colno) from None
     ball = None
     if args.pres:
         group = load_group(args.pres)
@@ -407,7 +411,6 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--ball", type=int, required=True, help="ball radius")
         p.add_argument("--seed", type=int, default=0, help="seed recorded in artifacts")
         p.add_argument("--budget-vertices", type=int, default=None, help="vertex budget override")
-        p.add_argument("--threads", type=int, default=1, help="parallelism cap (advisory)")
         p.add_argument("--json-errors", action="store_true")
         p.add_argument("--verbose", action="store_true")
 

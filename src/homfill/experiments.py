@@ -14,9 +14,10 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .backends import GroupBackend, equal_in_group
-from .cayley import CayleyBall, build_ball
+from .cayley import CayleyBall, TwoChain, build_ball
 from .errors import DomainError
 from .filling import (
+    BruteSearch,
     PreceqResult,
     check_preceq,
     enumerate_identity_cycles,
@@ -63,15 +64,16 @@ def _radius_of_chain(ball, chain) -> int:
 def _min_radius_filling(ball, cycle, base_area: int, budget: int) -> int | None:
     """Smallest diagram radius among fillings at the minimal area, by
     exhausting chains of that exact area (budgeted)."""
-    from .filling import _fill_brute_enumerate  # local import: oracle machinery
-
     best = None
-    for chain in _fill_brute_enumerate(ball, cycle, base_area, budget):
-        r = _radius_of_chain(ball, chain)
-        if best is None or r < best:
-            best = r
-            if best == 0:
-                break
+    try:
+        for chain in BruteSearch(ball, cycle, budget).chains(base_area):
+            r = _radius_of_chain(ball, TwoChain(chain))
+            if best is None or r < best:
+                best = r
+                if best == 0:
+                    break
+    except TimeoutError:
+        pass
     return best
 
 

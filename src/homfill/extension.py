@@ -305,8 +305,7 @@ def chart_cycle(h_ball: CayleyBall, k_ball: CayleyBall, coset: Word, cycle: OneC
         source, g, _ = h_ball.edges[edge]
         word = backend.split(inv + h_ball.vertices[source]).k_part
         try:
-            kv = k_ball.vertex_of(word)
-            ke = k_ball.edge_index[(kv, g)]
+            ke = k_ball.succ[k_ball.vertex_of(word)][g][0]
         except (DomainError, KeyError) as exc:
             raise ResourceError(
                 f"kernel ball radius {k_ball.radius} too small to chart the coset cycle; "
@@ -711,9 +710,8 @@ def kernel_cycle_to_extension(h_ball: CayleyBall, k_ball: CayleyBall, gamma: One
     acc: dict[int, int] = {}
     for e, c in gamma.coeffs.items():
         source, g, _ = k_ball.edges[e]
-        hv = h_ball.vertex_of(k_ball.vertices[source])
-        he = h_ball.edge_index.get((hv, g))
-        if he is None:
+        hop = h_ball.succ[h_ball.vertex_of(k_ball.vertices[source])].get(g)
+        if hop is None:
             raise ResourceError("extension ball too small to hold the kernel cycle")
-        acc[he] = acc.get(he, 0) + c
+        acc[hop[0]] = acc.get(hop[0], 0) + c
     return OneCycle(acc)

@@ -20,25 +20,21 @@ from .cayley import (
     OneCycle,
     TwoChain,
     boundary_2,
+    hop_distances,
     is_cycle,
-    loop_to_cycle,
 )
 from .errors import DomainError, InvariantError
 from .exactlp import integer_solve, l1_fill
 from .presentation import HomPresentation
 from .words import format_word
 
-try:  # fast proposer; every certificate is re-verified in exact arithmetic
-    import numpy as _np
-    import scipy.sparse as _sp
-    from scipy.optimize import Bounds as _Bounds
-    from scipy.optimize import LinearConstraint as _LinearConstraint
-    from scipy.optimize import linprog as _linprog
-    from scipy.optimize import milp as _milp
-
-    _HAVE_SCIPY = True
-except ImportError:  # pragma: no cover - exercised only without scipy
-    _HAVE_SCIPY = False
+# fast proposer; every certificate is re-verified in exact arithmetic
+import numpy as _np
+import scipy.sparse as _sp
+from scipy.optimize import Bounds as _Bounds
+from scipy.optimize import LinearConstraint as _LinearConstraint
+from scipy.optimize import linprog as _linprog
+from scipy.optimize import milp as _milp
 
 TRUNCATION_NOTE = "values are restricted to the stated ball radius; they lower-bound the untruncated quantities"
 
@@ -56,24 +52,6 @@ class FillingResult:
         return self.status == "optimal"
 
 
-def _cell_columns(ball: CayleyBall) -> list[dict[int, int]]:
-    """Net boundary coefficient per edge for every cell (doubled traversals
-    merge to +-2, opposite traversals cancel).  Cached on the ball."""
-    cached = getattr(ball, "_net_columns", None)
-    if cached is not None:
-        return cached
-    cols = []
-    for cell in ball.cells:
-        col: dict[int, int] = {}
-        for edge, sign in cell.boundary:
-            col[edge] = col.get(edge, 0) + sign
-            if not col[edge]:
-                del col[edge]
-        cols.append(col)
-    ball._net_columns = cols  # type: ignore[attr-defined]
-    return cols
-
-
 def _cycle_vertices(ball: CayleyBall, gamma: OneCycle) -> set[int]:
     verts = set()
     for edge in gamma.coeffs:
@@ -81,33 +59,6 @@ def _cycle_vertices(ball: CayleyBall, gamma: OneCycle) -> set[int]:
         verts.add(s)
         verts.add(t)
     return verts
-
-
-def _vertex_distances(ball: CayleyBall, sources: set[int]) -> list[int]:
-    """Hop distances from a vertex set over the ball 1-skeleton."""
-    inf = len(ball.vertices) + 1
-    dist = [inf] * len(ball.vertices)
-    frontier = sorted(sources)
-    for v in frontier:
-        dist[v] = 0
-    adjacency = getattr(ball, "_adjacency", None)
-    if adjacency is None:
-        adjacency = [[] for _ in ball.vertices]
-        for s, _, t in ball.edges:
-            adjacency[s].append(t)
-            adjacency[t].append(s)
-        ball._adjacency = adjacency  # type: ignore[attr-defined]
-    d = 0
-    while frontier:
-        d += 1
-        new = []
-        for v in frontier:
-            for u in adjacency[v]:
-                if dist[u] > d:
-                    dist[u] = d
-                    new.append(u)
-        frontier = new
-    return dist
 
 
 def _peel_forced(
@@ -275,7 +226,7 @@ def _fast_fill(
 def _fill_ilp(ball: CayleyBall, gamma: OneCycle, node_budget: int) -> FillingResult:
     if not gamma:
         return FillingResult(TwoChain(), 0, "optimal", ball.radius)
-    columns = _cell_columns(ball)
+    columns = ball.net_columns
 
     # forced-cell peeling over the full system is sound and often finishes
     # the job outright (planar-type balls have unique fillings)
@@ -290,20 +241,19 @@ def _fill_ilp(ball: CayleyBall, gamma: OneCycle, node_budget: int) -> FillingRes
             raise InvariantError("peeled chain does not bound the query cycle")
         return FillingResult(chain, chain.area(), "optimal", ball.radius)
 
-    if _HAVE_SCIPY:
-        fast = _fast_fill(columns, free_cells, residual)
-        if fast is not None:
-            assignment, _ = fast
-            merged = dict(forced)
-            for c, v in assignment.items():
-                merged[c] = merged.get(c, 0) + v
-            chain = TwoChain(merged)
-            if boundary_2(ball, chain) != gamma:
-                raise InvariantError("certified chain does not bound the query cycle")
-            return FillingResult(chain, chain.area(), "optimal", ball.radius)
+    fast = _fast_fill(columns, free_cells, residual)
+    if fast is not None:
+        assignment, _ = fast
+        merged = dict(forced)
+        for c, v in assignment.items():
+            merged[c] = merged.get(c, 0) + v
+        chain = TwoChain(merged)
+        if boundary_2(ball, chain) != gamma:
+            raise InvariantError("certified chain does not bound the query cycle")
+        return FillingResult(chain, chain.area(), "optimal", ball.radius)
 
     res_cycle = OneCycle(residual)
-    dist = _vertex_distances(ball, _cycle_vertices(ball, res_cycle))
+    dist = hop_distances(ball.succ, _cycle_vertices(ball, res_cycle))
     cell_dist = {c: min(dist[v] for v in ball.cells[c].vertex_path) for c in free_cells}
 
     def attempt(work: list[int], full: bool) -> FillingResult | None:
@@ -352,6 +302,66 @@ def _fill_ilp(ball: CayleyBall, gamma: OneCycle, node_budget: int) -> FillingRes
     return attempt(free_cells, full=True)
 
 
+class BruteSearch:
+    """Depth-first oracle over the chains bounding ``gamma`` whose
+    coefficients are at most ``coeff_bound`` in magnitude (default: the
+    largest magnitude in ``gamma``).
+
+    Cells are decided in index order: first skipped, then given +1, -1,
+    +2, -2, ...  ``steps`` counts search nodes over every ``chains`` call of
+    one search, and the search raises TimeoutError once it passes
+    ``enum_budget``.
+    """
+
+    def __init__(self, ball: CayleyBall, gamma: OneCycle, enum_budget: int, coeff_bound: int | None = None):
+        self.columns = ball.net_columns
+        self.gamma = gamma
+        self.enum_budget = enum_budget
+        self.coeff_bound = coeff_bound if coeff_bound is not None else max([1, *map(abs, gamma.coeffs.values())])
+        self.steps = 0
+        self.last_incident: dict[int, int] = {}
+        for c, col in enumerate(self.columns):
+            for e in col:
+                self.last_incident[e] = c
+
+    def coverable(self) -> bool:
+        """Whether every edge of ``gamma`` lies on some cell of the ball."""
+        return all(e in self.last_incident for e in self.gamma.coeffs)
+
+    def chains(self, area: int):
+        """Yield every chain of exactly ``area`` with boundary ``gamma``, as a
+        cell -> coefficient dict, in search order."""
+        if self.coverable():
+            yield from self._search(0, dict(self.gamma.coeffs), area, {})
+
+    def _search(self, cell: int, residual: dict[int, int], remaining: int, chosen: dict[int, int]):
+        self.steps += 1
+        if self.steps > self.enum_budget:
+            raise TimeoutError
+        if not residual:
+            if remaining == 0:
+                yield dict(chosen)
+            return
+        if cell >= len(self.columns) or remaining <= 0:
+            return
+        # a residual edge no later cell can touch kills the branch
+        for e in residual:
+            if self.last_incident[e] < cell:
+                return
+        yield from self._search(cell + 1, residual, remaining, chosen)
+        col = self.columns[cell]
+        for mag in range(1, min(self.coeff_bound, remaining) + 1):
+            for v in (mag, -mag):
+                nres = dict(residual)
+                for e, w in col.items():
+                    nres[e] = nres.get(e, 0) - v * w
+                    if not nres[e]:
+                        del nres[e]
+                chosen[cell] = v
+                yield from self._search(cell + 1, nres, remaining - mag, chosen)
+                del chosen[cell]
+
+
 def _fill_brute(
     ball: CayleyBall,
     gamma: OneCycle,
@@ -361,115 +371,20 @@ def _fill_brute(
 ) -> FillingResult:
     if not gamma:
         return FillingResult(TwoChain(), 0, "optimal", ball.radius, solver="brute_force")
-    columns = _cell_columns(ball)
-    ncells = len(columns)
-    cb = coeff_bound if coeff_bound is not None else max(1, max(abs(v) for v in gamma.coeffs.values()))
-    last_incident = {}
-    for c in range(ncells):
-        for e in columns[c]:
-            last_incident[e] = c
-    for e in gamma.coeffs:
-        if e not in last_incident:
-            return FillingResult(TwoChain(), None, "infeasible_in_ball", ball.radius, solver="brute_force")
-    steps = 0
-
-    def search(cell: int, residual: dict[int, int], remaining: int, chosen: dict[int, int]):
-        nonlocal steps
-        steps += 1
-        if steps > enum_budget:
-            raise TimeoutError
-        if not residual:
-            if remaining == 0:
-                return dict(chosen)
-            return None
-        if cell >= ncells or remaining <= 0:
-            return None
-        # a residual edge no later cell can touch kills the branch
-        for e in residual:
-            if last_incident[e] < cell:
-                return None
-        found = search(cell + 1, residual, remaining, chosen)
-        if found is not None:
-            return found
-        col = columns[cell]
-        for mag in range(1, min(cb, remaining) + 1):
-            for v in (mag, -mag):
-                nres = dict(residual)
-                for e, w in col.items():
-                    nres[e] = nres.get(e, 0) - v * w
-                    if not nres[e]:
-                        del nres[e]
-                chosen[cell] = v
-                found = search(cell + 1, nres, remaining - mag, chosen)
-                del chosen[cell]
-                if found is not None:
-                    return found
-        return None
-
+    search = BruteSearch(ball, gamma, enum_budget, coeff_bound)
+    if not search.coverable():
+        return FillingResult(TwoChain(), None, "infeasible_in_ball", ball.radius, solver="brute_force")
     try:
         for area in range(0, area_cap + 1):
-            found = search(0, dict(gamma.coeffs), area, {})
+            found = next(search.chains(area), None)
             if found is not None:
                 chain = TwoChain(found)
                 if boundary_2(ball, chain) != gamma:
                     raise InvariantError("brute-force chain does not bound the query cycle")
-                return FillingResult(chain, area, "optimal", ball.radius, solver="brute_force", nodes=steps)
+                return FillingResult(chain, area, "optimal", ball.radius, solver="brute_force", nodes=search.steps)
     except TimeoutError:
-        return FillingResult(TwoChain(), None, "budget_exceeded", ball.radius, solver="brute_force", nodes=steps)
-    return FillingResult(TwoChain(), None, "budget_exceeded", ball.radius, solver="brute_force", nodes=steps)
-
-
-def _fill_brute_enumerate(ball: CayleyBall, gamma: OneCycle, area: int, enum_budget: int):
-    """Yield every chain with the given exact area and boundary gamma, under
-    the default coefficient bound (used by radius-search policies)."""
-    if not gamma:
-        if area == 0:
-            yield TwoChain()
-        return
-    columns = _cell_columns(ball)
-    ncells = len(columns)
-    cb = max(1, max(abs(v) for v in gamma.coeffs.values()))
-    last_incident: dict[int, int] = {}
-    for c in range(ncells):
-        for e in columns[c]:
-            last_incident[e] = c
-    if any(e not in last_incident for e in gamma.coeffs):
-        return
-    steps = 0
-
-    def search(cell: int, residual: dict[int, int], remaining: int, chosen: dict[int, int]):
-        nonlocal steps
-        steps += 1
-        if steps > enum_budget:
-            raise TimeoutError
-        if not residual and remaining == 0:
-            yield dict(chosen)
-            return
-        if cell >= ncells:
-            return
-        for e in residual:
-            if last_incident[e] < cell:
-                return
-        yield from search(cell + 1, residual, remaining, chosen)
-        if remaining <= 0:
-            return
-        col = columns[cell]
-        for mag in range(1, min(cb, remaining) + 1):
-            for v in (mag, -mag):
-                nres = dict(residual)
-                for e, w in col.items():
-                    nres[e] = nres.get(e, 0) - v * w
-                    if not nres[e]:
-                        del nres[e]
-                chosen[cell] = v
-                yield from search(cell + 1, nres, remaining - mag, chosen)
-                del chosen[cell]
-
-    try:
-        for assignment in search(0, dict(gamma.coeffs), area, {}):
-            yield TwoChain(assignment)
-    except TimeoutError:
-        return
+        pass
+    return FillingResult(TwoChain(), None, "budget_exceeded", ball.radius, solver="brute_force", nodes=search.steps)
 
 
 # ---------------------------------------------------------------------------
@@ -523,18 +438,21 @@ def enumerate_identity_cycles(ball: CayleyBall, max_len: int):
         seen.add(canon)
         results.append((canon, cycle, tuple(word)))
 
+    letters = tuple(letter_order(ball.backend.rank))
+
     def dfs(vertex: int, depth: int):
         if word and vertex == identity:
             record()
         if depth == 0:
             return
-        for letter in letter_order(ball.backend.rank):
+        hops = ball.succ[vertex]
+        for letter in letters:
             if word and word[-1] == -letter:
                 continue
-            try:
-                edge, sign, nxt = ball.step(vertex, letter)
-            except DomainError:
+            hop = hops.get(letter)
+            if hop is None:
                 continue
+            edge, sign, nxt = hop
             word.append(letter)
             counts[edge] = counts.get(edge, 0) + sign
             if not counts[edge]:

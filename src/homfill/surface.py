@@ -15,7 +15,7 @@ import json
 from dataclasses import dataclass, field
 
 from .cayley import CayleyBall, OneCycle, TwoChain
-from .errors import DomainError, InvariantError
+from .errors import DomainError, InvariantError, ParseError
 
 SlotRef = tuple[int, int]  # (face index, slot position)
 
@@ -40,6 +40,10 @@ class SurfaceDiagram:
 
     def face_len(self, f: int) -> int:
         return len(self.faces[f].slots)
+
+    def has_slot(self, ref: SlotRef) -> bool:
+        f, p = ref
+        return 0 <= f < len(self.faces) and 0 <= p < len(self.faces[f].slots)
 
     def all_slots(self):
         for f, face in enumerate(self.faces):
@@ -157,7 +161,15 @@ def _side_partner(matching, side):
 
 
 def verify_surface(diagram: SurfaceDiagram) -> VerificationReport:
-    """Check the surface-diagram invariants; violations become report lines."""
+    """Check the surface-diagram invariants; violations become report lines.
+    A gluing or vertex class naming a slot the faces do not have, or a
+    provenance cell the ball does not have, raises DomainError."""
+    named = [ref for a, b, _ in diagram.gluing for ref in (a, b)]
+    for cls in diagram.declared_classes or ():
+        named.extend(cls)
+    for ref in named:
+        if not diagram.has_slot(ref):
+            raise DomainError(f"diagram names slot {ref}, which no face has")
     report = VerificationReport()
     counts: dict[SlotRef, int] = {}
     for a, b, flip in diagram.gluing:
@@ -259,6 +271,8 @@ def verify_surface(diagram: SurfaceDiagram) -> VerificationReport:
             if face.provenance is None:
                 continue
             cell_id, orient = face.provenance
+            if not 0 <= cell_id < len(diagram.ball.cells):
+                raise DomainError(f"face {f} names cell {cell_id}, which the ball does not have")
             cell = diagram.ball.cells[cell_id]
             L = len(cell.boundary)
             if len(face.slots) != L:
@@ -697,21 +711,50 @@ def diagram_to_json(diagram: SurfaceDiagram, metrics: SurfaceMetrics | None = No
     return doc
 
 
+def _int_tuple(value, what: str, size: int | None = None) -> tuple[int, ...]:
+    """A JSON list of integers (of length ``size`` when given) as a tuple."""
+    if (
+        not isinstance(value, (list, tuple))
+        or (size is not None and len(value) != size)
+        or not all(isinstance(x, int) and not isinstance(x, bool) for x in value)
+    ):
+        count = f"{size} integers" if size is not None else "integers"
+        raise ParseError(f"{what} must be a list of {count}, got {value!r}")
+    return tuple(value)
+
+
 def diagram_from_json(doc: dict, ball: CayleyBall | None = None) -> SurfaceDiagram:
-    faces = [
-        Face(
-            slots=tuple((int(e), int(s)) for e, s in spec["slots"]),
-            provenance=tuple(spec["provenance"]) if spec.get("provenance") else None,
-            corner_images=tuple(spec["corner_images"]) if spec.get("corner_images") else None,
+    """Decode ``diagram_to_json`` output; malformed documents raise ParseError."""
+    if not isinstance(doc, dict) or not isinstance(doc.get("faces"), list):
+        raise ParseError("diagram must be an object with a 'faces' list")
+    faces = []
+    for f, spec in enumerate(doc["faces"]):
+        if not isinstance(spec, dict) or not isinstance(spec.get("slots"), list):
+            raise ParseError(f"face {f} must be an object with a 'slots' list")
+        provenance = spec.get("provenance")
+        corners = spec.get("corner_images")
+        faces.append(
+            Face(
+                slots=tuple(_int_tuple(slot, f"face {f} slot", 2) for slot in spec["slots"]),
+                provenance=_int_tuple(provenance, f"face {f} provenance", 2) if provenance else None,
+                corner_images=_int_tuple(corners, f"face {f} corner_images") if corners else None,
+            )
         )
-        for spec in doc["faces"]
-    ]
-    gluing = [
-        (tuple(a), tuple(b), bool(flip)) for a, b, flip in doc.get("gluing", [])
-    ]
+    gluing = []
+    for entry in doc.get("gluing", []):
+        if not isinstance(entry, (list, tuple)) or len(entry) != 3:
+            raise ParseError(f"gluing entry must be [slot, slot, flipped], got {entry!r}")
+        a, b, flip = entry
+        gluing.append((_int_tuple(a, "glued slot", 2), _int_tuple(b, "glued slot", 2), bool(flip)))
     declared = None
     if "vertex_classes" in doc:
-        declared = [tuple(tuple(c) for c in cls) for cls in doc["vertex_classes"]]
+        if not isinstance(doc["vertex_classes"], list):
+            raise ParseError("vertex_classes must be a list of corner lists")
+        declared = []
+        for cls in doc["vertex_classes"]:
+            if not isinstance(cls, list):
+                raise ParseError(f"vertex class must be a list of corners, got {cls!r}")
+            declared.append(tuple(_int_tuple(c, "vertex class corner", 2) for c in cls))
     return SurfaceDiagram(faces=faces, gluing=gluing, ball=ball, declared_classes=declared)
 
 

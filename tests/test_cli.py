@@ -98,6 +98,22 @@ def test_verify_flags_corruption(tmp_path, capsys):
     assert "matched twice" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize(
+    "text, error",
+    [
+        ('{"faces": [{"slots": [[0, 1], [0]]}]}', "ParseError"),
+        ('{"faces": [{"slots": [[0, 1], [0, -1]]}], "gluing": [[[0, 0], [0, 5], false]]}', "DomainError"),
+        ("not json", "ParseError"),
+    ],
+    ids=["one-element-slot", "slot-outside-face", "not-json"],
+)
+def test_verify_bad_diagram_exits_cleanly(tmp_path, capsys, text, error):
+    bad = tmp_path / "bad.json"
+    bad.write_text(text)
+    assert run_cli(["verify", "--diagram", str(bad), "--json-errors"]) == 1
+    assert json.loads(capsys.readouterr().err)["error"] == error
+
+
 def test_constants_heis(tmp_path):
     out = tmp_path / "c.json"
     assert run_cli([
@@ -210,3 +226,15 @@ def test_budget_env(tmp_path, monkeypatch):
         "--out", str(tmp_path / "r.json"),
     ])
     assert code == 1
+
+
+def test_budget_env_not_integer(tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("HOMFILL_BUDGET_VERTICES", "abc")
+    code = run_cli([
+        "fill", "--pres", grp("z2.grp"), "--word", "a b a' b'", "--ball", "4",
+        "--out", str(tmp_path / "r.json"), "--json-errors",
+    ])
+    assert code == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ParseError"
+    assert "HOMFILL_BUDGET_VERTICES" in err["message"]
