@@ -39,6 +39,7 @@ from .presentation import (
     PresentationFile,
     build_extension_presentation,
     parse_presentation_file,
+    read_text,
 )
 from .surface import (
     assemble_surface,
@@ -348,10 +349,22 @@ def cmd_arpair(args) -> int:
     return 1 if report.gaps else 0
 
 
+def _read_json(path: str, what: str):
+    """The JSON document in ``path``; ParseError when it cannot be read or
+    is not JSON."""
+    text = read_text(path, what)
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"{what} is not JSON: {exc.msg}", exc.lineno, exc.colno) from None
+
+
 def cmd_degree(args) -> int:
     if args.constants:
-        with open(args.constants, "r", encoding="utf-8") as fh:
-            M = int(json.load(fh)["M"])
+        doc = _read_json(args.constants, "constants file")
+        M = doc.get("M") if isinstance(doc, dict) else None
+        if not isinstance(M, int) or isinstance(M, bool):
+            raise ParseError(f"constants file {args.constants!r} needs an integer \"M\"")
     else:
         M = args.M
     hyp = hyperbolic_ar_pair(args.B, args.C, args.max_n)
@@ -375,11 +388,7 @@ def cmd_degree(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    with open(args.diagram, "r", encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"diagram is not JSON: {exc.msg}", exc.lineno, exc.colno) from None
+    doc = _read_json(args.diagram, "diagram")
     ball = None
     if args.pres:
         group = load_group(args.pres)

@@ -1,43 +1,43 @@
-"""Exact integer/rational linear algebra used by the filling solver.
-
-Three pieces, all over exact arithmetic (python ints / Fraction):
+"""Exact minimal-L1 integer fillings: HiGHS proposes, exact integers verify.
 
 * ``integer_solve`` -- particular integer solution of A x = b via column
-  Hermite reduction, or None when no integer solution exists.
-* ``simplex_min`` -- two-phase primal simplex with Bland's rule, returning
-  primal and dual solutions.
+  Hermite reduction, or None, which proves that no integer solution exists.
+* ``lower_bound`` -- the one certificate: HiGHS duals rounded to integers
+  over the constant denominator ``DUAL_SCALE`` give an exact lower bound on
+  sum |a_c| over a box of integer chains.  Every dual vector gives a valid
+  bound, so rounding can weaken it but never make it wrong.
 * ``l1_fill`` -- branch and bound for min sum |a_c| subject to B a = rhs over
-  the integers, with the standard split a = p - q into nonnegative parts.
-
-Floating point never enters: fractional LP vertices do occur here (boundary
-matrices are not totally unimodular in general) and the branch-and-bound
-certificates must stay exact.
+  the integers, on HiGHS node LPs; every prune is a ``lower_bound``.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
-from .errors import InvariantError
+import numpy as np
+import scipy.sparse as sp
+from scipy.optimize import linprog
 
-ZERO = Fraction(0)
-ONE = Fraction(1)
+# denominator of the integer dual vectors: rounding loses at most about
+# (cells x relator length x area) / 2**21 of a unit of the bound
+DUAL_SCALE = 2**20
+
+# distance from an integer below which an LP coordinate counts as integral
+INT_TOL = 1e-6
 
 
-def integer_solve(rows: list[dict[int, int]], num_cols: int, b: list[int]):
-    """Particular integer solution of the sparse system rows . x = b, or None.
+def integer_solve(columns: list[dict[int, int]], edge_ids: list[int], rhs: dict[int, int]) -> list[int] | None:
+    """Particular integer solution x of sum_c x_c * columns[c] = rhs over the
+    rows ``edge_ids``, or None.
 
     Columns are reduced to a Hermite-style triangular form by Euclidean
     column operations, tracked in V so a solution of the reduced system can
     be pulled back.
     """
-    m = len(rows)
-    cols = [[0] * m for _ in range(num_cols)]
-    for i, row in enumerate(rows):
-        for j, v in row.items():
-            cols[j][i] = v
+    m = len(edge_ids)
+    num_cols = len(columns)
+    cols = [[col.get(e, 0) for e in edge_ids] for col in columns]
     vmat = [[1 if k == j else 0 for k in range(num_cols)] for j in range(num_cols)]
 
     pivots: list[tuple[int, int]] = []  # (row, column) in elimination order
@@ -66,7 +66,7 @@ def integer_solve(rows: list[dict[int, int]], num_cols: int, b: list[int]):
         pivots.append((r, pivot_count))
         pivot_count += 1
 
-    residual = list(b)
+    residual = [rhs.get(e, 0) for e in edge_ids]
     y = [0] * num_cols
     for r, c in pivots:
         d = cols[c][r]
@@ -86,124 +86,59 @@ def integer_solve(rows: list[dict[int, int]], num_cols: int, b: list[int]):
     return x
 
 
-@dataclass
-class LPResult:
-    status: str  # optimal | infeasible | unbounded | maxiter
-    x: list[Fraction] | None = None
-    y: list[Fraction] | None = None
-    value: Fraction | None = None
+def boundary_matrix(columns: list[dict[int, int]], edge_ids: list[int]) -> sp.csc_matrix:
+    """Float (edges x cells) matrix of the integer columns, for HiGHS."""
+    epos = {e: i for i, e in enumerate(edge_ids)}
+    rows, cols, vals = [], [], []
+    for k, col in enumerate(columns):
+        for e, v in col.items():
+            rows.append(epos[e])
+            cols.append(k)
+            vals.append(float(v))
+    return sp.csc_matrix((vals, (rows, cols)), shape=(len(edge_ids), len(columns)))
 
 
-def simplex_min(
-    costs: list[Fraction],
-    rows: list[list[Fraction]],
-    rhs: list[Fraction],
-    maxiter: int = 200_000,
-) -> LPResult:
-    """min costs . x subject to rows . x = rhs, x >= 0 (exact two-phase).
+def solves(columns: list[dict[int, int]], coeffs: list[int], rhs: dict[int, int]) -> bool:
+    """Whether sum_c coeffs[c] * columns[c] == rhs, in integer arithmetic."""
+    acc: dict[int, int] = {}
+    for v, col in zip(coeffs, columns):
+        if v:
+            for e, w in col.items():
+                acc[e] = acc.get(e, 0) + v * w
+    return {e: v for e, v in acc.items() if v} == {e: v for e, v in rhs.items() if v}
 
-    Returns primal x and a dual vector y indexed by the original rows with
-    y . rhs == value and costs - y . rows >= 0 at optimality (redundant rows
-    get dual 0).
+
+def lower_bound(
+    columns: list[dict[int, int]],
+    edge_ids: list[int],
+    marginals,
+    rhs: dict[int, int],
+    lo: list[int],
+    hi: list[int],
+) -> int:
+    """Exact lower bound on sum_c |a_c| over the integer chains a with
+    lo[c] <= a_c <= hi[c] and sum_c a_c * columns[c] = rhs.
+
+    The float duals ``marginals`` (one per entry of ``edge_ids``) are rounded
+    to an integer vector Y over D = DUAL_SCALE.  Every such chain satisfies
+    D sum_c |a_c| = Y.rhs + sum_c (D |a_c| - (Y.columns[c]) a_c), and each
+    summand is convex in a_c, so its minimum over [lo_c, hi_c] lies at lo_c,
+    hi_c or 0.  The bound holds for every Y; it is evaluated for Y and -Y,
+    so the proposer's sign convention does not matter, and the larger of the
+    two is returned.
     """
-    m = len(rows)
-    n = len(costs)
-    row_sign = [1] * m
-    tab = []
-    for i in range(m):
-        row = [Fraction(v) for v in rows[i]]
-        b = Fraction(rhs[i])
-        if b < 0:
-            row = [-v for v in row]
-            b = -b
-            row_sign[i] = -1
-        tab.append(row + [ONE if k == i else ZERO for k in range(m)] + [b])
-    width = n + m + 1
-    basis = [n + i for i in range(m)]
-    live = list(range(m))
-    original_row = list(range(m))
-
-    def pivot(rlocal: int, col: int):
-        piv = tab[rlocal][col]
-        inv = ONE / piv
-        tab[rlocal] = [v * inv for v in tab[rlocal]]
-        prow = tab[rlocal]
-        for i in live:
-            if i != rlocal and tab[i][col]:
-                f = tab[i][col]
-                tab[i] = [v - f * pv for v, pv in zip(tab[i], prow)]
-        if obj[col]:
-            f = obj[col]
-            for k in range(width):
-                obj[k] -= f * prow[k]
-        basis[rlocal] = col
-
-    def run(allowed_cols, iterations):
-        it = 0
-        while True:
-            entering = -1
-            for j in allowed_cols:
-                if obj[j] < 0:
-                    entering = j
-                    break
-            if entering < 0:
-                return "optimal", it
-            leaving = -1
-            best = None
-            for i in live:
-                a = tab[i][entering]
-                if a > 0:
-                    ratio = tab[i][-1] / a
-                    if best is None or ratio < best or (ratio == best and basis[i] < basis[leaving]):
-                        best = ratio
-                        leaving = i
-            if leaving < 0:
-                return "unbounded", it
-            pivot(leaving, entering)
-            it += 1
-            if it > iterations:
-                return "maxiter", it
-
-    # phase 1: minimize the artificial sum
-    obj = [ZERO] * width
-    for i in live:
-        for k in range(width):
-            obj[k] -= tab[i][k]
-    for k in range(n, n + m):
-        obj[k] = ZERO
-    status, _ = run(range(n), maxiter)
-    if status != "optimal":
-        return LPResult(status)
-    if -obj[-1] > 0:
-        return LPResult("infeasible")
-    # drive leftover artificial basics out, dropping redundant rows
-    for i in list(live):
-        if basis[i] >= n:
-            col = next((j for j in range(n) if tab[i][j]), None)
-            if col is None:
-                live.remove(i)
-            else:
-                pivot(i, col)
-
-    # phase 2
-    obj = [Fraction(c) for c in costs] + [ZERO] * m + [ZERO]
-    for i in live:
-        c = costs[basis[i]] if basis[i] < n else ZERO
-        if c:
-            for k in range(width):
-                obj[k] -= c * tab[i][k]
-    status, _ = run(range(n), maxiter)
-    if status != "optimal":
-        return LPResult(status)
-
-    x = [ZERO] * n
-    for i in live:
-        if basis[i] < n:
-            x[basis[i]] = tab[i][-1]
-    value = sum((Fraction(costs[j]) * x[j] for j in range(n)), ZERO)
-    # reduced cost of the artificial column of row i is -y_i (flipped system)
-    y = [-obj[n + i] * row_sign[i] for i in range(m)]
-    return LPResult("optimal", x, y, value)
+    y = {e: round(v * DUAL_SCALE) for e, v in zip(edge_ids, map(float, marginals))}
+    base = sum(y.get(e, 0) * v for e, v in rhs.items())
+    pairings = [sum(y.get(e, 0) * v for e, v in col.items()) for col in columns]
+    bounds = []
+    for sign in (1, -1):
+        total = sign * base
+        for s, l, h in zip(pairings, lo, hi):
+            s *= sign
+            low = min(DUAL_SCALE * abs(l) - s * l, DUAL_SCALE * abs(h) - s * h)
+            total += min(low, 0) if l <= 0 <= h else low
+        bounds.append(-(-total // DUAL_SCALE))
+    return max(bounds)
 
 
 @dataclass
@@ -211,9 +146,24 @@ class FillSolve:
     status: str  # optimal | infeasible | budget
     coeffs: list[int] | None
     value: int | None
-    lp_bound: Fraction | None
-    root_dual: dict[int, Fraction] | None
     nodes: int
+
+
+def _split(x: list[float], lo: list[int], hi: list[int]) -> tuple[int, int, bool] | None:
+    """Branching choice (cell c, k, floor child first) for the children
+    a_c <= k and a_c >= k + 1, or None when the box is a single point: the
+    most fractional coordinate of the LP point, ties to the lowest cell, or
+    the first open range halved when the point is integral."""
+    open_cells = [c for c in range(len(x)) if lo[c] < hi[c]]
+    if not open_cells:
+        return None
+    c = min(open_cells, key=lambda c: abs(x[c] - math.floor(x[c]) - 0.5))
+    k = math.floor(x[c])
+    if abs(x[c] - round(x[c])) <= INT_TOL:
+        c = open_cells[0]
+        k = (lo[c] + hi[c]) // 2
+    k = min(max(k, lo[c]), hi[c] - 1)
+    return c, k, x[c] - k <= 0.5
 
 
 def l1_fill(
@@ -221,107 +171,69 @@ def l1_fill(
     edge_ids: list[int],
     rhs: dict[int, int],
     node_budget: int = 20_000,
+    incumbent: list[int] | None = None,
 ) -> FillSolve:
-    """min sum |a_c| with sum_c a_c * columns[c] = rhs, over integers.
+    """min sum |a_c| with sum_c a_c * columns[c] = rhs, over the integers.
 
     ``columns[c]`` maps edge id to the net boundary coefficient of cell c;
-    ``edge_ids`` fixes the equation rows.  Branch and bound over the exact
-    LP relaxation with the split a = p - q; branching on the most fractional
-    variable, ties broken by lowest cell index.
+    ``edge_ids`` fixes the equation rows.  ``incumbent`` is a known integer
+    solution; without one, ``integer_solve`` supplies one or proves that
+    none exists.
+
+    Depth-first branch and bound over boxes lo <= a <= hi, clipped to
+    |a_c| <= incumbent area - 1, which every better chain satisfies; so
+    every box is finite and so is the tree.  Each node LP is elastic -- a
+    slack on every edge row, costed at the incumbent area -- so it always
+    has duals.  A node is pruned only when ``lower_bound`` over its box
+    reaches the incumbent area.
     """
-    ncells = len(columns)
-    edge_pos = {e: i for i, e in enumerate(edge_ids)}
-    b = [rhs.get(e, 0) for e in edge_ids]
-    int_rows = [dict() for _ in edge_ids]
-    for c, col in enumerate(columns):
-        for e, v in col.items():
-            int_rows[edge_pos[e]][c] = v
+    n = len(columns)
+    if incumbent is None:
+        incumbent = integer_solve(columns, edge_ids, rhs)
+        if incumbent is None:
+            return FillSolve("infeasible", None, None, 0)
+    best = list(incumbent)
+    best_value = sum(map(abs, best))
 
-    x0 = integer_solve(int_rows, ncells, b)
-    if x0 is None:
-        return FillSolve("infeasible", None, None, None, None, 0)
-    incumbent = list(x0)
-    incumbent_value = sum(abs(v) for v in x0)
-    if incumbent_value == 0:
-        return FillSolve("optimal", incumbent, 0, ZERO, {}, 0)
-
-    def solve_lp(bounds):
-        # variables: p_0..p_{n-1}, q_0..q_{n-1}, then one slack per bound row
-        nslack = len(bounds)
-        nvars = 2 * ncells + nslack
-        costs = [ONE] * (2 * ncells) + [ZERO] * nslack
-        rows = []
-        rvec = []
-        for i, row in enumerate(int_rows):
-            dense = [ZERO] * nvars
-            for c, v in row.items():
-                dense[c] = Fraction(v)
-                dense[ncells + c] = Fraction(-v)
-            rows.append(dense)
-            rvec.append(Fraction(b[i]))
-        for k, (c, sense, bound) in enumerate(bounds):
-            dense = [ZERO] * nvars
-            dense[c] = ONE
-            dense[ncells + c] = -ONE
-            dense[2 * ncells + k] = ONE if sense == "le" else -ONE
-            rows.append(dense)
-            rvec.append(Fraction(bound))
-        return simplex_min(costs, rows, rvec)
-
-    root = solve_lp([])
-    if root.status == "infeasible":
-        # rationally infeasible cannot happen here (an integer solution exists)
-        raise InvariantError("LP infeasible despite integer solution")
-    if root.status != "optimal":
-        return FillSolve("budget", incumbent, incumbent_value, None, None, 0)
-    root_dual = {e: root.y[i] for i, e in enumerate(edge_ids)}
-    lp_bound = root.value
+    a_mat = boundary_matrix(columns, edge_ids)
+    eye = sp.identity(len(edge_ids), format="csc")
+    lp_matrix = sp.hstack([a_mat, -a_mat, eye, -eye], format="csc")
+    b_float = np.array([float(rhs.get(e, 0)) for e in edge_ids])
+    slack_bounds = [(0, None)] * (2 * len(edge_ids))
 
     nodes = 0
-    stack = [([], root)]
-    exhausted = True
+    stack = [([-best_value] * n, [best_value] * n)]
     while stack:
-        bounds, lp = stack.pop()
-        if lp is None:
-            nodes += 1
-            if nodes > node_budget:
-                exhausted = False
-                break
-            lp = solve_lp(bounds)
-            if lp.status == "infeasible":
-                continue
-            if lp.status != "optimal":
-                exhausted = False
-                continue
-        if math.ceil(lp.value) >= incumbent_value:
+        lo, hi = stack.pop()
+        cap = best_value - 1
+        lo, hi = [max(v, -cap) for v in lo], [min(v, cap) for v in hi]
+        if any(l > h for l, h in zip(lo, hi)):
             continue
-        a = [lp.x[c] - lp.x[ncells + c] for c in range(ncells)]
-        frac_var = -1
-        frac_score = None
-        for c in range(ncells):
-            f = a[c] - math.floor(a[c])
-            if f:
-                score = abs(f - Fraction(1, 2))
-                if frac_score is None or score < frac_score:
-                    frac_score = score
-                    frac_var = c
-        if frac_var < 0:
-            candidate = [int(v) for v in a]
-            value = sum(abs(v) for v in candidate)
-            if value < incumbent_value:
-                incumbent = candidate
-                incumbent_value = value
+        nodes += 1
+        if nodes > node_budget:
+            return FillSolve("budget", best, best_value, nodes)
+        # a = p - q with p, q >= 0 boxed so that p - q ranges over [lo, hi]
+        bounds = (
+            [(max(l, 0), max(h, 0)) for l, h in zip(lo, hi)]
+            + [(max(-h, 0), max(-l, 0)) for l, h in zip(lo, hi)]
+            + slack_bounds
+        )
+        cost = np.concatenate([np.ones(2 * n), np.full(len(slack_bounds), float(best_value))])
+        lp = linprog(cost, A_eq=lp_matrix, b_eq=b_float, bounds=bounds, method="highs")
+        if lp.status != 0:
+            return FillSolve("budget", best, best_value, nodes)
+        x = (lp.x[:n] - lp.x[n : 2 * n]).tolist()
+        point = [min(max(round(v), l), h) for v, l, h in zip(x, lo, hi)]
+        value = sum(map(abs, point))
+        if value < best_value and solves(columns, point, rhs):
+            best, best_value = point, value
+        if lower_bound(columns, edge_ids, lp.eqlin.marginals, rhs, lo, hi) >= best_value:
             continue
-        lo = math.floor(a[frac_var])
-        first_floor = (a[frac_var] - lo) <= Fraction(1, 2)
-        floor_child = (bounds + [(frac_var, "le", lo)], None)
-        ceil_child = (bounds + [(frac_var, "ge", lo + 1)], None)
-        if first_floor:
-            stack.append(ceil_child)
-            stack.append(floor_child)
-        else:
-            stack.append(floor_child)
-            stack.append(ceil_child)
-
-    status = "optimal" if exhausted else "budget"
-    return FillSolve(status, incumbent, incumbent_value, lp_bound, root_dual, nodes)
+        split = _split(x, lo, hi)
+        if split is None:
+            continue  # a single point, checked above
+        c, k, floor_first = split
+        floor_child = (lo, hi[:c] + [k] + hi[c + 1 :])
+        ceil_child = (lo[:c] + [k + 1] + lo[c + 1 :], hi)
+        stack.extend([ceil_child, floor_child] if floor_first else [floor_child, ceil_child])
+    return FillSolve("optimal", best, best_value, nodes)

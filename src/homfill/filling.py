@@ -1,16 +1,21 @@
 """Exact homological area: minimal-L1 integer fillings, FA tables,
 superadditive closure and finite-range relation checks.
 
-The ILP solver works on growing cell neighbourhoods of the query cycle and
-certifies global optimality over the whole ball with an exact dual vector,
-falling back to the full system (with forced-cell peeling) when the local
-certificate does not close.  All computed FA values are ball-restricted
-lower bounds and say so in their result records.
+The exact solver has one path.  Forced cells are peeled first.  For what is
+left, a HiGHS MILP proposes an integer chain and a HiGHS LP proposes duals;
+the chain is accepted when the exact integer bound ``exactlp.lower_bound``
+reaches its area.  When it does not, ``exactlp.l1_fill`` runs branch and
+bound over all free cells, and prunes only with that same bound.
+
+Every value is restricted to a finite ball.  The ball-restricted area of
+one cycle is an upper bound on its untruncated area, since a larger ball
+only adds cells.  A ball FA entry bounds the untruncated FA in neither
+direction: its areas may be too large, and loops leaving the ball are
+missing.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -20,11 +25,10 @@ from .cayley import (
     OneCycle,
     TwoChain,
     boundary_2,
-    hop_distances,
     is_cycle,
 )
 from .errors import DomainError, InvariantError
-from .exactlp import integer_solve, l1_fill
+from .exactlp import boundary_matrix, l1_fill, lower_bound, solves
 from .presentation import HomPresentation
 from .words import format_word
 
@@ -36,7 +40,10 @@ from scipy.optimize import LinearConstraint as _LinearConstraint
 from scipy.optimize import linprog as _linprog
 from scipy.optimize import milp as _milp
 
-TRUNCATION_NOTE = "values are restricted to the stated ball radius; they lower-bound the untruncated quantities"
+TRUNCATION_NOTE = (
+    "values are restricted to the stated ball radius; the area of one cycle is an upper bound on its "
+    "untruncated area, and an FA entry bounds the untruncated FA in neither direction"
+)
 
 
 @dataclass
@@ -50,15 +57,6 @@ class FillingResult:
 
     def optimal(self) -> bool:
         return self.status == "optimal"
-
-
-def _cycle_vertices(ball: CayleyBall, gamma: OneCycle) -> set[int]:
-    verts = set()
-    for edge in gamma.coeffs:
-        s, _, t = ball.edges[edge]
-        verts.add(s)
-        verts.add(t)
-    return verts
 
 
 def _peel_forced(
@@ -136,41 +134,23 @@ def harea_fill(
     raise DomainError(f"unknown solver {solver!r}")
 
 
-def _rationalize_dual(marginals, denominators=(1, 2, 3, 4, 6, 8, 12, 16, 24, 32, 48, 64, 96, 120, 240)):
-    for d in denominators:
-        yield [Fraction(round(v * d), d) for v in marginals]
-
-
 def _fast_fill(
     columns: list[dict[int, int]],
-    free_cells: list[int],
+    edge_ids: list[int],
     residual: dict[int, int],
-) -> tuple[dict[int, int], int] | None:
-    """Certified minimum via float proposals: a HiGHS MILP suggests an integer
-    chain, a HiGHS LP suggests a dual vector; both are verified exactly and
-    accepted only when ceil of the exact dual bound meets the chain's area.
-    Returns (assignment over free cells, area) or None to fall back."""
-    edge_ids = sorted({e for c in free_cells for e in columns[c]} | set(residual))
-    epos = {e: i for i, e in enumerate(edge_ids)}
-    n = len(free_cells)
+) -> tuple[list[int], bool] | None:
+    """The root of the exact solver: a HiGHS MILP proposes an integer chain
+    over ``columns`` (the free cells), accepted only if it bounds
+    ``residual`` in integer arithmetic; an unboxed HiGHS LP proposes duals,
+    and the chain is certified minimal when ``lower_bound`` over the box
+    |a_c| <= area - 1 reaches its area.  Returns (chain coefficients,
+    certified) or None when HiGHS proposes no such chain."""
+    n = len(columns)
     m = len(edge_ids)
-    rows_i, cols_i, vals = [], [], []
-    for k, c in enumerate(free_cells):
-        for e, v in columns[c].items():
-            rows_i.append(epos[e])
-            cols_i.append(k)
-            vals.append(float(v))
-    a_mat = _sp.csc_matrix((vals, (rows_i, cols_i)), shape=(m, 2 * n))
-    abs_rows = []
-    for k in range(n):
-        abs_rows.append((k, k, -1.0))
-        abs_rows.append((k, n + k, 1.0))
-        abs_rows.append((n + k, k, 1.0))
-        abs_rows.append((n + k, n + k, 1.0))
-    abs_mat = _sp.csc_matrix(
-        ([v for _, _, v in abs_rows], ([r for r, _, _ in abs_rows], [c for _, c, _ in abs_rows])),
-        shape=(2 * n, 2 * n),
-    )
+    a_mat = _sp.hstack([boundary_matrix(columns, edge_ids), _sp.csc_matrix((m, n))], format="csc")
+    # variables (a, t); rows t - a >= 0 and t + a >= 0 make t >= |a|
+    eye = _sp.identity(n, format="csc")
+    abs_mat = _sp.bmat([[-eye, eye], [eye, eye]], format="csc")
     b = _np.array([float(residual.get(e, 0)) for e in edge_ids])
     cost = _np.concatenate([_np.zeros(n), _np.ones(n)])
     constraints = [
@@ -181,20 +161,9 @@ def _fast_fill(
     sol = _milp(cost, constraints=constraints, integrality=integrality, bounds=_Bounds(-_np.inf, _np.inf))
     if not sol.success:
         return None
-    candidate = {}
-    for k, c in enumerate(free_cells):
-        v = int(round(sol.x[k]))
-        if v:
-            candidate[c] = v
-    check: dict[int, int] = {}
-    for c, v in candidate.items():
-        for e, w in columns[c].items():
-            check[e] = check.get(e, 0) + v * w
-    if {e: v for e, v in check.items() if v} != {e: v for e, v in residual.items() if v}:
+    coeffs = [int(round(v)) for v in sol.x[:n]]
+    if not solves(columns, coeffs, residual):
         return None
-    area = sum(abs(v) for v in candidate.values())
-    if area == 0:
-        return candidate, 0
 
     lp = _linprog(
         cost,
@@ -206,21 +175,10 @@ def _fast_fill(
         method="highs",
     )
     if lp.status != 0:
-        return None
-    for y in _rationalize_dual(lp.eqlin.marginals):
-        ymap = {e: y[i] for i, e in enumerate(edge_ids) if y[i]}
-        feasible = True
-        for c in free_cells:
-            pairing = sum(y[epos[e]] * v for e, v in columns[c].items())
-            if pairing > 1 or pairing < -1:
-                feasible = False
-                break
-        if not feasible:
-            continue
-        bound = sum(ymap.get(e, Fraction(0)) * v for e, v in residual.items())
-        if math.ceil(abs(bound)) >= area:
-            return candidate, area
-    return None
+        return coeffs, False
+    area = sum(map(abs, coeffs))
+    cap = area - 1
+    return coeffs, lower_bound(columns, edge_ids, lp.eqlin.marginals, residual, [-cap] * n, [cap] * n) >= area
 
 
 def _fill_ilp(ball: CayleyBall, gamma: OneCycle, node_budget: int) -> FillingResult:
@@ -234,72 +192,27 @@ def _fill_ilp(ball: CayleyBall, gamma: OneCycle, node_budget: int) -> FillingRes
     if peeled is None:
         return FillingResult(TwoChain(), None, "infeasible_in_ball", ball.radius)
     forced, free_cells, residual = peeled
-    if not residual:
-        # zero is the minimal completion of the free part
-        chain = TwoChain(forced)
-        if boundary_2(ball, chain) != gamma:
-            raise InvariantError("peeled chain does not bound the query cycle")
-        return FillingResult(chain, chain.area(), "optimal", ball.radius)
-
-    fast = _fast_fill(columns, free_cells, residual)
-    if fast is not None:
-        assignment, _ = fast
-        merged = dict(forced)
-        for c, v in assignment.items():
-            merged[c] = merged.get(c, 0) + v
-        chain = TwoChain(merged)
-        if boundary_2(ball, chain) != gamma:
-            raise InvariantError("certified chain does not bound the query cycle")
-        return FillingResult(chain, chain.area(), "optimal", ball.radius)
-
-    res_cycle = OneCycle(residual)
-    dist = hop_distances(ball.succ, _cycle_vertices(ball, res_cycle))
-    cell_dist = {c: min(dist[v] for v in ball.cells[c].vertex_path) for c in free_cells}
-
-    def attempt(work: list[int], full: bool) -> FillingResult | None:
-        covered = {e for c in work for e in columns[c]}
-        if any(e not in covered for e in residual):
-            if full:
+    nodes = 0
+    coeffs: list[int] = []
+    if residual:
+        free_columns = [columns[c] for c in free_cells]
+        edge_ids = sorted({e for col in free_columns for e in col} | set(residual))
+        fast = _fast_fill(free_columns, edge_ids, residual)
+        if fast is not None and fast[1]:
+            coeffs = fast[0]
+        else:
+            # the root bound did not close: exact branch and bound from the
+            # HiGHS chain, or from integer_solve's when HiGHS proposed none
+            solve = l1_fill(free_columns, edge_ids, residual, node_budget, incumbent=fast[0] if fast else None)
+            if solve.status == "infeasible":
                 return FillingResult(TwoChain(), None, "infeasible_in_ball", ball.radius)
-            return None
-        edge_ids = sorted(set(residual) | covered)
-        solve = l1_fill([columns[c] for c in work], edge_ids, residual, node_budget)
-        if solve.status == "infeasible":
-            if full:
-                return FillingResult(TwoChain(), None, "infeasible_in_ball", ball.radius)
-            return None
-        if solve.status == "budget":
-            if full:
+            if solve.status == "budget":
                 return FillingResult(TwoChain(), None, "budget_exceeded", ball.radius, nodes=solve.nodes)
-            return None
-        if not full:
-            # certify optimality over all free cells with the root dual
-            if solve.value != math.ceil(solve.lp_bound):
-                return None
-            y = solve.root_dual
-            for c in free_cells:
-                pairing = sum(Fraction(v) * y.get(e, Fraction(0)) for e, v in columns[c].items())
-                if pairing > 1 or pairing < -1:
-                    return None
-        assignment = dict(forced)
-        for c, v in zip(work, solve.coeffs):
-            if v:
-                assignment[c] = assignment.get(c, 0) + v
-        chain = TwoChain(assignment)
-        if boundary_2(ball, chain) != gamma:
-            raise InvariantError("solver returned a chain whose boundary is not the query cycle")
-        return FillingResult(chain, chain.area(), "optimal", ball.radius, nodes=solve.nodes)
-
-    max_dist = max(cell_dist.values(), default=0)
-    d = 2
-    while d < max_dist:
-        subset = [c for c in free_cells if cell_dist[c] <= d]
-        if subset:
-            result = attempt(subset, full=False)
-            if result is not None:
-                return result
-        d *= 2
-    return attempt(free_cells, full=True)
+            coeffs, nodes = solve.coeffs, solve.nodes
+    chain = TwoChain([*forced.items(), *zip(free_cells, coeffs)])
+    if boundary_2(ball, chain) != gamma:
+        raise InvariantError("certified chain does not bound the query cycle")
+    return FillingResult(chain, chain.area(), "optimal", ball.radius, nodes=nodes)
 
 
 class BruteSearch:
@@ -477,7 +390,11 @@ def fa_estimate(
     ball: CayleyBall | None = None,
     node_budget: int = 50_000,
 ) -> FATable:
-    """Ball-restricted FA lower bounds from identity-based loop enumeration.
+    """Ball-restricted FA values from identity-based loop enumeration.
+
+    Each loop's area is an upper bound on its untruncated area, but only
+    loops inside the ball are enumerated, so an entry bounds the untruncated
+    FA in neither direction.
 
     Nondecreasing by construction; ``loops_plus_superadditive`` additionally
     closes the table under the superadditive combination rule, standing in

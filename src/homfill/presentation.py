@@ -358,6 +358,17 @@ def parse_presentation_text(text: str, source: str = "<string>") -> Presentation
     )
 
 
+def read_text(path: str, what: str) -> str:
+    """The UTF-8 text of the input file ``path`` (a ``what``); ParseError
+    when it cannot be read."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except OSError as exc:
+        raise ParseError(f"cannot read {what} {path!r}: {exc.strerror}") from None
+    except UnicodeDecodeError:
+        raise ParseError(f"{what} {path!r} is not UTF-8 text") from None
+
+
 def parse_presentation_file(path: str) -> PresentationFile:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_presentation_text(fh.read(), source=path)
+    return parse_presentation_text(read_text(path, "presentation file"), source=path)

@@ -114,6 +114,50 @@ def test_verify_bad_diagram_exits_cleanly(tmp_path, capsys, text, error):
     assert json.loads(capsys.readouterr().err)["error"] == error
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["fill", "--pres", "{missing}", "--word", "a b a' b'", "--ball", "2"],
+        ["verify", "--diagram", "{missing}"],
+        ["degree", "--constants", "{missing}"],
+    ],
+    ids=["pres", "diagram", "constants"],
+)
+def test_missing_input_file_exits_cleanly(tmp_path, capsys, args):
+    missing = str(tmp_path / "nope")
+    argv = [a.replace("{missing}", missing) for a in args]
+    assert run_cli(argv + ["--out", str(tmp_path / "o.json"), "--json-errors"]) == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ParseError"
+    assert missing in err["message"]
+
+
+def test_pres_not_utf8_exits_cleanly(tmp_path, capsys):
+    pres = tmp_path / "bad.grp"
+    pres.write_bytes(b"\xff\xfe generators: a")
+    code = run_cli([
+        "fill", "--pres", str(pres), "--word", "a", "--ball", "1",
+        "--out", str(tmp_path / "o.json"), "--json-errors",
+    ])
+    assert code == 1
+    assert "UTF-8" in json.loads(capsys.readouterr().err)["message"]
+
+
+@pytest.mark.parametrize(
+    "data",
+    [b"not json", b"\xff\xfe", b'{"C": 1}', b'{"M": "2"}', b'{"M": 2.5}', b"[2]"],
+    ids=["not-json", "not-utf8", "no-M", "string-M", "float-M", "not-object"],
+)
+def test_degree_bad_constants_exits_cleanly(tmp_path, capsys, data):
+    consts = tmp_path / "c.json"
+    consts.write_bytes(data)
+    code = run_cli([
+        "degree", "--constants", str(consts), "--out", str(tmp_path / "d.json"), "--json-errors",
+    ])
+    assert code == 1
+    assert json.loads(capsys.readouterr().err)["error"] == "ParseError"
+
+
 def test_constants_heis(tmp_path):
     out = tmp_path / "c.json"
     assert run_cli([

@@ -1,46 +1,7 @@
+import itertools
 import random
-from fractions import Fraction
 
-from homfill.exactlp import integer_solve, l1_fill, simplex_min
-
-
-def test_simplex_duality_random():
-    rng = random.Random(0)
-    for _ in range(80):
-        m, n = rng.randint(1, 4), rng.randint(2, 6)
-        a = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(m)]
-        feas = [rng.randint(0, 3) for _ in range(n)]
-        b = [sum(a[i][j] * feas[j] for j in range(n)) for i in range(m)]
-        c = [rng.randint(0, 5) for _ in range(n)]
-        res = simplex_min(
-            [Fraction(v) for v in c],
-            [[Fraction(v) for v in row] for row in a],
-            [Fraction(v) for v in b],
-        )
-        assert res.status == "optimal"
-        for i in range(m):
-            assert sum(a[i][j] * res.x[j] for j in range(n)) == b[i]
-        assert all(v >= 0 for v in res.x)
-        assert sum(res.y[i] * b[i] for i in range(m)) == res.value
-        for j in range(n):
-            assert c[j] - sum(res.y[i] * a[i][j] for i in range(m)) >= 0
-
-
-def test_simplex_infeasible():
-    res = simplex_min([Fraction(1)], [[Fraction(0)]], [Fraction(1)])
-    assert res.status == "infeasible"
-
-
-def test_simplex_redundant_row():
-    # duplicated constraint; dual still certifies
-    res = simplex_min(
-        [Fraction(1), Fraction(1)],
-        [[Fraction(1), Fraction(1)], [Fraction(1), Fraction(1)]],
-        [Fraction(2), Fraction(2)],
-    )
-    assert res.status == "optimal"
-    assert res.value == 2
-    assert sum(res.y[i] * 2 for i in range(2)) == 2
+from homfill.exactlp import integer_solve, l1_fill, lower_bound, solves
 
 
 def test_integer_solve_random():
@@ -52,16 +13,17 @@ def test_integer_solve_random():
         ]
         x = [rng.randint(-5, 5) for _ in range(n)]
         b = [sum(row.get(j, 0) * x[j] for j in range(n)) for row in rows]
-        sol = integer_solve(rows, n, b)
+        columns = [{i: row[j] for i, row in enumerate(rows) if j in row} for j in range(n)]
+        sol = integer_solve(columns, list(range(m)), dict(enumerate(b)))
         assert sol is not None
         for i, row in enumerate(rows):
             assert sum(row.get(j, 0) * sol[j] for j in range(n)) == b[i]
 
 
 def test_integer_solve_divisibility():
-    assert integer_solve([{0: 2}], 1, [1]) is None
-    assert integer_solve([{0: 2}], 1, [4]) == [2]
-    assert integer_solve([{0: 0}], 1, [1]) is None
+    assert integer_solve([{0: 2}], [0], {0: 1}) is None
+    assert integer_solve([{0: 2}], [0], {0: 4}) == [2]
+    assert integer_solve([{0: 0}], [0], {0: 1}) is None
 
 
 def test_l1_fill_basic():
@@ -92,8 +54,87 @@ def test_l1_fill_rational_but_not_integer_feasible():
 
 def test_l1_fill_branches_on_fractional_vertex():
     # 2 x0 + x1 = 1: LP relaxation sits at x0 = 1/2, integrality forces x1 = 1
-    r = l1_fill([{0: 2}, {0: 1}], [0], {0: 1})
+    columns, rhs = [{0: 2}, {0: 1}], {0: 1}
+    r = l1_fill(columns, [0], rhs)
     assert r.status == "optimal"
     assert r.value == 1
     assert r.coeffs == [0, 1]
-    assert r.lp_bound == Fraction(1, 2)
+    # the LP vertex's dual 1/2 certifies the value: no chain inside the box
+    # |a_c| <= value - 1 has a smaller area
+    cap = r.value - 1
+    assert lower_bound(columns, [0], [0.5], rhs, [-cap] * 2, [cap] * 2) >= r.value
+
+
+def test_l1_fill_closes_integrality_gap():
+    # 3 x0 + 2 x1 = 1: the LP value is 1/3, the integer optimum (1, -1) has
+    # area 2, so the root bound cannot close and the search must branch
+    r = l1_fill([{0: 3}, {0: 2}], [0], {0: 1})
+    assert (r.status, r.value) == ("optimal", 2)
+    assert r.coeffs == [1, -1]
+    assert r.nodes > 1
+
+
+def _vectors_with_l1(n, total):
+    if n == 0:
+        if total == 0:
+            yield ()
+        return
+    for v in range(-total, total + 1):
+        for rest in _vectors_with_l1(n - 1, total - abs(v)):
+            yield (v, *rest)
+
+
+def _exhaustive_min(columns, rhs, limit):
+    for total in range(limit + 1):
+        if any(solves(columns, list(a), rhs) for a in _vectors_with_l1(len(columns), total)):
+            return total
+    return None
+
+
+def _random_system(rng):
+    m, n = rng.randint(1, 3), rng.randint(1, 4)
+    columns = [{e: v for e in range(m) if (v := rng.randint(-3, 3)) and rng.random() < 0.8} for _ in range(n)]
+    x = [rng.randint(-2, 2) for _ in range(n)]
+    rhs = {}
+    for v, col in zip(x, columns):
+        for e, w in col.items():
+            rhs[e] = rhs.get(e, 0) + v * w
+    return columns, list(range(m)), rhs, x
+
+
+def test_l1_fill_matches_exhaustive_enumeration():
+    rng = random.Random(7)
+    branched = 0
+    for trial in range(240):
+        columns, edge_ids, rhs, x = _random_system(rng)
+        # half the systems start from the generating solution, half from
+        # integer_solve's
+        r = l1_fill(columns, edge_ids, rhs, incumbent=x if trial % 2 else None)
+        assert r.status == "optimal"
+        assert solves(columns, r.coeffs, rhs)
+        assert r.value == sum(map(abs, r.coeffs)) == _exhaustive_min(columns, rhs, sum(map(abs, x)))
+        branched += r.nodes > 1
+    assert branched >= 20
+
+
+def test_lower_bound_holds_for_any_dual():
+    # any dual vector, however wrong, gives a bound no larger than the
+    # smallest area of an integer solution inside the box
+    rng = random.Random(11)
+    checked = 0
+    for _ in range(150):
+        columns, edge_ids, rhs, _ = _random_system(rng)
+        n = len(columns)
+        lo = [rng.randint(-2, 1) for _ in range(n)]
+        hi = [v + rng.randint(0, 2) for v in lo]
+        areas = [
+            sum(map(abs, a))
+            for a in itertools.product(*(range(l, h + 1) for l, h in zip(lo, hi)))
+            if solves(columns, list(a), rhs)
+        ]
+        if not areas:
+            continue
+        marginals = [rng.uniform(-2, 2) for _ in edge_ids]
+        assert lower_bound(columns, edge_ids, marginals, rhs, lo, hi) <= min(areas)
+        checked += 1
+    assert checked >= 30

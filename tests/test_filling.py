@@ -1,11 +1,18 @@
+import glob
+import os
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from homfill import filling
 from homfill.cayley import OneCycle, boundary_2, build_ball, loop_to_cycle
+from homfill.cli import load_group
 from homfill.errors import DomainError
 from homfill.filling import (
     check_preceq,
+    enumerate_identity_cycles,
     fa_estimate,
     harea_fill,
     superadditive_closure,
@@ -13,6 +20,7 @@ from homfill.filling import (
 from homfill.words import parse_word
 
 NI = {"a": 0, "b": 1}
+GROUP_FILES = sorted(glob.glob(os.path.join(os.path.dirname(__file__), "..", "groups", "*.grp")))
 
 
 def test_fill_commutator(z2_ball4):
@@ -158,3 +166,28 @@ def test_check_preceq_linear_below_quadratic():
     sq = [v * v for v in n]
     res = check_preceq(n, sq, c_max=50)
     assert res.holds and res.constant == 1
+
+
+@pytest.mark.parametrize("root", ["proposer", "no-proposer"])
+@pytest.mark.parametrize("path", GROUP_FILES, ids=os.path.basename)
+def test_exact_matches_brute_force_on_group_files(path, root, monkeypatch):
+    # f2.grp has no relators, so its ball is a tree with no nonzero cycles;
+    # "no-proposer" sends every unpeeled fill to the branch and bound,
+    # starting from integer_solve's chain
+    if root == "no-proposer":
+        monkeypatch.setattr(filling, "_fast_fill", lambda *args: None)
+    group = load_group(path)
+    ball = build_ball(group.backend, group.hom_pres, 3)
+    cycles = enumerate_identity_cycles(ball, 6)
+    sample = random.Random(os.path.basename(path)).sample(cycles, min(40, len(cycles)))
+    skipped = 0
+    for _, cycle, word in sample:
+        brute = harea_fill(ball, cycle, solver="brute_force", enum_budget=200_000)
+        if brute.status == "budget_exceeded":
+            skipped += 1
+            continue
+        exact = harea_fill(ball, cycle)
+        assert (exact.status, exact.area) == (brute.status, brute.area), word
+        if exact.optimal():
+            assert boundary_2(ball, exact.chain) == cycle
+    assert 2 * skipped <= len(sample)
