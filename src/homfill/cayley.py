@@ -172,6 +172,33 @@ class CayleyBall:
             cols.append(col)
         return cols
 
+    @cached_property
+    def collapse(self) -> tuple[tuple[tuple[int, int], ...], tuple[int, ...], frozenset[int]]:
+        """The ball's forced-cell collapse: (cell, free edge) pairs in removal
+        order, each cell being the only one left on that edge when it goes,
+        then the cells that remain and the edges they still touch.  It
+        depends on the ball alone; built on first use."""
+        columns = self.net_columns
+        incident: dict[int, set[int]] = {}
+        for c, col in enumerate(columns):
+            for e in col:
+                incident.setdefault(e, set()).add(c)
+        queue = [e for e in incident if len(incident[e]) == 1]
+        alive = set(range(len(columns)))
+        order = []
+        while queue:
+            e = queue.pop()
+            if len(incident[e]) != 1:
+                continue
+            (c,) = incident[e]
+            order.append((c, e))
+            alive.remove(c)
+            for e2 in columns[c]:
+                incident[e2].discard(c)
+                if len(incident[e2]) == 1:
+                    queue.append(e2)
+        return tuple(order), tuple(sorted(alive)), frozenset(e for e, cs in incident.items() if cs)
+
 
 def hop_distances(succ: list[dict[int, tuple[int, int, int]]], sources) -> list[int]:
     """Hop distances from a vertex set over the ball 1-skeleton; vertices the

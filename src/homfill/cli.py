@@ -128,6 +128,18 @@ def load_group(path: str) -> LoadedGroup:
 # artifacts
 
 
+def _write_text(path: str, text: str) -> None:
+    """Atomic write through a temporary file; a path that cannot be written
+    raises DomainError."""
+    tmp = path + ".tmp"
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except OSError as exc:
+        raise DomainError(f"cannot write {path}: {exc.strerror or exc}") from exc
+
+
 def write_artifact(path: str, payload: dict, config_echo: dict) -> None:
     """Atomic write; volatile metadata goes to a sidecar so reruns with one
     seed stay byte-identical."""
@@ -137,24 +149,12 @@ def write_artifact(path: str, payload: dict, config_echo: dict) -> None:
         "truncation_note": TRUNCATION_NOTE,
     }
     doc.update(payload)
-    tmp = path + ".tmp"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, sort_keys=True, indent=2)
-        fh.write("\n")
-    os.replace(tmp, path)
-    sidecar = path + ".meta.json"
-    with open(sidecar + ".tmp", "w", encoding="utf-8") as fh:
-        json.dump({"written_at": datetime.datetime.now().isoformat()}, fh)
-        fh.write("\n")
-    os.replace(sidecar + ".tmp", sidecar)
+    _write_text(path, json.dumps(doc, sort_keys=True, indent=2) + "\n")
+    _write_text(path + ".meta.json", json.dumps({"written_at": datetime.datetime.now().isoformat()}) + "\n")
 
 
 def write_table(path: str, rows: list[tuple[int, int]]) -> None:
-    tmp = path + ".tmp"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        for n, v in rows:
-            fh.write(f"{n}\t{v}\n")
-    os.replace(tmp, path)
+    _write_text(path, "".join(f"{n}\t{v}\n" for n, v in rows))
 
 
 def _config_echo(args: argparse.Namespace) -> dict:
@@ -234,10 +234,7 @@ def cmd_surface(args) -> int:
     payload["ball"] = ball_to_json(ball)
     write_artifact(args.out, payload, _config_echo(args))
     if args.dot:
-        tmp = args.dot + ".tmp"
-        with open(tmp, "w", encoding="utf-8") as fh:
-            fh.write(diagram_to_dot(diagram) + "\n")
-        os.replace(tmp, args.dot)
+        _write_text(args.dot, diagram_to_dot(diagram) + "\n")
     if args.verbose:
         print(f"surface: area {metrics.area}, radius {metrics.radius}")
     return 0

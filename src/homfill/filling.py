@@ -60,51 +60,34 @@ class FillingResult:
 
 
 def _peel_forced(
-    columns: list[dict[int, int]], cells: list[int], residual: dict[int, int]
-) -> tuple[dict[int, int], list[int], dict[int, int]] | None:
-    """Repeatedly assign cells forced by edges with a single incident cell.
+    ball: CayleyBall, residual: dict[int, int]
+) -> tuple[dict[int, int], tuple[int, ...], dict[int, int]] | None:
+    """Assign the cells of the ball's forced-cell collapse in its removal
+    order, each from what is left of the residual on its free edge.
 
-    Sound only when ``cells`` is every cell of the complex that touches the
-    residual's edges.  Returns (forced assignment, remaining cells, residual)
-    or None when the forced value is non-integral or an uncoverable edge
-    remains nonzero.
+    Sound because the collapse runs over every cell of the ball.  Returns
+    (forced assignment, remaining cells, residual) or None when a forced
+    value is non-integral or an edge no remaining cell touches stays nonzero.
     """
+    columns = ball.net_columns
+    order, remaining, touched = ball.collapse
     residual = {e: c for e, c in residual.items() if c}
-    remaining = list(cells)
     forced: dict[int, int] = {}
-    incident: dict[int, set[int]] = {}
-    for c in remaining:
-        for e in columns[c]:
-            incident.setdefault(e, set()).add(c)
-    queue = [e for e in incident if len(incident[e]) == 1]
-    alive = set(remaining)
-    while queue:
-        e = queue.pop()
-        cs = incident.get(e)
-        if not cs or len(cs) != 1:
+    for c, e in order:
+        value = residual.get(e)
+        if not value:
             continue
-        (c,) = cs
-        if c not in alive:
-            continue
-        coeff = columns[c][e]
-        value = residual.get(e, 0)
-        if value % coeff:
+        a, rem = divmod(value, columns[c][e])
+        if rem:
             return None
-        a = value // coeff
-        if a:
-            forced[c] = a
-        alive.remove(c)
+        forced[c] = a
         for e2, v in columns[c].items():
             residual[e2] = residual.get(e2, 0) - a * v
             if not residual[e2]:
                 del residual[e2]
-            incident[e2].discard(c)
-            if len(incident[e2]) == 1:
-                queue.append(e2)
-    for e, v in residual.items():
-        if v and not incident.get(e):
-            return None
-    return forced, sorted(alive), residual
+    if any(e not in touched for e in residual):
+        return None
+    return forced, remaining, residual
 
 
 def harea_fill(
@@ -188,7 +171,7 @@ def _fill_ilp(ball: CayleyBall, gamma: OneCycle, node_budget: int) -> FillingRes
 
     # forced-cell peeling over the full system is sound and often finishes
     # the job outright (planar-type balls have unique fillings)
-    peeled = _peel_forced(columns, list(range(len(ball.cells))), dict(gamma.coeffs))
+    peeled = _peel_forced(ball, gamma.coeffs)
     if peeled is None:
         return FillingResult(TwoChain(), None, "infeasible_in_ball", ball.radius)
     forced, free_cells, residual = peeled

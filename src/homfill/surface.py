@@ -7,17 +7,26 @@ matching on boundary slots.  Local vertices are equivalence classes of face
 corners generated by the endpoint identifications of glued slots, and the
 link condition -- every class is a single corner fan, open or closed -- is
 what makes the complex a surface with boundary.
+
+The gluing is interpreted in one place, ``SurfaceIndex``: the matching, the
+corner classes and the free sides of every class are derived once per
+diagram, and the diagram is verified while they are.  Diagrams are
+immutable, so ``SurfaceDiagram.index`` is built on first use and kept;
+verification, measurement, boundary paths, projection and DOT output all
+read it.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .cayley import CayleyBall, OneCycle, TwoChain
 from .errors import DomainError, InvariantError, ParseError
 
 SlotRef = tuple[int, int]  # (face index, slot position)
+Side = tuple[SlotRef, str]  # (slot, "tail" | "head")
 
 
 @dataclass(frozen=True)
@@ -27,7 +36,7 @@ class Face:
     corner_images: tuple[int, ...] | None = None  # ball vertex per corner
 
 
-@dataclass
+@dataclass(frozen=True)
 class SurfaceDiagram:
     faces: list[Face]
     gluing: list[tuple[SlotRef, SlotRef, bool]]  # (slot, slot, flipped?)
@@ -50,59 +59,10 @@ class SurfaceDiagram:
             for p in range(len(face.slots)):
                 yield (f, p)
 
-    def matching_dict(self) -> dict[SlotRef, tuple[SlotRef, bool]]:
-        out: dict[SlotRef, tuple[SlotRef, bool]] = {}
-        for a, b, flip in self.gluing:
-            if a in out or b in out or a == b:
-                raise DomainError("gluing is not a partial matching; run verify_surface")
-            out[a] = (b, flip)
-            out[b] = (a, flip)
-        return out
-
-    def unmatched_slots(self) -> list[SlotRef]:
-        matched = set()
-        for a, b, _ in self.gluing:
-            matched.add(a)
-            matched.add(b)
-        return [s for s in self.all_slots() if s not in matched]
-
-    def corner_classes(self) -> list[tuple[SlotRef, ...]]:
-        """Local vertices: declared classes if any, else the classes generated
-        by the gluing's endpoint identifications."""
-        if self.declared_classes is not None:
-            return self.declared_classes
-        parent: dict[SlotRef, SlotRef] = {}
-
-        def find(x):
-            while parent.setdefault(x, x) != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        def union(x, y):
-            rx, ry = find(x), find(y)
-            if rx != ry:
-                parent[max(rx, ry)] = min(rx, ry)
-
-        for f in range(len(self.faces)):
-            for p in range(self.face_len(f)):
-                find((f, p))
-        for a, b, flip in self.gluing:
-            fa, pa = a
-            fb, pb = b
-            head_a = (fa, (pa + 1) % self.face_len(fa))
-            head_b = (fb, (pb + 1) % self.face_len(fb))
-            if not flip:
-                union(a, head_b)
-                union(head_a, b)
-            else:
-                union(a, b)
-                union(head_a, head_b)
-        groups: dict[SlotRef, list[SlotRef]] = {}
-        for f in range(len(self.faces)):
-            for p in range(self.face_len(f)):
-                groups.setdefault(find((f, p)), []).append((f, p))
-        return [tuple(sorted(g)) for g in sorted(groups.values())]
+    @cached_property
+    def index(self) -> SurfaceIndex:
+        """The gluing's interpretation, built and verified on first use."""
+        return SurfaceIndex(self)
 
 
 @dataclass
@@ -130,24 +90,37 @@ class SurfaceMetrics:
     component_boundary_paths: list[int] = field(default_factory=list)
 
 
+class _Sets:
+    """Union-find over ordered items; the root of every set is its least
+    member."""
+
+    def __init__(self):
+        self.parent = {}
+
+    def find(self, x):
+        parent = self.parent
+        while parent.setdefault(x, x) != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    def union(self, x, y):
+        rx, ry = self.find(x), self.find(y)
+        if rx != ry:
+            self.parent[max(rx, ry)] = min(rx, ry)
+
+
 # ---------------------------------------------------------------------------
 # side-level machinery: each corner (f, p) owns the tail side of slot (f, p)
 # and the head side of slot (f, p-1); the link of a local vertex is the graph
 # those sides trace through the glued pairs.
 
 
-def _corner_of_side(diagram: SurfaceDiagram, side) -> SlotRef:
-    (f, p), end = side
-    if end == "tail":
-        return (f, p)
-    return (f, (p + 1) % diagram.face_len(f))
-
-
-def _other_side_of_corner(diagram: SurfaceDiagram, corner: SlotRef, side):
-    f, p = corner
-    tail_side = ((f, p), "tail")
-    head_side = ((f, (p - 1) % diagram.face_len(f)), "head")
-    return head_side if side == tail_side else tail_side
+def _identified(diagram: SurfaceDiagram, a: SlotRef, b: SlotRef, flip: bool) -> list[tuple[SlotRef, SlotRef]]:
+    """The two corner pairs that gluing slot a to slot b identifies."""
+    head_a = (a[0], (a[1] + 1) % diagram.face_len(a[0]))
+    head_b = (b[0], (b[1] + 1) % diagram.face_len(b[0]))
+    return [(a, b), (head_a, head_b)] if flip else [(a, head_b), (head_a, b)]
 
 
 def _side_partner(matching, side):
@@ -160,169 +133,190 @@ def _side_partner(matching, side):
     return (other, "head" if end == "tail" else "tail")
 
 
-def verify_surface(diagram: SurfaceDiagram) -> VerificationReport:
-    """Check the surface-diagram invariants; violations become report lines.
-    A gluing or vertex class naming a slot the faces do not have, or a
-    provenance cell the ball does not have, raises DomainError."""
-    named = [ref for a, b, _ in diagram.gluing for ref in (a, b)]
-    for cls in diagram.declared_classes or ():
-        named.extend(cls)
-    for ref in named:
-        if not diagram.has_slot(ref):
-            raise DomainError(f"diagram names slot {ref}, which no face has")
-    report = VerificationReport()
-    counts: dict[SlotRef, int] = {}
-    for a, b, flip in diagram.gluing:
-        counts[a] = counts.get(a, 0) + 1
-        counts[b] = counts.get(b, 0) + 1
-        if a == b:
-            report.add(f"slot {a} glued to itself")
-    for s, k in counts.items():
-        if k > 1:
-            report.add(f"slot {s} matched twice")
-    if not report.ok:
-        return report
-
-    for a, b, flip in diagram.gluing:
-        ea, sa = diagram.slot(a)
-        eb, sb = diagram.slot(b)
-        if ea != eb:
-            report.add(f"glued slots {a},{b} lie over different edges")
-        elif not flip and sa != -sb:
-            report.add(f"glued slots {a},{b} traverse their edge with equal signs")
-        elif flip and sa != sb:
-            report.add(f"flipped gluing {a},{b} needs equal traversal signs")
-    matching = diagram.matching_dict()
-
-    classes = diagram.corner_classes()
-    class_of: dict[SlotRef, int] = {}
-    for i, cls in enumerate(classes):
-        for corner in cls:
-            if corner in class_of:
-                report.add(f"corner {corner} appears in two vertex classes")
-            class_of[corner] = i
-    for f in range(len(diagram.faces)):
-        for p in range(diagram.face_len(f)):
-            if (f, p) not in class_of:
-                report.add(f"corner {(f, p)} missing from vertex classes")
-    if not report.ok:
-        return report
-
-    # identified endpoints must land in the same class
-    for a, b, flip in diagram.gluing:
-        fa, pa = a
-        fb, pb = b
-        head_a = (fa, (pa + 1) % diagram.face_len(fa))
-        head_b = (fb, (pb + 1) % diagram.face_len(fb))
-        pairs = [(a, b), (head_a, head_b)] if flip else [(a, head_b), (head_a, b)]
-        for x, y in pairs:
-            if class_of[x] != class_of[y]:
-                report.add(f"gluing {a},{b} identifies corners {x},{y} across distinct classes")
-    if not report.ok:
-        return report
-
-    # link condition: the sides of each class form one open fan or one cycle
-    for i, cls in enumerate(classes):
-        sides = []
-        for corner in cls:
-            f, p = corner
-            sides.append(((f, p), "tail"))
-            sides.append(((f, (p - 1) % diagram.face_len(f)), "head"))
-        side_set = set(sides)
-        if len(side_set) != len(sides):
-            report.add(f"vertex class {i} lists a corner twice")
-            continue
-        free = [s for s in side_set if _side_partner(matching, s) is None]
-        for s in side_set:
-            partner = _side_partner(matching, s)
-            if partner is not None and partner not in side_set:
-                report.add(f"vertex class {i} has a glued side leaving the class")
-                break
+def _walk_fan(diagram: SurfaceDiagram, matching, start: Side) -> tuple[set[SlotRef], Side | None]:
+    """Walk a link from side ``start``: cross its corner to the corner's other
+    side, then the glued pair to the next corner.  Returns the corners passed
+    and the free side the walk stops on, or None when it comes back to a
+    corner it passed."""
+    seen: set[SlotRef] = set()
+    side = start
+    while True:
+        (f, p), end = side
+        if end == "tail":
+            corner = (f, p)
+            other = ((f, (p - 1) % diagram.face_len(f)), "head")
         else:
-            def walk(start):
-                seen_corners = set()
-                side = start
-                while True:
-                    corner = _corner_of_side(diagram, side)
-                    if corner in seen_corners:
-                        return seen_corners, None
-                    seen_corners.add(corner)
-                    other = _other_side_of_corner(diagram, corner, side)
-                    partner = _side_partner(matching, other)
-                    if partner is None:
-                        return seen_corners, other
-                    side = partner
+            corner = (f, (p + 1) % diagram.face_len(f))
+            other = (corner, "tail")
+        if corner in seen:
+            return seen, None
+        seen.add(corner)
+        side = _side_partner(matching, other)
+        if side is None:
+            return seen, other
 
-            if len(free) == 0:
-                start = min(side_set)
-                seen, end = walk(start)
+
+class SurfaceIndex:
+    """Everything a diagram's gluing determines, derived and verified once.
+
+    - ``report``: the violated surface invariants, in check order.
+    - ``matching``: glued slot -> (partner slot, flipped?); None when the
+      gluing is not a partial matching.
+    - ``unmatched``: the boundary slots in face order.
+    - ``classes``: the local vertices (the declared classes, else those the
+      endpoint identifications generate), ``class_of`` their index per corner.
+    - ``free_sides``: per class, its sorted unglued sides -- none around an
+      interior vertex, the two ends of the fan around a boundary vertex.
+
+    Verification stops at the first group of checks that fails, so the
+    later fields are filled only as far as it got; ``measure`` reads them
+    only from a valid index.  A gluing or vertex class naming a slot the
+    faces do not have, or a provenance cell the ball does not have, raises
+    DomainError.
+    """
+
+    def __init__(self, diagram: SurfaceDiagram):
+        named = [ref for a, b, _ in diagram.gluing for ref in (a, b)]
+        for cls in diagram.declared_classes or ():
+            named.extend(cls)
+        for ref in named:
+            if not diagram.has_slot(ref):
+                raise DomainError(f"diagram names slot {ref}, which no face has")
+        self.report = report = VerificationReport()
+        self.matching: dict[SlotRef, tuple[SlotRef, bool]] | None = None
+        self.unmatched: list[SlotRef] = []
+        self.classes: list[tuple[SlotRef, ...]] = []
+        self.class_of: dict[SlotRef, int] = {}
+        self.free_sides: list[tuple[Side, ...]] = []
+
+        counts: dict[SlotRef, int] = {}
+        for a, b, flip in diagram.gluing:
+            counts[a] = counts.get(a, 0) + 1
+            counts[b] = counts.get(b, 0) + 1
+            if a == b:
+                report.add(f"slot {a} glued to itself")
+        for s, k in counts.items():
+            if k > 1:
+                report.add(f"slot {s} matched twice")
+        if not report.ok:
+            return
+
+        for a, b, flip in diagram.gluing:
+            ea, sa = diagram.slot(a)
+            eb, sb = diagram.slot(b)
+            if ea != eb:
+                report.add(f"glued slots {a},{b} lie over different edges")
+            elif not flip and sa != -sb:
+                report.add(f"glued slots {a},{b} traverse their edge with equal signs")
+            elif flip and sa != sb:
+                report.add(f"flipped gluing {a},{b} needs equal traversal signs")
+        self.matching = matching = {}
+        for a, b, flip in diagram.gluing:
+            matching[a] = (b, flip)
+            matching[b] = (a, flip)
+        self.unmatched = [s for s in diagram.all_slots() if s not in matching]
+
+        if diagram.declared_classes is not None:
+            classes = diagram.declared_classes
+        else:
+            corners = _Sets()
+            for a, b, flip in diagram.gluing:
+                for x, y in _identified(diagram, a, b, flip):
+                    corners.union(x, y)
+            groups: dict[SlotRef, list[SlotRef]] = {}
+            for corner in diagram.all_slots():
+                groups.setdefault(corners.find(corner), []).append(corner)
+            classes = [tuple(sorted(g)) for g in sorted(groups.values())]
+        self.classes = classes
+        class_of = self.class_of
+        for i, cls in enumerate(classes):
+            for corner in cls:
+                if corner in class_of:
+                    report.add(f"corner {corner} appears in two vertex classes")
+                class_of[corner] = i
+        for corner in diagram.all_slots():
+            if corner not in class_of:
+                report.add(f"corner {corner} missing from vertex classes")
+        if not report.ok:
+            return
+
+        # identified endpoints must land in the same class
+        for a, b, flip in diagram.gluing:
+            for x, y in _identified(diagram, a, b, flip):
+                if class_of[x] != class_of[y]:
+                    report.add(f"gluing {a},{b} identifies corners {x},{y} across distinct classes")
+        if not report.ok:
+            return
+
+        # link condition: the sides of each class form one open fan or one
+        # cycle.  The checks above already keep every corner in one class and
+        # every glued side's partner in its side's class.
+        for i, cls in enumerate(classes):
+            sides = set()
+            for f, p in cls:
+                sides.update((((f, p), "tail"), ((f, (p - 1) % diagram.face_len(f)), "head")))
+            free = sorted(s for s in sides if _side_partner(matching, s) is None)
+            self.free_sides.append(tuple(free))
+            if not cls:
+                report.add(f"vertex class {i} is empty")
+            elif not free:
+                seen, _ = _walk_fan(diagram, matching, min(sides))
                 if len(seen) != len(cls):
                     report.add(f"link of vertex class {i} is not a single cycle")
             elif len(free) == 2:
-                seen, end = walk(min(free))
-                if end != max(free) or len(seen) != len(cls):
+                seen, end = _walk_fan(diagram, matching, free[0])
+                if end != free[1] or len(seen) != len(cls):
                     report.add(f"link of vertex class {i} is not a single path")
             else:
                 report.add(f"vertex class {i} has {len(free)} free sides (needs 0 or 2)")
 
-    # provenance consistency
-    if diagram.ball is not None:
-        for f, face in enumerate(diagram.faces):
-            if face.provenance is None:
-                continue
-            cell_id, orient = face.provenance
-            if not 0 <= cell_id < len(diagram.ball.cells):
-                raise DomainError(f"face {f} names cell {cell_id}, which the ball does not have")
-            cell = diagram.ball.cells[cell_id]
-            L = len(cell.boundary)
-            if len(face.slots) != L:
-                report.add(f"face {f} length disagrees with its provenance cell")
-                continue
-            for p in range(L):
-                if orient > 0:
-                    expect = cell.boundary[p]
-                else:
-                    e, s = cell.boundary[L - 1 - p]
-                    expect = (e, -s)
-                if face.slots[p] != expect:
-                    report.add(f"face {f} slot {p} disagrees with its provenance cell")
-                    break
-    return report
+        # provenance consistency
+        if diagram.ball is not None:
+            for f, face in enumerate(diagram.faces):
+                if face.provenance is None:
+                    continue
+                cell_id, orient = face.provenance
+                if not 0 <= cell_id < len(diagram.ball.cells):
+                    raise DomainError(f"face {f} names cell {cell_id}, which the ball does not have")
+                cell = diagram.ball.cells[cell_id]
+                L = len(cell.boundary)
+                if len(face.slots) != L:
+                    report.add(f"face {f} length disagrees with its provenance cell")
+                    continue
+                for p in range(L):
+                    if orient > 0:
+                        expect = cell.boundary[p]
+                    else:
+                        e, s = cell.boundary[L - 1 - p]
+                        expect = (e, -s)
+                    if face.slots[p] != expect:
+                        report.add(f"face {f} slot {p} disagrees with its provenance cell")
+                        break
 
 
-def _boundary_side_pairing(diagram: SurfaceDiagram, matching, classes):
-    """Pair up the free sides around each boundary vertex (fan endpoints)."""
-    pairing = {}
-    for cls in classes:
-        side_set = set()
-        for corner in cls:
-            f, p = corner
-            side_set.add(((f, p), "tail"))
-            side_set.add(((f, (p - 1) % diagram.face_len(f)), "head"))
-        free = sorted(s for s in side_set if _side_partner(matching, s) is None)
-        if not free:
-            continue
-        start = free[0]
-        side = start
-        while True:
-            corner = _corner_of_side(diagram, side)
-            other = _other_side_of_corner(diagram, corner, side)
-            partner = _side_partner(matching, other)
-            if partner is None:
-                pairing[start] = other
-                pairing[other] = start
-                break
-            side = partner
-    return pairing
+def verify_surface(diagram: SurfaceDiagram) -> VerificationReport:
+    """Check the surface-diagram invariants; violations become report lines.
+    A gluing or vertex class naming a slot the faces do not have, or a
+    provenance cell the ball does not have, raises DomainError."""
+    return diagram.index.report
+
+
+def _glued(diagram: SurfaceDiagram) -> SurfaceIndex:
+    """The diagram's index, once its gluing is known to be a partial matching."""
+    index = diagram.index
+    if index.matching is None:
+        raise DomainError("gluing is not a partial matching; run verify_surface")
+    return index
 
 
 def boundary_paths(diagram: SurfaceDiagram) -> list[list[SlotRef]]:
     """Cyclically ordered unmatched slots per boundary component (orientation
     follows the faces; only meaningful for flip-free diagrams, which is all
     assembled ones)."""
-    matching = diagram.matching_dict()
-    unmatched = [s for s in diagram.all_slots() if s not in matching]
-    remaining = set(unmatched)
+    index = _glued(diagram)
+    matching = index.matching
+    remaining = set(index.unmatched)
+    limit = 4 * sum(len(face.slots) for face in diagram.faces)
     paths = []
     while remaining:
         start = min(remaining)
@@ -341,7 +335,7 @@ def boundary_paths(diagram: SurfaceDiagram) -> list[list[SlotRef]]:
                 g, q = other
                 nxt = (g, (q + 1) % diagram.face_len(g))
                 guard += 1
-                if guard > 4 * sum(diagram.face_len(f) for f in range(len(diagram.faces))):
+                if guard > limit:
                     raise InvariantError("boundary walk does not terminate")
             if nxt == start:
                 break
@@ -350,47 +344,14 @@ def boundary_paths(diagram: SurfaceDiagram) -> list[list[SlotRef]]:
     return paths
 
 
-def _components(diagram: SurfaceDiagram, matching) -> list[int]:
-    comp = list(range(len(diagram.faces)))
-
-    def find(x):
-        while comp[x] != x:
-            comp[x] = comp[comp[x]]
-            x = comp[x]
-        return x
-
-    for a, (b, _flip) in matching.items():
-        ra, rb = find(a[0]), find(b[0])
-        if ra != rb:
-            comp[max(ra, rb)] = min(ra, rb)
-    return [find(f) for f in range(len(diagram.faces))]
-
-
 def measure(diagram: SurfaceDiagram) -> SurfaceMetrics:
     """Area, radius, boundary length, components, Euler characteristic."""
-    report = verify_surface(diagram)
-    if not report.ok:
-        raise DomainError("cannot measure an invalid diagram: " + "; ".join(report.violations))
-    matching = diagram.matching_dict()
-    classes = diagram.corner_classes()
-    class_of = {}
-    for i, cls in enumerate(classes):
-        for corner in cls:
-            class_of[corner] = i
+    index = diagram.index
+    if not index.report.ok:
+        raise DomainError("cannot measure an invalid diagram: " + "; ".join(index.report.violations))
 
     nfaces = len(diagram.faces)
-    if nfaces == 0:
-        return SurfaceMetrics(0, 0, 0, 0, 0, 0, True)
-
-    unmatched = [s for s in diagram.all_slots() if s not in matching]
-    edge_count = len(matching) // 2 + len(unmatched)
-
-    comp_root = _components(diagram, matching)
-    comp_ids = sorted(set(comp_root))
-    comp_pos = {r: k for k, r in enumerate(comp_ids)}
-
-    # 1-skeleton on vertex classes
-    skeleton: dict[int, set[int]] = {i: set() for i in range(len(classes))}
+    matching, unmatched, classes, class_of = index.matching, index.unmatched, index.classes, index.class_of
 
     def endpoints(slot: SlotRef) -> tuple[int, int]:
         f, p = slot
@@ -398,11 +359,11 @@ def measure(diagram: SurfaceDiagram) -> SurfaceMetrics:
         head = class_of[(f, (p + 1) % diagram.face_len(f))]
         return tail, head
 
-    seen_pairs = set()
-    for a, (b, _flip) in matching.items():
-        if (b, a) in seen_pairs:
-            continue
-        seen_pairs.add((a, b))
+    # components, and the 1-skeleton on vertex classes
+    faces = _Sets()
+    skeleton: list[set[int]] = [set() for _ in classes]
+    for a, b, _flip in diagram.gluing:
+        faces.union(a[0], b[0])
         t, h = endpoints(a)
         skeleton[t].add(h)
         skeleton[h].add(t)
@@ -413,9 +374,12 @@ def measure(diagram: SurfaceDiagram) -> SurfaceMetrics:
         skeleton[h].add(t)
         boundary_classes.add(t)
         boundary_classes.add(h)
+    comp_root = [faces.find(f) for f in range(nfaces)]
+    comp_ids = sorted(set(comp_root))
+    comp_pos = {r: k for k, r in enumerate(comp_ids)}
+    comp_of = [comp_pos[r] for r in comp_root]
 
-    inf = None
-    dist = {i: inf for i in range(len(classes))}
+    dist: list[int | None] = [None] * len(classes)
     frontier = sorted(boundary_classes)
     for v in frontier:
         dist[v] = 0
@@ -429,49 +393,34 @@ def measure(diagram: SurfaceDiagram) -> SurfaceMetrics:
                     dist[u] = d
                     new.append(u)
         frontier = new
-    if any(v is None for v in dist.values()):
+    if any(v is None for v in dist):
         radius = None
     else:
-        radius = max(dist.values(), default=0)
+        radius = max(dist, default=0)
 
     comp_vertices = [0] * len(comp_ids)
     comp_edges = [0] * len(comp_ids)
     comp_faces = [0] * len(comp_ids)
     comp_paths = [0] * len(comp_ids)
-    for i, cls in enumerate(classes):
-        comp_vertices[comp_pos[comp_root[cls[0][0]]]] += 1
-    seen_pairs = set()
-    for a, (b, _flip) in matching.items():
-        if (b, a) in seen_pairs:
-            continue
-        seen_pairs.add((a, b))
-        comp_edges[comp_pos[comp_root[a[0]]]] += 1
+    for cls in classes:
+        comp_vertices[comp_of[cls[0][0]]] += 1
+    for a, _b, _flip in diagram.gluing:
+        comp_edges[comp_of[a[0]]] += 1
     for s in unmatched:
-        comp_edges[comp_pos[comp_root[s[0]]]] += 1
+        comp_edges[comp_of[s[0]]] += 1
     for f in range(nfaces):
-        comp_faces[comp_pos[comp_root[f]]] += 1
+        comp_faces[comp_of[f]] += 1
 
-    pairing = _boundary_side_pairing(diagram, matching, classes)
-    # boundary components: unmatched slots linked through fan-endpoint pairs
-    slot_root: dict[SlotRef, SlotRef] = {s: s for s in unmatched}
-
-    def sfind(x):
-        while slot_root[x] != x:
-            slot_root[x] = slot_root[slot_root[x]]
-            x = slot_root[x]
-        return x
-
-    for side, other in pairing.items():
-        a = side[0]
-        b = other[0]
-        ra, rb = sfind(a), sfind(b)
-        if ra != rb:
-            slot_root[max(ra, rb)] = min(ra, rb)
-    path_roots: dict[SlotRef, int] = {}
-    for s in unmatched:
-        path_roots[sfind(s)] = path_roots.get(sfind(s), 0) + 1
+    # boundary components: unmatched slots joined where a boundary vertex's
+    # fan, walked from its lower free side, ends at its higher one
+    paths = _Sets()
+    for free in index.free_sides:
+        if free:
+            lo, hi = free
+            paths.union(lo[0], hi[0])
+    path_roots = {paths.find(s) for s in unmatched}
     for root in path_roots:
-        comp_paths[comp_pos[comp_root[root[0]]]] += 1
+        comp_paths[comp_of[root[0]]] += 1
 
     # orientability: faces 2-colorable with flips reversing relative orientation
     orient = [0] * nfaces
@@ -495,7 +444,7 @@ def measure(diagram: SurfaceDiagram) -> SurfaceMetrics:
                 elif orient[h] != want:
                     orientable = False
 
-    total_chi = len(classes) - edge_count + nfaces
+    total_chi = len(classes) - len(diagram.gluing) - len(unmatched) + nfaces
     comp_chi = [comp_vertices[k] - comp_edges[k] + comp_faces[k] for k in range(len(comp_ids))]
     return SurfaceMetrics(
         area=nfaces,
@@ -514,11 +463,8 @@ def project_boundary(diagram: SurfaceDiagram) -> OneCycle:
     """Signed sum of the unmatched slots' image edges."""
     if diagram.ball is None:
         raise DomainError("projection needs ball provenance")
-    matching = diagram.matching_dict()
     acc: dict[int, int] = {}
-    for s in diagram.all_slots():
-        if s in matching:
-            continue
+    for s in _glued(diagram).unmatched:
         e, sign = diagram.slot(s)
         acc[e] = acc.get(e, 0) + sign
     return OneCycle(acc)
@@ -554,28 +500,12 @@ def assemble_surface(ball: CayleyBall, chain: TwoChain) -> SurfaceDiagram:
     for f, face in enumerate(faces):
         for p, (e, s) in enumerate(face.slots):
             by_edge_sign.setdefault((e, s), []).append((f, p))
-
-    parent: dict[SlotRef, SlotRef] = {}
-
-    def find(x):
-        while parent.setdefault(x, x) != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def union(x, y):
-        rx, ry = find(x), find(y)
-        if rx != ry:
-            parent[max(rx, ry)] = min(rx, ry)
+    # the vertex of a corner is its root: the least corner identified with it
+    vertex = _Sets()
 
     def head(slot: SlotRef) -> SlotRef:
         f, p = slot
         return (f, (p + 1) % len(faces[f].slots))
-
-    def place(f: int):
-        placed[f] = True
-        for p in range(len(faces[f].slots)):
-            find((f, p))
 
     def partner_for(slot: SlotRef):
         e, s = faces[slot[0]].slots[slot[1]]
@@ -594,18 +524,13 @@ def assemble_surface(ball: CayleyBall, chain: TwoChain) -> SurfaceDiagram:
     def glue(a: SlotRef, b: SlotRef):
         matched[a] = b
         matched[b] = a
-        union(a, head(b))
-        union(head(a), b)
+        vertex.union(a, head(b))
+        vertex.union(head(a), b)
 
-    def next_unplaced():
-        for f in range(nfaces):
-            if not placed[f]:
-                return f
-        return None
-
-    seed = next_unplaced()
-    while seed is not None:
-        place(seed)
+    for seed in range(nfaces):
+        if placed[seed]:
+            continue
+        placed[seed] = True
         while True:
             # boundary vertices, keyed by their lowest corner
             vertex_slots: dict[SlotRef, list[SlotRef]] = {}
@@ -617,11 +542,11 @@ def assemble_surface(ball: CayleyBall, chain: TwoChain) -> SurfaceDiagram:
                     if slot in matched:
                         continue
                     for corner in (slot, head(slot)):
-                        vertex_slots.setdefault(find(corner), []).append(slot)
+                        vertex_slots.setdefault(vertex.find(corner), []).append(slot)
             best = None
             for root in sorted(vertex_slots):
                 for slot in sorted(set(vertex_slots[root])):
-                    partner, _ = partner_for(slot)
+                    partner, was_unplaced = partner_for(slot)
                     if partner is not None:
                         best = slot
                         break
@@ -629,11 +554,9 @@ def assemble_surface(ball: CayleyBall, chain: TwoChain) -> SurfaceDiagram:
                     break
             if best is None:
                 break
-            partner, was_unplaced = partner_for(best)
             if was_unplaced:
-                place(partner[0])
+                placed[partner[0]] = True
             glue(best, partner)
-        seed = next_unplaced()
 
     # residual consistency: every image edge must end with one leftover sign
     leftovers: dict[int, set[int]] = {}
@@ -659,25 +582,11 @@ def assemble_surface(ball: CayleyBall, chain: TwoChain) -> SurfaceDiagram:
     if not report.ok:
         raise InvariantError("assembled diagram fails verification: " + "; ".join(report.violations))
     # corners glued together must sit over one ball vertex
-    for cls in diagram.corner_classes():
+    for cls in diagram.index.classes:
         images = {faces[f].corner_images[p] for f, p in cls if faces[f].corner_images}
         if len(images) > 1:
             raise InvariantError("glued corners project to distinct ball vertices")
     return diagram
-
-
-def vertex_images(diagram: SurfaceDiagram) -> list[int | None]:
-    """Image ball vertex per vertex class (None without provenance)."""
-    out = []
-    for cls in diagram.corner_classes():
-        image = None
-        for f, p in cls:
-            ci = diagram.faces[f].corner_images
-            if ci is not None:
-                image = ci[p]
-                break
-        out.append(image)
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -760,27 +669,18 @@ def diagram_from_json(doc: dict, ball: CayleyBall | None = None) -> SurfaceDiagr
 
 def diagram_to_dot(diagram: SurfaceDiagram) -> str:
     """1-skeleton in DOT, boundary edges highlighted."""
-    matching = diagram.matching_dict()
-    classes = diagram.corner_classes()
-    class_of = {}
-    for i, cls in enumerate(classes):
-        for corner in cls:
-            class_of[corner] = i
+    index = _glued(diagram)
     lines = ["graph surface {"]
-    for i in range(len(classes)):
+    for i in range(len(index.classes)):
         lines.append(f'  v{i} [label="v{i}"];')
-    seen = set()
     for s in diagram.all_slots():
         f, p = s
-        t = class_of[(f, p)]
-        h = class_of[(f, (p + 1) % diagram.face_len(f))]
-        if s in matching:
-            a, b = sorted([s, matching[s][0]])
-            if (a, b) in seen:
-                continue
-            seen.add((a, b))
-            lines.append(f"  v{t} -- v{h};")
-        else:
+        t = index.class_of[(f, p)]
+        h = index.class_of[(f, (p + 1) % diagram.face_len(f))]
+        glued = index.matching.get(s)
+        if glued is None:
             lines.append(f'  v{t} -- v{h} [color=red, penwidth=2];')
+        elif s < glued[0]:
+            lines.append(f"  v{t} -- v{h};")
     lines.append("}")
     return "\n".join(lines)

@@ -132,6 +132,26 @@ def test_missing_input_file_exits_cleanly(tmp_path, capsys, args):
     assert missing in err["message"]
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["fill", "--pres", grp("z2.grp"), "--word", "a b a' b'", "--ball", "2", "--out", "{missing}/o.json"],
+        [
+            "surface", "--pres", grp("z2.grp"), "--word", "a b a' b'", "--ball", "2",
+            "--out", "{tmp}/d.json", "--dot", "{missing}/d.dot",
+        ],
+    ],
+    ids=["out", "dot"],
+)
+def test_unwritable_output_exits_cleanly(tmp_path, capsys, args):
+    missing = str(tmp_path / "nodir")
+    argv = [a.replace("{missing}", missing).replace("{tmp}", str(tmp_path)) for a in args]
+    assert run_cli(argv + ["--json-errors"]) == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "DomainError"
+    assert missing in err["message"]
+
+
 def test_pres_not_utf8_exits_cleanly(tmp_path, capsys):
     pres = tmp_path / "bad.grp"
     pres.write_bytes(b"\xff\xfe generators: a")

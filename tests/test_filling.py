@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from homfill import filling
-from homfill.cayley import OneCycle, boundary_2, build_ball, loop_to_cycle
+from homfill.cayley import OneCycle, TwoChain, boundary_2, build_ball, loop_to_cycle
 from homfill.cli import load_group
 from homfill.errors import DomainError
 from homfill.filling import (
@@ -191,3 +191,23 @@ def test_exact_matches_brute_force_on_group_files(path, root, monkeypatch):
         if exact.optimal():
             assert boundary_2(ball, exact.chain) == cycle
     assert 2 * skipped <= len(sample)
+
+
+def test_peel_recovers_chains_on_collapsible_cells():
+    # the ball's collapse removes each cell while it is the only one left on
+    # its free edge, so peeling the boundary of any chain on removed cells
+    # must give back that chain and leave nothing for the solver
+    checked = 0
+    for path in GROUP_FILES:
+        group = load_group(path)
+        ball = build_ball(group.backend, group.hom_pres, 3)
+        collapsed = [c for c, _edge in ball.collapse[0]]
+        rng = random.Random(os.path.basename(path))
+        for _ in range(30 if collapsed else 0):
+            chain = TwoChain({rng.choice(collapsed): rng.randint(-3, 3) for _ in range(rng.randint(1, 6))})
+            forced, remaining, residual = filling._peel_forced(ball, boundary_2(ball, chain).coeffs)
+            assert forced == chain.coeffs
+            assert residual == {}
+            assert not set(remaining) & set(collapsed)
+            checked += 1
+    assert checked >= 150

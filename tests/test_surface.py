@@ -48,7 +48,7 @@ def test_grid_disk(z2_ball4):
     (path,) = boundary_paths(diagram)
     assert len(path) == 8
     # exactly one interior vertex
-    classes = diagram.corner_classes()
+    classes = diagram.index.classes
     assert len(classes) == 9
     assert sum(1 for cls in classes if len(cls) == 4) == 1
 
@@ -156,6 +156,110 @@ def test_verify_detects_label_mismatch(z2_ball4):
     assert any("equal signs" in v for v in report.violations)
 
 
+BIGON = Face(slots=((0, 1), (1, 1)))
+# glued to BIGON along both edges it closes up into a sphere whose two
+# vertex classes are {(0, 0), (1, 0)} and {(0, 1), (1, 1)}
+BIGON_BACK = Face(slots=((1, -1), (0, -1)))
+SPHERE = [((0, 0), (1, 1), False), ((0, 1), (1, 0), False)]
+
+
+def _cell_face(ball, flip_slot=None, length=None):
+    """Cell 0 of the ball as a face with provenance, optionally with one
+    slot's sign flipped or cut to its first ``length`` slots."""
+    slots = list(ball.cells[0].boundary[:length])
+    if flip_slot is not None:
+        e, s = slots[flip_slot]
+        slots[flip_slot] = (e, -s)
+    return Face(slots=tuple(slots), provenance=(0, 1))
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda ball: SurfaceDiagram([BIGON], [((0, 0), (0, 0), False)]), "slot (0, 0) glued to itself"),
+        (
+            lambda ball: SurfaceDiagram([BIGON, Face(slots=((2, -1), (1, -1)))], [((0, 0), (1, 0), False)]),
+            "glued slots (0, 0),(1, 0) lie over different edges",
+        ),
+        (
+            lambda ball: SurfaceDiagram([BIGON, BIGON_BACK], [((0, 0), (1, 1), True)]),
+            "flipped gluing (0, 0),(1, 1) needs equal traversal signs",
+        ),
+        (
+            lambda ball: SurfaceDiagram([BIGON], [], declared_classes=[((0, 0),), ((0, 0), (0, 1))]),
+            "corner (0, 0) appears in two vertex classes",
+        ),
+        # a corner listed twice within one class is caught by the same check
+        (
+            lambda ball: SurfaceDiagram([BIGON], [], declared_classes=[((0, 0), (0, 0)), ((0, 1),)]),
+            "corner (0, 0) appears in two vertex classes",
+        ),
+        (
+            lambda ball: SurfaceDiagram([BIGON], [], declared_classes=[((0, 0),)]),
+            "corner (0, 1) missing from vertex classes",
+        ),
+        (
+            lambda ball: SurfaceDiagram(
+                [BIGON, BIGON_BACK], SPHERE, declared_classes=[((0, 0),), ((0, 1),), ((1, 0),), ((1, 1),)]
+            ),
+            "gluing (0, 0),(1, 1) identifies corners (0, 0),(1, 0) across distinct classes",
+        ),
+        (
+            lambda ball: SurfaceDiagram([BIGON], [], declared_classes=[((0, 0),), ((0, 1),), ()]),
+            "vertex class 2 is empty",
+        ),
+        (
+            lambda ball: SurfaceDiagram(
+                [BIGON, BIGON_BACK], SPHERE, declared_classes=[((0, 0), (0, 1), (1, 0), (1, 1))]
+            ),
+            "link of vertex class 0 is not a single cycle",
+        ),
+        (
+            lambda ball: SurfaceDiagram(
+                [BIGON, BIGON_BACK, Face(slots=((2, 1), (3, 1)))],
+                SPHERE,
+                declared_classes=[((0, 0), (1, 0), (2, 0)), ((0, 1), (1, 1)), ((2, 1),)],
+            ),
+            "link of vertex class 0 is not a single path",
+        ),
+        (
+            lambda ball: SurfaceDiagram(
+                [BIGON, Face(slots=((2, 1), (3, 1)))], [], declared_classes=[((0, 0), (1, 0)), ((0, 1),), ((1, 1),)]
+            ),
+            "vertex class 0 has 4 free sides (needs 0 or 2)",
+        ),
+        (
+            lambda ball: SurfaceDiagram([_cell_face(ball, length=2)], [], ball),
+            "face 0 length disagrees with its provenance cell",
+        ),
+        (
+            lambda ball: SurfaceDiagram([_cell_face(ball, flip_slot=2)], [], ball),
+            "face 0 slot 2 disagrees with its provenance cell",
+        ),
+    ],
+    ids=[
+        "glued-to-itself",
+        "different-edges",
+        "flipped-signs",
+        "two-classes",
+        "corner-twice-in-class",
+        "missing-corner",
+        "across-classes",
+        "empty-class",
+        "not-single-cycle",
+        "not-single-path",
+        "free-sides",
+        "provenance-length",
+        "provenance-slot",
+    ],
+)
+def test_verify_reports_each_violation(z2_ball4, build, message):
+    diagram = build(z2_ball4)
+    assert message in verify_surface(diagram).violations
+    with pytest.raises(DomainError, match="cannot measure"):
+        measure(diagram)
+
+
 def test_measure_refuses_invalid(z2_ball4):
     faces = [Face(slots=((0, 1), (1, 1)))]
     bad = SurfaceDiagram(faces, [((0, 0), (0, 0), False)], None)
@@ -210,6 +314,8 @@ def test_randomized_invariants(z2_ball4, f2tri_ball4, z3_setup):
             diagram = assemble_surface(ball, chain)
             assert verify_surface(diagram).ok
             metrics = measure(diagram)
+            # a decoded copy builds its own index and must measure the same
+            assert measure(diagram_from_json(diagram_to_json(diagram), ball)) == metrics
             assert metrics.area == chain.area()
             assert project_boundary(diagram) == boundary_2(ball, chain)
             assert metrics.euler_characteristic <= 2 * metrics.component_count
@@ -219,14 +325,11 @@ def test_randomized_invariants(z2_ball4, f2tri_ball4, z3_setup):
                 assert g2 >= 0 and g2 % 2 == 0
             # radius-zero criterion
             if metrics.radius == 0:
-                classes = diagram.corner_classes()
-                matching = diagram.matching_dict()
-                unmatched = set(diagram.unmatched_slots())
                 boundary_corners = set()
-                for f, p in unmatched:
+                for f, p in diagram.index.unmatched:
                     boundary_corners.add((f, p))
                     boundary_corners.add((f, (p + 1) % diagram.face_len(f)))
-                for cls in classes:
+                for cls in diagram.index.classes:
                     assert any(c in boundary_corners for c in cls)
             checked += 1
     assert checked >= 300
