@@ -148,7 +148,7 @@ class TableBackend(GroupBackend):
         while frontier:
             new = []
             for x in frontier:
-                for letter in self._letter_order():
+                for letter in letter_order(self.rank):
                     y = self._step(x, letter)
                     if self._canonical[y] is None:
                         self._canonical[y] = self._canonical[x] + (letter,)
@@ -156,11 +156,6 @@ class TableBackend(GroupBackend):
             frontier = new
         if any(w is None for w in self._canonical):
             raise DomainError("table generators do not generate the whole table")
-
-    def _letter_order(self):
-        for j in range(self.rank):
-            yield j + 1
-            yield -(j + 1)
 
     def _step(self, x: int, letter: int) -> int:
         j = abs(letter) - 1

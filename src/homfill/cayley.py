@@ -145,9 +145,6 @@ class CayleyBall:
             raise DomainError(f"vertex {format_word(nf, self.generators) or 'e'} outside ball")
         return self.vertex_index[nf]
 
-    def edge_label(self, edge: int) -> int:
-        return self.edges[edge][1]
-
     def step(self, vertex: int, letter: int) -> tuple[int, int, int]:
         """Traverse one letter: returns (edge, sign, next vertex) or raises."""
         hop = self.succ[vertex].get(letter)
@@ -198,6 +195,19 @@ class CayleyBall:
                 if len(incident[e2]) == 1:
                     queue.append(e2)
         return tuple(order), tuple(sorted(alive)), frozenset(e for e, cs in incident.items() if cs)
+
+    @cached_property
+    def cell_cosets(self) -> list[tuple[Word, ...]]:
+        """The distinct coset labels along each cell's vertex path, shortest
+        first: one for a cell inside a coset, two for a conjugation cell,
+        whose longer label is the shorter plus one stable letter.  An edge
+        lies in a coset when both its endpoints carry that label.  Built on
+        first use."""
+        labels = self.coset_labels
+        return [
+            tuple(sorted({labels[v] for v in cell.vertex_path}, key=len))
+            for cell in self.cells
+        ]
 
 
 def hop_distances(succ: list[dict[int, tuple[int, int, int]]], sources) -> list[int]:
@@ -331,30 +341,51 @@ def translate_vertex(ball: CayleyBall, g: Word, vertex: int) -> int:
     return ball.vertex_of(tuple(g) + ball.vertices[vertex])
 
 
-def translate_chain(ball: CayleyBall, g: Word, chain: TwoChain) -> TwoChain:
-    """Left-translate a 2-chain; the H-action sends the cell based at x with
-    relator r to the cell based at g*x with the same relator."""
+def carry_chain(src: CayleyBall, dst: CayleyBall, chain: TwoChain, place) -> TwoChain:
+    """Carry a 2-chain from one ball to another: the cell based at x with
+    relator r goes to the cell based at ``place(x)`` with relator r.
+    ``place`` returns None for a vertex with no image in ``dst``; that, or
+    a missing destination cell, raises ``KeyError(x)``."""
     out: dict[int, int] = {}
     for cell, coeff in chain.coeffs.items():
-        c = ball.cells[cell]
-        new_base = translate_vertex(ball, g, c.base)
-        key = (new_base, c.relator)
-        if key not in ball.cell_index:
-            raise DomainError("translated cell leaves the ball")
-        out[ball.cell_index[key]] = out.get(ball.cell_index[key], 0) + coeff
+        c = src.cells[cell]
+        target = dst.cell_index.get((place(c.base), c.relator))
+        if target is None:
+            raise KeyError(c.base)
+        out[target] = out.get(target, 0) + coeff
     return TwoChain(out)
 
 
-def translate_cycle(ball: CayleyBall, g: Word, cycle: OneCycle) -> OneCycle:
+def carry_cycle(src: CayleyBall, dst: CayleyBall, cycle: OneCycle, place) -> OneCycle:
+    """Carry a 1-chain from one ball to another: the edge from x labelled g
+    goes to the edge from ``place(x)`` labelled g.  ``place`` returns None
+    for a vertex with no image in ``dst``; that, or a missing destination
+    edge, raises ``KeyError(x)``."""
     out: dict[int, int] = {}
     for edge, coeff in cycle.coeffs.items():
-        source, label, _ = ball.edges[edge]
-        hop = ball.succ[translate_vertex(ball, g, source)].get(label)
+        source, label, _ = src.edges[edge]
+        v = place(source)
+        hop = None if v is None else dst.succ[v].get(label)
         if hop is None:
-            raise DomainError("translated edge leaves the ball")
-        e = hop[0]
-        out[e] = out.get(e, 0) + coeff
+            raise KeyError(source)
+        out[hop[0]] = out.get(hop[0], 0) + coeff
     return OneCycle(out)
+
+
+def translate_chain(ball: CayleyBall, g: Word, chain: TwoChain) -> TwoChain:
+    """Left-translate a 2-chain; the H-action sends the cell based at x with
+    relator r to the cell based at g*x with the same relator."""
+    try:
+        return carry_chain(ball, ball, chain, lambda x: translate_vertex(ball, g, x))
+    except KeyError:
+        raise DomainError("translated cell leaves the ball") from None
+
+
+def translate_cycle(ball: CayleyBall, g: Word, cycle: OneCycle) -> OneCycle:
+    try:
+        return carry_cycle(ball, ball, cycle, lambda x: translate_vertex(ball, g, x))
+    except KeyError:
+        raise DomainError("translated edge leaves the ball") from None
 
 
 def ball_to_json(ball: CayleyBall) -> dict:

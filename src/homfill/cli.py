@@ -31,7 +31,7 @@ from .extension import (
     route_filling,
 )
 from .experiments import hyperbolic_ar_pair, measure_ar_pair, polynomial_degree_report
-from .filling import TRUNCATION_NOTE, fa_estimate, harea_fill
+from .filling import TRUNCATION_NOTE, FillingResult, fa_estimate, harea_fill
 from .presentation import (
     ExtensionLayout,
     HomPresentation,
@@ -129,13 +129,17 @@ def load_group(path: str) -> LoadedGroup:
 
 
 def _write_text(path: str, text: str) -> None:
-    """Atomic write through a temporary file; a path that cannot be written
-    raises DomainError."""
+    """Atomic write through a temporary file, removed again when it cannot
+    replace ``path``; a path that cannot be written raises DomainError."""
     tmp = path + ".tmp"
     try:
         with open(tmp, "w", encoding="utf-8") as fh:
             fh.write(text)
-        os.replace(tmp, path)
+        try:
+            os.replace(tmp, path)
+        except OSError:
+            os.remove(tmp)
+            raise
     except OSError as exc:
         raise DomainError(f"cannot write {path}: {exc.strerror or exc}") from exc
 
@@ -174,13 +178,18 @@ def _cycle_json(cycle: OneCycle) -> list[list[int]]:
 # subcommands
 
 
-def cmd_fill(args) -> int:
+def _fill_word(args) -> tuple[CayleyBall, OneCycle, str, FillingResult]:
+    """Load --pres, build the ball, trace --word from the identity and fill
+    it with --solver: (ball, cycle, solver name, result)."""
     group = load_group(args.pres)
     ball = build_ball(group.backend, group.hom_pres, args.ball, args.budget_vertices)
-    word = parse_word(args.word, group.name_index)
-    gamma = loop_to_cycle(ball, 0, word)
+    gamma = loop_to_cycle(ball, 0, parse_word(args.word, group.name_index))
     solver = {"ilp": "exact_ilp", "brute": "brute_force"}[args.solver]
-    result = harea_fill(ball, gamma, solver=solver)
+    return ball, gamma, solver, harea_fill(ball, gamma, solver=solver)
+
+
+def cmd_fill(args) -> int:
+    ball, gamma, solver, result = _fill_word(args)
     payload = {
         "cycle": args.word,
         "cycle_length": gamma.length(),
@@ -218,12 +227,7 @@ def cmd_fa(args) -> int:
 
 
 def cmd_surface(args) -> int:
-    group = load_group(args.pres)
-    ball = build_ball(group.backend, group.hom_pres, args.ball, args.budget_vertices)
-    word = parse_word(args.word, group.name_index)
-    gamma = loop_to_cycle(ball, 0, word)
-    solver = {"ilp": "exact_ilp", "brute": "brute_force"}[args.solver]
-    result = harea_fill(ball, gamma, solver=solver)
+    ball, _gamma, _solver, result = _fill_word(args)
     if result.status != "optimal":
         raise DomainError(f"filling is {result.status}; no surface to assemble")
     diagram = assemble_surface(ball, result.chain)
@@ -240,23 +244,18 @@ def cmd_surface(args) -> int:
     return 0
 
 
-def _extension_context(args, group: LoadedGroup) -> tuple[CayleyBall, CayleyBall, TransferConstants]:
+def _transfer_constants(args, group: LoadedGroup) -> TransferConstants:
+    """Transfer constants over the kernel ball of radius --k-ball (default
+    --ball); the kernel ball is ``constants.k_ball``."""
     if group.layout is None:
         raise DomainError("this subcommand needs an extension presentation")
     k_radius = args.k_ball if args.k_ball else args.ball
     k_ball = build_ball(group.k_backend, group.k_pres, k_radius, args.budget_vertices)
-    h_ball = build_ball(group.backend, group.hom_pres, args.ball, args.budget_vertices)
-    constants = compute_constants(k_ball, group.layout, group.lifts, group.hom_pres.base.relators)
-    return h_ball, k_ball, constants
+    return compute_constants(k_ball, group.layout, group.lifts, group.hom_pres.base.relators)
 
 
 def cmd_constants(args) -> int:
-    group = load_group(args.pres)
-    if group.layout is None:
-        raise DomainError("constants need an extension presentation")
-    k_radius = args.k_ball if args.k_ball else args.ball
-    k_ball = build_ball(group.k_backend, group.k_pres, k_radius, args.budget_vertices)
-    constants = compute_constants(k_ball, group.layout, group.lifts, group.hom_pres.base.relators)
+    constants = _transfer_constants(args, load_group(args.pres))
     write_artifact(args.out, constants.as_json(), _config_echo(args))
     if args.verbose:
         print(f"constants: C={constants.C} C'={constants.C_prime} C''={constants.C_double_prime} M={constants.M}")
@@ -265,7 +264,9 @@ def cmd_constants(args) -> int:
 
 def cmd_pushdown(args) -> int:
     group = load_group(args.pres)
-    h_ball, k_ball, constants = _extension_context(args, group)
+    constants = _transfer_constants(args, group)
+    k_ball = constants.k_ball
+    h_ball = build_ball(group.backend, group.hom_pres, args.ball, args.budget_vertices)
     k_names = {g: i for i, g in enumerate(group.k_pres.generators)}
     word = parse_word(args.word, k_names)
     gamma_k = loop_to_cycle(k_ball, 0, word)

@@ -10,11 +10,19 @@ side of w' is the inner boundary, the one on the w side the outer
 boundary.  Eliminating a maximal coset ending in t uses the pull-back
 transfer, one ending in t^-1 uses the push-forward transfer, exactly the
 two affine area caps with constants C, C', C''.
+
+Cosets are read off the ball: ``CayleyBall.cell_cosets`` lists the cosets
+each cell touches (one, or the pair a conjugation cell joins), and an edge
+lies in K(w) when both its endpoints carry the label w.  Chains and cycles
+move between the extension ball and the kernel ball with
+``carry_chain``/``carry_cycle``: ``chart`` translates a coset's piece by
+w^-1 into the kernel ball, ``embed_chain`` translates a kernel chain into
+K(w).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .backends import ExtensionBackend
 from .cayley import (
@@ -22,6 +30,8 @@ from .cayley import (
     OneCycle,
     TwoChain,
     boundary_2,
+    carry_chain,
+    carry_cycle,
     loop_to_cycle,
     trace_word,
     translate_chain,
@@ -179,6 +189,35 @@ def lift_image_cycle(k_ball: CayleyBall, cycle: OneCycle, lift: AutLift, directi
     return OneCycle(acc)
 
 
+def _substitute(
+    k_ball: CayleyBall, chain: TwoChain, lift: AutLift, direction: str, certs: dict
+) -> TwoChain:
+    """Replace each cell of the chain with its certificate in ``certs``,
+    translated to the ``direction`` image of the cell's base vertex."""
+    i = lift.stable_letter_index
+    out = TwoChain()
+    for cell_id, coeff in sorted(chain.coeffs.items()):
+        cell = k_ball.cells[cell_id]
+        base_image = apply_lift(lift, direction, k_ball.vertices[cell.base])
+        try:
+            out = out + translate_chain(k_ball, base_image, certs[(i, cell.relator)].chain).scale(coeff)
+        except DomainError as exc:
+            raise ResourceError(f"{direction} image leaves the kernel ball: {exc}") from exc
+    return out
+
+
+def _collars(k_ball: CayleyBall, cycle: OneCycle, i: int, certs: dict) -> TwoChain:
+    """One collar certificate per edge of the cycle, translated to the
+    edge's source vertex."""
+    out = TwoChain()
+    for edge, coeff in sorted(cycle.coeffs.items()):
+        source, g, _ = k_ball.edges[edge]
+        collar = certs[(i, g - 1)].chain
+        if collar:
+            out = out + translate_chain(k_ball, k_ball.vertices[source], collar).scale(coeff)
+    return out
+
+
 def push_forward_filling(
     k_ball: CayleyBall,
     chain: TwoChain,
@@ -188,16 +227,7 @@ def push_forward_filling(
     """Filling of the forward image of the chain's boundary, by replacing
     each cell with its fixed forward certificate translated to the image of
     the cell's base vertex.  Area grows by at most the factor C."""
-    i = lift.stable_letter_index
-    out = TwoChain()
-    for cell_id, coeff in sorted(chain.coeffs.items()):
-        cell = k_ball.cells[cell_id]
-        cert = constants.phi_certs[(i, cell.relator)]
-        base_image = apply_lift(lift, "forward", k_ball.vertices[cell.base])
-        try:
-            out = out + translate_chain(k_ball, base_image, cert.chain).scale(coeff)
-        except DomainError as exc:
-            raise ResourceError(f"forward image leaves the kernel ball: {exc}") from exc
+    out = _substitute(k_ball, chain, lift, "forward", constants.phi_certs)
     if out.area() > constants.C * chain.area():
         raise InvariantError("push-forward area exceeded its certified bound")
     expected = lift_image_cycle(k_ball, boundary_2(k_ball, chain), lift, "forward")
@@ -217,27 +247,13 @@ def pull_back_filling(
     backward certificates through c', then attach one collar per edge of
     gamma to bridge gamma and its round-trip image.  Area is bounded by
     C' Area(c') + C'' |gamma|."""
-    i = lift.stable_letter_index
     if boundary_2(k_ball, c_prime) != lift_image_cycle(k_ball, gamma, lift, "forward"):
         raise DomainError("pull-back input does not bound the forward image of gamma")
-    out = TwoChain()
-    for cell_id, coeff in sorted(c_prime.coeffs.items()):
-        cell = k_ball.cells[cell_id]
-        cert = constants.psi_certs[(i, cell.relator)]
-        base_image = apply_lift(lift, "backward", k_ball.vertices[cell.base])
-        try:
-            out = out + translate_chain(k_ball, base_image, cert.chain).scale(coeff)
-        except DomainError as exc:
-            raise ResourceError(f"backward image leaves the kernel ball: {exc}") from exc
-    for edge, coeff in sorted(gamma.coeffs.items()):
-        source, g, _ = k_ball.edges[edge]
-        collar = constants.collar_psi_phi[(i, g - 1)]
-        if not collar.chain:
-            continue
-        try:
-            out = out + translate_chain(k_ball, k_ball.vertices[source], collar.chain).scale(coeff)
-        except DomainError as exc:
-            raise ResourceError(f"collar leaves the kernel ball: {exc}") from exc
+    out = _substitute(k_ball, c_prime, lift, "backward", constants.psi_certs)
+    try:
+        out = out + _collars(k_ball, gamma, lift.stable_letter_index, constants.collar_psi_phi)
+    except DomainError as exc:
+        raise ResourceError(f"collar leaves the kernel ball: {exc}") from exc
     if out.area() > constants.C_prime * c_prime.area() + constants.C_double_prime * gamma.length():
         raise InvariantError("pull-back area exceeded its certified bound")
     if boundary_2(k_ball, out) != gamma:
@@ -256,101 +272,66 @@ def _require_extension(ball: CayleyBall) -> ExtensionBackend:
     return backend
 
 
-def conj_cell_cosets(ball: CayleyBall, layout: ExtensionLayout, cell_id: int):
-    """(stable letter i, lower coset word, sign) for a conjugation cell:
-    the cell joins K(lower) to K(lower * t_i^sign)."""
-    cell = ball.cells[cell_id]
-    i, _j = layout.conj_info(cell.relator)
-    base_label = ball.coset_labels[cell.base]
-    other_label = ball.coset_labels[cell.vertex_path[1]]  # after the t^-1 step
-    if len(other_label) < len(base_label):
-        return i, other_label, 1  # based in the upper coset, upper = lower * t_i
-    return i, base_label, -1  # based in the lower coset, upper = lower * t_i^-1
-
-
-def chain_coset_words(ball: CayleyBall, layout: ExtensionLayout, chain: TwoChain) -> set[Word]:
+def chain_coset_words(ball: CayleyBall, chain: TwoChain) -> set[Word]:
+    """Every coset some cell of the chain touches."""
     words: set[Word] = set()
     for cell_id in chain.coeffs:
-        cell = ball.cells[cell_id]
-        if layout.is_conj_relator(cell.relator):
-            i, lower, sign = conj_cell_cosets(ball, layout, cell_id)
-            words.add(lower)
-            t = layout.stable_letter(i)
-            words.add(lower + ((t,) if sign > 0 else (-t,)))
-        else:
-            words.add(ball.coset_labels[cell.base])
+        words.update(ball.cell_cosets[cell_id])
     return words
 
 
-def _edge_coset(ball: CayleyBall, layout: ExtensionLayout, edge: int) -> Word | None:
-    source, g, _ = ball.edges[edge]
-    if g > layout.k_rank:
-        return None  # stable-letter edge, lives between cosets
-    return ball.coset_labels[source]
-
-
-def restrict_to_coset(ball: CayleyBall, layout: ExtensionLayout, cycle: OneCycle, coset: Word) -> OneCycle:
+def restrict_to_coset(ball: CayleyBall, cycle: OneCycle, coset: Word) -> OneCycle:
+    """The part of the cycle on edges whose both endpoints lie in K(coset)."""
+    labels = ball.coset_labels
     return OneCycle(
-        {e: c for e, c in cycle.coeffs.items() if _edge_coset(ball, layout, e) == coset}
+        {
+            e: c
+            for e, c in cycle.coeffs.items()
+            if labels[ball.edges[e][0]] == coset == labels[ball.edges[e][2]]
+        }
     )
 
 
-def chart_cycle(h_ball: CayleyBall, k_ball: CayleyBall, coset: Word, cycle: OneCycle) -> OneCycle:
-    """Carry a cycle lying in the K(coset) subcomplex to the kernel ball via
-    left translation by coset^-1."""
-    backend = _require_extension(h_ball)
-    acc: dict[int, int] = {}
-    inv = inverse_word(coset)
-    for edge, coeff in cycle.coeffs.items():
-        source, g, _ = h_ball.edges[edge]
-        word = backend.split(inv + h_ball.vertices[source]).k_part
-        try:
-            ke = k_ball.succ[k_ball.vertex_of(word)][g][0]
-        except (DomainError, KeyError) as exc:
-            raise ResourceError(
-                f"kernel ball radius {k_ball.radius} too small to chart the coset cycle; "
-                f"needs at least {len(word) + 1}"
-            ) from exc
-        acc[ke] = acc.get(ke, 0) + coeff
-    return OneCycle(acc)
+def _carry(carry, src: CayleyBall, dst: CayleyBall, item, word, too_small: str):
+    """Carry a chain or cycle from src to dst, placing each source vertex x
+    at the vertex of ``word(x)``; a vertex, cell or edge missing from dst
+    raises ResourceError naming the radius it needs."""
+    index, normal_form = dst.vertex_index, dst.backend.normal_form
+    try:
+        return carry(src, dst, item, lambda x: index.get(normal_form(word(x))))
+    except KeyError as exc:
+        raise ResourceError(f"{too_small}; needs at least {len(word(exc.args[0])) + 1}") from exc
 
 
-def chart_chain(h_ball: CayleyBall, k_ball: CayleyBall, coset: Word, chain: TwoChain) -> TwoChain:
+def chart(h_ball: CayleyBall, k_ball: CayleyBall, coset: Word, item):
+    """Carry a chain or cycle lying in the K(coset) subcomplex to the kernel
+    ball via left translation by coset^-1."""
     backend = _require_extension(h_ball)
     inv = inverse_word(coset)
-    acc: dict[int, int] = {}
-    for cell_id, coeff in chain.coeffs.items():
-        cell = h_ball.cells[cell_id]
-        word = backend.split(inv + h_ball.vertices[cell.base]).k_part
-        try:
-            kv = k_ball.vertex_of(word)
-            kc = k_ball.cell_index[(kv, cell.relator)]
-        except (DomainError, KeyError) as exc:
-            raise ResourceError(
-                f"kernel ball radius {k_ball.radius} too small to chart the coset chain; "
-                f"needs at least {len(word) + 1}"
-            ) from exc
-        acc[kc] = acc.get(kc, 0) + coeff
-    return TwoChain(acc)
+    what, carry = ("cycle", carry_cycle) if isinstance(item, OneCycle) else ("chain", carry_chain)
+    too_small = f"kernel ball radius {k_ball.radius} too small to chart the coset {what}"
+
+    def k_word(x: int) -> Word:
+        return backend.split(inv + h_ball.vertices[x]).k_part
+
+    return _carry(carry, h_ball, k_ball, item, k_word, too_small)
 
 
 def embed_chain(h_ball: CayleyBall, coset: Word, k_ball: CayleyBall, chain: TwoChain) -> TwoChain:
     """Left-translate a kernel-ball chain into the K(coset) subcomplex."""
-    acc: dict[int, int] = {}
-    for cell_id, coeff in chain.coeffs.items():
-        cell = k_ball.cells[cell_id]
-        word = tuple(coset) + k_ball.vertices[cell.base]
-        try:
-            hv = h_ball.vertex_of(word)
-            hc = h_ball.cell_index[(hv, cell.relator)]
-        except (DomainError, KeyError) as exc:
-            raise ResourceError(
-                f"extension ball radius {h_ball.radius} too small to embed at coset "
-                f"{format_word(coset, h_ball.generators) or 'e'}; "
-                f"needs at least {len(word) + 1}"
-            ) from exc
-        acc[hc] = acc.get(hc, 0) + coeff
-    return TwoChain(acc)
+    too_small = (
+        f"extension ball radius {h_ball.radius} too small to embed at coset "
+        f"{format_word(coset, h_ball.generators) or 'e'}"
+    )
+    return _carry(carry_chain, k_ball, h_ball, chain, lambda x: tuple(coset) + k_ball.vertices[x], too_small)
+
+
+def kernel_cycle_to_extension(h_ball: CayleyBall, k_ball: CayleyBall, gamma: OneCycle) -> OneCycle:
+    """Embed a kernel-ball cycle into the extension ball's kernel subcomplex."""
+    try:
+        return carry_cycle(k_ball, h_ball, gamma, lambda x: h_ball.vertex_of(k_ball.vertices[x]))
+    except KeyError:
+        raise ResourceError("extension ball too small to hold the kernel cycle") from None
 
 
 # ---------------------------------------------------------------------------
@@ -378,28 +359,22 @@ def detect_t_cycles(diagram: SurfaceDiagram, layout: ExtensionLayout) -> list[TC
     for edge in boundary.coeffs:
         if ball.edges[edge][1] > layout.k_rank:
             raise DomainError("diagram boundary contains stable-letter edges; t-cycles undefined")
-    groups: dict[tuple[int, Word, int], list[int]] = {}
+    groups: dict[tuple[int, Word, int, Word], list[int]] = {}
     for f, face in enumerate(diagram.faces):
         if face.provenance is None:
             raise DomainError("t-cycle detection needs face provenance")
         cell_id, _orient = face.provenance
-        if not layout.is_conj_relator(ball.cells[cell_id].relator):
+        cosets = ball.cell_cosets[cell_id]
+        if len(cosets) == 1:
             continue
-        key = conj_cell_cosets(ball, layout, cell_id)
-        groups.setdefault(key, []).append(f)
+        lower, upper = cosets
+        t = upper[-1]
+        groups.setdefault((layout.stable_index(t), lower, 1 if t > 0 else -1, upper), []).append(f)
     out = []
-    for (i, lower, sign) in sorted(groups):
-        faces = groups[(i, lower, sign)]
-        t = layout.stable_letter(i)
-        upper = lower + ((t,) if sign > 0 else (-t,))
-        total: dict[int, int] = {}
-        for f in faces:
-            cell_id, orient = diagram.faces[f].provenance
-            for e, s in ball.cells[cell_id].boundary:
-                total[e] = total.get(e, 0) + orient * s
-        chain_boundary = OneCycle(total)
-        inner = restrict_to_coset(ball, layout, chain_boundary, lower)
-        outer = restrict_to_coset(ball, layout, chain_boundary, upper)
+    for (i, lower, sign, upper), faces in sorted(groups.items()):
+        chain_boundary = boundary_2(ball, TwoChain([diagram.faces[f].provenance for f in faces]))
+        inner = restrict_to_coset(ball, chain_boundary, lower)
+        outer = restrict_to_coset(ball, chain_boundary, upper)
         for name, cyc in (("inner", inner), ("outer", outer)):
             if vertex_incidence(ball, cyc):
                 raise InvariantError(f"{name} boundary of a t-cycle is not closed")
@@ -472,9 +447,8 @@ def push_down(
     _require_extension(h_ball)
     if boundary_2(h_ball, chain) != gamma:
         raise DomainError("push-down input chain does not bound gamma")
-    for edge in gamma.coeffs:
-        if _edge_coset(h_ball, layout, edge) != ():
-            raise DomainError("gamma must be supported in the kernel subcomplex")
+    if restrict_to_coset(h_ball, gamma, ()) != gamma:
+        raise DomainError("gamma must be supported in the kernel subcomplex")
     gamma_len = gamma.length()
     f_value = _f_lookup(f_table, gamma_len)
     M = constants.M
@@ -484,7 +458,7 @@ def push_down(
     initial_area = chain.area()
     k_max = 0
     while True:
-        cosets = chain_coset_words(h_ball, layout, current)
+        cosets = chain_coset_words(h_ball, current)
         cosets.discard(())
         if not cosets:
             break
@@ -492,7 +466,7 @@ def push_down(
         k_max = max(k_max, depth)
         w = min(w for w in cosets if len(w) == depth)
         last = w[-1]
-        i = abs(last) - layout.k_rank - 1
+        i = layout.stable_index(last)
         sign = 1 if last > 0 else -1
         w_prime = w[:-1]
         lift = constants.lifts[i]
@@ -500,27 +474,25 @@ def push_down(
         t_cells: dict[int, int] = {}
         out_cells: dict[int, int] = {}
         for cell_id, coeff in current.coeffs.items():
-            cell = h_ball.cells[cell_id]
-            if layout.is_conj_relator(cell.relator):
-                key = conj_cell_cosets(h_ball, layout, cell_id)
-                if key == (i, w_prime, sign):
-                    t_cells[cell_id] = coeff
-                elif w in (key[1], key[1] + ((layout.stable_letter(key[0]),) if key[2] > 0 else (-layout.stable_letter(key[0]),))):
-                    raise InvariantError("a second t-cycle touches the maximal coset")
-            elif h_ball.coset_labels[cell.base] == w:
+            cell_cosets = h_ball.cell_cosets[cell_id]
+            if cell_cosets == (w_prime, w):
+                t_cells[cell_id] = coeff
+            elif cell_cosets == (w,):
                 out_cells[cell_id] = coeff
+            elif w in cell_cosets:
+                raise InvariantError("a second t-cycle touches the maximal coset")
         T = TwoChain(t_cells)
         S_out = TwoChain(out_cells)
 
         t_boundary = boundary_2(h_ball, T)
-        outer_restr = restrict_to_coset(h_ball, layout, t_boundary, w)
-        inner_restr = restrict_to_coset(h_ball, layout, t_boundary, w_prime)
-        if OneCycle({e: -c for e, c in outer_restr.coeffs.items()}) != boundary_2(h_ball, S_out):
+        outer = -restrict_to_coset(h_ball, t_boundary, w)
+        inner = restrict_to_coset(h_ball, t_boundary, w_prime)
+        if outer != boundary_2(h_ball, S_out):
             raise InvariantError("outer filling does not bound the t-cycle's outer boundary")
 
-        gamma_out = chart_cycle(h_ball, k_ball, w, OneCycle({e: -c for e, c in outer_restr.coeffs.items()}))
-        gamma_in = chart_cycle(h_ball, k_ball, w_prime, inner_restr)
-        s_out_chart = chart_chain(h_ball, k_ball, w, S_out)
+        gamma_out = chart(h_ball, k_ball, w, outer)
+        gamma_in = chart(h_ball, k_ball, w_prime, inner)
+        s_out_chart = chart(h_ball, k_ball, w, S_out)
 
         if sign > 0:
             if gamma_out != lift_image_cycle(k_ball, gamma_in, lift, "forward"):
@@ -562,8 +534,7 @@ def push_down(
         current = new_chain
 
     for cell_id in current.coeffs:
-        cell = h_ball.cells[cell_id]
-        if layout.is_conj_relator(cell.relator) or h_ball.coset_labels[cell.base] != ():
+        if h_ball.cell_cosets[cell_id] != ((),):
             raise InvariantError("push-down terminated with cells outside the kernel")
     final_area = current.area()
     final_ok = final_area <= M ** (k_max + 1) * f_value
@@ -653,6 +624,21 @@ def route_filling(
         if pos and route[pos - 1] == -letter:
             raise DomainError("route must be a reduced stable-letter word")
 
+    def conj_cells(cycle: OneCycle, lead: Word, i: int, sign: int, way: str) -> dict[int, int]:
+        """The conjugation cell of each edge (x, a_j) of the cycle: the one
+        with relator (i, j) based at lead * phi_i(x), with the edge's
+        coefficient times ``sign``."""
+        lift = constants.lifts[i]
+        cells: dict[int, int] = {}
+        for edge, coeff in sorted(cycle.coeffs.items()):
+            source, g, _ = k_ball.edges[edge]
+            hv = h_ball.vertex_of(lead + apply_lift(lift, "forward", k_ball.vertices[source]))
+            cell = h_ball.cell_index.get((hv, layout.k_relator_count + i * layout.k_rank + (g - 1)))
+            if cell is None:
+                raise ResourceError(f"extension ball too small to route the cycle {way}")
+            cells[cell] = cells.get(cell, 0) + sign * coeff
+        return cells
+
     def recurse(prefix: Word, cycle_k: OneCycle, rest: Word) -> TwoChain:
         if not rest:
             result = harea_fill(k_ball, cycle_k)
@@ -660,43 +646,18 @@ def route_filling(
                 raise DomainError(f"kernel filling at route end is {result.status}")
             return embed_chain(h_ball, prefix, k_ball, result.chain)
         t = rest[0]
-        i = abs(t) - layout.k_rank - 1
+        i = layout.stable_index(t)
         lift = constants.lifts[i]
-        cells: dict[int, int] = {}
-        collars = TwoChain()
         if t > 0:
-            for edge, coeff in sorted(cycle_k.coeffs.items()):
-                source, g, _ = k_ball.edges[edge]
-                base_word = prefix + (t,) + apply_lift(lift, "forward", k_ball.vertices[source])
-                hv = h_ball.vertex_of(base_word)
-                rel = layout.k_relator_count + i * layout.k_rank + (g - 1)
-                cell = h_ball.cell_index.get((hv, rel))
-                if cell is None:
-                    raise ResourceError("extension ball too small to route the cycle up")
-                cells[cell] = cells.get(cell, 0) + coeff
+            cells = conj_cells(cycle_k, prefix + (t,), i, 1, "up")
             next_cycle = lift_image_cycle(k_ball, cycle_k, lift, "forward")
+            collars = TwoChain()
         else:
-            delta = lift_image_cycle(k_ball, cycle_k, lift, "backward")
-            for edge, coeff in sorted(delta.coeffs.items()):
-                source, g, _ = k_ball.edges[edge]
-                base_word = prefix + apply_lift(lift, "forward", k_ball.vertices[source])
-                hv = h_ball.vertex_of(base_word)
-                rel = layout.k_relator_count + i * layout.k_rank + (g - 1)
-                cell = h_ball.cell_index.get((hv, rel))
-                if cell is None:
-                    raise ResourceError("extension ball too small to route the cycle down")
-                cells[cell] = cells.get(cell, 0) - coeff
+            next_cycle = lift_image_cycle(k_ball, cycle_k, lift, "backward")
+            cells = conj_cells(next_cycle, prefix, i, -1, "down")
             # bridge gamma with its phi(psi(.)) image inside the current coset
-            k_collars = TwoChain()
-            for edge, coeff in sorted(cycle_k.coeffs.items()):
-                source, g, _ = k_ball.edges[edge]
-                collar = constants.collar_phi_psi[(i, g - 1)]
-                if collar.chain or collar.loop_word:
-                    k_collars = k_collars + translate_chain(
-                        k_ball, k_ball.vertices[source], collar.chain
-                    ).scale(coeff)
+            k_collars = _collars(k_ball, cycle_k, i, constants.collar_phi_psi)
             collars = embed_chain(h_ball, prefix, k_ball, k_collars)
-            next_cycle = delta
         return TwoChain(cells) + collars + recurse(prefix + (t,), next_cycle, rest[1:])
 
     chain = recurse((), gamma if isinstance(gamma, OneCycle) else OneCycle(gamma), tuple(route))
@@ -704,14 +665,3 @@ def route_filling(
         raise InvariantError("routed filling does not bound the input cycle")
     return chain
 
-
-def kernel_cycle_to_extension(h_ball: CayleyBall, k_ball: CayleyBall, gamma: OneCycle) -> OneCycle:
-    """Embed a kernel-ball cycle into the extension ball's kernel subcomplex."""
-    acc: dict[int, int] = {}
-    for e, c in gamma.coeffs.items():
-        source, g, _ = k_ball.edges[e]
-        hop = h_ball.succ[h_ball.vertex_of(k_ball.vertices[source])].get(g)
-        if hop is None:
-            raise ResourceError("extension ball too small to hold the kernel cycle")
-        acc[hop[0]] = acc.get(hop[0], 0) + c
-    return OneCycle(acc)

@@ -396,24 +396,17 @@ def fa_estimate(
     examined = [0] * (n_max + 1)
     gaps: list[str] = []
     names = ball.generators
-    fill_cache: dict = {}
-    for canon, cycle, word in enumerate_identity_cycles(ball, n_max):
+    for _canon, cycle, word in enumerate_identity_cycles(ball, n_max):
         n = cycle.length()
         if n > n_max:
             continue
         examined[n] += 1
-        if canon in fill_cache:
-            area = fill_cache[canon]
-        else:
-            result = harea_fill(ball, cycle, solver=solver, node_budget=node_budget)
-            if not result.optimal():
-                gaps.append(f"{result.status} on loop '{format_word(word, names)}'")
-                fill_cache[canon] = None
-                continue
-            area = result.area
-            fill_cache[canon] = area
-        if area is not None and area > best[n]:
-            best[n] = area
+        result = harea_fill(ball, cycle, solver=solver, node_budget=node_budget)
+        if not result.optimal():
+            gaps.append(f"{result.status} on loop '{format_word(word, names)}'")
+            continue
+        if result.area > best[n]:
+            best[n] = result.area
             witness[n] = format_word(word, names)
     for n in range(1, n_max + 1):
         examined[n] += examined[n - 1]

@@ -85,9 +85,6 @@ class HomPresentation:
     def rank(self) -> int:
         return self.base.rank
 
-    def marked(self) -> tuple[Word, ...]:
-        return tuple(self.base.relators[i] for i in self.marked_relators)
-
 
 @dataclass(frozen=True)
 class AutLift:
@@ -173,6 +170,10 @@ class ExtensionLayout:
     def stable_letter(self, i: int) -> int:
         """Letter index (1-based) of the i-th stable letter, i in 0..n-1."""
         return self.k_rank + 1 + i
+
+    def stable_index(self, letter: int) -> int:
+        """Lift index i (0-based) of the signed stable letter t_i^+-1."""
+        return abs(letter) - self.k_rank - 1
 
     def is_conj_relator(self, rel_index: int) -> bool:
         return rel_index >= self.k_relator_count

@@ -309,6 +309,14 @@ def _glued(diagram: SurfaceDiagram) -> SurfaceIndex:
     return index
 
 
+def _valid(diagram: SurfaceDiagram, what: str) -> SurfaceIndex:
+    """The diagram's index, once the diagram is known to be valid."""
+    index = diagram.index
+    if not index.report.ok:
+        raise DomainError(f"cannot {what} an invalid diagram: " + "; ".join(index.report.violations))
+    return index
+
+
 def boundary_paths(diagram: SurfaceDiagram) -> list[list[SlotRef]]:
     """Cyclically ordered unmatched slots per boundary component (orientation
     follows the faces; only meaningful for flip-free diagrams, which is all
@@ -346,9 +354,7 @@ def boundary_paths(diagram: SurfaceDiagram) -> list[list[SlotRef]]:
 
 def measure(diagram: SurfaceDiagram) -> SurfaceMetrics:
     """Area, radius, boundary length, components, Euler characteristic."""
-    index = diagram.index
-    if not index.report.ok:
-        raise DomainError("cannot measure an invalid diagram: " + "; ".join(index.report.violations))
+    index = _valid(diagram, "measure")
 
     nfaces = len(diagram.faces)
     matching, unmatched, classes, class_of = index.matching, index.unmatched, index.classes, index.class_of
@@ -669,7 +675,7 @@ def diagram_from_json(doc: dict, ball: CayleyBall | None = None) -> SurfaceDiagr
 
 def diagram_to_dot(diagram: SurfaceDiagram) -> str:
     """1-skeleton in DOT, boundary edges highlighted."""
-    index = _glued(diagram)
+    index = _valid(diagram, "draw")
     lines = ["graph surface {"]
     for i in range(len(index.classes)):
         lines.append(f'  v{i} [label="v{i}"];')

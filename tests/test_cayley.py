@@ -150,6 +150,26 @@ def test_coset_labels(z3_setup):
     assert ball.coset_labels[0] == ()
 
 
+@pytest.mark.parametrize("path", GROUP_FILES, ids=os.path.basename)
+def test_cell_cosets(path):
+    group = load_group(path)
+    ball = build_ball(group.backend, group.hom_pres, 4)
+    assert len(ball.cell_cosets) == len(ball.cells)
+    layout = group.layout
+    if layout is None:
+        assert all(cosets == ((),) for cosets in ball.cell_cosets)
+        return
+    for cell, cosets in zip(ball.cells, ball.cell_cosets):
+        if not layout.is_conj_relator(cell.relator):
+            assert cosets == (ball.coset_labels[cell.base],)
+            continue
+        i, _j = layout.conj_info(cell.relator)
+        t = layout.stable_letter(i)
+        lower, upper = cosets
+        assert upper in (lower + (t,), lower + (-t,))
+        assert ball.coset_labels[cell.base] in cosets
+
+
 def test_ball_json_shape(z2_ball4):
     import json
 

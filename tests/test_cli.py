@@ -140,16 +140,23 @@ def test_missing_input_file_exits_cleanly(tmp_path, capsys, args):
             "surface", "--pres", grp("z2.grp"), "--word", "a b a' b'", "--ball", "2",
             "--out", "{tmp}/d.json", "--dot", "{missing}/d.dot",
         ],
+        ["fill", "--pres", grp("z2.grp"), "--word", "a b a' b'", "--ball", "2", "--out", "{adir}"],
     ],
-    ids=["out", "dot"],
+    ids=["out", "dot", "out-is-dir"],
 )
 def test_unwritable_output_exits_cleanly(tmp_path, capsys, args):
     missing = str(tmp_path / "nodir")
-    argv = [a.replace("{missing}", missing).replace("{tmp}", str(tmp_path)) for a in args]
+    adir = tmp_path / "adir"
+    adir.mkdir()
+    argv = [
+        a.replace("{missing}", missing).replace("{adir}", str(adir)).replace("{tmp}", str(tmp_path))
+        for a in args
+    ]
     assert run_cli(argv + ["--json-errors"]) == 1
     err = json.loads(capsys.readouterr().err)
     assert err["error"] == "DomainError"
-    assert missing in err["message"]
+    assert (str(adir) if "{adir}" in args else missing) in err["message"]
+    assert not list(tmp_path.rglob("*.tmp"))
 
 
 def test_pres_not_utf8_exits_cleanly(tmp_path, capsys):

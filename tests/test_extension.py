@@ -131,7 +131,7 @@ def test_routed_filling_spec_example(z3_setup, z3_constants):
     # four conjugation cells plus one commutator cell at the far coset
     assert chain.area() == 5
     assert boundary_2(z3_setup.h_ball, chain) == gamma_h
-    words = chain_coset_words(z3_setup.h_ball, z3_setup.layout, chain)
+    words = chain_coset_words(z3_setup.h_ball, chain)
     assert words == {(), (3,)}
 
 
@@ -242,7 +242,7 @@ def test_two_stable_letters():
     gamma_k = loop_to_cycle(k_ball, 0, parse_word("a b a' b'", K_NI))
     chain = route_filling(h_ball, k_ball, constants, gamma_k, (3, 4))
     gamma_h = kernel_cycle_to_extension(h_ball, k_ball, gamma_k)
-    words = chain_coset_words(h_ball, layout, chain)
+    words = chain_coset_words(h_ball, chain)
     assert words == {(), (3,), (3, 4)}
     trace = push_down(h_ball, gamma_h, chain, constants, QUAD_F, "quadratic")
     assert [s.coset_word for s in trace.steps] == ["t1 t2", "t1"]

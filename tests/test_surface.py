@@ -258,6 +258,8 @@ def test_verify_reports_each_violation(z2_ball4, build, message):
     assert message in verify_surface(diagram).violations
     with pytest.raises(DomainError, match="cannot measure"):
         measure(diagram)
+    with pytest.raises(DomainError, match="cannot draw an invalid diagram"):
+        diagram_to_dot(diagram)
 
 
 def test_measure_refuses_invalid(z2_ball4):
