@@ -12,6 +12,10 @@ neighbour table, ``succ[v][letter] -> (edge, sign, next vertex)`` with an
 entry for both ``+g`` and ``-g``; ``step``, cell construction, word tracing,
 edge lookups and hop distances are all lookups in that table.  Only
 ``vertex_of``, which places arbitrary words, still calls ``normal_form``.
+Maps between balls that are fixed per ball pair (translation by a coset, a
+lift) are kept as ``Placement`` tables on the source ball, filled by a walk
+along the neighbour table (``walk_placement``) and by the normal form where
+the walk cannot tell.
 """
 
 from __future__ import annotations
@@ -121,7 +125,7 @@ class Cell:
     vertex_path: tuple[int, ...]  # vertex before each boundary step; [0] = base
 
 
-@dataclass
+@dataclass(eq=False)
 class CayleyBall:
     backend: GroupBackend
     hom_pres: HomPresentation
@@ -134,6 +138,9 @@ class CayleyBall:
     cells: list[Cell]
     cell_index: dict[tuple[int, int], int] = field(default_factory=dict)
     coset_labels: list[Word] = field(default_factory=list)
+    # placement tables of this ball's vertices, built on first use by the
+    # layers that place vertices in another ball (extension.py)
+    placements: dict = field(default_factory=dict, repr=False)
 
     @property
     def generators(self) -> tuple[str, ...]:
@@ -228,6 +235,77 @@ def hop_distances(succ: list[dict[int, tuple[int, int, int]]], sources) -> list[
                     new.append(u)
         frontier = new
     return dist
+
+
+NO_ENTRY = -1  # a placement the walk could not decide
+
+
+class Placement:
+    """Where a map sends the vertices of one ball in the ball ``dst``: x
+    goes to the vertex of the word ``word(x)``.  ``table`` holds one entry
+    per source vertex: the image vertex, None when the image lies outside
+    dst, or NO_ENTRY when not yet known.  Calling it with a vertex reads
+    the entry, resolving a NO_ENTRY one through dst's normal form and
+    keeping the answer."""
+
+    __slots__ = ("table", "dst", "word")
+
+    def __init__(self, table: list, dst: "CayleyBall", word):
+        self.table = table
+        self.dst = dst
+        self.word = word
+
+    def __call__(self, x: int) -> int | None:
+        v = self.table[x]
+        if v == NO_ENTRY:
+            v = self.table[x] = self.dst.vertex_index.get(self.dst.backend.normal_form(self.word(x)))
+        return v
+
+
+def walk_placement(src: CayleyBall, roots: tuple[int | None, int | None], letters, hop) -> list:
+    """Entries of a placement table of src's vertices, filled by a
+    breadth-first walk: ``roots`` pairs a source vertex with its image, and
+    a step along one of ``letters`` from a placed vertex x places the
+    vertex it reaches at ``hop(image of x, letter)``.  ``hop`` returns a
+    vertex, None when that image lies outside the destination ball, or
+    NO_ENTRY when it cannot tell.  The map must send x*letter to
+    hop(image of x, letter) for every path to agree; a vertex the walk does
+    not reach keeps NO_ENTRY."""
+    table = [NO_ENTRY] * len(src.vertices)
+    src_root, dst_root = roots
+    if src_root is None or dst_root is None:
+        return table
+    table[src_root] = dst_root
+    frontier = [src_root]
+    succ = src.succ
+    while frontier:
+        new = []
+        for x in frontier:
+            image = table[x]
+            hops = succ[x]
+            for letter in letters:
+                step = hops.get(letter)
+                if step is None or table[step[2]] != NO_ENTRY:
+                    continue
+                y = hop(image, letter)
+                if y != NO_ENTRY:
+                    table[step[2]] = y
+                    if y is not None:
+                        new.append(step[2])
+        frontier = new
+    return table
+
+
+def walk_word(ball: CayleyBall, start: int, w: Word) -> int | None:
+    """The vertex ``w`` reaches from ``start`` along the neighbour table, or
+    None when the path leaves the ball."""
+    v = start
+    for letter in w:
+        step = ball.succ[v].get(letter)
+        if step is None:
+            return None
+        v = step[2]
+    return v
 
 
 def build_ball(

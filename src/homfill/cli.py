@@ -506,6 +506,9 @@ def main(argv=None) -> int:
     except HomfillError as exc:
         _emit_error(args, exc)
         return 1
+    except Exception as exc:  # a bug or an exhausted resource, never bad input
+        _emit_error(args, exc)
+        return 2
 
 
 def _emit_error(args, exc: Exception) -> None:

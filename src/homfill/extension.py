@@ -18,6 +18,24 @@ move between the extension ball and the kernel ball with
 ``carry_chain``/``carry_cycle``: ``chart`` translates a coset's piece by
 w^-1 into the kernel ball, ``embed_chain`` translates a kernel chain into
 K(w).
+
+Vertices are placed through tables (``cayley.Placement``) indexed by vertex
+number, kept on the source ball and built on first use:
+
+- per coset w, extension vertex -> kernel vertex of w^-1 x, for ``chart``;
+- per coset w, kernel vertex -> extension vertex of w x, for
+  ``embed_chain``, ``kernel_cycle_to_extension`` (w = e) and the
+  conjugation cells of ``route_filling`` (w = the cell's lead coset, after
+  the lift table);
+- per lift and direction, kernel vertex -> kernel vertex of its image, plus
+  each edge's traced image steps, for ``lift_image_cycle``.
+
+A breadth-first walk along the kernel letters fills a table without normal
+forms: translation by w commutes with them, and a lift sends a step along a
+letter to the traced image of that letter.  The walk records None where a
+step leaves the destination ball.  An entry the walk does not reach falls
+back to the normal-form placement it replaces, so every value, error type
+and error message is the normal form's.
 """
 
 from __future__ import annotations
@@ -26,8 +44,10 @@ from dataclasses import dataclass
 
 from .backends import ExtensionBackend
 from .cayley import (
+    NO_ENTRY,
     CayleyBall,
     OneCycle,
+    Placement,
     TwoChain,
     boundary_2,
     carry_chain,
@@ -36,6 +56,8 @@ from .cayley import (
     trace_word,
     translate_chain,
     vertex_incidence,
+    walk_placement,
+    walk_word,
 )
 from .errors import DomainError, InvariantError, ResourceError
 from .filling import FATable, harea_fill
@@ -175,15 +197,45 @@ def compute_constants(
     )
 
 
+def _kernel_letters(k_ball: CayleyBall) -> tuple[int, ...]:
+    return tuple(letter for j in range(1, k_ball.backend.rank + 1) for letter in (j, -j))
+
+
+def lift_placement(k_ball: CayleyBall, lift: AutLift, direction: str) -> tuple[Placement, list]:
+    """The lift's placement of the kernel ball in itself, x -> the vertex of
+    its image word, and each edge's traced image steps (None until first
+    traced), kept on the ball.  The walk starts at the identity, which the
+    lift fixes, and sends a step along a letter to the traced image of that
+    letter."""
+    key = ("lift", lift, direction)
+    tables = k_ball.placements.get(key)
+    if tables is None:
+
+        def hop(v: int, letter: int) -> int:
+            v = walk_word(k_ball, v, lift.letter_image(letter, direction))
+            return NO_ENTRY if v is None else v
+
+        def word(x: int) -> Word:
+            return apply_lift(lift, direction, k_ball.vertices[x])
+
+        table = walk_placement(k_ball, (0, 0), _kernel_letters(k_ball), hop)
+        tables = k_ball.placements[key] = (Placement(table, k_ball, word), [None] * len(k_ball.edges))
+    return tables
+
+
 def lift_image_cycle(k_ball: CayleyBall, cycle: OneCycle, lift: AutLift, direction: str) -> OneCycle:
     """Image of a 1-cycle under a lift: each vertex x maps to its image word,
     each edge to the traced image path of its label."""
+    place, traced = lift_placement(k_ball, lift, direction)
     acc: dict[int, int] = {}
     for edge, coeff in cycle.coeffs.items():
-        source, g, _target = k_ball.edges[edge]
-        base_word = apply_lift(lift, direction, k_ball.vertices[source])
-        base = k_ball.vertex_of(base_word)
-        steps, _ = trace_word(k_ball, base, lift.letter_image(g, direction))
+        steps = traced[edge]
+        if steps is None:
+            source, g, _target = k_ball.edges[edge]
+            base = place(source)
+            if base is None:
+                k_ball.vertex_of(place.word(source))  # raises the outside-ball error
+            steps = traced[edge] = trace_word(k_ball, base, lift.letter_image(g, direction))[0]
         for e, s in steps:
             acc[e] = acc.get(e, 0) + coeff * s
     return OneCycle(acc)
@@ -292,29 +344,67 @@ def restrict_to_coset(ball: CayleyBall, cycle: OneCycle, coset: Word) -> OneCycl
     )
 
 
-def _carry(carry, src: CayleyBall, dst: CayleyBall, item, word, too_small: str):
-    """Carry a chain or cycle from src to dst, placing each source vertex x
-    at the vertex of ``word(x)``; a vertex, cell or edge missing from dst
-    raises ResourceError naming the radius it needs."""
-    index, normal_form = dst.vertex_index, dst.backend.normal_form
+def _coset_placement(h_ball: CayleyBall, k_ball: CayleyBall, coset: Word, to_kernel: bool, word) -> Placement:
+    """The placement under translation by coset^-1 from the extension ball
+    to the kernel ball (``to_kernel``), or by coset the other way, kept on
+    its source ball.  The walk pairs the coset's vertex in the extension
+    ball with the identity in the kernel ball and steps along the kernel
+    letters, which come first in both balls and commute with left
+    translation; from the extension side it therefore covers only K(coset)."""
+    src, dst = (h_ball, k_ball) if to_kernel else (k_ball, h_ball)
+    key = (dst, coset)
+    placement = src.placements.get(key)
+    if placement is None:
+        coset_vertex = walk_word(h_ball, 0, coset)
+        succ = dst.succ
+
+        def hop(v: int, letter: int) -> int | None:
+            step = succ[v].get(letter)
+            return None if step is None else step[2]
+
+        roots = (coset_vertex, 0) if to_kernel else (0, coset_vertex)
+        table = walk_placement(src, roots, _kernel_letters(k_ball), hop)
+        placement = src.placements[key] = Placement(table, dst, word)
+    return placement
+
+
+def chart_placement(h_ball: CayleyBall, k_ball: CayleyBall, coset: Word) -> Placement:
+    """Where ``chart`` sends each extension-ball vertex x: the kernel part
+    of coset^-1 x."""
+    backend = _require_extension(h_ball)
+    inv = inverse_word(coset)
+
+    def word(x: int) -> Word:
+        return backend.split(inv + h_ball.vertices[x]).k_part
+
+    return _coset_placement(h_ball, k_ball, tuple(coset), True, word)
+
+
+def embed_placement(h_ball: CayleyBall, coset: Word, k_ball: CayleyBall) -> Placement:
+    """Where ``embed_chain`` sends each kernel-ball vertex x: coset x."""
+    coset = tuple(coset)
+
+    def word(x: int) -> Word:
+        return coset + k_ball.vertices[x]
+
+    return _coset_placement(h_ball, k_ball, coset, False, word)
+
+
+def _carry(carry, src: CayleyBall, item, place: Placement, too_small: str):
+    """Carry a chain or cycle from src to ``place``'s ball; a vertex, cell
+    or edge missing there raises ResourceError naming the radius it needs."""
     try:
-        return carry(src, dst, item, lambda x: index.get(normal_form(word(x))))
+        return carry(src, place.dst, item, place)
     except KeyError as exc:
-        raise ResourceError(f"{too_small}; needs at least {len(word(exc.args[0])) + 1}") from exc
+        raise ResourceError(f"{too_small}; needs at least {len(place.word(exc.args[0])) + 1}") from exc
 
 
 def chart(h_ball: CayleyBall, k_ball: CayleyBall, coset: Word, item):
     """Carry a chain or cycle lying in the K(coset) subcomplex to the kernel
     ball via left translation by coset^-1."""
-    backend = _require_extension(h_ball)
-    inv = inverse_word(coset)
     what, carry = ("cycle", carry_cycle) if isinstance(item, OneCycle) else ("chain", carry_chain)
     too_small = f"kernel ball radius {k_ball.radius} too small to chart the coset {what}"
-
-    def k_word(x: int) -> Word:
-        return backend.split(inv + h_ball.vertices[x]).k_part
-
-    return _carry(carry, h_ball, k_ball, item, k_word, too_small)
+    return _carry(carry, h_ball, item, chart_placement(h_ball, k_ball, coset), too_small)
 
 
 def embed_chain(h_ball: CayleyBall, coset: Word, k_ball: CayleyBall, chain: TwoChain) -> TwoChain:
@@ -323,13 +413,19 @@ def embed_chain(h_ball: CayleyBall, coset: Word, k_ball: CayleyBall, chain: TwoC
         f"extension ball radius {h_ball.radius} too small to embed at coset "
         f"{format_word(coset, h_ball.generators) or 'e'}"
     )
-    return _carry(carry_chain, k_ball, h_ball, chain, lambda x: tuple(coset) + k_ball.vertices[x], too_small)
+    return _carry(carry_chain, k_ball, chain, embed_placement(h_ball, coset, k_ball), too_small)
 
 
 def kernel_cycle_to_extension(h_ball: CayleyBall, k_ball: CayleyBall, gamma: OneCycle) -> OneCycle:
     """Embed a kernel-ball cycle into the extension ball's kernel subcomplex."""
+    embed = embed_placement(h_ball, (), k_ball)
+
+    def place(x: int) -> int:
+        v = embed(x)
+        return h_ball.vertex_of(embed.word(x)) if v is None else v  # raises when None
+
     try:
-        return carry_cycle(k_ball, h_ball, gamma, lambda x: h_ball.vertex_of(k_ball.vertices[x]))
+        return carry_cycle(k_ball, h_ball, gamma, place)
     except KeyError:
         raise ResourceError("extension ball too small to hold the kernel cycle") from None
 
@@ -629,10 +725,15 @@ def route_filling(
         with relator (i, j) based at lead * phi_i(x), with the edge's
         coefficient times ``sign``."""
         lift = constants.lifts[i]
+        image, _ = lift_placement(k_ball, lift, "forward")
+        embed = embed_placement(h_ball, lead, k_ball)
         cells: dict[int, int] = {}
         for edge, coeff in sorted(cycle.coeffs.items()):
             source, g, _ = k_ball.edges[edge]
-            hv = h_ball.vertex_of(lead + apply_lift(lift, "forward", k_ball.vertices[source]))
+            kv = image(source)
+            hv = None if kv is None else embed(kv)
+            if hv is None:  # placed by the normal form, which raises when outside
+                hv = h_ball.vertex_of(lead + apply_lift(lift, "forward", k_ball.vertices[source]))
             cell = h_ball.cell_index.get((hv, layout.k_relator_count + i * layout.k_rank + (g - 1)))
             if cell is None:
                 raise ResourceError(f"extension ball too small to route the cycle {way}")

@@ -21,6 +21,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from functools import cached_property
+from heapq import heappop, heappush
 
 from .cayley import CayleyBall, OneCycle, TwoChain
 from .errors import DomainError, InvariantError, ParseError
@@ -480,7 +481,26 @@ def assemble_surface(ball: CayleyBall, chain: TwoChain) -> SurfaceDiagram:
     """Build a surface diagram whose faces are the chain's cells with
     multiplicity, glued by the deterministic rule: repeatedly take the lowest
     boundary vertex with a gluable incident slot and glue that slot,
-    preferring unplaced face copies, ties by lowest face/slot index.
+    preferring unplaced face copies, ties by lowest face/slot index.  When
+    no placed slot is gluable, the lowest unplaced face starts a new
+    component.
+
+    A vertex is named by its root, the least corner identified with it, and
+    a slot's key is the lesser root of its two corners; the rule glues the
+    gluable slot of least (key, slot).  One heap of (key, slot) entries
+    yields that slot without rescanning the placed faces, by two facts:
+
+    - A union only lowers a root, so keys only fall.  Every fall pushes a
+      fresh entry, and an entry above its slot's current key is stale and
+      skipped when popped.
+    - A slot with no partner never gains one.  Its partners are unplaced
+      copies of the opposite label, which only run out, and placed unmatched
+      ones, which only appear when such a copy is placed.  So a slot popped
+      without a partner is dropped for good.
+
+    The unplaced partner is the first copy of the opposite label whose face
+    is unplaced, found by a pointer that only moves forward; the placed one
+    is the least entry of a heap of placed, unmatched slots per label.
     """
     if not chain:
         raise DomainError("assemble_surface needs a nonzero 2-chain")
@@ -499,90 +519,107 @@ def assemble_surface(ball: CayleyBall, chain: TwoChain) -> SurfaceDiagram:
         for _ in range(abs(coeff)):
             faces.append(Face(slots=slots, provenance=(cell_id, orient), corner_images=corners))
 
+    # slot (f, p) and corner (f, p) share one integer id, ordered as the
+    # pairs are; ``head[x]`` is the corner at the end of slot x
+    refs: list[SlotRef] = []
+    first: list[int] = []
+    head: list[int] = []
+    label: list[tuple[int, int]] = []
+    copies: dict[tuple[int, int], list[int]] = {}
+    for f, face in enumerate(faces):
+        base = len(refs)
+        first.append(base)
+        L = len(face.slots)
+        for p, slot in enumerate(face.slots):
+            copies.setdefault(slot, []).append(base + p)
+            refs.append((f, p))
+            head.append(base + (p + 1) % L)
+            label.append(slot)
+    first.append(len(refs))
+    face_of = [f for f, _ in refs]
     nfaces = len(faces)
     placed = [False] * nfaces
-    matched: dict[SlotRef, SlotRef] = {}
-    by_edge_sign: dict[tuple[int, int], list[SlotRef]] = {}
-    for f, face in enumerate(faces):
-        for p, (e, s) in enumerate(face.slots):
-            by_edge_sign.setdefault((e, s), []).append((f, p))
-    # the vertex of a corner is its root: the least corner identified with it
-    vertex = _Sets()
+    matched = [-1] * len(refs)
+    parent = list(range(len(refs)))  # union-find over corners, roots least
+    touching: list[list[int] | None] = [[] for _ in refs]  # root -> slots at its vertex
+    unplaced_at = dict.fromkeys(copies, 0)  # label -> first copy possibly unplaced
+    free: dict[tuple[int, int], list[int]] = {key: [] for key in copies}  # placed, unmatched
+    queue: list[tuple[int, int]] = []
 
-    def head(slot: SlotRef) -> SlotRef:
-        f, p = slot
-        return (f, (p + 1) % len(faces[f].slots))
+    def find(x: int) -> int:
+        while parent[x] != x:
+            parent[x] = x = parent[parent[x]]
+        return x
 
-    def partner_for(slot: SlotRef):
-        e, s = faces[slot[0]].slots[slot[1]]
-        unplaced = [c for c in by_edge_sign.get((e, -s), []) if not placed[c[0]]]
-        if unplaced:
-            return min(unplaced), True
-        free = [
-            c
-            for c in by_edge_sign.get((e, -s), [])
-            if placed[c[0]] and c not in matched and c != slot
-        ]
-        if free:
-            return min(free), False
-        return None, False
+    def place(f: int):
+        placed[f] = True
+        for x in range(first[f], first[f + 1]):
+            heappush(free[label[x]], x)
+            touching[x].append(x)
+            touching[head[x]].append(x)
+            heappush(queue, (min(x, head[x]), x))
 
-    def glue(a: SlotRef, b: SlotRef):
-        matched[a] = b
-        matched[b] = a
-        vertex.union(a, head(b))
-        vertex.union(head(a), b)
+    def union(x: int, y: int):
+        x, y = find(x), find(y)
+        if x == y:
+            return
+        if x > y:
+            x, y = y, x
+        parent[y] = x
+        keep = touching[x]
+        for s in touching[y]:
+            if matched[s] < 0:
+                keep.append(s)
+                heappush(queue, (x, s))
+        touching[y] = None
+
+    def partner_of(s: int) -> int:
+        e, sign = label[s]
+        opposite = (e, -sign)
+        row = copies.get(opposite)
+        if row is None:
+            return -1
+        i = unplaced_at[opposite]
+        while i < len(row) and placed[face_of[row[i]]]:
+            i += 1
+        unplaced_at[opposite] = i
+        if i < len(row):
+            return row[i]
+        heap = free[opposite]
+        while heap and matched[heap[0]] >= 0:
+            heappop(heap)
+        return heap[0] if heap else -1
 
     for seed in range(nfaces):
         if placed[seed]:
             continue
-        placed[seed] = True
-        while True:
-            # boundary vertices, keyed by their lowest corner
-            vertex_slots: dict[SlotRef, list[SlotRef]] = {}
-            for f in range(nfaces):
-                if not placed[f]:
-                    continue
-                for p in range(len(faces[f].slots)):
-                    slot = (f, p)
-                    if slot in matched:
-                        continue
-                    for corner in (slot, head(slot)):
-                        vertex_slots.setdefault(vertex.find(corner), []).append(slot)
-            best = None
-            for root in sorted(vertex_slots):
-                for slot in sorted(set(vertex_slots[root])):
-                    partner, was_unplaced = partner_for(slot)
-                    if partner is not None:
-                        best = slot
-                        break
-                if best is not None:
-                    break
-            if best is None:
-                break
-            if was_unplaced:
-                placed[partner[0]] = True
-            glue(best, partner)
+        place(seed)
+        while queue:
+            key, a = heappop(queue)
+            if matched[a] >= 0 or key != min(find(a), find(head[a])):
+                continue
+            b = partner_of(a)
+            if b < 0:
+                continue
+            if not placed[face_of[b]]:
+                place(face_of[b])
+            matched[a] = b
+            matched[b] = a
+            union(a, head[b])
+            union(head[a], b)
 
     # residual consistency: every image edge must end with one leftover sign
     leftovers: dict[int, set[int]] = {}
-    for f in range(nfaces):
-        for p in range(len(faces[f].slots)):
-            if (f, p) in matched:
-                continue
-            e, s = faces[f].slots[p]
-            leftovers.setdefault(e, set()).add(s)
+    for x, (e, sign) in enumerate(label):
+        if matched[x] < 0:
+            leftovers.setdefault(e, set()).add(sign)
     for e, signs in leftovers.items():
         if len(signs) > 1:
             raise InvariantError(
                 f"image edge {e} kept unmatched slots of both signs; gluability argument violated"
             )
 
-    gluing = []
-    for a in sorted(matched):
-        b = matched[a]
-        if a < b:
-            gluing.append((a, b, False))
+    gluing = [(refs[a], refs[b], False) for a, b in enumerate(matched) if a < b]
     diagram = SurfaceDiagram(faces=faces, gluing=gluing, ball=ball)
     report = verify_surface(diagram)
     if not report.ok:

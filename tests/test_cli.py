@@ -290,6 +290,23 @@ def test_invariant_errors_exit_2(monkeypatch, capsys):
     assert "synthetic bug marker" in capsys.readouterr().err
 
 
+def test_unexpected_errors_exit_2_with_structured_error(monkeypatch, capsys):
+    import homfill.cli as cli_mod
+
+    def boom(args):
+        raise ValueError("synthetic failure marker")
+
+    parser = cli_mod.build_parser()
+    args = parser.parse_args(["degree", "--M", "1", "--json-errors"])
+    args.func = boom
+    monkeypatch.setattr(cli_mod, "build_parser", lambda: parser)
+    monkeypatch.setattr(parser, "parse_args", lambda argv=None: args)
+    assert cli_mod.main(["degree", "--M", "1", "--json-errors"]) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert json.loads(err) == {"error": "ValueError", "message": "synthetic failure marker"}
+
+
 def test_budget_env(tmp_path, monkeypatch):
     monkeypatch.setenv("HOMFILL_BUDGET_VERTICES", "3")
     code = run_cli([

@@ -1,10 +1,12 @@
 import random
+from pathlib import Path
 
 import pytest
 
-from homfill.cayley import TwoChain, boundary_2, loop_to_cycle
+from homfill.cayley import TwoChain, boundary_2, build_ball, hop_distances, loop_to_cycle
+from homfill.cli import load_group
 from homfill.errors import DomainError
-from homfill.filling import harea_fill
+from homfill.filling import enumerate_identity_cycles, harea_fill
 from homfill.surface import (
     Face,
     SurfaceDiagram,
@@ -335,3 +337,92 @@ def test_randomized_invariants(z2_ball4, f2tri_ball4, z3_setup):
                     assert any(c in boundary_corners for c in cls)
             checked += 1
     assert checked >= 300
+
+
+def _rescan_gluing(faces):
+    """Reference for assemble_surface's gluing rule, as a rescan of every
+    placed face per step: glue the least open slot, by (least corner root of
+    its vertex, slot), that has a partner; unplaced partner copies first,
+    each kind least first; a new component starts at the least unplaced face."""
+    placed = [False] * len(faces)
+    matched, parent, copies = {}, {}, {}
+    for f, face in enumerate(faces):
+        for p, slot in enumerate(face.slots):
+            copies.setdefault(slot, []).append((f, p))
+
+    def find(x):
+        while parent.setdefault(x, x) != x:
+            x = parent[x]
+        return x
+
+    def head(s):
+        return (s[0], (s[1] + 1) % len(faces[s[0]].slots))
+
+    def partner(s):
+        e, sign = faces[s[0]].slots[s[1]]
+        row = copies.get((e, -sign), [])
+        unplaced = [c for c in row if not placed[c[0]]]
+        return min(unplaced or [c for c in row if placed[c[0]] and c not in matched], default=None)
+
+    for seed in range(len(faces)):
+        if placed[seed]:
+            continue
+        placed[seed] = True
+        while True:
+            at_vertex = {}
+            for f in (f for f in range(len(faces)) if placed[f]):
+                for s in ((f, p) for p in range(len(faces[f].slots))):
+                    if s not in matched:
+                        for corner in (s, head(s)):
+                            at_vertex.setdefault(find(corner), set()).add(s)
+            gluable = (s for root in sorted(at_vertex) for s in sorted(at_vertex[root]) if partner(s))
+            a = next(gluable, None)
+            if a is None:
+                break
+            b = partner(a)
+            placed[b[0]] = True
+            matched[a], matched[b] = b, a
+            for x, y in ((a, head(b)), (head(a), b)):
+                rx, ry = find(x), find(y)
+                parent[max(rx, ry)] = min(rx, ry)
+    return [(a, b, False) for a, b in sorted(matched.items()) if a < b]
+
+
+GROUP_FILES = sorted((Path(__file__).resolve().parent.parent / "groups").glob("*.grp"))
+
+
+def _clustered_chain(rng, ball):
+    """Cells based within one step of one or two random vertices, with
+    coefficients in +-3: dense gluing, multiplicities, and often several
+    components."""
+    coeffs = {}
+    for _ in range(rng.randint(1, 2)):
+        dist = hop_distances(ball.succ, [rng.randrange(len(ball.vertices))])
+        near = [c for c, cell in enumerate(ball.cells) if dist[cell.base] <= 1]
+        for _ in range(rng.randint(1, 8) if near else 0):
+            coeffs[rng.choice(near)] = rng.choice((-3, -2, -1, 1, 2, 3))
+    return TwoChain(coeffs)
+
+
+@pytest.mark.parametrize("path", GROUP_FILES, ids=lambda p: p.stem)
+def test_gluing_matches_the_rescan_rule(path):
+    group = load_group(str(path))
+    ball = build_ball(group.backend, group.hom_pres, 3)
+    if not ball.cells:  # f2: nothing to glue
+        with pytest.raises(DomainError):
+            assemble_surface(ball, TwoChain())
+        return
+    rng = random.Random(path.stem)
+    chains = [_random_chain(rng, ball, max_cells=10) for _ in range(40)]
+    chains += [_clustered_chain(rng, ball) for _ in range(40)]
+    cycles = enumerate_identity_cycles(ball, 8)
+    for _, cycle, _ in rng.sample(cycles, min(15, len(cycles))):
+        fill = harea_fill(ball, cycle).chain
+        chains += [fill, fill.scale(2) + _clustered_chain(rng, ball)]
+    multi_component = multiple = 0
+    for chain in filter(None, chains):
+        diagram = assemble_surface(ball, chain)
+        assert diagram.gluing == _rescan_gluing(diagram.faces)
+        multi_component += measure(diagram).component_count > 1
+        multiple += any(abs(c) > 1 for c in chain.coeffs.values())
+    assert multi_component and multiple
