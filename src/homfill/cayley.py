@@ -117,7 +117,7 @@ class TwoChain:
         return f"TwoChain({self.coeffs!r})"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Cell:
     base: int
     relator: int
@@ -211,9 +211,10 @@ class CayleyBall:
         lies in a coset when both its endpoints carry that label.  Built on
         first use."""
         labels = self.coset_labels
+        shared: dict[tuple[Word, ...], tuple[Word, ...]] = {}  # one tuple per distinct value
         return [
-            tuple(sorted({labels[v] for v in cell.vertex_path}, key=len))
-            for cell in self.cells
+            shared.setdefault(key, key)
+            for key in (tuple(sorted({labels[v] for v in cell.vertex_path}, key=len)) for cell in self.cells)
         ]
 
 
@@ -323,13 +324,18 @@ def build_ball(
 
     edges: list[tuple[int, int, int]] = []
     succ: list[dict[int, tuple[int, int, int]]] = [{} for _ in vertices]
+    # the (edge, sign) pairs of cell boundaries: one tuple per pair, shared
+    # by every cell that traverses it
+    traversals: list[tuple[tuple[int, int], tuple[int, int]]] = []
     for source, word in enumerate(vertices):
         for g in range(1, backend.rank + 1):
             target = vertex_index.get(backend.normal_form(word + (g,)))
             if target is not None:
-                succ[source][g] = (len(edges), 1, target)
-                succ[target][-g] = (len(edges), -1, source)
+                e = len(edges)
+                succ[source][g] = (e, 1, target)
+                succ[target][-g] = (e, -1, source)
                 edges.append((source, g, target))
+                traversals.append(((e, 1), (e, -1)))
 
     ball = CayleyBall(
         backend=backend,
@@ -355,14 +361,15 @@ def build_ball(
                 if hop is None:
                     break
                 edge, sign, v = hop
-                boundary.append((edge, sign))
+                boundary.append(traversals[edge][sign < 0])
             else:
                 if v != base:
                     raise InvariantError("relator loop did not close in the ball")
                 ball.cell_index[(base, r)] = len(ball.cells)
                 ball.cells.append(Cell(base, r, tuple(boundary), tuple(path)))
 
-    ball.coset_labels = [backend.coset_label(w) for w in vertices]
+    labels: dict[Word, Word] = {}  # one tuple per distinct label
+    ball.coset_labels = [labels.setdefault(label, label) for label in map(backend.coset_label, vertices)]
     return ball
 
 
