@@ -8,10 +8,11 @@ deterministic: vertices in BFS-lexicographic discovery order, edges by
 
 Normal forms are computed once per ball, to enumerate the vertices and to
 find each vertex's outgoing edges.  The edge list is then indexed into one
-neighbour table, ``succ[v][letter] -> (edge, sign, next vertex)`` with an
-entry for both ``+g`` and ``-g``; ``step``, cell construction, word tracing,
-edge lookups and hop distances are all lookups in that table.  Only
-``vertex_of``, which places arbitrary words, still calls ``normal_form``.
+neighbour table, ``succ[v][letter] -> edge`` (-1 when the edge leaves the
+ball), a tuple of ints per vertex indexed by the signed letter itself;
+``hop``, ``step``, cell construction, word tracing, edge lookups and hop
+distances are all lookups in that table.  Only ``vertex_of``, which places
+arbitrary words, still calls ``normal_form``.
 Maps between balls that are fixed per ball pair (translation by a coset, a
 lift) are kept as ``Placement`` tables on the source ball, filled by a walk
 along the neighbour table (``walk_placement``) and by the normal form where
@@ -122,7 +123,31 @@ class Cell:
     base: int
     relator: int
     boundary: tuple[tuple[int, int], ...]  # (edge index, traversal sign)
-    vertex_path: tuple[int, ...]  # vertex before each boundary step; [0] = base
+
+
+class CellIndex:
+    """The cell based at each (vertex, relator index) pair: a read-only
+    mapping kept as one flat list with an entry per vertex and relator, -1
+    where the ball has no such cell.  A None vertex has no cell."""
+
+    __slots__ = ("ids", "width")
+
+    def __init__(self, vertices: int, relators: int):
+        self.ids = [-1] * (vertices * relators)
+        self.width = relators
+
+    def get(self, key: tuple[int | None, int], default=None):
+        base, r = key
+        if base is None or not 0 <= r < self.width or not 0 <= base * self.width < len(self.ids):
+            return default
+        cell = self.ids[base * self.width + r]
+        return default if cell < 0 else cell
+
+    def __getitem__(self, key: tuple[int, int]) -> int:
+        cell = self.get(key)
+        if cell is None:
+            raise KeyError(key)
+        return cell
 
 
 @dataclass(eq=False)
@@ -134,9 +159,11 @@ class CayleyBall:
     vertex_index: dict[Word, int]
     distance: list[int]
     edges: list[tuple[int, int, int]]  # (source, generator 1-based, target)
-    succ: list[dict[int, tuple[int, int, int]]]  # [v][+-g] -> (edge, sign, next)
+    # [v][+-g] -> edge along that letter, or -1: a row has 2 * rank + 1
+    # entries, +g at g and -g counted from the end, so the letter indexes it
+    succ: list[tuple[int, ...]]
     cells: list[Cell]
-    cell_index: dict[tuple[int, int], int] = field(default_factory=dict)
+    cell_index: CellIndex
     coset_labels: list[Word] = field(default_factory=list)
     # placement tables of this ball's vertices, built on first use by the
     # layers that place vertices in another ball (extension.py)
@@ -152,9 +179,25 @@ class CayleyBall:
             raise DomainError(f"vertex {format_word(nf, self.generators) or 'e'} outside ball")
         return self.vertex_index[nf]
 
+    def hop(self, vertex: int, letter: int) -> tuple[int, int, int] | None:
+        """(edge, sign, next vertex) along one letter, or None when that edge
+        leaves the ball."""
+        row = self.succ[vertex]
+        edge = row[letter] if 0 < abs(letter) <= len(row) // 2 else -1
+        if edge < 0:
+            return None
+        if letter > 0:
+            return edge, 1, self.edges[edge][2]
+        return edge, -1, self.edges[edge][0]
+
+    def cell_vertices(self, cell: int) -> tuple[int, ...]:
+        """The vertex before each boundary step of a cell; [0] is its base."""
+        edges = self.edges
+        return tuple(edges[e][0] if sign > 0 else edges[e][2] for e, sign in self.cells[cell].boundary)
+
     def step(self, vertex: int, letter: int) -> tuple[int, int, int]:
         """Traverse one letter: returns (edge, sign, next vertex) or raises."""
-        hop = self.succ[vertex].get(letter)
+        hop = self.hop(vertex, letter)
         if hop is None:
             raise DomainError(
                 f"path leaves ball at prefix ending {format_word((letter,), self.generators)}"
@@ -214,13 +257,16 @@ class CayleyBall:
         shared: dict[tuple[Word, ...], tuple[Word, ...]] = {}  # one tuple per distinct value
         return [
             shared.setdefault(key, key)
-            for key in (tuple(sorted({labels[v] for v in cell.vertex_path}, key=len)) for cell in self.cells)
+            for key in (
+                tuple(sorted({labels[v] for v in self.cell_vertices(c)}, key=len)) for c in range(len(self.cells))
+            )
         ]
 
 
-def hop_distances(succ: list[dict[int, tuple[int, int, int]]], sources) -> list[int]:
+def hop_distances(ball: CayleyBall, sources) -> list[int]:
     """Hop distances from a vertex set over the ball 1-skeleton; vertices the
-    sources cannot reach get ``len(succ) + 1``."""
+    sources cannot reach get ``len(ball.vertices) + 1``."""
+    succ, edges = ball.succ, ball.edges
     dist = [len(succ) + 1] * len(succ)
     frontier = sorted(sources)
     for v in frontier:
@@ -230,7 +276,12 @@ def hop_distances(succ: list[dict[int, tuple[int, int, int]]], sources) -> list[
         d += 1
         new = []
         for v in frontier:
-            for _, _, u in succ[v].values():
+            for edge in succ[v]:
+                if edge < 0:
+                    continue
+                source, _, u = edges[edge]
+                if u == v:
+                    u = source
                 if dist[u] > d:
                     dist[u] = d
                     new.append(u)
@@ -278,14 +329,12 @@ def walk_placement(src: CayleyBall, roots: tuple[int | None, int | None], letter
         return table
     table[src_root] = dst_root
     frontier = [src_root]
-    succ = src.succ
     while frontier:
         new = []
         for x in frontier:
             image = table[x]
-            hops = succ[x]
             for letter in letters:
-                step = hops.get(letter)
+                step = src.hop(x, letter)
                 if step is None or table[step[2]] != NO_ENTRY:
                     continue
                 y = hop(image, letter)
@@ -302,7 +351,7 @@ def walk_word(ball: CayleyBall, start: int, w: Word) -> int | None:
     None when the path leaves the ball."""
     v = start
     for letter in w:
-        step = ball.succ[v].get(letter)
+        step = ball.hop(v, letter)
         if step is None:
             return None
         v = step[2]
@@ -323,7 +372,7 @@ def build_ball(
     vertex_index = {w: i for i, w in enumerate(vertices)}
 
     edges: list[tuple[int, int, int]] = []
-    succ: list[dict[int, tuple[int, int, int]]] = [{} for _ in vertices]
+    rows = [[-1] * (2 * backend.rank + 1) for _ in vertices]
     # the (edge, sign) pairs of cell boundaries: one tuple per pair, shared
     # by every cell that traverses it
     traversals: list[tuple[tuple[int, int], tuple[int, int]]] = []
@@ -332,8 +381,8 @@ def build_ball(
             target = vertex_index.get(backend.normal_form(word + (g,)))
             if target is not None:
                 e = len(edges)
-                succ[source][g] = (e, 1, target)
-                succ[target][-g] = (e, -1, source)
+                rows[source][g] = e
+                rows[target][-g] = e
                 edges.append((source, g, target))
                 traversals.append(((e, 1), (e, -1)))
 
@@ -343,21 +392,21 @@ def build_ball(
         radius=radius,
         vertices=vertices,
         vertex_index=vertex_index,
-        distance=hop_distances(succ, [0]),
+        distance=[],
         edges=edges,
-        succ=succ,
+        succ=[tuple(row) for row in rows],
         cells=[],
+        cell_index=CellIndex(len(vertices), len(hom_pres.base.relators)),
     )
+    ball.distance = hop_distances(ball, [0])
 
     marked = hom_pres.marked_relators
     for base in range(len(vertices)):
         for r in marked:
             boundary = []
-            path = []
             v = base
             for letter in hom_pres.base.relators[r]:
-                path.append(v)
-                hop = succ[v].get(letter)
+                hop = ball.hop(v, letter)
                 if hop is None:
                     break
                 edge, sign, v = hop
@@ -365,8 +414,8 @@ def build_ball(
             else:
                 if v != base:
                     raise InvariantError("relator loop did not close in the ball")
-                ball.cell_index[(base, r)] = len(ball.cells)
-                ball.cells.append(Cell(base, r, tuple(boundary), tuple(path)))
+                ball.cell_index.ids[base * len(hom_pres.base.relators) + r] = len(ball.cells)
+                ball.cells.append(Cell(base, r, tuple(boundary)))
 
     labels: dict[Word, Word] = {}  # one tuple per distinct label
     ball.coset_labels = [labels.setdefault(label, label) for label in map(backend.coset_label, vertices)]
@@ -450,7 +499,7 @@ def carry_cycle(src: CayleyBall, dst: CayleyBall, cycle: OneCycle, place) -> One
     for edge, coeff in cycle.coeffs.items():
         source, label, _ = src.edges[edge]
         v = place(source)
-        hop = None if v is None else dst.succ[v].get(label)
+        hop = None if v is None else dst.hop(v, label)
         if hop is None:
             raise KeyError(source)
         out[hop[0]] = out.get(hop[0], 0) + coeff

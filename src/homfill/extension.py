@@ -356,10 +356,8 @@ def _coset_placement(h_ball: CayleyBall, k_ball: CayleyBall, coset: Word, to_ker
     placement = src.placements.get(key)
     if placement is None:
         coset_vertex = walk_word(h_ball, 0, coset)
-        succ = dst.succ
-
         def hop(v: int, letter: int) -> int | None:
-            step = succ[v].get(letter)
+            step = dst.hop(v, letter)
             return None if step is None else step[2]
 
         roots = (coset_vertex, 0) if to_kernel else (0, coset_vertex)

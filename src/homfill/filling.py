@@ -335,20 +335,24 @@ def enumerate_identity_cycles(ball: CayleyBall, max_len: int):
         results.append((canon, cycle, tuple(word)))
 
     letters = tuple(letter_order(ball.backend.rank))
+    succ, edges = ball.succ, ball.edges
 
     def dfs(vertex: int, depth: int):
         if word and vertex == identity:
             record()
         if depth == 0:
             return
-        hops = ball.succ[vertex]
+        row = succ[vertex]
         for letter in letters:
             if word and word[-1] == -letter:
                 continue
-            hop = hops.get(letter)
-            if hop is None:
+            edge = row[letter]
+            if edge < 0:
                 continue
-            edge, sign, nxt = hop
+            if letter > 0:
+                sign, nxt = 1, edges[edge][2]
+            else:
+                sign, nxt = -1, edges[edge][0]
             word.append(letter)
             counts[edge] = counts.get(edge, 0) + sign
             if not counts[edge]:

@@ -510,12 +510,13 @@ def assemble_surface(ball: CayleyBall, chain: TwoChain) -> SurfaceDiagram:
         cell = ball.cells[cell_id]
         L = len(cell.boundary)
         orient = 1 if coeff > 0 else -1
+        path = ball.cell_vertices(cell_id)
         if orient > 0:
             slots = tuple(cell.boundary)
-            corners = tuple(cell.vertex_path)
+            corners = path
         else:
             slots = tuple((cell.boundary[L - 1 - p][0], -cell.boundary[L - 1 - p][1]) for p in range(L))
-            corners = tuple(cell.vertex_path[(L - p) % L] for p in range(L))
+            corners = tuple(path[(L - p) % L] for p in range(L))
         for _ in range(abs(coeff)):
             faces.append(Face(slots=slots, provenance=(cell_id, orient), corner_images=corners))
 

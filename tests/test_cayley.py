@@ -87,7 +87,7 @@ def test_boundary_cancellation(z2_ball4):
     )
     cyc = boundary_2(z2_ball4, c)
     assert cyc.length() == 6
-    shared = z2_ball4.succ[right][2][0]
+    shared = z2_ball4.succ[right][2]
     assert shared not in cyc.coeffs
     # incidence-matrix oracle
     assert not vertex_incidence(z2_ball4, cyc)

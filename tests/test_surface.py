@@ -397,7 +397,7 @@ def _clustered_chain(rng, ball):
     components."""
     coeffs = {}
     for _ in range(rng.randint(1, 2)):
-        dist = hop_distances(ball.succ, [rng.randrange(len(ball.vertices))])
+        dist = hop_distances(ball, [rng.randrange(len(ball.vertices))])
         near = [c for c, cell in enumerate(ball.cells) if dist[cell.base] <= 1]
         for _ in range(rng.randint(1, 8) if near else 0):
             coeffs[rng.choice(near)] = rng.choice((-3, -2, -1, 1, 2, 3))
