@@ -14,9 +14,9 @@ ball), a tuple of ints per vertex indexed by the signed letter itself;
 distances are all lookups in that table.  Only ``vertex_of``, which places
 arbitrary words, still calls ``normal_form``.
 Maps between balls that are fixed per ball pair (translation by a coset, a
-lift) are kept as ``Placement`` tables on the source ball, filled by a walk
-along the neighbour table (``walk_placement``) and by the normal form where
-the walk cannot tell.
+lift) are kept as ``Placement`` tables on a ball, filled by a walk along
+the neighbour table (``walk_placement``) and by the normal form where the
+walk cannot tell.
 """
 
 from __future__ import annotations
@@ -165,8 +165,8 @@ class CayleyBall:
     cells: list[Cell]
     cell_index: CellIndex
     coset_labels: list[Word] = field(default_factory=list)
-    # placement tables of this ball's vertices, built on first use by the
-    # layers that place vertices in another ball (extension.py)
+    # placement tables built on first use by the layers that place vertices
+    # from one ball in another (extension.py)
     placements: dict = field(default_factory=dict, repr=False)
 
     @property

@@ -20,7 +20,8 @@ w^-1 into the kernel ball, ``embed_chain`` translates a kernel chain into
 K(w).
 
 Vertices are placed through tables (``cayley.Placement``) indexed by vertex
-number, kept on the source ball and built on first use:
+number, kept on the extension ball (the coset tables) or the kernel ball
+(the lift tables) and built on first use:
 
 - per coset w, extension vertex -> kernel vertex of w^-1 x, for ``chart``;
 - per coset w, kernel vertex -> extension vertex of w x, for
@@ -346,23 +347,26 @@ def restrict_to_coset(ball: CayleyBall, cycle: OneCycle, coset: Word) -> OneCycl
 
 def _coset_placement(h_ball: CayleyBall, k_ball: CayleyBall, coset: Word, to_kernel: bool, word) -> Placement:
     """The placement under translation by coset^-1 from the extension ball
-    to the kernel ball (``to_kernel``), or by coset the other way, kept on
-    its source ball.  The walk pairs the coset's vertex in the extension
-    ball with the identity in the kernel ball and steps along the kernel
-    letters, which come first in both balls and commute with left
-    translation; from the extension side it therefore covers only K(coset)."""
+    to the kernel ball (``to_kernel``), or by coset the other way.  It is
+    kept on the extension ball, so that a kernel ball shared by several
+    extension balls keeps none of them alive.  The walk pairs the coset's
+    vertex in the extension ball with the identity in the kernel ball and
+    steps along the kernel letters, which come first in both balls and
+    commute with left translation; from the extension side it therefore
+    covers only K(coset)."""
     src, dst = (h_ball, k_ball) if to_kernel else (k_ball, h_ball)
-    key = (dst, coset)
-    placement = src.placements.get(key)
+    key = (k_ball, coset, to_kernel)
+    placement = h_ball.placements.get(key)
     if placement is None:
         coset_vertex = walk_word(h_ball, 0, coset)
+
         def hop(v: int, letter: int) -> int | None:
             step = dst.hop(v, letter)
             return None if step is None else step[2]
 
         roots = (coset_vertex, 0) if to_kernel else (0, coset_vertex)
         table = walk_placement(src, roots, _kernel_letters(k_ball), hop)
-        placement = src.placements[key] = Placement(table, dst, word)
+        placement = h_ball.placements[key] = Placement(table, dst, word)
     return placement
 
 
