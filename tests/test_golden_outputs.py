@@ -9,6 +9,20 @@ any diagram, chain, trace or error message fails here.
 Corpus:
   surface:<file>   ``diagram_to_json`` of ``assemble_surface`` on seeded chains
                    (coefficients in +-2) of every groups/*.grp at radius 3.
+  surface-index:<file>
+                   ``verify_surface`` of assembled diagrams of every
+                   groups/*.grp at radius 3 and of variants of each: one face
+                   re-entered reversed (the same surface, glued with flips),
+                   a dropped, flipped, doubled or cross-edge gluing, a slot no
+                   face has, and declared classes that are exact or drop,
+                   repeat, merge or split corners or add an empty class; for
+                   valid ones also ``measure``, ``boundary_paths`` (flip-free
+                   only), ``diagram_to_dot``, ``project_boundary`` and the
+                   index's classes and unmatched slots.
+  surface-index:handmade
+                   the same records for ball-free diagrams that assembly
+                   does not make: closed, non-orientable, self-glued and
+                   pinched surfaces and a sign error.
   routed:<ctx>     routed fillings of kernel loops of length <= 6 on the
                    push-down benchmark's balls and routes, their assembled
                    diagrams and their push-downs.
@@ -33,12 +47,22 @@ from random import Random
 import pytest
 
 from homfill import extension
-from homfill.cayley import OneCycle, TwoChain, build_ball
+from homfill.cayley import OneCycle, TwoChain, build_ball, hop_distances
 from homfill.cli import load_group
 from homfill.errors import HomfillError
 from homfill.filling import enumerate_identity_cycles
 from homfill.presentation import apply_lift
-from homfill.surface import assemble_surface, diagram_to_json
+from homfill.surface import (
+    Face,
+    SurfaceDiagram,
+    assemble_surface,
+    boundary_paths,
+    diagram_to_dot,
+    diagram_to_json,
+    measure,
+    project_boundary,
+    verify_surface,
+)
 from homfill.words import parse_word
 
 GROUPS = Path(__file__).resolve().parent.parent / "groups"
@@ -57,6 +81,14 @@ GOLDEN = {
     "surface:z2_by_f2": "c17595134e39763b26523919d5c842ef273b14ce2763b0fa65f86eac510b4fc0",
     "surface:z2_redundant": "b8bce1ba67513ff5460f81f2e2460a29f2849f856fd1dfd96d3ef8dcf5894804",
     "surface:z3_ext": "49c1c9758f290d15298854f3904476df029c760ae5df09d60431d519109b2b8f",
+    "surface-index:f2": "e0f799e87fad0b26ef055d50b9ca006c5ecd067805e5c339086fb90c059adde0",
+    "surface-index:f2_triangle": "5d4cc324e1fa405620b1038a8d8fecd2304d3b874952800a440dc16c81ce9914",
+    "surface-index:handmade": "4cf1ec5b48a640e21dee77c260bf5dab2d894a330a1f2540b73a1cc7f8ae4703",
+    "surface-index:heis_ext": "1697df6efb8469670992315dd927c9656d61e6121936e0b1106ec4b40c24ae1b",
+    "surface-index:z2": "a8924a2833a7735713dd517b3d43ef097798e40123330dfb85b7366aa474f182",
+    "surface-index:z2_by_f2": "4a15def32964b31a55c152f615072458642a5995e816438cbf7867de914e6d15",
+    "surface-index:z2_redundant": "95f959f6af1e0c659493376d4c77067198b8561d5d015e19f21e9352ac68129c",
+    "surface-index:z3_ext": "2400f0c370f2ea89d1897a073b6f911d6b50ee3557b586659561de8c65d212d9",
     "routed:z3": "fedbd6ca556438527b37ea19ff5124bfa330da911c864741ad1e49f638345a45",
     "routed:heis": "655f7c7d009aaf738e7bd09da09a249f64e51160a1a0e080b5abc4a67e78406e",
     "tight:z3:chart": "2d88a1c4c9f1d43339d7d90f5c83e41cd60cec196bc47798a9d87268d09777c8",
@@ -126,6 +158,169 @@ def _surface(file: str) -> list:
         chain = TwoChain(coeffs)
         diagram, error = _attempt(assemble_surface, ball, chain)
         out.append({"chain": _plain(chain), "error": error} if error else diagram_to_json(diagram))
+    return out
+
+
+def _reversed(face: Face) -> Face:
+    """The face entered orientation-reversed; its slot p becomes L-1-p."""
+    L = len(face.slots)
+    return Face(
+        slots=tuple((e, -s) for e, s in reversed(face.slots)),
+        provenance=(face.provenance[0], -face.provenance[1]),
+        corner_images=tuple(face.corner_images[(L - p) % L] for p in range(L)),
+    )
+
+
+def _reoriented(diagram: SurfaceDiagram, f: int) -> SurfaceDiagram:
+    """The same surface with face f reversed and each gluing with one slot
+    on it flipped."""
+    L = len(diagram.faces[f].slots)
+    faces = list(diagram.faces)
+    faces[f] = _reversed(faces[f])
+
+    def moved(ref):
+        return (f, L - 1 - ref[1]) if ref[0] == f else ref
+
+    gluing = [(moved(a), moved(b), flip != ((a[0] == f) != (b[0] == f))) for a, b, flip in diagram.gluing]
+    return SurfaceDiagram(faces, gluing, diagram.ball)
+
+
+def _mirrored(diagram: SurfaceDiagram) -> SurfaceDiagram:
+    """The closed surface made of the diagram and its mirror image, glued
+    along every boundary slot."""
+    n = len(diagram.faces)
+    faces = diagram.faces + [_reversed(face) for face in diagram.faces]
+
+    def mirror(ref):
+        return (ref[0] + n, len(diagram.faces[ref[0]].slots) - 1 - ref[1])
+
+    gluing = diagram.gluing + [(mirror(a), mirror(b), flip) for a, b, flip in diagram.gluing]
+    gluing += [(s, mirror(s), False) for s in diagram.index.unmatched]
+    return SurfaceDiagram(faces, gluing, diagram.ball)
+
+
+def _variants(rng: Random, diagram: SurfaceDiagram) -> list:
+    """(name, diagram) pairs derived from one valid assembled diagram."""
+    faces, gluing, ball = diagram.faces, diagram.gluing, diagram.ball
+    slots = [(f, p) for f, face in enumerate(faces) for p in range(len(face.slots))]
+    out = [("assembled", diagram), ("reoriented", _reoriented(diagram, rng.randrange(len(faces))))]
+    out.append(("mirrored", _mirrored(diagram)))
+    out.append(("outside", SurfaceDiagram(faces, gluing + [((len(faces), 0), (0, 0), False)], ball)))
+    if gluing:
+        k = rng.randrange(len(gluing))
+        a, b, flip = gluing[k]
+        rest = gluing[:k] + gluing[k + 1 :]
+        out.append(("dropped", SurfaceDiagram(faces, rest, ball)))
+        out.append(("flipped", SurfaceDiagram(faces, rest + [(a, b, not flip)], ball)))
+        out.append(("double", SurfaceDiagram(faces, gluing + [(a, rng.choice(slots), False)], ball)))
+        glued = {ref for pair in gluing for ref in pair[:2]}
+        edge = diagram.slot(a)[0]
+        other = [s for s in slots if diagram.slot(s)[0] != edge]
+        free = [s for s in other if s not in glued]
+        if other:
+            c = rng.choice(free or other)
+            out.append(("across", SurfaceDiagram(faces, rest + [(a, c, flip)], ball)))
+    classes = [list(cls) for cls in diagram.index.classes]
+
+    def declared(name, cls):
+        out.append((name, SurfaceDiagram(faces, gluing, ball, [tuple(c) for c in cls])))
+
+    declared("declared", classes)
+    i = rng.randrange(len(classes))
+    cls = [list(c) for c in classes]
+    cls[i].pop(rng.randrange(len(cls[i])))
+    declared("drop", cls)
+    cls = [list(c) for c in classes]
+    cls[i].append(rng.choice(slots))
+    declared("repeat", cls)
+    if len(classes) > 1:
+        j = rng.choice([j for j in range(len(classes)) if j != i])
+        cls = [list(c) for c in classes]
+        cls[min(i, j)] = sorted(cls[i] + cls[j])
+        del cls[max(i, j)]
+        declared("merge", cls)
+    big = [j for j, c in enumerate(classes) if len(c) > 1]
+    if big:
+        j = rng.choice(big)
+        cut = rng.randrange(1, len(classes[j]))
+        cls = [list(c) for c in classes]
+        cls[j:j + 1] = [cls[j][:cut], cls[j][cut:]]
+        declared("split", cls)
+    cls = [list(c) for c in classes]
+    cls.insert(rng.randrange(len(cls) + 1), [])
+    declared("empty", cls)
+    return out
+
+
+def _index_record(diagram: SurfaceDiagram) -> dict:
+    report, error = _attempt(verify_surface, diagram)
+    if error:
+        return {"error": error}
+    record = {"violations": report.violations}
+    if report.ok:
+        record["measure"] = _plain(measure(diagram))
+        if not any(flip for _, _, flip in diagram.gluing):
+            record["paths"] = _plain(boundary_paths(diagram))
+        record["dot"] = diagram_to_dot(diagram)
+        record["projection"] = _record(project_boundary, diagram)
+        record["classes"] = _plain(diagram.index.classes)
+        record["unmatched"] = _plain(diagram.index.unmatched)
+    return record
+
+
+BIGON = Face(slots=((0, 1), (1, 1)))
+SQUARE = Face(slots=((0, 1), (1, 1), (0, -1), (1, -1)))
+# diagrams without a ball that no assembled one is: closed, non-orientable,
+# self-glued and pinched surfaces, and sign errors
+HANDMADE = {
+    "projective-plane": ([Face(slots=((0, 1), (0, 1)))], [((0, 0), (0, 1), True)], None),
+    "moebius": ([Face(slots=((0, 1), (1, 1), (0, 1), (2, 1)))], [((0, 0), (0, 2), True)], None),
+    "klein": ([Face(slots=((0, 1), (1, 1), (0, 1), (1, -1)))], [((0, 0), (0, 2), True), ((0, 1), (0, 3), False)], None),
+    "torus": ([SQUARE], [((0, 0), (0, 2), False), ((0, 1), (0, 3), False)], None),
+    "torus-cut": ([SQUARE], [((0, 0), (0, 2), False)], None),
+    "folded": ([Face(slots=((0, 1), (0, -1)))], [((0, 0), (0, 1), False)], None),
+    "sphere": ([BIGON, Face(slots=((1, -1), (0, -1)))], [((0, 0), (1, 1), False), ((0, 1), (1, 0), False)], None),
+    "sphere-flipped": ([BIGON, BIGON], [((0, 0), (1, 0), True), ((0, 1), (1, 1), True)], None),
+    "sphere-one-class": (
+        [BIGON, Face(slots=((1, -1), (0, -1)))],
+        [((0, 0), (1, 1), False), ((0, 1), (1, 0), False)],
+        [((0, 0), (0, 1), (1, 0), (1, 1))],
+    ),
+    "equal-signs": ([BIGON, BIGON], [((0, 0), (1, 0), False)], None),
+    "pinched": ([BIGON, Face(slots=((2, 1), (3, 1)))], [], [((0, 0), (1, 0)), ((0, 1),), ((1, 1),)]),
+    "three-disks": ([BIGON, SQUARE, BIGON], [], None),
+}
+
+
+def _handmade() -> list:
+    return [[name, _index_record(SurfaceDiagram(faces, gluing, declared_classes=declared))]
+            for name, (faces, gluing, declared) in HANDMADE.items()]
+
+
+def _surface_index(file: str) -> list:
+    group = _group(file)
+    ball = build_ball(group.backend, group.hom_pres, 3)
+    rng = Random("surface-index:" + file)
+    out = []
+    for k in range(60):
+        coeffs = {}
+        if ball.cells and k % 3:
+            # cells based near one vertex, of one sign on every third chain:
+            # dense gluing with interior vertices
+            dist = hop_distances(ball, [rng.randrange(len(ball.vertices))])
+            near = [c for c, cell in enumerate(ball.cells) if dist[cell.base] <= k % 3] or [0]
+            signs = (1, 2) if k % 3 == 2 else (-2, -1, 1, 2)
+            for _ in range(rng.randint(1, 10)):
+                coeffs[rng.choice(near)] = rng.choice(signs)
+        elif ball.cells:
+            for _ in range(rng.randint(1, 8)):
+                coeffs[rng.randrange(len(ball.cells))] = rng.choice((-2, -1, 1, 2))
+        chain = TwoChain(coeffs)
+        diagram, error = _attempt(assemble_surface, ball, chain)
+        if error:
+            out.append({"chain": _plain(chain), "error": error})
+            continue
+        out.append([[name, _index_record(variant)] for name, variant in _variants(rng, diagram)])
     return out
 
 
@@ -207,6 +402,8 @@ def _section(name: str) -> list:
     kind, _, rest = name.partition(":")
     if kind == "surface":
         return _surface(rest + ".grp")
+    if kind == "surface-index":
+        return _handmade() if rest == "handmade" else _surface_index(rest + ".grp")
     if kind == "routed":
         return _routed(rest)
     ctx, part = rest.split(":")
@@ -221,6 +418,7 @@ def _digest(records) -> str:
 def test_every_group_file_is_covered():
     files = {p.stem for p in GROUPS.glob("*.grp")}
     assert files == {name.split(":")[1] for name in GOLDEN if name.startswith("surface:")}
+    assert files | {"handmade"} == {name.split(":")[1] for name in GOLDEN if name.startswith("surface-index:")}
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN))
