@@ -31,91 +31,69 @@ from .presentation import HomPresentation
 from .words import Word, format_word
 
 
-class OneCycle:
-    """Sparse integer edge chain; zero coefficients are dropped on build."""
+class _Chain:
+    """Sparse integer chain, id -> coefficient; zero coefficients are dropped
+    on build.  Chains are equal when they have the same class and the same
+    coefficients."""
 
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs=None):
         self.coeffs: dict[int, int] = {}
         if coeffs:
-            for e, c in (coeffs.items() if isinstance(coeffs, dict) else coeffs):
+            for k, c in (coeffs.items() if isinstance(coeffs, dict) else coeffs):
                 if c:
-                    self.coeffs[e] = self.coeffs.get(e, 0) + c
-                    if not self.coeffs[e]:
-                        del self.coeffs[e]
+                    self.coeffs[k] = self.coeffs.get(k, 0) + c
+                    if not self.coeffs[k]:
+                        del self.coeffs[k]
 
     def __bool__(self):
         return bool(self.coeffs)
 
     def __eq__(self, other):
-        return isinstance(other, OneCycle) and self.coeffs == other.coeffs
+        return type(other) is type(self) and self.coeffs == other.coeffs
+
+    def __add__(self, other):
+        out = dict(self.coeffs)
+        for k, c in other.coeffs.items():
+            out[k] = out.get(k, 0) + c
+        return type(self)(out)
+
+    def scale(self, k: int):
+        return type(self)({x: k * c for x, c in self.coeffs.items()})
+
+    def key(self):
+        return tuple(sorted(self.coeffs.items()))
+
+    def __repr__(self):
+        return f"{type(self).__name__}({self.coeffs!r})"
+
+
+class OneCycle(_Chain):
+    """Sparse integer edge chain; hashable by its coefficients."""
+
+    __slots__ = ()
 
     def __hash__(self):
         return hash(self.key())
 
-    def __add__(self, other: "OneCycle") -> "OneCycle":
-        out = dict(self.coeffs)
-        for e, c in other.coeffs.items():
-            out[e] = out.get(e, 0) + c
-        return OneCycle(out)
-
     def __neg__(self) -> "OneCycle":
         return OneCycle({e: -c for e, c in self.coeffs.items()})
-
-    def scale(self, k: int) -> "OneCycle":
-        return OneCycle({e: k * c for e, c in self.coeffs.items()})
-
-    def key(self):
-        return tuple(sorted(self.coeffs.items()))
 
     def length(self) -> int:
         return sum(abs(c) for c in self.coeffs.values())
 
-    def __repr__(self):
-        return f"OneCycle({self.coeffs!r})"
 
+class TwoChain(_Chain):
+    """Sparse integer cell chain; unhashable."""
 
-class TwoChain:
-    """Sparse integer cell chain."""
-
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs=None):
-        self.coeffs: dict[int, int] = {}
-        if coeffs:
-            for s, c in (coeffs.items() if isinstance(coeffs, dict) else coeffs):
-                if c:
-                    self.coeffs[s] = self.coeffs.get(s, 0) + c
-                    if not self.coeffs[s]:
-                        del self.coeffs[s]
-
-    def __bool__(self):
-        return bool(self.coeffs)
-
-    def __eq__(self, other):
-        return isinstance(other, TwoChain) and self.coeffs == other.coeffs
-
-    def __add__(self, other: "TwoChain") -> "TwoChain":
-        out = dict(self.coeffs)
-        for s, c in other.coeffs.items():
-            out[s] = out.get(s, 0) + c
-        return TwoChain(out)
+    __slots__ = ()
 
     def __sub__(self, other: "TwoChain") -> "TwoChain":
         return self + TwoChain({s: -c for s, c in other.coeffs.items()})
 
-    def scale(self, k: int) -> "TwoChain":
-        return TwoChain({s: k * c for s, c in self.coeffs.items()})
-
-    def key(self):
-        return tuple(sorted(self.coeffs.items()))
-
     def area(self) -> int:
         return sum(abs(c) for c in self.coeffs.values())
-
-    def __repr__(self):
-        return f"TwoChain({self.coeffs!r})"
 
 
 @dataclass(frozen=True, slots=True)

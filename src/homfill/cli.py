@@ -170,10 +170,6 @@ def _chain_json(chain) -> list[list[int]]:
     return [[cell, coeff] for cell, coeff in sorted(chain.coeffs.items())]
 
 
-def _cycle_json(cycle: OneCycle) -> list[list[int]]:
-    return [[e, c] for e, c in sorted(cycle.coeffs.items())]
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 
@@ -208,7 +204,8 @@ def cmd_fill(args) -> int:
 
 def cmd_fa(args) -> int:
     group = load_group(args.pres)
-    table = fa_estimate(group.backend, group.hom_pres, args.max_n, args.ball, scope=args.scope)
+    ball = build_ball(group.backend, group.hom_pres, args.ball, args.budget_vertices)
+    table = fa_estimate(group.backend, group.hom_pres, args.max_n, args.ball, scope=args.scope, ball=ball)
     payload = {
         "values": [
             {"n": n, "fa": e.fa_value, "witness": e.witness, "cycles_examined": e.cycles_examined}
@@ -249,7 +246,7 @@ def _transfer_constants(args, group: LoadedGroup) -> TransferConstants:
     --ball); the kernel ball is ``constants.k_ball``."""
     if group.layout is None:
         raise DomainError("this subcommand needs an extension presentation")
-    k_radius = args.k_ball if args.k_ball else args.ball
+    k_radius = args.k_ball if args.k_ball is not None else args.ball
     k_ball = build_ball(group.k_backend, group.k_pres, k_radius, args.budget_vertices)
     return compute_constants(k_ball, group.layout, group.lifts, group.hom_pres.base.relators)
 
@@ -322,7 +319,8 @@ def cmd_pushdown(args) -> int:
 
 def cmd_arpair(args) -> int:
     group = load_group(args.pres)
-    report = measure_ar_pair(group.backend, group.hom_pres, args.max_n, args.ball, args.policy)
+    ball = build_ball(group.backend, group.hom_pres, args.ball, args.budget_vertices)
+    report = measure_ar_pair(group.backend, group.hom_pres, args.max_n, args.ball, args.policy, ball=ball)
     payload = {
         "f_table": report.f_table,
         "g_table": report.g_table,

@@ -88,6 +88,8 @@ def measure_ar_pair(
 ) -> ARPairReport:
     """Per-length maxima of (area, radius) where each sampled cycle gets one
     filling chosen by the policy and contributes both its measurements."""
+    if n_max < 1:
+        raise DomainError("n_max must be >= 1")
     if policy not in POLICIES:
         raise DomainError(f"unknown policy {policy!r}")
     if ball is None:

@@ -340,7 +340,7 @@ def enumerate_identity_cycles(ball: CayleyBall, max_len: int):
     def dfs(vertex: int, depth: int):
         if word and vertex == identity:
             record()
-        if depth == 0:
+        if depth <= 0:
             return
         row = succ[vertex]
         for letter in letters:

@@ -8,12 +8,19 @@ corners generated by the endpoint identifications of glued slots, and the
 link condition -- every class is a single corner fan, open or closed -- is
 what makes the complex a surface with boundary.
 
-The gluing is interpreted in one place, ``SurfaceIndex``: the matching, the
-corner classes and the free sides of every class are derived once per
-diagram, and the diagram is verified while they are.  Diagrams are
+Every layer reads the faces through one numbering, ``SlotNumbering``: slot
+(f, p) is the integer ``first[f] + p``, and corner x, where slot x starts,
+shares its number.  A side, one end of a slot at the corner there, is
+``2*x`` for the head of slot x and ``2*x + 1`` for its tail.  Slot numbers
+follow the order of the (face, position) pairs and "head" sorts before
+"tail", so integer order is the order of those pairs and of the (slot, end)
+pairs.  The gluing is interpreted in one place, ``SurfaceIndex``: the
+matching, the corner classes and the free sides of every class are derived
+once per diagram, and the diagram is verified while they are.  Diagrams are
 immutable, so ``SurfaceDiagram.index`` is built on first use and kept;
 verification, measurement, boundary paths, projection and DOT output all
-read it.
+read it.  ``assemble_surface`` glues over the same numbering with the same
+union-find, ``_Sets``.
 """
 
 from __future__ import annotations
@@ -27,7 +34,6 @@ from .cayley import CayleyBall, OneCycle, TwoChain
 from .errors import DomainError, InvariantError, ParseError
 
 SlotRef = tuple[int, int]  # (face index, slot position)
-Side = tuple[SlotRef, str]  # (slot, "tail" | "head")
 
 
 @dataclass(frozen=True)
@@ -50,15 +56,6 @@ class SurfaceDiagram:
 
     def face_len(self, f: int) -> int:
         return len(self.faces[f].slots)
-
-    def has_slot(self, ref: SlotRef) -> bool:
-        f, p = ref
-        return 0 <= f < len(self.faces) and 0 <= p < len(self.faces[f].slots)
-
-    def all_slots(self):
-        for f, face in enumerate(self.faces):
-            for p in range(len(face.slots)):
-                yield (f, p)
 
     @cached_property
     def index(self) -> SurfaceIndex:
@@ -92,82 +89,82 @@ class SurfaceMetrics:
 
 
 class _Sets:
-    """Union-find over ordered items; the root of every set is its least
-    member."""
+    """Union-find over 0..n-1; the root of every set is its least member."""
 
-    def __init__(self):
-        self.parent = {}
+    __slots__ = ("parent",)
 
-    def find(self, x):
+    def __init__(self, n: int):
+        self.parent = list(range(n))
+
+    def find(self, x: int) -> int:
         parent = self.parent
-        while parent.setdefault(x, x) != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
+        while parent[x] != x:
+            parent[x] = x = parent[parent[x]]
         return x
 
-    def union(self, x, y):
-        rx, ry = self.find(x), self.find(y)
-        if rx != ry:
-            self.parent[max(rx, ry)] = min(rx, ry)
+    def union(self, x: int, y: int) -> tuple[int, int] | None:
+        """Join the sets of x and y: (the root kept, the root absorbed), or
+        None when they were one set already."""
+        x, y = self.find(x), self.find(y)
+        if x == y:
+            return None
+        if x > y:
+            x, y = y, x
+        self.parent[y] = x
+        return x, y
 
 
-# ---------------------------------------------------------------------------
-# side-level machinery: each corner (f, p) owns the tail side of slot (f, p)
-# and the head side of slot (f, p-1); the link of a local vertex is the graph
-# those sides trace through the glued pairs.
+class SlotNumbering:
+    """The slots of a face list as integers: slot (f, p) is ``first[f] + p``
+    (``first`` ends with the slot count).  Per slot x: ``refs[x]`` is
+    (f, p), ``face_of[x]`` is f, ``label[x]`` its (image edge, sign), and
+    ``next[x]``/``prev[x]`` the slots after and before it around the face.
+    Corner x is the tail of slot x and the head of ``prev[x]``."""
 
+    __slots__ = ("first", "refs", "face_of", "label", "next", "prev")
 
-def _identified(diagram: SurfaceDiagram, a: SlotRef, b: SlotRef, flip: bool) -> list[tuple[SlotRef, SlotRef]]:
-    """The two corner pairs that gluing slot a to slot b identifies."""
-    head_a = (a[0], (a[1] + 1) % diagram.face_len(a[0]))
-    head_b = (b[0], (b[1] + 1) % diagram.face_len(b[0]))
-    return [(a, b), (head_a, head_b)] if flip else [(a, head_b), (head_a, b)]
-
-
-def _side_partner(matching, side):
-    slot, end = side
-    if slot not in matching:
-        return None
-    other, flip = matching[slot]
-    if flip:
-        return (other, end)
-    return (other, "head" if end == "tail" else "tail")
-
-
-def _walk_fan(diagram: SurfaceDiagram, matching, start: Side) -> tuple[set[SlotRef], Side | None]:
-    """Walk a link from side ``start``: cross its corner to the corner's other
-    side, then the glued pair to the next corner.  Returns the corners passed
-    and the free side the walk stops on, or None when it comes back to a
-    corner it passed."""
-    seen: set[SlotRef] = set()
-    side = start
-    while True:
-        (f, p), end = side
-        if end == "tail":
-            corner = (f, p)
-            other = ((f, (p - 1) % diagram.face_len(f)), "head")
-        else:
-            corner = (f, (p + 1) % diagram.face_len(f))
-            other = (corner, "tail")
-        if corner in seen:
-            return seen, None
-        seen.add(corner)
-        side = _side_partner(matching, other)
-        if side is None:
-            return seen, other
+    def __init__(self, faces: list[Face]):
+        self.first = first = []
+        self.refs = refs = []
+        self.next = nxt = []
+        self.prev = prv = []
+        for f, face in enumerate(faces):
+            base, L = len(refs), len(face.slots)
+            first.append(base)
+            refs += [(f, p) for p in range(L)]
+            nxt += [base + (p + 1) % L for p in range(L)]
+            prv += [base + (p - 1) % L for p in range(L)]
+        first.append(len(refs))
+        self.face_of = [f for f, _ in refs]
+        self.label = [slot for face in faces for slot in face.slots]
 
 
 class SurfaceIndex:
     """Everything a diagram's gluing determines, derived and verified once.
 
+    Slots, corners and sides are the integers of ``slots``, a
+    ``SlotNumbering``: side ``2*x`` is the head of slot x and ``2*x + 1``
+    its tail.  Corner x owns the tail side of slot x and the head side of
+    slot ``prev[x]``; a glued pair joins each side of one slot to the
+    opposite end of the other (to the same end when flipped), and the link
+    of a local vertex is the graph its corners' sides trace through those
+    pairs.  Slot numbers follow the (face, position) order and head sorts
+    before tail, so the orders read off these integers -- classes by least
+    corner, free sides, the side a fan walk starts from -- are those of the
+    (face, position) and ((face, position), end) pairs.
+
     - ``report``: the violated surface invariants, in check order.
-    - ``matching``: glued slot -> (partner slot, flipped?); None when the
-      gluing is not a partial matching.
-    - ``unmatched``: the boundary slots in face order.
-    - ``classes``: the local vertices (the declared classes, else those the
-      endpoint identifications generate), ``class_of`` their index per corner.
-    - ``free_sides``: per class, its sorted unglued sides -- none around an
-      interior vertex, the two ends of the fan around a boundary vertex.
+    - ``mate``/``flipped``: per slot, the slot glued to it (-1 for a
+      boundary slot) and whether that gluing is flipped; ``mate`` is None
+      when the gluing is not a partial matching.
+    - ``unmatched``: the boundary slots as (face, position), in face order.
+    - ``classes``: the local vertices as tuples of (face, position) corners:
+      the declared classes, else those the endpoint identifications
+      generate, ordered by least corner.  ``class_of`` is each corner's
+      class, -1 for a corner none holds.
+    - ``free_sides``: per class, its unglued sides in increasing order --
+      none around an interior vertex, the two ends of the fan around a
+      boundary vertex.
 
     Verification stops at the first group of checks that fails, so the
     later fields are filled only as far as it got; ``measure`` reads them
@@ -177,96 +174,115 @@ class SurfaceIndex:
     """
 
     def __init__(self, diagram: SurfaceDiagram):
-        named = [ref for a, b, _ in diagram.gluing for ref in (a, b)]
-        for cls in diagram.declared_classes or ():
-            named.extend(cls)
-        for ref in named:
-            if not diagram.has_slot(ref):
+        self.slots = slots = SlotNumbering(diagram.faces)
+        first, refs, label, nxt, prv = slots.first, slots.refs, slots.label, slots.next, slots.prev
+
+        def number(ref: SlotRef) -> int:
+            f, p = ref
+            if not (0 <= f < len(first) - 1 and 0 <= p < first[f + 1] - first[f]):
                 raise DomainError(f"diagram names slot {ref}, which no face has")
+            return first[f] + p
+
+        pairs = [(number(a), number(b), flip) for a, b, flip in diagram.gluing]
+        declared = diagram.declared_classes
+        members = None if declared is None else [[number(c) for c in cls] for cls in declared]
         self.report = report = VerificationReport()
-        self.matching: dict[SlotRef, tuple[SlotRef, bool]] | None = None
+        self.mate: list[int] | None = None
+        self.flipped: list[bool] = []
         self.unmatched: list[SlotRef] = []
         self.classes: list[tuple[SlotRef, ...]] = []
-        self.class_of: dict[SlotRef, int] = {}
-        self.free_sides: list[tuple[Side, ...]] = []
+        self.class_of: list[int] = []
+        self.free_sides: list[tuple[int, ...]] = []
 
-        counts: dict[SlotRef, int] = {}
-        for a, b, flip in diagram.gluing:
-            counts[a] = counts.get(a, 0) + 1
-            counts[b] = counts.get(b, 0) + 1
+        n = len(refs)
+        mate, flipped = [-1] * n, [False] * n
+        twice = set()
+        for a, b, flip in pairs:
             if a == b:
-                report.add(f"slot {a} glued to itself")
-        for s, k in counts.items():
-            if k > 1:
-                report.add(f"slot {s} matched twice")
+                report.add(f"slot {refs[a]} glued to itself")
+            for x, y in ((a, b), (b, a)):
+                if mate[x] < 0:
+                    mate[x], flipped[x] = y, flip
+                else:
+                    twice.add(x)
+        # one line per slot, in the order the gluing first names them
+        for x in dict.fromkeys(x for a, b, _ in pairs for x in (a, b)) if twice else ():
+            if x in twice:
+                report.add(f"slot {refs[x]} matched twice")
         if not report.ok:
             return
 
-        for a, b, flip in diagram.gluing:
-            ea, sa = diagram.slot(a)
-            eb, sb = diagram.slot(b)
+        for a, b, flip in pairs:
+            (ea, sa), (eb, sb) = label[a], label[b]
             if ea != eb:
-                report.add(f"glued slots {a},{b} lie over different edges")
+                report.add(f"glued slots {refs[a]},{refs[b]} lie over different edges")
             elif not flip and sa != -sb:
-                report.add(f"glued slots {a},{b} traverse their edge with equal signs")
+                report.add(f"glued slots {refs[a]},{refs[b]} traverse their edge with equal signs")
             elif flip and sa != sb:
-                report.add(f"flipped gluing {a},{b} needs equal traversal signs")
-        self.matching = matching = {}
-        for a, b, flip in diagram.gluing:
-            matching[a] = (b, flip)
-            matching[b] = (a, flip)
-        self.unmatched = [s for s in diagram.all_slots() if s not in matching]
+                report.add(f"flipped gluing {refs[a]},{refs[b]} needs equal traversal signs")
+        self.mate, self.flipped = mate, flipped
+        self.unmatched = [refs[x] for x in range(n) if mate[x] < 0]
 
-        if diagram.declared_classes is not None:
-            classes = diagram.declared_classes
-        else:
-            corners = _Sets()
-            for a, b, flip in diagram.gluing:
-                for x, y in _identified(diagram, a, b, flip):
+        def identified(a: int, b: int, flip: bool):
+            """The two corner pairs that gluing slot a to slot b identifies."""
+            return ((a, b), (nxt[a], nxt[b])) if flip else ((a, nxt[b]), (nxt[a], b))
+
+        self.class_of = class_of = [-1] * n
+        if members is None:
+            corners = _Sets(n)
+            for a, b, flip in pairs:
+                for x, y in identified(a, b, flip):
                     corners.union(x, y)
-            groups: dict[SlotRef, list[SlotRef]] = {}
-            for corner in diagram.all_slots():
-                groups.setdefault(corners.find(corner), []).append(corner)
-            classes = [tuple(sorted(g)) for g in sorted(groups.values())]
-        self.classes = classes
-        class_of = self.class_of
-        for i, cls in enumerate(classes):
-            for corner in cls:
-                if corner in class_of:
-                    report.add(f"corner {corner} appears in two vertex classes")
-                class_of[corner] = i
-        for corner in diagram.all_slots():
-            if corner not in class_of:
-                report.add(f"corner {corner} missing from vertex classes")
-        if not report.ok:
-            return
-
-        # identified endpoints must land in the same class
-        for a, b, flip in diagram.gluing:
-            for x, y in _identified(diagram, a, b, flip):
-                if class_of[x] != class_of[y]:
-                    report.add(f"gluing {a},{b} identifies corners {x},{y} across distinct classes")
-        if not report.ok:
-            return
+            find = corners.find
+            members = []
+            for x in range(n):
+                root = find(x)
+                if root == x:
+                    class_of[x] = len(members)
+                    members.append([x])
+                else:
+                    class_of[x] = class_of[root]
+                    members[class_of[x]].append(x)
+            self.classes = [tuple(refs[x] for x in cls) for cls in members]
+        else:
+            self.classes = declared
+            for i, cls in enumerate(members):
+                for x in cls:
+                    if class_of[x] >= 0:
+                        report.add(f"corner {refs[x]} appears in two vertex classes")
+                    class_of[x] = i
+            for x in range(n):
+                if class_of[x] < 0:
+                    report.add(f"corner {refs[x]} missing from vertex classes")
+            if not report.ok:
+                return
+            # identified endpoints must land in the same class (derived
+            # classes are unions of these pairs)
+            for a, b, flip in pairs:
+                for x, y in identified(a, b, flip):
+                    if class_of[x] != class_of[y]:
+                        report.add(
+                            f"gluing {refs[a]},{refs[b]} identifies corners {refs[x]},{refs[y]} across distinct classes"
+                        )
+            if not report.ok:
+                return
 
         # link condition: the sides of each class form one open fan or one
         # cycle.  The checks above already keep every corner in one class and
         # every glued side's partner in its side's class.
-        for i, cls in enumerate(classes):
-            sides = set()
-            for f, p in cls:
-                sides.update((((f, p), "tail"), ((f, (p - 1) % diagram.face_len(f)), "head")))
-            free = sorted(s for s in sides if _side_partner(matching, s) is None)
-            self.free_sides.append(tuple(free))
+        walked = [-1] * n  # the class whose fan walk last passed each corner
+        for i, cls in enumerate(members):
+            sides = [side for x in cls for side in (2 * x + 1, 2 * prv[x])]
+            free = tuple(sorted(side for side in sides if mate[side >> 1] < 0))
+            self.free_sides.append(free)
             if not cls:
                 report.add(f"vertex class {i} is empty")
             elif not free:
-                seen, _ = _walk_fan(diagram, matching, min(sides))
-                if len(seen) != len(cls):
+                if self._walk_fan(min(sides), i, walked)[0] != len(cls):
                     report.add(f"link of vertex class {i} is not a single cycle")
             elif len(free) == 2:
-                seen, end = _walk_fan(diagram, matching, free[0])
-                if end != free[1] or len(seen) != len(cls):
+                seen, end = self._walk_fan(free[0], i, walked)
+                if end != free[1] or seen != len(cls):
                     report.add(f"link of vertex class {i} is not a single path")
             else:
                 report.add(f"vertex class {i} has {len(free)} free sides (needs 0 or 2)")
@@ -279,20 +295,38 @@ class SurfaceIndex:
                 cell_id, orient = face.provenance
                 if not 0 <= cell_id < len(diagram.ball.cells):
                     raise DomainError(f"face {f} names cell {cell_id}, which the ball does not have")
-                cell = diagram.ball.cells[cell_id]
-                L = len(cell.boundary)
-                if len(face.slots) != L:
+                boundary = diagram.ball.cells[cell_id].boundary
+                if len(face.slots) != len(boundary):
                     report.add(f"face {f} length disagrees with its provenance cell")
                     continue
-                for p in range(L):
-                    if orient > 0:
-                        expect = cell.boundary[p]
-                    else:
-                        e, s = cell.boundary[L - 1 - p]
-                        expect = (e, -s)
-                    if face.slots[p] != expect:
+                expect = boundary if orient > 0 else [(e, -s) for e, s in reversed(boundary)]
+                for p, slot in enumerate(face.slots):
+                    if slot != expect[p]:
                         report.add(f"face {f} slot {p} disagrees with its provenance cell")
                         break
+
+    def _walk_fan(self, start: int, i: int, walked: list[int]) -> tuple[int, int]:
+        """Walk the link of class i from side ``start``: cross its corner to
+        the corner's other side, then the glued pair to the next corner.
+        Returns the number of corners passed and the free side the walk
+        stops on, or -1 when it comes back to a corner it passed."""
+        mate, flipped, nxt, prv = self.mate, self.flipped, self.slots.next, self.slots.prev
+        seen, side = 0, start
+        while True:
+            x = side >> 1
+            if side & 1:  # the tail of slot x: corner x, the head of prev[x]
+                corner, other = x, 2 * prv[x]
+            else:  # the head of slot x: the tail of next[x]
+                corner = nxt[x]
+                other = 2 * corner + 1
+            if walked[corner] == i:
+                return seen, -1
+            walked[corner] = i
+            seen += 1
+            y = other >> 1
+            if mate[y] < 0:
+                return seen, other
+            side = 2 * mate[y] + (other & 1 if flipped[y] else 1 - (other & 1))
 
 
 def verify_surface(diagram: SurfaceDiagram) -> VerificationReport:
@@ -305,7 +339,7 @@ def verify_surface(diagram: SurfaceDiagram) -> VerificationReport:
 def _glued(diagram: SurfaceDiagram) -> SurfaceIndex:
     """The diagram's index, once its gluing is known to be a partial matching."""
     index = diagram.index
-    if index.matching is None:
+    if index.mate is None:
         raise DomainError("gluing is not a partial matching; run verify_surface")
     return index
 
@@ -323,32 +357,30 @@ def boundary_paths(diagram: SurfaceDiagram) -> list[list[SlotRef]]:
     follows the faces; only meaningful for flip-free diagrams, which is all
     assembled ones)."""
     index = _glued(diagram)
-    matching = index.matching
-    remaining = set(index.unmatched)
-    limit = 4 * sum(len(face.slots) for face in diagram.faces)
+    mate, flipped, nxt, refs = index.mate, index.flipped, index.slots.next, index.slots.refs
+    limit = 4 * len(mate)
+    walked = [m >= 0 for m in mate]
     paths = []
-    while remaining:
-        start = min(remaining)
+    for start in range(len(mate)):
+        if walked[start]:
+            continue
         path = []
         s = start
         while True:
-            path.append(s)
-            remaining.discard(s)
-            f, p = s
-            nxt = (f, (p + 1) % diagram.face_len(f))
+            path.append(refs[s])
+            walked[s] = True
+            x = nxt[s]
             guard = 0
-            while nxt in matching:
-                other, flip = matching[nxt]
-                if flip:
+            while mate[x] >= 0:
+                if flipped[x]:
                     raise DomainError("ordered boundary paths need a flip-free diagram")
-                g, q = other
-                nxt = (g, (q + 1) % diagram.face_len(g))
+                x = nxt[mate[x]]
                 guard += 1
                 if guard > limit:
                     raise InvariantError("boundary walk does not terminate")
-            if nxt == start:
+            if x == start:
                 break
-            s = nxt
+            s = x
         paths.append(path)
     return paths
 
@@ -358,76 +390,61 @@ def measure(diagram: SurfaceDiagram) -> SurfaceMetrics:
     index = _valid(diagram, "measure")
 
     nfaces = len(diagram.faces)
-    matching, unmatched, classes, class_of = index.matching, index.unmatched, index.classes, index.class_of
+    classes, class_of, mate, flipped = index.classes, index.class_of, index.mate, index.flipped
+    first, face_of, nxt = index.slots.first, index.slots.face_of, index.slots.next
 
-    def endpoints(slot: SlotRef) -> tuple[int, int]:
-        f, p = slot
-        tail = class_of[(f, p)]
-        head = class_of[(f, (p + 1) % diagram.face_len(f))]
-        return tail, head
-
-    # components, and the 1-skeleton on vertex classes
-    faces = _Sets()
+    # components, and the 1-skeleton on vertex classes: an edge per boundary
+    # slot and per glued pair (both of whose slots give the same edge)
+    faces = _Sets(nfaces)
     skeleton: list[set[int]] = [set() for _ in classes]
-    for a, b, _flip in diagram.gluing:
-        faces.union(a[0], b[0])
-        t, h = endpoints(a)
-        skeleton[t].add(h)
-        skeleton[h].add(t)
     boundary_classes = set()
-    for s in unmatched:
-        t, h = endpoints(s)
+    for x, m in enumerate(mate):
+        if 0 <= m < x:
+            continue
+        t, h = class_of[x], class_of[nxt[x]]
         skeleton[t].add(h)
         skeleton[h].add(t)
-        boundary_classes.add(t)
-        boundary_classes.add(h)
+        if m < 0:
+            boundary_classes.update((t, h))
+        else:
+            faces.union(face_of[x], face_of[m])
     comp_root = [faces.find(f) for f in range(nfaces)]
-    comp_ids = sorted(set(comp_root))
-    comp_pos = {r: k for k, r in enumerate(comp_ids)}
+    comp_pos = {r: k for k, r in enumerate(sorted(set(comp_root)))}
     comp_of = [comp_pos[r] for r in comp_root]
 
+    # breadth-first from the boundary; the queue grows while it is read
     dist: list[int | None] = [None] * len(classes)
-    frontier = sorted(boundary_classes)
-    for v in frontier:
+    queue = sorted(boundary_classes)
+    for v in queue:
         dist[v] = 0
-    d = 0
-    while frontier:
-        d += 1
-        new = []
-        for v in frontier:
-            for u in skeleton[v]:
-                if dist[u] is None:
-                    dist[u] = d
-                    new.append(u)
-        frontier = new
-    if any(v is None for v in dist):
-        radius = None
-    else:
-        radius = max(dist, default=0)
+    for v in queue:
+        for u in skeleton[v]:
+            if dist[u] is None:
+                dist[u] = dist[v] + 1
+                queue.append(u)
+    radius = None if None in dist else max(dist, default=0)
 
-    comp_vertices = [0] * len(comp_ids)
-    comp_edges = [0] * len(comp_ids)
-    comp_faces = [0] * len(comp_ids)
-    comp_paths = [0] * len(comp_ids)
+    ncomp = len(comp_pos)
+    comp_chi = [0] * ncomp
+    comp_paths = [0] * ncomp
     for cls in classes:
-        comp_vertices[comp_of[cls[0][0]]] += 1
-    for a, _b, _flip in diagram.gluing:
-        comp_edges[comp_of[a[0]]] += 1
-    for s in unmatched:
-        comp_edges[comp_of[s[0]]] += 1
+        comp_chi[comp_of[cls[0][0]]] += 1
+    for x, m in enumerate(mate):
+        if m < 0 or m > x:
+            comp_chi[comp_of[face_of[x]]] -= 1
     for f in range(nfaces):
-        comp_faces[comp_of[f]] += 1
+        comp_chi[comp_of[f]] += 1
 
     # boundary components: unmatched slots joined where a boundary vertex's
     # fan, walked from its lower free side, ends at its higher one
-    paths = _Sets()
+    paths = _Sets(len(mate))
     for free in index.free_sides:
         if free:
             lo, hi = free
-            paths.union(lo[0], hi[0])
-    path_roots = {paths.find(s) for s in unmatched}
+            paths.union(lo >> 1, hi >> 1)
+    path_roots = {paths.find(x) for x, m in enumerate(mate) if m < 0}
     for root in path_roots:
-        comp_paths[comp_of[root[0]]] += 1
+        comp_paths[comp_of[face_of[root]]] += 1
 
     # orientability: faces 2-colorable with flips reversing relative orientation
     orient = [0] * nfaces
@@ -439,26 +456,23 @@ def measure(diagram: SurfaceDiagram) -> SurfaceMetrics:
         stack = [f]
         while stack:
             g = stack.pop()
-            for p in range(diagram.face_len(g)):
-                entry = matching.get((g, p))
-                if entry is None:
+            for x in range(first[g], first[g + 1]):
+                if mate[x] < 0:
                     continue
-                (h, _q), flip = entry
-                want = orient[g] * (-1 if flip else 1)
+                h = face_of[mate[x]]
+                want = -orient[g] if flipped[x] else orient[g]
                 if orient[h] == 0:
                     orient[h] = want
                     stack.append(h)
                 elif orient[h] != want:
                     orientable = False
 
-    total_chi = len(classes) - len(diagram.gluing) - len(unmatched) + nfaces
-    comp_chi = [comp_vertices[k] - comp_edges[k] + comp_faces[k] for k in range(len(comp_ids))]
     return SurfaceMetrics(
         area=nfaces,
         radius=radius,
-        boundary_length=len(unmatched),
-        component_count=len(comp_ids),
-        euler_characteristic=total_chi,
+        boundary_length=len(index.unmatched),
+        component_count=ncomp,
+        euler_characteristic=sum(comp_chi),
         boundary_path_count=len(path_roots),
         orientable=orientable,
         component_euler=comp_chi,
@@ -485,10 +499,11 @@ def assemble_surface(ball: CayleyBall, chain: TwoChain) -> SurfaceDiagram:
     no placed slot is gluable, the lowest unplaced face starts a new
     component.
 
-    A vertex is named by its root, the least corner identified with it, and
-    a slot's key is the lesser root of its two corners; the rule glues the
-    gluable slot of least (key, slot).  One heap of (key, slot) entries
-    yields that slot without rescanning the placed faces, by two facts:
+    Slots and corners are numbered as in ``SlotNumbering``.  A vertex is
+    named by its root, the least corner identified with it, and a slot's key
+    is the lesser root of its two corners; the rule glues the gluable slot
+    of least (key, slot).  One heap of (key, slot) entries yields that slot
+    without rescanning the placed faces, by two facts:
 
     - A union only lowers a root, so keys only fall.  Every fall pushes a
       fresh entry, and an entry above its slot's current key is stale and
@@ -520,37 +535,21 @@ def assemble_surface(ball: CayleyBall, chain: TwoChain) -> SurfaceDiagram:
         for _ in range(abs(coeff)):
             faces.append(Face(slots=slots, provenance=(cell_id, orient), corner_images=corners))
 
-    # slot (f, p) and corner (f, p) share one integer id, ordered as the
-    # pairs are; ``head[x]`` is the corner at the end of slot x
-    refs: list[SlotRef] = []
-    first: list[int] = []
-    head: list[int] = []
-    label: list[tuple[int, int]] = []
+    numbering = SlotNumbering(faces)
+    first, refs, face_of, label = numbering.first, numbering.refs, numbering.face_of, numbering.label
+    head = numbering.next  # the corner at the end of slot x
     copies: dict[tuple[int, int], list[int]] = {}
-    for f, face in enumerate(faces):
-        base = len(refs)
-        first.append(base)
-        L = len(face.slots)
-        for p, slot in enumerate(face.slots):
-            copies.setdefault(slot, []).append(base + p)
-            refs.append((f, p))
-            head.append(base + (p + 1) % L)
-            label.append(slot)
-    first.append(len(refs))
-    face_of = [f for f, _ in refs]
+    for x, slot in enumerate(label):
+        copies.setdefault(slot, []).append(x)
     nfaces = len(faces)
     placed = [False] * nfaces
     matched = [-1] * len(refs)
-    parent = list(range(len(refs)))  # union-find over corners, roots least
+    corners = _Sets(len(refs))
+    find = corners.find
     touching: list[list[int] | None] = [[] for _ in refs]  # root -> slots at its vertex
     unplaced_at = dict.fromkeys(copies, 0)  # label -> first copy possibly unplaced
     free: dict[tuple[int, int], list[int]] = {key: [] for key in copies}  # placed, unmatched
     queue: list[tuple[int, int]] = []
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = x = parent[parent[x]]
-        return x
 
     def place(f: int):
         placed[f] = True
@@ -561,18 +560,16 @@ def assemble_surface(ball: CayleyBall, chain: TwoChain) -> SurfaceDiagram:
             heappush(queue, (min(x, head[x]), x))
 
     def union(x: int, y: int):
-        x, y = find(x), find(y)
-        if x == y:
+        joined = corners.union(x, y)
+        if joined is None:
             return
-        if x > y:
-            x, y = y, x
-        parent[y] = x
-        keep = touching[x]
-        for s in touching[y]:
+        root, absorbed = joined
+        keep = touching[root]
+        for s in touching[absorbed]:
             if matched[s] < 0:
                 keep.append(s)
-                heappush(queue, (x, s))
-        touching[y] = None
+                heappush(queue, (root, s))
+        touching[absorbed] = None
 
     def partner_of(s: int) -> int:
         e, sign = label[s]
@@ -714,17 +711,15 @@ def diagram_from_json(doc: dict, ball: CayleyBall | None = None) -> SurfaceDiagr
 def diagram_to_dot(diagram: SurfaceDiagram) -> str:
     """1-skeleton in DOT, boundary edges highlighted."""
     index = _valid(diagram, "draw")
+    class_of, nxt = index.class_of, index.slots.next
     lines = ["graph surface {"]
     for i in range(len(index.classes)):
         lines.append(f'  v{i} [label="v{i}"];')
-    for s in diagram.all_slots():
-        f, p = s
-        t = index.class_of[(f, p)]
-        h = index.class_of[(f, (p + 1) % diagram.face_len(f))]
-        glued = index.matching.get(s)
-        if glued is None:
+    for x, m in enumerate(index.mate):
+        t, h = class_of[x], class_of[nxt[x]]
+        if m < 0:
             lines.append(f'  v{t} -- v{h} [color=red, penwidth=2];')
-        elif s < glued[0]:
+        elif x < m:
             lines.append(f"  v{t} -- v{h};")
     lines.append("}")
     return "\n".join(lines)

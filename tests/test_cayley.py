@@ -212,3 +212,15 @@ def test_step_table_matches_normal_forms(path):
                                 ball.step(v, letter)
                         else:
                             assert ball.step(v, letter) == expected
+
+
+def test_chain_classes_share_arithmetic_but_not_equality():
+    cycle, chain = OneCycle({3: 2, 1: -1, 4: 0}), TwoChain([(3, 2), (1, -1), (1, 1)])
+    assert cycle.key() == ((1, -1), (3, 2)) and chain.key() == ((3, 2),)
+    assert cycle + OneCycle({1: 1}) == OneCycle({3: 2}) and type(chain + chain) is TwoChain
+    assert chain.scale(-2) == TwoChain({3: -4}) and not (chain - chain)
+    assert repr(-cycle) == "OneCycle({3: -2, 1: 1})" and repr(chain) == "TwoChain({3: 2})"
+    assert OneCycle({3: 2}) != TwoChain({3: 2}) and not isinstance(chain, OneCycle)
+    assert {cycle: 1}[OneCycle({1: -1, 3: 2})] == 1
+    with pytest.raises(TypeError):
+        hash(chain)

@@ -326,3 +326,27 @@ def test_budget_env_not_integer(tmp_path, monkeypatch, capsys):
     err = json.loads(capsys.readouterr().err)
     assert err["error"] == "ParseError"
     assert "HOMFILL_BUDGET_VERTICES" in err["message"]
+
+
+@pytest.mark.parametrize("command", ["fa", "arpair"])
+def test_budget_vertices_caps_the_ball(tmp_path, capsys, command):
+    code = run_cli([
+        command, "--pres", grp("z2.grp"), "--ball", "2", "--max-n", "3",
+        "--budget-vertices", "1", "--out", str(tmp_path / "o.json"), "--json-errors",
+    ])
+    assert code == 1
+    assert json.loads(capsys.readouterr().err)["error"] == "ResourceError"
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (["constants", "--pres", grp("z3_ext.grp"), "--ball", "2", "--k-ball", "0"], "radius must be >= 1"),
+        (["arpair", "--pres", grp("z2.grp"), "--ball", "2", "--max-n", "-1"], "n_max must be >= 1"),
+        (["arpair", "--pres", grp("z2.grp"), "--ball", "2", "--max-n", "0"], "n_max must be >= 1"),
+    ],
+    ids=["k-ball-0", "arpair-max-n-negative", "arpair-max-n-0"],
+)
+def test_bad_sizes_exit_cleanly(tmp_path, capsys, args, message):
+    assert run_cli(args + ["--out", str(tmp_path / "o.json"), "--json-errors"]) == 1
+    assert json.loads(capsys.readouterr().err) == {"error": "DomainError", "message": message}

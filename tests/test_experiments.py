@@ -58,6 +58,12 @@ def test_ar_pair_min_radius_policy(z2_backend, z2_pres, z2_ball5):
     assert searched.f_table == default.f_table
 
 
+@pytest.mark.parametrize("n_max", [0, -1])
+def test_ar_pair_rejects_empty_range(z2_backend, z2_pres, z2_ball5, n_max):
+    with pytest.raises(DomainError, match="n_max"):
+        measure_ar_pair(z2_backend, z2_pres, n_max, 5, ball=z2_ball5)
+
+
 def test_hyperbolic_pair_values():
     hyp = hyperbolic_ar_pair(1, 1, 8)
     assert hyp.f_table[1] == 1 and hyp.g_table[1] == 1

@@ -115,6 +115,11 @@ def test_fa_z2(z2_backend, z2_pres, z2_ball5):
     assert not table.gaps
 
 
+@pytest.mark.parametrize("max_len", [0, -1])
+def test_enumeration_stops_at_nonpositive_length(z2_ball4, max_len):
+    assert enumerate_identity_cycles(z2_ball4, max_len) == []
+
+
 def test_fa_free_group(f2_backend, f2_pres, f2_ball3):
     table = fa_estimate(f2_backend, f2_pres, 6, 3, ball=f2_ball3)
     assert all(e.fa_value == 0 for e in table.values)
