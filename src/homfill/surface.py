@@ -176,10 +176,11 @@ class SurfaceIndex:
     def __init__(self, diagram: SurfaceDiagram):
         self.slots = slots = SlotNumbering(diagram.faces)
         first, refs, label, nxt, prv = slots.first, slots.refs, slots.label, slots.next, slots.prev
+        nfaces = len(diagram.faces)
 
         def number(ref: SlotRef) -> int:
             f, p = ref
-            if not (0 <= f < len(first) - 1 and 0 <= p < first[f + 1] - first[f]):
+            if not (0 <= f < nfaces and 0 <= p < first[f + 1] - first[f]):
                 raise DomainError(f"diagram names slot {ref}, which no face has")
             return first[f] + p
 
@@ -254,10 +255,12 @@ class SurfaceIndex:
             for x in range(n):
                 if class_of[x] < 0:
                     report.add(f"corner {refs[x]} missing from vertex classes")
-            if not report.ok:
-                return
-            # identified endpoints must land in the same class (derived
-            # classes are unions of these pairs)
+        if not report.ok:
+            return
+
+        # identified endpoints must land in the same class (derived classes
+        # are unions of these pairs)
+        if declared is not None:
             for a, b, flip in pairs:
                 for x, y in identified(a, b, flip):
                     if class_of[x] != class_of[y]:

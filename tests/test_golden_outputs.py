@@ -13,8 +13,10 @@ Corpus:
                    ``verify_surface`` of assembled diagrams of every
                    groups/*.grp at radius 3 and of variants of each: one face
                    re-entered reversed (the same surface, glued with flips),
-                   a dropped, flipped, doubled or cross-edge gluing, a slot no
-                   face has, and declared classes that are exact or drop,
+                   the diagram glued to its mirror image (a closed surface),
+                   a dropped, flipped, doubled or cross-edge gluing, a flipped
+                   one on a face with the wrong provenance, a slot no face
+                   has, and declared classes that are exact or drop,
                    repeat, merge or split corners or add an empty class; for
                    valid ones also ``measure``, ``boundary_paths`` (flip-free
                    only), ``diagram_to_dot``, ``project_boundary`` and the
@@ -84,11 +86,11 @@ GOLDEN = {
     "surface-index:f2": "e0f799e87fad0b26ef055d50b9ca006c5ecd067805e5c339086fb90c059adde0",
     "surface-index:f2_triangle": "5d4cc324e1fa405620b1038a8d8fecd2304d3b874952800a440dc16c81ce9914",
     "surface-index:handmade": "4cf1ec5b48a640e21dee77c260bf5dab2d894a330a1f2540b73a1cc7f8ae4703",
-    "surface-index:heis_ext": "1697df6efb8469670992315dd927c9656d61e6121936e0b1106ec4b40c24ae1b",
-    "surface-index:z2": "a8924a2833a7735713dd517b3d43ef097798e40123330dfb85b7366aa474f182",
-    "surface-index:z2_by_f2": "4a15def32964b31a55c152f615072458642a5995e816438cbf7867de914e6d15",
-    "surface-index:z2_redundant": "95f959f6af1e0c659493376d4c77067198b8561d5d015e19f21e9352ac68129c",
-    "surface-index:z3_ext": "2400f0c370f2ea89d1897a073b6f911d6b50ee3557b586659561de8c65d212d9",
+    "surface-index:heis_ext": "b8cc77563b2476dd494ebc943bbf3e7fa4f22592a523de767ab581eb10002b08",
+    "surface-index:z2": "d380facfe10dd95532f35493808e031e587ce0991dd655a5de30d78edc13f8f0",
+    "surface-index:z2_by_f2": "477bde4b4f454c4585dab0af3ec7f274c0d551f3a8254ef7165a5742ff9db4d5",
+    "surface-index:z2_redundant": "d787dd486c1be7d6bf797dbaa717c6887e24f0ff29721621c155e3149f55b5ae",
+    "surface-index:z3_ext": "c9ebaa4615d42952c8de2133ed679f70d5d7737033199ad0c9c58f600b5d253e",
     "routed:z3": "fedbd6ca556438527b37ea19ff5124bfa330da911c864741ad1e49f638345a45",
     "routed:heis": "655f7c7d009aaf738e7bd09da09a249f64e51160a1a0e080b5abc4a67e78406e",
     "tight:z3:chart": "2d88a1c4c9f1d43339d7d90f5c83e41cd60cec196bc47798a9d87268d09777c8",
@@ -212,6 +214,11 @@ def _variants(rng: Random, diagram: SurfaceDiagram) -> list:
         rest = gluing[:k] + gluing[k + 1 :]
         out.append(("dropped", SurfaceDiagram(faces, rest, ball)))
         out.append(("flipped", SurfaceDiagram(faces, rest + [(a, b, not flip)], ball)))
+        # the sign error stops verification before the provenance checks
+        misplaced = list(faces)
+        cell, orient = faces[a[0]].provenance
+        misplaced[a[0]] = dataclasses.replace(faces[a[0]], provenance=(cell, -orient))
+        out.append(("flipped-misplaced", SurfaceDiagram(misplaced, rest + [(a, b, not flip)], ball)))
         out.append(("double", SurfaceDiagram(faces, gluing + [(a, rng.choice(slots), False)], ball)))
         glued = {ref for pair in gluing for ref in pair[:2]}
         edge = diagram.slot(a)[0]
