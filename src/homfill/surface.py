@@ -8,24 +8,21 @@ corners generated by the endpoint identifications of glued slots, and the
 link condition -- every class is a single corner fan, open or closed -- is
 what makes the complex a surface with boundary.
 
-Every layer reads the faces through one numbering, ``SlotNumbering``: slot
-(f, p) is the integer ``first[f] + p``, and corner x, where slot x starts,
-shares its number.  A side, one end of a slot at the corner there, is
-``2*x`` for the head of slot x and ``2*x + 1`` for its tail.  Slot numbers
-follow the order of the (face, position) pairs and "head" sorts before
-"tail", so integer order is the order of those pairs and of the (slot, end)
-pairs.  The gluing is interpreted in one place, ``SurfaceIndex``: the
-matching, the corner classes and the free sides of every class are derived
-once per diagram, and the diagram is verified while they are.  Diagrams are
-immutable, so ``SurfaceDiagram.index`` is built on first use and kept;
-verification, measurement, boundary paths, projection and DOT output all
-read it.  ``assemble_surface`` glues over the same numbering with the same
-union-find, ``_Sets``.
+Every layer numbers slots one way (``SlotNumbering``): slot (f, p) is
+``first[f] + p``, corner x is where slot x starts, and side ``2*x`` /
+``2*x + 1`` is the head / tail end of slot x.  As "head" sorts before
+"tail", integer order is the order of the (face, position) and
+(slot, end) pairs.  The gluing is interpreted in one place,
+``SurfaceIndex``: the matching, the corner classes and the free sides of
+every class are derived once per diagram, and the diagram is verified while
+they are.  Diagrams are immutable, so ``SurfaceDiagram.index`` is built on
+first use and kept; verification, measurement, boundary paths, projection
+and DOT output all read it, and ``assemble_surface`` glues over the same
+numbering with the same union-find, ``_Sets``.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from functools import cached_property
 from heapq import heappop, heappush
