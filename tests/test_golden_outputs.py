@@ -3,8 +3,8 @@
 Each section below runs a fixed corpus through one part of the public API and
 hashes a canonical JSON record of every result, or of the exception type and
 message of every failure.  The hashes pin the exact outputs, so a refactor of
-``assemble_surface`` or of the extension layer's vertex placement that changes
-any diagram, chain, trace or error message fails here.
+``build_ball``, ``assemble_surface`` or of the extension layer's vertex
+placement that changes any ball, diagram, chain, trace or error message fails here.
 
 Corpus:
   surface:<file>   ``diagram_to_json`` of ``assemble_surface`` on seeded chains
@@ -28,6 +28,10 @@ Corpus:
   routed:<ctx>     routed fillings of kernel loops of length <= 6 on the
                    push-down benchmark's balls and routes, their assembled
                    diagrams and their push-downs.
+  ball:<file>      ``dump_ball``, the neighbour table, the distances and the
+                   coset labels of the ball of every groups/*.grp at radii
+                   1-5, and of the kernel ball of each extension file at
+                   radii 1-5.
   tight:<ctx>:*    ``chart``, ``embed_chain``, ``kernel_cycle_to_extension``,
                    ``lift_image_cycle``, ``route_filling`` and ``push_down`` on
                    a radius-3 extension ball and a radius-3 kernel ball, where
@@ -49,7 +53,7 @@ from random import Random
 import pytest
 
 from homfill import extension
-from homfill.cayley import OneCycle, TwoChain, build_ball, hop_distances
+from homfill.cayley import OneCycle, TwoChain, build_ball, dump_ball, hop_distances
 from homfill.cli import load_group
 from homfill.errors import HomfillError
 from homfill.filling import enumerate_identity_cycles
@@ -76,6 +80,13 @@ ROUTED = {
 }
 
 GOLDEN = {
+    "ball:f2": "f017be84ed424ead8104240eb9b8c7ce6c54be660be2c346c7f551166b74f52c",
+    "ball:f2_triangle": "f5d50b3ee8cfa093bb299cc218c601872a20fb8bb75e316d1ec17a968fe90c7d",
+    "ball:heis_ext": "9904a8cbc52ee5c49ae1fe6ff387c235e6753ab91e304c4f7172b0792295ac51",
+    "ball:z2": "7457219ad6dd7427074dbbcc6d019e9641bd12220eaaae884a3935afac304544",
+    "ball:z2_by_f2": "e016c791e5ccbc7c0d562fa76f710ae98c6ae501dc37795686950562f04e18dc",
+    "ball:z2_redundant": "f3ba02ade81bb6fc6fffac3c54b04b52d21276bacd7b47beb3dce49df08ee3d9",
+    "ball:z3_ext": "2a6ecd7e85cc5d5d0fea5f31a9bedac62de25bbbf6673ad1b3399ab7dd2bddd2",
     "surface:f2": "8745a6180c5f1fcba11786d658a42ef983101e93d75b47d490ff2679944916cb",
     "surface:f2_triangle": "9b3480017eb1d1bacdb2daa457c6b7e5658e782796139833b287c4b262fdde1b",
     "surface:heis_ext": "c61832fe004f11fcdf48b22ffb799ba782959d543fe336d0c5e917395ad82ecc",
@@ -145,6 +156,24 @@ def _balls(file: str, h_radius: int, k_radius: int):
         extension.compute_constants, k_ball, group.layout, group.lifts, group.hom_pres.base.relators
     )
     return group, h_ball, k_ball, constants, error
+
+
+@lru_cache(maxsize=None)
+def _radius_balls(file: str) -> tuple:
+    """(name, ball) for the balls of one group file at radii 1-5, then its
+    kernel balls when it is an extension."""
+    group = _group(file)
+    out = [(f"r{r}", build_ball(group.backend, group.hom_pres, r)) for r in range(1, 6)]
+    if group.k_backend is not None:
+        out += [(f"k{r}", build_ball(group.k_backend, group.k_pres, r)) for r in range(1, 6)]
+    return tuple(out)
+
+
+def _ball(file: str) -> list:
+    return [
+        [name, dump_ball(ball), _plain(ball.succ), ball.distance, _plain(ball.coset_labels)]
+        for name, ball in _radius_balls(file)
+    ]
 
 
 def _surface(file: str) -> list:
@@ -407,6 +436,8 @@ def _tight(ctx: str, part: str) -> list:
 
 def _section(name: str) -> list:
     kind, _, rest = name.partition(":")
+    if kind == "ball":
+        return _ball(rest + ".grp")
     if kind == "surface":
         return _surface(rest + ".grp")
     if kind == "surface-index":
@@ -426,6 +457,13 @@ def test_every_group_file_is_covered():
     files = {p.stem for p in GROUPS.glob("*.grp")}
     assert files == {name.split(":")[1] for name in GOLDEN if name.startswith("surface:")}
     assert files | {"handmade"} == {name.split(":")[1] for name in GOLDEN if name.startswith("surface-index:")}
+    assert files == {name.split(":")[1] for name in GOLDEN if name.startswith("ball:")}
+
+
+@pytest.mark.parametrize("file", sorted(p.name for p in GROUPS.glob("*.grp")))
+def test_ball_distance_is_hop_distance(file):
+    for _, ball in _radius_balls(file):
+        assert ball.distance == hop_distances(ball, [0])
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN))
