@@ -10,7 +10,6 @@ from .backends import (
     FreeBackend,
     GroupBackend,
     TableBackend,
-    enumerate_ball_vertices,
     equal_in_group,
 )
 from .cayley import (

@@ -12,7 +12,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 
-from .errors import DomainError, ParseError, ResourceError
+from .errors import DomainError, ParseError
 from .presentation import AutLift, apply_lift
 from .words import Word, check_letters, free_reduce, inverse_word
 
@@ -241,35 +241,3 @@ def letter_order(rank: int):
         yield j + 1
         yield -(j + 1)
 
-
-def enumerate_ball_vertices(
-    backend: GroupBackend,
-    radius: int,
-    vertex_budget: int | None = None,
-) -> list[Word]:
-    """Normal forms of all elements at word-metric distance <= radius, in
-    BFS-lexicographic discovery order (frontiers sorted, generators in
-    letter_order)."""
-    if radius < 0:
-        raise DomainError("radius must be non-negative")
-    budget = vertex_budget if vertex_budget is not None else vertex_budget_default()
-    identity = backend.normal_form(())
-    seen = {identity}
-    order = [identity]
-    frontier = [identity]
-    for _ in range(radius):
-        new = []
-        for v in sorted(frontier):
-            for letter in letter_order(backend.rank):
-                u = backend.normal_form(v + (letter,))
-                if u not in seen:
-                    seen.add(u)
-                    order.append(u)
-                    new.append(u)
-                    if len(seen) > budget:
-                        raise ResourceError(
-                            f"ball exceeds vertex budget {budget}"
-                            " (HOMFILL_BUDGET_VERTICES or --budget-vertices raises it)"
-                        )
-        frontier = new
-    return order

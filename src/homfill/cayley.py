@@ -6,13 +6,15 @@ relator) whose full boundary loop stays inside the ball.  Indexing is
 deterministic: vertices in BFS-lexicographic discovery order, edges by
 (source, generator), cells by (base, relator).
 
-Normal forms are computed once per ball, to enumerate the vertices and to
-find each vertex's outgoing edges.  The edge list is then indexed into one
-neighbour table, ``succ[v][letter] -> edge`` (-1 when the edge leaves the
-ball), a tuple of ints per vertex indexed by the signed letter itself;
-``hop``, ``step``, cell construction, word tracing, edge lookups and hop
-distances are all lookups in that table.  Only ``vertex_of``, which places
-arbitrary words, still calls ``normal_form``.
+One breadth-first pass builds the ball.  Below the radius it takes the
+normal form of v*x for every signed letter x, at the radius only of v*g,
+so each (vertex, letter) normal form is computed at most once; coset
+labels cost one more split per vertex.  The BFS layers are the distances,
+and the recorded +g targets become one neighbour table,
+``succ[v][letter] -> edge`` (-1 when the edge leaves the ball), indexed by
+the signed letter itself; ``hop``, ``step``, cell construction, word
+tracing and edge lookups read it.  Only ``vertex_of``, which places
+arbitrary words, calls ``normal_form`` after the build.
 Maps between balls that are fixed per ball pair (translation by a coset, a
 lift) are kept as ``Placement`` tables on a ball, filled by a walk along
 the neighbour table (``walk_placement``) and by the normal form where the
@@ -25,8 +27,8 @@ import json
 from dataclasses import dataclass, field
 from functools import cached_property
 
-from .backends import GroupBackend, enumerate_ball_vertices
-from .errors import DomainError, InvariantError
+from .backends import GroupBackend, letter_order, vertex_budget_default
+from .errors import DomainError, InvariantError, ResourceError
 from .presentation import HomPresentation
 from .words import Word, format_word
 
@@ -346,20 +348,48 @@ def build_ball(
         raise DomainError("radius must be >= 1")
     if hom_pres.rank != backend.rank:
         raise DomainError("presentation and backend disagree on generator count")
-    vertices = enumerate_ball_vertices(backend, radius, vertex_budget)
-    vertex_index = {w: i for i, w in enumerate(vertices)}
+    budget = vertex_budget if vertex_budget is not None else vertex_budget_default()
+    rank, normal_form = backend.rank, backend.normal_form
+    vertices: list[Word] = [()]  # the identity's normal form is the empty word
+    vertex_index = {(): 0}
+    distance = [0]
+    # neighbour-table rows; +g holds the vertex of v*g (-1 outside) until the edges are numbered
+    rows = [[-1] * (2 * rank + 1)]
+    frontier = [0]
+    for d in range(radius + 1):
+        # at the radius only +g: its targets in the ball are all found by now
+        letters = tuple(letter_order(rank)) if d < radius else range(1, rank + 1)
+        new = []
+        for v in sorted(frontier, key=vertices.__getitem__):
+            word, row = vertices[v], rows[v]
+            for letter in letters:
+                nf = normal_form(word + (letter,))
+                u = vertex_index.get(nf, -1)
+                if u < 0 and d < radius:
+                    u = vertex_index[nf] = len(vertices)
+                    vertices.append(nf)
+                    distance.append(d + 1)
+                    rows.append([-1] * (2 * rank + 1))
+                    new.append(u)
+                    if len(vertices) > budget:
+                        raise ResourceError(
+                            f"ball exceeds vertex budget {budget}"
+                            " (HOMFILL_BUDGET_VERTICES or --budget-vertices raises it)"
+                        )
+                if letter > 0:
+                    row[letter] = u
+        frontier = new
 
     edges: list[tuple[int, int, int]] = []
-    rows = [[-1] * (2 * backend.rank + 1) for _ in vertices]
     # the (edge, sign) pairs of cell boundaries: one tuple per pair, shared
     # by every cell that traverses it
     traversals: list[tuple[tuple[int, int], tuple[int, int]]] = []
-    for source, word in enumerate(vertices):
-        for g in range(1, backend.rank + 1):
-            target = vertex_index.get(backend.normal_form(word + (g,)))
-            if target is not None:
+    for source, row in enumerate(rows):
+        for g in range(1, rank + 1):
+            target = row[g]
+            if target >= 0:
                 e = len(edges)
-                rows[source][g] = e
+                row[g] = e
                 rows[target][-g] = e
                 edges.append((source, g, target))
                 traversals.append(((e, 1), (e, -1)))
@@ -370,14 +400,12 @@ def build_ball(
         radius=radius,
         vertices=vertices,
         vertex_index=vertex_index,
-        distance=[],
+        distance=distance,
         edges=edges,
         succ=[tuple(row) for row in rows],
         cells=[],
         cell_index=CellIndex(len(vertices), len(hom_pres.base.relators)),
     )
-    ball.distance = hop_distances(ball, [0])
-
     marked = hom_pres.marked_relators
     for base in range(len(vertices)):
         for r in marked:

@@ -61,9 +61,10 @@ def _radius_of_chain(ball, chain) -> int:
     return metrics.radius
 
 
-def _min_radius_filling(ball, cycle, base_area: int, budget: int) -> int | None:
+def _min_radius_filling(ball, cycle, base_area: int, budget: int) -> tuple[int | None, bool]:
     """Smallest diagram radius among fillings at the minimal area, by
-    exhausting chains of that exact area (budgeted)."""
+    exhausting chains of that exact area (budgeted), and whether the search
+    finished; an unfinished one gives its best so far, or None."""
     best = None
     try:
         for chain in BruteSearch(ball, cycle, budget).chains(base_area):
@@ -73,8 +74,8 @@ def _min_radius_filling(ball, cycle, base_area: int, budget: int) -> int | None:
                 if best == 0:
                     break
     except TimeoutError:
-        pass
-    return best
+        return best, False
+    return best, True
 
 
 def measure_ar_pair(
@@ -102,8 +103,6 @@ def measure_ar_pair(
     gaps: list[str] = []
     for _key, cycle, word in enumerate_identity_cycles(ball, n_max):
         n = cycle.length()
-        if n > n_max:
-            continue
         text = format_word(word, ball.generators)
         result = harea_fill(ball, cycle)
         if result.status != "optimal":
@@ -112,10 +111,10 @@ def measure_ar_pair(
         area = result.area
         radius = _radius_of_chain(ball, result.chain)
         if policy in ("min_radius_among_min_area", "search_budgeted"):
-            better = _min_radius_filling(ball, cycle, area, enum_budget)
+            better, finished = _min_radius_filling(ball, cycle, area, enum_budget)
             if better is not None:
                 radius = min(radius, better)
-            elif policy == "min_radius_among_min_area":
+            if policy == "min_radius_among_min_area" and (better is None or not finished):
                 gaps.append(f"radius search budget exhausted on '{text}'")
         samples.append(CycleSample(text, n, area, radius))
         if area > f[n]:

@@ -25,6 +25,7 @@ from .cayley import (
     OneCycle,
     TwoChain,
     boundary_2,
+    build_ball,
     is_cycle,
 )
 from .errors import DomainError, InvariantError
@@ -335,9 +336,11 @@ def enumerate_identity_cycles(ball: CayleyBall, max_len: int):
         results.append((canon, cycle, tuple(word)))
 
     letters = tuple(letter_order(ball.backend.rank))
-    succ, edges = ball.succ, ball.edges
+    succ, edges, distance = ball.succ, ball.edges, ball.distance
 
     def dfs(vertex: int, depth: int):
+        if distance[vertex] > depth:  # no way back to the identity in time
+            return
         if word and vertex == identity:
             record()
         if depth <= 0:
@@ -392,8 +395,6 @@ def fa_estimate(
     if scope not in ("loops_only", "loops_plus_superadditive"):
         raise DomainError(f"unknown enumeration scope {scope!r}")
     if ball is None:
-        from .cayley import build_ball
-
         ball = build_ball(backend, hom_pres, ball_radius)
     best: list[int] = [0] * (n_max + 1)
     witness: list[str | None] = [None] * (n_max + 1)
@@ -402,8 +403,6 @@ def fa_estimate(
     names = ball.generators
     for _canon, cycle, word in enumerate_identity_cycles(ball, n_max):
         n = cycle.length()
-        if n > n_max:
-            continue
         examined[n] += 1
         result = harea_fill(ball, cycle, solver=solver, node_budget=node_budget)
         if not result.optimal():

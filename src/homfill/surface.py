@@ -192,6 +192,9 @@ class SurfaceIndex:
         self.class_of: list[int] = []
         self.free_sides: list[tuple[int, ...]] = []
 
+        for f, face in enumerate(diagram.faces):
+            if not face.slots:
+                report.add(f"face {f} has no slots")
         n = len(refs)
         mate, flipped = [-1] * n, [False] * n
         twice = set()
@@ -695,7 +698,9 @@ def diagram_from_json(doc: dict, ball: CayleyBall | None = None) -> SurfaceDiagr
         if not isinstance(entry, (list, tuple)) or len(entry) != 3:
             raise ParseError(f"gluing entry must be [slot, slot, flipped], got {entry!r}")
         a, b, flip = entry
-        gluing.append((_int_tuple(a, "glued slot", 2), _int_tuple(b, "glued slot", 2), bool(flip)))
+        if not isinstance(flip, bool):
+            raise ParseError(f"gluing flag must be true or false, got {flip!r}")
+        gluing.append((_int_tuple(a, "glued slot", 2), _int_tuple(b, "glued slot", 2), flip))
     declared = None
     if "vertex_classes" in doc:
         if not isinstance(doc["vertex_classes"], list):

@@ -104,8 +104,9 @@ def test_verify_flags_corruption(tmp_path, capsys):
         ('{"faces": [{"slots": [[0, 1], [0]]}]}', "ParseError"),
         ('{"faces": [{"slots": [[0, 1], [0, -1]]}], "gluing": [[[0, 0], [0, 5], false]]}', "DomainError"),
         ("not json", "ParseError"),
+        ('{"faces": [{"slots": [[0, 1], [0, -1]]}], "gluing": [[[0, 0], [0, 1], "false"]]}', "ParseError"),
     ],
-    ids=["one-element-slot", "slot-outside-face", "not-json"],
+    ids=["one-element-slot", "slot-outside-face", "not-json", "flag-not-boolean"],
 )
 def test_verify_bad_diagram_exits_cleanly(tmp_path, capsys, text, error):
     bad = tmp_path / "bad.json"

@@ -1,7 +1,9 @@
 import pytest
 from fractions import Fraction
 
+from homfill import experiments
 from homfill.backends import FreeAbelianBackend, FreeBackend
+from homfill.cayley import build_ball
 from homfill.errors import DomainError
 from homfill.experiments import (
     compare_presentations,
@@ -9,8 +11,9 @@ from homfill.experiments import (
     measure_ar_pair,
     polynomial_degree_report,
 )
+from homfill.filling import enumerate_identity_cycles
 from homfill.presentation import HomPresentation, Presentation
-from homfill.words import parse_word
+from homfill.words import format_word, parse_word
 
 NI = {"a": 0, "b": 1}
 NI3 = {"a": 0, "b": 1, "c": 2}
@@ -56,6 +59,30 @@ def test_ar_pair_min_radius_policy(z2_backend, z2_pres, z2_ball5):
     )
     assert all(s <= d for s, d in zip(searched.g_table, default.g_table))
     assert searched.f_table == default.f_table
+
+
+def test_min_radius_policy_reports_every_unfinished_search(monkeypatch):
+    pres, backend = z2_redundant()
+    ball = build_ball(backend, pres, 4)
+    timed_out = {}  # cycle -> chains found before the budget ran out
+
+    class Recording(experiments.BruteSearch):
+        def chains(self, area):
+            found = 0
+            try:
+                for chain in super().chains(area):
+                    found += 1
+                    yield chain
+            except TimeoutError:
+                timed_out[self.gamma] = found
+                raise
+
+    monkeypatch.setattr(experiments, "BruteSearch", Recording)
+    report = measure_ar_pair(backend, pres, 6, 4, policy="min_radius_among_min_area", ball=ball, enum_budget=2000)
+    words = {cycle: format_word(word, pres.generators) for _, cycle, word in enumerate_identity_cycles(ball, 6)}
+    assert sorted(report.gaps) == sorted(f"radius search budget exhausted on '{words[c]}'" for c in timed_out)
+    assert any(timed_out.values())  # searches that found a chain first are reported too
+    assert not measure_ar_pair(backend, pres, 6, 4, policy="min_radius_among_min_area", ball=ball).gaps
 
 
 @pytest.mark.parametrize("n_max", [0, -1])

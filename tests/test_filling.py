@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from homfill import filling
+from homfill.backends import letter_order
 from homfill.cayley import OneCycle, TwoChain, boundary_2, build_ball, loop_to_cycle
 from homfill.cli import load_group
 from homfill.errors import DomainError
@@ -118,6 +119,45 @@ def test_fa_z2(z2_backend, z2_pres, z2_ball5):
 @pytest.mark.parametrize("max_len", [0, -1])
 def test_enumeration_stops_at_nonpositive_length(z2_ball4, max_len):
     assert enumerate_identity_cycles(z2_ball4, max_len) == []
+
+
+def _unpruned_identity_cycles(ball, max_len):
+    """Reference for enumerate_identity_cycles: the same depth-first walk
+    over every freely reduced word of length <= max_len that stays in the
+    ball, with no bound from the distance to the identity."""
+    seen, out = set(), []
+
+    def dfs(vertex, word, counts):
+        if word and vertex == 0:
+            cycle = OneCycle(counts)
+            canon = min(cycle.key(), (-cycle).key())
+            if cycle and canon not in seen:
+                seen.add(canon)
+                out.append((canon, cycle, tuple(word)))
+        if len(word) == max_len:
+            return
+        for letter in letter_order(ball.backend.rank):
+            hop = ball.hop(vertex, letter)
+            if hop is None or (word and word[-1] == -letter):
+                continue
+            edge, sign, nxt = hop
+            dfs(nxt, word + [letter], {**counts, edge: counts.get(edge, 0) + sign})
+
+    dfs(0, [], {})
+    return out
+
+
+# (ball radius, longest word) per group file
+CYCLE_SIZES = {"z2.grp": (5, 8), "z2_redundant.grp": (5, 8), "f2.grp": (4, 8), "f2_triangle.grp": (4, 8),
+               "z3_ext.grp": (4, 6), "heis_ext.grp": (4, 6), "z2_by_f2.grp": (3, 6)}
+
+
+@pytest.mark.parametrize("path", GROUP_FILES, ids=os.path.basename)
+def test_enumeration_matches_unpruned_walk(path):
+    group = load_group(path)
+    radius, max_len = CYCLE_SIZES[os.path.basename(path)]
+    ball = build_ball(group.backend, group.hom_pres, radius)
+    assert enumerate_identity_cycles(ball, max_len) == _unpruned_identity_cycles(ball, max_len)
 
 
 def test_fa_free_group(f2_backend, f2_pres, f2_ball3):

@@ -178,6 +178,7 @@ def _cell_face(ball, flip_slot=None, length=None):
 @pytest.mark.parametrize(
     "build, message",
     [
+        (lambda ball: SurfaceDiagram([Face(slots=())], []), "face 0 has no slots"),
         (lambda ball: SurfaceDiagram([BIGON], [((0, 0), (0, 0), False)]), "slot (0, 0) glued to itself"),
         (
             lambda ball: SurfaceDiagram([BIGON, Face(slots=((2, -1), (1, -1)))], [((0, 0), (1, 0), False)]),
@@ -240,6 +241,7 @@ def _cell_face(ball, flip_slot=None, length=None):
         ),
     ],
     ids=[
+        "empty-face",
         "glued-to-itself",
         "different-edges",
         "flipped-signs",
