@@ -3,8 +3,9 @@
 Each section below runs a fixed corpus through one part of the public API and
 hashes a canonical JSON record of every result, or of the exception type and
 message of every failure.  The hashes pin the exact outputs, so a refactor of
-``build_ball``, ``assemble_surface`` or of the extension layer's vertex
-placement that changes any ball, diagram, chain, trace or error message fails here.
+``build_ball``, ``harea_fill``, ``assemble_surface`` or of the extension
+layer's vertex placement that changes any ball, filling, diagram, chain,
+trace or error message fails here.
 
 Corpus:
   surface:<file>   ``diagram_to_json`` of ``assemble_surface`` on seeded chains
@@ -32,6 +33,9 @@ Corpus:
                    coset labels of the ball of every groups/*.grp at radii
                    1-5, and of the kernel ball of each extension file at
                    radii 1-5.
+  fill:<file>      (word, status, area, chain) of ``harea_fill`` for every
+                   identity cycle of length <= 6 of every groups/*.grp at
+                   radius 3; the node count is left out.
   tight:<ctx>:*    ``chart``, ``embed_chain``, ``kernel_cycle_to_extension``,
                    ``lift_image_cycle``, ``route_filling`` and ``push_down`` on
                    a radius-3 extension ball and a radius-3 kernel ball, where
@@ -56,7 +60,7 @@ from homfill import extension
 from homfill.cayley import OneCycle, TwoChain, build_ball, dump_ball, hop_distances
 from homfill.cli import load_group
 from homfill.errors import HomfillError
-from homfill.filling import enumerate_identity_cycles
+from homfill.filling import enumerate_identity_cycles, harea_fill
 from homfill.presentation import apply_lift
 from homfill.surface import (
     Face,
@@ -87,6 +91,13 @@ GOLDEN = {
     "ball:z2_by_f2": "e016c791e5ccbc7c0d562fa76f710ae98c6ae501dc37795686950562f04e18dc",
     "ball:z2_redundant": "f3ba02ade81bb6fc6fffac3c54b04b52d21276bacd7b47beb3dce49df08ee3d9",
     "ball:z3_ext": "2a6ecd7e85cc5d5d0fea5f31a9bedac62de25bbbf6673ad1b3399ab7dd2bddd2",
+    "fill:f2": "4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945",
+    "fill:f2_triangle": "91610ecb158a83657821e077d779751aa61083e61bd26039c8a886d544abb901",
+    "fill:heis_ext": "8f8c861055f3597acd188493d99132e2d8da607ab57745304960299978480553",
+    "fill:z2": "209370444605d5b7c1a3d493ce343636e39cbc422d8fa1b5eb774d6c4fede97f",
+    "fill:z2_by_f2": "0f6c497fb90ba96bf0c8334603e8dc4bd58b1ebad29efdd5566208aec8314f17",
+    "fill:z2_redundant": "a3c75f806984a23c2b0db4ee57dbdfd27c94bc19414f10cd72200d3bf396ebb8",
+    "fill:z3_ext": "00f22a65a833d08f2350fadcc32b9aeb5e21c6c710ceb517f4884a49c53db2d6",
     "surface:f2": "8745a6180c5f1fcba11786d658a42ef983101e93d75b47d490ff2679944916cb",
     "surface:f2_triangle": "9b3480017eb1d1bacdb2daa457c6b7e5658e782796139833b287c4b262fdde1b",
     "surface:heis_ext": "c61832fe004f11fcdf48b22ffb799ba782959d543fe336d0c5e917395ad82ecc",
@@ -189,6 +200,16 @@ def _surface(file: str) -> list:
         chain = TwoChain(coeffs)
         diagram, error = _attempt(assemble_surface, ball, chain)
         out.append({"chain": _plain(chain), "error": error} if error else diagram_to_json(diagram))
+    return out
+
+
+def _fill(file: str) -> list:
+    group = _group(file)
+    ball = build_ball(group.backend, group.hom_pres, 3)
+    out = []
+    for _, cycle, word in enumerate_identity_cycles(ball, 6):
+        result = harea_fill(ball, cycle)
+        out.append([list(word), result.status, result.area, _plain(result.chain)])
     return out
 
 
@@ -440,6 +461,8 @@ def _section(name: str) -> list:
         return _ball(rest + ".grp")
     if kind == "surface":
         return _surface(rest + ".grp")
+    if kind == "fill":
+        return _fill(rest + ".grp")
     if kind == "surface-index":
         return _handmade() if rest == "handmade" else _surface_index(rest + ".grp")
     if kind == "routed":
@@ -458,6 +481,7 @@ def test_every_group_file_is_covered():
     assert files == {name.split(":")[1] for name in GOLDEN if name.startswith("surface:")}
     assert files | {"handmade"} == {name.split(":")[1] for name in GOLDEN if name.startswith("surface-index:")}
     assert files == {name.split(":")[1] for name in GOLDEN if name.startswith("ball:")}
+    assert files == {name.split(":")[1] for name in GOLDEN if name.startswith("fill:")}
 
 
 @pytest.mark.parametrize("file", sorted(p.name for p in GROUPS.glob("*.grp")))
