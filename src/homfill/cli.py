@@ -49,7 +49,7 @@ from .surface import (
     measure,
     verify_surface,
 )
-from .words import parse_word
+from .words import format_word, parse_word
 
 
 @dataclass
@@ -68,6 +68,8 @@ class LoadedGroup:
 
 
 def _base_backend(kind: str, pf: PresentationFile) -> GroupBackend:
+    """The ``kind`` backend of ``pf``'s generators; ParseError when the file
+    does not define one or one of its relators is not trivial in it."""
     gens = pf.generators
     if kind == "free":
         images = {}
@@ -79,8 +81,8 @@ def _base_backend(kind: str, pf: PresentationFile) -> GroupBackend:
         for idx in images:
             if idx < base_rank:
                 raise ParseError("generators with word images must come last")
-        return FreeBackend(len(gens), images, base_rank=base_rank)
-    if kind == "free_abelian":
+        backend = FreeBackend(len(gens), images, base_rank=base_rank)
+    elif kind == "free_abelian":
         plain = [g for g in gens if g not in pf.gen_vectors]
         dim = len(plain)
         for g in gens[:dim]:
@@ -95,8 +97,13 @@ def _base_backend(kind: str, pf: PresentationFile) -> GroupBackend:
                 vectors.append(vec)
             else:
                 vectors.append(tuple(1 if k == i else 0 for k in range(dim)))
-        return FreeAbelianBackend(dim, vectors)
-    raise ParseError(f"unsupported backend kind {kind!r}")
+        backend = FreeAbelianBackend(dim, vectors)
+    else:
+        raise ParseError(f"unsupported backend kind {kind!r}")
+    for rel in pf.relators:
+        if not backend.is_identity(rel):
+            raise ParseError(f"relator {format_word(rel, gens)!r} is not trivial in backend {kind}")
+    return backend
 
 
 def load_group(path: str) -> LoadedGroup:

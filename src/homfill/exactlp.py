@@ -1,5 +1,9 @@
 """Exact minimal-L1 integer fillings: HiGHS proposes, exact integers verify.
 
+Every HiGHS call of the package is made here.
+
+* ``propose`` -- the HiGHS MILP's integer chain, kept only when it solves
+  the system in integer arithmetic.
 * ``integer_solve`` -- particular integer solution of A x = b via column
   Hermite reduction, or None, which proves that no integer solution exists.
 * ``lower_bound`` -- the one certificate: HiGHS duals rounded to integers
@@ -7,7 +11,9 @@
   sum |a_c| over a box of integer chains.  Every dual vector gives a valid
   bound, so rounding can weaken it but never make it wrong.
 * ``l1_fill`` -- branch and bound for min sum |a_c| subject to B a = rhs over
-  the integers, on HiGHS node LPs; every prune is a ``lower_bound``.
+  the integers, on HiGHS node LPs; every prune is a ``lower_bound``.  Its
+  root node, over the box |a_c| <= area - 1, certifies the incumbent it
+  starts from, such as ``propose``'s chain.
 """
 
 from __future__ import annotations
@@ -17,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.optimize import linprog
+from scipy.optimize import Bounds, LinearConstraint, linprog, milp
 
 # denominator of the integer dual vectors: rounding loses at most about
 # (cells x relator length x area) / 2**21 of a unit of the bound
@@ -141,6 +147,30 @@ def lower_bound(
     return max(bounds)
 
 
+def propose(columns: list[dict[int, int]], edge_ids: list[int], rhs: dict[int, int]) -> list[int] | None:
+    """An integer chain a with sum_c a_c * columns[c] = rhs, proposed by a
+    HiGHS MILP for min sum |a_c|, or None when HiGHS finds none or its
+    rounded chain fails the exact check.  Nothing here proves it minimal."""
+    n = len(columns)
+    m = len(edge_ids)
+    a_mat = sp.hstack([boundary_matrix(columns, edge_ids), sp.csc_matrix((m, n))], format="csc")
+    # variables (a, t); rows t - a >= 0 and t + a >= 0 make t >= |a|
+    eye = sp.identity(n, format="csc")
+    abs_mat = sp.bmat([[-eye, eye], [eye, eye]], format="csc")
+    b = np.array([float(rhs.get(e, 0)) for e in edge_ids])
+    cost = np.concatenate([np.zeros(n), np.ones(n)])
+    constraints = [
+        LinearConstraint(abs_mat, lb=np.zeros(2 * n), ub=np.full(2 * n, np.inf)),
+        LinearConstraint(a_mat, lb=b, ub=b),
+    ]
+    integrality = np.concatenate([np.ones(n), np.zeros(n)])
+    sol = milp(cost, constraints=constraints, integrality=integrality, bounds=Bounds(-np.inf, np.inf))
+    if not sol.success:
+        return None
+    coeffs = [int(round(v)) for v in sol.x[:n]]
+    return coeffs if solves(columns, coeffs, rhs) else None
+
+
 @dataclass
 class FillSolve:
     status: str  # optimal | infeasible | budget
@@ -177,8 +207,9 @@ def l1_fill(
 
     ``columns[c]`` maps edge id to the net boundary coefficient of cell c;
     ``edge_ids`` fixes the equation rows.  ``incumbent`` is a known integer
-    solution; without one, ``integer_solve`` supplies one or proves that
-    none exists.
+    solution, such as ``propose``'s chain; without one, ``integer_solve``
+    supplies one or proves that none exists.  When the root node prunes,
+    the incumbent is certified minimal and the search takes 1 node.
 
     Depth-first branch and bound over boxes lo <= a <= hi, clipped to
     |a_c| <= incumbent area - 1, which every better chain satisfies; so

@@ -1,11 +1,13 @@
 """Exact homological area: minimal-L1 integer fillings, FA tables,
 superadditive closure and finite-range relation checks.
 
-The exact solver has one path.  Forced cells are peeled first.  For what is
-left, a HiGHS MILP proposes an integer chain and a HiGHS LP proposes duals;
-the chain is accepted when the exact integer bound ``exactlp.lower_bound``
-reaches its area.  When it does not, ``exactlp.l1_fill`` runs branch and
-bound over all free cells, and prunes only with that same bound.
+The exact solver has one path.  Forced cells are peeled first; a fill that
+peeling finishes takes 0 branch-and-bound nodes.  For what is left, the
+HiGHS MILP ``exactlp.propose`` proposes an integer chain and
+``exactlp.l1_fill`` certifies it by branch and bound over all free cells,
+pruning only with the exact integer bound ``exactlp.lower_bound``.  The
+root node, over the box |a_c| <= area - 1, is the certificate of the
+proposer chain; when it closes, the fill took 1 node.
 
 Every value is restricted to a finite ball.  The ball-restricted area of
 one cycle is an upper bound on its untruncated area, since a larger ball
@@ -29,17 +31,9 @@ from .cayley import (
     is_cycle,
 )
 from .errors import DomainError, InvariantError
-from .exactlp import boundary_matrix, l1_fill, lower_bound, solves
+from .exactlp import l1_fill, propose
 from .presentation import HomPresentation
 from .words import format_word
-
-# fast proposer; every certificate is re-verified in exact arithmetic
-import numpy as _np
-import scipy.sparse as _sp
-from scipy.optimize import Bounds as _Bounds
-from scipy.optimize import LinearConstraint as _LinearConstraint
-from scipy.optimize import linprog as _linprog
-from scipy.optimize import milp as _milp
 
 TRUNCATION_NOTE = (
     "values are restricted to the stated ball radius; the area of one cycle is an upper bound on its "
@@ -54,6 +48,8 @@ class FillingResult:
     status: str  # optimal | infeasible_in_ball | budget_exceeded
     ball_radius: int
     solver: str = "exact_ilp"
+    # exact_ilp: branch-and-bound nodes, 0 when peeling finished the fill and
+    # 1 when the root certified the HiGHS chain; brute_force: search steps
     nodes: int = 0
 
     def optimal(self) -> bool:
@@ -118,53 +114,6 @@ def harea_fill(
     raise DomainError(f"unknown solver {solver!r}")
 
 
-def _fast_fill(
-    columns: list[dict[int, int]],
-    edge_ids: list[int],
-    residual: dict[int, int],
-) -> tuple[list[int], bool] | None:
-    """The root of the exact solver: a HiGHS MILP proposes an integer chain
-    over ``columns`` (the free cells), accepted only if it bounds
-    ``residual`` in integer arithmetic; an unboxed HiGHS LP proposes duals,
-    and the chain is certified minimal when ``lower_bound`` over the box
-    |a_c| <= area - 1 reaches its area.  Returns (chain coefficients,
-    certified) or None when HiGHS proposes no such chain."""
-    n = len(columns)
-    m = len(edge_ids)
-    a_mat = _sp.hstack([boundary_matrix(columns, edge_ids), _sp.csc_matrix((m, n))], format="csc")
-    # variables (a, t); rows t - a >= 0 and t + a >= 0 make t >= |a|
-    eye = _sp.identity(n, format="csc")
-    abs_mat = _sp.bmat([[-eye, eye], [eye, eye]], format="csc")
-    b = _np.array([float(residual.get(e, 0)) for e in edge_ids])
-    cost = _np.concatenate([_np.zeros(n), _np.ones(n)])
-    constraints = [
-        _LinearConstraint(abs_mat, lb=_np.zeros(2 * n), ub=_np.full(2 * n, _np.inf)),
-        _LinearConstraint(a_mat, lb=b, ub=b),
-    ]
-    integrality = _np.concatenate([_np.ones(n), _np.zeros(n)])
-    sol = _milp(cost, constraints=constraints, integrality=integrality, bounds=_Bounds(-_np.inf, _np.inf))
-    if not sol.success:
-        return None
-    coeffs = [int(round(v)) for v in sol.x[:n]]
-    if not solves(columns, coeffs, residual):
-        return None
-
-    lp = _linprog(
-        cost,
-        A_ub=-abs_mat,
-        b_ub=_np.zeros(2 * n),
-        A_eq=a_mat,
-        b_eq=b,
-        bounds=[(None, None)] * (2 * n),
-        method="highs",
-    )
-    if lp.status != 0:
-        return coeffs, False
-    area = sum(map(abs, coeffs))
-    cap = area - 1
-    return coeffs, lower_bound(columns, edge_ids, lp.eqlin.marginals, residual, [-cap] * n, [cap] * n) >= area
-
-
 def _fill_ilp(ball: CayleyBall, gamma: OneCycle, node_budget: int) -> FillingResult:
     if not gamma:
         return FillingResult(TwoChain(), 0, "optimal", ball.radius)
@@ -181,18 +130,15 @@ def _fill_ilp(ball: CayleyBall, gamma: OneCycle, node_budget: int) -> FillingRes
     if residual:
         free_columns = [columns[c] for c in free_cells]
         edge_ids = sorted({e for col in free_columns for e in col} | set(residual))
-        fast = _fast_fill(free_columns, edge_ids, residual)
-        if fast is not None and fast[1]:
-            coeffs = fast[0]
-        else:
-            # the root bound did not close: exact branch and bound from the
-            # HiGHS chain, or from integer_solve's when HiGHS proposed none
-            solve = l1_fill(free_columns, edge_ids, residual, node_budget, incumbent=fast[0] if fast else None)
-            if solve.status == "infeasible":
-                return FillingResult(TwoChain(), None, "infeasible_in_ball", ball.radius)
-            if solve.status == "budget":
-                return FillingResult(TwoChain(), None, "budget_exceeded", ball.radius, nodes=solve.nodes)
-            coeffs, nodes = solve.coeffs, solve.nodes
+        # branch and bound from the HiGHS chain, or from integer_solve's
+        # when HiGHS proposes none; its root node certifies the HiGHS chain
+        incumbent = propose(free_columns, edge_ids, residual)
+        solve = l1_fill(free_columns, edge_ids, residual, node_budget, incumbent=incumbent)
+        if solve.status == "infeasible":
+            return FillingResult(TwoChain(), None, "infeasible_in_ball", ball.radius)
+        if solve.status == "budget":
+            return FillingResult(TwoChain(), None, "budget_exceeded", ball.radius, nodes=solve.nodes)
+        coeffs, nodes = solve.coeffs, solve.nodes
     chain = TwoChain([*forced.items(), *zip(free_cells, coeffs)])
     if boundary_2(ball, chain) != gamma:
         raise InvariantError("certified chain does not bound the query cycle")

@@ -315,7 +315,10 @@ def parse_presentation_text(text: str, source: str = "<string>") -> Presentation
                 side.setdefault(name, {}).update(_parse_lift_side(value, name_index, lineno))
             elif key.startswith("vector "):
                 gen = key.split(None, 1)[1]
-                gen_vectors[gen] = tuple(int(tok) for tok in value.split())
+                try:
+                    gen_vectors[gen] = tuple(int(tok) for tok in value.split())
+                except ValueError:
+                    raise ParseError(f"vector for {gen!r} needs integer entries", lineno) from None
             elif key.startswith("word "):
                 if generators is None:
                     raise ParseError("word image before generators", lineno)

@@ -210,6 +210,9 @@ class SurfaceIndex:
         for x in dict.fromkeys(x for a, b, _ in pairs for x in (a, b)) if twice else ():
             if x in twice:
                 report.add(f"slot {refs[x]} matched twice")
+        if not twice:  # a self-glued slot is matched twice as well
+            self.mate, self.flipped = mate, flipped
+            self.unmatched = [refs[x] for x in range(n) if mate[x] < 0]
         if not report.ok:
             return
 
@@ -221,8 +224,6 @@ class SurfaceIndex:
                 report.add(f"glued slots {refs[a]},{refs[b]} traverse their edge with equal signs")
             elif flip and sa != sb:
                 report.add(f"flipped gluing {refs[a]},{refs[b]} needs equal traversal signs")
-        self.mate, self.flipped = mate, flipped
-        self.unmatched = [refs[x] for x in range(n) if mate[x] < 0]
 
         def identified(a: int, b: int, flip: bool):
             """The two corner pairs that gluing slot a to slot b identifies."""

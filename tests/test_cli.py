@@ -160,6 +160,28 @@ def test_unwritable_output_exits_cleanly(tmp_path, capsys, args):
     assert not list(tmp_path.rglob("*.tmp"))
 
 
+@pytest.mark.parametrize(
+    "text, relator",
+    [
+        ("backend: free_abelian\ngenerators: a b\nrelator: a a\n", "a a"),
+        ("backend: free\ngenerators: a b\nword b: a a\nrelator: a b'\n", "a b'"),
+    ],
+    ids=["free_abelian", "free"],
+)
+def test_nontrivial_relator_exits_cleanly(tmp_path, capsys, text, relator):
+    # such a relator's loop does not close in the Cayley graph
+    pres = tmp_path / "bad.grp"
+    pres.write_text(text)
+    code = run_cli([
+        "fa", "--pres", str(pres), "--max-n", "4", "--ball", "3",
+        "--out", str(tmp_path / "fa.json"), "--json-errors",
+    ])
+    assert code == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ParseError"
+    assert repr(relator) in err["message"]
+
+
 def test_pres_not_utf8_exits_cleanly(tmp_path, capsys):
     pres = tmp_path / "bad.grp"
     pres.write_bytes(b"\xff\xfe generators: a")

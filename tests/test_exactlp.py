@@ -32,6 +32,10 @@ def test_l1_fill_basic():
     r = l1_fill([{0: 1, 1: 1}, {1: -1, 2: 1}], [0, 1, 2], {0: 1, 1: 0, 2: 1})
     assert (r.status, r.value) == ("optimal", 2)
     assert r.coeffs == [1, 1]
+    # that system's LP optimum is integral, so given the optimal chain the
+    # root node's bound reaches its area and the search stops there
+    r = l1_fill([{0: 1, 1: 1}, {1: -1, 2: 1}], [0, 1, 2], {0: 1, 1: 0, 2: 1}, incumbent=[1, 1])
+    assert (r.status, r.coeffs, r.nodes) == ("optimal", [1, 1], 1)
     assert l1_fill([{0: 2}], [0], {0: 3}).status == "infeasible"
 
 

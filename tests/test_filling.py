@@ -30,6 +30,7 @@ def test_fill_commutator(z2_ball4):
     assert result.status == "optimal"
     assert result.area == 1
     assert len(result.chain.coeffs) == 1
+    assert result.nodes == 0  # peeling finished it
 
 
 def test_fill_zero_cycle(z2_ball4):
@@ -217,10 +218,10 @@ def test_check_preceq_linear_below_quadratic():
 @pytest.mark.parametrize("path", GROUP_FILES, ids=os.path.basename)
 def test_exact_matches_brute_force_on_group_files(path, root, monkeypatch):
     # f2.grp has no relators, so its ball is a tree with no nonzero cycles;
-    # "no-proposer" sends every unpeeled fill to the branch and bound,
-    # starting from integer_solve's chain
+    # "no-proposer" starts the branch and bound of every unpeeled fill from
+    # integer_solve's chain instead of the HiGHS chain
     if root == "no-proposer":
-        monkeypatch.setattr(filling, "_fast_fill", lambda *args: None)
+        monkeypatch.setattr(filling, "propose", lambda *args: None)
     group = load_group(path)
     ball = build_ball(group.backend, group.hom_pres, 3)
     cycles = enumerate_identity_cycles(ball, 6)
@@ -235,6 +236,13 @@ def test_exact_matches_brute_force_on_group_files(path, root, monkeypatch):
         assert (exact.status, exact.area) == (brute.status, brute.area), word
         if exact.optimal():
             assert boundary_2(ball, exact.chain) == cycle
+            # a peeled fill takes no branch-and-bound node; the root node
+            # certifies every HiGHS chain
+            unpeeled = bool(filling._peel_forced(ball, cycle.coeffs)[2])
+            if root == "proposer":
+                assert exact.nodes == unpeeled, word
+            else:
+                assert (exact.nodes > 0) == unpeeled, word
     assert 2 * skipped <= len(sample)
 
 

@@ -159,6 +159,12 @@ def test_parse_rejects_unknown_token():
     assert err.value.column is not None
 
 
+def test_parse_rejects_non_integer_vector():
+    with pytest.raises(ParseError, match="integer entries") as err:
+        parse_presentation_text("backend: free_abelian\ngenerators: a b c\nvector c: 1 x\n")
+    assert err.value.line == 3
+
+
 def test_parse_rejects_half_lift():
     with pytest.raises(ParseError, match="forward and an inverse"):
         parse_presentation_text(

@@ -273,6 +273,18 @@ def test_measure_refuses_invalid(z2_ball4):
         measure(bad)
 
 
+def test_boundary_paths_need_only_a_matching():
+    # an empty face stops verification, but its gluing is a matching
+    empty = SurfaceDiagram([Face(slots=())], [])
+    assert verify_surface(empty).violations == ["face 0 has no slots"]
+    assert boundary_paths(empty) == []
+    with pytest.raises(DomainError, match="cannot measure"):
+        measure(empty)
+    self_glued = SurfaceDiagram([BIGON], [((0, 0), (0, 0), False)])
+    with pytest.raises(DomainError, match="not a partial matching"):
+        boundary_paths(self_glued)
+
+
 def test_monogon_and_bigon_faces():
     from homfill.backends import TableBackend
     from homfill.cayley import build_ball
