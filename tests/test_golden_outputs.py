@@ -36,6 +36,8 @@ Corpus:
   fill:<file>      (word, status, area, chain) of ``harea_fill`` for every
                    identity cycle of length <= 6 of every groups/*.grp at
                    radius 3; the node count is left out.
+  fill:<file>:r<R> the same records at radius R: z3_ext at radius 4, the
+                   benchmark's FA ball, where no fill peels.
   tight:<ctx>:*    ``chart``, ``embed_chain``, ``kernel_cycle_to_extension``,
                    ``lift_image_cycle``, ``route_filling`` and ``push_down`` on
                    a radius-3 extension ball and a radius-3 kernel ball, where
@@ -98,6 +100,7 @@ GOLDEN = {
     "fill:z2_by_f2": "0f6c497fb90ba96bf0c8334603e8dc4bd58b1ebad29efdd5566208aec8314f17",
     "fill:z2_redundant": "a3c75f806984a23c2b0db4ee57dbdfd27c94bc19414f10cd72200d3bf396ebb8",
     "fill:z3_ext": "00f22a65a833d08f2350fadcc32b9aeb5e21c6c710ceb517f4884a49c53db2d6",
+    "fill:z3_ext:r4": "2c3c717a71c17ae31cb023c372bc32bc7c44c79b14ea32a0eb62adb70f19f2d1",
     "surface:f2": "8745a6180c5f1fcba11786d658a42ef983101e93d75b47d490ff2679944916cb",
     "surface:f2_triangle": "9b3480017eb1d1bacdb2daa457c6b7e5658e782796139833b287c4b262fdde1b",
     "surface:heis_ext": "c61832fe004f11fcdf48b22ffb799ba782959d543fe336d0c5e917395ad82ecc",
@@ -203,9 +206,9 @@ def _surface(file: str) -> list:
     return out
 
 
-def _fill(file: str) -> list:
+def _fill(file: str, radius: int) -> list:
     group = _group(file)
-    ball = build_ball(group.backend, group.hom_pres, 3)
+    ball = build_ball(group.backend, group.hom_pres, radius)
     out = []
     for _, cycle, word in enumerate_identity_cycles(ball, 6):
         result = harea_fill(ball, cycle)
@@ -462,7 +465,8 @@ def _section(name: str) -> list:
     if kind == "surface":
         return _surface(rest + ".grp")
     if kind == "fill":
-        return _fill(rest + ".grp")
+        file, _, radius = rest.partition(":")
+        return _fill(file + ".grp", int(radius[1:]) if radius else 3)
     if kind == "surface-index":
         return _handmade() if rest == "handmade" else _surface_index(rest + ".grp")
     if kind == "routed":
