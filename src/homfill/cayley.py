@@ -29,6 +29,7 @@ from functools import cached_property
 
 from .backends import GroupBackend, letter_order, vertex_budget_default
 from .errors import DomainError, InvariantError, ResourceError
+from .exactlp import FillSystem
 from .presentation import HomPresentation
 from .words import Word, format_word
 
@@ -225,6 +226,16 @@ class CayleyBall:
                 if len(incident[e2]) == 1:
                     queue.append(e2)
         return tuple(order), tuple(sorted(alive)), frozenset(e for e, cs in incident.items() if cs)
+
+    @cached_property
+    def fill_system(self) -> FillSystem:
+        """The exact-fill system (``exactlp.FillSystem``) of the cells the
+        collapse leaves, over the edges they touch; every fill that peeling
+        does not finish solves it for its own right-hand side.  Built on
+        first use."""
+        _, remaining, touched = self.collapse
+        columns = self.net_columns
+        return FillSystem([columns[c] for c in remaining], sorted(touched))
 
     @cached_property
     def cell_cosets(self) -> list[tuple[Word, ...]]:

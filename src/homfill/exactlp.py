@@ -1,6 +1,10 @@
 """Exact minimal-L1 integer fillings: HiGHS proposes, exact integers verify.
 
-Every HiGHS call of the package is made here.
+Every HiGHS call of the package is made here.  One ``FillSystem`` holds
+everything about min sum |a_c| subject to sum_c a_c * columns[c] = rhs that
+does not depend on the right-hand side: the row index, the stacked HiGHS
+matrices and the integer column reduction.  A ball builds one system, and
+each fill supplies its right-hand side.
 
 * ``propose`` -- the HiGHS MILP's integer chain, kept only when it solves
   the system in integer arithmetic.
@@ -20,10 +24,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
 from scipy.optimize import Bounds, LinearConstraint, linprog, milp
+
+from .errors import InvariantError
 
 # denominator of the integer dual vectors: rounding loses at most about
 # (cells x relator length x area) / 2**21 of a unit of the bound
@@ -33,46 +40,110 @@ DUAL_SCALE = 2**20
 INT_TOL = 1e-6
 
 
-def integer_solve(columns: list[dict[int, int]], edge_ids: list[int], rhs: dict[int, int]) -> list[int] | None:
-    """Particular integer solution x of sum_c x_c * columns[c] = rhs over the
-    rows ``edge_ids``, or None.
+class FillSystem:
+    """The columns of sum_c a_c * columns[c] = rhs over the rows ``edge_ids``,
+    with what every solve over them shares, built once.
 
-    Columns are reduced to a Hermite-style triangular form by Euclidean
-    column operations, tracked in V so a solution of the reduced system can
-    be pulled back.
+    ``columns[c]`` maps edge id to the net boundary coefficient of cell c.
+    ``entries[c]`` lists the same column as (row position, value) pairs.
+    ``milp_matrix`` is the MILP's constraint matrix over the variables
+    (a, t): the rows t - a >= 0 and t + a >= 0, which make t >= |a|, then
+    the equality rows; ``milp_lb``/``milp_ub`` bound the first 2n rows.
+    ``lp_matrix`` is the elastic node LP's matrix over (p, q, s+, s-), with
+    a = p - q and one slack pair per row, bounded by ``slack_bounds``.
     """
-    m = len(edge_ids)
-    num_cols = len(columns)
-    cols = [[col.get(e, 0) for e in edge_ids] for col in columns]
-    vmat = [[1 if k == j else 0 for k in range(num_cols)] for j in range(num_cols)]
 
-    pivots: list[tuple[int, int]] = []  # (row, column) in elimination order
-    pivot_count = 0
-    for r in range(m):
-        active = [j for j in range(pivot_count, num_cols) if cols[j][r]]
-        if not active:
-            continue
-        while len(active) > 1:
-            active.sort(key=lambda j: (abs(cols[j][r]), j))
-            base = active[0]
-            for j in active[1:]:
-                q = cols[j][r] // cols[base][r]
-                if q:
-                    for i in range(m):
-                        cols[j][i] -= q * cols[base][i]
-                    for k in range(num_cols):
-                        vmat[j][k] -= q * vmat[base][k]
-            active = [j for j in active if cols[j][r]]
-        j = active[0]
-        if cols[j][r] < 0:
-            cols[j] = [-v for v in cols[j]]
-            vmat[j] = [-v for v in vmat[j]]
-        cols[pivot_count], cols[j] = cols[j], cols[pivot_count]
-        vmat[pivot_count], vmat[j] = vmat[j], vmat[pivot_count]
-        pivots.append((r, pivot_count))
-        pivot_count += 1
+    def __init__(self, columns: list[dict[int, int]], edge_ids: list[int]):
+        self.columns = columns
+        self.edge_ids = edge_ids
+        self.row = {e: i for i, e in enumerate(edge_ids)}
+        n, m = len(columns), len(edge_ids)
+        try:
+            self.entries = [[(self.row[e], v) for e, v in col.items()] for col in columns]
+        except KeyError as exc:
+            raise InvariantError(f"column edge {exc.args[0]} is not a row of the fill system") from None
+        rows, cols, vals = [], [], []
+        for k, col in enumerate(self.entries):
+            for i, v in col:
+                rows.append(i)
+                cols.append(k)
+                vals.append(float(v))
+        a_mat = sp.csc_matrix((vals, (rows, cols)), shape=(m, n))
 
-    residual = [rhs.get(e, 0) for e in edge_ids]
+        eye = sp.identity(n, format="csc")
+        abs_mat = sp.bmat([[-eye, eye], [eye, eye]], format="csc")
+        eq_mat = sp.hstack([a_mat, sp.csc_matrix((m, n))], format="csc")
+        self.milp_matrix = sp.vstack([sp.csc_array(abs_mat), sp.csc_array(eq_mat)], format="csc")
+        self.milp_lb = np.zeros(2 * n)
+        self.milp_ub = np.full(2 * n, np.inf)
+        self.milp_cost = np.concatenate([np.zeros(n), np.ones(n)])
+        self.milp_integrality = np.concatenate([np.ones(n), np.zeros(n)])
+
+        eye = sp.identity(m, format="csc")
+        self.lp_matrix = sp.hstack([a_mat, -a_mat, eye, -eye], format="csc")
+        self.slack_bounds = np.tile([0.0, np.inf], (2 * m, 1))
+
+    def dense(self, rhs: dict[int, int]) -> list[int]:
+        """``rhs`` as one integer per row."""
+        b = [0] * len(self.edge_ids)
+        for e, v in rhs.items():
+            i = self.row.get(e)
+            if i is None:
+                raise InvariantError(f"right-hand side edge {e} is not a row of the fill system")
+            b[i] = v
+        return b
+
+    @cached_property
+    def hermite(self) -> tuple[list[list[int]], list[list[int]], list[tuple[int, int]]]:
+        """The columns reduced to a Hermite-style triangular form by
+        Euclidean column operations: (reduced columns, V, pivots), where row
+        j of V writes reduced column j in the original columns and pivots
+        lists (row, column) in elimination order.  Built on first use."""
+        m = len(self.edge_ids)
+        num_cols = len(self.columns)
+        cols = [[0] * m for _ in range(num_cols)]
+        for j, col in enumerate(self.entries):
+            for i, v in col:
+                cols[j][i] = v
+        vmat = [[1 if k == j else 0 for k in range(num_cols)] for j in range(num_cols)]
+
+        pivots: list[tuple[int, int]] = []
+        pivot_count = 0
+        for r in range(m):
+            active = [j for j in range(pivot_count, num_cols) if cols[j][r]]
+            if not active:
+                continue
+            while len(active) > 1:
+                active.sort(key=lambda j: (abs(cols[j][r]), j))
+                base = active[0]
+                for j in active[1:]:
+                    q = cols[j][r] // cols[base][r]
+                    if q:
+                        for i in range(m):
+                            cols[j][i] -= q * cols[base][i]
+                        for k in range(num_cols):
+                            vmat[j][k] -= q * vmat[base][k]
+                active = [j for j in active if cols[j][r]]
+            j = active[0]
+            if cols[j][r] < 0:
+                cols[j] = [-v for v in cols[j]]
+                vmat[j] = [-v for v in vmat[j]]
+            cols[pivot_count], cols[j] = cols[j], cols[pivot_count]
+            vmat[pivot_count], vmat[j] = vmat[j], vmat[pivot_count]
+            pivots.append((r, pivot_count))
+            pivot_count += 1
+        return cols, vmat, pivots
+
+
+def integer_solve(system: FillSystem, rhs: dict[int, int]) -> list[int] | None:
+    """Particular integer solution x of sum_c x_c * columns[c] = rhs, or None.
+
+    A solution of the system's reduced columns is found by back
+    substitution and pulled back through V.
+    """
+    cols, vmat, pivots = system.hermite
+    num_cols = len(cols)
+    residual = system.dense(rhs)
     y = [0] * num_cols
     for r, c in pivots:
         d = cols[c][r]
@@ -80,8 +151,8 @@ def integer_solve(columns: list[dict[int, int]], edge_ids: list[int], rhs: dict[
             return None
         y[c] = residual[r] // d
         if y[c]:
-            for i in range(m):
-                residual[i] -= y[c] * cols[c][i]
+            for i, v in enumerate(cols[c]):
+                residual[i] -= y[c] * v
     if any(residual):
         return None
     x = [0] * num_cols
@@ -90,18 +161,6 @@ def integer_solve(columns: list[dict[int, int]], edge_ids: list[int], rhs: dict[
             for k in range(num_cols):
                 x[k] += y[c] * vmat[c][k]
     return x
-
-
-def boundary_matrix(columns: list[dict[int, int]], edge_ids: list[int]) -> sp.csc_matrix:
-    """Float (edges x cells) matrix of the integer columns, for HiGHS."""
-    epos = {e: i for i, e in enumerate(edge_ids)}
-    rows, cols, vals = [], [], []
-    for k, col in enumerate(columns):
-        for e, v in col.items():
-            rows.append(epos[e])
-            cols.append(k)
-            vals.append(float(v))
-    return sp.csc_matrix((vals, (rows, cols)), shape=(len(edge_ids), len(columns)))
 
 
 def solves(columns: list[dict[int, int]], coeffs: list[int], rhs: dict[int, int]) -> bool:
@@ -114,18 +173,11 @@ def solves(columns: list[dict[int, int]], coeffs: list[int], rhs: dict[int, int]
     return {e: v for e, v in acc.items() if v} == {e: v for e, v in rhs.items() if v}
 
 
-def lower_bound(
-    columns: list[dict[int, int]],
-    edge_ids: list[int],
-    marginals,
-    rhs: dict[int, int],
-    lo: list[int],
-    hi: list[int],
-) -> int:
+def lower_bound(system: FillSystem, marginals, rhs: dict[int, int], lo: list[int], hi: list[int]) -> int:
     """Exact lower bound on sum_c |a_c| over the integer chains a with
     lo[c] <= a_c <= hi[c] and sum_c a_c * columns[c] = rhs.
 
-    The float duals ``marginals`` (one per entry of ``edge_ids``) are rounded
+    The float duals ``marginals`` (one per row of the system) are rounded
     to an integer vector Y over D = DUAL_SCALE.  Every such chain satisfies
     D sum_c |a_c| = Y.rhs + sum_c (D |a_c| - (Y.columns[c]) a_c), and each
     summand is convex in a_c, so its minimum over [lo_c, hi_c] lies at lo_c,
@@ -133,9 +185,9 @@ def lower_bound(
     so the proposer's sign convention does not matter, and the larger of the
     two is returned.
     """
-    y = {e: round(v * DUAL_SCALE) for e, v in zip(edge_ids, map(float, marginals))}
-    base = sum(y.get(e, 0) * v for e, v in rhs.items())
-    pairings = [sum(y.get(e, 0) * v for e, v in col.items()) for col in columns]
+    y = [round(v * DUAL_SCALE) for v in map(float, marginals)]
+    base = sum(s * v for s, v in zip(y, system.dense(rhs)))
+    pairings = [sum(y[i] * v for i, v in col) for col in system.entries]
     bounds = []
     for sign in (1, -1):
         total = sign * base
@@ -147,28 +199,24 @@ def lower_bound(
     return max(bounds)
 
 
-def propose(columns: list[dict[int, int]], edge_ids: list[int], rhs: dict[int, int]) -> list[int] | None:
+def propose(system: FillSystem, rhs: dict[int, int]) -> list[int] | None:
     """An integer chain a with sum_c a_c * columns[c] = rhs, proposed by a
     HiGHS MILP for min sum |a_c|, or None when HiGHS finds none or its
     rounded chain fails the exact check.  Nothing here proves it minimal."""
-    n = len(columns)
-    m = len(edge_ids)
-    a_mat = sp.hstack([boundary_matrix(columns, edge_ids), sp.csc_matrix((m, n))], format="csc")
-    # variables (a, t); rows t - a >= 0 and t + a >= 0 make t >= |a|
-    eye = sp.identity(n, format="csc")
-    abs_mat = sp.bmat([[-eye, eye], [eye, eye]], format="csc")
-    b = np.array([float(rhs.get(e, 0)) for e in edge_ids])
-    cost = np.concatenate([np.zeros(n), np.ones(n)])
-    constraints = [
-        LinearConstraint(abs_mat, lb=np.zeros(2 * n), ub=np.full(2 * n, np.inf)),
-        LinearConstraint(a_mat, lb=b, ub=b),
-    ]
-    integrality = np.concatenate([np.ones(n), np.zeros(n)])
-    sol = milp(cost, constraints=constraints, integrality=integrality, bounds=Bounds(-np.inf, np.inf))
+    b = np.array(system.dense(rhs), dtype=float)
+    constraint = LinearConstraint(
+        system.milp_matrix, lb=np.concatenate([system.milp_lb, b]), ub=np.concatenate([system.milp_ub, b])
+    )
+    sol = milp(
+        system.milp_cost,
+        constraints=constraint,
+        integrality=system.milp_integrality,
+        bounds=Bounds(-np.inf, np.inf),
+    )
     if not sol.success:
         return None
-    coeffs = [int(round(v)) for v in sol.x[:n]]
-    return coeffs if solves(columns, coeffs, rhs) else None
+    coeffs = [int(round(v)) for v in sol.x[: len(system.columns)]]
+    return coeffs if solves(system.columns, coeffs, rhs) else None
 
 
 @dataclass
@@ -197,19 +245,17 @@ def _split(x: list[float], lo: list[int], hi: list[int]) -> tuple[int, int, bool
 
 
 def l1_fill(
-    columns: list[dict[int, int]],
-    edge_ids: list[int],
+    system: FillSystem,
     rhs: dict[int, int],
     node_budget: int = 20_000,
     incumbent: list[int] | None = None,
 ) -> FillSolve:
     """min sum |a_c| with sum_c a_c * columns[c] = rhs, over the integers.
 
-    ``columns[c]`` maps edge id to the net boundary coefficient of cell c;
-    ``edge_ids`` fixes the equation rows.  ``incumbent`` is a known integer
-    solution, such as ``propose``'s chain; without one, ``integer_solve``
-    supplies one or proves that none exists.  When the root node prunes,
-    the incumbent is certified minimal and the search takes 1 node.
+    ``incumbent`` is a known integer solution, such as ``propose``'s chain;
+    without one, ``integer_solve`` supplies one or proves that none exists.
+    When the root node prunes, the incumbent is certified minimal and the
+    search takes 1 node.
 
     Depth-first branch and bound over boxes lo <= a <= hi, clipped to
     |a_c| <= incumbent area - 1, which every better chain satisfies; so
@@ -218,19 +264,14 @@ def l1_fill(
     has duals.  A node is pruned only when ``lower_bound`` over its box
     reaches the incumbent area.
     """
-    n = len(columns)
+    n = len(system.columns)
+    b_float = np.array(system.dense(rhs), dtype=float)
     if incumbent is None:
-        incumbent = integer_solve(columns, edge_ids, rhs)
+        incumbent = integer_solve(system, rhs)
         if incumbent is None:
             return FillSolve("infeasible", None, None, 0)
     best = list(incumbent)
     best_value = sum(map(abs, best))
-
-    a_mat = boundary_matrix(columns, edge_ids)
-    eye = sp.identity(len(edge_ids), format="csc")
-    lp_matrix = sp.hstack([a_mat, -a_mat, eye, -eye], format="csc")
-    b_float = np.array([float(rhs.get(e, 0)) for e in edge_ids])
-    slack_bounds = [(0, None)] * (2 * len(edge_ids))
 
     nodes = 0
     stack = [([-best_value] * n, [best_value] * n)]
@@ -244,21 +285,24 @@ def l1_fill(
         if nodes > node_budget:
             return FillSolve("budget", best, best_value, nodes)
         # a = p - q with p, q >= 0 boxed so that p - q ranges over [lo, hi]
-        bounds = (
-            [(max(l, 0), max(h, 0)) for l, h in zip(lo, hi)]
-            + [(max(-h, 0), max(-l, 0)) for l, h in zip(lo, hi)]
-            + slack_bounds
+        lo_a, hi_a = np.array(lo, dtype=float), np.array(hi, dtype=float)
+        bounds = np.concatenate(
+            [
+                np.column_stack([np.maximum(lo_a, 0), np.maximum(hi_a, 0)]),
+                np.column_stack([np.maximum(-hi_a, 0), np.maximum(-lo_a, 0)]),
+                system.slack_bounds,
+            ]
         )
-        cost = np.concatenate([np.ones(2 * n), np.full(len(slack_bounds), float(best_value))])
-        lp = linprog(cost, A_eq=lp_matrix, b_eq=b_float, bounds=bounds, method="highs")
+        cost = np.concatenate([np.ones(2 * n), np.full(len(system.slack_bounds), float(best_value))])
+        lp = linprog(cost, A_eq=system.lp_matrix, b_eq=b_float, bounds=bounds, method="highs")
         if lp.status != 0:
             return FillSolve("budget", best, best_value, nodes)
         x = (lp.x[:n] - lp.x[n : 2 * n]).tolist()
         point = [min(max(round(v), l), h) for v, l, h in zip(x, lo, hi)]
         value = sum(map(abs, point))
-        if value < best_value and solves(columns, point, rhs):
+        if value < best_value and solves(system.columns, point, rhs):
             best, best_value = point, value
-        if lower_bound(columns, edge_ids, lp.eqlin.marginals, rhs, lo, hi) >= best_value:
+        if lower_bound(system, lp.eqlin.marginals, rhs, lo, hi) >= best_value:
             continue
         split = _split(x, lo, hi)
         if split is None:

@@ -117,7 +117,6 @@ def harea_fill(
 def _fill_ilp(ball: CayleyBall, gamma: OneCycle, node_budget: int) -> FillingResult:
     if not gamma:
         return FillingResult(TwoChain(), 0, "optimal", ball.radius)
-    columns = ball.net_columns
 
     # forced-cell peeling over the full system is sound and often finishes
     # the job outright (planar-type balls have unique fillings)
@@ -128,12 +127,11 @@ def _fill_ilp(ball: CayleyBall, gamma: OneCycle, node_budget: int) -> FillingRes
     nodes = 0
     coeffs: list[int] = []
     if residual:
-        free_columns = [columns[c] for c in free_cells]
-        edge_ids = sorted({e for col in free_columns for e in col} | set(residual))
         # branch and bound from the HiGHS chain, or from integer_solve's
         # when HiGHS proposes none; its root node certifies the HiGHS chain
-        incumbent = propose(free_columns, edge_ids, residual)
-        solve = l1_fill(free_columns, edge_ids, residual, node_budget, incumbent=incumbent)
+        system = ball.fill_system
+        incumbent = propose(system, residual)
+        solve = l1_fill(system, residual, node_budget, incumbent=incumbent)
         if solve.status == "infeasible":
             return FillingResult(TwoChain(), None, "infeasible_in_ball", ball.radius)
         if solve.status == "budget":

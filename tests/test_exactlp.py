@@ -1,7 +1,11 @@
 import itertools
 import random
 
-from homfill.exactlp import integer_solve, l1_fill, lower_bound, solves
+import numpy as np
+import pytest
+
+from homfill.errors import InvariantError
+from homfill.exactlp import FillSystem, integer_solve, l1_fill, lower_bound, propose, solves
 
 
 def test_integer_solve_random():
@@ -14,36 +18,38 @@ def test_integer_solve_random():
         x = [rng.randint(-5, 5) for _ in range(n)]
         b = [sum(row.get(j, 0) * x[j] for j in range(n)) for row in rows]
         columns = [{i: row[j] for i, row in enumerate(rows) if j in row} for j in range(n)]
-        sol = integer_solve(columns, list(range(m)), dict(enumerate(b)))
+        sol = integer_solve(FillSystem(columns, list(range(m))), dict(enumerate(b)))
         assert sol is not None
         for i, row in enumerate(rows):
             assert sum(row.get(j, 0) * sol[j] for j in range(n)) == b[i]
 
 
 def test_integer_solve_divisibility():
-    assert integer_solve([{0: 2}], [0], {0: 1}) is None
-    assert integer_solve([{0: 2}], [0], {0: 4}) == [2]
-    assert integer_solve([{0: 0}], [0], {0: 1}) is None
+    system = FillSystem([{0: 2}], [0])
+    assert integer_solve(system, {0: 1}) is None
+    assert integer_solve(system, {0: 4}) == [2]
+    assert integer_solve(FillSystem([{0: 0}], [0]), {0: 1}) is None
 
 
 def test_l1_fill_basic():
-    r = l1_fill([{0: 2}], [0], {0: 4})
+    r = l1_fill(FillSystem([{0: 2}], [0]), {0: 4})
     assert (r.status, r.coeffs, r.value) == ("optimal", [2], 2)
-    r = l1_fill([{0: 1, 1: 1}, {1: -1, 2: 1}], [0, 1, 2], {0: 1, 1: 0, 2: 1})
+    path = FillSystem([{0: 1, 1: 1}, {1: -1, 2: 1}], [0, 1, 2])
+    r = l1_fill(path, {0: 1, 1: 0, 2: 1})
     assert (r.status, r.value) == ("optimal", 2)
     assert r.coeffs == [1, 1]
     # that system's LP optimum is integral, so given the optimal chain the
     # root node's bound reaches its area and the search stops there
-    r = l1_fill([{0: 1, 1: 1}, {1: -1, 2: 1}], [0, 1, 2], {0: 1, 1: 0, 2: 1}, incumbent=[1, 1])
+    r = l1_fill(path, {0: 1, 1: 0, 2: 1}, incumbent=[1, 1])
     assert (r.status, r.coeffs, r.nodes) == ("optimal", [1, 1], 1)
-    assert l1_fill([{0: 2}], [0], {0: 3}).status == "infeasible"
+    assert l1_fill(FillSystem([{0: 2}], [0]), {0: 3}).status == "infeasible"
 
 
 def test_l1_fill_prefers_smaller_l1():
     # rhs reachable by one cell with coefficient 2 or two cells with 1 each:
     # column 0 covers both edges, columns 1/2 one edge each
     columns = [{0: 1, 1: 1}, {0: 1}, {1: 1}]
-    r = l1_fill(columns, [0, 1], {0: 1, 1: 1})
+    r = l1_fill(FillSystem(columns, [0, 1]), {0: 1, 1: 1})
     assert r.status == "optimal"
     assert r.value == 1
     assert r.coeffs == [1, 0, 0]
@@ -52,27 +58,27 @@ def test_l1_fill_prefers_smaller_l1():
 def test_l1_fill_rational_but_not_integer_feasible():
     # odd triangle: rationally solvable (1/2 each) but no integer solution
     columns = [{0: 1, 1: 1}, {1: 1, 2: 1}, {0: 1, 2: 1}]
-    r = l1_fill(columns, [0, 1, 2], {0: 1, 1: 1, 2: 1})
+    r = l1_fill(FillSystem(columns, [0, 1, 2]), {0: 1, 1: 1, 2: 1})
     assert r.status == "infeasible"
 
 
 def test_l1_fill_branches_on_fractional_vertex():
     # 2 x0 + x1 = 1: LP relaxation sits at x0 = 1/2, integrality forces x1 = 1
-    columns, rhs = [{0: 2}, {0: 1}], {0: 1}
-    r = l1_fill(columns, [0], rhs)
+    system, rhs = FillSystem([{0: 2}, {0: 1}], [0]), {0: 1}
+    r = l1_fill(system, rhs)
     assert r.status == "optimal"
     assert r.value == 1
     assert r.coeffs == [0, 1]
     # the LP vertex's dual 1/2 certifies the value: no chain inside the box
     # |a_c| <= value - 1 has a smaller area
     cap = r.value - 1
-    assert lower_bound(columns, [0], [0.5], rhs, [-cap] * 2, [cap] * 2) >= r.value
+    assert lower_bound(system, [0.5], rhs, [-cap] * 2, [cap] * 2) >= r.value
 
 
 def test_l1_fill_closes_integrality_gap():
     # 3 x0 + 2 x1 = 1: the LP value is 1/3, the integer optimum (1, -1) has
     # area 2, so the root bound cannot close and the search must branch
-    r = l1_fill([{0: 3}, {0: 2}], [0], {0: 1})
+    r = l1_fill(FillSystem([{0: 3}, {0: 2}], [0]), {0: 1})
     assert (r.status, r.value) == ("optimal", 2)
     assert r.coeffs == [1, -1]
     assert r.nodes > 1
@@ -113,7 +119,7 @@ def test_l1_fill_matches_exhaustive_enumeration():
         columns, edge_ids, rhs, x = _random_system(rng)
         # half the systems start from the generating solution, half from
         # integer_solve's
-        r = l1_fill(columns, edge_ids, rhs, incumbent=x if trial % 2 else None)
+        r = l1_fill(FillSystem(columns, edge_ids), rhs, incumbent=x if trial % 2 else None)
         assert r.status == "optimal"
         assert solves(columns, r.coeffs, rhs)
         assert r.value == sum(map(abs, r.coeffs)) == _exhaustive_min(columns, rhs, sum(map(abs, x)))
@@ -139,6 +145,55 @@ def test_lower_bound_holds_for_any_dual():
         if not areas:
             continue
         marginals = [rng.uniform(-2, 2) for _ in edge_ids]
-        assert lower_bound(columns, edge_ids, marginals, rhs, lo, hi) <= min(areas)
+        assert lower_bound(FillSystem(columns, edge_ids), marginals, rhs, lo, hi) <= min(areas)
         checked += 1
     assert checked >= 30
+
+
+def _arrays(system):
+    return [
+        np.array(a, copy=True)
+        for m in (system.milp_matrix, system.lp_matrix)
+        for a in (m.data, m.indices, m.indptr)
+    ] + [
+        a.copy()
+        for a in (system.milp_lb, system.milp_ub, system.milp_cost, system.milp_integrality, system.slack_bounds)
+    ]
+
+
+def _solve(system, rhs):
+    proposed = propose(system, rhs)
+    r = l1_fill(system, rhs, incumbent=proposed)
+    s = l1_fill(system, rhs)
+    return proposed, integer_solve(system, rhs), (r.status, r.coeffs, r.value, r.nodes), (s.status, s.coeffs, s.nodes)
+
+
+def test_fill_system_reuse_matches_fresh_system():
+    # one system serves many right-hand sides: every solve on it equals the
+    # same solve on a fresh system, and no cached array changes in place
+    rng = random.Random(5)
+    for _ in range(8):
+        columns, edge_ids, _, _ = _random_system(rng)
+        system = FillSystem(columns, edge_ids)
+        before = _arrays(system)
+        for _ in range(8):
+            x = [rng.randint(-3, 3) for _ in columns]
+            rhs = {}
+            for v, col in zip(x, columns):
+                for e, w in col.items():
+                    rhs[e] = rhs.get(e, 0) + v * w
+            if rng.random() < 0.3:
+                rhs[rng.choice(edge_ids)] = rng.randint(-3, 3)  # often no integer solution
+            assert _solve(system, rhs) == _solve(FillSystem(columns, edge_ids), rhs)
+        assert all(np.array_equal(a, b) for a, b in zip(before, _arrays(system)))
+
+
+def test_fill_system_refuses_edges_outside_its_rows():
+    with pytest.raises(InvariantError, match="column edge 2"):
+        FillSystem([{0: 1, 2: 1}], [0, 1])
+    system = FillSystem([{0: 1, 1: -1}], [0, 1])
+    for solve in (propose, integer_solve, l1_fill):
+        with pytest.raises(InvariantError, match="right-hand side edge 5"):
+            solve(system, {0: 1, 5: 1})
+    with pytest.raises(InvariantError, match="right-hand side edge 5"):
+        lower_bound(system, [0.0, 0.0], {5: 1}, [0], [0])

@@ -1,3 +1,4 @@
+import gc
 import glob
 import os
 import random
@@ -10,7 +11,8 @@ from homfill import filling
 from homfill.backends import letter_order
 from homfill.cayley import OneCycle, TwoChain, boundary_2, build_ball, loop_to_cycle
 from homfill.cli import load_group
-from homfill.errors import DomainError
+from homfill.errors import DomainError, InvariantError
+from homfill.exactlp import l1_fill, propose
 from homfill.filling import (
     check_preceq,
     enumerate_identity_cycles,
@@ -264,3 +266,67 @@ def test_peel_recovers_chains_on_collapsible_cells():
             assert not set(remaining) & set(collapsed)
             checked += 1
     assert checked >= 150
+
+
+# (group file, radius) of balls whose fills mostly do not peel
+LIFETIME_BALLS = (("heis_ext.grp", 3), ("z2_by_f2.grp", 4), ("z3_ext.grp", 3))
+
+
+def _lifetime_ball(file, radius):
+    group = load_group(os.path.join(os.path.dirname(__file__), "..", "groups", file))
+    return build_ball(group.backend, group.hom_pres, radius)
+
+
+def _unpeeled_cycles(ball, count):
+    out = []
+    for _, cycle, _word in enumerate_identity_cycles(ball, 6):
+        peeled = filling._peel_forced(ball, cycle.coeffs)
+        if peeled and peeled[2]:
+            out.append(cycle)
+    return out[:count]
+
+
+def _fill_record(ball, cycle):
+    result = harea_fill(ball, cycle)
+    # the system solved is the one of this ball's own collapse
+    _, remaining, touched = ball.collapse
+    assert ball.fill_system.columns == [ball.net_columns[c] for c in remaining]
+    assert ball.fill_system.edge_ids == sorted(touched)
+    return result.status, result.area, result.chain.coeffs, result.nodes
+
+
+def test_fill_system_lives_and_dies_with_its_ball():
+    # every ball solves its own fill system: fills interleaved over balls of
+    # different group files, in both orders, and on balls built after one
+    # is dropped (which may reuse its id), equal those on a fresh ball
+    cycles, fresh = {}, {}
+    for spec in LIFETIME_BALLS:
+        ball = _lifetime_ball(*spec)
+        cycles[spec] = _unpeeled_cycles(ball, 4)
+        fresh[spec] = [_fill_record(ball, cycle) for cycle in cycles[spec]]
+        assert len(fresh[spec]) == 4 and all(record[3] == 1 for record in fresh[spec])
+    for order in (LIFETIME_BALLS, LIFETIME_BALLS[::-1]):
+        balls = {spec: _lifetime_ball(*spec) for spec in order}
+        got = {spec: [] for spec in order}
+        for k in range(4):
+            for spec in order:
+                got[spec].append(_fill_record(balls[spec], cycles[spec][k]))
+        assert got == fresh
+        # each ball below is built just after another file's ball is freed
+        del balls[order[0]]
+        gc.collect()
+        for spec in (*order[1:], order[0]):
+            rebuilt = _lifetime_ball(*spec)
+            assert [_fill_record(rebuilt, cycle) for cycle in cycles[spec]] == fresh[spec]
+            assert all(rebuilt.fill_system is not kept.fill_system for kept in balls.values())
+            del rebuilt
+            gc.collect()
+
+
+def test_residual_edge_outside_the_fill_system_is_an_invariant_error():
+    ball = _lifetime_ball("z3_ext.grp", 3)
+    system = ball.fill_system
+    outside = next(e for e in range(len(ball.edges)) if e not in system.row)
+    for solve in (propose, l1_fill):
+        with pytest.raises(InvariantError, match=f"right-hand side edge {outside} "):
+            solve(system, {system.edge_ids[0]: 1, outside: 1})
