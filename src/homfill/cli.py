@@ -1,8 +1,9 @@
 """Command-line surface: parse presentation files, dispatch subcommands,
 write reports atomically with a reproducibility header.
 
-Exit codes: 0 success, 1 domain/resource problems (bad input, infeasible,
-budget), 2 invariant violations (these signal bugs, not bad input).
+Exit codes: 0 success (also ``--help`` and ``--version``), 1 domain/resource
+problems (usage errors, bad input, infeasible, budget), 2 invariant
+violations (these signal bugs, not bad input).
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from .extension import (
     push_down,
     route_filling,
 )
-from .experiments import hyperbolic_ar_pair, measure_ar_pair, polynomial_degree_report
+from .experiments import POLICIES, hyperbolic_ar_pair, measure_ar_pair, polynomial_degree_report
 from .filling import TRUNCATION_NOTE, FillingResult, fa_estimate, harea_fill
 from .presentation import (
     ExtensionLayout,
@@ -409,8 +410,17 @@ def cmd_verify(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors raise ParseError, so that they
+    exit 1 with the structured error of any other bad input; its
+    subcommand parsers are of the same class."""
+
+    def error(self, message):
+        raise ParseError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="homfill",
         description="homological fillings, surface diagrams and push-down bounds in Cayley complexes",
     )
@@ -468,7 +478,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-n", type=int, required=True)
     p.add_argument(
         "--policy",
-        choices=("min_area_then_measure_radius", "min_radius_among_min_area", "search_budgeted"),
+        choices=POLICIES,
         default="min_area_then_measure_radius",
     )
     p.add_argument("--out", default="arpair.json")
@@ -501,23 +511,30 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    if argv is None:
+        argv = sys.argv[1:]
     parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except ParseError as exc:  # a usage error: no namespace to read the flag from
+        # argparse also accepts a unique prefix such as --json
+        _emit_error(any(len(a) > 2 and "--json-errors".startswith(a) for a in argv), exc)
+        return 1
     try:
         return args.func(args)
     except InvariantError as exc:
-        _emit_error(args, exc)
+        _emit_error(args.json_errors, exc)
         return 2
     except HomfillError as exc:
-        _emit_error(args, exc)
+        _emit_error(args.json_errors, exc)
         return 1
     except Exception as exc:  # a bug or an exhausted resource, never bad input
-        _emit_error(args, exc)
+        _emit_error(args.json_errors, exc)
         return 2
 
 
-def _emit_error(args, exc: Exception) -> None:
-    if getattr(args, "json_errors", False):
+def _emit_error(json_errors: bool, exc: Exception) -> None:
+    if json_errors:
         print(
             json.dumps({"error": type(exc).__name__, "message": str(exc)}, sort_keys=True),
             file=sys.stderr,

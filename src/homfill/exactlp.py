@@ -6,18 +6,19 @@ does not depend on the right-hand side: the row index, the stacked HiGHS
 matrices and the integer column reduction.  A ball builds one system, and
 each fill supplies its right-hand side.
 
+* ``l1_fill`` -- the one exact-fill call: branch and bound for min sum |a_c|
+  subject to B a = rhs over the integers, on HiGHS node LPs, stopped after
+  ``NODE_BUDGET`` nodes; every prune is a ``lower_bound``.  It starts from
+  ``propose``'s chain, or from ``integer_solve``'s when HiGHS proposes none,
+  and its root node, over the box |a_c| <= area - 1, certifies that chain.
 * ``propose`` -- the HiGHS MILP's integer chain, kept only when it solves
   the system in integer arithmetic.
 * ``integer_solve`` -- particular integer solution of A x = b via column
   Hermite reduction, or None, which proves that no integer solution exists.
-* ``lower_bound`` -- the one certificate: HiGHS duals rounded to integers
-  over the constant denominator ``DUAL_SCALE`` give an exact lower bound on
-  sum |a_c| over a box of integer chains.  Every dual vector gives a valid
-  bound, so rounding can weaken it but never make it wrong.
-* ``l1_fill`` -- branch and bound for min sum |a_c| subject to B a = rhs over
-  the integers, on HiGHS node LPs; every prune is a ``lower_bound``.  Its
-  root node, over the box |a_c| <= area - 1, certifies the incumbent it
-  starts from, such as ``propose``'s chain.
+* ``lower_bound`` -- the one certificate: the node LP's HiGHS duals rounded
+  to integers over the constant denominator ``DUAL_SCALE`` give an exact
+  lower bound on sum |a_c| over a box of integer chains.  Every dual vector
+  gives a valid bound, so rounding can weaken it but never make it wrong.
 """
 
 from __future__ import annotations
@@ -38,6 +39,10 @@ DUAL_SCALE = 2**20
 
 # distance from an integer below which an LP coordinate counts as integral
 INT_TOL = 1e-6
+
+# branch-and-bound nodes one fill may search before it stops with status
+# budget and the best chain found so far
+NODE_BUDGET = 50_000
 
 
 class FillSystem:
@@ -177,26 +182,20 @@ def lower_bound(system: FillSystem, marginals, rhs: dict[int, int], lo: list[int
     """Exact lower bound on sum_c |a_c| over the integer chains a with
     lo[c] <= a_c <= hi[c] and sum_c a_c * columns[c] = rhs.
 
-    The float duals ``marginals`` (one per row of the system) are rounded
-    to an integer vector Y over D = DUAL_SCALE.  Every such chain satisfies
+    The float duals ``marginals`` (one per row of the system, as ``linprog``
+    reports them in ``eqlin.marginals``) are rounded to an integer vector Y
+    over D = DUAL_SCALE.  Every such chain satisfies
     D sum_c |a_c| = Y.rhs + sum_c (D |a_c| - (Y.columns[c]) a_c), and each
     summand is convex in a_c, so its minimum over [lo_c, hi_c] lies at lo_c,
-    hi_c or 0.  The bound holds for every Y; it is evaluated for Y and -Y,
-    so the proposer's sign convention does not matter, and the larger of the
-    two is returned.
+    hi_c or 0.  The bound holds for every Y.
     """
     y = [round(v * DUAL_SCALE) for v in map(float, marginals)]
-    base = sum(s * v for s, v in zip(y, system.dense(rhs)))
-    pairings = [sum(y[i] * v for i, v in col) for col in system.entries]
-    bounds = []
-    for sign in (1, -1):
-        total = sign * base
-        for s, l, h in zip(pairings, lo, hi):
-            s *= sign
-            low = min(DUAL_SCALE * abs(l) - s * l, DUAL_SCALE * abs(h) - s * h)
-            total += min(low, 0) if l <= 0 <= h else low
-        bounds.append(-(-total // DUAL_SCALE))
-    return max(bounds)
+    total = sum(s * v for s, v in zip(y, system.dense(rhs)))
+    for col, l, h in zip(system.entries, lo, hi):
+        s = sum(y[i] * v for i, v in col)
+        low = min(DUAL_SCALE * abs(l) - s * l, DUAL_SCALE * abs(h) - s * h)
+        total += min(low, 0) if l <= 0 <= h else low
+    return -(-total // DUAL_SCALE)
 
 
 def propose(system: FillSystem, rhs: dict[int, int]) -> list[int] | None:
@@ -244,18 +243,14 @@ def _split(x: list[float], lo: list[int], hi: list[int]) -> tuple[int, int, bool
     return c, k, x[c] - k <= 0.5
 
 
-def l1_fill(
-    system: FillSystem,
-    rhs: dict[int, int],
-    node_budget: int = 20_000,
-    incumbent: list[int] | None = None,
-) -> FillSolve:
+def l1_fill(system: FillSystem, rhs: dict[int, int]) -> FillSolve:
     """min sum |a_c| with sum_c a_c * columns[c] = rhs, over the integers.
 
-    ``incumbent`` is a known integer solution, such as ``propose``'s chain;
-    without one, ``integer_solve`` supplies one or proves that none exists.
-    When the root node prunes, the incumbent is certified minimal and the
-    search takes 1 node.
+    The search starts from ``propose``'s chain; when HiGHS proposes none,
+    ``integer_solve`` supplies one or proves that none exists.  When the
+    root node prunes, the starting chain is certified minimal and the
+    search takes 1 node.  A search that passes ``NODE_BUDGET`` nodes stops
+    with status budget and the best chain found so far.
 
     Depth-first branch and bound over boxes lo <= a <= hi, clipped to
     |a_c| <= incumbent area - 1, which every better chain satisfies; so
@@ -266,11 +261,11 @@ def l1_fill(
     """
     n = len(system.columns)
     b_float = np.array(system.dense(rhs), dtype=float)
-    if incumbent is None:
-        incumbent = integer_solve(system, rhs)
-        if incumbent is None:
+    best = propose(system, rhs)
+    if best is None:
+        best = integer_solve(system, rhs)
+        if best is None:
             return FillSolve("infeasible", None, None, 0)
-    best = list(incumbent)
     best_value = sum(map(abs, best))
 
     nodes = 0
@@ -282,7 +277,7 @@ def l1_fill(
         if any(l > h for l, h in zip(lo, hi)):
             continue
         nodes += 1
-        if nodes > node_budget:
+        if nodes > NODE_BUDGET:
             return FillSolve("budget", best, best_value, nodes)
         # a = p - q with p, q >= 0 boxed so that p - q ranges over [lo, hi]
         lo_a, hi_a = np.array(lo, dtype=float), np.array(hi, dtype=float)

@@ -49,7 +49,7 @@ class ARPairReport:
     gaps: list[str] = field(default_factory=list)
 
 
-POLICIES = ("min_area_then_measure_radius", "min_radius_among_min_area", "search_budgeted")
+POLICIES = ("min_area_then_measure_radius", "min_radius_among_min_area")
 
 
 def _radius_of_chain(ball, chain) -> int:
@@ -110,11 +110,11 @@ def measure_ar_pair(
             continue
         area = result.area
         radius = _radius_of_chain(ball, result.chain)
-        if policy in ("min_radius_among_min_area", "search_budgeted"):
+        if policy == "min_radius_among_min_area":
             better, finished = _min_radius_filling(ball, cycle, area, enum_budget)
             if better is not None:
                 radius = min(radius, better)
-            if policy == "min_radius_among_min_area" and (better is None or not finished):
+            if better is None or not finished:
                 gaps.append(f"radius search budget exhausted on '{text}'")
         samples.append(CycleSample(text, n, area, radius))
         if area > f[n]:

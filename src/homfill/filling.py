@@ -2,12 +2,12 @@
 superadditive closure and finite-range relation checks.
 
 The exact solver has one path.  Forced cells are peeled first; a fill that
-peeling finishes takes 0 branch-and-bound nodes.  For what is left, the
-HiGHS MILP ``exactlp.propose`` proposes an integer chain and
-``exactlp.l1_fill`` certifies it by branch and bound over all free cells,
-pruning only with the exact integer bound ``exactlp.lower_bound``.  The
-root node, over the box |a_c| <= area - 1, is the certificate of the
-proposer chain; when it closes, the fill took 1 node.
+peeling finishes takes 0 branch-and-bound nodes.  What is left goes to the
+one exact-fill call ``exactlp.l1_fill`` on the ball's fill system: branch
+and bound over all free cells from the chain it starts with, pruning only
+with the exact integer bound ``exactlp.lower_bound``.  The root node, over
+the box |a_c| <= area - 1, is the certificate of the starting chain; when
+it closes, the fill took 1 node.
 
 Every value is restricted to a finite ball.  The ball-restricted area of
 one cycle is an upper bound on its untruncated area, since a larger ball
@@ -31,7 +31,7 @@ from .cayley import (
     is_cycle,
 )
 from .errors import DomainError, InvariantError
-from .exactlp import l1_fill, propose
+from .exactlp import l1_fill
 from .presentation import HomPresentation
 from .words import format_word
 
@@ -49,7 +49,7 @@ class FillingResult:
     ball_radius: int
     solver: str = "exact_ilp"
     # exact_ilp: branch-and-bound nodes, 0 when peeling finished the fill and
-    # 1 when the root certified the HiGHS chain; brute_force: search steps
+    # 1 when l1_fill's root certified its starting chain; brute_force: steps
     nodes: int = 0
 
     def optimal(self) -> bool:
@@ -91,7 +91,6 @@ def harea_fill(
     ball: CayleyBall,
     gamma: OneCycle,
     solver: str = "exact_ilp",
-    node_budget: int = 50_000,
     enum_budget: int = 5_000_000,
     coeff_bound: int | None = None,
     area_cap: int = 24,
@@ -108,13 +107,13 @@ def harea_fill(
     if not is_cycle(ball, gamma):
         raise DomainError("chain has nonzero vertex boundary; not a 1-cycle")
     if solver == "exact_ilp":
-        return _fill_ilp(ball, gamma, node_budget)
+        return _fill_ilp(ball, gamma)
     if solver == "brute_force":
         return _fill_brute(ball, gamma, enum_budget, coeff_bound, area_cap)
     raise DomainError(f"unknown solver {solver!r}")
 
 
-def _fill_ilp(ball: CayleyBall, gamma: OneCycle, node_budget: int) -> FillingResult:
+def _fill_ilp(ball: CayleyBall, gamma: OneCycle) -> FillingResult:
     if not gamma:
         return FillingResult(TwoChain(), 0, "optimal", ball.radius)
 
@@ -127,11 +126,7 @@ def _fill_ilp(ball: CayleyBall, gamma: OneCycle, node_budget: int) -> FillingRes
     nodes = 0
     coeffs: list[int] = []
     if residual:
-        # branch and bound from the HiGHS chain, or from integer_solve's
-        # when HiGHS proposes none; its root node certifies the HiGHS chain
-        system = ball.fill_system
-        incumbent = propose(system, residual)
-        solve = l1_fill(system, residual, node_budget, incumbent=incumbent)
+        solve = l1_fill(ball.fill_system, residual)
         if solve.status == "infeasible":
             return FillingResult(TwoChain(), None, "infeasible_in_ball", ball.radius)
         if solve.status == "budget":
@@ -322,7 +317,6 @@ def fa_estimate(
     scope: str = "loops_only",
     solver: str = "exact_ilp",
     ball: CayleyBall | None = None,
-    node_budget: int = 50_000,
 ) -> FATable:
     """Ball-restricted FA values from identity-based loop enumeration.
 
@@ -348,7 +342,7 @@ def fa_estimate(
     for _canon, cycle, word in enumerate_identity_cycles(ball, n_max):
         n = cycle.length()
         examined[n] += 1
-        result = harea_fill(ball, cycle, solver=solver, node_budget=node_budget)
+        result = harea_fill(ball, cycle, solver=solver)
         if not result.optimal():
             gaps.append(f"{result.status} on loop '{format_word(word, names)}'")
             continue

@@ -373,3 +373,39 @@ def test_budget_vertices_caps_the_ball(tmp_path, capsys, command):
 def test_bad_sizes_exit_cleanly(tmp_path, capsys, args, message):
     assert run_cli(args + ["--out", str(tmp_path / "o.json"), "--json-errors"]) == 1
     assert json.loads(capsys.readouterr().err) == {"error": "DomainError", "message": message}
+
+
+@pytest.mark.parametrize(
+    "args, words",
+    [
+        (["fa", "--pres", grp("z2.grp"), "--max-n", "4"], ("homfill fa", "required", "--ball")),
+        (["arpair", "--pres", grp("z2.grp"), "--max-n", "4", "--ball", "2", "--policy", "bogus"], ("--policy", "bogus")),
+        (
+            ["arpair", "--pres", grp("z2.grp"), "--max-n", "4", "--ball", "2", "--policy", "search_budgeted"],
+            ("--policy", "search_budgeted"),
+        ),
+    ],
+    ids=["missing-ball", "unknown-policy", "deleted-policy"],
+)
+def test_usage_errors_exit_1_with_a_structured_error(tmp_path, capsys, args, words):
+    # exit 2 is kept for broken invariants; a usage error is bad input
+    out = tmp_path / "o.json"
+    assert run_cli(args + ["--out", str(out), "--json-errors"]) == 1
+    captured = capsys.readouterr()
+    err = json.loads(captured.err)
+    assert err["error"] == "ParseError"
+    assert all(word in err["message"] for word in words)
+    assert "usage:" not in captured.out + captured.err
+    assert not out.exists()
+    assert run_cli(args + ["--out", str(out), "--json"]) == 1
+    assert json.loads(capsys.readouterr().err)["error"] == "ParseError"
+    assert run_cli(args + ["--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith("homfill: ParseError: ")
+
+
+@pytest.mark.parametrize("args", [["--help"], ["fa", "--help"]], ids=["help", "fa-help"])
+def test_help_exits_0(capsys, args):
+    with pytest.raises(SystemExit) as exc:
+        run_cli(args)
+    assert exc.value.code == 0
+    assert "homfill" in capsys.readouterr().out

@@ -1,11 +1,28 @@
 import itertools
+import os
 import random
 
 import numpy as np
 import pytest
 
+from homfill import exactlp
+from homfill.cayley import build_ball
+from homfill.cli import load_group
 from homfill.errors import InvariantError
 from homfill.exactlp import FillSystem, integer_solve, l1_fill, lower_bound, propose, solves
+from homfill.filling import _peel_forced, enumerate_identity_cycles
+
+GROUPS = os.path.join(os.path.dirname(__file__), "..", "groups")
+
+
+def _propose_none(*_args):
+    return None
+
+
+@pytest.fixture
+def no_proposer(monkeypatch):
+    """l1_fill starts from integer_solve's chain: HiGHS proposes none."""
+    monkeypatch.setattr(exactlp, "propose", _propose_none)
 
 
 def test_integer_solve_random():
@@ -31,21 +48,29 @@ def test_integer_solve_divisibility():
     assert integer_solve(FillSystem([{0: 0}], [0]), {0: 1}) is None
 
 
-def test_l1_fill_basic():
-    r = l1_fill(FillSystem([{0: 2}], [0]), {0: 4})
-    assert (r.status, r.coeffs, r.value) == ("optimal", [2], 2)
-    path = FillSystem([{0: 1, 1: 1}, {1: -1, 2: 1}], [0, 1, 2])
-    r = l1_fill(path, {0: 1, 1: 0, 2: 1})
-    assert (r.status, r.value) == ("optimal", 2)
-    assert r.coeffs == [1, 1]
-    # that system's LP optimum is integral, so given the optimal chain the
-    # root node's bound reaches its area and the search stops there
-    r = l1_fill(path, {0: 1, 1: 0, 2: 1}, incumbent=[1, 1])
+def _path_system():
+    """A path of two cells and its end-to-end right-hand side."""
+    return FillSystem([{0: 1, 1: 1}, {1: -1, 2: 1}], [0, 1, 2]), {0: 1, 1: 0, 2: 1}
+
+
+def test_l1_fill_basic(monkeypatch):
+    path, rhs = _path_system()
+    with monkeypatch.context() as m:
+        m.setattr(exactlp, "propose", _propose_none)
+        r = l1_fill(FillSystem([{0: 2}], [0]), {0: 4})
+        assert (r.status, r.coeffs, r.value) == ("optimal", [2], 2)
+        r = l1_fill(path, rhs)
+        assert (r.status, r.value) == ("optimal", 2)
+        assert r.coeffs == [1, 1]
+        assert l1_fill(FillSystem([{0: 2}], [0]), {0: 3}).status == "infeasible"
+    # that system's LP optimum is integral, so from the MILP's optimal chain
+    # the root node's bound reaches its area and the search stops there
+    r = l1_fill(path, rhs)
     assert (r.status, r.coeffs, r.nodes) == ("optimal", [1, 1], 1)
     assert l1_fill(FillSystem([{0: 2}], [0]), {0: 3}).status == "infeasible"
 
 
-def test_l1_fill_prefers_smaller_l1():
+def test_l1_fill_prefers_smaller_l1(no_proposer):
     # rhs reachable by one cell with coefficient 2 or two cells with 1 each:
     # column 0 covers both edges, columns 1/2 one edge each
     columns = [{0: 1, 1: 1}, {0: 1}, {1: 1}]
@@ -55,14 +80,14 @@ def test_l1_fill_prefers_smaller_l1():
     assert r.coeffs == [1, 0, 0]
 
 
-def test_l1_fill_rational_but_not_integer_feasible():
+def test_l1_fill_rational_but_not_integer_feasible(no_proposer):
     # odd triangle: rationally solvable (1/2 each) but no integer solution
     columns = [{0: 1, 1: 1}, {1: 1, 2: 1}, {0: 1, 2: 1}]
     r = l1_fill(FillSystem(columns, [0, 1, 2]), {0: 1, 1: 1, 2: 1})
     assert r.status == "infeasible"
 
 
-def test_l1_fill_branches_on_fractional_vertex():
+def test_l1_fill_branches_on_fractional_vertex(no_proposer):
     # 2 x0 + x1 = 1: LP relaxation sits at x0 = 1/2, integrality forces x1 = 1
     system, rhs = FillSystem([{0: 2}, {0: 1}], [0]), {0: 1}
     r = l1_fill(system, rhs)
@@ -75,7 +100,7 @@ def test_l1_fill_branches_on_fractional_vertex():
     assert lower_bound(system, [0.5], rhs, [-cap] * 2, [cap] * 2) >= r.value
 
 
-def test_l1_fill_closes_integrality_gap():
+def test_l1_fill_closes_integrality_gap(no_proposer):
     # 3 x0 + 2 x1 = 1: the LP value is 1/3, the integer optimum (1, -1) has
     # area 2, so the root bound cannot close and the search must branch
     r = l1_fill(FillSystem([{0: 3}, {0: 2}], [0]), {0: 1})
@@ -112,14 +137,17 @@ def _random_system(rng):
     return columns, list(range(m)), rhs, x
 
 
-def test_l1_fill_matches_exhaustive_enumeration():
+def test_l1_fill_matches_exhaustive_enumeration(monkeypatch):
     rng = random.Random(7)
     branched = 0
     for trial in range(240):
         columns, edge_ids, rhs, x = _random_system(rng)
-        # half the systems start from the generating solution, half from
+        # half the systems start from the MILP's chain, half from
         # integer_solve's
-        r = l1_fill(FillSystem(columns, edge_ids), rhs, incumbent=x if trial % 2 else None)
+        with monkeypatch.context() as m:
+            if trial % 2 == 0:
+                m.setattr(exactlp, "propose", _propose_none)
+            r = l1_fill(FillSystem(columns, edge_ids), rhs)
         assert r.status == "optimal"
         assert solves(columns, r.coeffs, rhs)
         assert r.value == sum(map(abs, r.coeffs)) == _exhaustive_min(columns, rhs, sum(map(abs, x)))
@@ -161,14 +189,15 @@ def _arrays(system):
     ]
 
 
-def _solve(system, rhs):
-    proposed = propose(system, rhs)
-    r = l1_fill(system, rhs, incumbent=proposed)
-    s = l1_fill(system, rhs)
-    return proposed, integer_solve(system, rhs), (r.status, r.coeffs, r.value, r.nodes), (s.status, s.coeffs, s.nodes)
+def _solve(system, rhs, monkeypatch):
+    r = l1_fill(system, rhs)
+    with monkeypatch.context() as m:
+        m.setattr(exactlp, "propose", _propose_none)
+        s = l1_fill(system, rhs)
+    return propose(system, rhs), integer_solve(system, rhs), (r.status, r.coeffs, r.value, r.nodes), (s.status, s.coeffs, s.nodes)
 
 
-def test_fill_system_reuse_matches_fresh_system():
+def test_fill_system_reuse_matches_fresh_system(monkeypatch):
     # one system serves many right-hand sides: every solve on it equals the
     # same solve on a fresh system, and no cached array changes in place
     rng = random.Random(5)
@@ -184,7 +213,7 @@ def test_fill_system_reuse_matches_fresh_system():
                     rhs[e] = rhs.get(e, 0) + v * w
             if rng.random() < 0.3:
                 rhs[rng.choice(edge_ids)] = rng.randint(-3, 3)  # often no integer solution
-            assert _solve(system, rhs) == _solve(FillSystem(columns, edge_ids), rhs)
+            assert _solve(system, rhs, monkeypatch) == _solve(FillSystem(columns, edge_ids), rhs, monkeypatch)
         assert all(np.array_equal(a, b) for a, b in zip(before, _arrays(system)))
 
 
@@ -197,3 +226,50 @@ def test_fill_system_refuses_edges_outside_its_rows():
             solve(system, {0: 1, 5: 1})
     with pytest.raises(InvariantError, match="right-hand side edge 5"):
         lower_bound(system, [0.0, 0.0], {5: 1}, [0], [0])
+
+
+def test_node_budget_stops_the_search_with_the_milp_chain(monkeypatch):
+    # 3 x0 + 2 x1 = 1 branches past its root from the MILP chain (1, -1)
+    system, rhs = FillSystem([{0: 3}, {0: 2}], [0]), {0: 1}
+    r = l1_fill(system, rhs)
+    assert (r.status, r.coeffs, r.value, r.nodes) == ("optimal", [1, -1], 2, 5)
+    monkeypatch.setattr(exactlp, "NODE_BUDGET", 1)
+    r = l1_fill(system, rhs)
+    assert (r.status, r.coeffs, r.value) == ("budget", [1, -1], 2)
+
+
+def _root_duals(monkeypatch, system, rhs):
+    """(solve, the eqlin marginals of its first node LP) of one l1_fill."""
+    marginals = []
+    linprog = exactlp.linprog
+
+    def capture(*args, **kwargs):
+        lp = linprog(*args, **kwargs)
+        marginals.append(np.array(lp.eqlin.marginals, copy=True))
+        return lp
+
+    with monkeypatch.context() as m:
+        m.setattr(exactlp, "linprog", capture)
+        r = l1_fill(system, rhs)
+    return r, marginals[0]
+
+
+def test_root_duals_reach_the_area_and_their_negation_does_not(monkeypatch):
+    # lower_bound reads the duals with linprog's sign: on every fill whose
+    # root certifies it, the root marginals bound the area over the root box
+    # |a_c| <= area - 1 and the negated marginals do not
+    group = load_group(os.path.join(GROUPS, "z3_ext.grp"))
+    ball = build_ball(group.backend, group.hom_pres, 3)
+    systems = [_path_system()]
+    for _, cycle, _word in enumerate_identity_cycles(ball, 6):
+        residual = _peel_forced(ball, cycle.coeffs)[2]
+        if residual:
+            systems.append((ball.fill_system, residual))
+    assert len(systems) > 100
+    for system, rhs in systems:
+        r, y = _root_duals(monkeypatch, system, rhs)
+        assert r.nodes == 1
+        cap = [r.value - 1] * len(system.columns)
+        box = ([-v for v in cap], cap)
+        assert lower_bound(system, y, rhs, *box) >= r.value
+        assert lower_bound(system, -y, rhs, *box) < r.value

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from homfill import filling
+from homfill import exactlp, filling
 from homfill.backends import letter_order
 from homfill.cayley import OneCycle, TwoChain, boundary_2, build_ball, loop_to_cycle
 from homfill.cli import load_group
@@ -223,7 +223,7 @@ def test_exact_matches_brute_force_on_group_files(path, root, monkeypatch):
     # "no-proposer" starts the branch and bound of every unpeeled fill from
     # integer_solve's chain instead of the HiGHS chain
     if root == "no-proposer":
-        monkeypatch.setattr(filling, "propose", lambda *args: None)
+        monkeypatch.setattr(exactlp, "propose", lambda *args: None)
     group = load_group(path)
     ball = build_ball(group.backend, group.hom_pres, 3)
     cycles = enumerate_identity_cycles(ball, 6)
@@ -330,3 +330,14 @@ def test_residual_edge_outside_the_fill_system_is_an_invariant_error():
     for solve in (propose, l1_fill):
         with pytest.raises(InvariantError, match=f"right-hand side edge {outside} "):
             solve(system, {system.edge_ids[0]: 1, outside: 1})
+
+
+def test_node_budget_reports_budget_exceeded(monkeypatch):
+    # a fill whose search passes exactlp.NODE_BUDGET reports no area; at
+    # budget 0 the root node is already one too many
+    ball = _lifetime_ball("z3_ext.grp", 3)
+    cycle = _unpeeled_cycles(ball, 1)[0]
+    assert harea_fill(ball, cycle).nodes == 1
+    monkeypatch.setattr(exactlp, "NODE_BUDGET", 0)
+    result = harea_fill(ball, cycle)
+    assert (result.status, result.area, result.nodes) == ("budget_exceeded", None, 1)
