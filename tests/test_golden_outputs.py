@@ -38,6 +38,10 @@ Corpus:
                    radius 3; the node count is left out.
   fill:<file>:r<R> the same records at radius R: z3_ext at radius 4, the
                    benchmark's FA ball, where no fill peels.
+  fill-area:<file>[:r<R>]
+                   (word, status, area) of the same fills as the fill:
+                   section of that name, so a change that only picks
+                   another minimal chain moves fill:* and holds fill-area:*.
   tight:<ctx>:*    ``chart``, ``embed_chain``, ``kernel_cycle_to_extension``,
                    ``lift_image_cycle``, ``route_filling`` and ``push_down`` on
                    a radius-3 extension ball and a radius-3 kernel ball, where
@@ -59,7 +63,7 @@ from random import Random
 import pytest
 
 from homfill import extension
-from homfill.cayley import OneCycle, TwoChain, build_ball, dump_ball, hop_distances
+from homfill.cayley import OneCycle, TwoChain, boundary_2, build_ball, dump_ball, hop_distances
 from homfill.cli import load_group
 from homfill.errors import HomfillError
 from homfill.filling import enumerate_identity_cycles, harea_fill
@@ -101,6 +105,14 @@ GOLDEN = {
     "fill:z2_redundant": "a3c75f806984a23c2b0db4ee57dbdfd27c94bc19414f10cd72200d3bf396ebb8",
     "fill:z3_ext": "00f22a65a833d08f2350fadcc32b9aeb5e21c6c710ceb517f4884a49c53db2d6",
     "fill:z3_ext:r4": "2c3c717a71c17ae31cb023c372bc32bc7c44c79b14ea32a0eb62adb70f19f2d1",
+    "fill-area:f2": "4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945",
+    "fill-area:f2_triangle": "a5f1a68396f3361a4ae9444004c52c7e5c7b0259ae5676c897e7aa076e5d33d7",
+    "fill-area:heis_ext": "ac9636906db5c2da76e45e79735035d5c45294d49578f00ab9529ada3d8b9a1d",
+    "fill-area:z2": "2c97f0c14be71450ceb82cb2b4b428cddaaa02153fd19ea25d7a9495dd3956d0",
+    "fill-area:z2_by_f2": "8ead365c0035326b62327c843140d531a13e3a9c9801adafecb5684b2631a0a0",
+    "fill-area:z2_redundant": "9205528ebad8885054cd708d8b905cbb27532887f358fb4578c41b83fffd9fec",
+    "fill-area:z3_ext": "fb122599e76b04099419ed1fccea4da466d2f315192aaff42cefb00cf8d8bb28",
+    "fill-area:z3_ext:r4": "fb122599e76b04099419ed1fccea4da466d2f315192aaff42cefb00cf8d8bb28",
     "surface:f2": "8745a6180c5f1fcba11786d658a42ef983101e93d75b47d490ff2679944916cb",
     "surface:f2_triangle": "9b3480017eb1d1bacdb2daa457c6b7e5658e782796139833b287c4b262fdde1b",
     "surface:heis_ext": "c61832fe004f11fcdf48b22ffb799ba782959d543fe336d0c5e917395ad82ecc",
@@ -206,14 +218,20 @@ def _surface(file: str) -> list:
     return out
 
 
-def _fill(file: str, radius: int) -> list:
+@lru_cache(maxsize=None)
+def _fills(file: str, radius: int) -> tuple:
+    """(ball, [(word, cycle, result)]) of ``harea_fill`` on every identity
+    cycle of length <= 6 of one group file's ball."""
     group = _group(file)
     ball = build_ball(group.backend, group.hom_pres, radius)
-    out = []
-    for _, cycle, word in enumerate_identity_cycles(ball, 6):
-        result = harea_fill(ball, cycle)
-        out.append([list(word), result.status, result.area, _plain(result.chain)])
-    return out
+    return ball, [(word, cycle, harea_fill(ball, cycle)) for _, cycle, word in enumerate_identity_cycles(ball, 6)]
+
+
+def _fill(file: str, radius: int, chains: bool) -> list:
+    return [
+        [list(word), result.status, result.area] + ([_plain(result.chain)] if chains else [])
+        for word, _, result in _fills(file, radius)[1]
+    ]
 
 
 def _reversed(face: Face) -> Face:
@@ -458,15 +476,20 @@ def _tight(ctx: str, part: str) -> list:
     return out
 
 
+def _fill_args(rest: str) -> tuple[str, int]:
+    """(group file, radius) of a fill section named fill:<rest>."""
+    file, _, radius = rest.partition(":")
+    return file + ".grp", int(radius[1:]) if radius else 3
+
+
 def _section(name: str) -> list:
     kind, _, rest = name.partition(":")
     if kind == "ball":
         return _ball(rest + ".grp")
     if kind == "surface":
         return _surface(rest + ".grp")
-    if kind == "fill":
-        file, _, radius = rest.partition(":")
-        return _fill(file + ".grp", int(radius[1:]) if radius else 3)
+    if kind in ("fill", "fill-area"):
+        return _fill(*_fill_args(rest), chains=kind == "fill")
     if kind == "surface-index":
         return _handmade() if rest == "handmade" else _surface_index(rest + ".grp")
     if kind == "routed":
@@ -486,12 +509,25 @@ def test_every_group_file_is_covered():
     assert files | {"handmade"} == {name.split(":")[1] for name in GOLDEN if name.startswith("surface-index:")}
     assert files == {name.split(":")[1] for name in GOLDEN if name.startswith("ball:")}
     assert files == {name.split(":")[1] for name in GOLDEN if name.startswith("fill:")}
+    fills = {name.partition(":")[2] for name in GOLDEN if name.startswith("fill:")}
+    assert fills == {name.partition(":")[2] for name in GOLDEN if name.startswith("fill-area:")}
 
 
 @pytest.mark.parametrize("file", sorted(p.name for p in GROUPS.glob("*.grp")))
 def test_ball_distance_is_hop_distance(file):
     for _, ball in _radius_balls(file):
         assert ball.distance == hop_distances(ball, [0])
+
+
+@pytest.mark.parametrize("rest", sorted(name.partition(":")[2] for name in GOLDEN if name.startswith("fill:")))
+def test_golden_fill_chains_bound_their_cycles(rest):
+    # the fill:* hashes pin chains, the fill-area:* hashes their areas: each
+    # chain bounds its cycle and its L1 norm is the area it reports
+    ball, fills = _fills(*_fill_args(rest))
+    for word, cycle, result in fills:
+        if result.optimal():
+            assert boundary_2(ball, result.chain) == cycle, word
+            assert sum(map(abs, result.chain.coeffs.values())) == result.area, word
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN))
