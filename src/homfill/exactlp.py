@@ -1,4 +1,4 @@
-"""Exact minimal-L1 integer fillings: HiGHS proposes, exact integers verify.
+"""Exact minimal-L1 integer fillings: HiGHS LPs bound, exact integers verify.
 
 Every HiGHS call of the package is made here.  One ``FillSystem`` holds
 everything about min sum |a_c| subject to sum_c a_c * columns[c] = rhs that
@@ -9,8 +9,9 @@ each fill supplies its right-hand side.
 * ``l1_fill`` -- the one exact-fill call: branch and bound for min sum |a_c|
   subject to B a = rhs over the integers, on HiGHS node LPs, stopped after
   ``NODE_BUDGET`` nodes; every prune is a ``lower_bound``.  It starts from
-  ``propose``'s chain, or from ``integer_solve``'s when HiGHS proposes none,
-  and its root node, over the box |a_c| <= area - 1, certifies that chain.
+  ``integer_solve``'s chain, which the root LP's rounded point replaces when
+  smaller, and its root node, over the box |a_c| <= area - 1, certifies the
+  incumbent.  Only when the root does not prune does it call ``propose``.
 * ``propose`` -- the HiGHS MILP's integer chain, kept only when it solves
   the system in integer arithmetic.
 * ``integer_solve`` -- particular integer solution of A x = b via column
@@ -51,9 +52,6 @@ class FillSystem:
 
     ``columns[c]`` maps edge id to the net boundary coefficient of cell c.
     ``entries[c]`` lists the same column as (row position, value) pairs.
-    ``milp_matrix`` is the MILP's constraint matrix over the variables
-    (a, t): the rows t - a >= 0 and t + a >= 0, which make t >= |a|, then
-    the equality rows; ``milp_lb``/``milp_ub`` bound the first 2n rows.
     ``lp_matrix`` is the elastic node LP's matrix over (p, q, s+, s-), with
     a = p - q and one slack pair per row, bounded by ``slack_bounds``.
     """
@@ -74,16 +72,6 @@ class FillSystem:
                 cols.append(k)
                 vals.append(float(v))
         a_mat = sp.csc_matrix((vals, (rows, cols)), shape=(m, n))
-
-        eye = sp.identity(n, format="csc")
-        abs_mat = sp.bmat([[-eye, eye], [eye, eye]], format="csc")
-        eq_mat = sp.hstack([a_mat, sp.csc_matrix((m, n))], format="csc")
-        self.milp_matrix = sp.vstack([sp.csc_array(abs_mat), sp.csc_array(eq_mat)], format="csc")
-        self.milp_lb = np.zeros(2 * n)
-        self.milp_ub = np.full(2 * n, np.inf)
-        self.milp_cost = np.concatenate([np.zeros(n), np.ones(n)])
-        self.milp_integrality = np.concatenate([np.ones(n), np.zeros(n)])
-
         eye = sp.identity(m, format="csc")
         self.lp_matrix = sp.hstack([a_mat, -a_mat, eye, -eye], format="csc")
         self.slack_bounds = np.tile([0.0, np.inf], (2 * m, 1))
@@ -97,6 +85,24 @@ class FillSystem:
                 raise InvariantError(f"right-hand side edge {e} is not a row of the fill system")
             b[i] = v
         return b
+
+    @cached_property
+    def milp_arrays(self) -> tuple:
+        """The MILP's (matrix, lb, ub, cost, integrality) over the variables
+        (a, t): the rows t - a >= 0 and t + a >= 0, which make t >= |a|,
+        then the equality rows; lb/ub bound the first 2n rows.  Built on
+        first use."""
+        n, m = len(self.columns), len(self.edge_ids)
+        eye = sp.identity(n, format="csc")
+        abs_mat = sp.bmat([[-eye, eye], [eye, eye]], format="csc")
+        eq_mat = sp.hstack([self.lp_matrix[:, :n], sp.csc_matrix((m, n))], format="csc")
+        return (
+            sp.vstack([sp.csc_array(abs_mat), sp.csc_array(eq_mat)], format="csc"),
+            np.zeros(2 * n),
+            np.full(2 * n, np.inf),
+            np.concatenate([np.zeros(n), np.ones(n)]),
+            np.concatenate([np.ones(n), np.zeros(n)]),
+        )
 
     @cached_property
     def hermite(self) -> tuple[list[list[int]], list[list[int]], list[tuple[int, int]]]:
@@ -203,15 +209,9 @@ def propose(system: FillSystem, rhs: dict[int, int]) -> list[int] | None:
     HiGHS MILP for min sum |a_c|, or None when HiGHS finds none or its
     rounded chain fails the exact check.  Nothing here proves it minimal."""
     b = np.array(system.dense(rhs), dtype=float)
-    constraint = LinearConstraint(
-        system.milp_matrix, lb=np.concatenate([system.milp_lb, b]), ub=np.concatenate([system.milp_ub, b])
-    )
-    sol = milp(
-        system.milp_cost,
-        constraints=constraint,
-        integrality=system.milp_integrality,
-        bounds=Bounds(-np.inf, np.inf),
-    )
+    matrix, lb, ub, cost, integrality = system.milp_arrays
+    constraint = LinearConstraint(matrix, lb=np.concatenate([lb, b]), ub=np.concatenate([ub, b]))
+    sol = milp(cost, constraints=constraint, integrality=integrality, bounds=Bounds(-np.inf, np.inf))
     if not sol.success:
         return None
     coeffs = [int(round(v)) for v in sol.x[: len(system.columns)]]
@@ -246,11 +246,15 @@ def _split(x: list[float], lo: list[int], hi: list[int]) -> tuple[int, int, bool
 def l1_fill(system: FillSystem, rhs: dict[int, int]) -> FillSolve:
     """min sum |a_c| with sum_c a_c * columns[c] = rhs, over the integers.
 
-    The search starts from ``propose``'s chain; when HiGHS proposes none,
-    ``integer_solve`` supplies one or proves that none exists.  When the
-    root node prunes, the starting chain is certified minimal and the
-    search takes 1 node.  A search that passes ``NODE_BUDGET`` nodes stops
-    with status budget and the best chain found so far.
+    The search starts from ``integer_solve``'s chain, or returns
+    infeasible when it proves that none exists.  Each node tries its LP
+    point rounded to the integers as a better chain.  When the root node
+    prunes, the incumbent is certified minimal and the search takes 1
+    node.  When it does not, ``propose``'s HiGHS MILP chain, if smaller,
+    becomes the incumbent and the root bound is tested again before
+    branching; the MILP runs at most once per fill.  A search that passes
+    ``NODE_BUDGET`` nodes stops with status budget and the best chain found
+    so far.
 
     Depth-first branch and bound over boxes lo <= a <= hi, clipped to
     |a_c| <= incumbent area - 1, which every better chain satisfies; so
@@ -261,11 +265,9 @@ def l1_fill(system: FillSystem, rhs: dict[int, int]) -> FillSolve:
     """
     n = len(system.columns)
     b_float = np.array(system.dense(rhs), dtype=float)
-    best = propose(system, rhs)
+    best = integer_solve(system, rhs)
     if best is None:
-        best = integer_solve(system, rhs)
-        if best is None:
-            return FillSolve("infeasible", None, None, 0)
+        return FillSolve("infeasible", None, None, 0)
     best_value = sum(map(abs, best))
 
     nodes = 0
@@ -297,7 +299,13 @@ def l1_fill(system: FillSystem, rhs: dict[int, int]) -> FillSolve:
         value = sum(map(abs, point))
         if value < best_value and solves(system.columns, point, rhs):
             best, best_value = point, value
-        if lower_bound(system, lp.eqlin.marginals, rhs, lo, hi) >= best_value:
+        bound = lower_bound(system, lp.eqlin.marginals, rhs, lo, hi)
+        if nodes == 1 and bound < best_value:
+            # the root leaves a gap: the MILP's chain may be a better incumbent
+            chain = propose(system, rhs)
+            if chain is not None and sum(map(abs, chain)) < best_value:
+                best, best_value = chain, sum(map(abs, chain))
+        if bound >= best_value:
             continue
         split = _split(x, lo, hi)
         if split is None:

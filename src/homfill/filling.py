@@ -6,8 +6,8 @@ peeling finishes takes 0 branch-and-bound nodes.  What is left goes to the
 one exact-fill call ``exactlp.l1_fill`` on the ball's fill system: branch
 and bound over all free cells from the chain it starts with, pruning only
 with the exact integer bound ``exactlp.lower_bound``.  The root node, over
-the box |a_c| <= area - 1, is the certificate of the starting chain; when
-it closes, the fill took 1 node.
+the box |a_c| <= area - 1, is the certificate of the best chain found so
+far; when it closes, the fill took 1 node.
 
 Every value is restricted to a finite ball.  The ball-restricted area of
 one cycle is an upper bound on its untruncated area, since a larger ball
@@ -49,7 +49,7 @@ class FillingResult:
     ball_radius: int
     solver: str = "exact_ilp"
     # exact_ilp: branch-and-bound nodes, 0 when peeling finished the fill and
-    # 1 when l1_fill's root certified its starting chain; brute_force: steps
+    # 1 when l1_fill's root certified its best chain; brute_force: steps
     nodes: int = 0
 
     def optimal(self) -> bool:

@@ -21,7 +21,7 @@ def _propose_none(*_args):
 
 @pytest.fixture
 def no_proposer(monkeypatch):
-    """l1_fill starts from integer_solve's chain: HiGHS proposes none."""
+    """The HiGHS MILP proposes no chain when the root leaves a gap."""
     monkeypatch.setattr(exactlp, "propose", _propose_none)
 
 
@@ -63,8 +63,9 @@ def test_l1_fill_basic(monkeypatch):
         assert (r.status, r.value) == ("optimal", 2)
         assert r.coeffs == [1, 1]
         assert l1_fill(FillSystem([{0: 2}], [0]), {0: 3}).status == "infeasible"
-    # that system's LP optimum is integral, so from the MILP's optimal chain
-    # the root node's bound reaches its area and the search stops there
+    # that system's LP optimum is integral, so the root's rounded point is a
+    # minimal chain, the root node's bound reaches its area and the search
+    # stops there
     r = l1_fill(path, rhs)
     assert (r.status, r.coeffs, r.nodes) == ("optimal", [1, 1], 1)
     assert l1_fill(FillSystem([{0: 2}], [0]), {0: 3}).status == "infeasible"
@@ -142,8 +143,8 @@ def test_l1_fill_matches_exhaustive_enumeration(monkeypatch):
     branched = 0
     for trial in range(240):
         columns, edge_ids, rhs, x = _random_system(rng)
-        # half the systems start from the MILP's chain, half from
-        # integer_solve's
+        # half the systems may take the MILP's chain where the root leaves a
+        # gap, half search from integer_solve's chain alone
         with monkeypatch.context() as m:
             if trial % 2 == 0:
                 m.setattr(exactlp, "propose", _propose_none)
@@ -179,14 +180,12 @@ def test_lower_bound_holds_for_any_dual():
 
 
 def _arrays(system):
+    milp_matrix, *milp_vectors = system.milp_arrays
     return [
         np.array(a, copy=True)
-        for m in (system.milp_matrix, system.lp_matrix)
+        for m in (milp_matrix, system.lp_matrix)
         for a in (m.data, m.indices, m.indptr)
-    ] + [
-        a.copy()
-        for a in (system.milp_lb, system.milp_ub, system.milp_cost, system.milp_integrality, system.slack_bounds)
-    ]
+    ] + [a.copy() for a in (*milp_vectors, system.slack_bounds)]
 
 
 def _solve(system, rhs, monkeypatch):
@@ -229,13 +228,63 @@ def test_fill_system_refuses_edges_outside_its_rows():
 
 
 def test_node_budget_stops_the_search_with_the_milp_chain(monkeypatch):
-    # 3 x0 + 2 x1 = 1 branches past its root from the MILP chain (1, -1)
+    # 3 x0 + 2 x1 = 1 branches past its root, whose gap makes the MILP
+    # propose (1, -1), the chain integer_solve also starts from
     system, rhs = FillSystem([{0: 3}, {0: 2}], [0]), {0: 1}
     r = l1_fill(system, rhs)
     assert (r.status, r.coeffs, r.value, r.nodes) == ("optimal", [1, -1], 2, 5)
     monkeypatch.setattr(exactlp, "NODE_BUDGET", 1)
     r = l1_fill(system, rhs)
     assert (r.status, r.coeffs, r.value) == ("budget", [1, -1], 2)
+
+
+def test_milp_runs_once_and_only_when_the_root_leaves_a_gap(monkeypatch):
+    # the path system's root closes, so the MILP never runs; 3 x0 + 2 x1 = 1
+    # has LP value 1/3 below its integer optimum 2, so its root leaves a gap
+    # and the MILP runs once, however far the search then branches
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return propose(*args)
+
+    monkeypatch.setattr(exactlp, "propose", counted)
+    path, rhs = _path_system()
+    assert l1_fill(path, rhs).nodes == 1
+    assert calls == []
+    system, rhs = FillSystem([{0: 3}, {0: 2}], [0]), {0: 1}
+    r = l1_fill(system, rhs)
+    assert (r.status, r.value) == ("optimal", 2) and r.nodes > 1
+    assert len(calls) == 1
+    # the MILP is only a shortcut: without its chain the search still proves
+    # the optimum
+    monkeypatch.setattr(exactlp, "propose", _propose_none)
+    r = l1_fill(system, rhs)
+    assert (r.status, r.value) == ("optimal", 2)
+
+
+def test_a_smaller_milp_chain_is_the_incumbent_before_branching(monkeypatch):
+    # -3 x0 - 5 x1 = -3: integer_solve's chain (6, -3) has area 9 and the
+    # root LP point (0, 3/5) rounds to no solution, so the root leaves a
+    # gap; the MILP's (1, 0) replaces the incumbent and the root bound, tested
+    # again, closes at 1 node
+    system, rhs = FillSystem([{0: -3}, {0: -5}], [0]), {0: -3}
+    assert integer_solve(system, rhs) == [6, -3]
+    r = l1_fill(system, rhs)
+    assert (r.status, r.coeffs, r.nodes) == ("optimal", [1, 0], 1)
+    with monkeypatch.context() as m:
+        m.setattr(exactlp, "propose", _propose_none)
+        r = l1_fill(system, rhs)
+    assert (r.status, r.value) == ("optimal", 1) and r.nodes > 1
+    # 5 x0 + 3 x1 = 2 still branches after taking the MILP's (1, -1), so a
+    # budget of 1 node returns it rather than integer_solve's (-2, 4)
+    system, rhs = FillSystem([{0: 5}, {0: 3}], [0]), {0: 2}
+    monkeypatch.setattr(exactlp, "NODE_BUDGET", 1)
+    r = l1_fill(system, rhs)
+    assert (r.status, r.coeffs, r.value) == ("budget", [1, -1], 2)
+    monkeypatch.setattr(exactlp, "propose", _propose_none)
+    r = l1_fill(system, rhs)
+    assert (r.status, r.coeffs, r.value) == ("budget", [-2, 4], 6)
 
 
 def _root_duals(monkeypatch, system, rhs):

@@ -220,8 +220,8 @@ def test_check_preceq_linear_below_quadratic():
 @pytest.mark.parametrize("path", GROUP_FILES, ids=os.path.basename)
 def test_exact_matches_brute_force_on_group_files(path, root, monkeypatch):
     # f2.grp has no relators, so its ball is a tree with no nonzero cycles;
-    # "no-proposer" starts the branch and bound of every unpeeled fill from
-    # integer_solve's chain instead of the HiGHS chain
+    # "no-proposer" makes the HiGHS MILP propose nothing, which no fill here
+    # needs: every root closes
     if root == "no-proposer":
         monkeypatch.setattr(exactlp, "propose", lambda *args: None)
     group = load_group(path)
@@ -239,12 +239,9 @@ def test_exact_matches_brute_force_on_group_files(path, root, monkeypatch):
         if exact.optimal():
             assert boundary_2(ball, exact.chain) == cycle
             # a peeled fill takes no branch-and-bound node; the root node
-            # certifies every HiGHS chain
+            # certifies every other fill
             unpeeled = bool(filling._peel_forced(ball, cycle.coeffs)[2])
-            if root == "proposer":
-                assert exact.nodes == unpeeled, word
-            else:
-                assert (exact.nodes > 0) == unpeeled, word
+            assert exact.nodes == unpeeled, word
     assert 2 * skipped <= len(sample)
 
 
@@ -330,6 +327,20 @@ def test_residual_edge_outside_the_fill_system_is_an_invariant_error():
     for solve in (propose, l1_fill):
         with pytest.raises(InvariantError, match=f"right-hand side edge {outside} "):
             solve(system, {system.edge_ids[0]: 1, outside: 1})
+
+
+def test_unpeeled_fills_close_at_the_root_without_the_milp(monkeypatch):
+    # every unpeeled z3_ext fill is certified by its root LP alone: the
+    # HiGHS MILP runs only when the root leaves a gap, and none does
+    ball = _lifetime_ball("z3_ext.grp", 3)
+    calls = []
+    monkeypatch.setattr(exactlp, "propose", lambda *args: calls.append(args))
+    cycles = _unpeeled_cycles(ball, None)
+    assert len(cycles) > 100
+    for cycle in cycles:
+        result = harea_fill(ball, cycle)
+        assert (result.status, result.nodes) == ("optimal", 1)
+    assert calls == []
 
 
 def test_node_budget_reports_budget_exceeded(monkeypatch):

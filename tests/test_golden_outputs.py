@@ -99,12 +99,12 @@ GOLDEN = {
     "ball:z3_ext": "2a6ecd7e85cc5d5d0fea5f31a9bedac62de25bbbf6673ad1b3399ab7dd2bddd2",
     "fill:f2": "4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945",
     "fill:f2_triangle": "91610ecb158a83657821e077d779751aa61083e61bd26039c8a886d544abb901",
-    "fill:heis_ext": "8f8c861055f3597acd188493d99132e2d8da607ab57745304960299978480553",
+    "fill:heis_ext": "5847c005e43a019626014b6124b13ca883a0f5353219a2dfb6e08705490f332a",
     "fill:z2": "209370444605d5b7c1a3d493ce343636e39cbc422d8fa1b5eb774d6c4fede97f",
-    "fill:z2_by_f2": "0f6c497fb90ba96bf0c8334603e8dc4bd58b1ebad29efdd5566208aec8314f17",
+    "fill:z2_by_f2": "891425376729b5ec2e85fa4476415b6b0e05e84edca27c7cea2120a845a592ad",
     "fill:z2_redundant": "a3c75f806984a23c2b0db4ee57dbdfd27c94bc19414f10cd72200d3bf396ebb8",
-    "fill:z3_ext": "00f22a65a833d08f2350fadcc32b9aeb5e21c6c710ceb517f4884a49c53db2d6",
-    "fill:z3_ext:r4": "2c3c717a71c17ae31cb023c372bc32bc7c44c79b14ea32a0eb62adb70f19f2d1",
+    "fill:z3_ext": "9285d999f54846059393b93ce277cedd76f28dd3a902d5d34b1b08cad11e34bc",
+    "fill:z3_ext:r4": "ec128bfb9dfd1688b99a7dd8ddb0f24b59edef74025f57d6b3fb3ee036215758",
     "fill-area:f2": "4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945",
     "fill-area:f2_triangle": "a5f1a68396f3361a4ae9444004c52c7e5c7b0259ae5676c897e7aa076e5d33d7",
     "fill-area:heis_ext": "ac9636906db5c2da76e45e79735035d5c45294d49578f00ab9529ada3d8b9a1d",
