@@ -52,6 +52,9 @@ class FillSystem:
 
     ``columns[c]`` maps edge id to the net boundary coefficient of cell c.
     ``entries[c]`` lists the same column as (row position, value) pairs.
+    ``milp_matrix`` is the MILP's constraint matrix over the variables
+    (a, t): the rows t - a >= 0 and t + a >= 0, which make t >= |a|, then
+    the equality rows; ``milp_lb``/``milp_ub`` bound the first 2n rows.
     ``lp_matrix`` is the elastic node LP's matrix over (p, q, s+, s-), with
     a = p - q and one slack pair per row, bounded by ``slack_bounds``.
     """
@@ -72,6 +75,16 @@ class FillSystem:
                 cols.append(k)
                 vals.append(float(v))
         a_mat = sp.csc_matrix((vals, (rows, cols)), shape=(m, n))
+
+        eye = sp.identity(n, format="csc")
+        abs_mat = sp.bmat([[-eye, eye], [eye, eye]], format="csc")
+        eq_mat = sp.hstack([a_mat, sp.csc_matrix((m, n))], format="csc")
+        self.milp_matrix = sp.vstack([sp.csc_array(abs_mat), sp.csc_array(eq_mat)], format="csc")
+        self.milp_lb = np.zeros(2 * n)
+        self.milp_ub = np.full(2 * n, np.inf)
+        self.milp_cost = np.concatenate([np.zeros(n), np.ones(n)])
+        self.milp_integrality = np.concatenate([np.ones(n), np.zeros(n)])
+
         eye = sp.identity(m, format="csc")
         self.lp_matrix = sp.hstack([a_mat, -a_mat, eye, -eye], format="csc")
         self.slack_bounds = np.tile([0.0, np.inf], (2 * m, 1))
@@ -87,41 +100,21 @@ class FillSystem:
         return b
 
     @cached_property
-    def milp_arrays(self) -> tuple:
-        """The MILP's (matrix, lb, ub, cost, integrality) over the variables
-        (a, t): the rows t - a >= 0 and t + a >= 0, which make t >= |a|,
-        then the equality rows; lb/ub bound the first 2n rows.  Built on
-        first use."""
-        n, m = len(self.columns), len(self.edge_ids)
-        eye = sp.identity(n, format="csc")
-        abs_mat = sp.bmat([[-eye, eye], [eye, eye]], format="csc")
-        eq_mat = sp.hstack([self.lp_matrix[:, :n], sp.csc_matrix((m, n))], format="csc")
-        return (
-            sp.vstack([sp.csc_array(abs_mat), sp.csc_array(eq_mat)], format="csc"),
-            np.zeros(2 * n),
-            np.full(2 * n, np.inf),
-            np.concatenate([np.zeros(n), np.ones(n)]),
-            np.concatenate([np.ones(n), np.zeros(n)]),
-        )
-
-    @cached_property
-    def hermite(self) -> tuple[list[list[int]], list[list[int]], list[tuple[int, int]]]:
+    def hermite(self) -> tuple[list[dict[int, int]], list[dict[int, int]], list[tuple[int, int]]]:
         """The columns reduced to a Hermite-style triangular form by
-        Euclidean column operations: (reduced columns, V, pivots), where row
-        j of V writes reduced column j in the original columns and pivots
-        lists (row, column) in elimination order.  Built on first use."""
-        m = len(self.edge_ids)
-        num_cols = len(self.columns)
-        cols = [[0] * m for _ in range(num_cols)]
-        for j, col in enumerate(self.entries):
-            for i, v in col:
-                cols[j][i] = v
-        vmat = [[1 if k == j else 0 for k in range(num_cols)] for j in range(num_cols)]
+        Euclidean column operations: (reduced columns, V, pivots), where
+        reduced column j maps row position to its nonzero values, row j of V
+        maps original column to coefficient and so writes reduced column j
+        in the original columns, and pivots lists (row, column) in
+        elimination order.  Sparse throughout, as a ball's boundary columns
+        are.  Built on first use."""
+        cols = [{i: v for i, v in col if v} for col in self.entries]
+        vmat = [{j: 1} for j in range(len(cols))]
 
         pivots: list[tuple[int, int]] = []
         pivot_count = 0
-        for r in range(m):
-            active = [j for j in range(pivot_count, num_cols) if cols[j][r]]
+        for r in range(len(self.edge_ids)):
+            active = [j for j in range(pivot_count, len(cols)) if r in cols[j]]
             if not active:
                 continue
             while len(active) > 1:
@@ -130,20 +123,28 @@ class FillSystem:
                 for j in active[1:]:
                     q = cols[j][r] // cols[base][r]
                     if q:
-                        for i in range(m):
-                            cols[j][i] -= q * cols[base][i]
-                        for k in range(num_cols):
-                            vmat[j][k] -= q * vmat[base][k]
-                active = [j for j in active if cols[j][r]]
+                        _subtract(cols[j], q, cols[base])
+                        _subtract(vmat[j], q, vmat[base])
+                active = [j for j in active if r in cols[j]]
             j = active[0]
             if cols[j][r] < 0:
-                cols[j] = [-v for v in cols[j]]
-                vmat[j] = [-v for v in vmat[j]]
+                cols[j] = {i: -v for i, v in cols[j].items()}
+                vmat[j] = {k: -v for k, v in vmat[j].items()}
             cols[pivot_count], cols[j] = cols[j], cols[pivot_count]
             vmat[pivot_count], vmat[j] = vmat[j], vmat[pivot_count]
             pivots.append((r, pivot_count))
             pivot_count += 1
         return cols, vmat, pivots
+
+
+def _subtract(target: dict[int, int], q: int, source: dict[int, int]) -> None:
+    """target -= q * source, keeping only nonzero values."""
+    for i, v in source.items():
+        w = target.get(i, 0) - q * v
+        if w:
+            target[i] = w
+        else:
+            del target[i]
 
 
 def integer_solve(system: FillSystem, rhs: dict[int, int]) -> list[int] | None:
@@ -153,24 +154,22 @@ def integer_solve(system: FillSystem, rhs: dict[int, int]) -> list[int] | None:
     substitution and pulled back through V.
     """
     cols, vmat, pivots = system.hermite
-    num_cols = len(cols)
     residual = system.dense(rhs)
-    y = [0] * num_cols
+    y = {}
     for r, c in pivots:
         d = cols[c][r]
         if residual[r] % d:
             return None
         y[c] = residual[r] // d
         if y[c]:
-            for i, v in enumerate(cols[c]):
+            for i, v in cols[c].items():
                 residual[i] -= y[c] * v
     if any(residual):
         return None
-    x = [0] * num_cols
-    for c in range(num_cols):
-        if y[c]:
-            for k in range(num_cols):
-                x[k] += y[c] * vmat[c][k]
+    x = [0] * len(cols)
+    for c, yc in y.items():
+        for k, v in vmat[c].items():
+            x[k] += yc * v
     return x
 
 
@@ -209,9 +208,15 @@ def propose(system: FillSystem, rhs: dict[int, int]) -> list[int] | None:
     HiGHS MILP for min sum |a_c|, or None when HiGHS finds none or its
     rounded chain fails the exact check.  Nothing here proves it minimal."""
     b = np.array(system.dense(rhs), dtype=float)
-    matrix, lb, ub, cost, integrality = system.milp_arrays
-    constraint = LinearConstraint(matrix, lb=np.concatenate([lb, b]), ub=np.concatenate([ub, b]))
-    sol = milp(cost, constraints=constraint, integrality=integrality, bounds=Bounds(-np.inf, np.inf))
+    constraint = LinearConstraint(
+        system.milp_matrix, lb=np.concatenate([system.milp_lb, b]), ub=np.concatenate([system.milp_ub, b])
+    )
+    sol = milp(
+        system.milp_cost,
+        constraints=constraint,
+        integrality=system.milp_integrality,
+        bounds=Bounds(-np.inf, np.inf),
+    )
     if not sol.success:
         return None
     coeffs = [int(round(v)) for v in sol.x[: len(system.columns)]]
@@ -250,11 +255,11 @@ def l1_fill(system: FillSystem, rhs: dict[int, int]) -> FillSolve:
     infeasible when it proves that none exists.  Each node tries its LP
     point rounded to the integers as a better chain.  When the root node
     prunes, the incumbent is certified minimal and the search takes 1
-    node.  When it does not, ``propose``'s HiGHS MILP chain, if smaller,
-    becomes the incumbent and the root bound is tested again before
-    branching; the MILP runs at most once per fill.  A search that passes
-    ``NODE_BUDGET`` nodes stops with status budget and the best chain found
-    so far.
+    node.  When it does not, ``propose``'s HiGHS MILP chain becomes the
+    incumbent if smaller, and the root is solved again over the box of an
+    incumbent smaller than the one it was solved for before the search
+    branches; the MILP runs at most once per fill.  A search that passes ``NODE_BUDGET`` nodes stops with
+    status budget and the best chain found so far.
 
     Depth-first branch and bound over boxes lo <= a <= hi, clipped to
     |a_c| <= incumbent area - 1, which every better chain satisfies; so
@@ -271,6 +276,7 @@ def l1_fill(system: FillSystem, rhs: dict[int, int]) -> FillSolve:
     best_value = sum(map(abs, best))
 
     nodes = 0
+    proposed = False
     stack = [([-best_value] * n, [best_value] * n)]
     while stack:
         lo, hi = stack.pop()
@@ -300,11 +306,17 @@ def l1_fill(system: FillSystem, rhs: dict[int, int]) -> FillSolve:
         if value < best_value and solves(system.columns, point, rhs):
             best, best_value = point, value
         bound = lower_bound(system, lp.eqlin.marginals, rhs, lo, hi)
-        if nodes == 1 and bound < best_value:
-            # the root leaves a gap: the MILP's chain may be a better incumbent
+        if bound < best_value and not proposed:
+            # the root leaves a gap: the MILP's chain may be a smaller
+            # incumbent, and a smaller incumbent narrows the root box
+            proposed = True
             chain = propose(system, rhs)
             if chain is not None and sum(map(abs, chain)) < best_value:
                 best, best_value = chain, sum(map(abs, chain))
+            if bound < best_value and best_value - 1 < cap:
+                nodes -= 1  # the same root node, solved again over the narrower box
+                stack.append((lo, hi))
+                continue
         if bound >= best_value:
             continue
         split = _split(x, lo, hi)

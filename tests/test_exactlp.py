@@ -180,12 +180,14 @@ def test_lower_bound_holds_for_any_dual():
 
 
 def _arrays(system):
-    milp_matrix, *milp_vectors = system.milp_arrays
     return [
         np.array(a, copy=True)
-        for m in (milp_matrix, system.lp_matrix)
+        for m in (system.milp_matrix, system.lp_matrix)
         for a in (m.data, m.indices, m.indptr)
-    ] + [a.copy() for a in (*milp_vectors, system.slack_bounds)]
+    ] + [
+        a.copy()
+        for a in (system.milp_lb, system.milp_ub, system.milp_cost, system.milp_integrality, system.slack_bounds)
+    ]
 
 
 def _solve(system, rhs, monkeypatch):
@@ -228,27 +230,39 @@ def test_fill_system_refuses_edges_outside_its_rows():
 
 
 def test_node_budget_stops_the_search_with_the_milp_chain(monkeypatch):
-    # 3 x0 + 2 x1 = 1 branches past its root, whose gap makes the MILP
-    # propose (1, -1), the chain integer_solve also starts from
-    system, rhs = FillSystem([{0: 3}, {0: 2}], [0]), {0: 1}
+    # 5 x0 + 3 x1 = 2 branches past its root even from the MILP's chain
+    # (1, -1), so a budget of 1 node returns that chain rather than
+    # integer_solve's (-2, 4)
+    system, rhs = FillSystem([{0: 5}, {0: 3}], [0]), {0: 2}
+    assert integer_solve(system, rhs) == [-2, 4]
     r = l1_fill(system, rhs)
     assert (r.status, r.coeffs, r.value, r.nodes) == ("optimal", [1, -1], 2, 5)
     monkeypatch.setattr(exactlp, "NODE_BUDGET", 1)
     r = l1_fill(system, rhs)
     assert (r.status, r.coeffs, r.value) == ("budget", [1, -1], 2)
+    monkeypatch.setattr(exactlp, "propose", _propose_none)
+    r = l1_fill(system, rhs)
+    assert (r.status, r.coeffs, r.value) == ("budget", [-2, 4], 6)
+
+
+def _counted(monkeypatch, name):
+    """Record each call of exactlp's ``name`` in the returned list."""
+    calls = []
+    fn = getattr(exactlp, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return fn(*args, **kwargs)
+
+    monkeypatch.setattr(exactlp, name, counted)
+    return calls
 
 
 def test_milp_runs_once_and_only_when_the_root_leaves_a_gap(monkeypatch):
     # the path system's root closes, so the MILP never runs; 3 x0 + 2 x1 = 1
     # has LP value 1/3 below its integer optimum 2, so its root leaves a gap
     # and the MILP runs once, however far the search then branches
-    calls = []
-
-    def counted(*args):
-        calls.append(args)
-        return propose(*args)
-
-    monkeypatch.setattr(exactlp, "propose", counted)
+    calls = _counted(monkeypatch, "propose")
     path, rhs = _path_system()
     assert l1_fill(path, rhs).nodes == 1
     assert calls == []
@@ -266,25 +280,42 @@ def test_milp_runs_once_and_only_when_the_root_leaves_a_gap(monkeypatch):
 def test_a_smaller_milp_chain_is_the_incumbent_before_branching(monkeypatch):
     # -3 x0 - 5 x1 = -3: integer_solve's chain (6, -3) has area 9 and the
     # root LP point (0, 3/5) rounds to no solution, so the root leaves a
-    # gap; the MILP's (1, 0) replaces the incumbent and the root bound, tested
-    # again, closes at 1 node
+    # gap; the MILP's (1, 0) replaces the incumbent and the root, solved
+    # again over its box, closes at 1 node
     system, rhs = FillSystem([{0: -3}, {0: -5}], [0]), {0: -3}
     assert integer_solve(system, rhs) == [6, -3]
     r = l1_fill(system, rhs)
     assert (r.status, r.coeffs, r.nodes) == ("optimal", [1, 0], 1)
+    monkeypatch.setattr(exactlp, "propose", _propose_none)
+    r = l1_fill(system, rhs)
+    assert (r.status, r.value) == ("optimal", 1) and r.nodes > 1
+
+
+def test_the_root_is_solved_again_over_a_smaller_incumbents_box(monkeypatch):
+    # integer_solve's chains here have areas 21,066 and 661,626; over those
+    # wide boxes the root bound stays 1 below the optimum, and over the box
+    # of the smaller incumbent the root closes: 1 node, 2 LP solves
+    lps = _counted(monkeypatch, "linprog")
+    calls = _counted(monkeypatch, "propose")
+    columns = [{1: -2, 2: 4}, {0: -2, 1: 5}, {0: 3, 1: -1}, {0: -3, 1: -5, 2: -4}, {}, {0: -4, 1: -4}]
+    system, rhs = FillSystem(columns, [0, 1, 2]), {0: 23, 1: -14, 2: 8}
+    assert sum(map(abs, integer_solve(system, rhs))) == 21_066
+    r = l1_fill(system, rhs)
+    assert (r.status, r.coeffs, r.nodes, len(lps), len(calls)) == ("optimal", [2, -3, 3, 0, 0, -2], 1, 2, 1)
+    # without the MILP's chain the same search branches to 37 nodes
     with monkeypatch.context() as m:
         m.setattr(exactlp, "propose", _propose_none)
         r = l1_fill(system, rhs)
-    assert (r.status, r.value) == ("optimal", 1) and r.nodes > 1
-    # 5 x0 + 3 x1 = 2 still branches after taking the MILP's (1, -1), so a
-    # budget of 1 node returns it rather than integer_solve's (-2, 4)
-    system, rhs = FillSystem([{0: 5}, {0: 3}], [0]), {0: 2}
-    monkeypatch.setattr(exactlp, "NODE_BUDGET", 1)
-    r = l1_fill(system, rhs)
-    assert (r.status, r.coeffs, r.value) == ("budget", [1, -1], 2)
+    assert (r.status, r.value, r.nodes) == ("optimal", 10, 37)
+    # here the root's own rounded point is the smaller incumbent, so the
+    # root closes on its second solve whatever the MILP proposes
+    columns = [{2: -5}, {0: -5, 1: -2}, {0: 2, 1: -5, 2: -5}, {1: 3, 2: -1}]
+    system, rhs = FillSystem(columns, [0, 1, 2]), {0: -16, 1: 14, 2: 14}
+    assert sum(map(abs, integer_solve(system, rhs))) == 661_626
     monkeypatch.setattr(exactlp, "propose", _propose_none)
+    lps.clear()
     r = l1_fill(system, rhs)
-    assert (r.status, r.coeffs, r.value) == ("budget", [-2, 4], 6)
+    assert (r.status, r.coeffs, r.nodes, len(lps)) == ("optimal", [0, 2, -3, 1], 1, 2)
 
 
 def _root_duals(monkeypatch, system, rhs):
