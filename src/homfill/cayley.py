@@ -13,12 +13,11 @@ labels cost one more split per vertex.  The BFS layers are the distances,
 and the recorded +g targets become one neighbour table,
 ``succ[v][letter] -> edge`` (-1 when the edge leaves the ball), indexed by
 the signed letter itself; ``hop``, ``step``, cell construction, word
-tracing and edge lookups read it.  Only ``vertex_of``, which places
-arbitrary words, calls ``normal_form`` after the build.
+tracing and edge lookups read it.  After the build only ``vertex_of`` and
+``Placement``, which place arbitrary words, call ``normal_form``.
 Maps between balls that are fixed per ball pair (translation by a coset, a
-lift) are kept as ``Placement`` tables on a ball, filled by a walk along
-the neighbour table (``walk_placement``) and by the normal form where the
-walk cannot tell.
+lift) are ``Placement`` tables kept on a ball: each entry is the normal
+form's vertex, taken on first read and kept.
 """
 
 from __future__ import annotations
@@ -280,73 +279,31 @@ def hop_distances(ball: CayleyBall, sources) -> list[int]:
     return dist
 
 
-NO_ENTRY = -1  # a placement the walk could not decide
-
-
 class Placement:
     """Where a map sends the vertices of one ball in the ball ``dst``: x
-    goes to the vertex of the word ``word(x)``.  ``table`` holds one entry
-    per source vertex: the image vertex, None when the image lies outside
-    dst, or NO_ENTRY when not yet known.  Calling it with a vertex reads
-    the entry, resolving a NO_ENTRY one through dst's normal form and
-    keeping the answer."""
+    goes to the vertex of the word ``word(x)``, or None when that lies
+    outside dst.  ``table`` holds one entry per source vertex, -1 until it
+    is first read; a read takes the entry through dst's normal form and
+    keeps it."""
 
     __slots__ = ("table", "dst", "word")
 
-    def __init__(self, table: list, dst: "CayleyBall", word):
-        self.table = table
+    def __init__(self, size: int, dst: "CayleyBall", word):
+        self.table: list = [-1] * size
         self.dst = dst
         self.word = word
 
     def __call__(self, x: int) -> int | None:
         v = self.table[x]
-        if v == NO_ENTRY:
+        if v == -1:
             v = self.table[x] = self.dst.vertex_index.get(self.dst.backend.normal_form(self.word(x)))
         return v
 
-
-def walk_placement(src: CayleyBall, roots: tuple[int | None, int | None], letters, hop) -> list:
-    """Entries of a placement table of src's vertices, filled by a
-    breadth-first walk: ``roots`` pairs a source vertex with its image, and
-    a step along one of ``letters`` from a placed vertex x places the
-    vertex it reaches at ``hop(image of x, letter)``.  ``hop`` returns a
-    vertex, None when that image lies outside the destination ball, or
-    NO_ENTRY when it cannot tell.  The map must send x*letter to
-    hop(image of x, letter) for every path to agree; a vertex the walk does
-    not reach keeps NO_ENTRY."""
-    table = [NO_ENTRY] * len(src.vertices)
-    src_root, dst_root = roots
-    if src_root is None or dst_root is None:
-        return table
-    table[src_root] = dst_root
-    frontier = [src_root]
-    while frontier:
-        new = []
-        for x in frontier:
-            image = table[x]
-            for letter in letters:
-                step = src.hop(x, letter)
-                if step is None or table[step[2]] != NO_ENTRY:
-                    continue
-                y = hop(image, letter)
-                if y != NO_ENTRY:
-                    table[step[2]] = y
-                    if y is not None:
-                        new.append(step[2])
-        frontier = new
-    return table
-
-
-def walk_word(ball: CayleyBall, start: int, w: Word) -> int | None:
-    """The vertex ``w`` reaches from ``start`` along the neighbour table, or
-    None when the path leaves the ball."""
-    v = start
-    for letter in w:
-        step = ball.hop(v, letter)
-        if step is None:
-            return None
-        v = step[2]
-    return v
+    def vertex(self, x: int) -> int:
+        """The entry of x; ``dst.vertex_of``'s DomainError when it lies
+        outside dst."""
+        v = self(x)
+        return self.dst.vertex_of(self.word(x)) if v is None else v
 
 
 def build_ball(

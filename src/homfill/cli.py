@@ -14,6 +14,7 @@ import json
 import os
 import sys
 from dataclasses import dataclass
+from fractions import Fraction
 
 from . import __version__
 from .backends import (
@@ -410,6 +411,16 @@ def cmd_verify(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+def _fraction_text(text: str) -> str:
+    """``text`` unchanged when it reads as an exact fraction such as 3/2;
+    otherwise a usage error that names the flag."""
+    try:
+        Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise argparse.ArgumentTypeError(f"not a fraction: {text!r}") from None
+    return text
+
+
 class _Parser(argparse.ArgumentParser):
     """An argument parser whose usage errors raise ParseError, so that they
     exit 1 with the structured error of any other bad input; its
@@ -487,8 +498,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("degree", help="polynomial degree report for the composite bound")
     p.add_argument("--constants", default=None, help="constants JSON (for M)")
     p.add_argument("--M", type=int, default=1)
-    p.add_argument("--B", default="1")
-    p.add_argument("--C", default="1")
+    p.add_argument("--B", type=_fraction_text, default="1")
+    p.add_argument("--C", type=_fraction_text, default="1")
     p.add_argument("--max-n", type=int, default=1024)
     p.add_argument("--out", default="degree.json")
     p.add_argument("--seed", type=int, default=0)

@@ -258,8 +258,9 @@ def l1_fill(system: FillSystem, rhs: dict[int, int]) -> FillSolve:
     node.  When it does not, ``propose``'s HiGHS MILP chain becomes the
     incumbent if smaller, and the root is solved again over the box of an
     incumbent smaller than the one it was solved for before the search
-    branches; the MILP runs at most once per fill.  A search that passes ``NODE_BUDGET`` nodes stops with
-    status budget and the best chain found so far.
+    branches; the MILP runs at most once per fill.  A search that passes
+    ``NODE_BUDGET`` nodes stops with status budget and the best chain found
+    so far.
 
     Depth-first branch and bound over boxes lo <= a <= hi, clipped to
     |a_c| <= incumbent area - 1, which every better chain satisfies; so

@@ -19,24 +19,21 @@ move between the extension ball and the kernel ball with
 w^-1 into the kernel ball, ``embed_chain`` translates a kernel chain into
 K(w).
 
-Vertices are placed through tables (``cayley.Placement``) indexed by vertex
-number, kept on the extension ball (the coset tables) or the kernel ball
-(the lift tables) and built on first use:
+Vertices are placed through memoised normal-form tables
+(``cayley.Placement``) indexed by vertex number and built on first use:
 
 - per coset w, extension vertex -> kernel vertex of w^-1 x, for ``chart``;
 - per coset w, kernel vertex -> extension vertex of w x, for
-  ``embed_chain``, ``kernel_cycle_to_extension`` (w = e) and the
-  conjugation cells of ``route_filling`` (w = the cell's lead coset, after
-  the lift table);
+  ``embed_chain`` and ``kernel_cycle_to_extension`` (w = e);
+- per lead coset w and lift phi, kernel vertex -> extension vertex of
+  w phi(x), for the conjugation cells of ``route_filling``;
 - per lift and direction, kernel vertex -> kernel vertex of its image, plus
   each edge's traced image steps, for ``lift_image_cycle``.
 
-A breadth-first walk along the kernel letters fills a table without normal
-forms: translation by w commutes with them, and a lift sends a step along a
-letter to the traced image of that letter.  The walk records None where a
-step leaves the destination ball.  An entry the walk does not reach falls
-back to the normal-form placement it replaces, so every value, error type
-and error message is the normal form's.
+The lift tables are kept on the kernel ball and the others on the extension
+ball, so that a kernel ball shared by several extension balls keeps none of
+them alive.  A vertex whose image lies outside its ball raises that ball's
+``vertex_of`` error (``Placement.vertex``).
 """
 
 from __future__ import annotations
@@ -45,7 +42,6 @@ from dataclasses import dataclass
 
 from .backends import ExtensionBackend
 from .cayley import (
-    NO_ENTRY,
     CayleyBall,
     OneCycle,
     Placement,
@@ -57,8 +53,6 @@ from .cayley import (
     trace_word,
     translate_chain,
     vertex_incidence,
-    walk_placement,
-    walk_word,
 )
 from .errors import DomainError, InvariantError, ResourceError
 from .filling import FATable, harea_fill
@@ -198,29 +192,19 @@ def compute_constants(
     )
 
 
-def _kernel_letters(k_ball: CayleyBall) -> tuple[int, ...]:
-    return tuple(letter for j in range(1, k_ball.backend.rank + 1) for letter in (j, -j))
-
-
 def lift_placement(k_ball: CayleyBall, lift: AutLift, direction: str) -> tuple[Placement, list]:
     """The lift's placement of the kernel ball in itself, x -> the vertex of
     its image word, and each edge's traced image steps (None until first
-    traced), kept on the ball.  The walk starts at the identity, which the
-    lift fixes, and sends a step along a letter to the traced image of that
-    letter."""
+    traced), kept on the ball."""
     key = ("lift", lift, direction)
     tables = k_ball.placements.get(key)
     if tables is None:
 
-        def hop(v: int, letter: int) -> int:
-            v = walk_word(k_ball, v, lift.letter_image(letter, direction))
-            return NO_ENTRY if v is None else v
-
         def word(x: int) -> Word:
             return apply_lift(lift, direction, k_ball.vertices[x])
 
-        table = walk_placement(k_ball, (0, 0), _kernel_letters(k_ball), hop)
-        tables = k_ball.placements[key] = (Placement(table, k_ball, word), [None] * len(k_ball.edges))
+        place = Placement(len(k_ball.vertices), k_ball, word)
+        tables = k_ball.placements[key] = (place, [None] * len(k_ball.edges))
     return tables
 
 
@@ -232,11 +216,9 @@ def lift_image_cycle(k_ball: CayleyBall, cycle: OneCycle, lift: AutLift, directi
     for edge, coeff in cycle.coeffs.items():
         steps = traced[edge]
         if steps is None:
-            source, g, _target = k_ball.edges[edge]
-            base = place(source)
-            if base is None:
-                k_ball.vertex_of(place.word(source))  # raises the outside-ball error
-            steps = traced[edge] = trace_word(k_ball, base, lift.letter_image(g, direction))[0]
+            source, g, _ = k_ball.edges[edge]
+            image = lift.letter_image(g, direction)
+            steps = traced[edge] = trace_word(k_ball, place.vertex(source), image)[0]
         for e, s in steps:
             acc[e] = acc.get(e, 0) + coeff * s
     return OneCycle(acc)
@@ -345,29 +327,13 @@ def restrict_to_coset(ball: CayleyBall, cycle: OneCycle, coset: Word) -> OneCycl
     )
 
 
-def _coset_placement(h_ball: CayleyBall, k_ball: CayleyBall, coset: Word, to_kernel: bool, word) -> Placement:
-    """The placement under translation by coset^-1 from the extension ball
-    to the kernel ball (``to_kernel``), or by coset the other way.  It is
-    kept on the extension ball, so that a kernel ball shared by several
-    extension balls keeps none of them alive.  The walk pairs the coset's
-    vertex in the extension ball with the identity in the kernel ball and
-    steps along the kernel letters, which come first in both balls and
-    commute with left translation; from the extension side it therefore
-    covers only K(coset)."""
-    src, dst = (h_ball, k_ball) if to_kernel else (k_ball, h_ball)
-    key = (k_ball, coset, to_kernel)
-    placement = h_ball.placements.get(key)
-    if placement is None:
-        coset_vertex = walk_word(h_ball, 0, coset)
-
-        def hop(v: int, letter: int) -> int | None:
-            step = dst.hop(v, letter)
-            return None if step is None else step[2]
-
-        roots = (coset_vertex, 0) if to_kernel else (0, coset_vertex)
-        table = walk_placement(src, roots, _kernel_letters(k_ball), hop)
-        placement = h_ball.placements[key] = Placement(table, dst, word)
-    return placement
+def _kept(h_ball: CayleyBall, key, src: CayleyBall, dst: CayleyBall, word) -> Placement:
+    """The placement of src's vertices in dst by ``word``, kept on the
+    extension ball under ``key`` and built on first use."""
+    place = h_ball.placements.get(key)
+    if place is None:
+        place = h_ball.placements[key] = Placement(len(src.vertices), dst, word)
+    return place
 
 
 def chart_placement(h_ball: CayleyBall, k_ball: CayleyBall, coset: Word) -> Placement:
@@ -379,7 +345,7 @@ def chart_placement(h_ball: CayleyBall, k_ball: CayleyBall, coset: Word) -> Plac
     def word(x: int) -> Word:
         return backend.split(inv + h_ball.vertices[x]).k_part
 
-    return _coset_placement(h_ball, k_ball, tuple(coset), True, word)
+    return _kept(h_ball, ("chart", k_ball, tuple(coset)), h_ball, k_ball, word)
 
 
 def embed_placement(h_ball: CayleyBall, coset: Word, k_ball: CayleyBall) -> Placement:
@@ -389,7 +355,18 @@ def embed_placement(h_ball: CayleyBall, coset: Word, k_ball: CayleyBall) -> Plac
     def word(x: int) -> Word:
         return coset + k_ball.vertices[x]
 
-    return _coset_placement(h_ball, k_ball, coset, False, word)
+    return _kept(h_ball, ("embed", k_ball, coset), k_ball, h_ball, word)
+
+
+def conj_placement(h_ball: CayleyBall, lead: Word, k_ball: CayleyBall, lift: AutLift) -> Placement:
+    """Where ``route_filling`` bases the conjugation cell of a kernel-ball
+    edge from x: lead phi(x), with phi the lift's forward image."""
+    lead = tuple(lead)
+
+    def word(x: int) -> Word:
+        return lead + apply_lift(lift, "forward", k_ball.vertices[x])
+
+    return _kept(h_ball, ("conj", k_ball, lead, lift), k_ball, h_ball, word)
 
 
 def _carry(carry, src: CayleyBall, item, place: Placement, too_small: str):
@@ -420,14 +397,8 @@ def embed_chain(h_ball: CayleyBall, coset: Word, k_ball: CayleyBall, chain: TwoC
 
 def kernel_cycle_to_extension(h_ball: CayleyBall, k_ball: CayleyBall, gamma: OneCycle) -> OneCycle:
     """Embed a kernel-ball cycle into the extension ball's kernel subcomplex."""
-    embed = embed_placement(h_ball, (), k_ball)
-
-    def place(x: int) -> int:
-        v = embed(x)
-        return h_ball.vertex_of(embed.word(x)) if v is None else v  # raises when None
-
     try:
-        return carry_cycle(k_ball, h_ball, gamma, place)
+        return carry_cycle(k_ball, h_ball, gamma, embed_placement(h_ball, (), k_ball).vertex)
     except KeyError:
         raise ResourceError("extension ball too small to hold the kernel cycle") from None
 
@@ -726,17 +697,12 @@ def route_filling(
         """The conjugation cell of each edge (x, a_j) of the cycle: the one
         with relator (i, j) based at lead * phi_i(x), with the edge's
         coefficient times ``sign``."""
-        lift = constants.lifts[i]
-        image, _ = lift_placement(k_ball, lift, "forward")
-        embed = embed_placement(h_ball, lead, k_ball)
+        place = conj_placement(h_ball, lead, k_ball, constants.lifts[i])
         cells: dict[int, int] = {}
         for edge, coeff in sorted(cycle.coeffs.items()):
             source, g, _ = k_ball.edges[edge]
-            kv = image(source)
-            hv = None if kv is None else embed(kv)
-            if hv is None:  # placed by the normal form, which raises when outside
-                hv = h_ball.vertex_of(lead + apply_lift(lift, "forward", k_ball.vertices[source]))
-            cell = h_ball.cell_index.get((hv, layout.k_relator_count + i * layout.k_rank + (g - 1)))
+            relator = layout.k_relator_count + i * layout.k_rank + (g - 1)
+            cell = h_ball.cell_index.get((place.vertex(source), relator))
             if cell is None:
                 raise ResourceError(f"extension ball too small to route the cycle {way}")
             cells[cell] = cells.get(cell, 0) + sign * coeff

@@ -208,6 +208,20 @@ def test_degree_bad_constants_exits_cleanly(tmp_path, capsys, data):
     assert json.loads(capsys.readouterr().err)["error"] == "ParseError"
 
 
+@pytest.mark.parametrize(
+    "flag, value",
+    [("--B", "abc"), ("--C", "nan"), ("--B", "1/0")],
+    ids=["not-a-number", "nan", "zero-denominator"],
+)
+def test_degree_bad_constant_exits_cleanly(tmp_path, capsys, flag, value):
+    out = tmp_path / "d.json"
+    assert run_cli(["degree", flag, value, "--out", str(out), "--json-errors"]) == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ParseError"
+    assert f"argument {flag}: not a fraction: {value!r}" in err["message"]
+    assert not out.exists()
+
+
 def test_constants_heis(tmp_path):
     out = tmp_path / "c.json"
     assert run_cli([

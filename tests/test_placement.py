@@ -1,35 +1,54 @@
 """The extension layer's placement tables against the normal-form placements
-they replace.
+they memoise.
 
-Each table is read twice: its walked entries, before any lookup has resolved
-a missing one, must equal the normal-form placement, and the table read
-through its fallback must be None exactly where the normal form leaves the
-destination ball.  The balls are small enough that many placements leave.
+Every chart, embed, lift and conjugation entry must equal the normal-form
+placement, None exactly where that leaves the destination ball; the balls are
+small enough that many placements leave.  An entry takes one normal form, on
+first read, and ``Placement.vertex`` raises ``vertex_of``'s error where the
+entry is None.  The tables are kept on the extension ball, except the lift
+tables, so a kernel ball shared by several extension balls keeps none alive.
 """
 
+import gc
 import re
+import weakref
 from pathlib import Path
 
 import pytest
 
-from homfill.cayley import NO_ENTRY, OneCycle, build_ball, trace_word
+from homfill.cayley import OneCycle, build_ball, loop_to_cycle, trace_word
 from homfill.cli import load_group
 from homfill.errors import DomainError
-from homfill.extension import chart_placement, embed_placement, lift_image_cycle, lift_placement
+from homfill.extension import (
+    chart,
+    chart_placement,
+    compute_constants,
+    conj_placement,
+    embed_chain,
+    embed_placement,
+    kernel_cycle_to_extension,
+    lift_image_cycle,
+    lift_placement,
+    route_filling,
+)
+from homfill.filling import harea_fill
 from homfill.presentation import apply_lift
-from homfill.words import inverse_word
+from homfill.words import format_word, inverse_word, parse_word
 
 GROUPS = Path(__file__).resolve().parent.parent / "groups"
 CASES = ("z3_ext", "heis_ext", "z2_by_f2")
 
 
+def _balls(name, h_radius, k_radius):
+    group = load_group(str(GROUPS / f"{name}.grp"))
+    h_ball = build_ball(group.backend, group.hom_pres, h_radius)
+    return group, h_ball, build_ball(group.k_backend, group.k_pres, k_radius)
+
+
 @pytest.fixture(scope="module", params=CASES)
 def balls(request):
     """A fresh extension ball and kernel ball, so no table is built yet."""
-    group = load_group(str(GROUPS / f"{request.param}.grp"))
-    h_ball = build_ball(group.backend, group.hom_pres, 4)
-    k_ball = build_ball(group.k_backend, group.k_pres, 3)
-    return request.param, group, h_ball, k_ball
+    return (request.param, *_balls(request.param, 4, 3))
 
 
 def _normal_form_place(ball, word):
@@ -37,17 +56,24 @@ def _normal_form_place(ball, word):
 
 
 def _check(placement, expected):
-    """Walked entries agree with the normal form, and so does every entry
-    once resolved; returns the vertices the walk filled."""
-    walked = [x for x, v in enumerate(placement.table) if v != NO_ENTRY]
-    for x in walked:
-        assert placement.table[x] == expected[x], f"walked entry of vertex {x}"
+    """Every entry agrees with the normal form, and ``vertex`` raises the
+    destination's outside-ball message exactly where it is None; returns
+    the number of entries outside."""
     assert [placement(x) for x in range(len(expected))] == expected
-    return walked
+    dst = placement.dst
+    for x, v in enumerate(expected):
+        if v is not None:
+            assert placement.vertex(x) == v
+            continue
+        nf = dst.backend.normal_form(placement.word(x))
+        message = f"vertex {format_word(nf, dst.generators) or 'e'} outside ball"
+        with pytest.raises(DomainError, match="^" + re.escape(message) + "$"):
+            placement.vertex(x)
+    return expected.count(None)
 
 
 def test_chart_tables(balls):
-    name, group, h_ball, k_ball = balls
+    _, group, h_ball, k_ball = balls
     cosets = sorted({w for w in h_ball.coset_labels if len(w) <= 2})
     assert len(cosets) > 1
     outside = 0
@@ -56,23 +82,16 @@ def test_chart_tables(balls):
         expected = [
             _normal_form_place(k_ball, group.backend.split(inv + word).k_part) for word in h_ball.vertices
         ]
-        placement = chart_placement(h_ball, k_ball, coset)
-        walked = _check(placement, expected)
-        in_coset = [x for x, label in enumerate(h_ball.coset_labels) if label == coset]
-        assert set(walked) <= set(in_coset)
-        if name != "heis_ext":  # trivial actions: each coset slice is one kernel-letter grid
-            assert walked == in_coset
-        outside += sum(expected[x] is None for x in walked)
-    assert outside  # the walk itself finds images outside the ball
+        outside += _check(chart_placement(h_ball, k_ball, coset), expected)
+    assert outside
 
 
 def test_embed_tables(balls):
-    _, group, h_ball, k_ball = balls
+    _, _, h_ball, k_ball = balls
     outside = 0
     for coset in sorted(set(h_ball.coset_labels)):
         expected = [_normal_form_place(h_ball, coset + word) for word in k_ball.vertices]
-        walked = _check(embed_placement(h_ball, coset, k_ball), expected)
-        outside += sum(expected[x] is None for x in walked)
+        outside += _check(embed_placement(h_ball, coset, k_ball), expected)
     assert outside
 
 
@@ -82,7 +101,7 @@ def test_lift_tables(balls):
         for direction in ("forward", "backward"):
             expected = [_normal_form_place(k_ball, apply_lift(lift, direction, w)) for w in k_ball.vertices]
             placement, traced = lift_placement(k_ball, lift, direction)
-            assert len(_check(placement, expected)) > 1
+            _check(placement, expected)
             for edge, (source, g, _) in enumerate(k_ball.edges):
                 try:
                     base = k_ball.vertex_of(apply_lift(lift, direction, k_ball.vertices[source]))
@@ -94,3 +113,89 @@ def test_lift_tables(balls):
                     continue
                 assert lift_image_cycle(k_ball, OneCycle({edge: 1}), lift, direction) == OneCycle(want)
                 assert traced[edge] == want
+
+
+def test_conj_tables_are_embed_after_lift(balls):
+    """The conjugation placement x -> lead phi(x) is the normal form's, and
+    the embedding of the lift's image wherever both of those are inside."""
+    _, group, h_ball, k_ball = balls
+    both = outside = 0
+    for lead in sorted({w for w in h_ball.coset_labels if len(w) <= 2}):
+        for lift in group.lifts:
+            expected = [
+                _normal_form_place(h_ball, lead + apply_lift(lift, "forward", w)) for w in k_ball.vertices
+            ]
+            place = conj_placement(h_ball, lead, k_ball, lift)
+            outside += _check(place, expected)
+            image, _ = lift_placement(k_ball, lift, "forward")
+            embed = embed_placement(h_ball, lead, k_ball)
+            for x in range(len(k_ball.vertices)):
+                kv = image(x)
+                hv = None if kv is None else embed(kv)
+                if hv is not None:
+                    assert place(x) == hv
+                    both += 1
+    assert both and outside
+
+
+class _Counted:
+    """Stands in for a placement's destination ball and counts the normal
+    forms the placement asks of its backend."""
+
+    def __init__(self, ball):
+        self.vertex_index = ball.vertex_index
+        self.backend = self
+        self.normal_forms = 0
+        self._normal_form = ball.backend.normal_form
+
+    def normal_form(self, word):
+        self.normal_forms += 1
+        return self._normal_form(word)
+
+
+@pytest.mark.parametrize("name", CASES)
+def test_each_entry_takes_one_normal_form(name):
+    """Reading every entry of fresh tables twice takes one normal form per
+    entry."""
+    group, h_ball, k_ball = _balls(name, 3, 2)
+    coset = next(w for w in h_ball.coset_labels if w)
+    lift = group.lifts[0]
+    tables = [
+        chart_placement(h_ball, k_ball, coset),
+        embed_placement(h_ball, coset, k_ball),
+        conj_placement(h_ball, coset, k_ball, lift),
+        lift_placement(k_ball, lift, "backward")[0],
+    ]
+    for table in tables:
+        table.dst = counted = _Counted(table.dst)
+        entries = len(table.table)
+        for _ in range(2):
+            for x in range(entries):
+                table(x)
+        assert counted.normal_forms == entries
+
+
+def test_tables_keep_no_extension_ball_alive():
+    """Two extension balls share one kernel ball; after charting, embedding
+    and routing on both, dropping one frees it."""
+    group = load_group(str(GROUPS / "heis_ext.grp"))
+    k_ball = build_ball(group.k_backend, group.k_pres, 6)
+    constants = compute_constants(k_ball, group.layout, group.lifts, group.hom_pres.base.relators)
+    names = group.k_pres.generators
+    gamma = loop_to_cycle(k_ball, 0, parse_word("a b a' b'", {g: i for i, g in enumerate(names)}))
+    filling = harea_fill(k_ball, gamma).chain
+    t = group.hom_pres.generators.index("t1") + 1
+    refs = []
+    for radius in (4, 5):
+        h_ball = build_ball(group.backend, group.hom_pres, radius)
+        assert chart(h_ball, k_ball, (), kernel_cycle_to_extension(h_ball, k_ball, gamma)) == gamma
+        assert chart(h_ball, k_ball, (t,), embed_chain(h_ball, (t,), k_ball, filling)) == filling
+        route_filling(h_ball, k_ball, constants, gamma, (t,))
+        assert h_ball.placements
+        refs.append(weakref.ref(h_ball))
+        del h_ball
+    assert k_ball.placements
+    keep = refs[1]()
+    gc.collect()
+    assert refs[0]() is None
+    assert keep is not None and keep.placements
