@@ -13,11 +13,12 @@ labels cost one more split per vertex.  The BFS layers are the distances,
 and the recorded +g targets become one neighbour table,
 ``succ[v][letter] -> edge`` (-1 when the edge leaves the ball), indexed by
 the signed letter itself; ``hop``, ``step``, cell construction, word
-tracing and edge lookups read it.  After the build only ``vertex_of`` and
-``Placement``, which place arbitrary words, call ``normal_form``.
-Maps between balls that are fixed per ball pair (translation by a coset, a
-lift) are ``Placement`` tables kept on a ball: each entry is the normal
-form's vertex, taken on first read and kept.
+tracing and edge lookups read it.  After the build only ``Placement``
+calls ``normal_form``, through ``vertex_of`` for the error of a word
+outside the ball.  Maps between balls that are fixed per ball pair
+(translation by a coset, a lift, a certificate's translation) are
+``Placement`` tables kept on a ball: each entry is the normal form's vertex,
+taken on first read and kept.
 """
 
 from __future__ import annotations
@@ -444,11 +445,6 @@ def loop_to_cycle(ball: CayleyBall, base: int, w: Word) -> OneCycle:
     return OneCycle(steps)
 
 
-def translate_vertex(ball: CayleyBall, g: Word, vertex: int) -> int:
-    """Image of a vertex under left multiplication by ``g`` (must stay in ball)."""
-    return ball.vertex_of(tuple(g) + ball.vertices[vertex])
-
-
 def carry_chain(src: CayleyBall, dst: CayleyBall, chain: TwoChain, place) -> TwoChain:
     """Carry a 2-chain from one ball to another: the cell based at x with
     relator r goes to the cell based at ``place(x)`` with relator r.
@@ -478,22 +474,6 @@ def carry_cycle(src: CayleyBall, dst: CayleyBall, cycle: OneCycle, place) -> One
             raise KeyError(source)
         out[hop[0]] = out.get(hop[0], 0) + coeff
     return OneCycle(out)
-
-
-def translate_chain(ball: CayleyBall, g: Word, chain: TwoChain) -> TwoChain:
-    """Left-translate a 2-chain; the H-action sends the cell based at x with
-    relator r to the cell based at g*x with the same relator."""
-    try:
-        return carry_chain(ball, ball, chain, lambda x: translate_vertex(ball, g, x))
-    except KeyError:
-        raise DomainError("translated cell leaves the ball") from None
-
-
-def translate_cycle(ball: CayleyBall, g: Word, cycle: OneCycle) -> OneCycle:
-    try:
-        return carry_cycle(ball, ball, cycle, lambda x: translate_vertex(ball, g, x))
-    except KeyError:
-        raise DomainError("translated edge leaves the ball") from None
 
 
 def ball_to_json(ball: CayleyBall) -> dict:

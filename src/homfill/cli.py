@@ -280,9 +280,8 @@ def cmd_pushdown(args) -> int:
     chain = route_filling(h_ball, k_ball, constants, gamma_k, route)
     gamma = kernel_cycle_to_extension(h_ball, k_ball, gamma_k)
     if args.f_table == "computed":
-        table = fa_estimate(
-            group.backend, group.hom_pres, gamma.length(), args.ball, ball=h_ball
-        )
+        fa = fa_estimate(group.backend, group.hom_pres, gamma.length(), args.ball, ball=h_ball)
+        table = [e.fa_value for e in fa.values]
         f_source = f"computed FA table (ball radius {h_ball.radius})"
     else:
         table = [max(n, n * n) for n in range(gamma.length() + 1)]

@@ -172,6 +172,8 @@ def hyperbolic_ar_pair(B, C, n_max: int) -> HyperbolicARPair:
     C = Fraction(C)
     if B <= 0 or C <= 0:
         raise DomainError("constants must be positive")
+    if n_max < 1:
+        raise DomainError("n_max must be >= 1")
     f = [0] * (n_max + 1)
     g = [0] * (n_max + 1)
     for n in range(1, n_max + 1):
@@ -282,19 +284,18 @@ def compare_presentations(
     dict_ab: dict[int, Word],
     dict_ba: dict[int, Word],
     ball_radius: int,
-    c_max: int = 64,
-    policy: str = "min_area_then_measure_radius",
 ) -> EquivalenceReport:
-    """Measure both AR pairs and run the finite-range equivalence checks:
+    """Measure both AR pairs with the default policy and run the
+    finite-range equivalence checks with ``check_preceq``'s default C range:
     both-direction affine domination for the area tables, the two-sided
     affine form for the radius tables."""
     _spot_check_dictionary(pres_a, pres_b, backend_a, backend_b, dict_ab, dict_ba)
-    report_a = measure_ar_pair(backend_a, pres_a, n_max, ball_radius, policy)
-    report_b = measure_ar_pair(backend_b, pres_b, n_max, ball_radius, policy)
-    f_fwd = check_preceq(report_a.f_table, report_b.f_table, c_max, affine=True)
-    f_bwd = check_preceq(report_b.f_table, report_a.f_table, c_max, affine=True)
-    g_fwd = check_preceq(report_a.g_table, report_b.g_table, c_max, affine=False)
-    g_bwd = check_preceq(report_b.g_table, report_a.g_table, c_max, affine=False)
+    report_a = measure_ar_pair(backend_a, pres_a, n_max, ball_radius)
+    report_b = measure_ar_pair(backend_b, pres_b, n_max, ball_radius)
+    f_fwd = check_preceq(report_a.f_table, report_b.f_table, affine=True)
+    f_bwd = check_preceq(report_b.f_table, report_a.f_table, affine=True)
+    g_fwd = check_preceq(report_a.g_table, report_b.g_table, affine=False)
+    g_bwd = check_preceq(report_b.g_table, report_a.g_table, affine=False)
     return EquivalenceReport(
         f_forward=f_fwd,
         f_backward=f_bwd,

@@ -28,12 +28,15 @@ Vertices are placed through memoised normal-form tables
 - per lead coset w and lift phi, kernel vertex -> extension vertex of
   w phi(x), for the conjugation cells of ``route_filling``;
 - per lift and direction, kernel vertex -> kernel vertex of its image, plus
-  each edge's traced image steps, for ``lift_image_cycle``.
+  each edge's traced image steps, for ``lift_image_cycle``;
+- per lift, direction and base y of a certificate cell, kernel vertex ->
+  kernel vertex of f(x) y, f being the lift's image (the identity for
+  collars), for the certificate substitutions of the transfers.
 
-The lift tables are kept on the kernel ball and the others on the extension
-ball, so that a kernel ball shared by several extension balls keeps none of
-them alive.  A vertex whose image lies outside its ball raises that ball's
-``vertex_of`` error (``Placement.vertex``).
+The lift and certificate tables are kept on the kernel ball and the others
+on the extension ball, so that a kernel ball shared by several extension
+balls keeps none of them alive.  A vertex whose image lies outside its ball
+raises that ball's ``vertex_of`` error (``Placement.vertex``).
 """
 
 from __future__ import annotations
@@ -51,11 +54,10 @@ from .cayley import (
     carry_cycle,
     loop_to_cycle,
     trace_word,
-    translate_chain,
     vertex_incidence,
 )
 from .errors import DomainError, InvariantError, ResourceError
-from .filling import FATable, harea_fill
+from .filling import harea_fill
 from .presentation import AutLift, ExtensionLayout, apply_lift
 from .surface import SurfaceDiagram, project_boundary
 from .words import Word, format_word, inverse_word
@@ -224,33 +226,62 @@ def lift_image_cycle(k_ball: CayleyBall, cycle: OneCycle, lift: AutLift, directi
     return OneCycle(acc)
 
 
-def _substitute(
-    k_ball: CayleyBall, chain: TwoChain, lift: AutLift, direction: str, certs: dict
-) -> TwoChain:
+def _kept(owner: CayleyBall, key, src: CayleyBall, dst: CayleyBall, word) -> Placement:
+    """The placement of src's vertices in dst by ``word``, kept on ``owner``
+    under ``key`` and built on first use."""
+    place = owner.placements.get(key)
+    if place is None:
+        place = owner.placements[key] = Placement(len(src.vertices), dst, word)
+    return place
+
+
+def cert_placement(k_ball: CayleyBall, lift: AutLift | None, direction: str | None, y: int) -> Placement:
+    """Where a certificate cell based at y goes when its certificate is
+    translated to f(x): kernel vertex x -> the vertex of f(x) y, f being the
+    lift's ``direction`` image, or the identity when ``lift`` is None."""
+    vertices, tail = k_ball.vertices, k_ball.vertices[y]
+
+    def word(x: int) -> Word:
+        return (vertices[x] if lift is None else apply_lift(lift, direction, vertices[x])) + tail
+
+    return _kept(k_ball, ("cert", lift, direction, y), k_ball, k_ball, word)
+
+
+def _transfer(k_ball: CayleyBall, items, certs: dict, lift: AutLift | None, direction: str | None) -> TwoChain:
+    """The sum of coeff * ``certs[key]`` over the (x, key, coeff) items, each
+    certificate translated to f(x) (see ``cert_placement``): its cell based
+    at y goes to the cell with the same relator based at f(x) y."""
+    out: dict[int, int] = {}
+    for x, key, coeff in items:
+        for cell_id, c in certs[key].chain.coeffs.items():
+            cell = k_ball.cells[cell_id]
+            base = cert_placement(k_ball, lift, direction, cell.base).vertex(x)
+            target = k_ball.cell_index.get((base, cell.relator))
+            if target is None:
+                raise DomainError("translated cell leaves the ball")
+            out[target] = out.get(target, 0) + coeff * c
+            if not out[target]:
+                del out[target]
+    return TwoChain(out)
+
+
+def _substitute(k_ball: CayleyBall, chain: TwoChain, lift: AutLift, direction: str, certs: dict) -> TwoChain:
     """Replace each cell of the chain with its certificate in ``certs``,
     translated to the ``direction`` image of the cell's base vertex."""
-    i = lift.stable_letter_index
-    out = TwoChain()
-    for cell_id, coeff in sorted(chain.coeffs.items()):
-        cell = k_ball.cells[cell_id]
-        base_image = apply_lift(lift, direction, k_ball.vertices[cell.base])
-        try:
-            out = out + translate_chain(k_ball, base_image, certs[(i, cell.relator)].chain).scale(coeff)
-        except DomainError as exc:
-            raise ResourceError(f"{direction} image leaves the kernel ball: {exc}") from exc
-    return out
+    i, cells = lift.stable_letter_index, k_ball.cells
+    items = ((cells[c].base, (i, cells[c].relator), coeff) for c, coeff in sorted(chain.coeffs.items()))
+    try:
+        return _transfer(k_ball, items, certs, lift, direction)
+    except DomainError as exc:
+        raise ResourceError(f"{direction} image leaves the kernel ball: {exc}") from exc
 
 
 def _collars(k_ball: CayleyBall, cycle: OneCycle, i: int, certs: dict) -> TwoChain:
     """One collar certificate per edge of the cycle, translated to the
     edge's source vertex."""
-    out = TwoChain()
-    for edge, coeff in sorted(cycle.coeffs.items()):
-        source, g, _ = k_ball.edges[edge]
-        collar = certs[(i, g - 1)].chain
-        if collar:
-            out = out + translate_chain(k_ball, k_ball.vertices[source], collar).scale(coeff)
-    return out
+    edges = k_ball.edges
+    items = ((edges[e][0], (i, edges[e][1] - 1), coeff) for e, coeff in sorted(cycle.coeffs.items()))
+    return _transfer(k_ball, items, certs, None, None)
 
 
 def push_forward_filling(
@@ -325,15 +356,6 @@ def restrict_to_coset(ball: CayleyBall, cycle: OneCycle, coset: Word) -> OneCycl
             if labels[ball.edges[e][0]] == coset == labels[ball.edges[e][2]]
         }
     )
-
-
-def _kept(h_ball: CayleyBall, key, src: CayleyBall, dst: CayleyBall, word) -> Placement:
-    """The placement of src's vertices in dst by ``word``, kept on the
-    extension ball under ``key`` and built on first use."""
-    place = h_ball.placements.get(key)
-    if place is None:
-        place = h_ball.placements[key] = Placement(len(src.vertices), dst, word)
-    return place
 
 
 def chart_placement(h_ball: CayleyBall, k_ball: CayleyBall, coset: Word) -> Placement:
@@ -486,11 +508,7 @@ class PushdownTrace:
     final_bound_ok: bool  # final_area <= M^(k+1) * f(|gamma|)
 
 
-def _f_lookup(f_table, n: int) -> int:
-    if isinstance(f_table, FATable):
-        if n >= len(f_table.values):
-            raise DomainError(f"f table does not cover n = {n}")
-        return f_table.value(n)
+def _f_lookup(f_table: list[int], n: int) -> int:
     if n >= len(f_table):
         raise DomainError(f"f table does not cover n = {n}")
     return f_table[n]
@@ -501,7 +519,7 @@ def push_down(
     gamma: OneCycle,
     chain: TwoChain,
     constants: TransferConstants,
-    f_table,
+    f_table: list[int],
     f_source: str = "f_table",
 ) -> PushdownTrace:
     """Eliminate cosets from deepest to shallowest until the filling lives in
@@ -636,7 +654,7 @@ class BoundReport:
     overall: bool
 
 
-def verify_theorem_bound(trace: PushdownTrace, f_table, g_value: int) -> BoundReport:
+def verify_theorem_bound(trace: PushdownTrace, f_table: list[int], g_value: int) -> BoundReport:
     """Numeric instantiation of the per-step and final area inequalities."""
     if g_value < trace.max_coset_length:
         raise DomainError(

@@ -19,7 +19,6 @@ missing.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 from .backends import GroupBackend, letter_order
 from .cayley import (
@@ -242,9 +241,6 @@ class FATable:
     truncation_note: str = TRUNCATION_NOTE
     gaps: list[str] = field(default_factory=list)
 
-    def value(self, n: int) -> int:
-        return self.values[n].fa_value
-
     def as_rows(self) -> list[tuple[int, int]]:
         return [(n, e.fa_value) for n, e in enumerate(self.values)]
 
@@ -391,13 +387,12 @@ def check_preceq(
     g: list[int],
     c_max: int = 64,
     affine: bool = True,
-    min_coverage: Fraction = Fraction(1, 2),
 ) -> PreceqResult:
     """Finite-range check of f(n) <= C g(Cn+C) + Cn + C (or the two-sided
     affine form without the linear slack when ``affine`` is false).
 
     A candidate C counts only if every in-range sample passes and at least
-    ``min_coverage`` of the samples are in range; out-of-range samples are
+    half of the samples are in range; out-of-range samples are
     skipped and counted.
     """
     n_top = min(len(f), len(g)) - 1
@@ -420,6 +415,6 @@ def check_preceq(
                 ok = False
                 last_failure = (c, n)
                 break
-        if ok and Fraction(checked, total) >= min_coverage:
+        if ok and 2 * checked >= total:
             return PreceqResult(True, c, checked, skipped, None)
     return PreceqResult(False, None, 0, 0, last_failure)

@@ -294,17 +294,18 @@ def worked_example(ctx_z3):
     chain = route_filling(ctx_z3.h_ball, ctx_z3.k_ball, ctx_z3.constants, gamma_k, (3,))
     gamma_h = kernel_cycle_to_extension(ctx_z3.h_ball, ctx_z3.k_ball, gamma_k)
     fa_h = fa_estimate(ctx_z3.h_backend, ctx_z3.h_pres, 8, 4)
+    f_values = [e.fa_value for e in fa_h.values]
     trace = push_down(
         ctx_z3.h_ball,
         gamma_h,
         chain,
         ctx_z3.constants,
-        fa_h,
+        f_values,
         f_source=f"computed FA table (ball radius {fa_h.ball_radius})",
     )
     from homfill.extension import verify_theorem_bound
 
-    report = verify_theorem_bound(trace, [e.fa_value for e in fa_h.values], g_value=1)
+    report = verify_theorem_bound(trace, f_values, g_value=1)
     return {
         "initial_area": trace.initial_area,
         "steps": len(trace.steps),

@@ -6,15 +6,16 @@ import pytest
 
 from homfill.cayley import (
     OneCycle,
+    Placement,
     TwoChain,
     boundary_2,
     build_ball,
+    carry_chain,
+    carry_cycle,
     cell_boundary,
     dump_ball,
     is_cycle,
     loop_to_cycle,
-    translate_chain,
-    translate_cycle,
     vertex_incidence,
 )
 from homfill.cli import load_group
@@ -123,12 +124,15 @@ def test_boundary_of_boundary_random(z2_ball4, z3_setup):
 
 def test_equivariance_translation(z2_ball4):
     g = (1,)  # translation keeps distance-<=1-based cells inside the radius-4 ball
+    V = z2_ball4.vertices
+    place = Placement(len(V), z2_ball4, lambda x: g + V[x])
     inner = [c for c in range(len(z2_ball4.cells)) if z2_ball4.distance[z2_ball4.cells[c].base] <= 1]
     for cell in inner:
         chain = TwoChain({cell: 1})
-        translated = translate_chain(z2_ball4, g, chain)
+        translated = carry_chain(z2_ball4, z2_ball4, chain, place)
+        assert translated != chain
         lhs = boundary_2(z2_ball4, translated)
-        rhs = translate_cycle(z2_ball4, g, boundary_2(z2_ball4, chain))
+        rhs = carry_cycle(z2_ball4, z2_ball4, boundary_2(z2_ball4, chain), place)
         assert lhs == rhs
 
 

@@ -222,6 +222,16 @@ def test_degree_bad_constant_exits_cleanly(tmp_path, capsys, flag, value):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("max_n", ["0", "-3"])
+def test_degree_empty_range_exits_cleanly(tmp_path, capsys, max_n):
+    """An empty sampled range is refused as such, not reported as a fit
+    that no degree passes."""
+    out = tmp_path / "d.json"
+    assert run_cli(["degree", "--max-n", max_n, "--out", str(out), "--json-errors"]) == 1
+    assert json.loads(capsys.readouterr().err) == {"error": "DomainError", "message": "n_max must be >= 1"}
+    assert not out.exists()
+
+
 def test_constants_heis(tmp_path):
     out = tmp_path / "c.json"
     assert run_cli([

@@ -1,12 +1,14 @@
 """The extension layer's placement tables against the normal-form placements
 they memoise.
 
-Every chart, embed, lift and conjugation entry must equal the normal-form
-placement, None exactly where that leaves the destination ball; the balls are
-small enough that many placements leave.  An entry takes one normal form, on
-first read, and ``Placement.vertex`` raises ``vertex_of``'s error where the
-entry is None.  The tables are kept on the extension ball, except the lift
-tables, so a kernel ball shared by several extension balls keeps none alive.
+Every chart, embed, lift, conjugation and certificate entry must equal the
+normal-form placement, None exactly where that leaves the destination ball;
+the balls are small enough that many placements leave.  An entry takes one
+normal form, on first read, and ``Placement.vertex`` raises ``vertex_of``'s
+error where the entry is None, so a push-down repeated on the same balls
+takes no normal form at all.  The tables are kept on the extension ball,
+except the lift and certificate tables, so a kernel ball shared by several
+extension balls keeps none alive.
 """
 
 import gc
@@ -20,6 +22,7 @@ from homfill.cayley import OneCycle, build_ball, loop_to_cycle, trace_word
 from homfill.cli import load_group
 from homfill.errors import DomainError
 from homfill.extension import (
+    cert_placement,
     chart,
     chart_placement,
     compute_constants,
@@ -29,6 +32,7 @@ from homfill.extension import (
     kernel_cycle_to_extension,
     lift_image_cycle,
     lift_placement,
+    push_down,
     route_filling,
 )
 from homfill.filling import harea_fill
@@ -115,6 +119,25 @@ def test_lift_tables(balls):
                 assert traced[edge] == want
 
 
+def test_cert_tables(balls):
+    """A certificate cell based at y goes to f(x) y: the lift's image in
+    either direction, or x itself for a collar (no lift)."""
+    _, group, _, k_ball = balls
+    bases = [y for y, d in enumerate(k_ball.distance) if d <= 1]
+    outside = 0
+    for lift, direction in [(None, None)] + [(lift, d) for lift in group.lifts for d in ("forward", "backward")]:
+        for y in bases:
+            tail = k_ball.vertices[y]
+            expected = [
+                _normal_form_place(k_ball, (w if lift is None else apply_lift(lift, direction, w)) + tail)
+                for w in k_ball.vertices
+            ]
+            place = cert_placement(k_ball, lift, direction, y)
+            outside += _check(place, expected)
+            assert cert_placement(k_ball, lift, direction, y) is place
+    assert outside
+
+
 def test_conj_tables_are_embed_after_lift(balls):
     """The conjugation placement x -> lead phi(x) is the normal form's, and
     the embedding of the lift's image wherever both of those are inside."""
@@ -165,6 +188,8 @@ def test_each_entry_takes_one_normal_form(name):
         embed_placement(h_ball, coset, k_ball),
         conj_placement(h_ball, coset, k_ball, lift),
         lift_placement(k_ball, lift, "backward")[0],
+        cert_placement(k_ball, lift, "forward", 1),
+        cert_placement(k_ball, None, None, 1),
     ]
     for table in tables:
         table.dst = counted = _Counted(table.dst)
@@ -173,6 +198,35 @@ def test_each_entry_takes_one_normal_form(name):
             for x in range(entries):
                 table(x)
         assert counted.normal_forms == entries
+
+
+@pytest.mark.parametrize("route, direction", [("t1", "backward"), ("t1'", "forward")])
+def test_repeated_pushdown_takes_no_normal_form(route, direction, monkeypatch):
+    """Routing and pushing down the same loop a second time reads every
+    placement, certificate cells included, from the kept tables: the kernel
+    backend (which the extension backend's normal form also calls) is asked
+    for no normal form."""
+    group = load_group(str(GROUPS / "heis_ext.grp"))
+    k_ball = build_ball(group.k_backend, group.k_pres, 6)
+    h_ball = build_ball(group.backend, group.hom_pres, 5)
+    constants = compute_constants(k_ball, group.layout, group.lifts, group.hom_pres.base.relators)
+    names = {g: i for i, g in enumerate(group.k_pres.generators)}
+    gamma = loop_to_cycle(k_ball, 0, parse_word("a b a' b'", names))
+    route = parse_word(route, group.name_index)
+    quadratic = [max(n, n * n) for n in range(64)]
+    asked = []
+    normal_form = k_ball.backend.normal_form
+    monkeypatch.setattr(k_ball.backend, "normal_form", lambda w: asked.append(w) or normal_form(w))
+    counts = []
+    for _ in range(2):
+        before = len(asked)
+        chain = route_filling(h_ball, k_ball, constants, gamma, route)
+        trace = push_down(h_ball, kernel_cycle_to_extension(h_ball, k_ball, gamma), chain, constants, quadratic)
+        assert [s.direction for s in trace.steps] == [direction]
+        assert trace.all_steps_ok and trace.final_bound_ok
+        counts.append(len(asked) - before)
+    assert counts[0] > 0
+    assert counts[1] == 0
 
 
 def test_tables_keep_no_extension_ball_alive():
