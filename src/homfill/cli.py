@@ -437,14 +437,18 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"homfill {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, ball_required=True):
-        p.add_argument("--pres", required=True, help="presentation file")
-        if ball_required:
-            p.add_argument("--ball", type=int, required=True, help="ball radius")
+    def shared(p):
+        """The flags of every subcommand."""
         p.add_argument("--seed", type=int, default=0, help="seed recorded in artifacts")
-        p.add_argument("--budget-vertices", type=int, default=None, help="vertex budget override")
         p.add_argument("--json-errors", action="store_true")
         p.add_argument("--verbose", action="store_true")
+
+    def common(p):
+        """The flags of every subcommand that builds a ball from --pres."""
+        p.add_argument("--pres", required=True, help="presentation file")
+        p.add_argument("--ball", type=int, required=True, help="ball radius")
+        p.add_argument("--budget-vertices", type=int, default=None, help="vertex budget override")
+        shared(p)
 
     p = sub.add_parser("fill", help="minimal filling of a loop")
     common(p)
@@ -501,9 +505,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--C", type=_fraction_text, default="1")
     p.add_argument("--max-n", type=int, default=1024)
     p.add_argument("--out", default="degree.json")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--json-errors", action="store_true")
-    p.add_argument("--verbose", action="store_true")
+    shared(p)
     p.set_defaults(func=cmd_degree)
 
     p = sub.add_parser("verify", help="verify a surface diagram JSON")
@@ -512,9 +514,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ball", type=int, default=3)
     p.add_argument("--budget-vertices", type=int, default=None)
     p.add_argument("--out", default=None)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--json-errors", action="store_true")
-    p.add_argument("--verbose", action="store_true")
+    shared(p)
     p.set_defaults(func=cmd_verify)
 
     return parser

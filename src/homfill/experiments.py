@@ -51,6 +51,9 @@ class ARPairReport:
 
 POLICIES = ("min_area_then_measure_radius", "min_radius_among_min_area")
 
+# search nodes of each min_radius_among_min_area radius search
+RADIUS_SEARCH_BUDGET = 200_000
+
 
 def _radius_of_chain(ball, chain) -> int:
     if not chain:
@@ -61,13 +64,14 @@ def _radius_of_chain(ball, chain) -> int:
     return metrics.radius
 
 
-def _min_radius_filling(ball, cycle, base_area: int, budget: int) -> tuple[int | None, bool]:
+def _min_radius_filling(ball, cycle, base_area: int) -> tuple[int | None, bool]:
     """Smallest diagram radius among fillings at the minimal area, by
-    exhausting chains of that exact area (budgeted), and whether the search
-    finished; an unfinished one gives its best so far, or None."""
+    exhausting chains of that exact area within ``RADIUS_SEARCH_BUDGET``
+    search nodes, and whether the search finished; an unfinished one gives
+    its best so far, or None."""
     best = None
     try:
-        for chain in BruteSearch(ball, cycle, budget).chains(base_area):
+        for chain in BruteSearch(ball, cycle, RADIUS_SEARCH_BUDGET).chains(base_area):
             r = _radius_of_chain(ball, TwoChain(chain))
             if best is None or r < best:
                 best = r
@@ -85,7 +89,6 @@ def measure_ar_pair(
     ball_radius: int,
     policy: str = "min_area_then_measure_radius",
     ball: CayleyBall | None = None,
-    enum_budget: int = 200_000,
 ) -> ARPairReport:
     """Per-length maxima of (area, radius) where each sampled cycle gets one
     filling chosen by the policy and contributes both its measurements."""
@@ -111,7 +114,7 @@ def measure_ar_pair(
         area = result.area
         radius = _radius_of_chain(ball, result.chain)
         if policy == "min_radius_among_min_area":
-            better, finished = _min_radius_filling(ball, cycle, area, enum_budget)
+            better, finished = _min_radius_filling(ball, cycle, area)
             if better is not None:
                 radius = min(radius, better)
             if better is None or not finished:
@@ -286,7 +289,8 @@ def compare_presentations(
     ball_radius: int,
 ) -> EquivalenceReport:
     """Measure both AR pairs with the default policy and run the
-    finite-range equivalence checks with ``check_preceq``'s default C range:
+    finite-range equivalence checks with ``check_preceq`` (C up to
+    ``PRECEQ_C_MAX``):
     both-direction affine domination for the area tables, the two-sided
     affine form for the radius tables."""
     _spot_check_dictionary(pres_a, pres_b, backend_a, backend_b, dict_ab, dict_ba)

@@ -11,6 +11,14 @@ boundary.  Eliminating a maximal coset ending in t uses the pull-back
 transfer, one ending in t^-1 uses the push-forward transfer, exactly the
 two affine area caps with constants C, C', C''.
 
+Those constants are the largest areas in one certificate table,
+``TransferConstants.certs``: family -> key -> minimal filling, keyed by the
+family names of the constants JSON.  The ``RELATOR_CERTS`` fill the forward,
+backward and round-trip images of each (lift, marked relator); the
+``COLLAR_CERTS`` fill the two collar loops of each (lift, generator).  C is
+the largest forward area, C' the largest backward or round-trip one, C'' the
+largest ``collar_psi_phi`` one.
+
 Cosets are read off the ball: ``CayleyBall.cell_cosets`` lists the cosets
 each cell touches (one, or the pair a conjugation cell joins), and an edge
 lies in K(w) when both its endpoints carry the label w.  Chains and cycles
@@ -63,6 +71,12 @@ from .surface import SurfaceDiagram, project_boundary
 from .words import Word, format_word, inverse_word
 
 
+# certificate families by their constants-JSON names: the forward, backward
+# and round-trip images of a relator, the loops a psi(phi(a))^-1, a phi(psi(a))^-1
+RELATOR_CERTS = ("phi_relator", "psi_relator", "psi_phi_relator")
+COLLAR_CERTS = ("collar_psi_phi", "collar_phi_psi")
+
+
 @dataclass
 class Certificate:
     loop_word: Word
@@ -80,25 +94,12 @@ class TransferConstants:
     k_ball: CayleyBall
     layout: ExtensionLayout
     lifts: tuple[AutLift, ...]
-    # certificates per (stable letter, relator index) and per generator
-    phi_certs: dict[tuple[int, int], Certificate]
-    psi_certs: dict[tuple[int, int], Certificate]
-    psi_phi_certs: dict[tuple[int, int], Certificate]
-    collar_psi_phi: dict[tuple[int, int], Certificate]  # fills a * PsiPhi(a)^-1
-    collar_phi_psi: dict[tuple[int, int], Certificate]  # fills a * PhiPsi(a)^-1
+    # certificate family (RELATOR_CERTS, COLLAR_CERTS) -> (lift, marked
+    # relator) or (lift, generator) -> its certificate
+    certs: dict[str, dict[tuple[int, int], Certificate]]
 
     def as_json(self) -> dict:
         names = self.k_ball.generators
-
-        def certmap(certs):
-            return {
-                f"t{i + 1}/{key}": {
-                    "loop": format_word(cert.loop_word, names) or "e",
-                    "area": cert.area,
-                }
-                for (i, key), cert in sorted(certs.items())
-            }
-
         return {
             "C": self.C,
             "C_prime": self.C_prime,
@@ -107,11 +108,11 @@ class TransferConstants:
             "M": self.M,
             "k_ball_radius": self.k_ball.radius,
             "certificates": {
-                "phi_relator": certmap(self.phi_certs),
-                "psi_relator": certmap(self.psi_certs),
-                "psi_phi_relator": certmap(self.psi_phi_certs),
-                "collar_psi_phi": certmap(self.collar_psi_phi),
-                "collar_phi_psi": certmap(self.collar_phi_psi),
+                family: {
+                    f"t{i + 1}/{key}": {"loop": format_word(cert.loop_word, names) or "e", "area": cert.area}
+                    for (i, key), cert in sorted(certs.items())
+                }
+                for family, certs in self.certs.items()
             },
         }
 
@@ -145,53 +146,30 @@ def compute_constants(
     certificates; with the supported lifts these coincide."""
     lifts = tuple(lifts)
     marked = [(ri, k_ball.hom_pres.base.relators[ri]) for ri in k_ball.hom_pres.marked_relators]
-    phi_certs = {}
-    psi_certs = {}
-    psi_phi_certs = {}
-    collar_psi_phi = {}
-    collar_phi_psi = {}
+    certs: dict[str, dict] = {family: {} for family in RELATOR_CERTS + COLLAR_CERTS}
     for i, lift in enumerate(lifts):
         for ri, rel in marked:
             phi_r = apply_lift(lift, "forward", rel)
-            psi_r = apply_lift(lift, "backward", rel)
-            round_trip = apply_lift(lift, "backward", phi_r)
-            phi_certs[(i, ri)] = _certificate(k_ball, phi_r, f"forward image of relator {ri}")
-            psi_certs[(i, ri)] = _certificate(k_ball, psi_r, f"backward image of relator {ri}")
-            psi_phi_certs[(i, ri)] = _certificate(
-                k_ball, round_trip, f"round-trip image of relator {ri}"
-            )
+            loops = (phi_r, apply_lift(lift, "backward", rel), apply_lift(lift, "backward", phi_r))
+            for family, loop, what in zip(RELATOR_CERTS, loops, ("forward", "backward", "round-trip")):
+                certs[family][(i, ri)] = _certificate(k_ball, loop, f"{what} image of relator {ri}")
         for j in range(layout.k_rank):
             a = (j + 1,)
             psi_phi_a = apply_lift(lift, "backward", apply_lift(lift, "forward", a))
             phi_psi_a = apply_lift(lift, "forward", apply_lift(lift, "backward", a))
-            collar_psi_phi[(i, j)] = _certificate(
-                k_ball, a + inverse_word(psi_phi_a), f"collar of generator {j + 1}"
-            )
-            collar_phi_psi[(i, j)] = _certificate(
-                k_ball, a + inverse_word(phi_psi_a), f"reverse collar of generator {j + 1}"
-            )
-    C = max((c.area for c in phi_certs.values()), default=1)
-    C_prime = max(
-        (c.area for c in list(psi_certs.values()) + list(psi_phi_certs.values())), default=1
-    )
-    C_dbl = max((c.area for c in collar_psi_phi.values()), default=0)
+            loops = (a + inverse_word(psi_phi_a), a + inverse_word(phi_psi_a))
+            for family, loop, what in zip(COLLAR_CERTS, loops, ("collar", "reverse collar")):
+                certs[family][(i, j)] = _certificate(k_ball, loop, f"{what} of generator {j + 1}")
+
+    def largest(families, default):
+        return max((c.area for family in families for c in certs[family].values()), default=default)
+
+    C = largest(["phi_relator"], 1)
+    C_prime = largest(["psi_relator", "psi_phi_relator"], 1)
+    C_dbl = largest(["collar_psi_phi"], 0)
     rho = max((len(r) for r in ext_relators), default=1)
     M = max(C, C_prime, C_dbl * (2 * rho + 1), 1)
-    return TransferConstants(
-        C=C,
-        C_prime=C_prime,
-        C_double_prime=C_dbl,
-        rho=rho,
-        M=M,
-        k_ball=k_ball,
-        layout=layout,
-        lifts=lifts,
-        phi_certs=phi_certs,
-        psi_certs=psi_certs,
-        psi_phi_certs=psi_phi_certs,
-        collar_psi_phi=collar_psi_phi,
-        collar_phi_psi=collar_phi_psi,
-    )
+    return TransferConstants(C, C_prime, C_dbl, rho, M, k_ball, layout, lifts, certs)
 
 
 def lift_placement(k_ball: CayleyBall, lift: AutLift, direction: str) -> tuple[Placement, list]:
@@ -293,7 +271,7 @@ def push_forward_filling(
     """Filling of the forward image of the chain's boundary, by replacing
     each cell with its fixed forward certificate translated to the image of
     the cell's base vertex.  Area grows by at most the factor C."""
-    out = _substitute(k_ball, chain, lift, "forward", constants.phi_certs)
+    out = _substitute(k_ball, chain, lift, "forward", constants.certs["phi_relator"])
     if out.area() > constants.C * chain.area():
         raise InvariantError("push-forward area exceeded its certified bound")
     expected = lift_image_cycle(k_ball, boundary_2(k_ball, chain), lift, "forward")
@@ -315,9 +293,9 @@ def pull_back_filling(
     C' Area(c') + C'' |gamma|."""
     if boundary_2(k_ball, c_prime) != lift_image_cycle(k_ball, gamma, lift, "forward"):
         raise DomainError("pull-back input does not bound the forward image of gamma")
-    out = _substitute(k_ball, c_prime, lift, "backward", constants.psi_certs)
+    out = _substitute(k_ball, c_prime, lift, "backward", constants.certs["psi_relator"])
     try:
-        out = out + _collars(k_ball, gamma, lift.stable_letter_index, constants.collar_psi_phi)
+        out = out + _collars(k_ball, gamma, lift.stable_letter_index, constants.certs["collar_psi_phi"])
     except DomainError as exc:
         raise ResourceError(f"collar leaves the kernel ball: {exc}") from exc
     if out.area() > constants.C_prime * c_prime.area() + constants.C_double_prime * gamma.length():
@@ -719,8 +697,7 @@ def route_filling(
         cells: dict[int, int] = {}
         for edge, coeff in sorted(cycle.coeffs.items()):
             source, g, _ = k_ball.edges[edge]
-            relator = layout.k_relator_count + i * layout.k_rank + (g - 1)
-            cell = h_ball.cell_index.get((place.vertex(source), relator))
+            cell = h_ball.cell_index.get((place.vertex(source), layout.conj_relator(i, g - 1)))
             if cell is None:
                 raise ResourceError(f"extension ball too small to route the cycle {way}")
             cells[cell] = cells.get(cell, 0) + sign * coeff
@@ -743,7 +720,7 @@ def route_filling(
             next_cycle = lift_image_cycle(k_ball, cycle_k, lift, "backward")
             cells = conj_cells(next_cycle, prefix, i, -1, "down")
             # bridge gamma with its phi(psi(.)) image inside the current coset
-            k_collars = _collars(k_ball, cycle_k, i, constants.collar_phi_psi)
+            k_collars = _collars(k_ball, cycle_k, i, constants.certs["collar_phi_psi"])
             collars = embed_chain(h_ball, prefix, k_ball, k_collars)
         return TwoChain(cells) + collars + recurse(prefix + (t,), next_cycle, rest[1:])
 

@@ -34,6 +34,14 @@ from .exactlp import l1_fill
 from .presentation import HomPresentation
 from .words import format_word
 
+# the brute_force oracle's search nodes per fill, and the largest area it
+# tries before reporting budget_exceeded
+BRUTE_BUDGET = 5_000_000
+BRUTE_AREA_CAP = 24
+
+# the largest constant C that check_preceq tries
+PRECEQ_C_MAX = 64
+
 TRUNCATION_NOTE = (
     "values are restricted to the stated ball radius; the area of one cycle is an upper bound on its "
     "untruncated area, and an FA entry bounds the untruncated FA in neither direction"
@@ -46,7 +54,6 @@ class FillingResult:
     area: int | None
     status: str  # optimal | infeasible_in_ball | budget_exceeded
     ball_radius: int
-    solver: str = "exact_ilp"
     # exact_ilp: branch-and-bound nodes, 0 when peeling finished the fill and
     # 1 when l1_fill's root certified its best chain; brute_force: steps
     nodes: int = 0
@@ -90,15 +97,13 @@ def harea_fill(
     ball: CayleyBall,
     gamma: OneCycle,
     solver: str = "exact_ilp",
-    enum_budget: int = 5_000_000,
-    coeff_bound: int | None = None,
-    area_cap: int = 24,
 ) -> FillingResult:
     """Minimal-area 2-chain in the ball with the prescribed boundary.
 
     ``exact_ilp`` certifies a true minimizer among all chains supported in
-    the ball; ``brute_force`` exhausts chains under a coefficient bound and
-    an area cap, as an independent oracle.
+    the ball; ``brute_force`` is an independent oracle: it exhausts the
+    chains whose coefficients are at most gamma's largest in magnitude, area
+    by area up to ``BRUTE_AREA_CAP``, within ``BRUTE_BUDGET`` search nodes.
     """
     for edge in gamma.coeffs:
         if not 0 <= edge < len(ball.edges):
@@ -108,7 +113,7 @@ def harea_fill(
     if solver == "exact_ilp":
         return _fill_ilp(ball, gamma)
     if solver == "brute_force":
-        return _fill_brute(ball, gamma, enum_budget, coeff_bound, area_cap)
+        return _fill_brute(ball, gamma)
     raise DomainError(f"unknown solver {solver!r}")
 
 
@@ -139,8 +144,7 @@ def _fill_ilp(ball: CayleyBall, gamma: OneCycle) -> FillingResult:
 
 class BruteSearch:
     """Depth-first oracle over the chains bounding ``gamma`` whose
-    coefficients are at most ``coeff_bound`` in magnitude (default: the
-    largest magnitude in ``gamma``).
+    coefficients are at most the largest magnitude in ``gamma``.
 
     Cells are decided in index order: first skipped, then given +1, -1,
     +2, -2, ...  ``steps`` counts search nodes over every ``chains`` call of
@@ -148,11 +152,11 @@ class BruteSearch:
     ``enum_budget``.
     """
 
-    def __init__(self, ball: CayleyBall, gamma: OneCycle, enum_budget: int, coeff_bound: int | None = None):
+    def __init__(self, ball: CayleyBall, gamma: OneCycle, enum_budget: int):
         self.columns = ball.net_columns
         self.gamma = gamma
         self.enum_budget = enum_budget
-        self.coeff_bound = coeff_bound if coeff_bound is not None else max([1, *map(abs, gamma.coeffs.values())])
+        self.coeff_bound = max([1, *map(abs, gamma.coeffs.values())])
         self.steps = 0
         self.last_incident: dict[int, int] = {}
         for c, col in enumerate(self.columns):
@@ -197,29 +201,23 @@ class BruteSearch:
                 del chosen[cell]
 
 
-def _fill_brute(
-    ball: CayleyBall,
-    gamma: OneCycle,
-    enum_budget: int,
-    coeff_bound: int | None,
-    area_cap: int,
-) -> FillingResult:
+def _fill_brute(ball: CayleyBall, gamma: OneCycle) -> FillingResult:
     if not gamma:
-        return FillingResult(TwoChain(), 0, "optimal", ball.radius, solver="brute_force")
-    search = BruteSearch(ball, gamma, enum_budget, coeff_bound)
+        return FillingResult(TwoChain(), 0, "optimal", ball.radius)
+    search = BruteSearch(ball, gamma, BRUTE_BUDGET)
     if not search.coverable():
-        return FillingResult(TwoChain(), None, "infeasible_in_ball", ball.radius, solver="brute_force")
+        return FillingResult(TwoChain(), None, "infeasible_in_ball", ball.radius)
     try:
-        for area in range(0, area_cap + 1):
+        for area in range(0, BRUTE_AREA_CAP + 1):
             found = next(search.chains(area), None)
             if found is not None:
                 chain = TwoChain(found)
                 if boundary_2(ball, chain) != gamma:
                     raise InvariantError("brute-force chain does not bound the query cycle")
-                return FillingResult(chain, area, "optimal", ball.radius, solver="brute_force", nodes=search.steps)
+                return FillingResult(chain, area, "optimal", ball.radius, nodes=search.steps)
     except TimeoutError:
         pass
-    return FillingResult(TwoChain(), None, "budget_exceeded", ball.radius, solver="brute_force", nodes=search.steps)
+    return FillingResult(TwoChain(), None, "budget_exceeded", ball.radius, nodes=search.steps)
 
 
 # ---------------------------------------------------------------------------
@@ -385,11 +383,11 @@ class PreceqResult:
 def check_preceq(
     f: list[int],
     g: list[int],
-    c_max: int = 64,
     affine: bool = True,
 ) -> PreceqResult:
     """Finite-range check of f(n) <= C g(Cn+C) + Cn + C (or the two-sided
-    affine form without the linear slack when ``affine`` is false).
+    affine form without the linear slack when ``affine`` is false), for C
+    from 1 to ``PRECEQ_C_MAX``.
 
     A candidate C counts only if every in-range sample passes and at least
     half of the samples are in range; out-of-range samples are
@@ -400,7 +398,7 @@ def check_preceq(
         raise DomainError("need tables on a common range of length >= 2")
     total = n_top
     last_failure = None
-    for c in range(1, c_max + 1):
+    for c in range(1, PRECEQ_C_MAX + 1):
         checked = 0
         skipped = 0
         ok = True

@@ -16,7 +16,7 @@ labels and appended after the kernel generators.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import DomainError, ParseError
 from .words import (
@@ -158,14 +158,15 @@ def validate_lift(lift: AutLift, k_normal_form) -> None:
 class ExtensionLayout:
     """Bookkeeping for a presentation built by build_extension_presentation.
 
-    Maps each conjugation relator index to its (stable letter, generator)
-    pair and remembers how many generators/relators came from the kernel.
+    Remembers how many generators/relators came from the kernel; the
+    conjugation relators follow the kernel's, lift-major, and
+    ``conj_relator``/``conj_info`` convert between a conjugation relator's
+    index and its (stable letter, generator) pair.
     """
 
     k_rank: int
     n_stable: int
     k_relator_count: int
-    conj_relator_info: tuple[tuple[int, int], ...] = field(default=())
 
     def stable_letter(self, i: int) -> int:
         """Letter index (1-based) of the i-th stable letter, i in 0..n-1."""
@@ -178,9 +179,13 @@ class ExtensionLayout:
     def is_conj_relator(self, rel_index: int) -> bool:
         return rel_index >= self.k_relator_count
 
+    def conj_relator(self, i: int, j: int) -> int:
+        """Relator index of t_i^-1 a_j t_i (image of a_j)^-1, i and j 0-based."""
+        return self.k_relator_count + i * self.k_rank + j
+
     def conj_info(self, rel_index: int) -> tuple[int, int]:
         """(stable letter number i, generator index j), both 0-based."""
-        return self.conj_relator_info[rel_index - self.k_relator_count]
+        return divmod(rel_index - self.k_relator_count, self.k_rank)
 
 
 def build_extension_presentation(
@@ -207,23 +212,14 @@ def build_extension_presentation(
     if len(stable_names) != n:
         raise DomainError("need one stable letter name per lift")
     generators = k_pres.generators + stable_names
-    relators = list(k_pres.base.relators)
-    conj_info = []
+    layout = ExtensionLayout(k_rank=rank, n_stable=n, k_relator_count=len(k_pres.base.relators))
+    relators = list(k_pres.base.relators) + [()] * (n * rank)
     for i, lift in enumerate(lifts):
-        t = rank + 1 + i
+        t = layout.stable_letter(i)
         for j in range(rank):
             image = apply_lift(lift, "forward", (j + 1,))
-            rel = cyclic_reduce((-t, j + 1, t) + inverse_word(image))
-            relators.append(rel)
-            conj_info.append((i, j))
-    pres = Presentation(generators, tuple(relators))
-    hom = HomPresentation.mark_all(pres)
-    layout = ExtensionLayout(
-        k_rank=rank,
-        n_stable=n,
-        k_relator_count=len(k_pres.base.relators),
-        conj_relator_info=tuple(conj_info),
-    )
+            relators[layout.conj_relator(i, j)] = cyclic_reduce((-t, j + 1, t) + inverse_word(image))
+    hom = HomPresentation.mark_all(Presentation(generators, tuple(relators)))
     return hom, layout
 
 

@@ -433,3 +433,37 @@ def test_help_exits_0(capsys, args):
         run_cli(args)
     assert exc.value.code == 0
     assert "homfill" in capsys.readouterr().out
+
+
+BALL_FLAGS = {"--pres": None, "--ball": None, "--budget-vertices": None}
+SHARED_FLAGS = {"--seed": 0, "--json-errors": False, "--verbose": False}
+SUBCOMMAND_FLAGS = {
+    "fill": {**BALL_FLAGS, "--word": None, "--solver": "ilp", "--out": "result.json"},
+    "fa": {**BALL_FLAGS, "--max-n": None, "--scope": "loops_only", "--out": "fa.json"},
+    "surface": {**BALL_FLAGS, "--word": None, "--solver": "ilp", "--out": "diagram.json", "--dot": None},
+    "constants": {**BALL_FLAGS, "--k-ball": None, "--out": "constants.json"},
+    "pushdown": {
+        **BALL_FLAGS,
+        "--word": None,
+        "--route": "",
+        "--k-ball": None,
+        "--f-table": "default",
+        "--trace": "trace.json",
+    },
+    "arpair": {**BALL_FLAGS, "--max-n": None, "--policy": "min_area_then_measure_radius", "--out": "arpair.json"},
+    "degree": {"--constants": None, "--M": 1, "--B": "1", "--C": "1", "--max-n": 1024, "--out": "degree.json"},
+    "verify": {"--diagram": None, "--pres": None, "--ball": 3, "--budget-vertices": None, "--out": None},
+}
+
+
+def test_subcommand_flags():
+    # every subcommand's option strings and their defaults, which the config
+    # echo of each artifact records
+    from homfill.cli import build_parser
+
+    parser = build_parser()
+    (sub,) = [a for a in parser._actions if a.choices and a.dest == "command"]
+    assert sorted(sub.choices) == sorted(SUBCOMMAND_FLAGS)
+    for name, p in sub.choices.items():
+        flags = {s: a.default for a in p._actions for s in a.option_strings if s not in ("-h", "--help")}
+        assert flags == {**SUBCOMMAND_FLAGS[name], **SHARED_FLAGS}, name

@@ -78,7 +78,9 @@ def test_min_radius_policy_reports_every_unfinished_search(monkeypatch):
                 raise
 
     monkeypatch.setattr(experiments, "BruteSearch", Recording)
-    report = measure_ar_pair(backend, pres, 6, 4, policy="min_radius_among_min_area", ball=ball, enum_budget=2000)
+    with monkeypatch.context() as m:
+        m.setattr(experiments, "RADIUS_SEARCH_BUDGET", 2000)
+        report = measure_ar_pair(backend, pres, 6, 4, policy="min_radius_among_min_area", ball=ball)
     words = {cycle: format_word(word, pres.generators) for _, cycle, word in enumerate_identity_cycles(ball, 6)}
     assert sorted(report.gaps) == sorted(f"radius search budget exhausted on '{words[c]}'" for c in timed_out)
     assert any(timed_out.values())  # searches that found a chain first are reported too

@@ -1,11 +1,15 @@
 import dataclasses
+import os
 
 import pytest
 
 from homfill.backends import ExtensionBackend, FreeAbelianBackend
 from homfill.cayley import TwoChain, boundary_2, build_ball, loop_to_cycle
 from homfill.errors import DomainError, InvariantError
+from homfill.cli import load_group
 from homfill.extension import (
+    COLLAR_CERTS,
+    RELATOR_CERTS,
     chain_coset_words,
     compute_constants,
     detect_t_cycles,
@@ -18,9 +22,9 @@ from homfill.extension import (
     verify_theorem_bound,
 )
 from homfill.filling import harea_fill
-from homfill.presentation import AutLift, build_extension_presentation
+from homfill.presentation import AutLift, apply_lift, build_extension_presentation
 from homfill.surface import assemble_surface
-from homfill.words import parse_word
+from homfill.words import inverse_word, parse_word
 
 from conftest import ExtensionSetup, z2_presentation
 
@@ -36,8 +40,8 @@ def test_constants_identity(z3_constants):
     assert c.rho == 4
     assert c.M == 1
     # certificate of the collar loop is empty for the identity lift
-    assert c.collar_psi_phi[(0, 0)].area == 0
-    assert not c.collar_psi_phi[(0, 0)].chain
+    assert c.certs["collar_psi_phi"][(0, 0)].area == 0
+    assert not c.certs["collar_psi_phi"][(0, 0)].chain
 
 
 def test_constants_shear(heis_constants):
@@ -45,7 +49,57 @@ def test_constants_shear(heis_constants):
     assert (c.C, c.C_prime, c.C_double_prime) == (1, 1, 0)
     assert c.rho == 5  # t1' a t1 b' a'
     assert c.M == 1
-    assert c.phi_certs[(0, 0)].area == 1
+    assert c.certs["phi_relator"][(0, 0)].area == 1
+
+
+@pytest.mark.parametrize("name", ["z3_ext", "heis_ext", "z2_by_f2", "rotation"])
+def test_certificate_table(name):
+    # the table's families, keys, loops and minimal fillings, and C, C', C''
+    # and M as maxima over named families, at kernel radius 5
+    if name == "rotation":
+        # a -> b, b -> a': its forward and backward relator images differ as
+        # words, which the group files' lifts do not show
+        setup = ExtensionSetup(AutLift(((2,), (-1,)), ((-2,), (1,))), h_radius=1, k_radius=5)
+        k_ball, layout, lifts, ext_relators = setup.k_ball, setup.layout, (setup.lift,), setup.h_pres.base.relators
+    else:
+        group = load_group(os.path.join(os.path.dirname(__file__), "..", "groups", f"{name}.grp"))
+        k_ball = build_ball(group.k_backend, group.k_pres, 5)
+        layout, lifts, ext_relators = group.layout, group.lifts, group.hom_pres.base.relators
+    c = compute_constants(k_ball, layout, lifts, ext_relators)
+    assert list(c.certs) == [*RELATOR_CERTS, *COLLAR_CERTS]
+    assert set(c.certs) == set(c.as_json()["certificates"])
+
+    def fwd(lift, w):
+        return apply_lift(lift, "forward", w)
+
+    def bwd(lift, w):
+        return apply_lift(lift, "backward", w)
+
+    relators = k_ball.hom_pres.base.relators
+    loops = {
+        "phi_relator": lambda lift, r: fwd(lift, relators[r]),
+        "psi_relator": lambda lift, r: bwd(lift, relators[r]),
+        "psi_phi_relator": lambda lift, r: bwd(lift, fwd(lift, relators[r])),
+        "collar_psi_phi": lambda lift, j: (j + 1,) + inverse_word(bwd(lift, fwd(lift, (j + 1,)))),
+        "collar_phi_psi": lambda lift, j: (j + 1,) + inverse_word(fwd(lift, bwd(lift, (j + 1,)))),
+    }
+    indices = range(len(lifts))
+    keys = {family: [(i, r) for i in indices for r in k_ball.hom_pres.marked_relators] for family in RELATOR_CERTS}
+    keys.update({family: [(i, j) for i in indices for j in range(layout.k_rank)] for family in COLLAR_CERTS})
+    for family, certs in c.certs.items():
+        assert sorted(certs) == keys[family], family
+        for (i, key), cert in certs.items():
+            assert cert.loop_word == loops[family](lifts[i], key)
+            assert boundary_2(k_ball, cert.chain) == loop_to_cycle(k_ball, 0, cert.loop_word)
+            assert cert.area == cert.chain.area() == harea_fill(k_ball, boundary_2(k_ball, cert.chain)).area
+
+    def areas(*families):
+        return [cert.area for family in families for cert in c.certs[family].values()]
+
+    assert c.C == max(areas("phi_relator"), default=1)
+    assert c.C_prime == max(areas("psi_relator", "psi_phi_relator"), default=1)
+    assert c.C_double_prime == max(areas("collar_psi_phi"), default=0)
+    assert c.M == max(c.C, c.C_prime, c.C_double_prime * (2 * c.rho + 1), 1)
 
 
 def test_constants_need_room():

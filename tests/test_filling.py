@@ -70,7 +70,7 @@ def test_hexagon_fills_with_three_squares(z3_setup):
     assert harea_fill(ball, hexagon).area == 3
 
 
-def test_integer_infeasibility_detected():
+def test_integer_infeasibility_detected(monkeypatch):
     # marked relator = doubled commutator: the unit square cycle needs
     # cell coefficient 1/2, so it is rationally fillable but not integrally
     from homfill.backends import FreeAbelianBackend
@@ -83,7 +83,9 @@ def test_integer_infeasibility_detected():
     square = loop_to_cycle(ball, 0, parse_word("a b a' b'", NI))
     result = harea_fill(ball, square)
     assert result.status == "infeasible_in_ball"
-    brute = harea_fill(ball, square, solver="brute_force", area_cap=3, enum_budget=100_000)
+    monkeypatch.setattr(filling, "BRUTE_AREA_CAP", 3)
+    monkeypatch.setattr(filling, "BRUTE_BUDGET", 100_000)
+    brute = harea_fill(ball, square, solver="brute_force")
     assert brute.status == "budget_exceeded"
     # the doubled cycle is integrally fillable by one cell
     doubled = harea_fill(ball, square.scale(2))
@@ -202,17 +204,19 @@ def test_check_preceq_reflexive():
     assert res.holds and res.constant == 1
 
 
-def test_check_preceq_quadratic_vs_linear_fails():
+def test_check_preceq_quadratic_vs_linear_fails(monkeypatch):
+    monkeypatch.setattr(filling, "PRECEQ_C_MAX", 50)
     n = list(range(21))
     sq = [v * v for v in n]
-    res = check_preceq(sq, n, c_max=50)
+    res = check_preceq(sq, n)
     assert not res.holds
 
 
-def test_check_preceq_linear_below_quadratic():
+def test_check_preceq_linear_below_quadratic(monkeypatch):
+    monkeypatch.setattr(filling, "PRECEQ_C_MAX", 50)
     n = list(range(21))
     sq = [v * v for v in n]
-    res = check_preceq(n, sq, c_max=50)
+    res = check_preceq(n, sq)
     assert res.holds and res.constant == 1
 
 
@@ -229,8 +233,9 @@ def test_exact_matches_brute_force_on_group_files(path, root, monkeypatch):
     cycles = enumerate_identity_cycles(ball, 6)
     sample = random.Random(os.path.basename(path)).sample(cycles, min(40, len(cycles)))
     skipped = 0
+    monkeypatch.setattr(filling, "BRUTE_BUDGET", 200_000)
     for _, cycle, word in sample:
-        brute = harea_fill(ball, cycle, solver="brute_force", enum_budget=200_000)
+        brute = harea_fill(ball, cycle, solver="brute_force")
         if brute.status == "budget_exceeded":
             skipped += 1
             continue

@@ -1,6 +1,10 @@
+import glob
+import os
+
 import pytest
 
 from homfill.backends import FreeAbelianBackend
+from homfill.cli import load_group
 from homfill.errors import DomainError, ParseError
 from homfill.presentation import (
     AutLift,
@@ -11,9 +15,11 @@ from homfill.presentation import (
     parse_presentation_text,
     validate_lift,
 )
-from homfill.words import format_word, parse_word
+from homfill.words import cyclic_reduce, format_word, inverse_word, parse_word
 
 NI = {"a": 0, "b": 1}
+GROUP_FILES = sorted(glob.glob(os.path.join(os.path.dirname(__file__), "..", "groups", "*.grp")))
+EXTENSION_FILES = [path for path in GROUP_FILES if load_group(path).layout is not None]
 
 
 def test_presentation_rejects_unreduced_relator():
@@ -170,3 +176,20 @@ def test_parse_rejects_half_lift():
         parse_presentation_text(
             "backend: extension\nk-backend: free\ngenerators: a\nlift t1: a -> a\n"
         )
+
+
+@pytest.mark.parametrize("path", EXTENSION_FILES, ids=os.path.basename)
+def test_conj_relator_numbering(path):
+    # the conjugation relators follow the kernel's, lift-major, and
+    # conj_relator / conj_info convert between index and (lift, generator)
+    group = load_group(path)
+    layout, relators = group.layout, group.hom_pres.base.relators
+    assert len(relators) == layout.k_relator_count + layout.n_stable * layout.k_rank
+    assert not any(layout.is_conj_relator(r) for r in range(layout.k_relator_count))
+    for r in range(layout.k_relator_count, len(relators)):
+        i, j = layout.conj_info(r)
+        assert layout.is_conj_relator(r) and layout.conj_relator(i, j) == r
+        assert 0 <= i < layout.n_stable and 0 <= j < layout.k_rank
+        t = layout.stable_letter(i)
+        image = apply_lift(group.lifts[i], "forward", (j + 1,))
+        assert relators[r] == cyclic_reduce((-t, j + 1, t) + inverse_word(image))
