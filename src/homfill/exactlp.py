@@ -3,8 +3,8 @@
 Every HiGHS call of the package is made here.  One ``FillSystem`` holds
 everything about min sum |a_c| subject to sum_c a_c * columns[c] = rhs that
 does not depend on the right-hand side: the row index, the stacked HiGHS
-matrices and the integer column reduction.  A ball builds one system, and
-each fill supplies its right-hand side.
+matrices, one HiGHS model of the node LP and the integer column reduction.
+A ball builds one system, and each fill supplies its right-hand side.
 
 * ``l1_fill`` -- the one exact-fill call: branch and bound for min sum |a_c|
   subject to B a = rhs over the integers, on HiGHS node LPs, stopped after
@@ -12,6 +12,11 @@ each fill supplies its right-hand side.
   ``integer_solve``'s chain, which the root LP's rounded point replaces when
   smaller, and its root node, over the box |a_c| <= area - 1, certifies the
   incumbent.  Only when the root does not prune does it call ``propose``.
+* ``node_lp`` -- one node LP on the system's HiGHS model, which is passed
+  to HiGHS once (``FillSystem.lp_model``): each node changes only the column
+  costs, the column bounds and the bounds of the rows whose right-hand side
+  changed, and solves from a cold start, so a node's point and duals do not
+  depend on the nodes and fills solved before it.
 * ``propose`` -- the HiGHS MILP's integer chain, kept only when it solves
   the system in integer arithmetic.
 * ``integer_solve`` -- particular integer solution of A x = b via column
@@ -30,7 +35,8 @@ from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.optimize import Bounds, LinearConstraint, linprog, milp
+from scipy.optimize import Bounds, LinearConstraint, milp
+from scipy.optimize._highspy import _core as highs  # private scipy API, shipped since scipy 1.15
 
 from .errors import InvariantError
 
@@ -45,6 +51,16 @@ INT_TOL = 1e-6
 # budget and the best chain found so far
 NODE_BUDGET = 50_000
 
+# the HiGHS options scipy's linprog(method="highs") sets, so that a node LP
+# gives the point and duals linprog would
+LP_OPTIONS = {
+    "output_flag": False,
+    "log_to_console": False,
+    "presolve": "on",
+    "simplex_strategy": int(highs.simplex_constants.SimplexStrategy.kSimplexStrategyDual),
+    "highs_debug_level": int(highs.HighsDebugLevel.kHighsDebugLevelNone),
+}
+
 
 class FillSystem:
     """The columns of sum_c a_c * columns[c] = rhs over the rows ``edge_ids``,
@@ -56,7 +72,7 @@ class FillSystem:
     (a, t): the rows t - a >= 0 and t + a >= 0, which make t >= |a|, then
     the equality rows; ``milp_lb``/``milp_ub`` bound the first 2n rows.
     ``lp_matrix`` is the elastic node LP's matrix over (p, q, s+, s-), with
-    a = p - q and one slack pair per row, bounded by ``slack_bounds``.
+    a = p - q and one slack pair per row; ``lp_model`` is its HiGHS model.
     """
 
     def __init__(self, columns: list[dict[int, int]], edge_ids: list[int]):
@@ -87,7 +103,30 @@ class FillSystem:
 
         eye = sp.identity(m, format="csc")
         self.lp_matrix = sp.hstack([a_mat, -a_mat, eye, -eye], format="csc")
-        self.slack_bounds = np.tile([0.0, np.inf], (2 * m, 1))
+
+    @cached_property
+    def lp_model(self) -> tuple[highs._Highs, np.ndarray]:
+        """(HiGHS model of the node LP, the right-hand side it holds): the
+        model is passed ``lp_matrix`` once, with zero costs, free columns
+        and right-hand side 0, and ``node_lp`` changes the rest in place.
+        Built on first use."""
+        model = highs._Highs()
+        statuses = [model.setOptionValue(option, value) for option, value in LP_OPTIONS.items()]
+        m, k = self.lp_matrix.shape
+        lp = highs.HighsLp()
+        lp.num_col_, lp.num_row_ = k, m
+        lp.col_cost_ = np.zeros(k)
+        lp.col_lower_, lp.col_upper_ = np.full(k, -np.inf), np.full(k, np.inf)
+        lp.row_lower_, lp.row_upper_ = np.zeros(m), np.zeros(m)
+        lp.a_matrix_.format_ = highs.MatrixFormat.kColwise
+        lp.a_matrix_.num_col_, lp.a_matrix_.num_row_ = k, m
+        lp.a_matrix_.start_ = self.lp_matrix.indptr
+        lp.a_matrix_.index_ = self.lp_matrix.indices
+        lp.a_matrix_.value_ = self.lp_matrix.data
+        statuses.append(model.passModel(lp))
+        if highs.HighsStatus.kError in statuses:
+            raise InvariantError("HiGHS refused the node LP's options or model")
+        return model, np.zeros(m)
 
     def dense(self, rhs: dict[int, int]) -> list[int]:
         """``rhs`` as one integer per row."""
@@ -187,8 +226,8 @@ def lower_bound(system: FillSystem, marginals, rhs: dict[int, int], lo: list[int
     """Exact lower bound on sum_c |a_c| over the integer chains a with
     lo[c] <= a_c <= hi[c] and sum_c a_c * columns[c] = rhs.
 
-    The float duals ``marginals`` (one per row of the system, as ``linprog``
-    reports them in ``eqlin.marginals``) are rounded to an integer vector Y
+    The float duals ``marginals`` (one per row of the system, as ``node_lp``
+    reads them from the model's row duals) are rounded to an integer vector Y
     over D = DUAL_SCALE.  Every such chain satisfies
     D sum_c |a_c| = Y.rhs + sum_c (D |a_c| - (Y.columns[c]) a_c), and each
     summand is convex in a_c, so its minimum over [lo_c, hi_c] lies at lo_c,
@@ -221,6 +260,27 @@ def propose(system: FillSystem, rhs: dict[int, int]) -> list[int] | None:
         return None
     coeffs = [int(round(v)) for v in sol.x[: len(system.columns)]]
     return coeffs if solves(system.columns, coeffs, rhs) else None
+
+
+def node_lp(
+    system: FillSystem, cost: np.ndarray, lower: np.ndarray, upper: np.ndarray, b: np.ndarray
+) -> tuple[np.ndarray, np.ndarray] | None:
+    """min cost.v subject to lp_matrix v = b and lower <= v <= upper, on
+    the system's HiGHS model: (v, row duals), or None unless HiGHS reports
+    the LP optimal.  Each solve starts cold, as a fresh model's would."""
+    model, held = system.lp_model
+    cols = np.arange(len(cost), dtype=np.int32)
+    model.changeColsCost(len(cost), cols, cost)
+    model.changeColsBounds(len(cost), cols, lower, upper)
+    for i in np.flatnonzero(b != held):
+        model.changeRowBounds(int(i), b[i], b[i])
+        held[i] = b[i]
+    model.clearSolver()
+    model.run()
+    if model.getModelStatus() != highs.HighsModelStatus.kOptimal:
+        return None
+    solution = model.getSolution()
+    return np.array(solution.col_value), np.array(solution.row_dual)
 
 
 @dataclass
@@ -269,7 +329,7 @@ def l1_fill(system: FillSystem, rhs: dict[int, int]) -> FillSolve:
     has duals.  A node is pruned only when ``lower_bound`` over its box
     reaches the incumbent area.
     """
-    n = len(system.columns)
+    n, slacks = len(system.columns), 2 * len(system.edge_ids)
     b_float = np.array(system.dense(rhs), dtype=float)
     best = integer_solve(system, rhs)
     if best is None:
@@ -290,23 +350,19 @@ def l1_fill(system: FillSystem, rhs: dict[int, int]) -> FillSolve:
             return FillSolve("budget", best, best_value, nodes)
         # a = p - q with p, q >= 0 boxed so that p - q ranges over [lo, hi]
         lo_a, hi_a = np.array(lo, dtype=float), np.array(hi, dtype=float)
-        bounds = np.concatenate(
-            [
-                np.column_stack([np.maximum(lo_a, 0), np.maximum(hi_a, 0)]),
-                np.column_stack([np.maximum(-hi_a, 0), np.maximum(-lo_a, 0)]),
-                system.slack_bounds,
-            ]
-        )
-        cost = np.concatenate([np.ones(2 * n), np.full(len(system.slack_bounds), float(best_value))])
-        lp = linprog(cost, A_eq=system.lp_matrix, b_eq=b_float, bounds=bounds, method="highs")
-        if lp.status != 0:
+        lower = np.concatenate([np.maximum(lo_a, 0), np.maximum(-hi_a, 0), np.zeros(slacks)])
+        upper = np.concatenate([np.maximum(hi_a, 0), np.maximum(-lo_a, 0), np.full(slacks, np.inf)])
+        cost = np.concatenate([np.ones(2 * n), np.full(slacks, float(best_value))])
+        solved = node_lp(system, cost, lower, upper, b_float)
+        if solved is None:
             return FillSolve("budget", best, best_value, nodes)
-        x = (lp.x[:n] - lp.x[n : 2 * n]).tolist()
+        lp_point, duals = solved
+        x = (lp_point[:n] - lp_point[n : 2 * n]).tolist()
         point = [min(max(round(v), l), h) for v, l, h in zip(x, lo, hi)]
         value = sum(map(abs, point))
         if value < best_value and solves(system.columns, point, rhs):
             best, best_value = point, value
-        bound = lower_bound(system, lp.eqlin.marginals, rhs, lo, hi)
+        bound = lower_bound(system, duals, rhs, lo, hi)
         if bound < best_value and not proposed:
             # the root leaves a gap: the MILP's chain may be a smaller
             # incumbent, and a smaller incumbent narrows the root box

@@ -99,7 +99,7 @@ class TransferConstants:
     certs: dict[str, dict[tuple[int, int], Certificate]]
 
     def as_json(self) -> dict:
-        names = self.k_ball.generators
+        names, stable = self.k_ball.generators, self.layout.stable_names
         return {
             "C": self.C,
             "C_prime": self.C_prime,
@@ -109,7 +109,7 @@ class TransferConstants:
             "k_ball_radius": self.k_ball.radius,
             "certificates": {
                 family: {
-                    f"t{i + 1}/{key}": {"loop": format_word(cert.loop_word, names) or "e", "area": cert.area}
+                    f"{stable[i]}/{key}": {"loop": format_word(cert.loop_word, names) or "e", "area": cert.area}
                     for (i, key), cert in sorted(certs.items())
                 }
                 for family, certs in self.certs.items()

@@ -158,15 +158,20 @@ def validate_lift(lift: AutLift, k_normal_form) -> None:
 class ExtensionLayout:
     """Bookkeeping for a presentation built by build_extension_presentation.
 
-    Remembers how many generators/relators came from the kernel; the
-    conjugation relators follow the kernel's, lift-major, and
-    ``conj_relator``/``conj_info`` convert between a conjugation relator's
-    index and its (stable letter, generator) pair.
+    Remembers how many generators/relators came from the kernel and the
+    stable letters' names, lift by lift; the conjugation relators follow
+    the kernel's, lift-major, and ``conj_relator``/``conj_info`` convert
+    between a conjugation relator's index and its (stable letter,
+    generator) pair.
     """
 
     k_rank: int
-    n_stable: int
+    stable_names: tuple[str, ...]
     k_relator_count: int
+
+    @property
+    def n_stable(self) -> int:
+        return len(self.stable_names)
 
     def stable_letter(self, i: int) -> int:
         """Letter index (1-based) of the i-th stable letter, i in 0..n-1."""
@@ -212,7 +217,7 @@ def build_extension_presentation(
     if len(stable_names) != n:
         raise DomainError("need one stable letter name per lift")
     generators = k_pres.generators + stable_names
-    layout = ExtensionLayout(k_rank=rank, n_stable=n, k_relator_count=len(k_pres.base.relators))
+    layout = ExtensionLayout(k_rank=rank, stable_names=stable_names, k_relator_count=len(k_pres.base.relators))
     relators = list(k_pres.base.relators) + [()] * (n * rank)
     for i, lift in enumerate(lifts):
         t = layout.stable_letter(i)

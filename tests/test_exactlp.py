@@ -4,12 +4,13 @@ import random
 
 import numpy as np
 import pytest
+from scipy.optimize import linprog
 
 from homfill import exactlp
 from homfill.cayley import build_ball
 from homfill.cli import load_group
 from homfill.errors import InvariantError
-from homfill.exactlp import FillSystem, integer_solve, l1_fill, lower_bound, propose, solves
+from homfill.exactlp import FillSystem, integer_solve, l1_fill, lower_bound, node_lp, propose, solves
 from homfill.filling import _peel_forced, enumerate_identity_cycles
 
 GROUPS = os.path.join(os.path.dirname(__file__), "..", "groups")
@@ -184,10 +185,7 @@ def _arrays(system):
         np.array(a, copy=True)
         for m in (system.milp_matrix, system.lp_matrix)
         for a in (m.data, m.indices, m.indptr)
-    ] + [
-        a.copy()
-        for a in (system.milp_lb, system.milp_ub, system.milp_cost, system.milp_integrality, system.slack_bounds)
-    ]
+    ] + [a.copy() for a in (system.milp_lb, system.milp_ub, system.milp_cost, system.milp_integrality)]
 
 
 def _solve(system, rhs, monkeypatch):
@@ -295,7 +293,7 @@ def test_the_root_is_solved_again_over_a_smaller_incumbents_box(monkeypatch):
     # integer_solve's chains here have areas 21,066 and 661,626; over those
     # wide boxes the root bound stays 1 below the optimum, and over the box
     # of the smaller incumbent the root closes: 1 node, 2 LP solves
-    lps = _counted(monkeypatch, "linprog")
+    lps = _counted(monkeypatch, "node_lp")
     calls = _counted(monkeypatch, "propose")
     columns = [{1: -2, 2: 4}, {0: -2, 1: 5}, {0: 3, 1: -1}, {0: -3, 1: -5, 2: -4}, {}, {0: -4, 1: -4}]
     system, rhs = FillSystem(columns, [0, 1, 2]), {0: 23, 1: -14, 2: 8}
@@ -318,26 +316,31 @@ def test_the_root_is_solved_again_over_a_smaller_incumbents_box(monkeypatch):
     assert (r.status, r.coeffs, r.nodes, len(lps)) == ("optimal", [0, 2, -3, 1], 1, 2)
 
 
-def _root_duals(monkeypatch, system, rhs):
-    """(solve, the eqlin marginals of its first node LP) of one l1_fill."""
-    marginals = []
-    linprog = exactlp.linprog
+def _node_lps(monkeypatch, system, rhs):
+    """(solve, [(node_lp's arguments, its (point, row duals))] in call
+    order) of one l1_fill."""
+    lps = []
 
-    def capture(*args, **kwargs):
-        lp = linprog(*args, **kwargs)
-        marginals.append(np.array(lp.eqlin.marginals, copy=True))
-        return lp
+    def capture(*args):
+        out = node_lp(*args)
+        lps.append(([a.copy() if isinstance(a, np.ndarray) else a for a in args], out))
+        return out
 
     with monkeypatch.context() as m:
-        m.setattr(exactlp, "linprog", capture)
+        m.setattr(exactlp, "node_lp", capture)
         r = l1_fill(system, rhs)
-    return r, marginals[0]
+    return r, lps
 
 
-def test_root_duals_reach_the_area_and_their_negation_does_not(monkeypatch):
-    # lower_bound reads the duals with linprog's sign: on every fill whose
-    # root certifies it, the root marginals bound the area over the root box
-    # |a_c| <= area - 1 and the negated marginals do not
+def _root_duals(monkeypatch, system, rhs):
+    """(solve, the row duals of its first node LP) of one l1_fill."""
+    r, lps = _node_lps(monkeypatch, system, rhs)
+    return r, lps[0][1][1]
+
+
+def _z3_root_systems():
+    """The path system and every unpeeled fill of z3_ext's identity cycles
+    of length <= 6 at radius 3, which share the ball's one system."""
     group = load_group(os.path.join(GROUPS, "z3_ext.grp"))
     ball = build_ball(group.backend, group.hom_pres, 3)
     systems = [_path_system()]
@@ -346,7 +349,102 @@ def test_root_duals_reach_the_area_and_their_negation_does_not(monkeypatch):
         if residual:
             systems.append((ball.fill_system, residual))
     assert len(systems) > 100
-    for system, rhs in systems:
+    return systems
+
+
+def _linprog_oracle(system, cost, lower, upper, b):
+    """The node LP solved by scipy's linprog on a fresh HiGHS model."""
+    lp = linprog(cost, A_eq=system.lp_matrix, b_eq=b, bounds=np.column_stack([lower, upper]), method="highs")
+    assert lp.status == 0
+    return lp.x, lp.eqlin.marginals
+
+
+def _random_fills(rng, systems, fills):
+    """``systems`` random systems with ``fills`` solvable right-hand sides
+    each, every system one object shared by its fills."""
+    out = []
+    for _ in range(systems):
+        columns, edge_ids, rhs, _ = _random_system(rng)
+        system = FillSystem(columns, edge_ids)
+        out.append((system, rhs))
+        for _ in range(fills - 1):
+            x = [rng.randint(-3, 3) for _ in columns]
+            out.append((system, {e: sum(v * col.get(e, 0) for v, col in zip(x, columns)) for e in edge_ids}))
+    return out
+
+
+def test_node_lp_equals_linprog_on_a_fresh_model(monkeypatch):
+    # every node LP solved on a system's one HiGHS model gives, bit for bit,
+    # the point and the equality duals that linprog gives on a fresh model:
+    # on the path system, on every node of random systems that each serve
+    # several fills, and on every root LP of z3_ext at radius 3
+    fills = _random_fills(random.Random(3), 40, 3) + _z3_root_systems()
+    checked = branched = 0
+    for system, rhs in fills:
+        r, lps = _node_lps(monkeypatch, system, rhs)
+        branched += r.nodes > 1
+        for args, (v, duals) in lps:
+            x, y = _linprog_oracle(*args)
+            assert np.array_equal(v, x) and np.array_equal(duals, y)
+            checked += 1
+    assert branched >= 5 and checked > len(fills)
+
+
+def test_fills_on_one_system_leave_no_state_behind(monkeypatch):
+    # fill A, then B, then A again on one system: each equals the same fill
+    # on a fresh system, node LP for node LP
+    group = load_group(os.path.join(GROUPS, "z3_ext.grp"))
+    ball = build_ball(group.backend, group.hom_pres, 3)
+    residuals = [
+        residual
+        for _, cycle, _word in enumerate_identity_cycles(ball, 6)
+        if (residual := _peel_forced(ball, cycle.coeffs)[2])
+    ]
+    pairs = [(ball.fill_system, residuals[0], residuals[-1])]
+    # 3 x0 + 2 x1 = 1 branches; 3 x0 + 2 x1 = 5 closes at its root
+    pairs.append((FillSystem([{0: 3}, {0: 2}], [0]), {0: 1}, {0: 5}))
+    for system, a, b in pairs:
+        assert a != b
+        for rhs in (a, b, a):
+            r, lps = _node_lps(monkeypatch, system, rhs)
+            fresh, fresh_lps = _node_lps(monkeypatch, FillSystem(system.columns, system.edge_ids), rhs)
+            assert (r.status, r.coeffs, r.value, r.nodes) == (fresh.status, fresh.coeffs, fresh.value, fresh.nodes)
+            assert len(lps) == len(fresh_lps)
+            for (_, (v, y)), (_, (fv, fy)) in zip(lps, fresh_lps):
+                assert np.array_equal(v, fv) and np.array_equal(y, fy)
+
+
+def test_node_lp_reports_an_infeasible_lp_as_none_and_recovers():
+    # with every variable fixed at 0 the path system's right-hand side is
+    # out of reach: HiGHS reports infeasible and node_lp returns None; the
+    # next LP on the same model is solved as on a fresh one
+    system, rhs = _path_system()
+    b = np.array(system.dense(rhs), dtype=float)
+    k = system.lp_matrix.shape[1]
+    cost = np.concatenate([np.ones(4), np.full(k - 4, 3.0)])  # the slacks cost more
+    assert node_lp(system, cost, np.zeros(k), np.zeros(k), b) is None
+    args = (system, cost, np.zeros(k), np.full(k, np.inf), b)
+    v, y = node_lp(*args)
+    x, marginals = _linprog_oracle(*args)
+    assert np.array_equal(v, x) and np.array_equal(y, marginals)
+    assert v[:2].tolist() == [1.0, 1.0] and not v[4:].any()
+
+
+def test_a_node_lp_that_is_not_optimal_stops_with_the_incumbent(monkeypatch):
+    # a node LP that HiGHS does not solve to optimality stops the search
+    # with status budget and integer_solve's chain
+    system, rhs = FillSystem([{0: 3}, {0: 2}], [0]), {0: 1}
+    start = integer_solve(system, rhs)
+    monkeypatch.setattr(exactlp, "node_lp", lambda *args: None)
+    r = l1_fill(system, rhs)
+    assert (r.status, r.coeffs, r.value, r.nodes) == ("budget", start, sum(map(abs, start)), 1)
+
+
+def test_root_duals_reach_the_area_and_their_negation_does_not(monkeypatch):
+    # lower_bound reads the model's row duals with their own sign: on every
+    # fill whose root certifies it, the root duals bound the area over the
+    # root box |a_c| <= area - 1 and the negated duals do not
+    for system, rhs in _z3_root_systems():
         r, y = _root_duals(monkeypatch, system, rhs)
         assert r.nodes == 1
         cap = [r.value - 1] * len(system.columns)

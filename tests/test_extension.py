@@ -102,6 +102,22 @@ def test_certificate_table(name):
     assert c.M == max(c.C, c.C_prime, c.C_double_prime * (2 * c.rho + 1), 1)
 
 
+def test_certificates_are_labelled_by_their_stable_letters(tmp_path):
+    # z2_by_f2 with its lifts t1, t2 renamed s, u: each certificate key
+    # names its lift's stable letter, not its position
+    with open(os.path.join(os.path.dirname(__file__), "..", "groups", "z2_by_f2.grp")) as f:
+        text = f.read()
+    path = tmp_path / "z2_by_f2_su.grp"
+    path.write_text(text.replace("lift t1", "lift s").replace("lift t2", "lift u"))
+    group = load_group(str(path))
+    assert group.hom_pres.base.generators[-2:] == ("s", "u")
+    k_ball = build_ball(group.k_backend, group.k_pres, 3)
+    c = compute_constants(k_ball, group.layout, group.lifts, group.hom_pres.base.relators)
+    certificates = c.as_json()["certificates"]
+    assert sorted(certificates["phi_relator"]) == ["s/0", "u/0"]
+    assert sorted(certificates["collar_psi_phi"]) == ["s/0", "s/1", "u/0", "u/1"]
+
+
 def test_constants_need_room():
     setup = ExtensionSetup(AutLift.identity(2), h_radius=3, k_radius=1)
     with pytest.raises(DomainError, match="larger radius"):
