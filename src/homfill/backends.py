@@ -32,7 +32,6 @@ def vertex_budget_default() -> int:
 class GroupBackend:
     """Base interface: idempotent normal forms compatible with concatenation."""
 
-    kind = "abstract"
     rank = 0
 
     def normal_form(self, w) -> Word:
@@ -49,8 +48,6 @@ class GroupBackend:
 
 class FreeBackend(GroupBackend):
     """Free group of rank ``base_rank``; extra generators carry fixed words."""
-
-    kind = "free"
 
     def __init__(self, rank: int, gen_words: dict[int, Word] | None = None, base_rank: int | None = None):
         self.rank = rank
@@ -83,8 +80,6 @@ class FreeAbelianBackend(GroupBackend):
     """Free abelian group of dimension ``dim``; generator i maps to an integer
     vector, the first ``dim`` generators must map to the standard basis so a
     canonical word can be read back off the exponent vector."""
-
-    kind = "free_abelian"
 
     def __init__(self, dim: int, vectors: list[tuple[int, ...]] | None = None):
         self.dim = dim
@@ -126,8 +121,6 @@ class TableBackend(GroupBackend):
 
     ``table[j][x]`` is x * generator_{j+1}; element 0 is the identity.
     Canonical words are the BFS-first words in generator order."""
-
-    kind = "direct_table"
 
     def __init__(self, table: list[list[int]]):
         self.rank = len(table)
@@ -186,8 +179,6 @@ class ExtensionBackend(GroupBackend):
     Elements are written k * w with w a reduced word in the stable letters;
     stable letters are pushed rightward with the rewriting
     t^-1 a t -> forward image, t a t^-1 -> backward image."""
-
-    kind = "extension"
 
     def __init__(self, k_backend: GroupBackend, lifts: tuple[AutLift, ...] | list[AutLift]):
         self.k_backend = k_backend

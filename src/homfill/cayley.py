@@ -19,6 +19,11 @@ outside the ball.  Maps between balls that are fixed per ball pair
 (translation by a coset, a lift, a certificate's translation) are
 ``Placement`` tables kept on a ball: each entry is the normal form's vertex,
 taken on first read and kept.
+
+A vertex, edge or cell that a ball lacks (``vertex_of``, ``step``,
+``cell_at``, and so the carries between balls) raises the ResourceError of
+``CayleyBall._outside``: the ball's radius and generators, and a radius whose
+ball holds the piece.  No other module words a missing-piece error.
 """
 
 from __future__ import annotations
@@ -31,7 +36,7 @@ from .backends import GroupBackend, letter_order, vertex_budget_default
 from .errors import DomainError, InvariantError, ResourceError
 from .exactlp import FillSystem
 from .presentation import HomPresentation
-from .words import Word, format_word
+from .words import Word, check_letters, format_word
 
 
 class _Chain:
@@ -106,31 +111,6 @@ class Cell:
     boundary: tuple[tuple[int, int], ...]  # (edge index, traversal sign)
 
 
-class CellIndex:
-    """The cell based at each (vertex, relator index) pair: a read-only
-    mapping kept as one flat list with an entry per vertex and relator, -1
-    where the ball has no such cell.  A None vertex has no cell."""
-
-    __slots__ = ("ids", "width")
-
-    def __init__(self, vertices: int, relators: int):
-        self.ids = [-1] * (vertices * relators)
-        self.width = relators
-
-    def get(self, key: tuple[int | None, int], default=None):
-        base, r = key
-        if base is None or not 0 <= r < self.width or not 0 <= base * self.width < len(self.ids):
-            return default
-        cell = self.ids[base * self.width + r]
-        return default if cell < 0 else cell
-
-    def __getitem__(self, key: tuple[int, int]) -> int:
-        cell = self.get(key)
-        if cell is None:
-            raise KeyError(key)
-        return cell
-
-
 @dataclass(eq=False)
 class CayleyBall:
     backend: GroupBackend
@@ -144,7 +124,8 @@ class CayleyBall:
     # entries, +g at g and -g counted from the end, so the letter indexes it
     succ: list[tuple[int, ...]]
     cells: list[Cell]
-    cell_index: CellIndex
+    # [v * relator count + r] -> the cell of relator r based at v, or -1
+    cell_ids: list[int]
     coset_labels: list[Word] = field(default_factory=list)
     # placement tables built on first use by the layers that place vertices
     # from one ball in another (extension.py)
@@ -154,11 +135,20 @@ class CayleyBall:
     def generators(self) -> tuple[str, ...]:
         return self.hom_pres.generators
 
+    def _outside(self, piece: str, radius: int) -> ResourceError:
+        """The error for a vertex, edge or cell that this ball lacks."""
+        return ResourceError(
+            f"{piece} is outside the radius-{self.radius} ball over {' '.join(self.generators)};"
+            f" radius {radius} holds it"
+        )
+
     def vertex_of(self, w: Word) -> int:
+        """The vertex of w, or ``_outside`` naming its normal form's length."""
         nf = self.backend.normal_form(w)
-        if nf not in self.vertex_index:
-            raise DomainError(f"vertex {format_word(nf, self.generators) or 'e'} outside ball")
-        return self.vertex_index[nf]
+        v = self.vertex_index.get(nf)
+        if v is None:
+            raise self._outside(f"vertex {format_word(nf, self.generators)}", len(nf))
+        return v
 
     def hop(self, vertex: int, letter: int) -> tuple[int, int, int] | None:
         """(edge, sign, next vertex) along one letter, or None when that edge
@@ -177,14 +167,28 @@ class CayleyBall:
         return tuple(edges[e][0] if sign > 0 else edges[e][2] for e, sign in self.cells[cell].boundary)
 
     def step(self, vertex: int, letter: int) -> tuple[int, int, int]:
-        """Traverse one letter: returns (edge, sign, next vertex) or raises."""
+        """Traverse one letter: (edge, sign, next vertex), or ``_outside``
+        naming radius + 1 when that edge leaves the ball."""
         hop = self.hop(vertex, letter)
         if hop is None:
-            raise DomainError(
-                f"path leaves ball at prefix ending {format_word((letter,), self.generators)}"
-                f" from {format_word(self.vertices[vertex], self.generators) or 'e'}"
-            )
+            names = self.generators
+            check_letters((letter,), len(names))
+            edge = f"edge {format_word((letter,), names)} from {format_word(self.vertices[vertex], names) or 'e'}"
+            raise self._outside(edge, self.radius + 1)
         return hop
+
+    def cell_at(self, base: int, relator: int) -> int:
+        """The cell of a relator based at a vertex, or ``_outside`` naming the
+        base's distance plus half the relator's length, which holds its loop."""
+        width = len(self.hom_pres.base.relators)
+        cell = self.cell_ids[base * width + relator] if 0 <= relator < width else -1
+        if cell < 0:
+            if relator not in self.hom_pres.marked_relators:
+                raise DomainError(f"relator {relator} is not a marked relator of the ball")
+            where = format_word(self.vertices[base], self.generators) or "e"
+            loop = len(self.hom_pres.base.relators[relator])
+            raise self._outside(f"cell of relator {relator} at {where}", self.distance[base] + loop // 2)
+        return cell
 
     @cached_property
     def net_columns(self) -> list[dict[int, int]]:
@@ -301,7 +305,7 @@ class Placement:
         return v
 
     def vertex(self, x: int) -> int:
-        """The entry of x; ``dst.vertex_of``'s DomainError when it lies
+        """The entry of x; ``dst.vertex_of``'s ResourceError when it lies
         outside dst."""
         v = self(x)
         return self.dst.vertex_of(self.word(x)) if v is None else v
@@ -373,7 +377,7 @@ def build_ball(
         edges=edges,
         succ=[tuple(row) for row in rows],
         cells=[],
-        cell_index=CellIndex(len(vertices), len(hom_pres.base.relators)),
+        cell_ids=[-1] * (len(vertices) * len(hom_pres.base.relators)),
     )
     marked = hom_pres.marked_relators
     for base in range(len(vertices)):
@@ -389,7 +393,7 @@ def build_ball(
             else:
                 if v != base:
                     raise InvariantError("relator loop did not close in the ball")
-                ball.cell_index.ids[base * len(hom_pres.base.relators) + r] = len(ball.cells)
+                ball.cell_ids[base * len(hom_pres.base.relators) + r] = len(ball.cells)
                 ball.cells.append(Cell(base, r, tuple(boundary)))
 
     labels: dict[Word, Word] = {}  # one tuple per distinct label
@@ -429,9 +433,9 @@ def trace_word(ball: CayleyBall, start: int, w: Word) -> tuple[list[tuple[int, i
     for pos, letter in enumerate(w):
         try:
             edge, sign, v = ball.step(v, letter)
-        except DomainError as exc:
+        except ResourceError as exc:
             prefix = format_word(w[: pos + 1], ball.generators)
-            raise DomainError(f"path exits ball after prefix '{prefix}': {exc}") from exc
+            raise ResourceError(f"path exits ball after prefix '{prefix}': {exc}") from exc
         steps.append((edge, sign))
     return steps, v
 
@@ -445,34 +449,27 @@ def loop_to_cycle(ball: CayleyBall, base: int, w: Word) -> OneCycle:
     return OneCycle(steps)
 
 
-def carry_chain(src: CayleyBall, dst: CayleyBall, chain: TwoChain, place) -> TwoChain:
-    """Carry a 2-chain from one ball to another: the cell based at x with
-    relator r goes to the cell based at ``place(x)`` with relator r.
-    ``place`` returns None for a vertex with no image in ``dst``; that, or
-    a missing destination cell, raises ``KeyError(x)``."""
+def carry_chain(src: CayleyBall, dst: CayleyBall, chain: TwoChain, place: Placement) -> TwoChain:
+    """Carry a 2-chain from one ball to ``place.dst``: the cell based at x
+    with relator r goes to the cell based at ``place.vertex(x)`` with
+    relator r.  A vertex or cell that dst lacks raises its ResourceError."""
     out: dict[int, int] = {}
     for cell, coeff in chain.coeffs.items():
         c = src.cells[cell]
-        target = dst.cell_index.get((place(c.base), c.relator))
-        if target is None:
-            raise KeyError(c.base)
+        target = dst.cell_at(place.vertex(c.base), c.relator)
         out[target] = out.get(target, 0) + coeff
     return TwoChain(out)
 
 
-def carry_cycle(src: CayleyBall, dst: CayleyBall, cycle: OneCycle, place) -> OneCycle:
-    """Carry a 1-chain from one ball to another: the edge from x labelled g
-    goes to the edge from ``place(x)`` labelled g.  ``place`` returns None
-    for a vertex with no image in ``dst``; that, or a missing destination
-    edge, raises ``KeyError(x)``."""
+def carry_cycle(src: CayleyBall, dst: CayleyBall, cycle: OneCycle, place: Placement) -> OneCycle:
+    """Carry a 1-chain from one ball to ``place.dst``: the edge from x
+    labelled g goes to the edge from ``place.vertex(x)`` labelled g.  A
+    vertex or edge that dst lacks raises its ResourceError."""
     out: dict[int, int] = {}
     for edge, coeff in cycle.coeffs.items():
         source, label, _ = src.edges[edge]
-        v = place(source)
-        hop = None if v is None else dst.hop(v, label)
-        if hop is None:
-            raise KeyError(source)
-        out[hop[0]] = out.get(hop[0], 0) + coeff
+        target = dst.step(place.vertex(source), label)[0]
+        out[target] = out.get(target, 0) + coeff
     return OneCycle(out)
 
 

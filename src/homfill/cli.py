@@ -71,20 +71,26 @@ class LoadedGroup:
 
 def _base_backend(kind: str, pf: PresentationFile) -> GroupBackend:
     """The ``kind`` backend of ``pf``'s generators; ParseError when the file
-    does not define one or one of its relators is not trivial in it."""
+    does not define one, has a word or vector line it cannot use, or has a
+    relator that is not trivial in it."""
     gens = pf.generators
-    if kind == "free":
-        images = {}
-        for name, w in pf.gen_words.items():
+    lines = {"free": ("word", pf.gen_words), "free_abelian": ("vector", pf.gen_vectors)}
+    if kind not in lines:
+        raise ParseError(f"unsupported backend kind {kind!r}")
+    for owner, (line, images) in lines.items():
+        for name in images:
+            if owner != kind:
+                raise ParseError(f"{line} line for {name!r} needs backend {owner}, not {kind}")
             if name not in gens:
-                raise ParseError(f"word image for unknown generator {name!r}")
-            images[gens.index(name)] = w
+                raise ParseError(f"{line} image for unknown generator {name!r}")
+    if kind == "free":
+        images = {gens.index(name): w for name, w in pf.gen_words.items()}
         base_rank = len(gens) - len(images)
         for idx in images:
             if idx < base_rank:
                 raise ParseError("generators with word images must come last")
         backend = FreeBackend(len(gens), images, base_rank=base_rank)
-    elif kind == "free_abelian":
+    else:
         plain = [g for g in gens if g not in pf.gen_vectors]
         dim = len(plain)
         for g in gens[:dim]:
@@ -100,8 +106,6 @@ def _base_backend(kind: str, pf: PresentationFile) -> GroupBackend:
             else:
                 vectors.append(tuple(1 if k == i else 0 for k in range(dim)))
         backend = FreeAbelianBackend(dim, vectors)
-    else:
-        raise ParseError(f"unsupported backend kind {kind!r}")
     for rel in pf.relators:
         if not backend.is_identity(rel):
             raise ParseError(f"relator {format_word(rel, gens)!r} is not trivial in backend {kind}")

@@ -1,8 +1,9 @@
 """Exception hierarchy shared by every module.
 
-DomainError covers bad inputs a caller can fix (exit code 1 in the CLI),
-ResourceError covers exceeded budgets, and InvariantError signals an
-internal inconsistency that should never happen on valid inputs (exit 2).
+ParseError and DomainError cover input that no larger ball fixes, and
+ResourceError exceeded budgets and balls too small for the request (exit
+code 1 in the CLI).  InvariantError signals an internal inconsistency that
+should never happen on valid inputs (exit 2).
 """
 
 

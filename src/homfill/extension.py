@@ -43,8 +43,12 @@ Vertices are placed through memoised normal-form tables
 
 The lift and certificate tables are kept on the kernel ball and the others
 on the extension ball, so that a kernel ball shared by several extension
-balls keeps none of them alive.  A vertex whose image lies outside its ball
-raises that ball's ``vertex_of`` error (``Placement.vertex``).
+balls keeps none of them alive.
+
+A ball too small for a transfer raises the ``cayley`` lookup's ResourceError
+unchanged, and a loop that does not fill inside the kernel ball is one too.
+DomainError is for input no larger ball fixes, such as an item charted from
+a coset it does not lie in.
 """
 
 from __future__ import annotations
@@ -120,14 +124,12 @@ class TransferConstants:
 def _certificate(k_ball: CayleyBall, loop_word: Word, what: str) -> Certificate:
     try:
         cycle = loop_to_cycle(k_ball, 0, loop_word)
-    except DomainError as exc:
-        raise DomainError(
-            f"certificate loop for {what} leaves the kernel ball; rebuild with a larger radius"
-        ) from exc
+    except ResourceError as exc:
+        raise ResourceError(f"certificate loop for {what}: {exc}") from exc
     result = harea_fill(k_ball, cycle)
     if result.status != "optimal":
-        raise DomainError(
-            f"certificate loop for {what} is {result.status}; rebuild with a larger radius"
+        raise ResourceError(
+            f"certificate loop for {what} is {result.status} in the radius-{k_ball.radius} kernel ball"
         )
     return Certificate(loop_word, result.chain, result.area)
 
@@ -234,9 +236,7 @@ def _transfer(k_ball: CayleyBall, items, certs: dict, lift: AutLift | None, dire
         for cell_id, c in certs[key].chain.coeffs.items():
             cell = k_ball.cells[cell_id]
             base = cert_placement(k_ball, lift, direction, cell.base).vertex(x)
-            target = k_ball.cell_index.get((base, cell.relator))
-            if target is None:
-                raise DomainError("translated cell leaves the ball")
+            target = k_ball.cell_at(base, cell.relator)
             out[target] = out.get(target, 0) + coeff * c
             if not out[target]:
                 del out[target]
@@ -248,10 +248,7 @@ def _substitute(k_ball: CayleyBall, chain: TwoChain, lift: AutLift, direction: s
     translated to the ``direction`` image of the cell's base vertex."""
     i, cells = lift.stable_letter_index, k_ball.cells
     items = ((cells[c].base, (i, cells[c].relator), coeff) for c, coeff in sorted(chain.coeffs.items()))
-    try:
-        return _transfer(k_ball, items, certs, lift, direction)
-    except DomainError as exc:
-        raise ResourceError(f"{direction} image leaves the kernel ball: {exc}") from exc
+    return _transfer(k_ball, items, certs, lift, direction)
 
 
 def _collars(k_ball: CayleyBall, cycle: OneCycle, i: int, certs: dict) -> TwoChain:
@@ -294,10 +291,7 @@ def pull_back_filling(
     if boundary_2(k_ball, c_prime) != lift_image_cycle(k_ball, gamma, lift, "forward"):
         raise DomainError("pull-back input does not bound the forward image of gamma")
     out = _substitute(k_ball, c_prime, lift, "backward", constants.certs["psi_relator"])
-    try:
-        out = out + _collars(k_ball, gamma, lift.stable_letter_index, constants.certs["collar_psi_phi"])
-    except DomainError as exc:
-        raise ResourceError(f"collar leaves the kernel ball: {exc}") from exc
+    out = out + _collars(k_ball, gamma, lift.stable_letter_index, constants.certs["collar_psi_phi"])
     if out.area() > constants.C_prime * c_prime.area() + constants.C_double_prime * gamma.length():
         raise InvariantError("pull-back area exceeded its certified bound")
     if boundary_2(k_ball, out) != gamma:
@@ -369,38 +363,31 @@ def conj_placement(h_ball: CayleyBall, lead: Word, k_ball: CayleyBall, lift: Aut
     return _kept(h_ball, ("conj", k_ball, lead, lift), k_ball, h_ball, word)
 
 
-def _carry(carry, src: CayleyBall, item, place: Placement, too_small: str):
-    """Carry a chain or cycle from src to ``place``'s ball; a vertex, cell
-    or edge missing there raises ResourceError naming the radius it needs."""
-    try:
-        return carry(src, place.dst, item, place)
-    except KeyError as exc:
-        raise ResourceError(f"{too_small}; needs at least {len(place.word(exc.args[0])) + 1}") from exc
-
-
 def chart(h_ball: CayleyBall, k_ball: CayleyBall, coset: Word, item):
     """Carry a chain or cycle lying in the K(coset) subcomplex to the kernel
-    ball via left translation by coset^-1."""
-    what, carry = ("cycle", carry_cycle) if isinstance(item, OneCycle) else ("chain", carry_chain)
-    too_small = f"kernel ball radius {k_ball.radius} too small to chart the coset {what}"
-    return _carry(carry, h_ball, item, chart_placement(h_ball, k_ball, coset), too_small)
+    ball via left translation by coset^-1; DomainError when an edge or cell
+    of the item lies outside K(coset), which no larger ball fixes."""
+    coset = tuple(coset)
+    if isinstance(item, OneCycle):
+        what, carry = "cycle", carry_cycle
+        inside = restrict_to_coset(h_ball, item, coset) == item
+    else:
+        what, carry = "chain", carry_chain
+        inside = all(h_ball.cell_cosets[c] == (coset,) for c in item.coeffs)
+    if not inside:
+        name = format_word(coset, h_ball.generators) or "e"
+        raise DomainError(f"the {what} to chart leaves the coset K({name})")
+    return carry(h_ball, k_ball, item, chart_placement(h_ball, k_ball, coset))
 
 
 def embed_chain(h_ball: CayleyBall, coset: Word, k_ball: CayleyBall, chain: TwoChain) -> TwoChain:
     """Left-translate a kernel-ball chain into the K(coset) subcomplex."""
-    too_small = (
-        f"extension ball radius {h_ball.radius} too small to embed at coset "
-        f"{format_word(coset, h_ball.generators) or 'e'}"
-    )
-    return _carry(carry_chain, k_ball, chain, embed_placement(h_ball, coset, k_ball), too_small)
+    return carry_chain(k_ball, h_ball, chain, embed_placement(h_ball, coset, k_ball))
 
 
 def kernel_cycle_to_extension(h_ball: CayleyBall, k_ball: CayleyBall, gamma: OneCycle) -> OneCycle:
     """Embed a kernel-ball cycle into the extension ball's kernel subcomplex."""
-    try:
-        return carry_cycle(k_ball, h_ball, gamma, embed_placement(h_ball, (), k_ball).vertex)
-    except KeyError:
-        raise ResourceError("extension ball too small to hold the kernel cycle") from None
+    return carry_cycle(k_ball, h_ball, gamma, embed_placement(h_ball, (), k_ball))
 
 
 # ---------------------------------------------------------------------------
@@ -689,7 +676,7 @@ def route_filling(
         if pos and route[pos - 1] == -letter:
             raise DomainError("route must be a reduced stable-letter word")
 
-    def conj_cells(cycle: OneCycle, lead: Word, i: int, sign: int, way: str) -> dict[int, int]:
+    def conj_cells(cycle: OneCycle, lead: Word, i: int, sign: int) -> dict[int, int]:
         """The conjugation cell of each edge (x, a_j) of the cycle: the one
         with relator (i, j) based at lead * phi_i(x), with the edge's
         coefficient times ``sign``."""
@@ -697,9 +684,7 @@ def route_filling(
         cells: dict[int, int] = {}
         for edge, coeff in sorted(cycle.coeffs.items()):
             source, g, _ = k_ball.edges[edge]
-            cell = h_ball.cell_index.get((place.vertex(source), layout.conj_relator(i, g - 1)))
-            if cell is None:
-                raise ResourceError(f"extension ball too small to route the cycle {way}")
+            cell = h_ball.cell_at(place.vertex(source), layout.conj_relator(i, g - 1))
             cells[cell] = cells.get(cell, 0) + sign * coeff
         return cells
 
@@ -707,24 +692,26 @@ def route_filling(
         if not rest:
             result = harea_fill(k_ball, cycle_k)
             if result.status != "optimal":
-                raise DomainError(f"kernel filling at route end is {result.status}")
+                raise ResourceError(
+                    f"kernel filling at route end is {result.status} in the radius-{k_ball.radius} kernel ball"
+                )
             return embed_chain(h_ball, prefix, k_ball, result.chain)
         t = rest[0]
         i = layout.stable_index(t)
         lift = constants.lifts[i]
         if t > 0:
-            cells = conj_cells(cycle_k, prefix + (t,), i, 1, "up")
+            cells = conj_cells(cycle_k, prefix + (t,), i, 1)
             next_cycle = lift_image_cycle(k_ball, cycle_k, lift, "forward")
             collars = TwoChain()
         else:
             next_cycle = lift_image_cycle(k_ball, cycle_k, lift, "backward")
-            cells = conj_cells(next_cycle, prefix, i, -1, "down")
+            cells = conj_cells(next_cycle, prefix, i, -1)
             # bridge gamma with its phi(psi(.)) image inside the current coset
             k_collars = _collars(k_ball, cycle_k, i, constants.certs["collar_phi_psi"])
             collars = embed_chain(h_ball, prefix, k_ball, k_collars)
         return TwoChain(cells) + collars + recurse(prefix + (t,), next_cycle, rest[1:])
 
-    chain = recurse((), gamma if isinstance(gamma, OneCycle) else OneCycle(gamma), tuple(route))
+    chain = recurse((), gamma, tuple(route))
     if boundary_2(h_ball, chain) != kernel_cycle_to_extension(h_ball, k_ball, gamma):
         raise InvariantError("routed filling does not bound the input cycle")
     return chain

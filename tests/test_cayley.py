@@ -19,7 +19,7 @@ from homfill.cayley import (
     vertex_incidence,
 )
 from homfill.cli import load_group
-from homfill.errors import DomainError
+from homfill.errors import DomainError, ResourceError
 from homfill.words import parse_word
 
 GROUP_FILES = sorted(glob.glob(os.path.join(os.path.dirname(__file__), "..", "groups", "*.grp")))
@@ -84,7 +84,7 @@ def test_boundary_cancellation(z2_ball4):
     base = z2_ball4.vertex_of(())
     right = z2_ball4.vertex_of((1,))
     c = TwoChain(
-        {z2_ball4.cell_index[(base, 0)]: 1, z2_ball4.cell_index[(right, 0)]: 1}
+        {z2_ball4.cell_at(base, 0): 1, z2_ball4.cell_at(right, 0): 1}
     )
     cyc = boundary_2(z2_ball4, c)
     assert cyc.length() == 6
@@ -106,7 +106,7 @@ def test_loop_to_cycle_examples(z2_ball4):
 def test_loop_errors(z2_ball4, f2_ball3):
     with pytest.raises(DomainError, match="does not close"):
         loop_to_cycle(z2_ball4, 0, parse_word("a b", NI))
-    with pytest.raises(DomainError, match="exits ball"):
+    with pytest.raises(ResourceError, match="exits ball"):
         loop_to_cycle(f2_ball3, 0, parse_word("a b a' b'", NI))
 
 
@@ -212,7 +212,7 @@ def test_step_table_matches_normal_forms(path):
                     for letter in (g, -g):
                         expected = _reference_step(ball, edge_of, v, letter)
                         if expected is None:
-                            with pytest.raises(DomainError, match="leaves ball"):
+                            with pytest.raises(ResourceError, match=f"is outside the radius-{radius} ball"):
                                 ball.step(v, letter)
                         else:
                             assert ball.step(v, letter) == expected

@@ -182,6 +182,35 @@ def test_nontrivial_relator_exits_cleanly(tmp_path, capsys, text, relator):
     assert repr(relator) in err["message"]
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("backend: free\ngenerators: a b\nword c: a b\n", "word image for unknown generator 'c'"),
+        ("backend: free_abelian\ngenerators: a b\nvector c: 1 1\n", "vector image for unknown generator 'c'"),
+        ("backend: free_abelian\ngenerators: a b c\nword c: a b\n", "word line for 'c' needs backend free"),
+        ("backend: free\ngenerators: a b c\nvector c: 1 1\n", "vector line for 'c' needs backend free_abelian"),
+        (
+            "backend: extension\nk-backend: free_abelian\ngenerators: a b\nword b: a\n"
+            "lift t1: a -> a ; b -> b\nlift t1 inverse: a -> a ; b -> b\n",
+            "word line for 'b' needs backend free",
+        ),
+    ],
+    ids=["word-unknown", "vector-unknown", "word-in-free_abelian", "vector-in-free", "word-in-k-backend"],
+)
+def test_image_line_the_backend_cannot_use_exits_cleanly(tmp_path, capsys, text, message):
+    # each line used to be dropped or to add a basis generator
+    pres = tmp_path / "bad.grp"
+    pres.write_text(text)
+    code = run_cli([
+        "fa", "--pres", str(pres), "--max-n", "4", "--ball", "2",
+        "--out", str(tmp_path / "fa.json"), "--json-errors",
+    ])
+    assert code == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ParseError"
+    assert message in err["message"]
+
+
 def test_pres_not_utf8_exits_cleanly(tmp_path, capsys):
     pres = tmp_path / "bad.grp"
     pres.write_bytes(b"\xff\xfe generators: a")

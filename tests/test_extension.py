@@ -5,7 +5,7 @@ import pytest
 
 from homfill.backends import ExtensionBackend, FreeAbelianBackend
 from homfill.cayley import TwoChain, boundary_2, build_ball, loop_to_cycle
-from homfill.errors import DomainError, InvariantError
+from homfill.errors import DomainError, InvariantError, ResourceError
 from homfill.cli import load_group
 from homfill.extension import (
     COLLAR_CERTS,
@@ -120,7 +120,7 @@ def test_certificates_are_labelled_by_their_stable_letters(tmp_path):
 
 def test_constants_need_room():
     setup = ExtensionSetup(AutLift.identity(2), h_radius=3, k_radius=1)
-    with pytest.raises(DomainError, match="larger radius"):
+    with pytest.raises(ResourceError, match="certificate loop"):
         compute_constants(setup.k_ball, setup.layout, [setup.lift], setup.h_pres.base.relators)
 
 

@@ -20,7 +20,7 @@ import pytest
 
 from homfill.cayley import OneCycle, build_ball, loop_to_cycle, trace_word
 from homfill.cli import load_group
-from homfill.errors import DomainError
+from homfill.errors import ResourceError
 from homfill.extension import (
     cert_placement,
     chart,
@@ -70,8 +70,11 @@ def _check(placement, expected):
             assert placement.vertex(x) == v
             continue
         nf = dst.backend.normal_form(placement.word(x))
-        message = f"vertex {format_word(nf, dst.generators) or 'e'} outside ball"
-        with pytest.raises(DomainError, match="^" + re.escape(message) + "$"):
+        message = (
+            f"vertex {format_word(nf, dst.generators)} is outside the radius-{dst.radius} ball"
+            f" over {' '.join(dst.generators)}; radius {len(nf)} holds it"
+        )
+        with pytest.raises(ResourceError, match="^" + re.escape(message) + "$"):
             placement.vertex(x)
     return expected.count(None)
 
@@ -110,8 +113,8 @@ def test_lift_tables(balls):
                 try:
                     base = k_ball.vertex_of(apply_lift(lift, direction, k_ball.vertices[source]))
                     want = trace_word(k_ball, base, lift.letter_image(g, direction))[0]
-                except DomainError as exc:
-                    with pytest.raises(DomainError, match="^" + re.escape(str(exc)) + "$"):
+                except ResourceError as exc:
+                    with pytest.raises(ResourceError, match="^" + re.escape(str(exc)) + "$"):
                         lift_image_cycle(k_ball, OneCycle({edge: 1}), lift, direction)
                     assert traced[edge] is None
                     continue

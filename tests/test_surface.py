@@ -65,7 +65,7 @@ def test_doubled_cell_two_disks(z2_ball4):
 
 
 def test_disjoint_union_additivity(z2_ball4):
-    far = z2_ball4.cell_index[(z2_ball4.vertex_of((1, 1)), 0)]
+    far = z2_ball4.cell_at(z2_ball4.vertex_of((1, 1)), 0)
     diagram = assemble_surface(z2_ball4, TwoChain({0: 1, far: 1}))
     metrics = measure(diagram)
     assert metrics.component_count == 2
@@ -94,7 +94,7 @@ def test_closed_component_radius_none(z3_setup):
     ball = z3_setup.h_ball
 
     def cell_at(word, relator):
-        return ball.cell_index[(ball.vertex_of(word), relator)]
+        return ball.cell_at(ball.vertex_of(word), relator)
 
     # six faces of the unit cube at the origin (relators: 0 = [a,b], 1 and 2
     # the two conjugation squares); find the orientation signs by search
@@ -136,7 +136,7 @@ def test_verify_detects_disconnected_link(z2_ball4):
     # two separate faces, vertex classes declaring their corners identified:
     # the link at the merged vertex is two disjoint paths
     diagram = assemble_surface(z2_ball4, TwoChain({0: 1}))
-    far = z2_ball4.cell_index[(z2_ball4.vertex_of((1, 1)), 0)]
+    far = z2_ball4.cell_at(z2_ball4.vertex_of((1, 1)), 0)
     two = assemble_surface(z2_ball4, TwoChain({0: 1, far: 1}))
     merged = [tuple(sorted([(0, 0), (1, 0)]))]
     for f in (0, 1):
