@@ -130,14 +130,14 @@ GOLDEN = {
     "surface-index:z3_ext": "c9ebaa4615d42952c8de2133ed679f70d5d7737033199ad0c9c58f600b5d253e",
     "routed:z3": "fedbd6ca556438527b37ea19ff5124bfa330da911c864741ad1e49f638345a45",
     "routed:heis": "655f7c7d009aaf738e7bd09da09a249f64e51160a1a0e080b5abc4a67e78406e",
-    "tight:z3:chart": "2d88a1c4c9f1d43339d7d90f5c83e41cd60cec196bc47798a9d87268d09777c8",
-    "tight:z3:embed": "60f0848179bb067737ed605c30deacf564d82a3e1b198cb95cbd7d9a2902c56b",
+    "tight:z3:chart": "9ea52fe56f3d5645bbf013c6c4ea5a198a20d31f2df25df2676fee022d70a650",
+    "tight:z3:embed": "47f3d9b7ce435c2ead76fa076a85ce9f40ab19741b911e94a1d2875066ba7d8b",
     "tight:z3:lift": "653b4f6306520172e8d1fdbbdcf5e6ea6338f2d9a48e8de99e99ffb573350cc9",
-    "tight:z3:route": "905399a014722094e6f62386d41246beb79d8905f3c5d7104780666752b5dff5",
-    "tight:heis:chart": "e0a290de1483067486e66febba32a6d184b792be561c3edc0b6a15ae0c04d53c",
-    "tight:heis:embed": "48e2e9595b69909a844f2304b3042838f38fcf9d93963727bdd510a7f3ced6a5",
-    "tight:heis:lift": "d5209133cbc8234673734ff7e7ef6079906b50bd991bb489e149b876eb7d7951",
-    "tight:heis:route": "9126f3d0a0cd1b3d5fd200086fb748b6a36935a00c19cae9c59a2bd85f6e85ff",
+    "tight:z3:route": "31d1f6c737dacca01637644ee9fd283c4f32bff3fc21f274a278d1adf4548bfb",
+    "tight:heis:chart": "76936d3c7c0c611f5a6e89a788772cf4cd81c260346037e4f1954dcd263b2d4f",
+    "tight:heis:embed": "b9cdacf700674ac63d342233c51ed9d76e5251515504fb74d3d4992ebc447545",
+    "tight:heis:lift": "4068341267f900cfeff285966c8a31dad22ec9997af5807682879e107c9021b0",
+    "tight:heis:route": "f3a412c8cff6443cfed1b1aa9611e29eb9c5bcfcab41df89be94ef3e26960b0f",
 }
 
 
