@@ -242,6 +242,14 @@ class CayleyBall:
         return FillSystem([columns[c] for c in remaining], sorted(touched))
 
     @cached_property
+    def oriented_faces(self) -> list:
+        """The surface-diagram face of every cell entered with each
+        orientation: cell c's at ``2 * c`` and its reverse at ``2 * c + 1``,
+        None until ``surface.oriented_face`` first builds it.  Every diagram
+        on the ball shares these faces.  Built on first use."""
+        return [None] * (2 * len(self.cells))
+
+    @cached_property
     def cell_cosets(self) -> list[tuple[Word, ...]]:
         """The distinct coset labels along each cell's vertex path, shortest
         first: one for a cell inside a coset, two for a conjugation cell,

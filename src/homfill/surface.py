@@ -15,10 +15,15 @@ Every layer numbers slots one way (``SlotNumbering``): slot (f, p) is
 (slot, end) pairs.  The gluing is interpreted in one place,
 ``SurfaceIndex``: the matching, the corner classes and the free sides of
 every class are derived once per diagram, and the diagram is verified while
-they are.  Diagrams are immutable, so ``SurfaceDiagram.index`` is built on
-first use and kept; verification, measurement, boundary paths, projection
-and DOT output all read it, and ``assemble_surface`` glues over the same
-numbering with the same union-find, ``_Sets``.
+they are.  ``assemble_surface`` builds its diagram's index from the
+numbering and integer matching it glued with; any other diagram (decoded
+JSON, a hand-built one) builds its index on first use of
+``SurfaceDiagram.index``.  Verification, measurement, boundary paths,
+projection and DOT output all read that index.
+
+A ball keeps one ``Face`` per (cell, orientation), built on first use
+(``oriented_face``): every copy of a cell in every diagram on that ball is
+that one object, and the provenance check compares a face with it.
 """
 
 from __future__ import annotations
@@ -26,6 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property
 from heapq import heappop, heappush
+from itertools import repeat
 
 from .cayley import CayleyBall, OneCycle, TwoChain
 from .errors import DomainError, InvariantError, ParseError
@@ -33,7 +39,7 @@ from .errors import DomainError, InvariantError, ParseError
 SlotRef = tuple[int, int]  # (face index, slot position)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Face:
     slots: tuple[tuple[int, int], ...]  # (image edge, traversal sign) per slot
     provenance: tuple[int, int] | None = None  # (cell index, orientation)
@@ -56,8 +62,11 @@ class SurfaceDiagram:
 
     @cached_property
     def index(self) -> SurfaceIndex:
-        """The gluing's interpretation, built and verified on first use."""
-        return SurfaceIndex(self)
+        """The gluing's interpretation, built and verified on first use
+        (``assemble_surface`` sets it when it builds the diagram)."""
+        slots = SlotNumbering(self.faces)
+        number = slots.number
+        return SurfaceIndex(self, slots, [(number(a), number(b), flip) for a, b, flip in self.gluing])
 
 
 @dataclass
@@ -83,6 +92,23 @@ class SurfaceMetrics:
     orientable: bool
     component_euler: list[int] = field(default_factory=list)
     component_boundary_paths: list[int] = field(default_factory=list)
+
+
+def oriented_face(ball: CayleyBall, cell: int, orient: int) -> Face:
+    """The face of a ball cell entered with orientation ``orient`` (1 or
+    -1): its slots and corner images are the cell's boundary and vertex
+    path, reversed for -1, and its provenance is (cell, orient).  Built once
+    per ball, cell and orientation and kept in ``ball.oriented_faces``."""
+    table = ball.oriented_faces
+    k = 2 * cell + (orient < 0)
+    face = table[k]
+    if face is None:
+        slots, corners = ball.cells[cell].boundary, ball.cell_vertices(cell)
+        if orient < 0:
+            slots = tuple((e, -sign) for e, sign in reversed(slots))
+            corners = corners[:1] + corners[:0:-1]
+        face = table[k] = Face(slots, (cell, orient), corners)
+    return face
 
 
 class _Sets:
@@ -123,17 +149,32 @@ class SlotNumbering:
     def __init__(self, faces: list[Face]):
         self.first = first = []
         self.refs = refs = []
+        self.face_of = face_of = []
+        self.label = label = []
         self.next = nxt = []
         self.prev = prv = []
+        base = 0
         for f, face in enumerate(faces):
-            base, L = len(refs), len(face.slots)
+            L = len(face.slots)
             first.append(base)
-            refs += [(f, p) for p in range(L)]
-            nxt += [base + (p + 1) % L for p in range(L)]
-            prv += [base + (p - 1) % L for p in range(L)]
-        first.append(len(refs))
-        self.face_of = [f for f, _ in refs]
-        self.label = [slot for face in faces for slot in face.slots]
+            if L:
+                refs += zip(repeat(f, L), range(L))
+                face_of += repeat(f, L)
+                label += face.slots
+                nxt += range(base + 1, base + L)
+                nxt.append(base)
+                prv.append(base + L - 1)
+                prv += range(base, base + L - 1)
+                base += L
+        first.append(base)
+
+    def number(self, ref: SlotRef) -> int:
+        """The integer of slot ``ref``; DomainError when no face has it."""
+        f, p = ref
+        first = self.first
+        if not (0 <= f < len(first) - 1 and 0 <= p < first[f + 1] - first[f]):
+            raise DomainError(f"diagram names slot {ref}, which no face has")
+        return first[f] + p
 
 
 class SurfaceIndex:
@@ -165,25 +206,18 @@ class SurfaceIndex:
 
     Verification stops at the first group of checks that fails, so the
     later fields are filled only as far as it got; ``measure`` reads them
-    only from a valid index.  A gluing or vertex class naming a slot the
-    faces do not have, or a provenance cell the ball does not have, raises
-    DomainError.
+    only from a valid index.  A vertex class naming a slot the faces do not
+    have, or a provenance cell the ball does not have, raises DomainError.
+
+    The index is built from the diagram's ``SlotNumbering`` and its gluing
+    as integer triples (slot, slot, flipped), in the gluing's order.
     """
 
-    def __init__(self, diagram: SurfaceDiagram):
-        self.slots = slots = SlotNumbering(diagram.faces)
-        first, refs, label, nxt, prv = slots.first, slots.refs, slots.label, slots.next, slots.prev
-        nfaces = len(diagram.faces)
-
-        def number(ref: SlotRef) -> int:
-            f, p = ref
-            if not (0 <= f < nfaces and 0 <= p < first[f + 1] - first[f]):
-                raise DomainError(f"diagram names slot {ref}, which no face has")
-            return first[f] + p
-
-        pairs = [(number(a), number(b), flip) for a, b, flip in diagram.gluing]
+    def __init__(self, diagram: SurfaceDiagram, slots: SlotNumbering, pairs: list[tuple[int, int, bool]]):
+        self.slots = slots
+        refs, label, nxt, prv = slots.refs, slots.label, slots.next, slots.prev
         declared = diagram.declared_classes
-        members = None if declared is None else [[number(c) for c in cls] for cls in declared]
+        members = None if declared is None else [[slots.number(c) for c in cls] for cls in declared]
         self.report = report = VerificationReport()
         self.mate: list[int] | None = None
         self.flipped: list[bool] = []
@@ -201,11 +235,14 @@ class SurfaceIndex:
         for a, b, flip in pairs:
             if a == b:
                 report.add(f"slot {refs[a]} glued to itself")
-            for x, y in ((a, b), (b, a)):
-                if mate[x] < 0:
-                    mate[x], flipped[x] = y, flip
-                else:
-                    twice.add(x)
+            if mate[a] < 0:
+                mate[a], flipped[a] = b, flip
+            else:
+                twice.add(a)
+            if mate[b] < 0:
+                mate[b], flipped[b] = a, flip
+            else:
+                twice.add(b)
         # one line per slot, in the order the gluing first names them
         for x in dict.fromkeys(x for a, b, _ in pairs for x in (a, b)) if twice else ():
             if x in twice:
@@ -232,10 +269,14 @@ class SurfaceIndex:
         self.class_of = class_of = [-1] * n
         if members is None:
             corners = _Sets(n)
+            union, find = corners.union, corners.find
             for a, b, flip in pairs:
-                for x, y in identified(a, b, flip):
-                    corners.union(x, y)
-            find = corners.find
+                if flip:
+                    union(a, b)
+                    union(nxt[a], nxt[b])
+                else:
+                    union(a, nxt[b])
+                    union(nxt[a], b)
             members = []
             for x in range(n):
                 root = find(x)
@@ -243,9 +284,10 @@ class SurfaceIndex:
                     class_of[x] = len(members)
                     members.append([x])
                 else:
-                    class_of[x] = class_of[root]
-                    members[class_of[x]].append(x)
-            self.classes = [tuple(refs[x] for x in cls) for cls in members]
+                    k = class_of[x] = class_of[root]
+                    members[k].append(x)
+            at = refs.__getitem__
+            self.classes = [tuple(map(at, cls)) for cls in members]
         else:
             self.classes = declared
             for i, cls in enumerate(members):
@@ -276,13 +318,18 @@ class SurfaceIndex:
         # every glued side's partner in its side's class.
         walked = [-1] * n  # the class whose fan walk last passed each corner
         for i, cls in enumerate(members):
-            sides = [side for x in cls for side in (2 * x + 1, 2 * prv[x])]
-            free = tuple(sorted(side for side in sides if mate[side >> 1] < 0))
+            free = []  # corner x's sides: the tail of slot x, the head of prev[x]
+            for x in cls:
+                if mate[x] < 0:
+                    free.append(2 * x + 1)
+                if mate[prv[x]] < 0:
+                    free.append(2 * prv[x])
+            free = tuple(sorted(free))
             self.free_sides.append(free)
             if not cls:
                 report.add(f"vertex class {i} is empty")
-            elif not free:
-                if self._walk_fan(min(sides), i, walked)[0] != len(cls):
+            elif not free:  # every side is glued: the walk from any side closes
+                if self._walk_fan(2 * cls[0] + 1, i, walked)[0] != len(cls):
                     report.add(f"link of vertex class {i} is not a single cycle")
             elif len(free) == 2:
                 seen, end = self._walk_fan(free[0], i, walked)
@@ -291,23 +338,28 @@ class SurfaceIndex:
             else:
                 report.add(f"vertex class {i} has {len(free)} free sides (needs 0 or 2)")
 
-        # provenance consistency
-        if diagram.ball is not None:
+        # provenance consistency: each face against its cell's oriented face
+        ball = diagram.ball
+        if ball is not None:
             for f, face in enumerate(diagram.faces):
                 if face.provenance is None:
                     continue
                 cell_id, orient = face.provenance
-                if not 0 <= cell_id < len(diagram.ball.cells):
+                if not 0 <= cell_id < len(ball.cells):
                     raise DomainError(f"face {f} names cell {cell_id}, which the ball does not have")
-                boundary = diagram.ball.cells[cell_id].boundary
-                if len(face.slots) != len(boundary):
-                    report.add(f"face {f} length disagrees with its provenance cell")
+                if orient not in (1, -1):
+                    report.add(f"face {f} provenance orientation must be 1 or -1")
                     continue
-                expect = boundary if orient > 0 else [(e, -s) for e, s in reversed(boundary)]
-                for p, slot in enumerate(face.slots):
-                    if slot != expect[p]:
-                        report.add(f"face {f} slot {p} disagrees with its provenance cell")
-                        break
+                want = oriented_face(ball, cell_id, orient)
+                if face is want:
+                    continue
+                if len(face.slots) != len(want.slots):
+                    report.add(f"face {f} length disagrees with its provenance cell")
+                elif tuple(face.slots) != want.slots:
+                    p = next(p for p, slot in enumerate(face.slots) if slot != want.slots[p])
+                    report.add(f"face {f} slot {p} disagrees with its provenance cell")
+                elif face.corner_images is not None and tuple(face.corner_images) != want.corner_images:
+                    report.add(f"face {f} corner images disagree with its provenance cell")
 
     def _walk_fan(self, start: int, i: int, walked: list[int]) -> tuple[int, int]:
         """Walk the link of class i from side ``start``: cross its corner to
@@ -397,9 +449,36 @@ def measure(diagram: SurfaceDiagram) -> SurfaceMetrics:
     classes, class_of, mate, flipped = index.classes, index.class_of, index.mate, index.flipped
     first, face_of, nxt = index.slots.first, index.slots.face_of, index.slots.next
 
-    # components, and the 1-skeleton on vertex classes: an edge per boundary
-    # slot and per glued pair (both of whose slots give the same edge)
-    faces = _Sets(nfaces)
+    # components and orientability in one walk over the faces: faces are
+    # numbered into components in the order of their least faces, and a
+    # face's orientation relative to its component flips across a flipped
+    # gluing
+    comp_of = [-1] * nfaces
+    orient = [0] * nfaces
+    orientable = True
+    ncomp = 0
+    for f in range(nfaces):
+        if comp_of[f] >= 0:
+            continue
+        comp_of[f], orient[f] = ncomp, 1
+        stack = [f]
+        while stack:
+            g = stack.pop()
+            for x in range(first[g], first[g + 1]):
+                m = mate[x]
+                if m < 0:
+                    continue
+                h = face_of[m]
+                want = -orient[g] if flipped[x] else orient[g]
+                if comp_of[h] < 0:
+                    comp_of[h], orient[h] = ncomp, want
+                    stack.append(h)
+                elif orient[h] != want:
+                    orientable = False
+        ncomp += 1
+
+    # the 1-skeleton on vertex classes: an edge per boundary slot and per
+    # glued pair (both of whose slots give the same edge)
     skeleton: list[set[int]] = [set() for _ in classes]
     boundary_classes = set()
     for x, m in enumerate(mate):
@@ -410,11 +489,6 @@ def measure(diagram: SurfaceDiagram) -> SurfaceMetrics:
         skeleton[h].add(t)
         if m < 0:
             boundary_classes.update((t, h))
-        else:
-            faces.union(face_of[x], face_of[m])
-    comp_root = [faces.find(f) for f in range(nfaces)]
-    comp_pos = {r: k for k, r in enumerate(sorted(set(comp_root)))}
-    comp_of = [comp_pos[r] for r in comp_root]
 
     # breadth-first from the boundary; the queue grows while it is read
     dist: list[int | None] = [None] * len(classes)
@@ -428,7 +502,6 @@ def measure(diagram: SurfaceDiagram) -> SurfaceMetrics:
                 queue.append(u)
     radius = None if None in dist else max(dist, default=0)
 
-    ncomp = len(comp_pos)
     comp_chi = [0] * ncomp
     comp_paths = [0] * ncomp
     for cls in classes:
@@ -449,27 +522,6 @@ def measure(diagram: SurfaceDiagram) -> SurfaceMetrics:
     path_roots = {paths.find(x) for x, m in enumerate(mate) if m < 0}
     for root in path_roots:
         comp_paths[comp_of[face_of[root]]] += 1
-
-    # orientability: faces 2-colorable with flips reversing relative orientation
-    orient = [0] * nfaces
-    orientable = True
-    for f in range(nfaces):
-        if orient[f]:
-            continue
-        orient[f] = 1
-        stack = [f]
-        while stack:
-            g = stack.pop()
-            for x in range(first[g], first[g + 1]):
-                if mate[x] < 0:
-                    continue
-                h = face_of[mate[x]]
-                want = -orient[g] if flipped[x] else orient[g]
-                if orient[h] == 0:
-                    orient[h] = want
-                    stack.append(h)
-                elif orient[h] != want:
-                    orientable = False
 
     return SurfaceMetrics(
         area=nfaces,
@@ -520,24 +572,17 @@ def assemble_surface(ball: CayleyBall, chain: TwoChain) -> SurfaceDiagram:
     The unplaced partner is the first copy of the opposite label whose face
     is unplaced, found by a pointer that only moves forward; the placed one
     is the least entry of a heap of placed, unmatched slots per label.
+
+    The faces are the ball's ``oriented_face`` objects, and the diagram's
+    index is built from the same numbering and matching, which verifies
+    it; a violation is an InvariantError.
     """
     if not chain:
         raise DomainError("assemble_surface needs a nonzero 2-chain")
     faces: list[Face] = []
     for cell_id in sorted(chain.coeffs):
         coeff = chain.coeffs[cell_id]
-        cell = ball.cells[cell_id]
-        L = len(cell.boundary)
-        orient = 1 if coeff > 0 else -1
-        path = ball.cell_vertices(cell_id)
-        if orient > 0:
-            slots = tuple(cell.boundary)
-            corners = path
-        else:
-            slots = tuple((cell.boundary[L - 1 - p][0], -cell.boundary[L - 1 - p][1]) for p in range(L))
-            corners = tuple(path[(L - p) % L] for p in range(L))
-        for _ in range(abs(coeff)):
-            faces.append(Face(slots=slots, provenance=(cell_id, orient), corner_images=corners))
+        faces += repeat(oriented_face(ball, cell_id, 1 if coeff > 0 else -1), abs(coeff))
 
     numbering = SlotNumbering(faces)
     first, refs, face_of, label = numbering.first, numbering.refs, numbering.face_of, numbering.label
@@ -621,16 +666,15 @@ def assemble_surface(ball: CayleyBall, chain: TwoChain) -> SurfaceDiagram:
                 f"image edge {e} kept unmatched slots of both signs; gluability argument violated"
             )
 
-    gluing = [(refs[a], refs[b], False) for a, b in enumerate(matched) if a < b]
-    diagram = SurfaceDiagram(faces=faces, gluing=gluing, ball=ball)
-    report = verify_surface(diagram)
-    if not report.ok:
-        raise InvariantError("assembled diagram fails verification: " + "; ".join(report.violations))
-    # corners glued together must sit over one ball vertex
-    for cls in diagram.index.classes:
-        images = {faces[f].corner_images[p] for f, p in cls if faces[f].corner_images}
-        if len(images) > 1:
-            raise InvariantError("glued corners project to distinct ball vertices")
+    pairs = [(a, b, False) for a, b in enumerate(matched) if a < b]
+    diagram = SurfaceDiagram(faces=faces, gluing=[(refs[a], refs[b], flip) for a, b, flip in pairs], ball=ball)
+    # ``index`` is a cached property: set it to the index of this numbering
+    # and matching, so that the diagram is not numbered again
+    diagram.__dict__["index"] = index = SurfaceIndex(diagram, numbering, pairs)
+    # the label and provenance checks also make glued corners sit over one
+    # ball vertex
+    if not index.report.ok:
+        raise InvariantError("assembled diagram fails verification: " + "; ".join(index.report.violations))
     return diagram
 
 

@@ -9,7 +9,10 @@ trace or error message fails here.
 
 Corpus:
   surface:<file>   ``diagram_to_json`` of ``assemble_surface`` on seeded chains
-                   (coefficients in +-2) of every groups/*.grp at radius 3.
+                   (coefficients in +-2) of every groups/*.grp at radius 3;
+                   this section, surface-index:<file> and routed:* also
+                   check that each assembled diagram's index equals that of
+                   its decoded JSON copy.
   surface-index:<file>
                    ``verify_surface`` of assembled diagrams of every
                    groups/*.grp at radius 3 and of variants of each: one face
@@ -73,6 +76,7 @@ from homfill.surface import (
     SurfaceDiagram,
     assemble_surface,
     boundary_paths,
+    diagram_from_json,
     diagram_to_dot,
     diagram_to_json,
     measure,
@@ -202,6 +206,21 @@ def _ball(file: str) -> list:
     ]
 
 
+INDEX_FIELDS = ("mate", "flipped", "unmatched", "classes", "class_of", "free_sides")
+
+
+def _assembled(ball, chain):
+    """``assemble_surface``'s diagram, or the error record of its failure.
+    The index that assembly built must be the index a decoded copy of the
+    diagram builds for itself."""
+    diagram, error = _attempt(assemble_surface, ball, chain)
+    if diagram is not None:
+        built, fresh = diagram.index, diagram_from_json(diagram_to_json(diagram), ball).index
+        assert [getattr(built, name) for name in INDEX_FIELDS] == [getattr(fresh, name) for name in INDEX_FIELDS]
+        assert built.report.violations == fresh.report.violations == []
+    return diagram, error
+
+
 def _surface(file: str) -> list:
     group = _group(file)
     ball = build_ball(group.backend, group.hom_pres, 3)
@@ -213,7 +232,7 @@ def _surface(file: str) -> list:
             if ball.cells:
                 coeffs[rng.randrange(len(ball.cells))] = rng.choice((-2, -1, 1, 2))
         chain = TwoChain(coeffs)
-        diagram, error = _attempt(assemble_surface, ball, chain)
+        diagram, error = _assembled(ball, chain)
         out.append({"chain": _plain(chain), "error": error} if error else diagram_to_json(diagram))
     return out
 
@@ -394,7 +413,7 @@ def _surface_index(file: str) -> list:
             for _ in range(rng.randint(1, 8)):
                 coeffs[rng.randrange(len(ball.cells))] = rng.choice((-2, -1, 1, 2))
         chain = TwoChain(coeffs)
-        diagram, error = _attempt(assemble_surface, ball, chain)
+        diagram, error = _assembled(ball, chain)
         if error:
             out.append({"chain": _plain(chain), "error": error})
             continue
@@ -440,7 +459,7 @@ def _routed(ctx: str) -> list:
         for route in _routes(group, names):
             record, chain = _push(h_ball, k_ball, constants, cycle, route)
             if chain is not None:
-                record["diagram"] = diagram_to_json(assemble_surface(h_ball, chain))
+                record["diagram"] = diagram_to_json(_assembled(h_ball, chain)[0])
             out.append([list(word), list(route), record])
     return out
 

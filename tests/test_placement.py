@@ -37,6 +37,7 @@ from homfill.extension import (
 )
 from homfill.filling import harea_fill
 from homfill.presentation import apply_lift
+from homfill.surface import assemble_surface, oriented_face, verify_surface
 from homfill.words import format_word, inverse_word, parse_word
 
 GROUPS = Path(__file__).resolve().parent.parent / "groups"
@@ -233,8 +234,9 @@ def test_repeated_pushdown_takes_no_normal_form(route, direction, monkeypatch):
 
 
 def test_tables_keep_no_extension_ball_alive():
-    """Two extension balls share one kernel ball; after charting, embedding
-    and routing on both, dropping one frees it."""
+    """Two extension balls share one kernel ball; after charting, embedding,
+    routing and assembling surface diagrams on both, dropping one and its
+    diagrams frees it."""
     group = load_group(str(GROUPS / "heis_ext.grp"))
     k_ball = build_ball(group.k_backend, group.k_pres, 6)
     constants = compute_constants(k_ball, group.layout, group.lifts, group.hom_pres.base.relators)
@@ -247,10 +249,18 @@ def test_tables_keep_no_extension_ball_alive():
         h_ball = build_ball(group.backend, group.hom_pres, radius)
         assert chart(h_ball, k_ball, (), kernel_cycle_to_extension(h_ball, k_ball, gamma)) == gamma
         assert chart(h_ball, k_ball, (t,), embed_chain(h_ball, (t,), k_ball, filling)) == filling
-        route_filling(h_ball, k_ball, constants, gamma, (t,))
+        chain = route_filling(h_ball, k_ball, constants, gamma, (t,))
         assert h_ball.placements
+        # two diagrams on one ball share the face of each (cell, orientation)
+        diagrams = [assemble_surface(h_ball, c) for c in (chain, chain.scale(2), chain.scale(-1))]
+        for diagram in diagrams:
+            assert verify_surface(diagram).ok
+            for face in diagram.faces:
+                assert face is oriented_face(h_ball, *face.provenance)
+        assert {id(face) for face in diagrams[0].faces} == {id(face) for face in diagrams[1].faces}
+        assert not {id(face) for face in diagrams[0].faces} & {id(face) for face in diagrams[2].faces}
         refs.append(weakref.ref(h_ball))
-        del h_ball
+        del h_ball, diagrams
     assert k_ball.placements
     keep = refs[1]()
     gc.collect()

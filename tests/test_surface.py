@@ -165,14 +165,22 @@ BIGON_BACK = Face(slots=((1, -1), (0, -1)))
 SPHERE = [((0, 0), (1, 1), False), ((0, 1), (1, 0), False)]
 
 
-def _cell_face(ball, flip_slot=None, length=None):
+def _cell_face(ball, flip_slot=None, length=None, orient=1, corners=None):
     """Cell 0 of the ball as a face with provenance, optionally with one
-    slot's sign flipped or cut to its first ``length`` slots."""
+    slot's sign flipped, cut to its first ``length`` slots, with another
+    provenance orientation or with the given corner images."""
     slots = list(ball.cells[0].boundary[:length])
     if flip_slot is not None:
         e, s = slots[flip_slot]
         slots[flip_slot] = (e, -s)
-    return Face(slots=tuple(slots), provenance=(0, 1))
+    return Face(slots=tuple(slots), provenance=(0, orient), corner_images=corners)
+
+
+def _reversed_cell_face(ball, orient):
+    """The face that assembly makes of cell 0 with coefficient -1, with its
+    provenance orientation replaced."""
+    face = assemble_surface(ball, TwoChain({0: -1})).faces[0]
+    return Face(slots=face.slots, provenance=(0, orient), corner_images=face.corner_images)
 
 
 @pytest.mark.parametrize(
@@ -239,6 +247,29 @@ def _cell_face(ball, flip_slot=None, length=None):
             lambda ball: SurfaceDiagram([_cell_face(ball, flip_slot=2)], [], ball),
             "face 0 slot 2 disagrees with its provenance cell",
         ),
+        # provenance orientations other than 1 and -1, on a reversed and a forward face
+        (
+            lambda ball: SurfaceDiagram([_reversed_cell_face(ball, 0)], [], ball),
+            "face 0 provenance orientation must be 1 or -1",
+        ),
+        (
+            lambda ball: SurfaceDiagram([_cell_face(ball, orient=7)], [], ball),
+            "face 0 provenance orientation must be 1 or -1",
+        ),
+        (
+            lambda ball: SurfaceDiagram([_cell_face(ball, corners=(0, 0, 0, 0))], [], ball),
+            "face 0 corner images disagree with its provenance cell",
+        ),
+        (
+            lambda ball: SurfaceDiagram([_cell_face(ball, corners=ball.cell_vertices(0)[:3])], [], ball),
+            "face 0 corner images disagree with its provenance cell",
+        ),
+        (
+            lambda ball: SurfaceDiagram(
+                [_cell_face(ball, corners=ball.cell_vertices(0)[:3] + (len(ball.vertices),))], [], ball
+            ),
+            "face 0 corner images disagree with its provenance cell",
+        ),
     ],
     ids=[
         "empty-face",
@@ -255,6 +286,11 @@ def _cell_face(ball, flip_slot=None, length=None):
         "free-sides",
         "provenance-length",
         "provenance-slot",
+        "provenance-orientation-0",
+        "provenance-orientation-7",
+        "corner-images",
+        "corner-images-length",
+        "corner-images-outside",
     ],
 )
 def test_verify_reports_each_violation(z2_ball4, build, message):
