@@ -5,6 +5,11 @@ Kinds: free groups (optionally with redundant generators mapping to words),
 free abelian groups (optionally with redundant generators mapping to integer
 vectors), small finite groups given by a multiplication table, and split
 extensions of a kernel group by a free group acting through word lifts.
+
+An extension normal form costs time linear in the length of the words it
+rewrites: each kernel letter is pushed across the stable letters before it
+by substitution from its lifts' image tables, and the kernel normal form is
+taken once, over the whole pushed kernel word.
 """
 
 from __future__ import annotations
@@ -198,21 +203,28 @@ class ExtensionBackend(GroupBackend):
         return apply_lift(self.lifts[i], direction, k_word)
 
     def split(self, w) -> ExtensionNormalForm:
+        """The pair (K-normal form, reduced t-word) of ``w``.
+
+        Each kernel letter is pushed left across the t-letters before it and
+        its image appended to one kernel word, whose normal form is taken
+        once at the end (kernel normal forms are canonical and compatible
+        with concatenation, so nf(nf(u) v) = nf(u v)): the cost is one
+        normal form of the whole pushed word, not one per kernel letter."""
         check_letters(tuple(w), self.rank)
-        k_word: Word = ()
+        k_letters: list[int] = []
         t_word: list[int] = []
         for x in w:
             if abs(x) <= self.k_rank:
                 pushed = (x,)
                 for t_letter in reversed(t_word):
                     pushed = self._conjugate_through(pushed, -t_letter)
-                k_word = self.k_backend.normal_form(k_word + pushed)
+                k_letters += pushed
             else:
                 if t_word and t_word[-1] == -x:
                     t_word.pop()
                 else:
                     t_word.append(x)
-        return ExtensionNormalForm(self.k_backend.normal_form(k_word), tuple(t_word))
+        return ExtensionNormalForm(self.k_backend.normal_form(k_letters), tuple(t_word))
 
     def normal_form(self, w) -> Word:
         nf = self.split(w)

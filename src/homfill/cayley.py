@@ -47,13 +47,15 @@ class _Chain:
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs=None):
-        self.coeffs: dict[int, int] = {}
-        if coeffs:
-            for k, c in (coeffs.items() if isinstance(coeffs, dict) else coeffs):
-                if c:
-                    self.coeffs[k] = self.coeffs.get(k, 0) + c
-                    if not self.coeffs[k]:
-                        del self.coeffs[k]
+        if isinstance(coeffs, dict):  # distinct keys: nothing to accumulate
+            self.coeffs: dict[int, int] = {k: c for k, c in coeffs.items() if c}
+            return
+        self.coeffs = {}
+        for k, c in coeffs or ():
+            if c:
+                self.coeffs[k] = self.coeffs.get(k, 0) + c
+                if not self.coeffs[k]:
+                    del self.coeffs[k]
 
     def __bool__(self):
         return bool(self.coeffs)

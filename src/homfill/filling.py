@@ -257,16 +257,14 @@ def enumerate_identity_cycles(ball: CayleyBall, max_len: int):
     results = []
 
     def record():
-        cycle = OneCycle(counts)
-        if not cycle:
+        if not counts:
             return
-        key = cycle.key()
-        neg = (-cycle).key()
-        canon = min(key, neg)
+        key = tuple(sorted(counts.items()))  # counts holds no zero
+        canon = min(key, tuple((e, -c) for e, c in key))
         if canon in seen:
             return
         seen.add(canon)
-        results.append((canon, cycle, tuple(word)))
+        results.append((canon, OneCycle(counts), tuple(word)))
 
     letters = tuple(letter_order(ball.backend.rank))
     succ, edges, distance = ball.succ, ball.edges, ball.distance

@@ -16,7 +16,7 @@ labels and appended after the kernel generators.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .errors import DomainError, ParseError
 from .words import (
@@ -92,12 +92,15 @@ class AutLift:
 
     ``forward[j]`` is the chosen word for the image of generator j+1 and
     ``backward[j]`` for the inverse automorphism; images of inverse letters
-    are always the formal inverses of these words.
+    are always the formal inverses of these words.  ``images[direction]``
+    holds both, indexed by the signed letter: entry x is the image of
+    letter x, the negative letters counting from the end.
     """
 
     forward: tuple[Word, ...]
     backward: tuple[Word, ...]
     stable_letter_index: int = 0
+    images: dict[str, tuple[Word, ...]] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         rank = len(self.forward)
@@ -107,6 +110,11 @@ class AutLift:
             check_letters(w, rank)
             if not free_reduce(w):
                 raise DomainError("lift images must be nontrivial words")
+        tables = {
+            direction: ((), *words, *(inverse_word(w) for w in reversed(words)))
+            for direction, words in (("forward", self.forward), ("backward", self.backward))
+        }
+        object.__setattr__(self, "images", tables)
 
     @property
     def rank(self) -> int:
@@ -124,14 +132,20 @@ class AutLift:
 
 
 def apply_lift(lift: AutLift, direction: str, w: Word) -> Word:
-    """Letterwise substitution followed by free reduction."""
+    """Letterwise substitution from the lift's image table, freely reduced
+    with one stack as it goes: linear in the length of the image."""
     if direction not in ("forward", "backward"):
         raise DomainError(f"unknown lift direction {direction!r}")
     check_letters(w, lift.rank)
+    images = lift.images[direction]
     out: list[int] = []
     for x in w:
-        out.extend(lift.letter_image(x, direction))
-    return free_reduce(out)
+        for y in images[x]:
+            if out and out[-1] == -y:
+                out.pop()
+            else:
+                out.append(y)
+    return tuple(out)
 
 
 def validate_lift(lift: AutLift, k_normal_form) -> None:

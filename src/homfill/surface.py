@@ -177,6 +177,18 @@ class SlotNumbering:
         return first[f] + p
 
 
+def _check_in_ball(ball: CayleyBall, f: int, face: Face) -> None:
+    """DomainError when face f names an edge or a vertex the ball does not
+    have."""
+    n_edges, n_vertices = len(ball.edges), len(ball.vertices)
+    for p, (edge, _) in enumerate(face.slots):
+        if not 0 <= edge < n_edges:
+            raise DomainError(f"face {f} slot {p} names edge {edge}, which the ball does not have")
+    for p, vertex in enumerate(face.corner_images or ()):
+        if not 0 <= vertex < n_vertices:
+            raise DomainError(f"face {f} corner {p} names vertex {vertex}, which the ball does not have")
+
+
 class SurfaceIndex:
     """Everything a diagram's gluing determines, derived and verified once.
 
@@ -207,7 +219,9 @@ class SurfaceIndex:
     Verification stops at the first group of checks that fails, so the
     later fields are filled only as far as it got; ``measure`` reads them
     only from a valid index.  A vertex class naming a slot the faces do not
-    have, or a provenance cell the ball does not have, raises DomainError.
+    have, a provenance cell the ball does not have, or, in a face without
+    provenance, an edge or corner image the ball does not have, raises
+    DomainError.
 
     The index is built from the diagram's ``SlotNumbering`` and its gluing
     as integer triples (slot, slot, flipped), in the gluing's order.
@@ -338,11 +352,13 @@ class SurfaceIndex:
             else:
                 report.add(f"vertex class {i} has {len(free)} free sides (needs 0 or 2)")
 
-        # provenance consistency: each face against its cell's oriented face
+        # provenance consistency: each face against its cell's oriented face;
+        # a face without provenance may only name the ball's edges and vertices
         ball = diagram.ball
         if ball is not None:
             for f, face in enumerate(diagram.faces):
                 if face.provenance is None:
+                    _check_in_ball(ball, f, face)
                     continue
                 cell_id, orient = face.provenance
                 if not 0 <= cell_id < len(ball.cells):

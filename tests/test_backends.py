@@ -1,18 +1,23 @@
+import random
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from homfill.backends import (
     ExtensionBackend,
+    ExtensionNormalForm,
     FreeAbelianBackend,
     FreeBackend,
     TableBackend,
     equal_in_group,
 )
 from homfill.cayley import build_ball
+from homfill.cli import load_group
 from homfill.errors import DomainError, ResourceError
 from homfill.presentation import AutLift, HomPresentation, Presentation, apply_lift
-from homfill.words import parse_word
+from homfill.words import check_letters, free_reduce, parse_word
 
 NI = {"a": 0, "b": 1, "t1": 2}
 
@@ -140,3 +145,103 @@ def test_free_abelian_redundant_generator():
     assert equal_in_group(bk, (3,), (2, 1))
     with pytest.raises(DomainError):
         FreeAbelianBackend(2, [(1, 1), (0, 1)])
+
+
+# ---------------------------------------------------------------------------
+# differential tests of the extension word arithmetic against the letter-by-
+# letter forms it replaced, on seeded random words
+
+GROUPS = Path(__file__).resolve().parent.parent / "groups"
+EXTENSION_GROUPS = ("z3_ext.grp", "heis_ext.grp", "z2_by_f2.grp")
+
+
+def letterwise_lift(lift, direction, w):
+    """Oracle for ``apply_lift``: one ``letter_image`` per letter, then one
+    ``free_reduce`` pass over the concatenation."""
+    return free_reduce([y for x in w for y in lift.letter_image(x, direction)])
+
+
+def fold_split(backend, w):
+    """Oracle for ``ExtensionBackend.split``: the kernel normal form is
+    retaken after every kernel letter's pushed image."""
+    check_letters(tuple(w), backend.rank)
+    k_word, t_word = (), []
+    for x in w:
+        if abs(x) <= backend.k_rank:
+            pushed = (x,)
+            for t_letter in reversed(t_word):
+                lift = backend.lifts[abs(t_letter) - backend.k_rank - 1]
+                pushed = letterwise_lift(lift, "forward" if t_letter < 0 else "backward", pushed)
+            k_word = backend.k_backend.normal_form(k_word + pushed)
+        elif t_word and t_word[-1] == -x:
+            t_word.pop()
+        else:
+            t_word.append(x)
+    return ExtensionNormalForm(backend.k_backend.normal_form(k_word), tuple(t_word))
+
+
+def random_words(rng, rank, count, max_len=16):
+    """Random words over letters +-1..rank, about a third of them with an
+    inserted x x^-1 pair so that unreduced words are always among them."""
+    words = []
+    for _ in range(count):
+        w = [rng.choice((1, -1)) * rng.randint(1, rank) for _ in range(rng.randint(0, max_len))]
+        if w and rng.random() < 0.35:
+            x = rng.choice(w)
+            at = rng.randint(0, len(w))
+            w[at:at] = [x, -x]
+        words.append(tuple(w))
+    return words
+
+
+@pytest.mark.parametrize("name", EXTENSION_GROUPS)
+def test_split_matches_the_normalising_fold(name):
+    backend = load_group(str(GROUPS / name)).backend
+    rng = random.Random(f"split:{name}")
+    words = random_words(rng, backend.rank, 400)
+    stable = range(backend.k_rank + 1, backend.rank + 1)
+    assert any(x < 0 and abs(x) in stable for w in words for x in w)  # inverse stable letters
+    assert any(w[i] == -w[i + 1] for w in words for i in range(len(w) - 1))  # unreduced words
+    for w in words:
+        nf = backend.split(w)
+        assert nf == fold_split(backend, w), w
+        assert backend.normal_form(w) == nf.k_part + nf.t_part
+        assert backend.coset_label(w) == nf.t_part
+
+
+@pytest.mark.parametrize("name", EXTENSION_GROUPS)
+def test_apply_lift_matches_letterwise_substitution(name):
+    group = load_group(str(GROUPS / name))
+    rng = random.Random(f"lift:{name}")
+    for lift in group.lifts:
+        for w in random_words(rng, lift.rank, 200, max_len=24):
+            for direction in ("forward", "backward"):
+                image = apply_lift(lift, direction, w)
+                assert image == letterwise_lift(lift, direction, w), (w, direction)
+                # and stacked, as split pushes a letter through several t-letters
+                assert apply_lift(lift, direction, image) == letterwise_lift(lift, direction, image)
+
+
+@pytest.mark.parametrize("name", EXTENSION_GROUPS)
+def test_the_first_bad_letter_is_named(name):
+    group = load_group(str(GROUPS / name))
+    backend, lift = group.backend, group.lifts[0]
+    for rank, call in (
+        (backend.rank, backend.split),
+        (backend.rank, backend.normal_form),
+        (lift.rank, lambda w: apply_lift(lift, "forward", w)),
+        (lift.rank, lambda w: apply_lift(lift, "backward", w)),
+        (backend.rank, lambda w: check_letters(w, backend.rank)),
+    ):
+        big = rank + 1
+        for w, bad in (
+            ((1, -1, 0, 1, big), 0),
+            ((0, -big), 0),
+            ((1, big, -1, 0), big),
+            ((-big, 1), -big),
+            ((1, -big), -big),
+            ((big,), big),
+        ):
+            with pytest.raises(DomainError, match=rf"^letter {bad} outside generator range 1\.\.{rank}$"):
+                call(w)
+        call((1, -rank, rank))  # the ends of the range are letters

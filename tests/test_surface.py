@@ -349,6 +349,39 @@ def test_json_roundtrip_and_dot(z2_ball4):
     assert dot.startswith("graph surface {") and "color=red" in dot
 
 
+def _without_provenance(doc, corners=None, first_edge=None):
+    """A copy of a diagram document whose face 0 has no provenance, with the
+    given corner images, or with its first slot moved to ``first_edge`` and
+    every gluing of its slots dropped."""
+    faces = [dict(face) for face in doc["faces"]]
+    faces[0]["provenance"] = None
+    gluing = doc["gluing"]
+    if corners is not None:
+        faces[0]["corner_images"] = corners
+    if first_edge is not None:
+        faces[0]["slots"] = [[first_edge, faces[0]["slots"][0][1]], *faces[0]["slots"][1:]]
+        gluing = [g for g in gluing if g[0][0] != 0 and g[1][0] != 0]
+    return {**doc, "faces": faces, "gluing": gluing}
+
+
+@pytest.mark.parametrize(
+    "change, message",
+    [
+        ({"corners": [0, 0, 0, 99999]}, "face 0 corner 3 names vertex 99999, which the ball does not have"),
+        ({"first_edge": 99999}, "face 0 slot 0 names edge 99999, which the ball does not have"),
+    ],
+    ids=["corner-image", "slot-edge"],
+)
+def test_face_without_provenance_stays_in_the_ball(z2_ball5, change, message):
+    gamma = loop_to_cycle(z2_ball5, 0, parse_word("a a b b a' a' b' b'", NI))
+    doc = diagram_to_json(assemble_surface(z2_ball5, harea_fill(z2_ball5, gamma).chain))
+    bad = _without_provenance(doc, **change)
+    # without a ball there is nothing to check the face against
+    assert verify_surface(diagram_from_json(bad)).ok
+    with pytest.raises(DomainError, match=message):
+        verify_surface(diagram_from_json(bad, z2_ball5))
+
+
 def _random_chain(rng, ball, max_cells=6, max_coeff=3):
     coeffs = {}
     for _ in range(rng.randint(1, max_cells)):
