@@ -15,8 +15,9 @@ A ball builds one system, and each fill supplies its right-hand side.
 * ``node_lp`` -- one node LP on the system's HiGHS model, which is passed
   to HiGHS once (``FillSystem.lp_model``): each node changes only the column
   costs, the column bounds and the bounds of the rows whose right-hand side
-  changed, and solves from a cold start, so a node's point and duals do not
-  depend on the nodes and fills solved before it.
+  changed, and solves from a cold start without presolve, so a node's point
+  and duals do not depend on the nodes and fills solved before it and equal
+  those of ``linprog(method="highs")`` with presolve off.
 * ``propose`` -- the HiGHS MILP's integer chain, kept only when it solves
   the system in integer arithmetic.
 * ``integer_solve`` -- particular integer solution of A x = b via column
@@ -51,12 +52,14 @@ INT_TOL = 1e-6
 # budget and the best chain found so far
 NODE_BUDGET = 50_000
 
-# the HiGHS options scipy's linprog(method="highs") sets, so that a node LP
-# gives the point and duals linprog would
+# the HiGHS options scipy's linprog(method="highs", options={"presolve":
+# False}) sets, so that a node LP gives the point and duals that linprog
+# would; presolve is most of a solve at a ball's size, and the dual simplex
+# needs none
 LP_OPTIONS = {
     "output_flag": False,
     "log_to_console": False,
-    "presolve": "on",
+    "presolve": "off",
     "simplex_strategy": int(highs.simplex_constants.SimplexStrategy.kSimplexStrategyDual),
     "highs_debug_level": int(highs.HighsDebugLevel.kHighsDebugLevelNone),
 }

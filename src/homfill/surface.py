@@ -177,16 +177,32 @@ class SlotNumbering:
         return first[f] + p
 
 
-def _check_in_ball(ball: CayleyBall, f: int, face: Face) -> None:
-    """DomainError when face f names an edge or a vertex the ball does not
-    have."""
-    n_edges, n_vertices = len(ball.edges), len(ball.vertices)
+def _check_bare_face(ball: CayleyBall, f: int, face: Face, report: VerificationReport) -> None:
+    """Check face f, which has no provenance, against the ball: an edge or a
+    vertex the ball does not have raises DomainError; a slot sign other than
+    1 or -1, slots that are not a closed path of the ball's edges and a
+    corner image that is not where its slot starts are reported."""
+    edges, n_vertices = ball.edges, len(ball.vertices)
     for p, (edge, _) in enumerate(face.slots):
-        if not 0 <= edge < n_edges:
+        if not 0 <= edge < len(edges):
             raise DomainError(f"face {f} slot {p} names edge {edge}, which the ball does not have")
-    for p, vertex in enumerate(face.corner_images or ()):
+    corners = face.corner_images or ()
+    for p, vertex in enumerate(corners):
         if not 0 <= vertex < n_vertices:
             raise DomainError(f"face {f} corner {p} names vertex {vertex}, which the ball does not have")
+    bad = next((p for p, (_, sign) in enumerate(face.slots) if sign not in (1, -1)), None)
+    if bad is not None:
+        report.add(f"face {f} slot {bad} sign must be 1 or -1")
+        return
+    starts = [edges[e][0] if sign > 0 else edges[e][2] for e, sign in face.slots]
+    ends = [edges[e][2] if sign > 0 else edges[e][0] for e, sign in face.slots]
+    if ends[-1:] + ends[:-1] != starts:  # slot p - 1 ends where slot p starts
+        report.add(f"face {f} slots do not close")
+    if corners and len(corners) != len(starts):
+        report.add(f"face {f} has {len(corners)} corner images for {len(starts)} slots")
+    for p, (vertex, start) in enumerate(zip(corners, starts)):
+        if vertex != start:
+            report.add(f"face {f} corner {p} is not where slot {p} starts")
 
 
 class SurfaceIndex:
@@ -221,7 +237,8 @@ class SurfaceIndex:
     only from a valid index.  A vertex class naming a slot the faces do not
     have, a provenance cell the ball does not have, or, in a face without
     provenance, an edge or corner image the ball does not have, raises
-    DomainError.
+    DomainError.  With a ball, a face without provenance must be a closed
+    path of its edges whose corner images are where its slots start.
 
     The index is built from the diagram's ``SlotNumbering`` and its gluing
     as integer triples (slot, slot, flipped), in the gluing's order.
@@ -353,12 +370,12 @@ class SurfaceIndex:
                 report.add(f"vertex class {i} has {len(free)} free sides (needs 0 or 2)")
 
         # provenance consistency: each face against its cell's oriented face;
-        # a face without provenance may only name the ball's edges and vertices
+        # a face without provenance against the ball's edges and vertices
         ball = diagram.ball
         if ball is not None:
             for f, face in enumerate(diagram.faces):
                 if face.provenance is None:
-                    _check_in_ball(ball, f, face)
+                    _check_bare_face(ball, f, face, report)
                     continue
                 cell_id, orient = face.provenance
                 if not 0 <= cell_id < len(ball.cells):

@@ -353,8 +353,10 @@ def _z3_root_systems():
 
 
 def _linprog_oracle(system, cost, lower, upper, b):
-    """The node LP solved by scipy's linprog on a fresh HiGHS model."""
-    lp = linprog(cost, A_eq=system.lp_matrix, b_eq=b, bounds=np.column_stack([lower, upper]), method="highs")
+    """The node LP solved by scipy's linprog on a fresh HiGHS model, with
+    presolve off as on the system's model."""
+    bounds = np.column_stack([lower, upper])
+    lp = linprog(cost, A_eq=system.lp_matrix, b_eq=b, bounds=bounds, method="highs", options={"presolve": False})
     assert lp.status == 0
     return lp.x, lp.eqlin.marginals
 

@@ -335,16 +335,18 @@ def test_residual_edge_outside_the_fill_system_is_an_invariant_error():
 
 
 def test_unpeeled_fills_close_at_the_root_without_the_milp(monkeypatch):
-    # every unpeeled z3_ext fill is certified by its root LP alone: the
-    # HiGHS MILP runs only when the root leaves a gap, and none does
-    ball = _lifetime_ball("z3_ext.grp", 3)
+    # every unpeeled fill of each extension sample is certified by its root
+    # LP alone: the HiGHS MILP runs only when the root leaves a gap, and
+    # none does
     calls = []
     monkeypatch.setattr(exactlp, "propose", lambda *args: calls.append(args))
-    cycles = _unpeeled_cycles(ball, None)
-    assert len(cycles) > 100
-    for cycle in cycles:
-        result = harea_fill(ball, cycle)
-        assert (result.status, result.nodes) == ("optimal", 1)
+    for file in ("z3_ext.grp", "heis_ext.grp", "z2_by_f2.grp"):
+        ball = _lifetime_ball(file, 3)
+        cycles = _unpeeled_cycles(ball, None)
+        assert len(cycles) > 100
+        for cycle in cycles:
+            result = harea_fill(ball, cycle)
+            assert (result.status, result.nodes) == ("optimal", 1)
     assert calls == []
 
 

@@ -16,6 +16,7 @@ from homfill.surface import (
     diagram_to_dot,
     diagram_to_json,
     measure,
+    oriented_face,
     project_boundary,
     verify_surface,
 )
@@ -176,6 +177,16 @@ def _cell_face(ball, flip_slot=None, length=None, orient=1, corners=None):
     return Face(slots=tuple(slots), provenance=(0, orient), corner_images=corners)
 
 
+def _bare_cell_face(ball, corners=None, length=None, sign_slot=None):
+    """Cell 0 of the ball as a face without provenance, cut to its first
+    ``length`` slots, with the given corner images, or with one slot's sign
+    set to 2."""
+    slots = list(ball.cells[0].boundary[:length])
+    if sign_slot is not None:
+        slots[sign_slot] = (slots[sign_slot][0], 2)
+    return Face(slots=tuple(slots), corner_images=corners)
+
+
 def _reversed_cell_face(ball, orient):
     """The face that assembly makes of cell 0 with coefficient -1, with its
     provenance orientation replaced."""
@@ -270,6 +281,29 @@ def _reversed_cell_face(ball, orient):
             ),
             "face 0 corner images disagree with its provenance cell",
         ),
+        # a face without provenance is checked against its own slots
+        (
+            lambda ball: SurfaceDiagram([_bare_cell_face(ball, corners=(0, 0, 0, 0))], [], ball),
+            "face 0 corner 1 is not where slot 1 starts",
+        ),
+        (
+            lambda ball: SurfaceDiagram(
+                [_bare_cell_face(ball, corners=ball.cell_vertices(0)[1:] + ball.cell_vertices(0)[:1])], [], ball
+            ),
+            "face 0 corner 0 is not where slot 0 starts",
+        ),
+        (
+            lambda ball: SurfaceDiagram([_bare_cell_face(ball, corners=ball.cell_vertices(0)[:3])], [], ball),
+            "face 0 has 3 corner images for 4 slots",
+        ),
+        (
+            lambda ball: SurfaceDiagram([_bare_cell_face(ball, length=3)], [], ball),
+            "face 0 slots do not close",
+        ),
+        (
+            lambda ball: SurfaceDiagram([_bare_cell_face(ball, sign_slot=1)], [], ball),
+            "face 0 slot 1 sign must be 1 or -1",
+        ),
     ],
     ids=[
         "empty-face",
@@ -291,6 +325,11 @@ def _reversed_cell_face(ball, orient):
         "corner-images",
         "corner-images-length",
         "corner-images-outside",
+        "bare-zero-corners",
+        "bare-rotated-corners",
+        "bare-corner-count",
+        "bare-open-slots",
+        "bare-slot-sign",
     ],
 )
 def test_verify_reports_each_violation(z2_ball4, build, message):
@@ -300,6 +339,21 @@ def test_verify_reports_each_violation(z2_ball4, build, message):
         measure(diagram)
     with pytest.raises(DomainError, match="cannot draw an invalid diagram"):
         diagram_to_dot(diagram)
+
+
+def test_faces_without_provenance_that_follow_their_slots_verify(z2_ball4, f2tri_ball4, z3_setup):
+    # every cell of a ball in either orientation, with its provenance
+    # dropped, with or without its corner images, verifies against the
+    # ball; with its corners rotated by one it does not
+    for ball in (z2_ball4, f2tri_ball4, z3_setup.h_ball):
+        for cell in range(len(ball.cells)):
+            for orient in (1, -1):
+                face = oriented_face(ball, cell, orient)
+                corners = face.corner_images
+                for bare in (Face(face.slots, None, corners), Face(face.slots)):
+                    assert verify_surface(SurfaceDiagram([bare], [], ball)).ok
+                rotated = Face(face.slots, None, corners[1:] + corners[:1])
+                assert not verify_surface(SurfaceDiagram([rotated], [], ball)).ok
 
 
 def test_measure_refuses_invalid(z2_ball4):
@@ -375,6 +429,8 @@ def _without_provenance(doc, corners=None, first_edge=None):
 def test_face_without_provenance_stays_in_the_ball(z2_ball5, change, message):
     gamma = loop_to_cycle(z2_ball5, 0, parse_word("a a b b a' a' b' b'", NI))
     doc = diagram_to_json(assemble_surface(z2_ball5, harea_fill(z2_ball5, gamma).chain))
+    # the untouched copy still verifies
+    assert verify_surface(diagram_from_json(_without_provenance(doc), z2_ball5)).ok
     bad = _without_provenance(doc, **change)
     # without a ball there is nothing to check the face against
     assert verify_surface(diagram_from_json(bad)).ok
