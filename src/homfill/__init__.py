@@ -9,7 +9,6 @@ from .backends import (
     FreeAbelianBackend,
     FreeBackend,
     GroupBackend,
-    TableBackend,
     equal_in_group,
 )
 from .cayley import (

@@ -3,8 +3,8 @@ element, which is what makes exact finite Cayley balls possible.
 
 Kinds: free groups (optionally with redundant generators mapping to words),
 free abelian groups (optionally with redundant generators mapping to integer
-vectors), small finite groups given by a multiplication table, and split
-extensions of a kernel group by a free group acting through word lifts.
+vectors), and split extensions of a kernel group by a free group acting
+through word lifts.
 
 An extension normal form costs time linear in the length of the words it
 rewrites: each kernel letter is pushed across the stable letters before it
@@ -18,8 +18,8 @@ import os
 from dataclasses import dataclass
 
 from .errors import DomainError, ParseError
-from .presentation import AutLift, apply_lift
-from .words import Word, check_letters, free_reduce, inverse_word
+from .presentation import AutLift
+from .words import Word, check_letters, free_reduce, signed_table, substitute
 
 DEFAULT_VERTEX_BUDGET = 200_000
 
@@ -42,11 +42,6 @@ class GroupBackend:
     def normal_form(self, w) -> Word:
         raise NotImplementedError
 
-    def coset_label(self, w) -> Word:
-        """Reduced stable-letter word of the element's kernel coset (extensions
-        only; every other backend lives in the trivial coset)."""
-        return ()
-
     def is_identity(self, w) -> bool:
         return self.normal_form(w) == ()
 
@@ -59,26 +54,19 @@ class FreeBackend(GroupBackend):
         self.base_rank = base_rank if base_rank is not None else rank
         if self.base_rank > rank:
             raise DomainError("base_rank exceeds rank")
-        self._images: list[Word] = [(j + 1,) for j in range(rank)]
+        images: list[Word] = [(j + 1,) for j in range(rank)]
         for j, w in (gen_words or {}).items():
             if j < self.base_rank:
                 raise DomainError("cannot override a base generator image")
             check_letters(w, self.base_rank)
-            self._images[j] = free_reduce(w)
+            images[j] = free_reduce(w)
         for j in range(self.base_rank, rank):
-            check_letters(self._images[j], self.base_rank)
+            check_letters(images[j], self.base_rank)
+        self._images = signed_table(images)
 
     def normal_form(self, w) -> Word:
         check_letters(tuple(w), self.rank)
-        out: list[int] = []
-        for x in w:
-            img = self._images[abs(x) - 1]
-            for y in img if x > 0 else inverse_word(img):
-                if out and out[-1] == -y:
-                    out.pop()
-                else:
-                    out.append(y)
-        return tuple(out)
+        return substitute(self._images, w)
 
 
 class FreeAbelianBackend(GroupBackend):
@@ -121,55 +109,6 @@ class FreeAbelianBackend(GroupBackend):
         return tuple(out)
 
 
-class TableBackend(GroupBackend):
-    """Finite group via a multiplication-by-generator table.
-
-    ``table[j][x]`` is x * generator_{j+1}; element 0 is the identity.
-    Canonical words are the BFS-first words in generator order."""
-
-    def __init__(self, table: list[list[int]]):
-        self.rank = len(table)
-        if self.rank == 0:
-            raise DomainError("table backend needs at least one generator")
-        self.size = len(table[0])
-        self.table = [list(row) for row in table]
-        for row in self.table:
-            if sorted(row) != list(range(self.size)):
-                raise DomainError("each generator must act by a permutation")
-        self._inverse = [[0] * self.size for _ in range(self.rank)]
-        for j, row in enumerate(self.table):
-            for x, y in enumerate(row):
-                self._inverse[j][y] = x
-        self._canonical: list[Word | None] = [None] * self.size
-        self._canonical[0] = ()
-        frontier = [0]
-        while frontier:
-            new = []
-            for x in frontier:
-                for letter in letter_order(self.rank):
-                    y = self._step(x, letter)
-                    if self._canonical[y] is None:
-                        self._canonical[y] = self._canonical[x] + (letter,)
-                        new.append(y)
-            frontier = new
-        if any(w is None for w in self._canonical):
-            raise DomainError("table generators do not generate the whole table")
-
-    def _step(self, x: int, letter: int) -> int:
-        j = abs(letter) - 1
-        return self.table[j][x] if letter > 0 else self._inverse[j][x]
-
-    def element_of(self, w) -> int:
-        x = 0
-        for letter in w:
-            x = self._step(x, letter)
-        return x
-
-    def normal_form(self, w) -> Word:
-        check_letters(tuple(w), self.rank)
-        return self._canonical[self.element_of(w)]  # type: ignore[return-value]
-
-
 @dataclass(frozen=True)
 class ExtensionNormalForm:
     """Split-extension pair: kernel part in K-normal form, reduced t-word."""
@@ -197,10 +136,10 @@ class ExtensionBackend(GroupBackend):
 
     def _conjugate_through(self, k_word: Word, t_letter: int) -> Word:
         """Image of the kernel word under conjugation w -> t^-1 w t for the
-        signed stable letter ``t_letter`` (t-part letter being crossed)."""
-        i = abs(t_letter) - self.k_rank - 1
-        direction = "forward" if t_letter > 0 else "backward"
-        return apply_lift(self.lifts[i], direction, k_word)
+        signed stable letter ``t_letter`` (t-part letter being crossed):
+        ``apply_lift`` without its checks, as ``split`` checks every letter."""
+        lift = self.lifts[abs(t_letter) - self.k_rank - 1]
+        return substitute(lift.images["forward" if t_letter > 0 else "backward"], k_word)
 
     def split(self, w) -> ExtensionNormalForm:
         """The pair (K-normal form, reduced t-word) of ``w``.
@@ -229,9 +168,6 @@ class ExtensionBackend(GroupBackend):
     def normal_form(self, w) -> Word:
         nf = self.split(w)
         return nf.k_part + nf.t_part
-
-    def coset_label(self, w) -> Word:
-        return self.split(w).t_part
 
 
 def equal_in_group(backend: GroupBackend, u, v) -> bool:

@@ -8,9 +8,9 @@ deterministic: vertices in BFS-lexicographic discovery order, edges by
 
 One breadth-first pass builds the ball.  Below the radius it takes the
 normal form of v*x for every signed letter x, at the radius only of v*g,
-so each (vertex, letter) normal form is computed at most once; coset
-labels cost one more split per vertex.  The BFS layers are the distances,
-and the recorded +g targets become one neighbour table,
+so each (vertex, letter) normal form is computed at most once, and a
+vertex's coset label is read off its normal form.  The BFS layers are the
+distances, and the recorded +g targets become one neighbour table,
 ``succ[v][letter] -> edge`` (-1 when the edge leaves the ball), indexed by
 the signed letter itself; ``hop``, ``step``, cell construction, word
 tracing and edge lookups read it.  After the build only ``Placement``
@@ -32,7 +32,7 @@ import json
 from dataclasses import dataclass, field
 from functools import cached_property
 
-from .backends import GroupBackend, letter_order, vertex_budget_default
+from .backends import ExtensionBackend, GroupBackend, letter_order, vertex_budget_default
 from .errors import DomainError, InvariantError, ResourceError
 from .exactlp import FillSystem
 from .presentation import HomPresentation
@@ -268,32 +268,6 @@ class CayleyBall:
         ]
 
 
-def hop_distances(ball: CayleyBall, sources) -> list[int]:
-    """Hop distances from a vertex set over the ball 1-skeleton; vertices the
-    sources cannot reach get ``len(ball.vertices) + 1``."""
-    succ, edges = ball.succ, ball.edges
-    dist = [len(succ) + 1] * len(succ)
-    frontier = sorted(sources)
-    for v in frontier:
-        dist[v] = 0
-    d = 0
-    while frontier:
-        d += 1
-        new = []
-        for v in frontier:
-            for edge in succ[v]:
-                if edge < 0:
-                    continue
-                source, _, u = edges[edge]
-                if u == v:
-                    u = source
-                if dist[u] > d:
-                    dist[u] = d
-                    new.append(u)
-        frontier = new
-    return dist
-
-
 class Placement:
     """Where a map sends the vertices of one ball in the ball ``dst``: x
     goes to the vertex of the word ``word(x)``, or None when that lies
@@ -406,13 +380,17 @@ def build_ball(
                 ball.cell_ids[base * len(hom_pres.base.relators) + r] = len(ball.cells)
                 ball.cells.append(Cell(base, r, tuple(boundary)))
 
+    # an extension normal form is the kernel part then the stable-letter
+    # word, which is the coset label; other backends have one coset, ()
+    k_rank = backend.k_rank if isinstance(backend, ExtensionBackend) else rank
     labels: dict[Word, Word] = {}  # one tuple per distinct label
-    ball.coset_labels = [labels.setdefault(label, label) for label in map(backend.coset_label, vertices)]
+    for nf in vertices:
+        cut = len(nf)
+        while cut and abs(nf[cut - 1]) > k_rank:
+            cut -= 1
+        label = nf[cut:]
+        ball.coset_labels.append(labels.setdefault(label, label))
     return ball
-
-
-def cell_boundary(ball: CayleyBall, cell: int) -> OneCycle:
-    return OneCycle(list(ball.cells[cell].boundary))
 
 
 def boundary_2(ball: CayleyBall, chain: TwoChain) -> OneCycle:

@@ -199,7 +199,7 @@ def lift_image_cycle(k_ball: CayleyBall, cycle: OneCycle, lift: AutLift, directi
         steps = traced[edge]
         if steps is None:
             source, g, _ = k_ball.edges[edge]
-            image = lift.letter_image(g, direction)
+            image = lift.images[direction][g]
             steps = traced[edge] = trace_word(k_ball, place.vertex(source), image)[0]
         for e, s in steps:
             acc[e] = acc.get(e, 0) + coeff * s

@@ -27,6 +27,8 @@ from .words import (
     inverse_word,
     is_cyclically_reduced,
     parse_word,
+    signed_table,
+    substitute,
 )
 
 
@@ -110,20 +112,12 @@ class AutLift:
             check_letters(w, rank)
             if not free_reduce(w):
                 raise DomainError("lift images must be nontrivial words")
-        tables = {
-            direction: ((), *words, *(inverse_word(w) for w in reversed(words)))
-            for direction, words in (("forward", self.forward), ("backward", self.backward))
-        }
+        tables = {"forward": signed_table(self.forward), "backward": signed_table(self.backward)}
         object.__setattr__(self, "images", tables)
 
     @property
     def rank(self) -> int:
         return len(self.forward)
-
-    def letter_image(self, letter: int, direction: str = "forward") -> Word:
-        images = self.forward if direction == "forward" else self.backward
-        img = images[abs(letter) - 1]
-        return img if letter > 0 else inverse_word(img)
 
     @classmethod
     def identity(cls, rank: int, stable_letter_index: int = 0) -> "AutLift":
@@ -137,15 +131,7 @@ def apply_lift(lift: AutLift, direction: str, w: Word) -> Word:
     if direction not in ("forward", "backward"):
         raise DomainError(f"unknown lift direction {direction!r}")
     check_letters(w, lift.rank)
-    images = lift.images[direction]
-    out: list[int] = []
-    for x in w:
-        for y in images[x]:
-            if out and out[-1] == -y:
-                out.pop()
-            else:
-                out.append(y)
-    return tuple(out)
+    return substitute(lift.images[direction], w)
 
 
 def validate_lift(lift: AutLift, k_normal_form) -> None:

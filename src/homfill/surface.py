@@ -18,8 +18,8 @@ every class are derived once per diagram, and the diagram is verified while
 they are.  ``assemble_surface`` builds its diagram's index from the
 numbering and integer matching it glued with; any other diagram (decoded
 JSON, a hand-built one) builds its index on first use of
-``SurfaceDiagram.index``.  Verification, measurement, boundary paths,
-projection and DOT output all read that index.
+``SurfaceDiagram.index``.  Verification, measurement, projection and DOT
+output all read that index.
 
 A ball keeps one ``Face`` per (cell, orientation), built on first use
 (``oriented_face``): every copy of a cell in every diagram on that ball is
@@ -56,9 +56,6 @@ class SurfaceDiagram:
     def slot(self, ref: SlotRef) -> tuple[int, int]:
         f, p = ref
         return self.faces[f].slots[p]
-
-    def face_len(self, f: int) -> int:
-        return len(self.faces[f].slots)
 
     @cached_property
     def index(self) -> SurfaceIndex:
@@ -441,39 +438,6 @@ def _valid(diagram: SurfaceDiagram, what: str) -> SurfaceIndex:
     return index
 
 
-def boundary_paths(diagram: SurfaceDiagram) -> list[list[SlotRef]]:
-    """Cyclically ordered unmatched slots per boundary component (orientation
-    follows the faces; only meaningful for flip-free diagrams, which is all
-    assembled ones)."""
-    index = _glued(diagram)
-    mate, flipped, nxt, refs = index.mate, index.flipped, index.slots.next, index.slots.refs
-    limit = 4 * len(mate)
-    walked = [m >= 0 for m in mate]
-    paths = []
-    for start in range(len(mate)):
-        if walked[start]:
-            continue
-        path = []
-        s = start
-        while True:
-            path.append(refs[s])
-            walked[s] = True
-            x = nxt[s]
-            guard = 0
-            while mate[x] >= 0:
-                if flipped[x]:
-                    raise DomainError("ordered boundary paths need a flip-free diagram")
-                x = nxt[mate[x]]
-                guard += 1
-                if guard > limit:
-                    raise InvariantError("boundary walk does not terminate")
-            if x == start:
-                break
-            s = x
-        paths.append(path)
-    return paths
-
-
 def measure(diagram: SurfaceDiagram) -> SurfaceMetrics:
     """Area, radius, boundary length, components, Euler characteristic."""
     index = _valid(diagram, "measure")
@@ -767,12 +731,16 @@ def diagram_from_json(doc: dict, ball: CayleyBall | None = None) -> SurfaceDiagr
         faces.append(
             Face(
                 slots=tuple(_int_tuple(slot, f"face {f} slot", 2) for slot in spec["slots"]),
-                provenance=_int_tuple(provenance, f"face {f} provenance", 2) if provenance else None,
-                corner_images=_int_tuple(corners, f"face {f} corner_images") if corners else None,
+                # null, a missing key or [] is "none"; any other value must be a list
+                provenance=None if provenance in (None, []) else _int_tuple(provenance, f"face {f} provenance", 2),
+                corner_images=None if corners in (None, []) else _int_tuple(corners, f"face {f} corner_images"),
             )
         )
+    entries = doc.get("gluing", [])
+    if not isinstance(entries, list):
+        raise ParseError(f"gluing must be a list of [slot, slot, flipped] entries, got {entries!r}")
     gluing = []
-    for entry in doc.get("gluing", []):
+    for entry in entries:
         if not isinstance(entry, (list, tuple)) or len(entry) != 3:
             raise ParseError(f"gluing entry must be [slot, slot, flipped], got {entry!r}")
         a, b, flip = entry

@@ -35,6 +35,26 @@ def free_reduce(w) -> Word:
     return tuple(out)
 
 
+def signed_table(images) -> tuple[Word, ...]:
+    """The image table of a letter map given on generators: entry x is the
+    image of letter x, the negative letters counting from the end (their
+    images are the formal inverses)."""
+    return ((), *images, *(inverse_word(w) for w in reversed(images)))
+
+
+def substitute(table: tuple[Word, ...], w) -> Word:
+    """Replace each letter x of ``w`` by ``table[x]`` (a ``signed_table``),
+    freely reducing with one stack as it goes: linear in the image's length."""
+    out: list[int] = []
+    for x in w:
+        for y in table[x]:
+            if out and out[-1] == -y:
+                out.pop()
+            else:
+                out.append(y)
+    return tuple(out)
+
+
 def is_reduced(w: Word) -> bool:
     return all(w[i] != -w[i + 1] for i in range(len(w) - 1))
 

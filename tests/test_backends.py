@@ -10,16 +10,16 @@ from homfill.backends import (
     ExtensionNormalForm,
     FreeAbelianBackend,
     FreeBackend,
-    TableBackend,
     equal_in_group,
 )
 from homfill.cayley import build_ball
 from homfill.cli import load_group
 from homfill.errors import DomainError, ResourceError
 from homfill.presentation import AutLift, HomPresentation, Presentation, apply_lift
-from homfill.words import check_letters, free_reduce, parse_word
+from homfill.words import check_letters, free_reduce, inverse_word, parse_word
 
 NI = {"a": 0, "b": 1, "t1": 2}
+GROUPS = Path(__file__).resolve().parent.parent / "groups"
 
 
 def ball_vertices(backend, radius, vertex_budget=None):
@@ -39,7 +39,7 @@ BACKENDS = {
     "free": lambda: FreeBackend(2),
     "z3_extension": lambda: ExtensionBackend(FreeAbelianBackend(2), [AutLift.identity(2)]),
     "heis_extension": lambda: shear_backend()[0],
-    "table_z6": lambda: TableBackend([[(x + 1) % 6 for x in range(6)]]),
+    "z2_redundant_file": lambda: load_group(str(GROUPS / "z2_redundant.grp")).backend,
 }
 
 
@@ -120,19 +120,6 @@ def test_ball_budget():
         ball_vertices(FreeBackend(2), 10, vertex_budget=50)
 
 
-def test_table_backend_z6():
-    bk = TableBackend([[(x + 1) % 6 for x in range(6)]])
-    assert bk.normal_form((1, 1, 1, 1, 1, 1)) == ()
-    assert equal_in_group(bk, (1, 1, 1, 1), (-1, -1))
-    assert len(ball_vertices(bk, 3)) == 6
-
-
-def test_table_backend_rejects_nongenerating():
-    # permutation fixing 0: never reaches the rest
-    with pytest.raises(DomainError):
-        TableBackend([[0, 2, 1]])
-
-
 def test_free_backend_redundant_generator():
     bk = FreeBackend(3, {2: (1, 2)}, base_rank=2)  # c = ab
     assert bk.normal_form((3,)) == (1, 2)
@@ -151,14 +138,15 @@ def test_free_abelian_redundant_generator():
 # differential tests of the extension word arithmetic against the letter-by-
 # letter forms it replaced, on seeded random words
 
-GROUPS = Path(__file__).resolve().parent.parent / "groups"
 EXTENSION_GROUPS = ("z3_ext.grp", "heis_ext.grp", "z2_by_f2.grp")
 
 
 def letterwise_lift(lift, direction, w):
-    """Oracle for ``apply_lift``: one ``letter_image`` per letter, then one
+    """Oracle for ``apply_lift``: each letter's image read off the lift's
+    generator images (inverted for an inverse letter), then one
     ``free_reduce`` pass over the concatenation."""
-    return free_reduce([y for x in w for y in lift.letter_image(x, direction)])
+    images = getattr(lift, direction)
+    return free_reduce([y for x in w for y in (images[x - 1] if x > 0 else inverse_word(images[-x - 1]))])
 
 
 def fold_split(backend, w):
@@ -196,7 +184,8 @@ def random_words(rng, rank, count, max_len=16):
 
 @pytest.mark.parametrize("name", EXTENSION_GROUPS)
 def test_split_matches_the_normalising_fold(name):
-    backend = load_group(str(GROUPS / name)).backend
+    group = load_group(str(GROUPS / name))
+    backend = group.backend
     rng = random.Random(f"split:{name}")
     words = random_words(rng, backend.rank, 400)
     stable = range(backend.k_rank + 1, backend.rank + 1)
@@ -206,7 +195,10 @@ def test_split_matches_the_normalising_fold(name):
         nf = backend.split(w)
         assert nf == fold_split(backend, w), w
         assert backend.normal_form(w) == nf.k_part + nf.t_part
-        assert backend.coset_label(w) == nf.t_part
+    # the ball reads each vertex's coset label off its normal form
+    ball = build_ball(backend, group.hom_pres, 3)
+    assert ball.coset_labels == [backend.split(v).t_part for v in ball.vertices]
+    assert any(ball.coset_labels)
 
 
 @pytest.mark.parametrize("name", EXTENSION_GROUPS)

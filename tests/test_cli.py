@@ -105,8 +105,18 @@ def test_verify_flags_corruption(tmp_path, capsys):
         ('{"faces": [{"slots": [[0, 1], [0, -1]]}], "gluing": [[[0, 0], [0, 5], false]]}', "DomainError"),
         ("not json", "ParseError"),
         ('{"faces": [{"slots": [[0, 1], [0, -1]]}], "gluing": [[[0, 0], [0, 1], "false"]]}', "ParseError"),
+        ('{"faces": [{"slots": [[0, 1]]}], "gluing": 5}', "ParseError"),
+        ('{"faces": [{"slots": [[0, 1]]}], "gluing": null}', "ParseError"),
+    ]
+    + [
+        (f'{{"faces": [{{"slots": [[0, 1]], "{key}": {value}}}], "gluing": []}}', "ParseError")
+        for key in ("provenance", "corner_images")
+        for value in ("0", "false", '""', "{}")
     ],
-    ids=["one-element-slot", "slot-outside-face", "not-json", "flag-not-boolean"],
+    ids=[
+        "one-element-slot", "slot-outside-face", "not-json", "flag-not-boolean", "gluing-number", "gluing-null",
+        *(f"{key}-{kind}" for key in ("provenance", "corners") for kind in ("zero", "false", "empty-string", "object")),
+    ],
 )
 def test_verify_bad_diagram_exits_cleanly(tmp_path, capsys, text, error):
     bad = tmp_path / "bad.json"

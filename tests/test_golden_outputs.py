@@ -22,9 +22,10 @@ Corpus:
                    one on a face with the wrong provenance, a slot no face
                    has, and declared classes that are exact or drop,
                    repeat, merge or split corners or add an empty class; for
-                   valid ones also ``measure``, ``boundary_paths`` (flip-free
-                   only), ``diagram_to_dot``, ``project_boundary`` and the
-                   index's classes and unmatched slots.
+                   valid ones also ``measure``, the test oracle
+                   ``boundary_paths`` (flip-free only), ``diagram_to_dot``,
+                   ``project_boundary`` and the index's classes and
+                   unmatched slots.
   surface-index:handmade
                    the same records for ball-free diagrams that assembly
                    does not make: closed, non-orientable, self-glued and
@@ -66,7 +67,7 @@ from random import Random
 import pytest
 
 from homfill import extension
-from homfill.cayley import OneCycle, TwoChain, boundary_2, build_ball, dump_ball, hop_distances
+from homfill.cayley import OneCycle, TwoChain, boundary_2, build_ball, dump_ball
 from homfill.cli import load_group
 from homfill.errors import HomfillError
 from homfill.filling import enumerate_identity_cycles, harea_fill
@@ -75,7 +76,6 @@ from homfill.surface import (
     Face,
     SurfaceDiagram,
     assemble_surface,
-    boundary_paths,
     diagram_from_json,
     diagram_to_dot,
     diagram_to_json,
@@ -84,6 +84,7 @@ from homfill.surface import (
     verify_surface,
 )
 from homfill.words import parse_word
+from oracles import boundary_paths, hop_distances
 
 GROUPS = Path(__file__).resolve().parent.parent / "groups"
 QUAD_F = [max(n, n * n) for n in range(64)]

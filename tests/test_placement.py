@@ -113,7 +113,7 @@ def test_lift_tables(balls):
             for edge, (source, g, _) in enumerate(k_ball.edges):
                 try:
                     base = k_ball.vertex_of(apply_lift(lift, direction, k_ball.vertices[source]))
-                    want = trace_word(k_ball, base, lift.letter_image(g, direction))[0]
+                    want = trace_word(k_ball, base, getattr(lift, direction)[g - 1])[0]
                 except ResourceError as exc:
                     with pytest.raises(ResourceError, match="^" + re.escape(str(exc)) + "$"):
                         lift_image_cycle(k_ball, OneCycle({edge: 1}), lift, direction)

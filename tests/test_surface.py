@@ -3,7 +3,7 @@ from pathlib import Path
 
 import pytest
 
-from homfill.cayley import TwoChain, boundary_2, build_ball, hop_distances, loop_to_cycle
+from homfill.cayley import TwoChain, boundary_2, build_ball, loop_to_cycle
 from homfill.cli import load_group
 from homfill.errors import DomainError
 from homfill.filling import enumerate_identity_cycles, harea_fill
@@ -11,7 +11,6 @@ from homfill.surface import (
     Face,
     SurfaceDiagram,
     assemble_surface,
-    boundary_paths,
     diagram_from_json,
     diagram_to_dot,
     diagram_to_json,
@@ -21,6 +20,7 @@ from homfill.surface import (
     verify_surface,
 )
 from homfill.words import parse_word
+from oracles import boundary_paths, hop_distances
 
 NI = {"a": 0, "b": 1}
 
@@ -375,20 +375,33 @@ def test_boundary_paths_need_only_a_matching():
         boundary_paths(self_glued)
 
 
-def test_monogon_and_bigon_faces():
-    from homfill.backends import TableBackend
-    from homfill.cayley import build_ball
-    from homfill.presentation import HomPresentation, Presentation
-
-    # Z/2 with relator a^2: bigon cells (boundary traverses two distinct edges)
-    pres = HomPresentation.mark_all(Presentation(("a",), ((1, 1),)))
-    backend = TableBackend([[1, 0]])
-    ball = build_ball(backend, pres, 1)
-    assert len(ball.cells) == 2
-    diagram = assemble_surface(ball, TwoChain({0: 1, 1: -1}))
-    metrics = measure(diagram)
-    assert metrics.area == 2
-    assert project_boundary(diagram) == boundary_2(ball, TwoChain({0: 1, 1: -1}))
+def test_monogon_and_bigon_faces(tmp_path):
+    # Z with b = a and relator a b': a bigon on the edges a, b from each
+    # vertex whose a-edge stays in the ball; Z with c = 0 and relator c: a
+    # monogon on the loop c at every vertex
+    files = {
+        "bigon": ("backend: free_abelian\ngenerators: a b\nvector b: 1\nrelator: a b'\n", 2, 2),
+        "monogon": ("backend: free_abelian\ngenerators: a c\nvector c: 0\nrelator: c\n", 1, 3),
+    }
+    for name, (text, sides, cells) in files.items():
+        path = tmp_path / f"{name}.grp"
+        path.write_text(text)
+        group = load_group(str(path))
+        ball = build_ball(group.backend, group.hom_pres, 1)
+        assert len(ball.cells) == cells
+        for cell in ball.cells:
+            assert len(cell.boundary) == sides
+            assert len({ball.edges[e][0::2] for e, _ in cell.boundary}) == 1  # one endpoint pair
+        if name == "monogon":
+            ((e, sign),) = ball.cells[0].boundary
+            assert sign == 1 and ball.edges[e][0] == ball.edges[e][2]  # a loop edge
+        chain = TwoChain({0: 1, 1: -1})
+        diagram = assemble_surface(ball, chain)
+        assert verify_surface(diagram).ok
+        metrics = measure(diagram)
+        assert metrics.area == 2
+        assert metrics.boundary_length == 2 * sides
+        assert project_boundary(diagram) == boundary_2(ball, chain)
 
 
 def test_json_roundtrip_and_dot(z2_ball4):
@@ -471,7 +484,7 @@ def test_randomized_invariants(z2_ball4, f2tri_ball4, z3_setup):
                 boundary_corners = set()
                 for f, p in diagram.index.unmatched:
                     boundary_corners.add((f, p))
-                    boundary_corners.add((f, (p + 1) % diagram.face_len(f)))
+                    boundary_corners.add((f, (p + 1) % len(diagram.faces[f].slots)))
                 for cls in diagram.index.classes:
                     assert any(c in boundary_corners for c in cls)
             checked += 1
