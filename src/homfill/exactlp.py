@@ -2,16 +2,18 @@
 
 Every HiGHS call of the package is made here.  One ``FillSystem`` holds
 everything about min sum |a_c| subject to sum_c a_c * columns[c] = rhs that
-does not depend on the right-hand side: the row index, the stacked HiGHS
-matrices, one HiGHS model of the node LP and the integer column reduction.
-A ball builds one system, and each fill supplies its right-hand side.
+does not depend on the right-hand side: the row index, the node LP's
+matrix and its one HiGHS model, and -- built only for the fills that need
+them -- the MILP's arrays and the integer column reduction.  A ball builds
+one system, and each fill supplies its right-hand side.
 
 * ``l1_fill`` -- the one exact-fill call: branch and bound for min sum |a_c|
   subject to B a = rhs over the integers, on HiGHS node LPs, stopped after
-  ``NODE_BUDGET`` nodes; every prune is a ``lower_bound``.  It starts from
-  ``integer_solve``'s chain, which the root LP's rounded point replaces when
-  smaller, and its root node, over the box |a_c| <= area - 1, certifies the
-  incumbent.  Only when the root does not prune does it call ``propose``.
+  ``NODE_BUDGET`` nodes; every prune is a ``lower_bound``.  Its root LP is
+  solved before any chain is known, over free columns, and its rounded
+  point is the incumbent when it is a chain, else ``integer_solve``'s chain
+  is.  The root node, over the box |a_c| <= area - 1, certifies the
+  incumbent; only when it does not prune does the search call ``propose``.
 * ``node_lp`` -- one node LP on the system's HiGHS model, which is passed
   to HiGHS once (``FillSystem.lp_model``): each node changes only the column
   costs, the column bounds and the bounds of the rows whose right-hand side
@@ -21,7 +23,8 @@ A ball builds one system, and each fill supplies its right-hand side.
 * ``propose`` -- the HiGHS MILP's integer chain, kept only when it solves
   the system in integer arithmetic.
 * ``integer_solve`` -- particular integer solution of A x = b via column
-  Hermite reduction, or None, which proves that no integer solution exists.
+  Hermite reduction, or None, which proves that no integer solution exists;
+  ``l1_fill`` calls it only when the root's rounded point is not a chain.
 * ``lower_bound`` -- the one certificate: the node LP's HiGHS duals rounded
   to integers over the constant denominator ``DUAL_SCALE`` give an exact
   lower bound on sum |a_c| over a box of integer chains.  Every dual vector
@@ -71,9 +74,6 @@ class FillSystem:
 
     ``columns[c]`` maps edge id to the net boundary coefficient of cell c.
     ``entries[c]`` lists the same column as (row position, value) pairs.
-    ``milp_matrix`` is the MILP's constraint matrix over the variables
-    (a, t): the rows t - a >= 0 and t + a >= 0, which make t >= |a|, then
-    the equality rows; ``milp_lb``/``milp_ub`` bound the first 2n rows.
     ``lp_matrix`` is the elastic node LP's matrix over (p, q, s+, s-), with
     a = p - q and one slack pair per row; ``lp_model`` is its HiGHS model.
     """
@@ -95,17 +95,26 @@ class FillSystem:
                 vals.append(float(v))
         a_mat = sp.csc_matrix((vals, (rows, cols)), shape=(m, n))
 
-        eye = sp.identity(n, format="csc")
-        abs_mat = sp.bmat([[-eye, eye], [eye, eye]], format="csc")
-        eq_mat = sp.hstack([a_mat, sp.csc_matrix((m, n))], format="csc")
-        self.milp_matrix = sp.vstack([sp.csc_array(abs_mat), sp.csc_array(eq_mat)], format="csc")
-        self.milp_lb = np.zeros(2 * n)
-        self.milp_ub = np.full(2 * n, np.inf)
-        self.milp_cost = np.concatenate([np.zeros(n), np.ones(n)])
-        self.milp_integrality = np.concatenate([np.ones(n), np.zeros(n)])
-
         eye = sp.identity(m, format="csc")
         self.lp_matrix = sp.hstack([a_mat, -a_mat, eye, -eye], format="csc")
+
+    @cached_property
+    def milp_arrays(self) -> tuple[sp.csc_array, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """The MILP's (matrix, lb, ub, cost, integrality) over the variables
+        (a, t): the rows t - a >= 0 and t + a >= 0, which make t >= |a|,
+        then the equality rows; lb/ub bound the first 2n rows.  Built on
+        first use, by ``propose``."""
+        n, m = len(self.columns), len(self.edge_ids)
+        eye = sp.identity(n, format="csc")
+        abs_mat = sp.bmat([[-eye, eye], [eye, eye]], format="csc")
+        eq_mat = sp.hstack([self.lp_matrix[:, :n], sp.csc_matrix((m, n))], format="csc")
+        return (
+            sp.vstack([sp.csc_array(abs_mat), sp.csc_array(eq_mat)], format="csc"),
+            np.zeros(2 * n),
+            np.full(2 * n, np.inf),
+            np.concatenate([np.zeros(n), np.ones(n)]),
+            np.concatenate([np.ones(n), np.zeros(n)]),
+        )
 
     @cached_property
     def lp_model(self) -> tuple[highs._Highs, np.ndarray]:
@@ -250,15 +259,9 @@ def propose(system: FillSystem, rhs: dict[int, int]) -> list[int] | None:
     HiGHS MILP for min sum |a_c|, or None when HiGHS finds none or its
     rounded chain fails the exact check.  Nothing here proves it minimal."""
     b = np.array(system.dense(rhs), dtype=float)
-    constraint = LinearConstraint(
-        system.milp_matrix, lb=np.concatenate([system.milp_lb, b]), ub=np.concatenate([system.milp_ub, b])
-    )
-    sol = milp(
-        system.milp_cost,
-        constraints=constraint,
-        integrality=system.milp_integrality,
-        bounds=Bounds(-np.inf, np.inf),
-    )
+    matrix, lb, ub, cost, integrality = system.milp_arrays
+    constraint = LinearConstraint(matrix, lb=np.concatenate([lb, b]), ub=np.concatenate([ub, b]))
+    sol = milp(cost, constraints=constraint, integrality=integrality, bounds=Bounds(-np.inf, np.inf))
     if not sol.success:
         return None
     coeffs = [int(round(v)) for v in sol.x[: len(system.columns)]]
@@ -314,34 +317,38 @@ def _split(x: list[float], lo: list[int], hi: list[int]) -> tuple[int, int, bool
 def l1_fill(system: FillSystem, rhs: dict[int, int]) -> FillSolve:
     """min sum |a_c| with sum_c a_c * columns[c] = rhs, over the integers.
 
-    The search starts from ``integer_solve``'s chain, or returns
-    infeasible when it proves that none exists.  Each node tries its LP
-    point rounded to the integers as a better chain.  When the root node
-    prunes, the incumbent is certified minimal and the search takes 1
-    node.  When it does not, ``propose``'s HiGHS MILP chain becomes the
-    incumbent if smaller, and the root is solved again over the box of an
-    incumbent smaller than the one it was solved for before the search
-    branches; the MILP runs at most once per fill.  A search that passes
-    ``NODE_BUDGET`` nodes stops with status budget and the best chain found
-    so far.
+    The root node is solved before any chain is known, over free columns,
+    and its LP point rounded to the integers becomes the incumbent when it
+    is a chain.  Only when it is not does ``integer_solve`` supply the
+    incumbent, or return infeasible when it proves that none exists.  When
+    the root prunes, over the box |a_c| <= area - 1, the incumbent is
+    certified minimal and the search takes 1 node.  When it does not,
+    ``propose``'s HiGHS MILP chain becomes the incumbent if smaller, and the
+    root is solved again over the box of an incumbent smaller than the one
+    it was solved for before the search branches; the MILP runs at most once
+    per fill.  A search that passes ``NODE_BUDGET`` nodes, the root's first
+    LP included, stops with status budget and the best chain found so far.
 
     Depth-first branch and bound over boxes lo <= a <= hi, clipped to
     |a_c| <= incumbent area - 1, which every better chain satisfies; so
-    every box is finite and so is the tree.  Each node LP is elastic -- a
-    slack on every edge row, costed at the incumbent area -- so it always
-    has duals.  A node is pruned only when ``lower_bound`` over its box
-    reaches the incumbent area.
+    every box below the root is finite and so is the tree.  Each node LP is
+    elastic -- a slack on every edge row -- so it always has duals.  A slack
+    costs the incumbent area, or |rhs|_1 + 1 at the root's first LP: a
+    filling's duals are heights of its cells above its boundary, which stay
+    below the boundary's length on the sample balls, so there a slack costs
+    more than any dual the LP needs and its optimum uses none.  A node is
+    pruned only when ``lower_bound`` over its box reaches the incumbent area.
     """
     n, slacks = len(system.columns), 2 * len(system.edge_ids)
     b_float = np.array(system.dense(rhs), dtype=float)
-    best = integer_solve(system, rhs)
-    if best is None:
-        return FillSolve("infeasible", None, None, 0)
-    best_value = sum(map(abs, best))
+    if not b_float.any():
+        return FillSolve("optimal", [0] * n, 0, 0)
+    best, best_value = None, math.inf
+    first_slack_cost = float(sum(map(abs, rhs.values())) + 1)
 
     nodes = 0
     proposed = False
-    stack = [([-best_value] * n, [best_value] * n)]
+    stack = [([-math.inf] * n, [math.inf] * n)]
     while stack:
         lo, hi = stack.pop()
         cap = best_value - 1
@@ -350,21 +357,33 @@ def l1_fill(system: FillSystem, rhs: dict[int, int]) -> FillSolve:
             continue
         nodes += 1
         if nodes > NODE_BUDGET:
-            return FillSolve("budget", best, best_value, nodes)
+            return FillSolve("budget", best, None if best is None else best_value, nodes)
         # a = p - q with p, q >= 0 boxed so that p - q ranges over [lo, hi]
         lo_a, hi_a = np.array(lo, dtype=float), np.array(hi, dtype=float)
         lower = np.concatenate([np.maximum(lo_a, 0), np.maximum(-hi_a, 0), np.zeros(slacks)])
         upper = np.concatenate([np.maximum(hi_a, 0), np.maximum(-lo_a, 0), np.full(slacks, np.inf)])
-        cost = np.concatenate([np.ones(2 * n), np.full(slacks, float(best_value))])
+        slack_cost = first_slack_cost if best is None else float(best_value)
+        cost = np.concatenate([np.ones(2 * n), np.full(slacks, slack_cost)])
         solved = node_lp(system, cost, lower, upper, b_float)
+        if solved is not None:
+            lp_point, duals = solved
+            x = (lp_point[:n] - lp_point[n : 2 * n]).tolist()
+            point = [min(max(round(v), l), h) for v, l, h in zip(x, lo, hi)]
+            value = sum(map(abs, point))
+            if value < best_value and solves(system.columns, point, rhs):
+                best, best_value = point, value
+        if best is None:
+            # the root's rounded point is not a chain
+            best = integer_solve(system, rhs)
+            if best is None:
+                return FillSolve("infeasible", None, None, nodes)
+            best_value = sum(map(abs, best))
         if solved is None:
             return FillSolve("budget", best, best_value, nodes)
-        lp_point, duals = solved
-        x = (lp_point[:n] - lp_point[n : 2 * n]).tolist()
-        point = [min(max(round(v), l), h) for v, l, h in zip(x, lo, hi)]
-        value = sum(map(abs, point))
-        if value < best_value and solves(system.columns, point, rhs):
-            best, best_value = point, value
+        if cap == math.inf:
+            # the root's first LP had no box: its duals bound the box of the
+            # incumbent it gave
+            lo, hi = [1 - best_value] * n, [best_value - 1] * n
         bound = lower_bound(system, duals, rhs, lo, hi)
         if bound < best_value and not proposed:
             # the root leaves a gap: the MILP's chain may be a smaller

@@ -181,11 +181,10 @@ def test_lower_bound_holds_for_any_dual():
 
 
 def _arrays(system):
+    matrix, *vectors = system.milp_arrays
     return [
-        np.array(a, copy=True)
-        for m in (system.milp_matrix, system.lp_matrix)
-        for a in (m.data, m.indices, m.indptr)
-    ] + [a.copy() for a in (system.milp_lb, system.milp_ub, system.milp_cost, system.milp_integrality)]
+        np.array(a, copy=True) for m in (matrix, system.lp_matrix) for a in (m.data, m.indices, m.indptr)
+    ] + [a.copy() for a in vectors]
 
 
 def _solve(system, rhs, monkeypatch):
@@ -290,30 +289,58 @@ def test_a_smaller_milp_chain_is_the_incumbent_before_branching(monkeypatch):
 
 
 def test_the_root_is_solved_again_over_a_smaller_incumbents_box(monkeypatch):
-    # integer_solve's chains here have areas 21,066 and 661,626; over those
-    # wide boxes the root bound stays 1 below the optimum, and over the box
-    # of the smaller incumbent the root closes: 1 node, 2 LP solves
+    # the root's first LP has free columns and slacks at |rhs|_1 + 1 = 46;
+    # its rounded point is no chain, so integer_solve's chain (area 21,066)
+    # is the incumbent, and over its box the first duals stay below the
+    # optimum; the MILP's chain narrows the box to |a_c| <= 9, and there the
+    # root closes on its second solve: 1 node, 2 LP solves
     lps = _counted(monkeypatch, "node_lp")
     calls = _counted(monkeypatch, "propose")
+    starts = _counted(monkeypatch, "integer_solve")
     columns = [{1: -2, 2: 4}, {0: -2, 1: 5}, {0: 3, 1: -1}, {0: -3, 1: -5, 2: -4}, {}, {0: -4, 1: -4}]
     system, rhs = FillSystem(columns, [0, 1, 2]), {0: 23, 1: -14, 2: 8}
-    assert sum(map(abs, integer_solve(system, rhs))) == 21_066
     r = l1_fill(system, rhs)
-    assert (r.status, r.coeffs, r.nodes, len(lps), len(calls)) == ("optimal", [2, -3, 3, 0, 0, -2], 1, 2, 1)
+    assert (r.status, r.coeffs, r.nodes, len(lps), len(calls), len(starts)) == (
+        "optimal", [2, -3, 3, 0, 0, -2], 1, 2, 1, 1
+    )
+    assert sum(map(abs, integer_solve(system, rhs))) == 21_066
+    (_, first_cost, _, first_upper, _), (_, cost, _, upper, _) = lps
+    assert np.isinf(first_upper[:12]).all() and (first_cost[12:] == 46).all()
+    assert (upper[:12] == 9).all() and (cost[12:] == 10).all()
     # without the MILP's chain the same search branches to 37 nodes
     with monkeypatch.context() as m:
         m.setattr(exactlp, "propose", _propose_none)
         r = l1_fill(system, rhs)
     assert (r.status, r.value, r.nodes) == ("optimal", 10, 37)
-    # here the root's own rounded point is the smaller incumbent, so the
-    # root closes on its second solve whatever the MILP proposes
+    # here the root's first rounded point is a minimal chain, and its duals
+    # certify it: 1 LP, no MILP and no Hermite reduction, where integer_solve
+    # would have started from area 661,626
     columns = [{2: -5}, {0: -5, 1: -2}, {0: 2, 1: -5, 2: -5}, {1: 3, 2: -1}]
     system, rhs = FillSystem(columns, [0, 1, 2]), {0: -16, 1: 14, 2: 14}
-    assert sum(map(abs, integer_solve(system, rhs))) == 661_626
-    monkeypatch.setattr(exactlp, "propose", _propose_none)
     lps.clear()
+    calls.clear()
+    starts.clear()
     r = l1_fill(system, rhs)
-    assert (r.status, r.coeffs, r.nodes, len(lps)) == ("optimal", [0, 2, -3, 1], 1, 2)
+    assert (r.status, r.coeffs, r.nodes, len(lps), len(calls), len(starts)) == ("optimal", [0, 2, -3, 1], 1, 1, 0, 0)
+    assert "hermite" not in system.__dict__
+    assert sum(map(abs, integer_solve(system, rhs))) == 661_626
+
+
+def test_a_root_point_that_is_no_chain_falls_back_to_integer_solve(monkeypatch):
+    # 2 x0 + 3 x1 = 1: the root's LP point (0, 1/3) rounds to 0, which is
+    # no chain, so integer_solve's chain is the incumbent (the Hermite
+    # reduction is built) and the search proves area 2, with or without
+    # the MILP's chain
+    for proposer in (True, False):
+        with monkeypatch.context() as m:
+            if not proposer:
+                m.setattr(exactlp, "propose", _propose_none)
+            system, rhs = FillSystem([{0: 2}, {0: 3}], [0]), {0: 1}
+            r, lps = _node_lps(m, system, rhs)
+        point = lps[0][1][0]
+        assert (point[0] - point[2], point[1] - point[3]) == pytest.approx((0, 1 / 3))
+        assert (r.status, r.value) == ("optimal", 2) and solves(system.columns, r.coeffs, rhs)
+        assert "hermite" in system.__dict__
 
 
 def _node_lps(monkeypatch, system, rhs):

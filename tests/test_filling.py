@@ -359,3 +359,25 @@ def test_node_budget_reports_budget_exceeded(monkeypatch):
     monkeypatch.setattr(exactlp, "NODE_BUDGET", 0)
     result = harea_fill(ball, cycle)
     assert (result.status, result.area, result.nodes) == ("budget_exceeded", None, 1)
+
+
+def test_the_first_lp_certifies_without_a_hermite_reduction(monkeypatch):
+    # every unpeeled fill of z3_ext and heis_ext at radius 4 closes on its
+    # root's first LP, whose rounded point is the incumbent: no fill builds
+    # the ball's Hermite reduction or its MILP arrays
+    lps = []
+    node_lp = exactlp.node_lp
+    monkeypatch.setattr(exactlp, "node_lp", lambda *args: lps.append(args) or node_lp(*args))
+    for file in ("z3_ext.grp", "heis_ext.grp"):
+        ball = _lifetime_ball(file, 4)
+        lps.clear()
+        unpeeled = 0
+        for _, cycle, word in enumerate_identity_cycles(ball, 6):
+            result = harea_fill(ball, cycle)
+            peeled = filling._peel_forced(ball, cycle.coeffs)
+            if peeled and peeled[2]:
+                assert (result.status, result.nodes) == ("optimal", 1), word
+                unpeeled += 1
+        assert unpeeled > 100 and len(lps) == unpeeled
+        assert "hermite" not in ball.fill_system.__dict__
+        assert "milp_arrays" not in ball.fill_system.__dict__
