@@ -13,11 +13,13 @@ one system, and each fill supplies its right-hand side.
   solved before any chain is known, over free columns, and its rounded
   point is the incumbent when it is a chain, else ``integer_solve``'s chain
   is.  The root node, over the box |a_c| <= area - 1, certifies the
-  incumbent; only when it does not prune does the search call ``propose``.
+  incumbent; where the first LP's duals leave a gap the root is solved again
+  over that box, and only when that does not prune either does the search
+  call ``propose``.
 * ``node_lp`` -- one node LP on the system's HiGHS model, which is passed
   to HiGHS once (``FillSystem.lp_model``): each node changes only the column
-  costs, the column bounds and the bounds of the rows whose right-hand side
-  changed, and solves from a cold start without presolve, so a node's point
+  costs, column bounds and row bounds that differ from those the model
+  holds, and solves from a cold start without presolve, so a node's point
   and duals do not depend on the nodes and fills solved before it and equal
   those of ``linprog(method="highs")`` with presolve off.
 * ``propose`` -- the HiGHS MILP's integer chain, kept only when it solves
@@ -117,11 +119,12 @@ class FillSystem:
         )
 
     @cached_property
-    def lp_model(self) -> tuple[highs._Highs, np.ndarray]:
-        """(HiGHS model of the node LP, the right-hand side it holds): the
-        model is passed ``lp_matrix`` once, with zero costs, free columns
-        and right-hand side 0, and ``node_lp`` changes the rest in place.
-        Built on first use."""
+    def lp_model(self) -> tuple[highs._Highs, tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
+        """(HiGHS model of the node LP, the (costs, column lower bounds,
+        column upper bounds, right-hand side) it holds): the model is passed
+        ``lp_matrix`` once, with zero costs, free columns and right-hand
+        side 0, and ``node_lp`` changes in place what differs.  Built on
+        first use."""
         model = highs._Highs()
         statuses = [model.setOptionValue(option, value) for option, value in LP_OPTIONS.items()]
         m, k = self.lp_matrix.shape
@@ -138,7 +141,7 @@ class FillSystem:
         statuses.append(model.passModel(lp))
         if highs.HighsStatus.kError in statuses:
             raise InvariantError("HiGHS refused the node LP's options or model")
-        return model, np.zeros(m)
+        return model, (np.zeros(k), np.full(k, -np.inf), np.full(k, np.inf), np.zeros(m))
 
     def dense(self, rhs: dict[int, int]) -> list[int]:
         """``rhs`` as one integer per row."""
@@ -274,13 +277,18 @@ def node_lp(
     """min cost.v subject to lp_matrix v = b and lower <= v <= upper, on
     the system's HiGHS model: (v, row duals), or None unless HiGHS reports
     the LP optimal.  Each solve starts cold, as a fresh model's would."""
-    model, held = system.lp_model
-    cols = np.arange(len(cost), dtype=np.int32)
-    model.changeColsCost(len(cost), cols, cost)
-    model.changeColsBounds(len(cost), cols, lower, upper)
-    for i in np.flatnonzero(b != held):
+    model, (held_cost, held_lower, held_upper, held_b) = system.lp_model
+    cols = np.flatnonzero(cost != held_cost).astype(np.int32)
+    if len(cols):
+        model.changeColsCost(len(cols), cols, cost[cols])
+        held_cost[cols] = cost[cols]
+    cols = np.flatnonzero((lower != held_lower) | (upper != held_upper)).astype(np.int32)
+    if len(cols):
+        model.changeColsBounds(len(cols), cols, lower[cols], upper[cols])
+        held_lower[cols], held_upper[cols] = lower[cols], upper[cols]
+    for i in np.flatnonzero(b != held_b):
         model.changeRowBounds(int(i), b[i], b[i])
-        held[i] = b[i]
+        held_b[i] = b[i]
     model.clearSolver()
     model.run()
     if model.getModelStatus() != highs.HighsModelStatus.kOptimal:
@@ -322,21 +330,24 @@ def l1_fill(system: FillSystem, rhs: dict[int, int]) -> FillSolve:
     is a chain.  Only when it is not does ``integer_solve`` supply the
     incumbent, or return infeasible when it proves that none exists.  When
     the root prunes, over the box |a_c| <= area - 1, the incumbent is
-    certified minimal and the search takes 1 node.  When it does not,
-    ``propose``'s HiGHS MILP chain becomes the incumbent if smaller, and the
-    root is solved again over the box of an incumbent smaller than the one
-    it was solved for before the search branches; the MILP runs at most once
-    per fill.  A search that passes ``NODE_BUDGET`` nodes, the root's first
-    LP included, stops with status budget and the best chain found so far.
+    certified minimal and the search takes 1 node.  When the first LP's
+    duals do not prune, the root is solved again over that box; when that
+    solve does not prune either, ``propose``'s HiGHS MILP chain becomes the
+    incumbent if smaller, and the root is solved again over the box of an
+    incumbent smaller than the one it was solved for before the search
+    branches; the MILP runs at most once per fill.  A search that passes
+    ``NODE_BUDGET`` nodes, the root's first LP included, stops with status
+    budget and the best chain found so far.
 
     Depth-first branch and bound over boxes lo <= a <= hi, clipped to
     |a_c| <= incumbent area - 1, which every better chain satisfies; so
     every box below the root is finite and so is the tree.  Each node LP is
     elastic -- a slack on every edge row -- so it always has duals.  A slack
-    costs the incumbent area, or |rhs|_1 + 1 at the root's first LP: a
-    filling's duals are heights of its cells above its boundary, which stay
-    below the boundary's length on the sample balls, so there a slack costs
-    more than any dual the LP needs and its optimum uses none.  A node is
+    costs the incumbent area, or |rhs|_1 + 1 at the root's first LP, where
+    no area is known: an LP leaves unused every slack that costs more than
+    its largest dual, and on the sample groups' fills the first LP's duals
+    stay within a fifth of |rhs|_1 + 1.  The cost decides only whether the
+    first point is a chain, never what ``lower_bound`` certifies.  A node is
     pruned only when ``lower_bound`` over its box reaches the incumbent area.
     """
     n, slacks = len(system.columns), 2 * len(system.edge_ids)
@@ -367,13 +378,13 @@ def l1_fill(system: FillSystem, rhs: dict[int, int]) -> FillSolve:
         solved = node_lp(system, cost, lower, upper, b_float)
         if solved is not None:
             lp_point, duals = solved
-            x = (lp_point[:n] - lp_point[n : 2 * n]).tolist()
-            point = [min(max(round(v), l), h) for v, l, h in zip(x, lo, hi)]
+            x = lp_point[:n] - lp_point[n : 2 * n]
+            point = np.clip(np.rint(x), lo_a, hi_a).astype(int).tolist()
             value = sum(map(abs, point))
             if value < best_value and solves(system.columns, point, rhs):
                 best, best_value = point, value
         if best is None:
-            # the root's rounded point is not a chain
+            # the root's first LP gave no chain
             best = integer_solve(system, rhs)
             if best is None:
                 return FillSolve("infeasible", None, None, nodes)
@@ -382,9 +393,14 @@ def l1_fill(system: FillSystem, rhs: dict[int, int]) -> FillSolve:
             return FillSolve("budget", best, best_value, nodes)
         if cap == math.inf:
             # the root's first LP had no box: its duals bound the box of the
-            # incumbent it gave
+            # incumbent, and where they leave a gap the root is solved again
+            # over that box before the MILP runs
             lo, hi = [1 - best_value] * n, [best_value - 1] * n
         bound = lower_bound(system, duals, rhs, lo, hi)
+        if bound < best_value and cap == math.inf:
+            nodes -= 1  # the same root node, solved again over the incumbent's box
+            stack.append((lo, hi))
+            continue
         if bound < best_value and not proposed:
             # the root leaves a gap: the MILP's chain may be a smaller
             # incumbent, and a smaller incumbent narrows the root box
@@ -398,7 +414,7 @@ def l1_fill(system: FillSystem, rhs: dict[int, int]) -> FillSolve:
                 continue
         if bound >= best_value:
             continue
-        split = _split(x, lo, hi)
+        split = _split(x.tolist(), lo, hi)
         if split is None:
             continue  # a single point, checked above
         c, k, floor_first = split

@@ -292,8 +292,9 @@ def test_the_root_is_solved_again_over_a_smaller_incumbents_box(monkeypatch):
     # the root's first LP has free columns and slacks at |rhs|_1 + 1 = 46;
     # its rounded point is no chain, so integer_solve's chain (area 21,066)
     # is the incumbent, and over its box the first duals stay below the
-    # optimum; the MILP's chain narrows the box to |a_c| <= 9, and there the
-    # root closes on its second solve: 1 node, 2 LP solves
+    # optimum; the root is solved again over that box, where the bound stays
+    # 1 below the optimum, so the MILP runs, and its chain narrows the box to
+    # |a_c| <= 9, where the root closes: 1 node, 3 LP solves
     lps = _counted(monkeypatch, "node_lp")
     calls = _counted(monkeypatch, "propose")
     starts = _counted(monkeypatch, "integer_solve")
@@ -301,11 +302,12 @@ def test_the_root_is_solved_again_over_a_smaller_incumbents_box(monkeypatch):
     system, rhs = FillSystem(columns, [0, 1, 2]), {0: 23, 1: -14, 2: 8}
     r = l1_fill(system, rhs)
     assert (r.status, r.coeffs, r.nodes, len(lps), len(calls), len(starts)) == (
-        "optimal", [2, -3, 3, 0, 0, -2], 1, 2, 1, 1
+        "optimal", [2, -3, 3, 0, 0, -2], 1, 3, 1, 1
     )
     assert sum(map(abs, integer_solve(system, rhs))) == 21_066
-    (_, first_cost, _, first_upper, _), (_, cost, _, upper, _) = lps
-    assert np.isinf(first_upper[:12]).all() and (first_cost[12:] == 46).all()
+    (_, free_cost, _, free_upper, _), (_, wide_cost, _, wide_upper, _), (_, cost, _, upper, _) = lps
+    assert np.isinf(free_upper[:12]).all() and (free_cost[12:] == 46).all()
+    assert (wide_upper[:12] == 21_065).all() and (wide_cost[12:] == 21_066).all()
     assert (upper[:12] == 9).all() and (cost[12:] == 10).all()
     # without the MILP's chain the same search branches to 37 nodes
     with monkeypatch.context() as m:
