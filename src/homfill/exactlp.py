@@ -394,11 +394,11 @@ def l1_fill(system: FillSystem, rhs: dict[int, int]) -> FillSolve:
         if cap == math.inf:
             # the root's first LP had no box: its duals bound the box of the
             # incumbent, and where they leave a gap the root is solved again
-            # over that box before the MILP runs
+            # over that box before the MILP may run
             lo, hi = [1 - best_value] * n, [best_value - 1] * n
         bound = lower_bound(system, duals, rhs, lo, hi)
         if bound < best_value and cap == math.inf:
-            nodes -= 1  # the same root node, solved again over the incumbent's box
+            nodes -= 1  # the same root node
             stack.append((lo, hi))
             continue
         if bound < best_value and not proposed:
