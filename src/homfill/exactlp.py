@@ -2,10 +2,11 @@
 
 Every HiGHS call of the package is made here.  One ``FillSystem`` holds
 everything about min sum |a_c| subject to sum_c a_c * columns[c] = rhs that
-does not depend on the right-hand side: the row index, the node LP's
-matrix and its one HiGHS model, and -- built only for the fills that need
-them -- the MILP's arrays and the integer column reduction.  A ball builds
-one system, and each fill supplies its right-hand side.
+does not depend on the right-hand side: the row index, the columns as
+exact int64, the node LP's matrix and its one HiGHS model, and -- built
+only for the fills that need them -- the MILP's arrays and the integer
+column reduction.  A ball builds one system, and each fill supplies its
+right-hand side.
 
 * ``l1_fill`` -- the one exact-fill call: branch and bound for min sum |a_c|
   subject to B a = rhs over the integers, on HiGHS node LPs, stopped after
@@ -22,8 +23,12 @@ one system, and each fill supplies its right-hand side.
   holds, and solves from a cold start without presolve, so a node's point
   and duals do not depend on the nodes and fills solved before it and equal
   those of ``linprog(method="highs")`` with presolve off.
-* ``propose`` -- the HiGHS MILP's integer chain, kept only when it solves
-  the system in integer arithmetic.
+* ``propose`` -- the HiGHS MILP's integer chain, kept only when
+  ``as_chain`` finds that it solves the system.
+* ``as_chain`` -- the one chain check, shared by ``l1_fill`` and
+  ``propose``: a rounded point is a chain when one exact int64 sparse
+  product gives the right-hand side; a point large enough that the product
+  could overflow is no chain.
 * ``integer_solve`` -- particular integer solution of A x = b via column
   Hermite reduction, or None, which proves that no integer solution exists;
   ``l1_fill`` calls it only when the root's rounded point is not a chain.
@@ -31,6 +36,13 @@ one system, and each fill supplies its right-hand side.
   to integers over the constant denominator ``DUAL_SCALE`` give an exact
   lower bound on sum |a_c| over a box of integer chains.  Every dual vector
   gives a valid bound, so rounding can weaken it but never make it wrong.
+  It is int64 array arithmetic, one sparse product with the system's int64
+  columns, used only after a float64 check proves that no partial sum it
+  forms reaches 2**63; a failed check raises InvariantError, never a
+  wrapped bound.
+
+``l1_fill`` keeps each node's box as int64 arrays, so the exact side of a
+fill runs on arrays throughout.
 """
 
 from __future__ import annotations
@@ -52,6 +64,10 @@ DUAL_SCALE = 2**20
 
 # distance from an integer below which an LP coordinate counts as integral
 INT_TOL = 1e-6
+
+# int64 sums are exact while every partial sum stays below 2**63; the checks
+# hold float64 bounds on them below this, leaving a factor 2 for rounding
+INT64_BOUND = 2.0**62
 
 # branch-and-bound nodes one fill may search before it stops with status
 # budget and the best chain found so far
@@ -75,9 +91,12 @@ class FillSystem:
     with what every solve over them shares, built once.
 
     ``columns[c]`` maps edge id to the net boundary coefficient of cell c.
-    ``entries[c]`` lists the same column as (row position, value) pairs.
-    ``lp_matrix`` is the elastic node LP's matrix over (p, q, s+, s-), with
-    a = p - q and one slack pair per row; ``lp_model`` is its HiGHS model.
+    ``entries[c]`` lists the same column as (row position, value) pairs, and
+    ``matrix`` holds the columns as an exact int64 sparse array, with
+    ``matrix_t`` its transpose; ``weights[c]`` is column c's L1 norm, or 1
+    for a zero column, and ``max_weight`` the largest weight.  ``lp_matrix`` is
+    the elastic node LP's matrix over (p, q, s+, s-), with a = p - q and
+    one slack pair per row; ``lp_model`` is its HiGHS model.
     """
 
     def __init__(self, columns: list[dict[int, int]], edge_ids: list[int]):
@@ -94,9 +113,14 @@ class FillSystem:
             for i, v in col:
                 rows.append(i)
                 cols.append(k)
-                vals.append(float(v))
-        a_mat = sp.csc_matrix((vals, (rows, cols)), shape=(m, n))
+                vals.append(v)
+        self.matrix = sp.csc_array((np.array(vals, dtype=np.int64), (rows, cols)), shape=(m, n))
+        self.matrix_t = self.matrix.T  # a view of the same arrays
+        # a zero column weighs 1, so that sum_c |a_c| weights[c] bounds |a|_1
+        self.weights = np.maximum(abs(self.matrix).sum(axis=0), 1).astype(float)
+        self.max_weight = float(self.weights.max(initial=1.0))
 
+        a_mat = sp.csc_matrix(self.matrix, dtype=float)
         eye = sp.identity(m, format="csc")
         self.lp_matrix = sp.hstack([a_mat, -a_mat, eye, -eye], format="csc")
 
@@ -227,48 +251,80 @@ def integer_solve(system: FillSystem, rhs: dict[int, int]) -> list[int] | None:
     return x
 
 
-def solves(columns: list[dict[int, int]], coeffs: list[int], rhs: dict[int, int]) -> bool:
-    """Whether sum_c coeffs[c] * columns[c] == rhs, in integer arithmetic."""
-    acc: dict[int, int] = {}
-    for v, col in zip(coeffs, columns):
-        if v:
-            for e, w in col.items():
-                acc[e] = acc.get(e, 0) + v * w
-    return {e: v for e, v in acc.items() if v} == {e: v for e, v in rhs.items() if v}
+def _check_magnitude(name: str, value: float) -> None:
+    """Raise InvariantError unless ``value``, a bound on the magnitudes an
+    int64 sum forms, is below ``INT64_BOUND``."""
+    if not value < INT64_BOUND:
+        raise InvariantError(f"{name} is 2**{math.log2(value):.1f}, not below 2**62: int64 arithmetic could overflow")
 
 
-def lower_bound(system: FillSystem, marginals, rhs: dict[int, int], lo: list[int], hi: list[int]) -> int:
+def as_chain(system: FillSystem, point: np.ndarray, b: np.ndarray) -> np.ndarray | None:
+    """``point``, floats that are integers, as an int64 chain a when
+    sum_c a_c * columns[c] == b holds exactly, else None.
+
+    sum_c |point[c]| * weights[c] bounds every partial sum of the product
+    and |a|_1; a point where it reaches 2**62, or is not finite, is no
+    chain here, so the int64 product never wraps.
+    """
+    if not np.abs(point) @ system.weights < INT64_BOUND:
+        return None
+    chain = point.astype(np.int64)
+    return chain if np.array_equal(system.matrix @ chain, b) else None
+
+
+def lower_bound(
+    system: FillSystem, marginals, rhs: dict[int, int], lo: np.ndarray | list[int], hi: np.ndarray | list[int]
+) -> int:
     """Exact lower bound on sum_c |a_c| over the integer chains a with
     lo[c] <= a_c <= hi[c] and sum_c a_c * columns[c] = rhs.
 
     The float duals ``marginals`` (one per row of the system, as ``node_lp``
-    reads them from the model's row duals) are rounded to an integer vector Y
-    over D = DUAL_SCALE.  Every such chain satisfies
-    D sum_c |a_c| = Y.rhs + sum_c (D |a_c| - (Y.columns[c]) a_c), and each
-    summand is convex in a_c, so its minimum over [lo_c, hi_c] lies at lo_c,
-    hi_c or 0.  The bound holds for every Y.
+    reads them from the model's row duals) are rounded half to even to an
+    integer vector Y over D = DUAL_SCALE.  Every such chain satisfies
+    D sum_c |a_c| = Y.rhs + sum_c (D |a_c| - s_c a_c) with s = A^T Y, and
+    each summand is convex in a_c, so it is smallest over [lo_c, hi_c] at
+    hi_c when s_c > D, at lo_c when s_c < -D, and else at the point of the
+    box nearest 0: a column whose box holds 0 adds
+    -max((s_c - D)+ hi_c, (-s_c - D)+ (-lo_c)).  The bound holds for every Y.
+
+    It is int64 arithmetic: Y.rhs as one dot product, s as one sparse
+    product, each summand as (D sign(a_c) - s_c) a_c at its minimiser.
+    Before using them it checks, in float64, that max|Y| times the largest
+    column weight (its L1 norm, at least 1), sum_i |Y_i rhs_i| and the sum
+    of the summands' magnitudes are each below 2**62.  These bound every partial sum formed below 2**63,
+    with a factor 2 left for the float64 rounding of the check, so the
+    arithmetic is exact; a dual that is not finite or a failed check raises
+    InvariantError.
     """
-    y = [round(v * DUAL_SCALE) for v in map(float, marginals)]
-    total = sum(s * v for s, v in zip(y, system.dense(rhs)))
-    for col, l, h in zip(system.entries, lo, hi):
-        s = sum(y[i] * v for i, v in col)
-        low = min(DUAL_SCALE * abs(l) - s * l, DUAL_SCALE * abs(h) - s * h)
-        total += min(low, 0) if l <= 0 <= h else low
+    y = np.rint(np.asarray(marginals, dtype=float) * DUAL_SCALE)
+    if not np.isfinite(y).all():
+        raise InvariantError("a node LP dual is not finite")
+    b = np.array(system.dense(rhs), dtype=np.int64)
+    y_abs = np.abs(y)
+    _check_magnitude("max |Y| times the largest column weight", y_abs.max(initial=0.0) * system.max_weight)
+    _check_magnitude("sum |Y_i rhs_i|", y_abs @ np.abs(b))
+    y = y.astype(np.int64)
+    s = system.matrix_t @ y
+    lo, hi = np.asarray(lo, dtype=np.int64), np.asarray(hi, dtype=np.int64)
+    a = np.where(s > DUAL_SCALE, hi, np.where(s < -DUAL_SCALE, lo, np.maximum(lo, np.minimum(hi, 0))))
+    slope = DUAL_SCALE * np.sign(a) - s
+    _check_magnitude("the box terms' sum of magnitudes", np.abs(slope.astype(float)) @ np.abs(a.astype(float)))
+    total = int(y @ b) + int(slope @ a)
     return -(-total // DUAL_SCALE)
 
 
 def propose(system: FillSystem, rhs: dict[int, int]) -> list[int] | None:
     """An integer chain a with sum_c a_c * columns[c] = rhs, proposed by a
     HiGHS MILP for min sum |a_c|, or None when HiGHS finds none or its
-    rounded chain fails the exact check.  Nothing here proves it minimal."""
-    b = np.array(system.dense(rhs), dtype=float)
+    rounded chain fails ``as_chain``.  Nothing here proves it minimal."""
+    b = np.array(system.dense(rhs), dtype=np.int64)
     matrix, lb, ub, cost, integrality = system.milp_arrays
     constraint = LinearConstraint(matrix, lb=np.concatenate([lb, b]), ub=np.concatenate([ub, b]))
     sol = milp(cost, constraints=constraint, integrality=integrality, bounds=Bounds(-np.inf, np.inf))
     if not sol.success:
         return None
-    coeffs = [int(round(v)) for v in sol.x[: len(system.columns)]]
-    return coeffs if solves(system.columns, coeffs, rhs) else None
+    chain = as_chain(system, np.rint(sol.x[: len(system.columns)]), b)
+    return None if chain is None else chain.tolist()
 
 
 def node_lp(
@@ -305,21 +361,23 @@ class FillSolve:
     nodes: int
 
 
-def _split(x: list[float], lo: list[int], hi: list[int]) -> tuple[int, int, bool] | None:
+def _split(x: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> tuple[int, int, bool] | None:
     """Branching choice (cell c, k, floor child first) for the children
     a_c <= k and a_c >= k + 1, or None when the box is a single point: the
     most fractional coordinate of the LP point, ties to the lowest cell, or
     the first open range halved when the point is integral."""
-    open_cells = [c for c in range(len(x)) if lo[c] < hi[c]]
-    if not open_cells:
+    open_cells = np.flatnonzero(lo < hi)
+    if not open_cells.size:
         return None
-    c = min(open_cells, key=lambda c: abs(x[c] - math.floor(x[c]) - 0.5))
-    k = math.floor(x[c])
-    if abs(x[c] - round(x[c])) <= INT_TOL:
-        c = open_cells[0]
-        k = (lo[c] + hi[c]) // 2
-    k = min(max(k, lo[c]), hi[c] - 1)
-    return c, k, x[c] - k <= 0.5
+    x_open = x[open_cells]
+    c = int(open_cells[np.argmin(np.abs(x_open - np.floor(x_open) - 0.5))])
+    xc = float(x[c])
+    k = math.floor(xc)
+    if abs(xc - round(xc)) <= INT_TOL:
+        c = int(open_cells[0])
+        k = (int(lo[c]) + int(hi[c])) // 2
+    k = min(max(k, int(lo[c])), int(hi[c]) - 1)
+    return c, k, float(x[c]) - k <= 0.5
 
 
 def l1_fill(system: FillSystem, rhs: dict[int, int]) -> FillSolve:
@@ -349,55 +407,65 @@ def l1_fill(system: FillSystem, rhs: dict[int, int]) -> FillSolve:
     stay within a fifth of |rhs|_1 + 1.  The cost decides only whether the
     first point is a chain, never what ``lower_bound`` certifies.  A node is
     pruned only when ``lower_bound`` over its box reaches the incumbent area.
+
+    Boxes are int64 arrays, and a point is a chain only through
+    ``as_chain``; an incumbent of area 2**62 or more, which only
+    ``integer_solve`` could supply, raises InvariantError.
     """
     n, slacks = len(system.columns), 2 * len(system.edge_ids)
-    b_float = np.array(system.dense(rhs), dtype=float)
-    if not b_float.any():
+    b = np.array(system.dense(rhs), dtype=np.int64)
+    if not b.any():
         return FillSolve("optimal", [0] * n, 0, 0)
+    b_float = b.astype(float)
     best, best_value = None, math.inf
-    first_slack_cost = float(sum(map(abs, rhs.values())) + 1)
+    first_slack_cost = float(np.abs(b).sum() + 1)
+    slack_lower, slack_upper = np.zeros(slacks), np.full(slacks, np.inf)
 
     nodes = 0
     proposed = False
-    stack = [([-math.inf] * n, [math.inf] * n)]
+    stack = [None]  # the root's first LP, over free columns
     while stack:
-        lo, hi = stack.pop()
-        cap = best_value - 1
-        lo, hi = [max(v, -cap) for v in lo], [min(v, cap) for v in hi]
-        if any(l > h for l, h in zip(lo, hi)):
-            continue
+        box = stack.pop()
+        if box is None:
+            lower, upper = np.zeros(2 * n + slacks), np.full(2 * n + slacks, np.inf)
+        else:
+            cap = best_value - 1
+            lo, hi = np.maximum(box[0], -cap), np.minimum(box[1], cap)
+            if (lo > hi).any():
+                continue
+            # a = p - q with p, q >= 0 boxed so that p - q ranges over [lo, hi]
+            lower = np.concatenate([np.maximum(lo, 0), np.maximum(-hi, 0), slack_lower])
+            upper = np.concatenate([np.maximum(hi, 0), np.maximum(-lo, 0), slack_upper])
         nodes += 1
         if nodes > NODE_BUDGET:
             return FillSolve("budget", best, None if best is None else best_value, nodes)
-        # a = p - q with p, q >= 0 boxed so that p - q ranges over [lo, hi]
-        lo_a, hi_a = np.array(lo, dtype=float), np.array(hi, dtype=float)
-        lower = np.concatenate([np.maximum(lo_a, 0), np.maximum(-hi_a, 0), np.zeros(slacks)])
-        upper = np.concatenate([np.maximum(hi_a, 0), np.maximum(-lo_a, 0), np.full(slacks, np.inf)])
         slack_cost = first_slack_cost if best is None else float(best_value)
         cost = np.concatenate([np.ones(2 * n), np.full(slacks, slack_cost)])
         solved = node_lp(system, cost, lower, upper, b_float)
         if solved is not None:
             lp_point, duals = solved
             x = lp_point[:n] - lp_point[n : 2 * n]
-            point = np.clip(np.rint(x), lo_a, hi_a).astype(int).tolist()
-            value = sum(map(abs, point))
-            if value < best_value and solves(system.columns, point, rhs):
-                best, best_value = point, value
+            point = np.rint(x) if box is None else np.clip(np.rint(x), lo, hi)
+            chain = as_chain(system, point, b)
+            if chain is not None and (value := int(np.abs(chain).sum())) < best_value:
+                best, best_value = chain.tolist(), value
         if best is None:
             # the root's first LP gave no chain
             best = integer_solve(system, rhs)
             if best is None:
                 return FillSolve("infeasible", None, None, nodes)
             best_value = sum(map(abs, best))
+            _check_magnitude("integer_solve's chain area", best_value)
         if solved is None:
             return FillSolve("budget", best, best_value, nodes)
-        if cap == math.inf:
+        if box is None:
             # the root's first LP had no box: its duals bound the box of the
             # incumbent, and where they leave a gap the root is solved again
             # over that box before the MILP may run
-            lo, hi = [1 - best_value] * n, [best_value - 1] * n
+            hi = np.full(n, best_value - 1, dtype=np.int64)
+            lo = -hi
         bound = lower_bound(system, duals, rhs, lo, hi)
-        if bound < best_value and cap == math.inf:
+        if bound < best_value and box is None:
             nodes -= 1  # the same root node
             stack.append((lo, hi))
             continue
@@ -414,11 +482,12 @@ def l1_fill(system: FillSystem, rhs: dict[int, int]) -> FillSolve:
                 continue
         if bound >= best_value:
             continue
-        split = _split(x.tolist(), lo, hi)
+        split = _split(x, lo, hi)
         if split is None:
             continue  # a single point, checked above
         c, k, floor_first = split
-        floor_child = (lo, hi[:c] + [k] + hi[c + 1 :])
-        ceil_child = (lo[:c] + [k + 1] + lo[c + 1 :], hi)
+        floor_hi, ceil_lo = hi.copy(), lo.copy()
+        floor_hi[c], ceil_lo[c] = k, k + 1
+        floor_child, ceil_child = (lo, floor_hi), (ceil_lo, hi)
         stack.extend([ceil_child, floor_child] if floor_first else [floor_child, ceil_child])
     return FillSolve("optimal", best, best_value, nodes)

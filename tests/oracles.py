@@ -1,10 +1,13 @@
 """Reference computations that the tests and golden records compare the
 library with: hop distances over a ball's 1-skeleton (an oracle for the
-distances the one-pass build records) and the ordered boundary paths of a
-surface diagram (recorded by the ``surface-index:*`` golden sections)."""
+distances the one-pass build records), the ordered boundary paths of a
+surface diagram (recorded by the ``surface-index:*`` golden sections), and
+the exact-fill checks in Python integers (oracles for ``exactlp``'s int64
+``as_chain`` and ``lower_bound``)."""
 
 from homfill.cayley import CayleyBall
 from homfill.errors import DomainError, InvariantError
+from homfill.exactlp import DUAL_SCALE, FillSystem
 from homfill.surface import SlotRef, SurfaceDiagram, _glued
 
 
@@ -65,3 +68,27 @@ def boundary_paths(diagram: SurfaceDiagram) -> list[list[SlotRef]]:
             s = x
         paths.append(path)
     return paths
+
+
+def solves(columns: list[dict[int, int]], coeffs: list[int], rhs: dict[int, int]) -> bool:
+    """Whether sum_c coeffs[c] * columns[c] == rhs, in integer arithmetic."""
+    acc: dict[int, int] = {}
+    for v, col in zip(coeffs, columns):
+        if v:
+            for e, w in col.items():
+                acc[e] = acc.get(e, 0) + v * w
+    return {e: v for e, v in acc.items() if v} == {e: v for e, v in rhs.items() if v}
+
+
+def lower_bound_reference(system: FillSystem, marginals, rhs: dict[int, int], lo: list[int], hi: list[int]) -> int:
+    """``exactlp.lower_bound``'s bound in Python integers, column by column:
+    the duals rounded half to even over DUAL_SCALE, and each column's
+    summand the least of its values at lo_c, hi_c and, when the box holds
+    it, 0."""
+    y = [round(v * DUAL_SCALE) for v in map(float, marginals)]
+    total = sum(s * v for s, v in zip(y, system.dense(rhs)))
+    for col, l, h in zip(system.entries, lo, hi):
+        s = sum(y[i] * v for i, v in col)
+        low = min(DUAL_SCALE * abs(l) - s * l, DUAL_SCALE * abs(h) - s * h)
+        total += min(low, 0) if l <= 0 <= h else low
+    return -(-total // DUAL_SCALE)

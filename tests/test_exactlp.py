@@ -1,4 +1,5 @@
 import itertools
+import math
 import os
 import random
 
@@ -10,8 +11,10 @@ from homfill import exactlp
 from homfill.cayley import build_ball
 from homfill.cli import load_group
 from homfill.errors import InvariantError
-from homfill.exactlp import FillSystem, integer_solve, l1_fill, lower_bound, node_lp, propose, solves
+from homfill.exactlp import FillSystem, as_chain, integer_solve, l1_fill, lower_bound, node_lp, propose
 from homfill.filling import _peel_forced, enumerate_identity_cycles
+
+from oracles import lower_bound_reference, solves
 
 GROUPS = os.path.join(os.path.dirname(__file__), "..", "groups")
 
@@ -178,6 +181,142 @@ def test_lower_bound_holds_for_any_dual():
         assert lower_bound(FillSystem(columns, edge_ids), marginals, rhs, lo, hi) <= min(areas)
         checked += 1
     assert checked >= 30
+
+
+def _random_box(rng, n):
+    """Bounds per cell that hold 0, lie on one side of it, or are a single
+    point."""
+    lo, hi = [], []
+    for _ in range(n):
+        kind = rng.randrange(4)
+        if kind == 0:
+            l = h = rng.randint(-3, 3)
+        elif kind == 1:
+            l = rng.randint(1, 3)
+            h = l + rng.randint(0, 3)
+        elif kind == 2:
+            h = rng.randint(-3, -1)
+            l = h - rng.randint(0, 3)
+        else:
+            l, h = -rng.randint(0, 3), rng.randint(0, 3)
+        lo.append(l)
+        hi.append(h)
+    return lo, hi
+
+
+def test_lower_bound_equals_the_python_reference():
+    # the int64 bound equals, bit for bit, the column-by-column bound in
+    # Python integers, for random duals, for duals that are halves of
+    # 1 / DUAL_SCALE (rounding ties) and for integer duals (|s_c| = D
+    # exactly), over random boxes
+    rng = random.Random(13)
+    scale = exactlp.DUAL_SCALE
+    for trial in range(400):
+        columns, edge_ids, rhs, _ = _random_system(rng)
+        system = FillSystem(columns, edge_ids)
+        for _ in range(4):
+            lo, hi = _random_box(rng, len(columns))
+            if trial % 3 == 0:
+                y = [rng.uniform(-2, 2) for _ in edge_ids]
+            elif trial % 3 == 1:
+                y = [rng.randint(-4 * scale, 4 * scale) / (2 * scale) for _ in edge_ids]
+            else:
+                y = [float(rng.randint(-2, 2)) for _ in edge_ids]
+            assert lower_bound(system, y, rhs, lo, hi) == lower_bound_reference(system, y, rhs, lo, hi)
+
+
+@pytest.mark.parametrize("name", ["z3_ext.grp", "heis_ext.grp"])
+def test_lower_bound_equals_the_python_reference_on_root_duals(monkeypatch, name):
+    # every node LP's duals of every unpeeled fill at radius 4, over the
+    # root box of the fill's area and over a random box
+    rng = random.Random(19)
+    checked = 0
+    for system, rhs in _root_systems(name, 4):
+        r, lps = _node_lps(monkeypatch, system, rhs)
+        cap = [r.value - 1] * len(system.columns)
+        for _, (_, y) in lps:
+            for lo, hi in (([-v for v in cap], cap), _random_box(rng, len(cap))):
+                assert lower_bound(system, y, rhs, lo, hi) == lower_bound_reference(system, y, rhs, lo, hi)
+                checked += 1
+    assert checked > 200
+
+
+def test_as_chain_equals_the_python_check():
+    rng = random.Random(17)
+    chains = 0
+    for _ in range(300):
+        columns, edge_ids, rhs, x = _random_system(rng)
+        system = FillSystem(columns, edge_ids)
+        b = np.array(system.dense(rhs), dtype=np.int64)
+        for point in (x, [v + rng.randint(-1, 1) for v in x]):
+            chain = as_chain(system, np.array(point, dtype=float), b)
+            assert (chain is not None) == solves(columns, point, rhs)
+            if chain is not None:
+                assert chain.tolist() == point
+                chains += 1
+    assert 300 < chains < 600
+
+
+def test_int64_checks_raise_rather_than_wrap():
+    # lower_bound raises InvariantError, never returns a bound, for duals
+    # that are not finite and wherever a magnitude its int64 sums form could
+    # reach 2**63; just below the checks it still equals the Python bound
+    system, rhs = FillSystem([{0: 1}, {0: 1, 1: -1}], [0, 1]), {0: 1}
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(InvariantError, match="not finite"):
+            lower_bound(system, [bad, 0.0], rhs, [-1, -1], [1, 1])
+    # Y_0 = 2**61 times the largest column weight 2; with no column, Y_0
+    # itself is bounded
+    with pytest.raises(InvariantError, match="largest column weight is 2\\*\\*62.0"):
+        lower_bound(system, [2.0**41, 0.0], rhs, [0, 0], [0, 0])
+    with pytest.raises(InvariantError, match="largest column weight is 2\\*\\*62.0"):
+        lower_bound(FillSystem([], [0]), [2.0**42], {}, [], [])
+    # |Y_0 rhs_0| = 2**50 * 2**12
+    with pytest.raises(InvariantError, match="rhs_i"):
+        lower_bound(system, [2.0**30, 0.0], {0: 2**12}, [0, 0], [0, 0])
+    # Y_0 = 2**22, so s = (2**22, 2**22) passes D = 2**20 and each column's
+    # term is (D - 2**22) hi_c: 3 * 2**61 over hi_0 = 2**41
+    y = [4.0, 0.0]
+    with pytest.raises(InvariantError, match="box terms"):
+        lower_bound(system, y, rhs, [0, 0], [2**41, 0])
+    for box in (([0, 0], [2**40, 0]), ([-(2**40), -(2**39)], [0, 2**39])):
+        assert lower_bound(system, y, rhs, *box) == lower_bound_reference(system, y, rhs, *box) < -(2**40)
+    # a point past the bound is no chain, although its int64 product would
+    # wrap to the right-hand side: 2 * 2**63 is 0 modulo 2**64
+    wrap = FillSystem([{0: 2}, {}], [0])
+    for point in ([2.0**63, 0.0], [2.0**61, 0.0], [0.0, 2.0**62], [math.nan, 0.0], [math.inf, 0.0]):
+        assert as_chain(wrap, np.array(point), np.zeros(1, dtype=np.int64)) is None
+    assert as_chain(wrap, np.array([0.0, 2.0**61]), np.zeros(1, dtype=np.int64)).tolist() == [0, 2**61]
+
+
+def _far_first_point():
+    """A node_lp whose first LP point has coordinate 0 at 1e30."""
+    calls = []
+
+    def far(*args):
+        v, y = node_lp(*args)
+        if not calls:
+            v = v.copy()
+            v[0] = 1e30
+        calls.append(args)
+        return v, y
+
+    return far
+
+
+def test_a_point_past_the_int64_bound_is_no_chain(monkeypatch):
+    # the root's first LP point, at 1e30 in cell 0, is no chain: integer_solve
+    # supplies the incumbent, and the search still proves the optimum
+    starts = _counted(monkeypatch, "integer_solve")
+    monkeypatch.setattr(exactlp, "node_lp", _far_first_point())
+    system, rhs = _path_system()
+    r = l1_fill(system, rhs)
+    assert (r.status, r.coeffs, r.value, len(starts)) == ("optimal", [1, 1], 2, 1)
+    # an incumbent whose area reaches 2**62 has no int64 box
+    monkeypatch.setattr(exactlp, "node_lp", _far_first_point())
+    monkeypatch.setattr(exactlp, "integer_solve", lambda *args: [2**62, 0])
+    with pytest.raises(InvariantError, match="integer_solve's chain area is 2\\*\\*62.0"):
+        l1_fill(system, rhs)
 
 
 def _arrays(system):
@@ -367,11 +506,11 @@ def _root_duals(monkeypatch, system, rhs):
     return r, lps[0][1][1]
 
 
-def _z3_root_systems():
-    """The path system and every unpeeled fill of z3_ext's identity cycles
-    of length <= 6 at radius 3, which share the ball's one system."""
-    group = load_group(os.path.join(GROUPS, "z3_ext.grp"))
-    ball = build_ball(group.backend, group.hom_pres, 3)
+def _root_systems(name="z3_ext.grp", radius=3):
+    """The path system and every unpeeled fill of the group's identity
+    cycles of length <= 6 at the radius, which share the ball's one system."""
+    group = load_group(os.path.join(GROUPS, name))
+    ball = build_ball(group.backend, group.hom_pres, radius)
     systems = [_path_system()]
     for _, cycle, _word in enumerate_identity_cycles(ball, 6):
         residual = _peel_forced(ball, cycle.coeffs)[2]
@@ -409,7 +548,7 @@ def test_node_lp_equals_linprog_on_a_fresh_model(monkeypatch):
     # the point and the equality duals that linprog gives on a fresh model:
     # on the path system, on every node of random systems that each serve
     # several fills, and on every root LP of z3_ext at radius 3
-    fills = _random_fills(random.Random(3), 40, 3) + _z3_root_systems()
+    fills = _random_fills(random.Random(3), 40, 3) + _root_systems()
     checked = branched = 0
     for system, rhs in fills:
         r, lps = _node_lps(monkeypatch, system, rhs)
@@ -475,7 +614,7 @@ def test_root_duals_reach_the_area_and_their_negation_does_not(monkeypatch):
     # lower_bound reads the model's row duals with their own sign: on every
     # fill whose root certifies it, the root duals bound the area over the
     # root box |a_c| <= area - 1 and the negated duals do not
-    for system, rhs in _z3_root_systems():
+    for system, rhs in _root_systems():
         r, y = _root_duals(monkeypatch, system, rhs)
         assert r.nodes == 1
         cap = [r.value - 1] * len(system.columns)
