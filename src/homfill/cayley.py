@@ -234,6 +234,12 @@ class CayleyBall:
         return tuple(order), tuple(sorted(alive)), frozenset(e for e, cs in incident.items() if cs)
 
     @cached_property
+    def collapse_position(self) -> dict[int, int]:
+        """Each free edge of the collapse -> its position in the removal
+        order; an edge is freed at most once.  Built on first use."""
+        return {e: p for p, (_, e) in enumerate(self.collapse[0])}
+
+    @cached_property
     def fill_system(self) -> FillSystem:
         """The exact-fill system (``exactlp.FillSystem``) of the cells the
         collapse leaves, over the edges they touch; every fill that peeling

@@ -24,7 +24,8 @@ right-hand side.
   and duals do not depend on the nodes and fills solved before it and equal
   those of ``linprog(method="highs")`` with presolve off.
 * ``propose`` -- the HiGHS MILP's integer chain, kept only when
-  ``as_chain`` finds that it solves the system.
+  ``as_chain`` finds that it solves the system; the MILP stops after
+  ``MILP_NODE_LIMIT`` nodes.
 * ``as_chain`` -- the one chain check, shared by ``l1_fill`` and
   ``propose``: a rounded point is a chain when one exact int64 sparse
   product gives the right-hand side; a point large enough that the product
@@ -72,6 +73,11 @@ INT64_BOUND = 2.0**62
 # branch-and-bound nodes one fill may search before it stops with status
 # budget and the best chain found so far
 NODE_BUDGET = 50_000
+
+# branch-and-bound nodes of the HiGHS MILP behind ``propose``; it only
+# proposes an incumbent, so stopping it early costs no exactness, while an
+# unbounded MILP can run for minutes on a small system
+MILP_NODE_LIMIT = 1_000
 
 # the HiGHS options scipy's linprog(method="highs", options={"presolve":
 # False}) sets, so that a node LP gives the point and duals that linprog
@@ -315,12 +321,19 @@ def lower_bound(
 
 def propose(system: FillSystem, rhs: dict[int, int]) -> list[int] | None:
     """An integer chain a with sum_c a_c * columns[c] = rhs, proposed by a
-    HiGHS MILP for min sum |a_c|, or None when HiGHS finds none or its
-    rounded chain fails ``as_chain``.  Nothing here proves it minimal."""
+    HiGHS MILP for min sum |a_c|, or None when HiGHS finds none within
+    ``MILP_NODE_LIMIT`` nodes or its rounded chain fails ``as_chain``.
+    Nothing here proves it minimal."""
     b = np.array(system.dense(rhs), dtype=np.int64)
     matrix, lb, ub, cost, integrality = system.milp_arrays
     constraint = LinearConstraint(matrix, lb=np.concatenate([lb, b]), ub=np.concatenate([ub, b]))
-    sol = milp(cost, constraints=constraint, integrality=integrality, bounds=Bounds(-np.inf, np.inf))
+    sol = milp(
+        cost,
+        constraints=constraint,
+        integrality=integrality,
+        bounds=Bounds(-np.inf, np.inf),
+        options={"node_limit": MILP_NODE_LIMIT},
+    )
     if not sol.success:
         return None
     chain = as_chain(system, np.rint(sol.x[: len(system.columns)]), b)

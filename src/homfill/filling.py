@@ -19,6 +19,7 @@ missing.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from heapq import heapify, heappop, heappush
 
 from .backends import GroupBackend, letter_order
 from .cayley import (
@@ -68,15 +69,28 @@ def _peel_forced(
     """Assign the cells of the ball's forced-cell collapse in its removal
     order, each from what is left of the residual on its free edge.
 
+    Only the positions whose free edge holds a nonzero residual are visited,
+    in increasing order, from a heap of positions (``ball.collapse_position``
+    maps a free edge to its position).  A cell never touches an edge freed
+    before it, so a cell can make only a later position's edge nonzero; that
+    position is pushed then, and every position the full removal order
+    would assign is popped in that order with the same residual.  Skipped
+    positions are those the full order passes over with a zero residual, so
+    the assignment, its order and the residual are those of the full walk.
+
     Sound because the collapse runs over every cell of the ball.  Returns
     (forced assignment, remaining cells, residual) or None when a forced
     value is non-integral or an edge no remaining cell touches stays nonzero.
     """
     columns = ball.net_columns
     order, remaining, touched = ball.collapse
+    position = ball.collapse_position
     residual = {e: c for e, c in residual.items() if c}
+    pending = [position[e] for e in residual if e in position]
+    heapify(pending)
     forced: dict[int, int] = {}
-    for c, e in order:
+    while pending:
+        c, e = order[heappop(pending)]
         value = residual.get(e)
         if not value:
             continue
@@ -85,7 +99,10 @@ def _peel_forced(
             return None
         forced[c] = a
         for e2, v in columns[c].items():
-            residual[e2] = residual.get(e2, 0) - a * v
+            r = residual.get(e2, 0)
+            if not r and e2 in position:
+                heappush(pending, position[e2])
+            residual[e2] = r - a * v
             if not residual[e2]:
                 del residual[e2]
     if any(e not in touched for e in residual):

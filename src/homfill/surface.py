@@ -16,10 +16,17 @@ Every layer numbers slots one way (``SlotNumbering``): slot (f, p) is
 ``SurfaceIndex``: the matching, the corner classes and the free sides of
 every class are derived once per diagram, and the diagram is verified while
 they are.  ``assemble_surface`` builds its diagram's index from the
-numbering and integer matching it glued with; any other diagram (decoded
-JSON, a hand-built one) builds its index on first use of
+numbering, the integer matching and the corner union-find it glued with, so
+the corner partition is joined once; any other diagram (decoded JSON, a
+hand-built one) builds its index, partition included, on first use of
 ``SurfaceDiagram.index``.  Verification, measurement, projection and DOT
 output all read that index.
+
+Assembly glues by one deterministic rule.  When no edge label occurs with
+its opposite label while one of the two has several copies, the rule's
+matching is forced -- every slot takes the one copy of its opposite label
+-- and is read off directly; only diagrams with such a contested label run
+the rule's heap loop.
 
 A ball keeps one ``Face`` per (cell, orientation), built on first use
 (``oriented_face``): every copy of a cell in every diagram on that ball is
@@ -239,9 +246,20 @@ class SurfaceIndex:
 
     The index is built from the diagram's ``SlotNumbering`` and its gluing
     as integer triples (slot, slot, flipped), in the gluing's order.
+    ``corners``, when given, is a union-find whose sets are already those
+    the gluing's endpoint identifications generate (``assemble_surface``
+    passes the one it glued with), and the corner classes are read from it
+    instead of being joined again; without it, or with declared classes,
+    the index derives or checks the partition itself.
     """
 
-    def __init__(self, diagram: SurfaceDiagram, slots: SlotNumbering, pairs: list[tuple[int, int, bool]]):
+    def __init__(
+        self,
+        diagram: SurfaceDiagram,
+        slots: SlotNumbering,
+        pairs: list[tuple[int, int, bool]],
+        corners: _Sets | None = None,
+    ):
         self.slots = slots
         refs, label, nxt, prv = slots.refs, slots.label, slots.next, slots.prev
         declared = diagram.declared_classes
@@ -296,15 +314,17 @@ class SurfaceIndex:
 
         self.class_of = class_of = [-1] * n
         if members is None:
-            corners = _Sets(n)
-            union, find = corners.union, corners.find
-            for a, b, flip in pairs:
-                if flip:
-                    union(a, b)
-                    union(nxt[a], nxt[b])
-                else:
-                    union(a, nxt[b])
-                    union(nxt[a], b)
+            if corners is None:
+                corners = _Sets(n)
+                union = corners.union
+                for a, b, flip in pairs:
+                    if flip:
+                        union(a, b)
+                        union(nxt[a], nxt[b])
+                    else:
+                        union(a, nxt[b])
+                        union(nxt[a], b)
+            find = corners.find
             members = []
             for x in range(n):
                 root = find(x)
@@ -552,10 +572,22 @@ def assemble_surface(ball: CayleyBall, chain: TwoChain) -> SurfaceDiagram:
     no placed slot is gluable, the lowest unplaced face starts a new
     component.
 
-    Slots and corners are numbered as in ``SlotNumbering``.  A vertex is
-    named by its root, the least corner identified with it, and a slot's key
-    is the lesser root of its two corners; the rule glues the gluable slot
-    of least (key, slot).  One heap of (key, slot) entries yields that slot
+    A label (image edge, sign) is contested when its opposite label occurs
+    and it or its opposite has two or more copies.  When no label is
+    contested the rule's matching is forced, and no heap is needed: each
+    slot whose opposite label occurs is glued to the one copy of that
+    label.  The rule leaves no gluable slot unglued and places every face,
+    and such a slot's one possible partner has that slot as its own one
+    possible partner, so it stays free until the two are glued -- whatever
+    order the rule takes them in.  The corner classes are the sets the
+    glued pairs' endpoint identifications generate, which do not depend on
+    the order of the unions either.
+
+    Otherwise ``_glue_contested`` follows the rule step by step.  Slots and
+    corners are numbered as in ``SlotNumbering``.  A vertex is named by its
+    root, the least corner identified with it, and a slot's key is the
+    lesser root of its two corners; the rule glues the gluable slot of
+    least (key, slot).  One heap of (key, slot) entries yields that slot
     without rescanning the placed faces, by two facts:
 
     - A union only lowers a root, so keys only fall.  Every fall pushes a
@@ -570,9 +602,12 @@ def assemble_surface(ball: CayleyBall, chain: TwoChain) -> SurfaceDiagram:
     is unplaced, found by a pointer that only moves forward; the placed one
     is the least entry of a heap of placed, unmatched slots per label.
 
-    The faces are the ball's ``oriented_face`` objects, and the diagram's
-    index is built from the same numbering and matching, which verifies
-    it; a violation is an InvariantError.
+    The faces are the ball's ``oriented_face`` objects.  The diagram's
+    index is built from the same numbering and matching and from the
+    union-find of corners that either path joined while gluing, so the
+    corner partition is computed once; the index still checks the matching,
+    the labels, the link condition and the provenance, and a violation is
+    an InvariantError.
     """
     if not chain:
         raise DomainError("assemble_surface needs a nonzero 2-chain")
@@ -582,17 +617,60 @@ def assemble_surface(ball: CayleyBall, chain: TwoChain) -> SurfaceDiagram:
         faces += repeat(oriented_face(ball, cell_id, 1 if coeff > 0 else -1), abs(coeff))
 
     numbering = SlotNumbering(faces)
-    first, refs, face_of, label = numbering.first, numbering.refs, numbering.face_of, numbering.label
+    refs, label = numbering.refs, numbering.label
     head = numbering.next  # the corner at the end of slot x
     copies: dict[tuple[int, int], list[int]] = {}
     for x, slot in enumerate(label):
         copies.setdefault(slot, []).append(x)
-    nfaces = len(faces)
-    placed = [False] * nfaces
     matched = [-1] * len(refs)
     corners = _Sets(len(refs))
+    if any(len(row) > 1 and (e, -sign) in copies for (e, sign), row in copies.items()):
+        _glue_contested(numbering, copies, matched, corners)
+    else:  # forced: each slot with a partner takes the one copy of its opposite label
+        union = corners.union
+        for (e, sign), row in copies.items():
+            opposite = copies.get((e, -sign))
+            if opposite is not None and row[0] < opposite[0]:
+                a, b = row[0], opposite[0]
+                matched[a], matched[b] = b, a
+                union(a, head[b])
+                union(head[a], b)
+
+    # residual consistency: every image edge must end with one leftover sign
+    leftovers: dict[int, set[int]] = {}
+    for x, (e, sign) in enumerate(label):
+        if matched[x] < 0:
+            leftovers.setdefault(e, set()).add(sign)
+    for e, signs in leftovers.items():
+        if len(signs) > 1:
+            raise InvariantError(
+                f"image edge {e} kept unmatched slots of both signs; gluability argument violated"
+            )
+
+    pairs = [(a, b, False) for a, b in enumerate(matched) if a < b]
+    diagram = SurfaceDiagram(faces=faces, gluing=[(refs[a], refs[b], flip) for a, b, flip in pairs], ball=ball)
+    # ``index`` is a cached property: set it to the index of this numbering,
+    # matching and corner partition, so that none of them is derived again
+    diagram.__dict__["index"] = index = SurfaceIndex(diagram, numbering, pairs, corners)
+    # the label and provenance checks also make glued corners sit over one
+    # ball vertex
+    if not index.report.ok:
+        raise InvariantError("assembled diagram fails verification: " + "; ".join(index.report.violations))
+    return diagram
+
+
+def _glue_contested(
+    numbering: SlotNumbering, copies: dict[tuple[int, int], list[int]], matched: list[int], corners: _Sets
+) -> None:
+    """Glue by ``assemble_surface``'s rule with one heap of (key, slot)
+    entries, filling ``matched`` and joining the identified corners in
+    ``corners``."""
+    first, face_of, label = numbering.first, numbering.face_of, numbering.label
+    head = numbering.next  # the corner at the end of slot x
+    nfaces = len(first) - 1
+    placed = [False] * nfaces
     find = corners.find
-    touching: list[list[int] | None] = [[] for _ in refs]  # root -> slots at its vertex
+    touching: list[list[int] | None] = [[] for _ in label]  # root -> slots at its vertex
     unplaced_at = dict.fromkeys(copies, 0)  # label -> first copy possibly unplaced
     free: dict[tuple[int, int], list[int]] = {key: [] for key in copies}  # placed, unmatched
     queue: list[tuple[int, int]] = []
@@ -651,28 +729,6 @@ def assemble_surface(ball: CayleyBall, chain: TwoChain) -> SurfaceDiagram:
             matched[b] = a
             union(a, head[b])
             union(head[a], b)
-
-    # residual consistency: every image edge must end with one leftover sign
-    leftovers: dict[int, set[int]] = {}
-    for x, (e, sign) in enumerate(label):
-        if matched[x] < 0:
-            leftovers.setdefault(e, set()).add(sign)
-    for e, signs in leftovers.items():
-        if len(signs) > 1:
-            raise InvariantError(
-                f"image edge {e} kept unmatched slots of both signs; gluability argument violated"
-            )
-
-    pairs = [(a, b, False) for a, b in enumerate(matched) if a < b]
-    diagram = SurfaceDiagram(faces=faces, gluing=[(refs[a], refs[b], flip) for a, b, flip in pairs], ball=ball)
-    # ``index`` is a cached property: set it to the index of this numbering
-    # and matching, so that the diagram is not numbered again
-    diagram.__dict__["index"] = index = SurfaceIndex(diagram, numbering, pairs)
-    # the label and provenance checks also make glued corners sit over one
-    # ball vertex
-    if not index.report.ok:
-        raise InvariantError("assembled diagram fails verification: " + "; ".join(index.report.violations))
-    return diagram
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,12 @@
 """Reference computations that the tests and golden records compare the
 library with: hop distances over a ball's 1-skeleton (an oracle for the
 distances the one-pass build records), the ordered boundary paths of a
-surface diagram (recorded by the ``surface-index:*`` golden sections), and
-the exact-fill checks in Python integers (oracles for ``exactlp``'s int64
-``as_chain`` and ``lower_bound``)."""
+surface diagram (recorded by the ``surface-index:*`` golden sections), the
+exact-fill checks in Python integers (oracles for ``exactlp``'s int64
+``as_chain`` and ``lower_bound``), and forced-cell peeling over the whole
+collapse order (an oracle for ``filling._peel_forced``)."""
+
+from collections import Counter
 
 from homfill.cayley import CayleyBall
 from homfill.errors import DomainError, InvariantError
@@ -70,6 +73,14 @@ def boundary_paths(diagram: SurfaceDiagram) -> list[list[SlotRef]]:
     return paths
 
 
+def contested(diagram: SurfaceDiagram) -> bool:
+    """Whether ``assemble_surface`` glues the diagram's faces by its heap
+    loop: some label occurs with its opposite while one of the two has
+    several copies.  Otherwise the matching is forced."""
+    labels = Counter(slot for face in diagram.faces for slot in face.slots)
+    return any(count > 1 and (e, -sign) in labels for (e, sign), count in labels.items())
+
+
 def solves(columns: list[dict[int, int]], coeffs: list[int], rhs: dict[int, int]) -> bool:
     """Whether sum_c coeffs[c] * columns[c] == rhs, in integer arithmetic."""
     acc: dict[int, int] = {}
@@ -92,3 +103,29 @@ def lower_bound_reference(system: FillSystem, marginals, rhs: dict[int, int], lo
         low = min(DUAL_SCALE * abs(l) - s * l, DUAL_SCALE * abs(h) - s * h)
         total += min(low, 0) if l <= 0 <= h else low
     return -(-total // DUAL_SCALE)
+
+
+def peel_reference(ball: CayleyBall, residual: dict[int, int]):
+    """``filling._peel_forced`` as a walk over every entry of the ball's
+    collapse order: (forced assignment, remaining cells, residual), or None
+    when a forced value is non-integral or an edge no remaining cell touches
+    stays nonzero."""
+    columns = ball.net_columns
+    order, remaining, touched = ball.collapse
+    residual = {e: c for e, c in residual.items() if c}
+    forced: dict[int, int] = {}
+    for c, e in order:
+        value = residual.get(e)
+        if not value:
+            continue
+        a, rem = divmod(value, columns[c][e])
+        if rem:
+            return None
+        forced[c] = a
+        for e2, v in columns[c].items():
+            residual[e2] = residual.get(e2, 0) - a * v
+            if not residual[e2]:
+                del residual[e2]
+    if any(e not in touched for e in residual):
+        return None
+    return forced, remaining, residual

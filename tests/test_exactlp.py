@@ -413,6 +413,21 @@ def test_milp_runs_once_and_only_when_the_root_leaves_a_gap(monkeypatch):
     assert (r.status, r.value) == ("optimal", 2)
 
 
+def test_the_milp_stops_at_its_node_limit():
+    # without a node limit HiGHS's MILP on this system runs for minutes; at
+    # MILP_NODE_LIMIT it stops without a chain, and the search proves the
+    # optimum itself
+    system, rhs = FillSystem([{0: -1, 2: -3}, {0: 3, 2: 2}, {0: -2}, {0: 3}], [0, 1, 2]), {0: -9, 2: -3}
+    assert propose(system, rhs) is None
+    r = l1_fill(system, rhs)
+    assert (r.status, r.coeffs, r.value, r.nodes) == ("optimal", [1, 0, 1, -2], 4, 33)
+    # no chain of area 3 or less solves the system
+    box = range(-3, 4)
+    assert not any(
+        solves(system.columns, list(a), rhs) for a in itertools.product(box, repeat=4) if sum(map(abs, a)) < 4
+    )
+
+
 def test_a_smaller_milp_chain_is_the_incumbent_before_branching(monkeypatch):
     # -3 x0 - 5 x1 = -3: integer_solve's chain (6, -3) has area 9 and the
     # root LP point (0, 3/5) rounds to no solution, so the root leaves a

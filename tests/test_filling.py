@@ -2,6 +2,7 @@ import gc
 import glob
 import os
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -21,6 +22,7 @@ from homfill.filling import (
     superadditive_closure,
 )
 from homfill.words import parse_word
+from oracles import peel_reference
 
 NI = {"a": 0, "b": 1}
 GROUP_FILES = sorted(glob.glob(os.path.join(os.path.dirname(__file__), "..", "groups", "*.grp")))
@@ -268,6 +270,39 @@ def test_peel_recovers_chains_on_collapsible_cells():
             assert not set(remaining) & set(collapsed)
             checked += 1
     assert checked >= 150
+
+
+def _peel_record(peeled):
+    """A peel result with the forced assignment's and the residual's orders."""
+    if peeled is None:
+        return None
+    forced, remaining, residual = peeled
+    return list(forced.items()), remaining, list(residual.items())
+
+
+@pytest.mark.parametrize("path", GROUP_FILES, ids=lambda p: os.path.basename(p)[:-4])
+def test_sparse_peel_matches_the_full_collapse_walk(path):
+    # visiting only the positions whose free edge holds a residual gives the
+    # walk over the whole collapse order: the same forced cells in the same
+    # order, the same remaining cells and the same residual, or None for both
+    group = load_group(path)
+    ball = build_ball(group.backend, group.hom_pres, 3)
+    residuals = [cycle.coeffs for _, cycle, _ in enumerate_identity_cycles(ball, 6)]
+    rng = random.Random(os.path.basename(path))
+    for _ in range(60 if ball.cells else 0):
+        chain = TwoChain({rng.randrange(len(ball.cells)): rng.randint(-3, 3) for _ in range(rng.randint(1, 8))})
+        boundary = boundary_2(ball, chain).coeffs
+        # a boundary, half of it (non-integral), and a copy with one edge
+        # moved off the boundary (infeasible)
+        residuals += [boundary, {e: Fraction(v, 2) for e, v in boundary.items()}]
+        residuals.append({**boundary, rng.randrange(len(ball.edges)): rng.choice((-1, 1))})
+    kinds = set()
+    for residual in residuals:
+        want = _peel_record(peel_reference(ball, residual))
+        assert _peel_record(filling._peel_forced(ball, residual)) == want, residual
+        kinds.add("none" if want is None else "peeled" if not want[2] else "residual")
+    if ball.cells:
+        assert {"none", "peeled"} <= kinds, kinds
 
 
 # (group file, radius) of balls whose fills mostly do not peel

@@ -12,7 +12,9 @@ Corpus:
                    (coefficients in +-2) of every groups/*.grp at radius 3;
                    this section, surface-index:<file> and routed:* also
                    check that each assembled diagram's index equals that of
-                   its decoded JSON copy.
+                   its decoded JSON copy, and this section that its corpus
+                   holds diagrams of both gluing paths (forced and heap)
+                   wherever a label can meet its opposite.
   surface-index:<file>
                    ``verify_surface`` of assembled diagrams of every
                    groups/*.grp at radius 3 and of variants of each: one face
@@ -84,7 +86,7 @@ from homfill.surface import (
     verify_surface,
 )
 from homfill.words import parse_word
-from oracles import boundary_paths, hop_distances
+from oracles import boundary_paths, contested, hop_distances
 
 GROUPS = Path(__file__).resolve().parent.parent / "groups"
 QUAD_F = [max(n, n * n) for n in range(64)]
@@ -227,6 +229,7 @@ def _surface(file: str) -> list:
     ball = build_ball(group.backend, group.hom_pres, 3)
     rng = Random(file)
     out = []
+    paths = set()
     for _ in range(100):
         coeffs = {}
         for _ in range(rng.randint(1, 8)):
@@ -235,6 +238,12 @@ def _surface(file: str) -> list:
         chain = TwoChain(coeffs)
         diagram, error = _assembled(ball, chain)
         out.append({"chain": _plain(chain), "error": error} if error else diagram_to_json(diagram))
+        if diagram is not None:
+            paths.add(contested(diagram))
+    # the index comparison in ``_assembled`` sees both gluing paths wherever
+    # a label can meet its opposite (two slots over one edge)
+    slots = [e for cell in ball.cells for e, _ in cell.boundary]
+    assert paths == {False, True} or (paths <= {False} and len(set(slots)) == len(slots)), paths
     return out
 
 

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -20,7 +21,7 @@ from homfill.surface import (
     verify_surface,
 )
 from homfill.words import parse_word
-from oracles import boundary_paths, hop_distances
+from oracles import boundary_paths, contested, hop_distances
 
 NI = {"a": 0, "b": 1}
 
@@ -542,6 +543,8 @@ def _rescan_gluing(faces):
 
 GROUP_FILES = sorted((Path(__file__).resolve().parent.parent / "groups").glob("*.grp"))
 
+INDEX_FIELDS = ("mate", "flipped", "unmatched", "classes", "class_of", "free_sides")
+
 
 def _clustered_chain(rng, ball):
     """Cells based within one step of one or two random vertices, with
@@ -572,9 +575,20 @@ def test_gluing_matches_the_rescan_rule(path):
         fill = harea_fill(ball, cycle).chain
         chains += [fill, fill.scale(2) + _clustered_chain(rng, ball)]
     multi_component = multiple = 0
+    paths = Counter()
     for chain in filter(None, chains):
         diagram = assemble_surface(ball, chain)
         assert diagram.gluing == _rescan_gluing(diagram.faces)
+        # the index built from the assembler's corner partition is the one a
+        # decoded copy derives for itself
+        fresh = diagram_from_json(diagram_to_json(diagram), ball).index
+        built = diagram.index
+        assert [getattr(built, name) for name in INDEX_FIELDS] == [getattr(fresh, name) for name in INDEX_FIELDS]
         multi_component += measure(diagram).component_count > 1
         multiple += any(abs(c) > 1 for c in chain.coeffs.values())
+        paths[contested(diagram)] += 1
     assert multi_component and multiple
+    # both gluing paths run: the forced matching, and the heap loop wherever
+    # a label can meet its opposite, which needs two slots over one edge
+    slots = [e for cell in ball.cells for e, _ in cell.boundary]
+    assert paths[False] and (paths[True] or len(set(slots)) == len(slots)), paths
