@@ -4,9 +4,9 @@ Every HiGHS call of the package is made here.  One ``FillSystem`` holds
 everything about min sum |a_c| subject to sum_c a_c * columns[c] = rhs that
 does not depend on the right-hand side: the row index, the columns as
 exact int64, the node LP's matrix and its one HiGHS model, and -- built
-only for the fills that need them -- the MILP's arrays and the integer
-column reduction.  A ball builds one system, and each fill supplies its
-right-hand side.
+only for the fills that need them -- the integer column reduction and its
+shortened kernel basis.  A ball builds one system, and each fill supplies
+its right-hand side.
 
 * ``l1_fill`` -- the one exact-fill call: branch and bound for min sum |a_c|
   subject to B a = rhs over the integers, on HiGHS node LPs, stopped after
@@ -15,24 +15,21 @@ right-hand side.
   point is the incumbent when it is a chain, else ``integer_solve``'s chain
   is.  The root node, over the box |a_c| <= area - 1, certifies the
   incumbent; where the first LP's duals leave a gap the root is solved again
-  over that box, and only when that does not prune either does the search
-  call ``propose``.
+  over that box, and where that does not prune either the search branches.
 * ``node_lp`` -- one node LP on the system's HiGHS model, which is passed
   to HiGHS once (``FillSystem.lp_model``): each node changes only the column
   costs, column bounds and row bounds that differ from those the model
   holds, and solves from a cold start without presolve, so a node's point
   and duals do not depend on the nodes and fills solved before it and equal
   those of ``linprog(method="highs")`` with presolve off.
-* ``propose`` -- the HiGHS MILP's integer chain, kept only when
-  ``as_chain`` finds that it solves the system; the MILP stops after
-  ``MILP_NODE_LIMIT`` nodes.
-* ``as_chain`` -- the one chain check, shared by ``l1_fill`` and
-  ``propose``: a rounded point is a chain when one exact int64 sparse
-  product gives the right-hand side; a point large enough that the product
-  could overflow is no chain.
+* ``as_chain`` -- the one chain check: a rounded point is a chain when one
+  exact int64 sparse product gives the right-hand side; a point large
+  enough that the product could overflow is no chain.
 * ``integer_solve`` -- particular integer solution of A x = b via column
-  Hermite reduction, or None, which proves that no integer solution exists;
-  ``l1_fill`` calls it only when the root's rounded point is not a chain.
+  Hermite reduction, shortened against the reduction's integer kernel
+  basis (``FillSystem.kernel``), or None, which proves that no integer
+  solution exists; ``l1_fill`` calls it only when the root's rounded point
+  is not a chain.
 * ``lower_bound`` -- the one certificate: the node LP's HiGHS duals rounded
   to integers over the constant denominator ``DUAL_SCALE`` give an exact
   lower bound on sum |a_c| over a box of integer chains.  Every dual vector
@@ -48,13 +45,13 @@ fill runs on arrays throughout.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.optimize import Bounds, LinearConstraint, milp
 from scipy.optimize._highspy import _core as highs  # private scipy API, shipped since scipy 1.15
 
 from .errors import InvariantError
@@ -73,11 +70,6 @@ INT64_BOUND = 2.0**62
 # branch-and-bound nodes one fill may search before it stops with status
 # budget and the best chain found so far
 NODE_BUDGET = 50_000
-
-# branch-and-bound nodes of the HiGHS MILP behind ``propose``; it only
-# proposes an incumbent, so stopping it early costs no exactness, while an
-# unbounded MILP can run for minutes on a small system
-MILP_NODE_LIMIT = 1_000
 
 # the HiGHS options scipy's linprog(method="highs", options={"presolve":
 # False}) sets, so that a node LP gives the point and duals that linprog
@@ -129,24 +121,6 @@ class FillSystem:
         a_mat = sp.csc_matrix(self.matrix, dtype=float)
         eye = sp.identity(m, format="csc")
         self.lp_matrix = sp.hstack([a_mat, -a_mat, eye, -eye], format="csc")
-
-    @cached_property
-    def milp_arrays(self) -> tuple[sp.csc_array, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """The MILP's (matrix, lb, ub, cost, integrality) over the variables
-        (a, t): the rows t - a >= 0 and t + a >= 0, which make t >= |a|,
-        then the equality rows; lb/ub bound the first 2n rows.  Built on
-        first use, by ``propose``."""
-        n, m = len(self.columns), len(self.edge_ids)
-        eye = sp.identity(n, format="csc")
-        abs_mat = sp.bmat([[-eye, eye], [eye, eye]], format="csc")
-        eq_mat = sp.hstack([self.lp_matrix[:, :n], sp.csc_matrix((m, n))], format="csc")
-        return (
-            sp.vstack([sp.csc_array(abs_mat), sp.csc_array(eq_mat)], format="csc"),
-            np.zeros(2 * n),
-            np.full(2 * n, np.inf),
-            np.concatenate([np.zeros(n), np.ones(n)]),
-            np.concatenate([np.ones(n), np.zeros(n)]),
-        )
 
     @cached_property
     def lp_model(self) -> tuple[highs._Highs, tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
@@ -220,6 +194,33 @@ class FillSystem:
             pivot_count += 1
         return cols, vmat, pivots
 
+    @cached_property
+    def kernel(self) -> list[dict[int, int]]:
+        """A basis of the integer chains with zero boundary: the rows of
+        ``hermite``'s V whose reduced columns are zero, each shortened
+        against the others by ``_shorten`` until no pair shortens.  Built on
+        first use."""
+        _, vmat, pivots = self.hermite
+        basis = [dict(v) for v in vmat[len(pivots) :]]
+        shortened = True
+        while shortened:
+            shortened = False
+            for i, j in itertools.permutations(range(len(basis)), 2):
+                shortened |= _shorten(basis[i], basis[j])
+        return basis
+
+
+def _shorten(target: dict[int, int], vector: dict[int, int]) -> bool:
+    """Subtract from ``target`` the nearest-integer multiple of ``vector``
+    when that makes its Euclidean norm fall; True when it did."""
+    norm = sum(v * v for v in vector.values())
+    dot = sum(v * target.get(i, 0) for i, v in vector.items())
+    q = (2 * dot + norm) // (2 * norm)
+    if q * q * norm >= 2 * q * dot:
+        return False
+    _subtract(target, q, vector)
+    return True
+
 
 def _subtract(target: dict[int, int], q: int, source: dict[int, int]) -> None:
     """target -= q * source, keeping only nonzero values."""
@@ -235,26 +236,28 @@ def integer_solve(system: FillSystem, rhs: dict[int, int]) -> list[int] | None:
     """Particular integer solution x of sum_c x_c * columns[c] = rhs, or None.
 
     A solution of the system's reduced columns is found by back
-    substitution and pulled back through V.
+    substitution, pulled back through V and shortened against every
+    ``kernel`` vector in turn until none shortens it.
     """
     cols, vmat, pivots = system.hermite
     residual = system.dense(rhs)
-    y = {}
+    x: dict[int, int] = {}
     for r, c in pivots:
         d = cols[c][r]
         if residual[r] % d:
             return None
-        y[c] = residual[r] // d
-        if y[c]:
+        if yc := residual[r] // d:
             for i, v in cols[c].items():
-                residual[i] -= y[c] * v
+                residual[i] -= yc * v
+            _subtract(x, -yc, vmat[c])
     if any(residual):
         return None
-    x = [0] * len(cols)
-    for c, yc in y.items():
-        for k, v in vmat[c].items():
-            x[k] += yc * v
-    return x
+    shortened = True
+    while shortened:
+        shortened = False
+        for k in system.kernel:
+            shortened |= _shorten(x, k)
+    return [x.get(k, 0) for k in range(len(cols))]
 
 
 def _check_magnitude(name: str, value: float) -> None:
@@ -319,27 +322,6 @@ def lower_bound(
     return -(-total // DUAL_SCALE)
 
 
-def propose(system: FillSystem, rhs: dict[int, int]) -> list[int] | None:
-    """An integer chain a with sum_c a_c * columns[c] = rhs, proposed by a
-    HiGHS MILP for min sum |a_c|, or None when HiGHS finds none within
-    ``MILP_NODE_LIMIT`` nodes or its rounded chain fails ``as_chain``.
-    Nothing here proves it minimal."""
-    b = np.array(system.dense(rhs), dtype=np.int64)
-    matrix, lb, ub, cost, integrality = system.milp_arrays
-    constraint = LinearConstraint(matrix, lb=np.concatenate([lb, b]), ub=np.concatenate([ub, b]))
-    sol = milp(
-        cost,
-        constraints=constraint,
-        integrality=integrality,
-        bounds=Bounds(-np.inf, np.inf),
-        options={"node_limit": MILP_NODE_LIMIT},
-    )
-    if not sol.success:
-        return None
-    chain = as_chain(system, np.rint(sol.x[: len(system.columns)]), b)
-    return None if chain is None else chain.tolist()
-
-
 def node_lp(
     system: FillSystem, cost: np.ndarray, lower: np.ndarray, upper: np.ndarray, b: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray] | None:
@@ -402,13 +384,10 @@ def l1_fill(system: FillSystem, rhs: dict[int, int]) -> FillSolve:
     incumbent, or return infeasible when it proves that none exists.  When
     the root prunes, over the box |a_c| <= area - 1, the incumbent is
     certified minimal and the search takes 1 node.  When the first LP's
-    duals do not prune, the root is solved again over that box; when that
-    solve does not prune either, ``propose``'s HiGHS MILP chain becomes the
-    incumbent if smaller, and the root is solved again over the box of an
-    incumbent smaller than the one it was solved for before the search
-    branches; the MILP runs at most once per fill.  A search that passes
-    ``NODE_BUDGET`` nodes, the root's first LP included, stops with status
-    budget and the best chain found so far.
+    duals do not prune, the root is solved again over that box, and when
+    that solve does not prune either the search branches.  A search that
+    passes ``NODE_BUDGET`` nodes, the root's first LP included, stops with
+    status budget and the best chain found so far.
 
     Depth-first branch and bound over boxes lo <= a <= hi, clipped to
     |a_c| <= incumbent area - 1, which every better chain satisfies; so
@@ -435,7 +414,6 @@ def l1_fill(system: FillSystem, rhs: dict[int, int]) -> FillSolve:
     slack_lower, slack_upper = np.zeros(slacks), np.full(slacks, np.inf)
 
     nodes = 0
-    proposed = False
     stack = [None]  # the root's first LP, over free columns
     while stack:
         box = stack.pop()
@@ -474,26 +452,15 @@ def l1_fill(system: FillSystem, rhs: dict[int, int]) -> FillSolve:
         if box is None:
             # the root's first LP had no box: its duals bound the box of the
             # incumbent, and where they leave a gap the root is solved again
-            # over that box before the MILP may run
+            # over that box
             hi = np.full(n, best_value - 1, dtype=np.int64)
             lo = -hi
         bound = lower_bound(system, duals, rhs, lo, hi)
-        if bound < best_value and box is None:
+        if bound >= best_value:
+            continue
+        if box is None:
             nodes -= 1  # the same root node
             stack.append((lo, hi))
-            continue
-        if bound < best_value and not proposed:
-            # the root leaves a gap: the MILP's chain may be a smaller
-            # incumbent, and a smaller incumbent narrows the root box
-            proposed = True
-            chain = propose(system, rhs)
-            if chain is not None and sum(map(abs, chain)) < best_value:
-                best, best_value = chain, sum(map(abs, chain))
-            if bound < best_value and best_value - 1 < cap:
-                nodes -= 1  # the same root node, solved again over the narrower box
-                stack.append((lo, hi))
-                continue
-        if bound >= best_value:
             continue
         split = _split(x, lo, hi)
         if split is None:

@@ -11,22 +11,12 @@ from homfill import exactlp
 from homfill.cayley import build_ball
 from homfill.cli import load_group
 from homfill.errors import InvariantError
-from homfill.exactlp import FillSystem, as_chain, integer_solve, l1_fill, lower_bound, node_lp, propose
+from homfill.exactlp import FillSystem, as_chain, integer_solve, l1_fill, lower_bound, node_lp
 from homfill.filling import _peel_forced, enumerate_identity_cycles
 
 from oracles import lower_bound_reference, solves
 
 GROUPS = os.path.join(os.path.dirname(__file__), "..", "groups")
-
-
-def _propose_none(*_args):
-    return None
-
-
-@pytest.fixture
-def no_proposer(monkeypatch):
-    """The HiGHS MILP proposes no chain when the root leaves a gap."""
-    monkeypatch.setattr(exactlp, "propose", _propose_none)
 
 
 def test_integer_solve_random():
@@ -57,25 +47,19 @@ def _path_system():
     return FillSystem([{0: 1, 1: 1}, {1: -1, 2: 1}], [0, 1, 2]), {0: 1, 1: 0, 2: 1}
 
 
-def test_l1_fill_basic(monkeypatch):
-    path, rhs = _path_system()
-    with monkeypatch.context() as m:
-        m.setattr(exactlp, "propose", _propose_none)
-        r = l1_fill(FillSystem([{0: 2}], [0]), {0: 4})
-        assert (r.status, r.coeffs, r.value) == ("optimal", [2], 2)
-        r = l1_fill(path, rhs)
-        assert (r.status, r.value) == ("optimal", 2)
-        assert r.coeffs == [1, 1]
-        assert l1_fill(FillSystem([{0: 2}], [0]), {0: 3}).status == "infeasible"
-    # that system's LP optimum is integral, so the root's rounded point is a
-    # minimal chain, the root node's bound reaches its area and the search
-    # stops there
-    r = l1_fill(path, rhs)
-    assert (r.status, r.coeffs, r.nodes) == ("optimal", [1, 1], 1)
+def test_l1_fill_basic():
+    r = l1_fill(FillSystem([{0: 2}], [0]), {0: 4})
+    assert (r.status, r.coeffs, r.value) == ("optimal", [2], 2)
     assert l1_fill(FillSystem([{0: 2}], [0]), {0: 3}).status == "infeasible"
+    # the path system's LP optimum is integral, so the root's rounded point
+    # is a minimal chain, the root node's bound reaches its area and the
+    # search stops there
+    path, rhs = _path_system()
+    r = l1_fill(path, rhs)
+    assert (r.status, r.coeffs, r.value, r.nodes) == ("optimal", [1, 1], 2, 1)
 
 
-def test_l1_fill_prefers_smaller_l1(no_proposer):
+def test_l1_fill_prefers_smaller_l1():
     # rhs reachable by one cell with coefficient 2 or two cells with 1 each:
     # column 0 covers both edges, columns 1/2 one edge each
     columns = [{0: 1, 1: 1}, {0: 1}, {1: 1}]
@@ -85,14 +69,14 @@ def test_l1_fill_prefers_smaller_l1(no_proposer):
     assert r.coeffs == [1, 0, 0]
 
 
-def test_l1_fill_rational_but_not_integer_feasible(no_proposer):
+def test_l1_fill_rational_but_not_integer_feasible():
     # odd triangle: rationally solvable (1/2 each) but no integer solution
     columns = [{0: 1, 1: 1}, {1: 1, 2: 1}, {0: 1, 2: 1}]
     r = l1_fill(FillSystem(columns, [0, 1, 2]), {0: 1, 1: 1, 2: 1})
     assert r.status == "infeasible"
 
 
-def test_l1_fill_branches_on_fractional_vertex(no_proposer):
+def test_l1_fill_branches_on_fractional_vertex():
     # 2 x0 + x1 = 1: LP relaxation sits at x0 = 1/2, integrality forces x1 = 1
     system, rhs = FillSystem([{0: 2}, {0: 1}], [0]), {0: 1}
     r = l1_fill(system, rhs)
@@ -105,7 +89,7 @@ def test_l1_fill_branches_on_fractional_vertex(no_proposer):
     assert lower_bound(system, [0.5], rhs, [-cap] * 2, [cap] * 2) >= r.value
 
 
-def test_l1_fill_closes_integrality_gap(no_proposer):
+def test_l1_fill_closes_integrality_gap():
     # 3 x0 + 2 x1 = 1: the LP value is 1/3, the integer optimum (1, -1) has
     # area 2, so the root bound cannot close and the search must branch
     r = l1_fill(FillSystem([{0: 3}, {0: 2}], [0]), {0: 1})
@@ -142,17 +126,12 @@ def _random_system(rng):
     return columns, list(range(m)), rhs, x
 
 
-def test_l1_fill_matches_exhaustive_enumeration(monkeypatch):
+def test_l1_fill_matches_exhaustive_enumeration():
     rng = random.Random(7)
     branched = 0
-    for trial in range(240):
+    for _ in range(240):
         columns, edge_ids, rhs, x = _random_system(rng)
-        # half the systems may take the MILP's chain where the root leaves a
-        # gap, half search from integer_solve's chain alone
-        with monkeypatch.context() as m:
-            if trial % 2 == 0:
-                m.setattr(exactlp, "propose", _propose_none)
-            r = l1_fill(FillSystem(columns, edge_ids), rhs)
+        r = l1_fill(FillSystem(columns, edge_ids), rhs)
         assert r.status == "optimal"
         assert solves(columns, r.coeffs, rhs)
         assert r.value == sum(map(abs, r.coeffs)) == _exhaustive_min(columns, rhs, sum(map(abs, x)))
@@ -320,21 +299,15 @@ def test_a_point_past_the_int64_bound_is_no_chain(monkeypatch):
 
 
 def _arrays(system):
-    matrix, *vectors = system.milp_arrays
-    return [
-        np.array(a, copy=True) for m in (matrix, system.lp_matrix) for a in (m.data, m.indices, m.indptr)
-    ] + [a.copy() for a in vectors]
+    return [np.array(a, copy=True) for m in (system.matrix, system.lp_matrix) for a in (m.data, m.indices, m.indptr)]
 
 
-def _solve(system, rhs, monkeypatch):
+def _solve(system, rhs):
     r = l1_fill(system, rhs)
-    with monkeypatch.context() as m:
-        m.setattr(exactlp, "propose", _propose_none)
-        s = l1_fill(system, rhs)
-    return propose(system, rhs), integer_solve(system, rhs), (r.status, r.coeffs, r.value, r.nodes), (s.status, s.coeffs, s.nodes)
+    return integer_solve(system, rhs), (r.status, r.coeffs, r.value, r.nodes)
 
 
-def test_fill_system_reuse_matches_fresh_system(monkeypatch):
+def test_fill_system_reuse_matches_fresh_system():
     # one system serves many right-hand sides: every solve on it equals the
     # same solve on a fresh system, and no cached array changes in place
     rng = random.Random(5)
@@ -350,7 +323,7 @@ def test_fill_system_reuse_matches_fresh_system(monkeypatch):
                     rhs[e] = rhs.get(e, 0) + v * w
             if rng.random() < 0.3:
                 rhs[rng.choice(edge_ids)] = rng.randint(-3, 3)  # often no integer solution
-            assert _solve(system, rhs, monkeypatch) == _solve(FillSystem(columns, edge_ids), rhs, monkeypatch)
+            assert _solve(system, rhs) == _solve(FillSystem(columns, edge_ids), rhs)
         assert all(np.array_equal(a, b) for a, b in zip(before, _arrays(system)))
 
 
@@ -358,27 +331,27 @@ def test_fill_system_refuses_edges_outside_its_rows():
     with pytest.raises(InvariantError, match="column edge 2"):
         FillSystem([{0: 1, 2: 1}], [0, 1])
     system = FillSystem([{0: 1, 1: -1}], [0, 1])
-    for solve in (propose, integer_solve, l1_fill):
+    for solve in (integer_solve, l1_fill):
         with pytest.raises(InvariantError, match="right-hand side edge 5"):
             solve(system, {0: 1, 5: 1})
     with pytest.raises(InvariantError, match="right-hand side edge 5"):
         lower_bound(system, [0.0, 0.0], {5: 1}, [0], [0])
 
 
-def test_node_budget_stops_the_search_with_the_milp_chain(monkeypatch):
-    # 5 x0 + 3 x1 = 2 branches past its root even from the MILP's chain
-    # (1, -1), so a budget of 1 node returns that chain rather than
-    # integer_solve's (-2, 4)
+def test_node_budget_stops_the_search_with_the_shortened_chain(monkeypatch):
+    # 5 x0 + 3 x1 = 2: the root's LP point (2/5, 0) rounds to no chain, so
+    # integer_solve supplies the incumbent, the Hermite chain (-2, 4)
+    # shortened by the kernel vector (3, -5) to the optimum (1, -1); the root
+    # still leaves a gap, so the search branches to prove it, and a budget of
+    # 1 node returns that chain
     system, rhs = FillSystem([{0: 5}, {0: 3}], [0]), {0: 2}
-    assert integer_solve(system, rhs) == [-2, 4]
+    assert integer_solve(system, rhs) == [1, -1]
+    assert system.kernel == [{0: 3, 1: -5}]
     r = l1_fill(system, rhs)
     assert (r.status, r.coeffs, r.value, r.nodes) == ("optimal", [1, -1], 2, 5)
     monkeypatch.setattr(exactlp, "NODE_BUDGET", 1)
     r = l1_fill(system, rhs)
     assert (r.status, r.coeffs, r.value) == ("budget", [1, -1], 2)
-    monkeypatch.setattr(exactlp, "propose", _propose_none)
-    r = l1_fill(system, rhs)
-    assert (r.status, r.coeffs, r.value) == ("budget", [-2, 4], 6)
 
 
 def _counted(monkeypatch, name):
@@ -394,33 +367,32 @@ def _counted(monkeypatch, name):
     return calls
 
 
-def test_milp_runs_once_and_only_when_the_root_leaves_a_gap(monkeypatch):
-    # the path system's root closes, so the MILP never runs; 3 x0 + 2 x1 = 1
-    # has LP value 1/3 below its integer optimum 2, so its root leaves a gap
-    # and the MILP runs once, however far the search then branches
-    calls = _counted(monkeypatch, "propose")
+def test_integer_solve_runs_once_and_only_when_the_root_point_is_no_chain(monkeypatch):
+    # the path system's root point is a chain, so integer_solve never runs
+    # and no Hermite reduction is built; 3 x0 + 2 x1 = 1 has LP value 1/3
+    # and a root point that rounds to no chain, so integer_solve runs once,
+    # however far the search then branches
+    calls = _counted(monkeypatch, "integer_solve")
     path, rhs = _path_system()
     assert l1_fill(path, rhs).nodes == 1
-    assert calls == []
+    assert calls == [] and "hermite" not in path.__dict__
     system, rhs = FillSystem([{0: 3}, {0: 2}], [0]), {0: 1}
     r = l1_fill(system, rhs)
     assert (r.status, r.value) == ("optimal", 2) and r.nodes > 1
     assert len(calls) == 1
-    # the MILP is only a shortcut: without its chain the search still proves
-    # the optimum
-    monkeypatch.setattr(exactlp, "propose", _propose_none)
-    r = l1_fill(system, rhs)
-    assert (r.status, r.value) == ("optimal", 2)
 
 
-def test_the_milp_stops_at_its_node_limit():
-    # without a node limit HiGHS's MILP on this system runs for minutes; at
-    # MILP_NODE_LIMIT it stops without a chain, and the search proves the
-    # optimum itself
+def test_the_root_is_solved_again_over_the_shortened_chains_box(monkeypatch):
+    # integer_solve's chain (1, 0, 1, -2) is already minimal; the first LP's
+    # duals leave a gap, so the root is solved again over the box
+    # |a_c| <= 3, and the search proves the area in 3 nodes and 4 LPs
+    lps = _counted(monkeypatch, "node_lp")
     system, rhs = FillSystem([{0: -1, 2: -3}, {0: 3, 2: 2}, {0: -2}, {0: 3}], [0, 1, 2]), {0: -9, 2: -3}
-    assert propose(system, rhs) is None
+    assert integer_solve(system, rhs) == [1, 0, 1, -2]
     r = l1_fill(system, rhs)
-    assert (r.status, r.coeffs, r.value, r.nodes) == ("optimal", [1, 0, 1, -2], 4, 33)
+    assert (r.status, r.coeffs, r.value, r.nodes, len(lps)) == ("optimal", [1, 0, 1, -2], 4, 3, 4)
+    (_, _, _, free_upper, _), (_, _, _, upper, _) = lps[:2]
+    assert np.isinf(free_upper[:8]).all() and (upper[:8] == 3).all()
     # no chain of area 3 or less solves the system
     box = range(-3, 4)
     assert not any(
@@ -428,75 +400,107 @@ def test_the_milp_stops_at_its_node_limit():
     )
 
 
-def test_a_smaller_milp_chain_is_the_incumbent_before_branching(monkeypatch):
-    # -3 x0 - 5 x1 = -3: integer_solve's chain (6, -3) has area 9 and the
-    # root LP point (0, 3/5) rounds to no solution, so the root leaves a
-    # gap; the MILP's (1, 0) replaces the incumbent and the root, solved
-    # again over its box, closes at 1 node
-    system, rhs = FillSystem([{0: -3}, {0: -5}], [0]), {0: -3}
-    assert integer_solve(system, rhs) == [6, -3]
-    r = l1_fill(system, rhs)
-    assert (r.status, r.coeffs, r.nodes) == ("optimal", [1, 0], 1)
-    monkeypatch.setattr(exactlp, "propose", _propose_none)
-    r = l1_fill(system, rhs)
-    assert (r.status, r.value) == ("optimal", 1) and r.nodes > 1
-
-
-def test_the_root_is_solved_again_over_a_smaller_incumbents_box(monkeypatch):
-    # the root's first LP has free columns and slacks at |rhs|_1 + 1 = 46;
-    # its rounded point is no chain, so integer_solve's chain (area 21,066)
-    # is the incumbent, and over its box the first duals stay below the
-    # optimum; the root is solved again over that box, where the bound stays
-    # 1 below the optimum, so the MILP runs, and its chain narrows the box to
-    # |a_c| <= 9, where the root closes: 1 node, 3 LP solves
+def test_the_shortened_chain_closes_the_root(monkeypatch):
+    # -3 x0 - 5 x1 = -3: the root LP point (0, 3/5) rounds to no solution,
+    # so integer_solve supplies the incumbent, the Hermite chain (6, -3)
+    # shortened by the kernel vector (-5, 3) to (1, 0), which the first
+    # LP's duals certify: 1 node, 1 LP
     lps = _counted(monkeypatch, "node_lp")
-    calls = _counted(monkeypatch, "propose")
+    system, rhs = FillSystem([{0: -3}, {0: -5}], [0]), {0: -3}
+    assert integer_solve(system, rhs) == [1, 0]
+    r = l1_fill(system, rhs)
+    assert (r.status, r.coeffs, r.value, r.nodes, len(lps)) == ("optimal", [1, 0], 1, 1, 1)
+
+
+def test_the_first_duals_certify_the_shortened_chain(monkeypatch):
+    # the root's first LP has free columns and slacks at |rhs|_1 + 1 = 46;
+    # its rounded point is no chain, so integer_solve's shortened chain (area
+    # 10) is the incumbent, and the first LP's duals certify it over the box
+    # |a_c| <= 9: 1 node, 1 LP, 1 integer_solve call
+    lps = _counted(monkeypatch, "node_lp")
     starts = _counted(monkeypatch, "integer_solve")
     columns = [{1: -2, 2: 4}, {0: -2, 1: 5}, {0: 3, 1: -1}, {0: -3, 1: -5, 2: -4}, {}, {0: -4, 1: -4}]
     system, rhs = FillSystem(columns, [0, 1, 2]), {0: 23, 1: -14, 2: 8}
     r = l1_fill(system, rhs)
-    assert (r.status, r.coeffs, r.nodes, len(lps), len(calls), len(starts)) == (
-        "optimal", [2, -3, 3, 0, 0, -2], 1, 3, 1, 1
+    assert (r.status, r.coeffs, r.value, r.nodes, len(lps), len(starts)) == (
+        "optimal", [2, -3, 3, 0, 0, -2], 10, 1, 1, 1
     )
-    assert sum(map(abs, integer_solve(system, rhs))) == 21_066
-    (_, free_cost, _, free_upper, _), (_, wide_cost, _, wide_upper, _), (_, cost, _, upper, _) = lps
-    assert np.isinf(free_upper[:12]).all() and (free_cost[12:] == 46).all()
-    assert (wide_upper[:12] == 21_065).all() and (wide_cost[12:] == 21_066).all()
-    assert (upper[:12] == 9).all() and (cost[12:] == 10).all()
-    # without the MILP's chain the same search branches to 37 nodes
-    with monkeypatch.context() as m:
-        m.setattr(exactlp, "propose", _propose_none)
-        r = l1_fill(system, rhs)
-    assert (r.status, r.value, r.nodes) == ("optimal", 10, 37)
+    ((_, cost, _, upper, _),) = lps
+    assert np.isinf(upper[:12]).all() and (cost[12:] == 46).all()
     # here the root's first rounded point is a minimal chain, and its duals
-    # certify it: 1 LP, no MILP and no Hermite reduction, where integer_solve
-    # would have started from area 661,626
+    # certify it: 1 LP and no Hermite reduction
     columns = [{2: -5}, {0: -5, 1: -2}, {0: 2, 1: -5, 2: -5}, {1: 3, 2: -1}]
     system, rhs = FillSystem(columns, [0, 1, 2]), {0: -16, 1: 14, 2: 14}
     lps.clear()
-    calls.clear()
     starts.clear()
     r = l1_fill(system, rhs)
-    assert (r.status, r.coeffs, r.nodes, len(lps), len(calls), len(starts)) == ("optimal", [0, 2, -3, 1], 1, 1, 0, 0)
+    assert (r.status, r.coeffs, r.nodes, len(lps), len(starts)) == ("optimal", [0, 2, -3, 1], 1, 1, 0)
     assert "hermite" not in system.__dict__
-    assert sum(map(abs, integer_solve(system, rhs))) == 661_626
+
+
+def _planted_system(rng, rows, cols):
+    """Random columns with entries in [-3, 3], a planted chain with entries in
+    [-3, 3], and the chain's boundary with its zeros dropped."""
+    columns = [{i: v for i in range(rows) if (v := rng.randint(-3, 3))} for _ in range(cols)]
+    x = [rng.randint(-3, 3) for _ in range(cols)]
+    rhs = {}
+    for v, col in zip(x, columns):
+        for e, w in col.items():
+            rhs[e] = rhs.get(e, 0) + v * w
+    return columns, x, {e: v for e, v in rhs.items() if v}
+
+
+def test_six_by_nine_systems_fill_from_shortened_chains():
+    # an unshortened Hermite chain on these systems has an area in the
+    # hundreds of thousands, which a search of NODE_BUDGET nodes from it
+    # need not bring down to the optimum; every fill here is optimal and no
+    # larger than the planted chain
+    rng = random.Random(5)
+    for _ in range(20):
+        columns, x, rhs = _planted_system(rng, 6, 9)
+        r = l1_fill(FillSystem(columns, list(range(6))), rhs)
+        assert r.status == "optimal"
+        assert solves(columns, r.coeffs, rhs)
+        assert r.value == sum(map(abs, r.coeffs)) <= sum(map(abs, x))
+
+
+@pytest.mark.parametrize("name", ["z3_ext.grp", "heis_ext.grp"])
+def test_integer_solve_is_minimal_on_the_unpeeled_ball_fills(name):
+    # on every unpeeled fill at radius 4 the shortened particular solution
+    # already has the fill's minimal area
+    for system, rhs in _root_systems(name, 4)[1:]:
+        x = integer_solve(system, rhs)
+        assert solves(system.columns, x, rhs)
+        assert sum(map(abs, x)) == l1_fill(system, rhs).value
+
+
+def test_the_kernel_is_a_shortened_basis_of_the_zero_boundaries():
+    # each kernel vector has zero boundary, there are n - rank of them, and
+    # no vector shortens against another; on random systems and a ball's
+    rng = random.Random(23)
+    systems = [FillSystem(_planted_system(rng, 4, 7)[0], list(range(4))) for _ in range(30)]
+    systems.append(_root_systems("z3_ext.grp", 3)[1][0])
+    for system in systems:
+        kernel = system.kernel
+        n = len(system.columns)
+        dense = [[v.get(c, 0) for c in range(n)] for v in kernel]
+        assert len(kernel) == n - len(system.hermite[2])
+        assert all(solves(system.columns, v, {}) for v in dense)
+        assert len(kernel) == 0 or np.linalg.matrix_rank(np.array(dense, dtype=float)) == len(kernel)
+        for u, w in itertools.permutations(kernel, 2):
+            assert not exactlp._shorten(dict(u), w)
 
 
 def test_a_root_point_that_is_no_chain_falls_back_to_integer_solve(monkeypatch):
     # 2 x0 + 3 x1 = 1: the root's LP point (0, 1/3) rounds to 0, which is
     # no chain, so integer_solve's chain is the incumbent (the Hermite
-    # reduction is built) and the search proves area 2, with or without
-    # the MILP's chain
-    for proposer in (True, False):
-        with monkeypatch.context() as m:
-            if not proposer:
-                m.setattr(exactlp, "propose", _propose_none)
-            system, rhs = FillSystem([{0: 2}, {0: 3}], [0]), {0: 1}
-            r, lps = _node_lps(m, system, rhs)
-        point = lps[0][1][0]
-        assert (point[0] - point[2], point[1] - point[3]) == pytest.approx((0, 1 / 3))
-        assert (r.status, r.value) == ("optimal", 2) and solves(system.columns, r.coeffs, rhs)
-        assert "hermite" in system.__dict__
+    # reduction is built) and the search proves area 2
+    system, rhs = FillSystem([{0: 2}, {0: 3}], [0]), {0: 1}
+    r, lps = _node_lps(monkeypatch, system, rhs)
+    point = lps[0][1][0]
+    assert (point[0] - point[2], point[1] - point[3]) == pytest.approx((0, 1 / 3))
+    assert (r.status, r.value) == ("optimal", 2) and solves(system.columns, r.coeffs, rhs)
+    assert "hermite" in system.__dict__
 
 
 def _node_lps(monkeypatch, system, rhs):

@@ -13,7 +13,7 @@ from homfill.backends import letter_order
 from homfill.cayley import OneCycle, TwoChain, boundary_2, build_ball, loop_to_cycle
 from homfill.cli import load_group
 from homfill.errors import DomainError, InvariantError
-from homfill.exactlp import l1_fill, propose
+from homfill.exactlp import integer_solve, l1_fill
 from homfill.filling import (
     check_preceq,
     enumerate_identity_cycles,
@@ -222,14 +222,9 @@ def test_check_preceq_linear_below_quadratic(monkeypatch):
     assert res.holds and res.constant == 1
 
 
-@pytest.mark.parametrize("root", ["proposer", "no-proposer"])
 @pytest.mark.parametrize("path", GROUP_FILES, ids=os.path.basename)
-def test_exact_matches_brute_force_on_group_files(path, root, monkeypatch):
-    # f2.grp has no relators, so its ball is a tree with no nonzero cycles;
-    # "no-proposer" makes the HiGHS MILP propose nothing, which no fill here
-    # needs: every root closes
-    if root == "no-proposer":
-        monkeypatch.setattr(exactlp, "propose", lambda *args: None)
+def test_exact_matches_brute_force_on_group_files(path, monkeypatch):
+    # f2.grp has no relators, so its ball is a tree with no nonzero cycles
     group = load_group(path)
     ball = build_ball(group.backend, group.hom_pres, 3)
     cycles = enumerate_identity_cycles(ball, 6)
@@ -250,6 +245,21 @@ def test_exact_matches_brute_force_on_group_files(path, root, monkeypatch):
             unpeeled = bool(filling._peel_forced(ball, cycle.coeffs)[2])
             assert exact.nodes == unpeeled, word
     assert 2 * skipped <= len(sample)
+
+
+@pytest.mark.parametrize("path", GROUP_FILES, ids=os.path.basename)
+def test_the_area_of_a_multiple_is_at_most_the_multiple_of_the_area(path):
+    # k gamma is filled by k times gamma's minimal chain, so its minimal
+    # area is at most k area(gamma); each identity cycle of length <= 6 at
+    # radius 3 is checked at k = 2 and 3
+    group = load_group(path)
+    ball = build_ball(group.backend, group.hom_pres, 3)
+    for _, cycle, word in enumerate_identity_cycles(ball, 6):
+        area = harea_fill(ball, cycle)
+        assert area.optimal(), word
+        for k in (2, 3):
+            multiple = harea_fill(ball, cycle.scale(k))
+            assert multiple.optimal() and multiple.area <= k * area.area, (word, k)
 
 
 def test_peel_recovers_chains_on_collapsible_cells():
@@ -364,17 +374,17 @@ def test_residual_edge_outside_the_fill_system_is_an_invariant_error():
     ball = _lifetime_ball("z3_ext.grp", 3)
     system = ball.fill_system
     outside = next(e for e in range(len(ball.edges)) if e not in system.row)
-    for solve in (propose, l1_fill):
+    for solve in (integer_solve, l1_fill):
         with pytest.raises(InvariantError, match=f"right-hand side edge {outside} "):
             solve(system, {system.edge_ids[0]: 1, outside: 1})
 
 
 def test_unpeeled_fills_close_at_the_root_without_the_milp(monkeypatch):
     # every unpeeled fill of each extension sample is certified by its root
-    # LP alone: the HiGHS MILP runs only when the root leaves a gap, and
-    # none does
+    # LP alone, whose rounded point is a chain: none calls integer_solve or
+    # builds the ball's Hermite reduction
     calls = []
-    monkeypatch.setattr(exactlp, "propose", lambda *args: calls.append(args))
+    monkeypatch.setattr(exactlp, "integer_solve", lambda *args: calls.append(args))
     for file in ("z3_ext.grp", "heis_ext.grp", "z2_by_f2.grp"):
         ball = _lifetime_ball(file, 3)
         cycles = _unpeeled_cycles(ball, None)
@@ -382,6 +392,7 @@ def test_unpeeled_fills_close_at_the_root_without_the_milp(monkeypatch):
         for cycle in cycles:
             result = harea_fill(ball, cycle)
             assert (result.status, result.nodes) == ("optimal", 1)
+        assert "hermite" not in ball.fill_system.__dict__
     assert calls == []
 
 
@@ -399,7 +410,7 @@ def test_node_budget_reports_budget_exceeded(monkeypatch):
 def test_the_first_lp_certifies_without_a_hermite_reduction(monkeypatch):
     # every unpeeled fill of z3_ext and heis_ext at radius 4 closes on its
     # root's first LP, whose rounded point is the incumbent: no fill builds
-    # the ball's Hermite reduction or its MILP arrays
+    # the ball's Hermite reduction
     lps = []
     node_lp = exactlp.node_lp
     monkeypatch.setattr(exactlp, "node_lp", lambda *args: lps.append(args) or node_lp(*args))
@@ -415,4 +426,3 @@ def test_the_first_lp_certifies_without_a_hermite_reduction(monkeypatch):
                 unpeeled += 1
         assert unpeeled > 100 and len(lps) == unpeeled
         assert "hermite" not in ball.fill_system.__dict__
-        assert "milp_arrays" not in ball.fill_system.__dict__
