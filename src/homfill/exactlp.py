@@ -3,25 +3,32 @@
 Every HiGHS call of the package is made here.  One ``FillSystem`` holds
 everything about min sum |a_c| subject to sum_c a_c * columns[c] = rhs that
 does not depend on the right-hand side: the row index, the columns as
-exact int64, the node LP's matrix and its one HiGHS model, and -- built
+exact int64 and as per-row incidence lists, one HiGHS object, and -- built
 only for the fills that need them -- the integer column reduction and its
 shortened kernel basis.  A ball builds one system, and each fill supplies
 its right-hand side.
 
-* ``l1_fill`` -- the one exact-fill call: branch and bound for min sum |a_c|
-  subject to B a = rhs over the integers, on HiGHS node LPs, stopped after
-  ``NODE_BUDGET`` nodes; every prune is a ``lower_bound``.  Its root LP is
-  solved before any chain is known, over free columns, and its rounded
-  point is the incumbent when it is a chain, else ``integer_solve``'s chain
-  is.  The root node, over the box |a_c| <= area - 1, certifies the
-  incumbent; where the first LP's duals leave a gap the root is solved again
-  over that box, and where that does not prune either the search branches.
-* ``node_lp`` -- one node LP on the system's HiGHS model, which is passed
-  to HiGHS once (``FillSystem.lp_model``): each node changes only the column
-  costs, column bounds and row bounds that differ from those the model
-  holds, and solves from a cold start without presolve, so a node's point
-  and duals do not depend on the nodes and fills solved before it and equal
-  those of ``linprog(method="highs")`` with presolve off.
+* ``l1_fill`` -- the one exact-fill call: branch and price for min sum
+  |a_c| subject to B a = rhs over the integers, stopped after
+  ``NODE_BUDGET`` nodes; every prune is a ``lower_bound`` over the whole
+  system.  Each node LP runs on the fill's local columns: at first the
+  cells that touch the right-hand side's rows, over the rows they touch.
+  Each node prices the whole system with the LP's duals rounded to the
+  certificate's integers and extended by zero, adds every column that
+  prices out and solves again, before it may prune (column generation).
+  The root LP is solved before any chain is known, over free columns, and
+  its rounded point is the incumbent when it is a chain, else
+  ``integer_solve``'s chain is.  The root node, over the box |a_c| <= area
+  - 1, certifies the incumbent; where the first LP's duals leave a gap the
+  root is solved again over that box, and where that does not prune either
+  the search branches.
+* ``local_lp`` -- the elastic LP of a set of columns: their entries over
+  the rows they touch and the right-hand side's, and one slack pair per row.
+* ``node_lp`` -- one node LP, passed whole to the system's one HiGHS object,
+  which drops the basis of the LP before it: every solve starts cold,
+  without presolve, so a node's point and duals do not depend on the nodes
+  and fills solved before it and equal those of ``linprog(method="highs")``
+  with presolve off.
 * ``as_chain`` -- the one chain check: a rounded point is a chain when one
   exact int64 sparse product gives the right-hand side; a point large
   enough that the product could overflow is no chain.
@@ -30,17 +37,18 @@ its right-hand side.
   basis (``FillSystem.kernel``), or None, which proves that no integer
   solution exists; ``l1_fill`` calls it only when the root's rounded point
   is not a chain.
-* ``lower_bound`` -- the one certificate: the node LP's HiGHS duals rounded
-  to integers over the constant denominator ``DUAL_SCALE`` give an exact
-  lower bound on sum |a_c| over a box of integer chains.  Every dual vector
-  gives a valid bound, so rounding can weaken it but never make it wrong.
-  It is int64 array arithmetic, one sparse product with the system's int64
-  columns, used only after a float64 check proves that no partial sum it
-  forms reaches 2**63; a failed check raises InvariantError, never a
-  wrapped bound.
+* ``lower_bound`` -- the one certificate: row duals rounded to integers
+  over the constant denominator ``DUAL_SCALE`` give an exact lower bound on
+  sum |a_c| over a box of integer chains.  Every dual vector gives a valid
+  bound, so rounding, and the zeros outside a local LP's rows, can weaken
+  it but never make it wrong.  It is int64 array arithmetic, one sparse
+  product with the system's int64 columns -- the product pricing reads --
+  used only after a float64 check proves that no partial sum it forms
+  reaches 2**63; a failed check raises InvariantError, never a wrapped
+  bound.
 
-``l1_fill`` keeps each node's box as int64 arrays, so the exact side of a
-fill runs on arrays throughout.
+``l1_fill`` keeps each node's box as int64 arrays over every column, so
+the exact side of a fill runs on arrays throughout.
 """
 
 from __future__ import annotations
@@ -49,6 +57,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -89,12 +98,11 @@ class FillSystem:
     with what every solve over them shares, built once.
 
     ``columns[c]`` maps edge id to the net boundary coefficient of cell c.
-    ``entries[c]`` lists the same column as (row position, value) pairs, and
-    ``matrix`` holds the columns as an exact int64 sparse array, with
+    ``entries[c]`` lists the same column as (row position, value) pairs,
+    ``incident[i]`` the columns with an entry in row i, in increasing order,
+    and ``matrix`` holds the columns as an exact int64 sparse array, with
     ``matrix_t`` its transpose; ``weights[c]`` is column c's L1 norm, or 1
-    for a zero column, and ``max_weight`` the largest weight.  ``lp_matrix`` is
-    the elastic node LP's matrix over (p, q, s+, s-), with a = p - q and
-    one slack pair per row; ``lp_model`` is its HiGHS model.
+    for a zero column, and ``max_weight`` the largest weight.
     """
 
     def __init__(self, columns: list[dict[int, int]], edge_ids: list[int]):
@@ -106,9 +114,11 @@ class FillSystem:
             self.entries = [[(self.row[e], v) for e, v in col.items()] for col in columns]
         except KeyError as exc:
             raise InvariantError(f"column edge {exc.args[0]} is not a row of the fill system") from None
+        self.incident: list[list[int]] = [[] for _ in range(m)]
         rows, cols, vals = [], [], []
         for k, col in enumerate(self.entries):
             for i, v in col:
+                self.incident[i].append(k)
                 rows.append(i)
                 cols.append(k)
                 vals.append(v)
@@ -118,34 +128,15 @@ class FillSystem:
         self.weights = np.maximum(abs(self.matrix).sum(axis=0), 1).astype(float)
         self.max_weight = float(self.weights.max(initial=1.0))
 
-        a_mat = sp.csc_matrix(self.matrix, dtype=float)
-        eye = sp.identity(m, format="csc")
-        self.lp_matrix = sp.hstack([a_mat, -a_mat, eye, -eye], format="csc")
-
     @cached_property
-    def lp_model(self) -> tuple[highs._Highs, tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
-        """(HiGHS model of the node LP, the (costs, column lower bounds,
-        column upper bounds, right-hand side) it holds): the model is passed
-        ``lp_matrix`` once, with zero costs, free columns and right-hand
-        side 0, and ``node_lp`` changes in place what differs.  Built on
-        first use."""
+    def highs_model(self) -> highs._Highs:
+        """The HiGHS object, with ``LP_OPTIONS`` set, that ``node_lp`` passes
+        every node LP on the system to.  Built on first use."""
         model = highs._Highs()
         statuses = [model.setOptionValue(option, value) for option, value in LP_OPTIONS.items()]
-        m, k = self.lp_matrix.shape
-        lp = highs.HighsLp()
-        lp.num_col_, lp.num_row_ = k, m
-        lp.col_cost_ = np.zeros(k)
-        lp.col_lower_, lp.col_upper_ = np.full(k, -np.inf), np.full(k, np.inf)
-        lp.row_lower_, lp.row_upper_ = np.zeros(m), np.zeros(m)
-        lp.a_matrix_.format_ = highs.MatrixFormat.kColwise
-        lp.a_matrix_.num_col_, lp.a_matrix_.num_row_ = k, m
-        lp.a_matrix_.start_ = self.lp_matrix.indptr
-        lp.a_matrix_.index_ = self.lp_matrix.indices
-        lp.a_matrix_.value_ = self.lp_matrix.data
-        statuses.append(model.passModel(lp))
         if highs.HighsStatus.kError in statuses:
-            raise InvariantError("HiGHS refused the node LP's options or model")
-        return model, (np.zeros(k), np.full(k, -np.inf), np.full(k, np.inf), np.zeros(m))
+            raise InvariantError("HiGHS refused the node LP's options")
+        return model
 
     def dense(self, rhs: dict[int, int]) -> list[int]:
         """``rhs`` as one integer per row."""
@@ -281,15 +272,41 @@ def as_chain(system: FillSystem, point: np.ndarray, b: np.ndarray) -> np.ndarray
     return chain if np.array_equal(system.matrix @ chain, b) else None
 
 
+def _integer_duals(system: FillSystem, marginals, b: np.ndarray) -> np.ndarray:
+    """The float duals ``marginals``, one per row of the system, rounded half
+    to even to the int64 vector Y over D = DUAL_SCALE, after float64 checks
+    that max|Y| times the largest column weight and sum_i |Y_i b_i| are
+    below 2**62, so that A^T Y and Y.b are exact in int64; a dual that is not
+    finite or a failed check raises InvariantError."""
+    y = np.rint(np.asarray(marginals, dtype=float) * DUAL_SCALE)
+    if not np.isfinite(y).all():
+        raise InvariantError("a node LP dual is not finite")
+    y_abs = np.abs(y)
+    _check_magnitude("max |Y| times the largest column weight", y_abs.max(initial=0.0) * system.max_weight)
+    _check_magnitude("sum |Y_i rhs_i|", y_abs @ np.abs(b))
+    return y.astype(np.int64)
+
+
+def _bound(y: np.ndarray, s: np.ndarray, b: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> int:
+    """``lower_bound``'s bound from the integer duals Y, s = A^T Y, the
+    right-hand side b and the box, with the last of its magnitude checks."""
+    lo, hi = np.asarray(lo, dtype=np.int64), np.asarray(hi, dtype=np.int64)
+    a = np.where(s > DUAL_SCALE, hi, np.where(s < -DUAL_SCALE, lo, np.maximum(lo, np.minimum(hi, 0))))
+    slope = DUAL_SCALE * np.sign(a) - s
+    _check_magnitude("the box terms' sum of magnitudes", np.abs(slope.astype(float)) @ np.abs(a.astype(float)))
+    total = int(y @ b) + int(slope @ a)
+    return -(-total // DUAL_SCALE)
+
+
 def lower_bound(
     system: FillSystem, marginals, rhs: dict[int, int], lo: np.ndarray | list[int], hi: np.ndarray | list[int]
 ) -> int:
     """Exact lower bound on sum_c |a_c| over the integer chains a with
     lo[c] <= a_c <= hi[c] and sum_c a_c * columns[c] = rhs.
 
-    The float duals ``marginals`` (one per row of the system, as ``node_lp``
-    reads them from the model's row duals) are rounded half to even to an
-    integer vector Y over D = DUAL_SCALE.  Every such chain satisfies
+    The float duals ``marginals`` (one per row of the system: a node LP's
+    row duals on its local rows, 0 on the others) are rounded half to even
+    to an integer vector Y over D = DUAL_SCALE.  Every such chain satisfies
     D sum_c |a_c| = Y.rhs + sum_c (D |a_c| - s_c a_c) with s = A^T Y, and
     each summand is convex in a_c, so it is smallest over [lo_c, hi_c] at
     hi_c when s_c > D, at lo_c when s_c < -D, and else at the point of the
@@ -300,47 +317,77 @@ def lower_bound(
     product, each summand as (D sign(a_c) - s_c) a_c at its minimiser.
     Before using them it checks, in float64, that max|Y| times the largest
     column weight (its L1 norm, at least 1), sum_i |Y_i rhs_i| and the sum
-    of the summands' magnitudes are each below 2**62.  These bound every partial sum formed below 2**63,
-    with a factor 2 left for the float64 rounding of the check, so the
-    arithmetic is exact; a dual that is not finite or a failed check raises
-    InvariantError.
+    of the summands' magnitudes are each below 2**62.  These bound every
+    partial sum formed below 2**63, with a factor 2 left for the float64
+    rounding of the check, so the arithmetic is exact; a dual that is not
+    finite or a failed check raises InvariantError.
     """
-    y = np.rint(np.asarray(marginals, dtype=float) * DUAL_SCALE)
-    if not np.isfinite(y).all():
-        raise InvariantError("a node LP dual is not finite")
     b = np.array(system.dense(rhs), dtype=np.int64)
-    y_abs = np.abs(y)
-    _check_magnitude("max |Y| times the largest column weight", y_abs.max(initial=0.0) * system.max_weight)
-    _check_magnitude("sum |Y_i rhs_i|", y_abs @ np.abs(b))
-    y = y.astype(np.int64)
-    s = system.matrix_t @ y
-    lo, hi = np.asarray(lo, dtype=np.int64), np.asarray(hi, dtype=np.int64)
-    a = np.where(s > DUAL_SCALE, hi, np.where(s < -DUAL_SCALE, lo, np.maximum(lo, np.minimum(hi, 0))))
-    slope = DUAL_SCALE * np.sign(a) - s
-    _check_magnitude("the box terms' sum of magnitudes", np.abs(slope.astype(float)) @ np.abs(a.astype(float)))
-    total = int(y @ b) + int(slope @ a)
-    return -(-total // DUAL_SCALE)
+    y = _integer_duals(system, marginals, b)
+    return _bound(y, system.matrix_t @ y, b, lo, hi)
+
+
+class LocalLP(NamedTuple):
+    """The elastic LP of some of a system's columns: ``columns`` and ``rows``
+    are the system positions, ascending, of its k cells and r edges, and
+    (start, index, value) is its matrix in compressed-column form over
+    (p, q, s+, s-) -- a = p - q on the cells, one slack pair per row -- so
+    it has 2k + 2r columns and r rows."""
+
+    columns: list[int]
+    rows: list[int]
+    start: np.ndarray
+    index: np.ndarray
+    value: np.ndarray
+
+
+def local_lp(system: FillSystem, columns: list[int], rhs_rows: list[int]) -> LocalLP:
+    """The elastic LP of ``columns`` (ascending system positions) over the
+    rows they touch and ``rhs_rows``; the rows outside it hold no entry of
+    these columns."""
+    entries = system.entries
+    rows = sorted({i for c in columns for i, _ in entries[c]}.union(rhs_rows))
+    at = dict(zip(rows, range(len(rows))))
+    index, value, start = [], [], [0]
+    for c in columns:
+        for i, v in entries[c]:
+            index.append(at[i])
+            value.append(v)
+        start.append(len(index))
+    nnz, r = len(index), len(rows)
+    cells = np.array(start, dtype=np.int32)
+    eye = np.arange(r, dtype=np.int32)
+    index, value = np.array(index, dtype=np.int32), np.array(value, dtype=float)
+    return LocalLP(
+        columns,
+        rows,
+        np.concatenate([cells, nnz + cells[1:], 2 * nnz + 1 + np.arange(2 * r, dtype=np.int32)]),
+        np.concatenate([index, index, eye, eye]),
+        np.concatenate([value, -value, np.ones(r), -np.ones(r)]),
+    )
 
 
 def node_lp(
-    system: FillSystem, cost: np.ndarray, lower: np.ndarray, upper: np.ndarray, b: np.ndarray
+    system: FillSystem, lp: LocalLP, cost: np.ndarray, lower: np.ndarray, upper: np.ndarray, b: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray] | None:
-    """min cost.v subject to lp_matrix v = b and lower <= v <= upper, on
-    the system's HiGHS model: (v, row duals), or None unless HiGHS reports
-    the LP optimal.  Each solve starts cold, as a fresh model's would."""
-    model, (held_cost, held_lower, held_upper, held_b) = system.lp_model
-    cols = np.flatnonzero(cost != held_cost).astype(np.int32)
-    if len(cols):
-        model.changeColsCost(len(cols), cols, cost[cols])
-        held_cost[cols] = cost[cols]
-    cols = np.flatnonzero((lower != held_lower) | (upper != held_upper)).astype(np.int32)
-    if len(cols):
-        model.changeColsBounds(len(cols), cols, lower[cols], upper[cols])
-        held_lower[cols], held_upper[cols] = lower[cols], upper[cols]
-    for i in np.flatnonzero(b != held_b):
-        model.changeRowBounds(int(i), b[i], b[i])
-        held_b[i] = b[i]
-    model.clearSolver()
+    """min cost.v subject to M v = b and lower <= v <= upper, with M
+    ``lp``'s matrix and b its rows' right-hand side, on the system's HiGHS
+    object: (v, row duals), or None unless HiGHS reports the LP optimal.
+    ``passModel`` replaces the object's LP and drops its basis, so each
+    solve starts cold, as a fresh object's would."""
+    model = system.highs_model
+    k, m = len(cost), len(b)
+    model_lp = highs.HighsLp()
+    model_lp.num_col_, model_lp.num_row_ = k, m
+    model_lp.col_cost_ = cost
+    model_lp.col_lower_, model_lp.col_upper_ = lower, upper
+    model_lp.row_lower_, model_lp.row_upper_ = b, b
+    matrix = model_lp.a_matrix_
+    matrix.format_ = highs.MatrixFormat.kColwise
+    matrix.num_col_, matrix.num_row_ = k, m
+    matrix.start_, matrix.index_, matrix.value_ = lp.start, lp.index, lp.value
+    if model.passModel(model_lp) == highs.HighsStatus.kError:
+        raise InvariantError("HiGHS refused a node LP")
     model.run()
     if model.getModelStatus() != highs.HighsModelStatus.kOptimal:
         return None
@@ -354,6 +401,10 @@ class FillSolve:
     coeffs: list[int] | None
     value: int | None
     nodes: int
+    # the fill's local columns when it ended, and its node LPs, each of which
+    # priced every column outside them
+    lp_columns: int = 0
+    pricing_rounds: int = 0
 
 
 def _split(x: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> tuple[int, int, bool] | None:
@@ -389,53 +440,85 @@ def l1_fill(system: FillSystem, rhs: dict[int, int]) -> FillSolve:
     passes ``NODE_BUDGET`` nodes, the root's first LP included, stops with
     status budget and the best chain found so far.
 
-    Depth-first branch and bound over boxes lo <= a <= hi, clipped to
+    Depth-first branch and price over boxes lo <= a <= hi, clipped to
     |a_c| <= incumbent area - 1, which every better chain satisfies; so
     every box below the root is finite and so is the tree.  Each node LP is
-    elastic -- a slack on every edge row -- so it always has duals.  A slack
-    costs the incumbent area, or |rhs|_1 + 1 at the root's first LP, where
-    no area is known: an LP leaves unused every slack that costs more than
-    its largest dual, and on the sample groups' fills the first LP's duals
-    stay within a fifth of |rhs|_1 + 1.  The cost decides only whether the
-    first point is a chain, never what ``lower_bound`` certifies.  A node is
-    pruned only when ``lower_bound`` over its box reaches the incumbent area.
+    elastic -- a slack on every row -- so it always has duals, and runs on
+    the fill's local columns: at first the cells that touch the right-hand
+    side's rows, joined by every cell a box keeps away from 0.  The node
+    rounds the LP's duals to the integer Y of ``lower_bound``, extends Y by
+    zero to every row of the system and forms s = A^T Y; every column
+    outside the local ones with |s_c| > DUAL_SCALE, which could lower the
+    LP's value, joins them, and the node solves again, until none joins.
+    Only then is its point, over every column, checked by ``as_chain``, and
+    its bound taken from the same s over the whole box: a bound that holds
+    for any Y, so pricing decides only how fast a fill is, never what is
+    certified.
+
+    A slack costs the incumbent area, or |rhs|_1 + 1 at the root's first
+    LP, where no area is known: an LP leaves unused every slack that costs
+    more than its largest dual, and on the sample groups' fills the first
+    LP's duals stay within a fifth of |rhs|_1 + 1.  The cost decides only
+    whether the first point is a chain, never what ``lower_bound``
+    certifies.  A node is pruned only when ``lower_bound`` over its box
+    reaches the incumbent area.
 
     Boxes are int64 arrays, and a point is a chain only through
     ``as_chain``; an incumbent of area 2**62 or more, which only
     ``integer_solve`` could supply, raises InvariantError.
     """
-    n, slacks = len(system.columns), 2 * len(system.edge_ids)
+    n = len(system.columns)
     b = np.array(system.dense(rhs), dtype=np.int64)
     if not b.any():
         return FillSolve("optimal", [0] * n, 0, 0)
-    b_float = b.astype(float)
+    rhs_rows = np.flatnonzero(b).tolist()
+    local = np.zeros(n, dtype=bool)
+    local[[c for i in rhs_rows for c in system.incident[i]]] = True
     best, best_value = None, math.inf
     first_slack_cost = float(np.abs(b).sum() + 1)
-    slack_lower, slack_upper = np.zeros(slacks), np.full(slacks, np.inf)
 
-    nodes = 0
+    nodes = rounds = 0
     stack = [None]  # the root's first LP, over free columns
     while stack:
         box = stack.pop()
-        if box is None:
-            lower, upper = np.zeros(2 * n + slacks), np.full(2 * n + slacks, np.inf)
-        else:
+        if box is not None:
             cap = best_value - 1
             lo, hi = np.maximum(box[0], -cap), np.minimum(box[1], cap)
             if (lo > hi).any():
                 continue
-            # a = p - q with p, q >= 0 boxed so that p - q ranges over [lo, hi]
-            lower = np.concatenate([np.maximum(lo, 0), np.maximum(-hi, 0), slack_lower])
-            upper = np.concatenate([np.maximum(hi, 0), np.maximum(-lo, 0), slack_upper])
+            local |= (lo > 0) | (hi < 0)
         nodes += 1
         if nodes > NODE_BUDGET:
-            return FillSolve("budget", best, None if best is None else best_value, nodes)
+            return FillSolve("budget", best, None if best is None else best_value, nodes, int(local.sum()), rounds)
         slack_cost = first_slack_cost if best is None else float(best_value)
-        cost = np.concatenate([np.ones(2 * n), np.full(slacks, slack_cost)])
-        solved = node_lp(system, cost, lower, upper, b_float)
-        if solved is not None:
+        while True:
+            columns = np.flatnonzero(local)
+            lp = local_lp(system, columns.tolist(), rhs_rows)
+            width, slacks = len(columns), 2 * len(lp.rows)
+            cost = np.concatenate([np.ones(2 * width), np.full(slacks, slack_cost)])
+            if box is None:
+                lower, upper = np.zeros(2 * width + slacks), np.full(2 * width + slacks, np.inf)
+            else:
+                # a = p - q with p, q >= 0 boxed so that p - q ranges over [lo, hi]
+                lo_k, hi_k = lo[columns], hi[columns]
+                lower = np.concatenate([np.maximum(lo_k, 0), np.maximum(-hi_k, 0), np.zeros(slacks)])
+                upper = np.concatenate([np.maximum(hi_k, 0), np.maximum(-lo_k, 0), np.full(slacks, np.inf)])
+            solved = node_lp(system, lp, cost, lower, upper, b[lp.rows].astype(float))
+            rounds += 1
+            if solved is None:
+                break
             lp_point, duals = solved
-            x = lp_point[:n] - lp_point[n : 2 * n]
+            marginals = np.zeros(len(b))
+            marginals[lp.rows] = duals
+            y = _integer_duals(system, marginals, b)
+            s = system.matrix_t @ y
+            joining = (np.abs(s) > DUAL_SCALE) & ~local
+            if not joining.any():
+                break
+            local |= joining
+        if solved is not None:
+            x = np.zeros(n)
+            x[columns] = lp_point[:width] - lp_point[width : 2 * width]
             point = np.rint(x) if box is None else np.clip(np.rint(x), lo, hi)
             chain = as_chain(system, point, b)
             if chain is not None and (value := int(np.abs(chain).sum())) < best_value:
@@ -444,19 +527,18 @@ def l1_fill(system: FillSystem, rhs: dict[int, int]) -> FillSolve:
             # the root's first LP gave no chain
             best = integer_solve(system, rhs)
             if best is None:
-                return FillSolve("infeasible", None, None, nodes)
+                return FillSolve("infeasible", None, None, nodes, int(local.sum()), rounds)
             best_value = sum(map(abs, best))
             _check_magnitude("integer_solve's chain area", best_value)
         if solved is None:
-            return FillSolve("budget", best, best_value, nodes)
+            return FillSolve("budget", best, best_value, nodes, int(local.sum()), rounds)
         if box is None:
             # the root's first LP had no box: its duals bound the box of the
             # incumbent, and where they leave a gap the root is solved again
             # over that box
             hi = np.full(n, best_value - 1, dtype=np.int64)
             lo = -hi
-        bound = lower_bound(system, duals, rhs, lo, hi)
-        if bound >= best_value:
+        if _bound(y, s, b, lo, hi) >= best_value:
             continue
         if box is None:
             nodes -= 1  # the same root node
@@ -470,4 +552,4 @@ def l1_fill(system: FillSystem, rhs: dict[int, int]) -> FillSolve:
         floor_hi[c], ceil_lo[c] = k, k + 1
         floor_child, ceil_child = (lo, floor_hi), (ceil_lo, hi)
         stack.extend([ceil_child, floor_child] if floor_first else [floor_child, ceil_child])
-    return FillSolve("optimal", best, best_value, nodes)
+    return FillSolve("optimal", best, best_value, nodes, int(local.sum()), rounds)

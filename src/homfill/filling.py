@@ -4,7 +4,8 @@ superadditive closure and finite-range relation checks.
 The exact solver has one path.  Forced cells are peeled first; a fill that
 peeling finishes takes 0 branch-and-bound nodes.  What is left goes to the
 one exact-fill call ``exactlp.l1_fill`` on the ball's fill system: branch
-and bound over all free cells from the chain it starts with, pruning only
+and price over all free cells, whose node LPs run on the cells near the
+residual and grow by exact pricing over the whole system, pruning only
 with the exact integer bound ``exactlp.lower_bound``.  The root node, over
 the box |a_c| <= area - 1, is the certificate of the best chain found so
 far; when it closes, the fill took 1 node.
@@ -58,6 +59,10 @@ class FillingResult:
     # exact_ilp: branch-and-bound nodes, 0 when peeling finished the fill and
     # 1 when l1_fill's root certified its best chain; brute_force: steps
     nodes: int = 0
+    # exact_ilp: l1_fill's local LP columns when it ended and its node LPs,
+    # each followed by pricing; 0 and 0 when peeling finished the fill
+    lp_columns: int = 0
+    pricing_rounds: int = 0
 
     def optimal(self) -> bool:
         return self.status == "optimal"
@@ -144,19 +149,20 @@ def _fill_ilp(ball: CayleyBall, gamma: OneCycle) -> FillingResult:
     if peeled is None:
         return FillingResult(TwoChain(), None, "infeasible_in_ball", ball.radius)
     forced, free_cells, residual = peeled
-    nodes = 0
     coeffs: list[int] = []
+    size = {}
     if residual:
         solve = l1_fill(ball.fill_system, residual)
+        size = {"nodes": solve.nodes, "lp_columns": solve.lp_columns, "pricing_rounds": solve.pricing_rounds}
         if solve.status == "infeasible":
             return FillingResult(TwoChain(), None, "infeasible_in_ball", ball.radius)
         if solve.status == "budget":
-            return FillingResult(TwoChain(), None, "budget_exceeded", ball.radius, nodes=solve.nodes)
-        coeffs, nodes = solve.coeffs, solve.nodes
+            return FillingResult(TwoChain(), None, "budget_exceeded", ball.radius, **size)
+        coeffs = solve.coeffs
     chain = TwoChain([*forced.items(), *zip(free_cells, coeffs)])
     if boundary_2(ball, chain) != gamma:
         raise InvariantError("certified chain does not bound the query cycle")
-    return FillingResult(chain, chain.area(), "optimal", ball.radius, nodes=nodes)
+    return FillingResult(chain, chain.area(), "optimal", ball.radius, **size)
 
 
 class BruteSearch:
@@ -283,38 +289,39 @@ def enumerate_identity_cycles(ball: CayleyBall, max_len: int):
         seen.add(canon)
         results.append((canon, OneCycle(counts), tuple(word)))
 
-    letters = tuple(letter_order(ball.backend.rank))
     succ, edges, distance = ball.succ, ball.edges, ball.distance
+    # each vertex's moves (letter, edge, sign, next vertex) in letter order,
+    # built on the walk's first visit
+    letters = tuple(letter_order(ball.backend.rank))
+    moves: list = [None] * len(succ)
 
-    def dfs(vertex: int, depth: int):
-        if distance[vertex] > depth:  # no way back to the identity in time
-            return
-        if word and vertex == identity:
+    def dfs(vertex: int, depth: int, last: int):
+        if vertex == identity and word:
             record()
-        if depth <= 0:
-            return
-        row = succ[vertex]
-        for letter in letters:
-            if word and word[-1] == -letter:
+        table = moves[vertex]
+        if table is None:
+            row = succ[vertex]
+            table = moves[vertex] = [
+                (letter, edge, 1, edges[edge][2]) if letter > 0 else (letter, edge, -1, edges[edge][0])
+                for letter in letters
+                if (edge := row[letter]) >= 0
+            ]
+        for letter, edge, sign, nxt in table:
+            # a child farther from the identity than the letters left has no
+            # way back in time
+            if letter == -last or distance[nxt] >= depth:
                 continue
-            edge = row[letter]
-            if edge < 0:
-                continue
-            if letter > 0:
-                sign, nxt = 1, edges[edge][2]
-            else:
-                sign, nxt = -1, edges[edge][0]
             word.append(letter)
             counts[edge] = counts.get(edge, 0) + sign
             if not counts[edge]:
                 del counts[edge]
-            dfs(nxt, depth - 1)
+            dfs(nxt, depth - 1, letter)
             word.pop()
             counts[edge] = counts.get(edge, 0) - sign
             if not counts[edge]:
                 del counts[edge]
 
-    dfs(identity, max_len)
+    dfs(identity, max_len, 0)
     return results
 
 

@@ -3,12 +3,15 @@ library with: hop distances over a ball's 1-skeleton (an oracle for the
 distances the one-pass build records), the ordered boundary paths of a
 surface diagram (recorded by the ``surface-index:*`` golden sections), the
 exact-fill checks in Python integers (oracles for ``exactlp``'s int64
-``as_chain`` and ``lower_bound``), and forced-cell peeling over the whole
-collapse order (an oracle for ``filling._peel_forced``)."""
+``as_chain`` and ``lower_bound``), forced-cell peeling over the whole
+collapse order (an oracle for ``filling._peel_forced``) and the identity
+loop walk that looks up every step in the ball's tables (an oracle for
+``filling.enumerate_identity_cycles``)."""
 
 from collections import Counter
 
-from homfill.cayley import CayleyBall
+from homfill.backends import letter_order
+from homfill.cayley import CayleyBall, OneCycle
 from homfill.errors import DomainError, InvariantError
 from homfill.exactlp import DUAL_SCALE, FillSystem
 from homfill.surface import SlotRef, SurfaceDiagram, _glued
@@ -129,3 +132,48 @@ def peel_reference(ball: CayleyBall, residual: dict[int, int]):
     if any(e not in touched for e in residual):
         return None
     return forced, remaining, residual
+
+
+def identity_cycles_reference(ball: CayleyBall, max_len: int) -> list:
+    """``filling.enumerate_identity_cycles`` as a walk that reads each step
+    off ``ball.succ`` and ``ball.edges`` and returns from every vertex
+    farther from the identity than the letters left: the same (canonical
+    key, cycle, witness word) triples in the same order."""
+    seen: set = set()
+    word: list[int] = []
+    counts: dict[int, int] = {}
+    results = []
+    letters = tuple(letter_order(ball.backend.rank))
+    succ, edges, distance = ball.succ, ball.edges, ball.distance
+
+    def dfs(vertex: int, depth: int):
+        if distance[vertex] > depth:
+            return
+        if word and vertex == 0 and counts:
+            key = tuple(sorted(counts.items()))
+            canon = min(key, tuple((e, -c) for e, c in key))
+            if canon not in seen:
+                seen.add(canon)
+                results.append((canon, OneCycle(counts), tuple(word)))
+        if depth <= 0:
+            return
+        row = succ[vertex]
+        for letter in letters:
+            if word and word[-1] == -letter:
+                continue
+            edge = row[letter]
+            if edge < 0:
+                continue
+            sign, nxt = (1, edges[edge][2]) if letter > 0 else (-1, edges[edge][0])
+            word.append(letter)
+            counts[edge] = counts.get(edge, 0) + sign
+            if not counts[edge]:
+                del counts[edge]
+            dfs(nxt, depth - 1)
+            word.pop()
+            counts[edge] = counts.get(edge, 0) - sign
+            if not counts[edge]:
+                del counts[edge]
+
+    dfs(0, max_len)
+    return results

@@ -1,3 +1,4 @@
+import functools
 import itertools
 import math
 import os
@@ -5,14 +6,16 @@ import random
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from scipy.optimize import linprog
 
 from homfill import exactlp
-from homfill.cayley import build_ball
+from homfill.cayley import OneCycle, build_ball, loop_to_cycle
 from homfill.cli import load_group
 from homfill.errors import InvariantError
-from homfill.exactlp import FillSystem, as_chain, integer_solve, l1_fill, lower_bound, node_lp
-from homfill.filling import _peel_forced, enumerate_identity_cycles
+from homfill.exactlp import FillSystem, as_chain, integer_solve, l1_fill, local_lp, lower_bound, node_lp
+from homfill.filling import _peel_forced, enumerate_identity_cycles, harea_fill
+from homfill.words import parse_word
 
 from oracles import lower_bound_reference, solves
 
@@ -206,14 +209,16 @@ def test_lower_bound_equals_the_python_reference():
 
 @pytest.mark.parametrize("name", ["z3_ext.grp", "heis_ext.grp"])
 def test_lower_bound_equals_the_python_reference_on_root_duals(monkeypatch, name):
-    # every node LP's duals of every unpeeled fill at radius 4, over the
-    # root box of the fill's area and over a random box
+    # every node LP's duals of every unpeeled fill at radius 4, extended by
+    # zero from the LP's local rows to every row of the ball, over the root
+    # box of the fill's area and over a random box
     rng = random.Random(19)
     checked = 0
     for system, rhs in _root_systems(name, 4):
         r, lps = _node_lps(monkeypatch, system, rhs)
         cap = [r.value - 1] * len(system.columns)
-        for _, (_, y) in lps:
+        for args, (_, duals) in lps:
+            y = _extended(system, args[1], duals)
             for lo, hi in (([-v for v in cap], cap), _random_box(rng, len(cap))):
                 assert lower_bound(system, y, rhs, lo, hi) == lower_bound_reference(system, y, rhs, lo, hi)
                 checked += 1
@@ -299,12 +304,13 @@ def test_a_point_past_the_int64_bound_is_no_chain(monkeypatch):
 
 
 def _arrays(system):
-    return [np.array(a, copy=True) for m in (system.matrix, system.lp_matrix) for a in (m.data, m.indices, m.indptr)]
+    m = system.matrix
+    return [np.array(a, copy=True) for a in (m.data, m.indices, m.indptr, system.weights)]
 
 
 def _solve(system, rhs):
     r = l1_fill(system, rhs)
-    return integer_solve(system, rhs), (r.status, r.coeffs, r.value, r.nodes)
+    return integer_solve(system, rhs), (r.status, r.coeffs, r.value, r.nodes, r.lp_columns, r.pricing_rounds)
 
 
 def test_fill_system_reuse_matches_fresh_system():
@@ -314,7 +320,7 @@ def test_fill_system_reuse_matches_fresh_system():
     for _ in range(8):
         columns, edge_ids, _, _ = _random_system(rng)
         system = FillSystem(columns, edge_ids)
-        before = _arrays(system)
+        before, incident = _arrays(system), [list(cols) for cols in system.incident]
         for _ in range(8):
             x = [rng.randint(-3, 3) for _ in columns]
             rhs = {}
@@ -325,6 +331,7 @@ def test_fill_system_reuse_matches_fresh_system():
                 rhs[rng.choice(edge_ids)] = rng.randint(-3, 3)  # often no integer solution
             assert _solve(system, rhs) == _solve(FillSystem(columns, edge_ids), rhs)
         assert all(np.array_equal(a, b) for a, b in zip(before, _arrays(system)))
+        assert system.incident == incident
 
 
 def test_fill_system_refuses_edges_outside_its_rows():
@@ -391,7 +398,11 @@ def test_the_root_is_solved_again_over_the_shortened_chains_box(monkeypatch):
     assert integer_solve(system, rhs) == [1, 0, 1, -2]
     r = l1_fill(system, rhs)
     assert (r.status, r.coeffs, r.value, r.nodes, len(lps)) == ("optimal", [1, 0, 1, -2], 4, 3, 4)
-    (_, _, _, free_upper, _), (_, _, _, upper, _) = lps[:2]
+    assert (r.lp_columns, r.pricing_rounds) == (4, 4)
+    # every cell touches the right-hand side's rows 0 and 2; no cell touches
+    # row 1, which the local LP leaves out
+    (_, lp, _, _, free_upper, _), (_, _, _, _, upper, _) = lps[:2]
+    assert (lp.columns, lp.rows) == ([0, 1, 2, 3], [0, 2])
     assert np.isinf(free_upper[:8]).all() and (upper[:8] == 3).all()
     # no chain of area 3 or less solves the system
     box = range(-3, 4)
@@ -416,7 +427,8 @@ def test_the_first_duals_certify_the_shortened_chain(monkeypatch):
     # the root's first LP has free columns and slacks at |rhs|_1 + 1 = 46;
     # its rounded point is no chain, so integer_solve's shortened chain (area
     # 10) is the incumbent, and the first LP's duals certify it over the box
-    # |a_c| <= 9: 1 node, 1 LP, 1 integer_solve call
+    # |a_c| <= 9: 1 node, 1 LP, 1 integer_solve call.  The zero column 4
+    # touches no row, so it is not local and does not price out
     lps = _counted(monkeypatch, "node_lp")
     starts = _counted(monkeypatch, "integer_solve")
     columns = [{1: -2, 2: 4}, {0: -2, 1: 5}, {0: 3, 1: -1}, {0: -3, 1: -5, 2: -4}, {}, {0: -4, 1: -4}]
@@ -425,8 +437,9 @@ def test_the_first_duals_certify_the_shortened_chain(monkeypatch):
     assert (r.status, r.coeffs, r.value, r.nodes, len(lps), len(starts)) == (
         "optimal", [2, -3, 3, 0, 0, -2], 10, 1, 1, 1
     )
-    ((_, cost, _, upper, _),) = lps
-    assert np.isinf(upper[:12]).all() and (cost[12:] == 46).all()
+    ((_, lp, cost, _, upper, _),) = lps
+    assert lp.columns == [0, 1, 2, 3, 5] and (r.lp_columns, r.pricing_rounds) == (5, 1)
+    assert np.isinf(upper[:10]).all() and (cost[10:] == 46).all()
     # here the root's first rounded point is a minimal chain, and its duals
     # certify it: 1 LP and no Hermite reduction
     columns = [{2: -5}, {0: -5, 1: -2}, {0: 2, 1: -5, 2: -5}, {1: 3, 2: -1}]
@@ -520,9 +533,50 @@ def _node_lps(monkeypatch, system, rhs):
 
 
 def _root_duals(monkeypatch, system, rhs):
-    """(solve, the row duals of its first node LP) of one l1_fill."""
+    """(solve, the row duals of its last node LP extended by zero to every
+    row of the system) of one l1_fill."""
     r, lps = _node_lps(monkeypatch, system, rhs)
-    return r, lps[0][1][1]
+    args, (_, duals) = lps[-1]
+    return r, _extended(system, args[1], duals)
+
+
+@functools.cache
+def _heis_ball():
+    group = load_group(os.path.join(GROUPS, "heis_ext.grp"))
+    return build_ball(group.backend, group.hom_pres, 5)
+
+
+def _two_round_fill():
+    """(system, residual) of the heis_ext loop "a a t1 a' a' t1' b' b'" at
+    radius 5, whose fill prices twice."""
+    ball = _heis_ball()
+    group = load_group(os.path.join(GROUPS, "heis_ext.grp"))
+    cycle = loop_to_cycle(ball, 0, parse_word("a a t1 a' a' t1' b' b'", group.name_index))
+    return ball.fill_system, _peel_forced(ball, cycle.coeffs)[2]
+
+
+def test_pricing_finishes_a_fill_whose_first_local_point_is_no_chain(monkeypatch):
+    # the loop's residual after peeling has 8 edges; the first local LP, over
+    # the cells that touch them, reaches |x|_1 = 6 only with slacks, so its
+    # rounded point is no chain.  Pricing over the whole ball adds columns,
+    # and the second LP's point is a chain of area 7, which the root
+    # certifies from the same prices over every column of the ball: 1 node,
+    # 2 pricing rounds and no integer_solve call
+    starts = _counted(monkeypatch, "integer_solve")
+    bounds = _counted(monkeypatch, "_bound")
+    system, rhs = _two_round_fill()
+    r, lps = _node_lps(monkeypatch, system, rhs)
+    assert (r.status, r.value, r.nodes, r.pricing_rounds, len(lps), starts) == ("optimal", 7, 1, 2, 2, [])
+    (first, (v, _)), (second, (w, _)) = lps
+    lp, grown = first[1], second[1]
+    assert lp.columns == sorted({c for e in rhs for c in system.incident[system.row[e]]})
+    k = len(lp.columns)
+    assert np.abs(v[:k] - v[k : 2 * k]).sum() == pytest.approx(6) and v[2 * k :].sum() > 0
+    assert set(lp.columns) < set(grown.columns) and r.lp_columns == len(grown.columns)
+    assert not w[2 * len(grown.columns) :].any()
+    ((_, s, _, lo, hi),) = bounds
+    assert len(s) == len(lo) == len(hi) == len(system.columns)
+    assert harea_fill(_heis_ball(), OneCycle(rhs)).area == 7
 
 
 def _root_systems(name="z3_ext.grp", radius=3):
@@ -539,13 +593,21 @@ def _root_systems(name="z3_ext.grp", radius=3):
     return systems
 
 
-def _linprog_oracle(system, cost, lower, upper, b):
+def _extended(system, lp, duals):
+    """A local LP's row duals extended by zero to every row of the system."""
+    y = np.zeros(len(system.edge_ids))
+    y[lp.rows] = duals
+    return y
+
+
+def _linprog_oracle(system, lp, cost, lower, upper, b):
     """The node LP solved by scipy's linprog on a fresh HiGHS model, with
-    presolve off as on the system's model."""
+    presolve off as on the system's HiGHS object."""
+    matrix = sp.csc_array((lp.value, lp.index, lp.start), shape=(len(b), len(cost)))
     bounds = np.column_stack([lower, upper])
-    lp = linprog(cost, A_eq=system.lp_matrix, b_eq=b, bounds=bounds, method="highs", options={"presolve": False})
-    assert lp.status == 0
-    return lp.x, lp.eqlin.marginals
+    out = linprog(cost, A_eq=matrix, b_eq=b, bounds=bounds, method="highs", options={"presolve": False})
+    assert out.status == 0
+    return out.x, out.eqlin.marginals
 
 
 def _random_fills(rng, systems, fills):
@@ -563,15 +625,17 @@ def _random_fills(rng, systems, fills):
 
 
 def test_node_lp_equals_linprog_on_a_fresh_model(monkeypatch):
-    # every node LP solved on a system's one HiGHS model gives, bit for bit,
-    # the point and the equality duals that linprog gives on a fresh model:
-    # on the path system, on every node of random systems that each serve
-    # several fills, and on every root LP of z3_ext at radius 3
-    fills = _random_fills(random.Random(3), 40, 3) + _root_systems()
+    # every node LP passed to a system's one HiGHS object gives, bit for
+    # bit, the point and the equality duals that linprog gives on the same
+    # local LP on a fresh model: on the path system, on every node of random
+    # systems that each serve several fills, on every root LP of z3_ext at
+    # radius 3 and on both pricing rounds of a heis_ext fill at radius 5
+    fills = _random_fills(random.Random(3), 40, 3) + _root_systems() + [_two_round_fill()]
     checked = branched = 0
     for system, rhs in fills:
         r, lps = _node_lps(monkeypatch, system, rhs)
         branched += r.nodes > 1
+        assert len(lps) == r.pricing_rounds
         for args, (v, duals) in lps:
             x, y = _linprog_oracle(*args)
             assert np.array_equal(v, x) and np.array_equal(duals, y)
@@ -590,6 +654,16 @@ def test_fills_on_one_system_leave_no_state_behind(monkeypatch):
         if (residual := _peel_forced(ball, cycle.coeffs)[2])
     ]
     pairs = [(ball.fill_system, residuals[0], residuals[-1])]
+    # heis_ext at radius 5: the fill that prices twice, and its ball's first
+    # unpeeled fill
+    system, two_rounds = _two_round_fill()
+    ball = _heis_ball()
+    other = next(
+        residual
+        for _, cycle, _word in enumerate_identity_cycles(ball, 6)
+        if (residual := _peel_forced(ball, cycle.coeffs)[2])
+    )
+    pairs.append((system, two_rounds, other))
     # 3 x0 + 2 x1 = 1 branches; 3 x0 + 2 x1 = 5 closes at its root
     pairs.append((FillSystem([{0: 3}, {0: 2}], [0]), {0: 1}, {0: 5}))
     for system, a, b in pairs:
@@ -606,13 +680,15 @@ def test_fills_on_one_system_leave_no_state_behind(monkeypatch):
 def test_node_lp_reports_an_infeasible_lp_as_none_and_recovers():
     # with every variable fixed at 0 the path system's right-hand side is
     # out of reach: HiGHS reports infeasible and node_lp returns None; the
-    # next LP on the same model is solved as on a fresh one
+    # next LP on the same HiGHS object is solved as on a fresh one
     system, rhs = _path_system()
+    lp = local_lp(system, [0, 1], [0, 2])
+    assert lp.rows == [0, 1, 2]
     b = np.array(system.dense(rhs), dtype=float)
-    k = system.lp_matrix.shape[1]
+    k = len(lp.start) - 1
     cost = np.concatenate([np.ones(4), np.full(k - 4, 3.0)])  # the slacks cost more
-    assert node_lp(system, cost, np.zeros(k), np.zeros(k), b) is None
-    args = (system, cost, np.zeros(k), np.full(k, np.inf), b)
+    assert node_lp(system, lp, cost, np.zeros(k), np.zeros(k), b) is None
+    args = (system, lp, cost, np.zeros(k), np.full(k, np.inf), b)
     v, y = node_lp(*args)
     x, marginals = _linprog_oracle(*args)
     assert np.array_equal(v, x) and np.array_equal(y, marginals)
@@ -630,10 +706,11 @@ def test_a_node_lp_that_is_not_optimal_stops_with_the_incumbent(monkeypatch):
 
 
 def test_root_duals_reach_the_area_and_their_negation_does_not(monkeypatch):
-    # lower_bound reads the model's row duals with their own sign: on every
-    # fill whose root certifies it, the root duals bound the area over the
-    # root box |a_c| <= area - 1 and the negated duals do not
-    for system, rhs in _root_systems():
+    # lower_bound reads the HiGHS row duals with their own sign: on every
+    # fill whose root certifies it, the root's last duals, extended by zero
+    # to every row of the ball, bound the area over the root box
+    # |a_c| <= area - 1 and the negated duals do not
+    for system, rhs in [*_root_systems(), _two_round_fill()]:
         r, y = _root_duals(monkeypatch, system, rhs)
         assert r.nodes == 1
         cap = [r.value - 1] * len(system.columns)

@@ -22,7 +22,7 @@ from homfill.filling import (
     superadditive_closure,
 )
 from homfill.words import parse_word
-from oracles import peel_reference
+from oracles import identity_cycles_reference, peel_reference
 
 NI = {"a": 0, "b": 1}
 GROUP_FILES = sorted(glob.glob(os.path.join(os.path.dirname(__file__), "..", "groups", "*.grp")))
@@ -165,6 +165,23 @@ def test_enumeration_matches_unpruned_walk(path):
     radius, max_len = CYCLE_SIZES[os.path.basename(path)]
     ball = build_ball(group.backend, group.hom_pres, radius)
     assert enumerate_identity_cycles(ball, max_len) == _unpruned_identity_cycles(ball, max_len)
+
+
+@pytest.mark.parametrize("path", GROUP_FILES, ids=os.path.basename)
+def test_enumeration_matches_the_table_walk(path):
+    # the walk over per-vertex move tables that skips every child too far
+    # from the identity gives the reference walk's list, in its order
+    group = load_group(path)
+    for radius in (3, 4, 5):
+        ball = build_ball(group.backend, group.hom_pres, radius)
+        assert enumerate_identity_cycles(ball, 8) == identity_cycles_reference(ball, 8), radius
+
+
+def test_heis_ext_fa_table_at_radius_5():
+    # its fills include some that price twice
+    group = load_group(os.path.join(os.path.dirname(__file__), "..", "groups", "heis_ext.grp"))
+    table = fa_estimate(group.backend, group.hom_pres, 8, 5)
+    assert [e.fa_value for e in table.values] == [0, 0, 0, 0, 1, 3, 3, 5, 7] and table.gaps == []
 
 
 def test_fa_free_group(f2_backend, f2_pres, f2_ball3):
@@ -404,31 +421,43 @@ def test_unpeeled_fills_close_at_the_root_without_the_milp(monkeypatch):
 
 def test_node_budget_reports_budget_exceeded(monkeypatch):
     # a fill whose search passes exactlp.NODE_BUDGET reports no area; at
-    # budget 0 the root node is already one too many
+    # budget 0 the root node is already one too many, and it stops before
+    # its first LP with the local columns it started from: the cells that
+    # touch the residual's edges
     ball = _lifetime_ball("z3_ext.grp", 3)
     cycle = _unpeeled_cycles(ball, 1)[0]
-    assert harea_fill(ball, cycle).nodes == 1
+    system, residual = ball.fill_system, filling._peel_forced(ball, cycle.coeffs)[2]
+    start = len({c for e in residual for c in system.incident[system.row[e]]})
+    result = harea_fill(ball, cycle)
+    assert (result.nodes, result.lp_columns, result.pricing_rounds) == (1, start, 1)
     monkeypatch.setattr(exactlp, "NODE_BUDGET", 0)
     result = harea_fill(ball, cycle)
-    assert (result.status, result.area, result.nodes) == ("budget_exceeded", None, 1)
+    assert (result.status, result.area, result.nodes, result.lp_columns, result.pricing_rounds) == (
+        "budget_exceeded", None, 1, start, 0
+    )
 
 
 def test_the_first_lp_certifies_without_a_hermite_reduction(monkeypatch):
     # every unpeeled fill of z3_ext and heis_ext at radius 4 closes on its
-    # root's first LP, whose rounded point is the incumbent: no fill builds
-    # the ball's Hermite reduction
+    # root's first priced LP, whose rounded point is the incumbent: no fill
+    # builds the ball's Hermite reduction, each node LP is one pricing
+    # round, and a peeled fill reports no LP
     lps = []
     node_lp = exactlp.node_lp
     monkeypatch.setattr(exactlp, "node_lp", lambda *args: lps.append(args) or node_lp(*args))
     for file in ("z3_ext.grp", "heis_ext.grp"):
         ball = _lifetime_ball(file, 4)
         lps.clear()
-        unpeeled = 0
+        unpeeled = rounds = 0
         for _, cycle, word in enumerate_identity_cycles(ball, 6):
             result = harea_fill(ball, cycle)
             peeled = filling._peel_forced(ball, cycle.coeffs)
             if peeled and peeled[2]:
                 assert (result.status, result.nodes) == ("optimal", 1), word
+                assert 1 <= result.pricing_rounds <= 2 and 0 < result.lp_columns < len(ball.fill_system.columns)
                 unpeeled += 1
-        assert unpeeled > 100 and len(lps) == unpeeled
+                rounds += result.pricing_rounds
+            else:
+                assert (result.nodes, result.lp_columns, result.pricing_rounds) == (0, 0, 0), word
+        assert unpeeled > 100 and len(lps) == rounds
         assert "hermite" not in ball.fill_system.__dict__
