@@ -106,12 +106,12 @@ GOLDEN = {
     "ball:z3_ext": "2a6ecd7e85cc5d5d0fea5f31a9bedac62de25bbbf6673ad1b3399ab7dd2bddd2",
     "fill:f2": "4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945",
     "fill:f2_triangle": "91610ecb158a83657821e077d779751aa61083e61bd26039c8a886d544abb901",
-    "fill:heis_ext": "440457ea19f8fc3c79a6408e487062e664dc838ad14a24d192188e7d444f6d74",
+    "fill:heis_ext": "3b47d6eab54c8f99adde4e3c10f83a2505f7f37cb838c4309b81a2963ed94d4e",
     "fill:z2": "209370444605d5b7c1a3d493ce343636e39cbc422d8fa1b5eb774d6c4fede97f",
-    "fill:z2_by_f2": "a6cf185e03b8c47a244d5b8a6b72fcaba5752cf98fd3fc27077d8dd9cfaf9eb3",
+    "fill:z2_by_f2": "884b6a4f71ae758514315252c8207ebf07faa2ae10adec666f97ef5442c8a9a8",
     "fill:z2_redundant": "a3c75f806984a23c2b0db4ee57dbdfd27c94bc19414f10cd72200d3bf396ebb8",
-    "fill:z3_ext": "df46bd193579799b7aac0da9b49fad5bfcc547322dee10b788e210e69e0e5f27",
-    "fill:z3_ext:r4": "847d537cacc64ec89af36ca15fd4635967a1f6425ee23c81c94f73ea09066b01",
+    "fill:z3_ext": "74369b982314e47758ceafa39cb0339c256e95c456515fe7e761b48746fd3c16",
+    "fill:z3_ext:r4": "23b94413395d403da6c5006f3ecf5df640e3d8386d3d7eab6d251349bdc47837",
     "fill-area:f2": "4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945",
     "fill-area:f2_triangle": "a5f1a68396f3361a4ae9444004c52c7e5c7b0259ae5676c897e7aa076e5d33d7",
     "fill-area:heis_ext": "ac9636906db5c2da76e45e79735035d5c45294d49578f00ab9529ada3d8b9a1d",
