@@ -334,30 +334,30 @@ class LocalLP(NamedTuple):
     (p, q, s+, s-) -- a = p - q on the cells, one slack pair per row -- so
     it has 2k + 2r columns and r rows."""
 
-    columns: list[int]
-    rows: list[int]
+    columns: np.ndarray
+    rows: np.ndarray
     start: np.ndarray
     index: np.ndarray
     value: np.ndarray
 
 
-def local_lp(system: FillSystem, columns: list[int], rhs_rows: list[int]) -> LocalLP:
+def local_lp(system: FillSystem, columns: np.ndarray, rhs_rows: np.ndarray) -> LocalLP:
     """The elastic LP of ``columns`` (ascending system positions) over the
     rows they touch and ``rhs_rows``; the rows outside it hold no entry of
     these columns."""
-    entries = system.entries
-    rows = sorted({i for c in columns for i, _ in entries[c]}.union(rhs_rows))
-    at = dict(zip(rows, range(len(rows))))
-    index, value, start = [], [], [0]
-    for c in columns:
-        for i, v in entries[c]:
-            index.append(at[i])
-            value.append(v)
-        start.append(len(index))
-    nnz, r = len(index), len(rows)
-    cells = np.array(start, dtype=np.int32)
+    matrix = system.matrix
+    first = matrix.indptr[columns]
+    count = matrix.indptr[columns + 1] - first
+    cells = np.zeros(len(columns) + 1, dtype=np.int32)
+    np.cumsum(count, out=cells[1:])
+    nnz = int(cells[-1])
+    at = np.arange(nnz) + np.repeat(first - cells[:-1], count)
+    touched = matrix.indices[at]
+    rows = np.union1d(touched, rhs_rows)
+    r = len(rows)
+    index = np.searchsorted(rows, touched).astype(np.int32)
+    value = matrix.data[at].astype(float)
     eye = np.arange(r, dtype=np.int32)
-    index, value = np.array(index, dtype=np.int32), np.array(value, dtype=float)
     return LocalLP(
         columns,
         rows,
@@ -471,9 +471,9 @@ def l1_fill(system: FillSystem, rhs: dict[int, int]) -> FillSolve:
     b = np.array(system.dense(rhs), dtype=np.int64)
     if not b.any():
         return FillSolve("optimal", [0] * n, 0, 0)
-    rhs_rows = np.flatnonzero(b).tolist()
+    rhs_rows = np.flatnonzero(b)
     local = np.zeros(n, dtype=bool)
-    local[[c for i in rhs_rows for c in system.incident[i]]] = True
+    local[[c for i in rhs_rows.tolist() for c in system.incident[i]]] = True
     best, best_value = None, math.inf
     first_slack_cost = float(np.abs(b).sum() + 1)
 
@@ -493,7 +493,7 @@ def l1_fill(system: FillSystem, rhs: dict[int, int]) -> FillSolve:
         slack_cost = first_slack_cost if best is None else float(best_value)
         while True:
             columns = np.flatnonzero(local)
-            lp = local_lp(system, columns.tolist(), rhs_rows)
+            lp = local_lp(system, columns, rhs_rows)
             width, slacks = len(columns), 2 * len(lp.rows)
             cost = np.concatenate([np.ones(2 * width), np.full(slacks, slack_cost)])
             if box is None:

@@ -402,7 +402,7 @@ def test_the_root_is_solved_again_over_the_shortened_chains_box(monkeypatch):
     # every cell touches the right-hand side's rows 0 and 2; no cell touches
     # row 1, which the local LP leaves out
     (_, lp, _, _, free_upper, _), (_, _, _, _, upper, _) = lps[:2]
-    assert (lp.columns, lp.rows) == ([0, 1, 2, 3], [0, 2])
+    assert (lp.columns.tolist(), lp.rows.tolist()) == ([0, 1, 2, 3], [0, 2])
     assert np.isinf(free_upper[:8]).all() and (upper[:8] == 3).all()
     # no chain of area 3 or less solves the system
     box = range(-3, 4)
@@ -438,7 +438,7 @@ def test_the_first_duals_certify_the_shortened_chain(monkeypatch):
         "optimal", [2, -3, 3, 0, 0, -2], 10, 1, 1, 1
     )
     ((_, lp, cost, _, upper, _),) = lps
-    assert lp.columns == [0, 1, 2, 3, 5] and (r.lp_columns, r.pricing_rounds) == (5, 1)
+    assert lp.columns.tolist() == [0, 1, 2, 3, 5] and (r.lp_columns, r.pricing_rounds) == (5, 1)
     assert np.isinf(upper[:10]).all() and (cost[10:] == 46).all()
     # here the root's first rounded point is a minimal chain, and its duals
     # certify it: 1 LP and no Hermite reduction
@@ -569,7 +569,7 @@ def test_pricing_finishes_a_fill_whose_first_local_point_is_no_chain(monkeypatch
     assert (r.status, r.value, r.nodes, r.pricing_rounds, len(lps), starts) == ("optimal", 7, 1, 2, 2, [])
     (first, (v, _)), (second, (w, _)) = lps
     lp, grown = first[1], second[1]
-    assert lp.columns == sorted({c for e in rhs for c in system.incident[system.row[e]]})
+    assert lp.columns.tolist() == sorted({c for e in rhs for c in system.incident[system.row[e]]})
     k = len(lp.columns)
     assert np.abs(v[:k] - v[k : 2 * k]).sum() == pytest.approx(6) and v[2 * k :].sum() > 0
     assert set(lp.columns) < set(grown.columns) and r.lp_columns == len(grown.columns)
@@ -682,8 +682,8 @@ def test_node_lp_reports_an_infeasible_lp_as_none_and_recovers():
     # out of reach: HiGHS reports infeasible and node_lp returns None; the
     # next LP on the same HiGHS object is solved as on a fresh one
     system, rhs = _path_system()
-    lp = local_lp(system, [0, 1], [0, 2])
-    assert lp.rows == [0, 1, 2]
+    lp = local_lp(system, np.array([0, 1]), np.array([0, 2]))
+    assert lp.rows.tolist() == [0, 1, 2]
     b = np.array(system.dense(rhs), dtype=float)
     k = len(lp.start) - 1
     cost = np.concatenate([np.ones(4), np.full(k - 4, 3.0)])  # the slacks cost more
