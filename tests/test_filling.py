@@ -34,7 +34,7 @@ def test_fill_commutator(z2_ball4):
     assert result.status == "optimal"
     assert result.area == 1
     assert len(result.chain.coeffs) == 1
-    assert result.nodes == 0  # peeling finished it
+    assert (result.nodes, result.lp_columns, result.pricing_rounds) == (0, 0, 0)  # peeling finished it
 
 
 def test_fill_zero_cycle(z2_ball4):
@@ -439,25 +439,22 @@ def test_node_budget_reports_budget_exceeded(monkeypatch):
 
 def test_the_first_lp_certifies_without_a_hermite_reduction(monkeypatch):
     # every unpeeled fill of z3_ext and heis_ext at radius 4 closes on its
-    # root's first priced LP, whose rounded point is the incumbent: no fill
-    # builds the ball's Hermite reduction, each node LP is one pricing
-    # round, and a peeled fill reports no LP
+    # root's first LP, over local columns that pricing leaves as they are,
+    # whose rounded point is the incumbent: no fill builds the ball's
+    # Hermite reduction
     lps = []
     node_lp = exactlp.node_lp
     monkeypatch.setattr(exactlp, "node_lp", lambda *args: lps.append(args) or node_lp(*args))
     for file in ("z3_ext.grp", "heis_ext.grp"):
         ball = _lifetime_ball(file, 4)
         lps.clear()
-        unpeeled = rounds = 0
+        unpeeled = 0
         for _, cycle, word in enumerate_identity_cycles(ball, 6):
             result = harea_fill(ball, cycle)
             peeled = filling._peel_forced(ball, cycle.coeffs)
             if peeled and peeled[2]:
-                assert (result.status, result.nodes) == ("optimal", 1), word
-                assert 1 <= result.pricing_rounds <= 2 and 0 < result.lp_columns < len(ball.fill_system.columns)
+                assert (result.status, result.nodes, result.pricing_rounds) == ("optimal", 1, 1), word
+                assert 0 < result.lp_columns < len(ball.fill_system.columns)
                 unpeeled += 1
-                rounds += result.pricing_rounds
-            else:
-                assert (result.nodes, result.lp_columns, result.pricing_rounds) == (0, 0, 0), word
-        assert unpeeled > 100 and len(lps) == rounds
+        assert unpeeled > 100 and len(lps) == unpeeled
         assert "hermite" not in ball.fill_system.__dict__
