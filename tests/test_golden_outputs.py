@@ -52,6 +52,11 @@ Corpus:
                    ``lift_image_cycle``, ``route_filling`` and ``push_down`` on
                    a radius-3 extension ball and a radius-3 kernel ball, where
                    many placements leave the ball.
+  arpair:<file>:r<R>
+                   ``measure_ar_pair`` at radius R with n <= 8: every sample's
+                   (word, length, area, radius), the area and radius tables
+                   and the gaps; z2 and z2_redundant at radius 5, the balls of
+                   the benchmark's presentation comparison.
 
 To regenerate after an intended output change, run this file as a script;
 it prints the new hashes.
@@ -72,6 +77,7 @@ from homfill import extension
 from homfill.cayley import OneCycle, TwoChain, boundary_2, build_ball, dump_ball
 from homfill.cli import load_group
 from homfill.errors import HomfillError
+from homfill.experiments import measure_ar_pair
 from homfill.filling import enumerate_identity_cycles, harea_fill
 from homfill.presentation import apply_lift
 from homfill.surface import (
@@ -145,6 +151,8 @@ GOLDEN = {
     "tight:heis:embed": "b9cdacf700674ac63d342233c51ed9d76e5251515504fb74d3d4992ebc447545",
     "tight:heis:lift": "4068341267f900cfeff285966c8a31dad22ec9997af5807682879e107c9021b0",
     "tight:heis:route": "f3a412c8cff6443cfed1b1aa9611e29eb9c5bcfcab41df89be94ef3e26960b0f",
+    "arpair:z2:r5": "a2dda3aba66ab43da6c9846f3456cff4087baceabf4bd3fa9434d37622eea44d",
+    "arpair:z2_redundant:r5": "ab4a67991352e36d6c2dbc0fc83f31caee8f3c4295fadf5966afb7b065a59749",
 }
 
 
@@ -505,8 +513,16 @@ def _tight(ctx: str, part: str) -> list:
     return out
 
 
+def _arpair(file: str, radius: int) -> list:
+    group = _group(file)
+    report = measure_ar_pair(group.backend, group.hom_pres, 8, radius)
+    samples = [[s.word, s.cycle_length, s.area, s.radius] for s in report.samples]
+    return [samples, report.f_table, report.g_table, report.gaps]
+
+
 def _fill_args(rest: str) -> tuple[str, int]:
-    """(group file, radius) of a fill section named fill:<rest>."""
+    """(group file, radius) of a section named <kind>:<rest>, where rest is
+    <file> or <file>:r<R>; the radius defaults to 3."""
     file, _, radius = rest.partition(":")
     return file + ".grp", int(radius[1:]) if radius else 3
 
@@ -523,6 +539,8 @@ def _section(name: str) -> list:
         return _handmade() if rest == "handmade" else _surface_index(rest + ".grp")
     if kind == "routed":
         return _routed(rest)
+    if kind == "arpair":
+        return _arpair(*_fill_args(rest))
     ctx, part = rest.split(":")
     return _tight(ctx, part)
 
