@@ -60,6 +60,7 @@ from .surface import (
     SurfaceDiagram,
     SurfaceMetrics,
     assemble_surface,
+    diagram_radius,
     measure,
     project_boundary,
     verify_surface,

@@ -24,11 +24,11 @@ from .filling import (
     harea_fill,
 )
 from .presentation import HomPresentation
-from .surface import assemble_surface, measure
+from .surface import assemble_surface, diagram_radius
 from .words import Word, format_word
 
 
-@dataclass
+@dataclass(slots=True)
 class CycleSample:
     word: str
     cycle_length: int
@@ -58,10 +58,10 @@ RADIUS_SEARCH_BUDGET = 200_000
 def _radius_of_chain(ball, chain) -> int:
     if not chain:
         return 0
-    metrics = measure(assemble_surface(ball, chain))
-    if metrics.radius is None:
+    radius = diagram_radius(assemble_surface(ball, chain))
+    if radius is None:
         raise DomainError("minimal filling produced a closed component; radius undefined")
-    return metrics.radius
+    return radius
 
 
 def _min_radius_filling(ball, cycle, base_area: int) -> tuple[int | None, bool]:

@@ -14,13 +14,16 @@ Every layer numbers slots one way (``SlotNumbering``): slot (f, p) is
 "tail", integer order is the order of the (face, position) and
 (slot, end) pairs.  The gluing is interpreted in one place,
 ``SurfaceIndex``: the matching, the corner classes and the free sides of
-every class are derived once per diagram, and the diagram is verified while
-they are.  ``assemble_surface`` builds its diagram's index from the
-numbering, the integer matching and the corner union-find it glued with, so
-the corner partition is joined once; any other diagram (decoded JSON, a
-hand-built one) builds its index, partition included, on first use of
-``SurfaceDiagram.index``.  Verification, measurement, projection and DOT
-output all read that index.
+every class are derived once per diagram, as integers, and the diagram is
+verified while they are.  ``assemble_surface`` builds its diagram's index
+from the numbering, the integer matching and the corner union-find it glued
+with, so the corner partition is joined once; any other diagram (decoded
+JSON, a hand-built one) builds its index, partition included, on first use
+of ``SurfaceDiagram.index``.  Verification, measurement, the radius search
+(``diagram_radius``), projection and DOT output all read that index's
+integer fields; the (face, position) views -- ``SlotNumbering.refs`` and
+``SurfaceIndex.unmatched`` and ``classes`` -- are derived on first read, so
+a caller that reads none of them does not pay for them.
 
 Assembly glues by one deterministic rule.  When no edge label occurs with
 its opposite label while one of the two has several copies, the rule's
@@ -116,7 +119,8 @@ def oriented_face(ball: CayleyBall, cell: int, orient: int) -> Face:
 
 
 class _Sets:
-    """Union-find over 0..n-1; the root of every set is its least member."""
+    """Union-find over 0..n-1; the root of every set is its least member,
+    and every member's parent is a member of its set no greater than it."""
 
     __slots__ = ("parent",)
 
@@ -143,16 +147,15 @@ class _Sets:
 
 class SlotNumbering:
     """The slots of a face list as integers: slot (f, p) is ``first[f] + p``
-    (``first`` ends with the slot count).  Per slot x: ``refs[x]`` is
-    (f, p), ``face_of[x]`` is f, ``label[x]`` its (image edge, sign), and
-    ``next[x]``/``prev[x]`` the slots after and before it around the face.
-    Corner x is the tail of slot x and the head of ``prev[x]``."""
-
-    __slots__ = ("first", "refs", "face_of", "label", "next", "prev")
+    (``first`` ends with the slot count).  Per slot x: ``face_of[x]`` is f,
+    ``label[x]`` its (image edge, sign), and ``next[x]``/``prev[x]`` the
+    slots after and before it around the face.  Corner x is the tail of
+    slot x and the head of ``prev[x]``.  These are built with the
+    numbering; ``refs``, each slot's (f, p), is a view derived on first
+    read."""
 
     def __init__(self, faces: list[Face]):
         self.first = first = []
-        self.refs = refs = []
         self.face_of = face_of = []
         self.label = label = []
         self.next = nxt = []
@@ -162,7 +165,6 @@ class SlotNumbering:
             L = len(face.slots)
             first.append(base)
             if L:
-                refs += zip(repeat(f, L), range(L))
                 face_of += repeat(f, L)
                 label += face.slots
                 nxt += range(base + 1, base + L)
@@ -171,6 +173,12 @@ class SlotNumbering:
                 prv += range(base, base + L - 1)
                 base += L
         first.append(base)
+
+    @cached_property
+    def refs(self) -> list[SlotRef]:
+        """Per slot, its (face, position)."""
+        first = self.first
+        return [(f, x - first[f]) for x, f in enumerate(self.face_of)]
 
     def number(self, ref: SlotRef) -> int:
         """The integer of slot ``ref``; DomainError when no face has it."""
@@ -223,18 +231,26 @@ class SurfaceIndex:
     corner, free sides, the side a fan walk starts from -- are those of the
     (face, position) and ((face, position), end) pairs.
 
+    The integer fields are derived while the diagram is verified:
+
     - ``report``: the violated surface invariants, in check order.
     - ``mate``/``flipped``: per slot, the slot glued to it (-1 for a
       boundary slot) and whether that gluing is flipped; ``mate`` is None
       when the gluing is not a partial matching.
-    - ``unmatched``: the boundary slots as (face, position), in face order.
-    - ``classes``: the local vertices as tuples of (face, position) corners:
-      the declared classes, else those the endpoint identifications
-      generate, ordered by least corner.  ``class_of`` is each corner's
-      class, -1 for a corner none holds.
+    - ``class_of``: per corner, its local vertex class, -1 for a corner
+      none holds.  The classes are the declared ones, else those the
+      endpoint identifications generate, numbered by least corner.
     - ``free_sides``: per class, its unglued sides in increasing order --
       none around an interior vertex, the two ends of the fan around a
       boundary vertex.
+
+    The (face, position) views are derived from them on first read:
+
+    - ``unmatched``: the boundary slots as (face, position), in face order;
+      [] when ``mate`` is None.
+    - ``classes``: the local vertices as tuples of (face, position)
+      corners (the declared classes as given); [] when verification
+      stopped before the class stage.
 
     Verification stops at the first group of checks that fails, so the
     later fields are filled only as far as it got; ``measure`` reads them
@@ -261,26 +277,25 @@ class SurfaceIndex:
         corners: _Sets | None = None,
     ):
         self.slots = slots
-        refs, label, nxt, prv = slots.refs, slots.label, slots.next, slots.prev
-        declared = diagram.declared_classes
+        label, nxt, prv = slots.label, slots.next, slots.prev
+        self._declared = declared = diagram.declared_classes
         members = None if declared is None else [[slots.number(c) for c in cls] for cls in declared]
         self.report = report = VerificationReport()
         self.mate: list[int] | None = None
         self.flipped: list[bool] = []
-        self.unmatched: list[SlotRef] = []
-        self.classes: list[tuple[SlotRef, ...]] = []
         self.class_of: list[int] = []
         self.free_sides: list[tuple[int, ...]] = []
+        self._members: list[list[int]] | None = None  # per class, its corners; set at the class stage
 
         for f, face in enumerate(diagram.faces):
             if not face.slots:
                 report.add(f"face {f} has no slots")
-        n = len(refs)
+        n = len(label)
         mate, flipped = [-1] * n, [False] * n
         twice = set()
         for a, b, flip in pairs:
             if a == b:
-                report.add(f"slot {refs[a]} glued to itself")
+                report.add(f"slot {slots.refs[a]} glued to itself")
             if mate[a] < 0:
                 mate[a], flipped[a] = b, flip
             else:
@@ -292,21 +307,20 @@ class SurfaceIndex:
         # one line per slot, in the order the gluing first names them
         for x in dict.fromkeys(x for a, b, _ in pairs for x in (a, b)) if twice else ():
             if x in twice:
-                report.add(f"slot {refs[x]} matched twice")
+                report.add(f"slot {slots.refs[x]} matched twice")
         if not twice:  # a self-glued slot is matched twice as well
             self.mate, self.flipped = mate, flipped
-            self.unmatched = [refs[x] for x in range(n) if mate[x] < 0]
         if not report.ok:
             return
 
         for a, b, flip in pairs:
             (ea, sa), (eb, sb) = label[a], label[b]
             if ea != eb:
-                report.add(f"glued slots {refs[a]},{refs[b]} lie over different edges")
+                report.add(f"glued slots {slots.refs[a]},{slots.refs[b]} lie over different edges")
             elif not flip and sa != -sb:
-                report.add(f"glued slots {refs[a]},{refs[b]} traverse their edge with equal signs")
+                report.add(f"glued slots {slots.refs[a]},{slots.refs[b]} traverse their edge with equal signs")
             elif flip and sa != sb:
-                report.add(f"flipped gluing {refs[a]},{refs[b]} needs equal traversal signs")
+                report.add(f"flipped gluing {slots.refs[a]},{slots.refs[b]} needs equal traversal signs")
 
         def identified(a: int, b: int, flip: bool):
             """The two corner pairs that gluing slot a to slot b identifies."""
@@ -324,28 +338,26 @@ class SurfaceIndex:
                     else:
                         union(a, nxt[b])
                         union(nxt[a], b)
-            find = corners.find
+            # a parent is a lesser member of its child's set, so in
+            # increasing order it is classed before the child
             members = []
-            for x in range(n):
-                root = find(x)
-                if root == x:
+            for x, p in enumerate(corners.parent):
+                if p == x:
                     class_of[x] = len(members)
                     members.append([x])
                 else:
-                    k = class_of[x] = class_of[root]
+                    k = class_of[x] = class_of[p]
                     members[k].append(x)
-            at = refs.__getitem__
-            self.classes = [tuple(map(at, cls)) for cls in members]
         else:
-            self.classes = declared
             for i, cls in enumerate(members):
                 for x in cls:
                     if class_of[x] >= 0:
-                        report.add(f"corner {refs[x]} appears in two vertex classes")
+                        report.add(f"corner {slots.refs[x]} appears in two vertex classes")
                     class_of[x] = i
             for x in range(n):
                 if class_of[x] < 0:
-                    report.add(f"corner {refs[x]} missing from vertex classes")
+                    report.add(f"corner {slots.refs[x]} missing from vertex classes")
+        self._members = members
         if not report.ok:
             return
 
@@ -355,6 +367,7 @@ class SurfaceIndex:
             for a, b, flip in pairs:
                 for x, y in identified(a, b, flip):
                     if class_of[x] != class_of[y]:
+                        refs = slots.refs
                         report.add(
                             f"gluing {refs[a]},{refs[b]} identifies corners {refs[x]},{refs[y]} across distinct classes"
                         )
@@ -411,6 +424,23 @@ class SurfaceIndex:
                 elif face.corner_images is not None and tuple(face.corner_images) != want.corner_images:
                     report.add(f"face {f} corner images disagree with its provenance cell")
 
+    @cached_property
+    def unmatched(self) -> list[SlotRef]:
+        if self.mate is None:
+            return []
+        refs = self.slots.refs
+        return [refs[x] for x, m in enumerate(self.mate) if m < 0]
+
+    @cached_property
+    def classes(self) -> list[tuple[SlotRef, ...]]:
+        members = self._members
+        if members is None:
+            return []
+        if self._declared is not None:
+            return self._declared
+        at = self.slots.refs.__getitem__
+        return [tuple(map(at, cls)) for cls in members]
+
     def _walk_fan(self, start: int, i: int, walked: list[int]) -> tuple[int, int]:
         """Walk the link of class i from side ``start``: cross its corner to
         the corner's other side, then the glued pair to the next corner.
@@ -458,13 +488,42 @@ def _valid(diagram: SurfaceDiagram, what: str) -> SurfaceIndex:
     return index
 
 
+def diagram_radius(diagram: SurfaceDiagram) -> int | None:
+    """The diagram's radius: the greatest number of 1-skeleton edges between
+    a local vertex and the boundary, or None when some vertex cannot reach
+    it (it sits in a closed component)."""
+    index = _valid(diagram, "measure")
+    class_of, mate, nxt = index.class_of, index.mate, index.slots.next
+    # a class is on the boundary when it has free sides; a boundary slot
+    # joins two boundary classes, so only glued pairs carry the search
+    free_sides = index.free_sides
+    skeleton: list[list[int]] = [[] for _ in free_sides]
+    for x, m in enumerate(mate):
+        if x < m:
+            t, h = class_of[x], class_of[nxt[x]]
+            skeleton[t].append(h)
+            skeleton[h].append(t)
+    dist = [0 if free else -1 for free in free_sides]
+    # breadth-first from the boundary; the queue grows while it is read
+    queue = [v for v, free in enumerate(free_sides) if free]
+    for v in queue:
+        d = dist[v] + 1
+        for u in skeleton[v]:
+            if dist[u] < 0:
+                dist[u] = d
+                queue.append(u)
+    if len(queue) < len(dist):
+        return None
+    return dist[queue[-1]] if queue else 0
+
+
 def measure(diagram: SurfaceDiagram) -> SurfaceMetrics:
     """Area, radius, boundary length, components, Euler characteristic."""
     index = _valid(diagram, "measure")
 
     nfaces = len(diagram.faces)
-    classes, class_of, mate, flipped = index.classes, index.class_of, index.mate, index.flipped
-    first, face_of, nxt = index.slots.first, index.slots.face_of, index.slots.next
+    class_of, mate, flipped = index.class_of, index.mate, index.flipped
+    first, face_of = index.slots.first, index.slots.face_of
 
     # components and orientability in one walk over the faces: faces are
     # numbered into components in the order of their least faces, and a
@@ -494,35 +553,15 @@ def measure(diagram: SurfaceDiagram) -> SurfaceMetrics:
                     orientable = False
         ncomp += 1
 
-    # the 1-skeleton on vertex classes: an edge per boundary slot and per
-    # glued pair (both of whose slots give the same edge)
-    skeleton: list[set[int]] = [set() for _ in classes]
-    boundary_classes = set()
-    for x, m in enumerate(mate):
-        if 0 <= m < x:
-            continue
-        t, h = class_of[x], class_of[nxt[x]]
-        skeleton[t].add(h)
-        skeleton[h].add(t)
-        if m < 0:
-            boundary_classes.update((t, h))
-
-    # breadth-first from the boundary; the queue grows while it is read
-    dist: list[int | None] = [None] * len(classes)
-    queue = sorted(boundary_classes)
-    for v in queue:
-        dist[v] = 0
-    for v in queue:
-        for u in skeleton[v]:
-            if dist[u] is None:
-                dist[u] = dist[v] + 1
-                queue.append(u)
-    radius = None if None in dist else max(dist, default=0)
-
+    # chi = V - E + F per component: a vertex per class, an edge per
+    # boundary slot and per glued pair
     comp_chi = [0] * ncomp
     comp_paths = [0] * ncomp
-    for cls in classes:
-        comp_chi[comp_of[cls[0][0]]] += 1
+    class_comp = [0] * len(index.free_sides)  # per class, its component
+    for x, k in enumerate(class_of):
+        class_comp[k] = comp_of[face_of[x]]
+    for c in class_comp:
+        comp_chi[c] += 1
     for x, m in enumerate(mate):
         if m < 0 or m > x:
             comp_chi[comp_of[face_of[x]]] -= 1
@@ -536,14 +575,15 @@ def measure(diagram: SurfaceDiagram) -> SurfaceMetrics:
         if free:
             lo, hi = free
             paths.union(lo >> 1, hi >> 1)
-    path_roots = {paths.find(x) for x, m in enumerate(mate) if m < 0}
+    boundary = [x for x, m in enumerate(mate) if m < 0]
+    path_roots = {paths.find(x) for x in boundary}
     for root in path_roots:
         comp_paths[comp_of[face_of[root]]] += 1
 
     return SurfaceMetrics(
         area=nfaces,
-        radius=radius,
-        boundary_length=len(index.unmatched),
+        radius=diagram_radius(diagram),
+        boundary_length=len(boundary),
         component_count=ncomp,
         euler_characteristic=sum(comp_chi),
         boundary_path_count=len(path_roots),
@@ -557,10 +597,13 @@ def project_boundary(diagram: SurfaceDiagram) -> OneCycle:
     """Signed sum of the unmatched slots' image edges."""
     if diagram.ball is None:
         raise DomainError("projection needs ball provenance")
+    index = _glued(diagram)
+    label = index.slots.label
     acc: dict[int, int] = {}
-    for s in _glued(diagram).unmatched:
-        e, sign = diagram.slot(s)
-        acc[e] = acc.get(e, 0) + sign
+    for x, m in enumerate(index.mate):
+        if m < 0:
+            e, sign = label[x]
+            acc[e] = acc.get(e, 0) + sign
     return OneCycle(acc)
 
 
@@ -617,13 +660,13 @@ def assemble_surface(ball: CayleyBall, chain: TwoChain) -> SurfaceDiagram:
         faces += repeat(oriented_face(ball, cell_id, 1 if coeff > 0 else -1), abs(coeff))
 
     numbering = SlotNumbering(faces)
-    refs, label = numbering.refs, numbering.label
+    first, face_of, label = numbering.first, numbering.face_of, numbering.label
     head = numbering.next  # the corner at the end of slot x
     copies: dict[tuple[int, int], list[int]] = {}
     for x, slot in enumerate(label):
         copies.setdefault(slot, []).append(x)
-    matched = [-1] * len(refs)
-    corners = _Sets(len(refs))
+    matched = [-1] * len(label)
+    corners = _Sets(len(label))
     if any(len(row) > 1 and (e, -sign) in copies for (e, sign), row in copies.items()):
         _glue_contested(numbering, copies, matched, corners)
     else:  # forced: each slot with a partner takes the one copy of its opposite label
@@ -648,7 +691,10 @@ def assemble_surface(ball: CayleyBall, chain: TwoChain) -> SurfaceDiagram:
             )
 
     pairs = [(a, b, False) for a, b in enumerate(matched) if a < b]
-    diagram = SurfaceDiagram(faces=faces, gluing=[(refs[a], refs[b], flip) for a, b, flip in pairs], ball=ball)
+    gluing = [
+        ((face_of[a], a - first[face_of[a]]), (face_of[b], b - first[face_of[b]]), False) for a, b, _ in pairs
+    ]
+    diagram = SurfaceDiagram(faces=faces, gluing=gluing, ball=ball)
     # ``index`` is a cached property: set it to the index of this numbering,
     # matching and corner partition, so that none of them is derived again
     diagram.__dict__["index"] = index = SurfaceIndex(diagram, numbering, pairs, corners)
@@ -820,7 +866,7 @@ def diagram_to_dot(diagram: SurfaceDiagram) -> str:
     index = _valid(diagram, "draw")
     class_of, nxt = index.class_of, index.slots.next
     lines = ["graph surface {"]
-    for i in range(len(index.classes)):
+    for i in range(len(index.free_sides)):  # one entry per class
         lines.append(f'  v{i} [label="v{i}"];')
     for x, m in enumerate(index.mate):
         t, h = class_of[x], class_of[nxt[x]]

@@ -1,8 +1,9 @@
 """Reference computations that the tests and golden records compare the
 library with: hop distances over a ball's 1-skeleton (an oracle for the
 distances the one-pass build records), the ordered boundary paths of a
-surface diagram (recorded by the ``surface-index:*`` golden sections), the
-exact-fill checks in Python integers (oracles for ``exactlp``'s int64
+surface diagram (recorded by the ``surface-index:*`` golden sections), a
+diagram's radius from its (face, position) views (an oracle for
+``surface.diagram_radius``), the exact-fill checks in Python integers (oracles for ``exactlp``'s int64
 ``as_chain`` and ``lower_bound``), forced-cell peeling over the whole
 collapse order (an oracle for ``filling._peel_forced``) and the identity
 loop walk that looks up every step in the ball's tables (an oracle for
@@ -74,6 +75,38 @@ def boundary_paths(diagram: SurfaceDiagram) -> list[list[SlotRef]]:
             s = x
         paths.append(path)
     return paths
+
+
+def radius_reference(diagram: SurfaceDiagram) -> int | None:
+    """A valid diagram's radius read off its (face, position) views alone:
+    breadth-first from the classes of the boundary slots' corners over one
+    1-skeleton edge per glued pair and per boundary slot; None when some
+    class is not reached."""
+    index = diagram.index
+    class_at = {corner: k for k, cls in enumerate(index.classes) for corner in cls}
+
+    def ends(slot: SlotRef) -> tuple[int, int]:
+        f, p = slot
+        return class_at[slot], class_at[(f, (p + 1) % len(diagram.faces[f].slots))]
+
+    neighbours: dict[int, set[int]] = {k: set() for k in range(len(index.classes))}
+    for slot in [a for a, _, _ in diagram.gluing] + index.unmatched:
+        t, h = ends(slot)
+        neighbours[t].add(h)
+        neighbours[h].add(t)
+    dist = {k: 0 for slot in index.unmatched for k in ends(slot)}
+    frontier = sorted(dist)
+    while frontier:
+        new = []
+        for k in frontier:
+            for u in sorted(neighbours[k]):
+                if u not in dist:
+                    dist[u] = dist[k] + 1
+                    new.append(u)
+        frontier = new
+    if len(dist) < len(index.classes):
+        return None
+    return max(dist.values(), default=0)
 
 
 def contested(diagram: SurfaceDiagram) -> bool:

@@ -1,4 +1,5 @@
 import pytest
+from dataclasses import asdict
 from fractions import Fraction
 
 from homfill import experiments
@@ -44,6 +45,10 @@ def test_ar_pair_z2(z2_backend, z2_pres, z2_ball5):
         assert s.area <= report.f_table[s.cycle_length]
         assert s.radius <= report.g_table[s.cycle_length]
     assert not report.gaps
+    # samples are slotted (a report keeps thousands), with the same fields
+    sample = report.samples[0]
+    assert not hasattr(sample, "__dict__")
+    assert list(asdict(sample)) == ["word", "cycle_length", "area", "radius"]
 
 
 def test_ar_pair_free_group(f2_backend, f2_pres, f2_ball3):

@@ -32,6 +32,11 @@ Corpus:
                    the same records for ball-free diagrams that assembly
                    does not make: closed, non-orientable, self-glued and
                    pinched surfaces and a sign error.
+  surface-views:<file>, surface-views:handmade
+                   the index's unmatched slots and classes, and whether its
+                   gluing is a matching, for every invalid diagram of the
+                   surface-index section of that name whose index builds:
+                   the values verification stopped with.
   routed:<ctx>     routed fillings of kernel loops of length <= 6 on the
                    push-down benchmark's balls and routes, their assembled
                    diagrams and their push-downs.
@@ -85,6 +90,7 @@ from homfill.surface import (
     SurfaceDiagram,
     assemble_surface,
     diagram_from_json,
+    diagram_radius,
     diagram_to_dot,
     diagram_to_json,
     measure,
@@ -92,7 +98,7 @@ from homfill.surface import (
     verify_surface,
 )
 from homfill.words import parse_word
-from oracles import boundary_paths, contested, hop_distances
+from oracles import boundary_paths, contested, hop_distances, radius_reference
 
 GROUPS = Path(__file__).resolve().parent.parent / "groups"
 QUAD_F = [max(n, n * n) for n in range(64)]
@@ -141,6 +147,14 @@ GOLDEN = {
     "surface-index:z2_by_f2": "477bde4b4f454c4585dab0af3ec7f274c0d551f3a8254ef7165a5742ff9db4d5",
     "surface-index:z2_redundant": "d787dd486c1be7d6bf797dbaa717c6887e24f0ff29721621c155e3149f55b5ae",
     "surface-index:z3_ext": "c9ebaa4615d42952c8de2133ed679f70d5d7737033199ad0c9c58f600b5d253e",
+    "surface-views:f2": "4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945",
+    "surface-views:f2_triangle": "510b4950e3033dc51134d1aa5aa1f07301c8a20ceddc9a3e136d25e0caa67463",
+    "surface-views:handmade": "ae6da4c0e2cf9171d7c2fa9f1a5f4ab89963109a75226d50c942c69a0abad6f9",
+    "surface-views:heis_ext": "afceece44c14771c32a2d22f2680888e77c7664cce48477e074d1b15d611b326",
+    "surface-views:z2": "c8d39799e573787bf4c86a7d9535c10251c28b8424fff1801facf561837b20fd",
+    "surface-views:z2_by_f2": "20d61416d1e3e7e870143e34fa5d1fed2e4a0989572a66a77feeb73014623e10",
+    "surface-views:z2_redundant": "346f1e957c298214472ac8d7de18db4d3c88e3f393f8ce9f188ac39b75a12285",
+    "surface-views:z3_ext": "199c0185549725540dcff97cdfbe36ccd7ee53ca78c63056789037ea95dde3d3",
     "routed:z3": "fedbd6ca556438527b37ea19ff5124bfa330da911c864741ad1e49f638345a45",
     "routed:heis": "655f7c7d009aaf738e7bd09da09a249f64e51160a1a0e080b5abc4a67e78406e",
     "tight:z3:chart": "9ea52fe56f3d5645bbf013c6c4ea5a198a20d31f2df25df2676fee022d70a650",
@@ -232,22 +246,29 @@ def _assembled(ball, chain):
     return diagram, error
 
 
-def _surface(file: str) -> list:
+def _surface_corpus(file: str) -> tuple:
+    """(ball, [(chain, diagram, error)]) of the surface:<file> section."""
     group = _group(file)
     ball = build_ball(group.backend, group.hom_pres, 3)
     rng = Random(file)
-    out = []
-    paths = set()
+    corpus = []
     for _ in range(100):
         coeffs = {}
         for _ in range(rng.randint(1, 8)):
             if ball.cells:
                 coeffs[rng.randrange(len(ball.cells))] = rng.choice((-2, -1, 1, 2))
         chain = TwoChain(coeffs)
-        diagram, error = _assembled(ball, chain)
-        out.append({"chain": _plain(chain), "error": error} if error else diagram_to_json(diagram))
-        if diagram is not None:
-            paths.add(contested(diagram))
+        corpus.append((chain, *_assembled(ball, chain)))
+    return ball, corpus
+
+
+def _surface(file: str) -> list:
+    ball, corpus = _surface_corpus(file)
+    out = [
+        {"chain": _plain(chain), "error": error} if error else diagram_to_json(diagram)
+        for chain, diagram, error in corpus
+    ]
+    paths = {contested(diagram) for _, diagram, _ in corpus if diagram is not None}
     # the index comparison in ``_assembled`` sees both gluing paths wherever
     # a label can meet its opposite (two slots over one edge)
     slots = [e for cell in ball.cells for e, _ in cell.boundary]
@@ -408,11 +429,14 @@ HANDMADE = {
 
 
 def _handmade() -> list:
-    return [[name, _index_record(SurfaceDiagram(faces, gluing, declared_classes=declared))]
+    """(name, diagram) of every handmade diagram."""
+    return [(name, SurfaceDiagram(faces, gluing, declared_classes=declared))
             for name, (faces, gluing, declared) in HANDMADE.items()]
 
 
-def _surface_index(file: str) -> list:
+def _surface_index_corpus(file: str) -> list:
+    """(chain, error, [(name, variant)]) per chain of the
+    surface-index:<file> section; no variants when assembly failed."""
     group = _group(file)
     ball = build_ball(group.backend, group.hom_pres, 3)
     rng = Random("surface-index:" + file)
@@ -432,10 +456,32 @@ def _surface_index(file: str) -> list:
                 coeffs[rng.randrange(len(ball.cells))] = rng.choice((-2, -1, 1, 2))
         chain = TwoChain(coeffs)
         diagram, error = _assembled(ball, chain)
-        if error:
-            out.append({"chain": _plain(chain), "error": error})
-            continue
-        out.append([[name, _index_record(variant)] for name, variant in _variants(rng, diagram)])
+        out.append((chain, error, [] if error else _variants(rng, diagram)))
+    return out
+
+
+def _surface_index(file: str) -> list:
+    if file == "handmade":
+        return [[name, _index_record(diagram)] for name, diagram in _handmade()]
+    return [
+        {"chain": _plain(chain), "error": error} if error else [[name, _index_record(v)] for name, v in variants]
+        for chain, error, variants in _surface_index_corpus(file + ".grp")
+    ]
+
+
+def _views(file: str) -> list:
+    """(name, whether the gluing is a matching, unmatched, classes) of every
+    invalid diagram of the surface-index:<file> section whose index builds."""
+    if file == "handmade":
+        named = _handmade()
+    else:
+        named = [pair for _, _, variants in _surface_index_corpus(file + ".grp") for pair in variants]
+    out = []
+    for name, diagram in named:
+        report, error = _attempt(verify_surface, diagram)
+        if not error and not report.ok:
+            index = diagram.index
+            out.append([name, index.mate is not None, _plain(index.unmatched), _plain(index.classes)])
     return out
 
 
@@ -469,17 +515,40 @@ def _push(h_ball, k_ball, constants, cycle, route):
     return record, chain
 
 
-def _routed(ctx: str) -> list:
+def _routed_corpus(ctx: str) -> list:
+    """(word, route, record, assembled diagram or None) per routed fill of
+    the routed:<ctx> section."""
     file, h_radius, k_radius, cap, names = ROUTED[ctx]
     group, h_ball, k_ball, constants, _ = _balls(file, h_radius, k_radius)
     out = []
     for cycle, word in _loops(k_ball, group.lifts[0], 6, cap):
         for route in _routes(group, names):
             record, chain = _push(h_ball, k_ball, constants, cycle, route)
-            if chain is not None:
-                record["diagram"] = diagram_to_json(_assembled(h_ball, chain)[0])
-            out.append([list(word), list(route), record])
+            diagram = None if chain is None else _assembled(h_ball, chain)[0]
+            out.append((word, route, record, diagram))
     return out
+
+
+def _routed(ctx: str) -> list:
+    out = []
+    for word, route, record, diagram in _routed_corpus(ctx):
+        if diagram is not None:
+            record["diagram"] = diagram_to_json(diagram)
+        out.append([list(word), list(route), record])
+    return out
+
+
+def _diagrams(name: str) -> list:
+    """Every diagram of the surface:*, surface-index:* or routed:* section
+    ``name``."""
+    kind, _, rest = name.partition(":")
+    if kind == "surface":
+        return [diagram for _, diagram, _ in _surface_corpus(rest + ".grp")[1] if diagram is not None]
+    if kind == "routed":
+        return [diagram for *_, diagram in _routed_corpus(rest) if diagram is not None]
+    if rest == "handmade":
+        return [diagram for _, diagram in _handmade()]
+    return [variant for _, _, variants in _surface_index_corpus(rest + ".grp") for _, variant in variants]
 
 
 def _tight(ctx: str, part: str) -> list:
@@ -536,7 +605,9 @@ def _section(name: str) -> list:
     if kind in ("fill", "fill-area"):
         return _fill(*_fill_args(rest), chains=kind == "fill")
     if kind == "surface-index":
-        return _handmade() if rest == "handmade" else _surface_index(rest + ".grp")
+        return _surface_index(rest)
+    if kind == "surface-views":
+        return _views(rest)
     if kind == "routed":
         return _routed(rest)
     if kind == "arpair":
@@ -554,6 +625,7 @@ def test_every_group_file_is_covered():
     files = {p.stem for p in GROUPS.glob("*.grp")}
     assert files == {name.split(":")[1] for name in GOLDEN if name.startswith("surface:")}
     assert files | {"handmade"} == {name.split(":")[1] for name in GOLDEN if name.startswith("surface-index:")}
+    assert files | {"handmade"} == {name.split(":")[1] for name in GOLDEN if name.startswith("surface-views:")}
     assert files == {name.split(":")[1] for name in GOLDEN if name.startswith("ball:")}
     assert files == {name.split(":")[1] for name in GOLDEN if name.startswith("fill:")}
     fills = {name.partition(":")[2] for name in GOLDEN if name.startswith("fill:")}
@@ -575,6 +647,46 @@ def test_golden_fill_chains_bound_their_cycles(rest):
         if result.optimal():
             assert boundary_2(ball, result.chain) == cycle, word
             assert sum(map(abs, result.chain.coeffs.values())) == result.area, word
+
+
+# the messages of the first group of checks, which stops verification
+# before the class stage
+FIRST_STAGE = ("has no slots", "glued to itself", "matched twice")
+
+
+@pytest.mark.parametrize("name", sorted(name for name in GOLDEN if name.startswith("surface-index:")))
+def test_views_keep_the_stage_verification_stopped_at(name):
+    # on an invalid diagram, ``unmatched`` is [] exactly when the gluing is
+    # not a matching (or glues every slot) and ``classes`` exactly when
+    # verification stopped before the class stage; the surface-views:*
+    # hashes pin the values
+    invalid = 0
+    for diagram in _diagrams(name):
+        report, error = _attempt(verify_surface, diagram)
+        if error or report.ok:
+            continue
+        index = diagram.index
+        assert (index.unmatched == []) == (index.mate is None or -1 not in index.mate)
+        stopped = any(part in line for line in report.violations for part in FIRST_STAGE)
+        assert (index.classes == []) == stopped
+        invalid += 1
+    assert invalid or name.endswith(":f2")  # f2 has no cells
+
+
+@pytest.mark.parametrize(
+    "name", sorted(name for name in GOLDEN if name.partition(":")[0] in ("surface", "surface-index", "routed"))
+)
+def test_diagram_radius_matches_the_reference(name):
+    radii = []
+    for diagram in _diagrams(name):
+        report, error = _attempt(verify_surface, diagram)
+        if error or not report.ok:
+            continue
+        radii.append(diagram_radius(diagram))
+        assert radii[-1] == radius_reference(diagram) == measure(diagram).radius
+    assert radii or name.endswith(":f2")  # f2 has no cells
+    # the closed surfaces, handmade and mirrored, have no radius
+    assert (None in radii) == (name.startswith("surface-index:") and not name.endswith(":f2"))
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN))

@@ -13,6 +13,7 @@ from homfill.surface import (
     SurfaceDiagram,
     assemble_surface,
     diagram_from_json,
+    diagram_radius,
     diagram_to_dot,
     diagram_to_json,
     measure,
@@ -338,6 +339,8 @@ def test_verify_reports_each_violation(z2_ball4, build, message):
     assert message in verify_surface(diagram).violations
     with pytest.raises(DomainError, match="cannot measure"):
         measure(diagram)
+    with pytest.raises(DomainError, match="cannot measure"):
+        diagram_radius(diagram)
     with pytest.raises(DomainError, match="cannot draw an invalid diagram"):
         diagram_to_dot(diagram)
 
