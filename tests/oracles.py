@@ -3,10 +3,11 @@ library with: hop distances over a ball's 1-skeleton (an oracle for the
 distances the one-pass build records), the ordered boundary paths of a
 surface diagram (recorded by the ``surface-index:*`` golden sections), a
 diagram's radius from its (face, position) views (an oracle for
-``surface.diagram_radius``), the exact-fill checks in Python integers (oracles for ``exactlp``'s int64
-``as_chain`` and ``lower_bound``), forced-cell peeling over the whole
-collapse order (an oracle for ``filling._peel_forced``) and the identity
-loop walk that looks up every step in the ball's tables (an oracle for
+``surface.diagram_radius``), the exact-fill checks in Python integers
+(oracles for ``exactlp``'s int64 ``as_chain`` and ``lower_bound``),
+forced-cell peeling over the whole collapse order (an oracle for
+``filling._peel_forced``) and the identity loop walk that looks up every
+step in the ball's tables (an oracle for
 ``filling.enumerate_identity_cycles``)."""
 
 from collections import Counter

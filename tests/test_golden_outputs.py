@@ -469,15 +469,18 @@ def _surface_index(file: str) -> list:
     ]
 
 
-def _views(file: str) -> list:
+def _index_diagrams(rest: str) -> list:
+    """(name, diagram) of every diagram of the surface-index:<rest> section."""
+    if rest == "handmade":
+        return _handmade()
+    return [pair for _, _, variants in _surface_index_corpus(rest + ".grp") for pair in variants]
+
+
+def _views(rest: str) -> list:
     """(name, whether the gluing is a matching, unmatched, classes) of every
-    invalid diagram of the surface-index:<file> section whose index builds."""
-    if file == "handmade":
-        named = _handmade()
-    else:
-        named = [pair for _, _, variants in _surface_index_corpus(file + ".grp") for pair in variants]
+    invalid diagram of the surface-index:<rest> section whose index builds."""
     out = []
-    for name, diagram in named:
+    for name, diagram in _index_diagrams(rest):
         report, error = _attempt(verify_surface, diagram)
         if not error and not report.ok:
             index = diagram.index
@@ -546,9 +549,7 @@ def _diagrams(name: str) -> list:
         return [diagram for _, diagram, _ in _surface_corpus(rest + ".grp")[1] if diagram is not None]
     if kind == "routed":
         return [diagram for *_, diagram in _routed_corpus(rest) if diagram is not None]
-    if rest == "handmade":
-        return [diagram for _, diagram in _handmade()]
-    return [variant for _, _, variants in _surface_index_corpus(rest + ".grp") for _, variant in variants]
+    return [diagram for _, diagram in _index_diagrams(rest)]
 
 
 def _tight(ctx: str, part: str) -> list:

@@ -58,6 +58,19 @@ def test_grid_disk(z2_ball4):
     assert sum(1 for cls in classes if len(cls) == 4) == 1
 
 
+def test_integer_readers_derive_no_views(z2_ball4):
+    # measurement, the radius, projection and DOT read the index's integer
+    # fields, so none of them derives a (face, position) view
+    gamma = loop_to_cycle(z2_ball4, 0, parse_word("a a b b a' a' b' b'", NI))
+    diagram = assemble_surface(z2_ball4, harea_fill(z2_ball4, gamma).chain)
+    assert diagram_radius(diagram) == measure(diagram).radius == 1
+    project_boundary(diagram)
+    diagram_to_dot(diagram)
+    index = diagram.index
+    assert not {"unmatched", "classes"} & index.__dict__.keys() and "refs" not in index.slots.__dict__
+    assert len(index.unmatched) == 8 and len(index.classes) == 9
+
+
 def test_doubled_cell_two_disks(z2_ball4):
     diagram = assemble_surface(z2_ball4, TwoChain({0: 2}))
     metrics = measure(diagram)
