@@ -18,7 +18,8 @@ calls ``normal_form``, through ``vertex_of`` for the error of a word
 outside the ball.  Maps between balls that are fixed per ball pair
 (translation by a coset, a lift, a certificate's translation) are
 ``Placement`` tables kept on a ball: each entry is the normal form's vertex,
-taken on first read and kept.
+taken on first read and kept, and each edge or cell carried through the map
+keeps its target the same way.
 
 A vertex, edge or cell that a ball lacks (``vertex_of``, ``step``,
 ``cell_at``, and so the carries between balls) raises the ResourceError of
@@ -48,7 +49,9 @@ class _Chain:
 
     def __init__(self, coeffs=None):
         if isinstance(coeffs, dict):  # distinct keys: nothing to accumulate
-            self.coeffs: dict[int, int] = {k: c for k, c in coeffs.items() if c}
+            self.coeffs: dict[int, int] = (
+                dict(coeffs) if all(coeffs.values()) else {k: c for k, c in coeffs.items() if c}
+            )
             return
         self.coeffs = {}
         for k, c in coeffs or ():
@@ -91,7 +94,7 @@ class OneCycle(_Chain):
         return OneCycle({e: -c for e, c in self.coeffs.items()})
 
     def length(self) -> int:
-        return sum(abs(c) for c in self.coeffs.values())
+        return sum(map(abs, self.coeffs.values()))
 
 
 class TwoChain(_Chain):
@@ -103,7 +106,7 @@ class TwoChain(_Chain):
         return self + TwoChain({s: -c for s, c in other.coeffs.items()})
 
     def area(self) -> int:
-        return sum(abs(c) for c in self.coeffs.values())
+        return sum(map(abs, self.coeffs.values()))
 
 
 @dataclass(frozen=True, slots=True)
@@ -273,20 +276,31 @@ class CayleyBall:
             )
         ]
 
+    @cached_property
+    def edge_cosets(self) -> list[Word | None]:
+        """The coset label of each edge, the one both its endpoints carry, or
+        None for an edge that joins two cosets.  Built on first use."""
+        labels = self.coset_labels
+        return [labels[s] if labels[s] == labels[t] else None for s, _, t in self.edges]
+
 
 class Placement:
     """Where a map sends the vertices of one ball in the ball ``dst``: x
     goes to the vertex of the word ``word(x)``, or None when that lies
     outside dst.  ``table`` holds one entry per source vertex, -1 until it
     is first read; a read takes the entry through dst's normal form and
-    keeps it."""
+    keeps it.  ``edges`` and ``cells`` keep the dst edge and cell that
+    ``carry_cycle`` and ``carry_chain`` found for each source edge and cell;
+    a piece dst lacks is never kept, so it raises again when carried again."""
 
-    __slots__ = ("table", "dst", "word")
+    __slots__ = ("table", "dst", "word", "edges", "cells")
 
     def __init__(self, size: int, dst: "CayleyBall", word):
         self.table: list = [-1] * size
         self.dst = dst
         self.word = word
+        self.edges: dict[int, int] = {}
+        self.cells: dict[int, int] = {}
 
     def __call__(self, x: int) -> int | None:
         v = self.table[x]
@@ -401,9 +415,10 @@ def build_ball(
 
 def boundary_2(ball: CayleyBall, chain: TwoChain) -> OneCycle:
     acc: dict[int, int] = {}
+    get, cells = acc.get, ball.cells
     for cell, coeff in chain.coeffs.items():
-        for edge, sign in ball.cells[cell].boundary:
-            acc[edge] = acc.get(edge, 0) + coeff * sign
+        for edge, sign in cells[cell].boundary:
+            acc[edge] = get(edge, 0) + coeff * sign
     return OneCycle(acc)
 
 
@@ -446,11 +461,16 @@ def loop_to_cycle(ball: CayleyBall, base: int, w: Word) -> OneCycle:
 def carry_chain(src: CayleyBall, dst: CayleyBall, chain: TwoChain, place: Placement) -> TwoChain:
     """Carry a 2-chain from one ball to ``place.dst``: the cell based at x
     with relator r goes to the cell based at ``place.vertex(x)`` with
-    relator r.  A vertex or cell that dst lacks raises its ResourceError."""
+    relator r.  A vertex or cell that dst lacks raises its ResourceError.
+    Each target is kept in ``place.cells``, so src must be the ball whose
+    vertices ``place`` places."""
     out: dict[int, int] = {}
+    kept = place.cells
     for cell, coeff in chain.coeffs.items():
-        c = src.cells[cell]
-        target = dst.cell_at(place.vertex(c.base), c.relator)
+        target = kept.get(cell)
+        if target is None:
+            c = src.cells[cell]
+            target = kept[cell] = dst.cell_at(place.vertex(c.base), c.relator)
         out[target] = out.get(target, 0) + coeff
     return TwoChain(out)
 
@@ -458,11 +478,16 @@ def carry_chain(src: CayleyBall, dst: CayleyBall, chain: TwoChain, place: Placem
 def carry_cycle(src: CayleyBall, dst: CayleyBall, cycle: OneCycle, place: Placement) -> OneCycle:
     """Carry a 1-chain from one ball to ``place.dst``: the edge from x
     labelled g goes to the edge from ``place.vertex(x)`` labelled g.  A
-    vertex or edge that dst lacks raises its ResourceError."""
+    vertex or edge that dst lacks raises its ResourceError.  Each target is
+    kept in ``place.edges``, so src must be the ball whose vertices
+    ``place`` places."""
     out: dict[int, int] = {}
+    kept = place.edges
     for edge, coeff in cycle.coeffs.items():
-        source, label, _ = src.edges[edge]
-        target = dst.step(place.vertex(source), label)[0]
+        target = kept.get(edge)
+        if target is None:
+            source, label, _ = src.edges[edge]
+            target = kept[edge] = dst.step(place.vertex(source), label)[0]
         out[target] = out.get(target, 0) + coeff
     return OneCycle(out)
 

@@ -20,9 +20,10 @@ the largest forward area, C' the largest backward or round-trip one, C'' the
 largest ``collar_psi_phi`` one.
 
 Cosets are read off the ball: ``CayleyBall.cell_cosets`` lists the cosets
-each cell touches (one, or the pair a conjugation cell joins), and an edge
-lies in K(w) when both its endpoints carry the label w.  Chains and cycles
-move between the extension ball and the kernel ball with
+each cell touches (one, or the pair a conjugation cell joins), and
+``CayleyBall.edge_cosets`` gives the coset an edge lies in, the label both
+its endpoints carry (None for an edge between two cosets).  Chains and
+cycles move between the extension ball and the kernel ball with
 ``carry_chain``/``carry_cycle``: ``chart`` translates a coset's piece by
 w^-1 into the kernel ball, ``embed_chain`` translates a kernel chain into
 K(w).
@@ -41,9 +42,18 @@ Vertices are placed through memoised normal-form tables
   kernel vertex of f(x) y, f being the lift's image (the identity for
   collars), for the certificate substitutions of the transfers.
 
-The lift and certificate tables are kept on the kernel ball and the others
-on the extension ball, so that a kernel ball shared by several extension
-balls keeps none of them alive.
+A chart or embed table also keeps the edge and cell that each carried edge
+and cell went to (``Placement.edges``/``cells``), so carrying a piece again
+is one lookup.  The transfers keep each certificate translated to f(x) as
+its list of (cell, coefficient) in ``TransferConstants.translates``, keyed
+by family, lift, direction, certificate key and x.  A table keeps only
+lookups that succeeded: a piece the ball lacks raises again when asked
+again.
+
+The lift and certificate tables are kept on the kernel ball (the
+translates on the constants, which hold only the kernel ball) and the
+others on the extension ball, so that a kernel ball shared by several
+extension balls keeps none of them alive.
 
 A ball too small for a transfer raises the ``cayley`` lookup's ResourceError
 unchanged, and a loop that does not fill inside the kernel ball is one too.
@@ -53,7 +63,7 @@ a coset it does not lie in.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .backends import ExtensionBackend
 from .cayley import (
@@ -101,6 +111,10 @@ class TransferConstants:
     # certificate family (RELATOR_CERTS, COLLAR_CERTS) -> (lift, marked
     # relator) or (lift, generator) -> its certificate
     certs: dict[str, dict[tuple[int, int], Certificate]]
+    # (family, lift, direction) -> (certificate key, x) -> the certificate's
+    # (cell, coefficient) pairs translated to x (see ``_transfer``), kept on
+    # first use
+    translates: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def as_json(self) -> dict:
         names, stable = self.k_ball.generators, self.layout.stable_names
@@ -227,36 +241,50 @@ def cert_placement(k_ball: CayleyBall, lift: AutLift | None, direction: str | No
     return _kept(k_ball, ("cert", lift, direction, y), k_ball, k_ball, word)
 
 
-def _transfer(k_ball: CayleyBall, items, certs: dict, lift: AutLift | None, direction: str | None) -> TwoChain:
-    """The sum of coeff * ``certs[key]`` over the (x, key, coeff) items, each
-    certificate translated to f(x) (see ``cert_placement``): its cell based
-    at y goes to the cell with the same relator based at f(x) y."""
+def _transfer(
+    constants: TransferConstants, family: str, items, lift: AutLift | None, direction: str | None
+) -> TwoChain:
+    """The sum of coeff * ``constants.certs[family][key]`` over the (x, key,
+    coeff) items, each certificate translated to f(x) (see
+    ``cert_placement``): its cell based at y goes to the cell with the same
+    relator based at f(x) y.  Each translate is kept in
+    ``constants.translates`` once all its cells are found."""
+    k_ball, certs = constants.k_ball, constants.certs[family]
+    kept = constants.translates.setdefault((family, lift, direction), {})
     out: dict[int, int] = {}
+    get = out.get
     for x, key, coeff in items:
-        for cell_id, c in certs[key].chain.coeffs.items():
-            cell = k_ball.cells[cell_id]
-            base = cert_placement(k_ball, lift, direction, cell.base).vertex(x)
-            target = k_ball.cell_at(base, cell.relator)
-            out[target] = out.get(target, 0) + coeff * c
-            if not out[target]:
+        translate = kept.get((key, x))
+        if translate is None:
+            translate = []
+            for cell_id, c in certs[key].chain.coeffs.items():
+                cell = k_ball.cells[cell_id]
+                base = cert_placement(k_ball, lift, direction, cell.base).vertex(x)
+                translate.append((k_ball.cell_at(base, cell.relator), c))
+            kept[key, x] = translate
+        for target, c in translate:
+            total = get(target, 0) + coeff * c
+            if total:
+                out[target] = total
+            else:
                 del out[target]
     return TwoChain(out)
 
 
-def _substitute(k_ball: CayleyBall, chain: TwoChain, lift: AutLift, direction: str, certs: dict) -> TwoChain:
-    """Replace each cell of the chain with its certificate in ``certs``,
+def _substitute(constants: TransferConstants, family: str, chain: TwoChain, lift: AutLift, direction: str) -> TwoChain:
+    """Replace each cell of the chain with its certificate in ``family``,
     translated to the ``direction`` image of the cell's base vertex."""
-    i, cells = lift.stable_letter_index, k_ball.cells
+    i, cells = lift.stable_letter_index, constants.k_ball.cells
     items = ((cells[c].base, (i, cells[c].relator), coeff) for c, coeff in sorted(chain.coeffs.items()))
-    return _transfer(k_ball, items, certs, lift, direction)
+    return _transfer(constants, family, items, lift, direction)
 
 
-def _collars(k_ball: CayleyBall, cycle: OneCycle, i: int, certs: dict) -> TwoChain:
-    """One collar certificate per edge of the cycle, translated to the
-    edge's source vertex."""
-    edges = k_ball.edges
+def _collars(constants: TransferConstants, family: str, cycle: OneCycle, i: int) -> TwoChain:
+    """One collar certificate of ``family`` per edge of the cycle,
+    translated to the edge's source vertex."""
+    edges = constants.k_ball.edges
     items = ((edges[e][0], (i, edges[e][1] - 1), coeff) for e, coeff in sorted(cycle.coeffs.items()))
-    return _transfer(k_ball, items, certs, None, None)
+    return _transfer(constants, family, items, None, None)
 
 
 def push_forward_filling(
@@ -268,7 +296,7 @@ def push_forward_filling(
     """Filling of the forward image of the chain's boundary, by replacing
     each cell with its fixed forward certificate translated to the image of
     the cell's base vertex.  Area grows by at most the factor C."""
-    out = _substitute(k_ball, chain, lift, "forward", constants.certs["phi_relator"])
+    out = _substitute(constants, "phi_relator", chain, lift, "forward")
     if out.area() > constants.C * chain.area():
         raise InvariantError("push-forward area exceeded its certified bound")
     expected = lift_image_cycle(k_ball, boundary_2(k_ball, chain), lift, "forward")
@@ -290,8 +318,8 @@ def pull_back_filling(
     C' Area(c') + C'' |gamma|."""
     if boundary_2(k_ball, c_prime) != lift_image_cycle(k_ball, gamma, lift, "forward"):
         raise DomainError("pull-back input does not bound the forward image of gamma")
-    out = _substitute(k_ball, c_prime, lift, "backward", constants.certs["psi_relator"])
-    out = out + _collars(k_ball, gamma, lift.stable_letter_index, constants.certs["collar_psi_phi"])
+    out = _substitute(constants, "psi_relator", c_prime, lift, "backward")
+    out = out + _collars(constants, "collar_psi_phi", gamma, lift.stable_letter_index)
     if out.area() > constants.C_prime * c_prime.area() + constants.C_double_prime * gamma.length():
         raise InvariantError("pull-back area exceeded its certified bound")
     if boundary_2(k_ball, out) != gamma:
@@ -320,14 +348,8 @@ def chain_coset_words(ball: CayleyBall, chain: TwoChain) -> set[Word]:
 
 def restrict_to_coset(ball: CayleyBall, cycle: OneCycle, coset: Word) -> OneCycle:
     """The part of the cycle on edges whose both endpoints lie in K(coset)."""
-    labels = ball.coset_labels
-    return OneCycle(
-        {
-            e: c
-            for e, c in cycle.coeffs.items()
-            if labels[ball.edges[e][0]] == coset == labels[ball.edges[e][2]]
-        }
-    )
+    cosets = ball.edge_cosets
+    return OneCycle({e: c for e, c in cycle.coeffs.items() if cosets[e] == coset})
 
 
 def chart_placement(h_ball: CayleyBall, k_ball: CayleyBall, coset: Word) -> Placement:
@@ -369,8 +391,8 @@ def chart(h_ball: CayleyBall, k_ball: CayleyBall, coset: Word, item):
     of the item lies outside K(coset), which no larger ball fixes."""
     coset = tuple(coset)
     if isinstance(item, OneCycle):
-        what, carry = "cycle", carry_cycle
-        inside = restrict_to_coset(h_ball, item, coset) == item
+        what, carry, cosets = "cycle", carry_cycle, h_ball.edge_cosets
+        inside = all(cosets[e] == coset for e in item.coeffs)
     else:
         what, carry = "chain", carry_chain
         inside = all(h_ball.cell_cosets[c] == (coset,) for c in item.coeffs)
@@ -523,16 +545,22 @@ def push_down(
         w_prime = w[:-1]
         lift = constants.lifts[i]
 
+        # one pass splits the chain into the t-cycle T, the outer filling
+        # S_out and the rest, which the step keeps
         t_cells: dict[int, int] = {}
         out_cells: dict[int, int] = {}
+        rest: dict[int, int] = {}
+        t_pair, w_only = (w_prime, w), (w,)
         for cell_id, coeff in current.coeffs.items():
             cell_cosets = h_ball.cell_cosets[cell_id]
-            if cell_cosets == (w_prime, w):
+            if cell_cosets == t_pair:
                 t_cells[cell_id] = coeff
-            elif cell_cosets == (w,):
+            elif cell_cosets == w_only:
                 out_cells[cell_id] = coeff
             elif w in cell_cosets:
                 raise InvariantError("a second t-cycle touches the maximal coset")
+            else:
+                rest[cell_id] = coeff
         T = TwoChain(t_cells)
         S_out = TwoChain(out_cells)
 
@@ -558,7 +586,7 @@ def push_down(
             direction = "forward"
 
         s_in = embed_chain(h_ball, w_prime, k_ball, s_in_chart)
-        new_chain = current - S_out - T + s_in
+        new_chain = TwoChain(rest) + s_in
         if boundary_2(h_ball, new_chain) != gamma:
             raise InvariantError("push-down step changed the boundary")
 
@@ -707,7 +735,7 @@ def route_filling(
             next_cycle = lift_image_cycle(k_ball, cycle_k, lift, "backward")
             cells = conj_cells(next_cycle, prefix, i, -1)
             # bridge gamma with its phi(psi(.)) image inside the current coset
-            k_collars = _collars(k_ball, cycle_k, i, constants.certs["collar_phi_psi"])
+            k_collars = _collars(constants, "collar_phi_psi", cycle_k, i)
             collars = embed_chain(h_ball, prefix, k_ball, k_collars)
         return TwoChain(cells) + collars + recurse(prefix + (t,), next_cycle, rest[1:])
 

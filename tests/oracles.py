@@ -6,9 +6,11 @@ diagram's radius from its (face, position) views (an oracle for
 ``surface.diagram_radius``), the exact-fill checks in Python integers
 (oracles for ``exactlp``'s int64 ``as_chain`` and ``lower_bound``),
 forced-cell peeling over the whole collapse order (an oracle for
-``filling._peel_forced``) and the identity loop walk that looks up every
+``filling._peel_forced``), the identity loop walk that looks up every
 step in the ball's tables (an oracle for
-``filling.enumerate_identity_cycles``)."""
+``filling.enumerate_identity_cycles``) and coset membership from both
+endpoints' labels (an oracle for ``CayleyBall.edge_cosets`` and
+``extension.restrict_to_coset``)."""
 
 from collections import Counter
 
@@ -211,3 +213,15 @@ def identity_cycles_reference(ball: CayleyBall, max_len: int) -> list:
 
     dfs(0, max_len)
     return results
+
+
+def in_coset_reference(ball: CayleyBall, edge: int, coset) -> bool:
+    """Whether an edge lies in K(coset): both its endpoints carry the label."""
+    labels = ball.coset_labels
+    source, _, target = ball.edges[edge]
+    return labels[source] == coset == labels[target]
+
+
+def restrict_reference(ball: CayleyBall, cycle: OneCycle, coset) -> OneCycle:
+    """The part of a 1-chain on the edges that lie in K(coset)."""
+    return OneCycle({e: c for e, c in cycle.coeffs.items() if in_coset_reference(ball, e, coset)})

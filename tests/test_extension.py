@@ -4,12 +4,14 @@ import os
 import pytest
 
 from homfill.backends import ExtensionBackend, FreeAbelianBackend
-from homfill.cayley import TwoChain, boundary_2, build_ball, loop_to_cycle
+from homfill.cayley import OneCycle, TwoChain, boundary_2, build_ball, loop_to_cycle
 from homfill.errors import DomainError, InvariantError, ResourceError
 from homfill.cli import load_group
 from homfill.extension import (
     COLLAR_CERTS,
     RELATOR_CERTS,
+    Certificate,
+    _collars,
     chain_coset_words,
     compute_constants,
     detect_t_cycles,
@@ -18,6 +20,7 @@ from homfill.extension import (
     pull_back_filling,
     push_down,
     push_forward_filling,
+    restrict_to_coset,
     route_filling,
     verify_theorem_bound,
 )
@@ -27,6 +30,7 @@ from homfill.surface import assemble_surface
 from homfill.words import inverse_word, parse_word
 
 from conftest import ExtensionSetup, z2_presentation
+from oracles import in_coset_reference, restrict_reference
 
 K_NI = {"a": 0, "b": 1}
 H_NI = {"a": 0, "b": 1, "t1": 2}
@@ -178,6 +182,57 @@ def test_transfer_bounds_shear(heis_setup, heis_constants):
         assert boundary_2(k_ball, back) == gamma
         bound = heis_constants.C_prime * fwd.area() + heis_constants.C_double_prime * gamma.length()
         assert back.area() <= bound
+
+
+def test_collar_families_keep_their_own_translates(z3_setup, z3_constants):
+    """Both collar families transfer with no lift and share their (lift,
+    generator) keys.  In a hand-built table where they differ on one key,
+    each family's transfer gives its own chain, whether it runs first or
+    after the other family's translates are kept."""
+    k_ball = z3_setup.k_ball
+    a = k_ball.vertex_of(parse_word("a", K_NI))
+    certs = {family: dict(table) for family, table in z3_constants.certs.items()}
+    certs["collar_psi_phi"][(0, 0)] = Certificate((), TwoChain({k_ball.cell_at(0, 0): 1}), 1)
+    certs["collar_phi_psi"][(0, 0)] = Certificate((), TwoChain({k_ball.cell_at(a, 0): -2}), 2)
+    x = k_ball.vertex_of(parse_word("b", K_NI))
+    cycle = OneCycle({k_ball.step(x, 1)[0]: 3})  # the edge a from x: key (0, 0)
+
+    def translated(family):
+        """The certificate's cells based at y moved to x y, times 3."""
+        out = {}
+        for cell_id, c in certs[family][(0, 0)].chain.coeffs.items():
+            cell = k_ball.cells[cell_id]
+            base = k_ball.vertex_of(k_ball.vertices[x] + k_ball.vertices[cell.base])
+            out[k_ball.cell_at(base, cell.relator)] = 3 * c
+        return TwoChain(out)
+
+    want = {family: translated(family) for family in COLLAR_CERTS}
+    assert want["collar_psi_phi"] != want["collar_phi_psi"]
+    for order in (COLLAR_CERTS, COLLAR_CERTS[::-1]):
+        constants = dataclasses.replace(z3_constants, certs=certs)
+        assert not constants.translates
+        for family in order + order:
+            assert _collars(constants, family, cycle, 0) == want[family], family
+        assert sorted(key[0] for key in constants.translates) == sorted(COLLAR_CERTS)
+
+
+@pytest.mark.parametrize("name, h_radius, k_radius", [("z3_ext", 7, 10), ("heis_ext", 8, 12)])
+def test_edge_cosets_match_both_labels(name, h_radius, k_radius):
+    """On the extension and kernel balls the push-down benchmark uses,
+    every edge's ``edge_cosets`` entry and every coset's restriction agree
+    with comparing both endpoints' labels."""
+    group = load_group(os.path.join(os.path.dirname(__file__), "..", "groups", f"{name}.grp"))
+    h_ball = build_ball(group.backend, group.hom_pres, h_radius)
+    k_ball = build_ball(group.k_backend, group.k_pres, k_radius)
+    for ball in (h_ball, k_ball):
+        cosets = sorted(set(ball.coset_labels))
+        everything = OneCycle({e: e % 7 - 3 for e in range(len(ball.edges))})
+        for e, label in enumerate(ball.edge_cosets):
+            assert [label == w for w in cosets] == [in_coset_reference(ball, e, w) for w in cosets]
+        for w in cosets:
+            assert restrict_to_coset(ball, everything, w) == restrict_reference(ball, everything, w)
+    assert len(set(h_ball.coset_labels)) == 2 * h_radius + 1
+    assert None in h_ball.edge_cosets
 
 
 def test_pull_back_rejects_wrong_input(z3_setup, z3_constants):

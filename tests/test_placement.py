@@ -6,9 +6,12 @@ normal-form placement, None exactly where that leaves the destination ball;
 the balls are small enough that many placements leave.  An entry takes one
 normal form, on first read, and ``Placement.vertex`` raises ``vertex_of``'s
 error where the entry is None, so a push-down repeated on the same balls
-takes no normal form at all.  The tables are kept on the extension ball,
-except the lift and certificate tables, so a kernel ball shared by several
-extension balls keeps none alive.
+takes no normal form at all.  Placements also keep each edge and cell they
+carried and the transfers each certificate translate, so that push-down
+asks no ball for an edge or cell either; a lookup that failed is never
+kept.  The tables are kept on the extension ball, except the lift and
+certificate tables, so a kernel ball shared by several extension balls
+keeps none alive.
 """
 
 import gc
@@ -18,10 +21,20 @@ from pathlib import Path
 
 import pytest
 
-from homfill.cayley import OneCycle, build_ball, loop_to_cycle, trace_word
+from homfill.cayley import (
+    CayleyBall,
+    OneCycle,
+    TwoChain,
+    build_ball,
+    carry_chain,
+    carry_cycle,
+    loop_to_cycle,
+    trace_word,
+)
 from homfill.cli import load_group
 from homfill.errors import ResourceError
 from homfill.extension import (
+    _substitute,
     cert_placement,
     chart,
     chart_placement,
@@ -209,7 +222,8 @@ def test_repeated_pushdown_takes_no_normal_form(route, direction, monkeypatch):
     """Routing and pushing down the same loop a second time reads every
     placement, certificate cells included, from the kept tables: the kernel
     backend (which the extension backend's normal form also calls) is asked
-    for no normal form."""
+    for no normal form, and the second push-down asks neither ball for an
+    edge (``step``) or a cell (``cell_at``)."""
     group = load_group(str(GROUPS / "heis_ext.grp"))
     k_ball = build_ball(group.k_backend, group.k_pres, 6)
     h_ball = build_ball(group.backend, group.hom_pres, 5)
@@ -221,16 +235,75 @@ def test_repeated_pushdown_takes_no_normal_form(route, direction, monkeypatch):
     asked = []
     normal_form = k_ball.backend.normal_form
     monkeypatch.setattr(k_ball.backend, "normal_form", lambda w: asked.append(w) or normal_form(w))
-    counts = []
+    lookups = {"step": 0, "cell_at": 0}
+    for name in lookups:
+
+        def counted(ball, *args, _name=name, _lookup=getattr(CayleyBall, name)):
+            lookups[_name] += 1
+            return _lookup(ball, *args)
+
+        monkeypatch.setattr(CayleyBall, name, counted)
+    counts, pushdown_lookups = [], []
     for _ in range(2):
         before = len(asked)
         chain = route_filling(h_ball, k_ball, constants, gamma, route)
-        trace = push_down(h_ball, kernel_cycle_to_extension(h_ball, k_ball, gamma), chain, constants, quadratic)
+        gamma_h = kernel_cycle_to_extension(h_ball, k_ball, gamma)
+        looked_up = dict(lookups)
+        trace = push_down(h_ball, gamma_h, chain, constants, quadratic)
+        pushdown_lookups.append({name: lookups[name] - looked_up[name] for name in lookups})
         assert [s.direction for s in trace.steps] == [direction]
         assert trace.all_steps_ok and trace.final_bound_ok
         counts.append(len(asked) - before)
     assert counts[0] > 0
     assert counts[1] == 0
+    # the second push-down reads every edge, cell and certificate translate
+    # from the kept tables: no ball lookup at all
+    assert all(pushdown_lookups[0].values())
+    assert pushdown_lookups[1] == {"step": 0, "cell_at": 0}
+
+
+def _raises_alike(carry) -> bool:
+    """Whether ``carry()`` raises a ResourceError; if it does, a second call
+    raises the same one."""
+    try:
+        carry()
+    except ResourceError as exc:
+        with pytest.raises(ResourceError, match="^" + re.escape(str(exc)) + "$"):
+            carry()
+        return True
+    return False
+
+
+def test_missing_pieces_are_never_kept():
+    """Carrying an edge or cell that the destination ball lacks, or
+    transferring a certificate whose translate leaves the kernel ball,
+    raises the same ResourceError each time, and no table keeps it; every
+    piece that carries is kept."""
+    group, h_ball, k_ball = _balls("heis_ext", 3, 5)
+    place = embed_placement(h_ball, (), k_ball)
+    stepped = 0
+    for edge, (source, _, _) in enumerate(k_ball.edges):
+        failed = _raises_alike(lambda: carry_cycle(k_ball, h_ball, OneCycle({edge: 1}), place))
+        assert (edge in place.edges) is not failed
+        # a placed source whose edge leaves the ball fails in ``step``
+        stepped += failed and place(source) is not None
+    based = 0
+    for cell, c in enumerate(k_ball.cells):
+        failed = _raises_alike(lambda: carry_chain(k_ball, h_ball, TwoChain({cell: 1}), place))
+        assert (cell in place.cells) is not failed
+        based += failed and place(c.base) is not None
+    assert stepped and based
+
+    constants = compute_constants(k_ball, group.layout, group.lifts, group.hom_pres.base.relators)
+    lift = group.lifts[0]
+    kept = failed_cells = 0
+    for cell, c in enumerate(k_ball.cells):
+        failed = _raises_alike(lambda: _substitute(constants, "phi_relator", TwoChain({cell: 1}), lift, "forward"))
+        translates = constants.translates[("phi_relator", lift, "forward")]
+        assert (((0, c.relator), c.base) in translates) is not failed
+        kept += not failed
+        failed_cells += failed
+    assert kept and failed_cells
 
 
 def test_tables_keep_no_extension_ball_alive():
