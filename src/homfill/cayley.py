@@ -290,8 +290,10 @@ class Placement:
     outside dst.  ``table`` holds one entry per source vertex, -1 until it
     is first read; a read takes the entry through dst's normal form and
     keeps it.  ``edges`` and ``cells`` keep the dst edge and cell that
-    ``carry_cycle`` and ``carry_chain`` found for each source edge and cell;
-    a piece dst lacks is never kept, so it raises again when carried again."""
+    ``carry_cycle`` and ``carry_chain`` found for each source edge and cell
+    (a conjugation placement's ``cells``, each kernel edge's conjugation
+    cell); a piece dst lacks is never kept, so it raises again when carried
+    again."""
 
     __slots__ = ("table", "dst", "word", "edges", "cells")
 

@@ -24,11 +24,14 @@ its right-hand side.
   the search branches.
 * ``local_lp`` -- the elastic LP of a set of columns: their entries over
   the rows they touch and the right-hand side's, and one slack pair per row.
-* ``node_lp`` -- one node LP, passed whole to the system's one HiGHS object,
-  which drops the basis of the LP before it: every solve starts cold,
-  without presolve, so a node's point and duals do not depend on the nodes
-  and fills solved before it and equal those of ``linprog(method="highs")``
-  with presolve off.
+  The rows are found by a mask over the system's rows, which also numbers
+  them, so building one costs no sort.
+* ``node_lp`` -- one node LP, passed whole to the system's one HiGHS object
+  as the arrays it is built from (``passModel``'s array form, every column
+  continuous), which drops the basis of the LP before it: every solve
+  starts cold, without presolve, so a node's point and duals do not depend
+  on the nodes and fills solved before it and equal those of
+  ``linprog(method="highs")`` with presolve off.
 * ``as_chain`` -- the one chain check: a rounded point is a chain when one
   exact int64 sparse product gives the right-hand side; a point large
   enough that the product could overflow is no chain.
@@ -138,14 +141,14 @@ class FillSystem:
             raise InvariantError("HiGHS refused the node LP's options")
         return model
 
-    def dense(self, rhs: dict[int, int]) -> list[int]:
-        """``rhs`` as one integer per row."""
-        b = [0] * len(self.edge_ids)
-        for e, v in rhs.items():
-            i = self.row.get(e)
-            if i is None:
-                raise InvariantError(f"right-hand side edge {e} is not a row of the fill system")
-            b[i] = v
+    def dense(self, rhs: dict[int, int]) -> np.ndarray:
+        """``rhs`` as one int64 per row."""
+        try:
+            at = [self.row[e] for e in rhs]
+        except KeyError as exc:
+            raise InvariantError(f"right-hand side edge {exc.args[0]} is not a row of the fill system") from None
+        b = np.zeros(len(self.edge_ids), dtype=np.int64)
+        b[at] = list(rhs.values())
         return b
 
     @cached_property
@@ -231,7 +234,7 @@ def integer_solve(system: FillSystem, rhs: dict[int, int]) -> list[int] | None:
     ``kernel`` vector in turn until none shortens it.
     """
     cols, vmat, pivots = system.hermite
-    residual = system.dense(rhs)
+    residual = system.dense(rhs).tolist()
     x: dict[int, int] = {}
     for r, c in pivots:
         d = cols[c][r]
@@ -322,7 +325,7 @@ def lower_bound(
     rounding of the check, so the arithmetic is exact; a dual that is not
     finite or a failed check raises InvariantError.
     """
-    b = np.array(system.dense(rhs), dtype=np.int64)
+    b = system.dense(rhs)
     y = _integer_duals(system, marginals, b)
     return _bound(y, system.matrix_t @ y, b, lo, hi)
 
@@ -353,11 +356,16 @@ def local_lp(system: FillSystem, columns: np.ndarray, rhs_rows: np.ndarray) -> L
     nnz = int(cells[-1])
     at = np.arange(nnz) + np.repeat(first - cells[:-1], count)
     touched = matrix.indices[at]
-    rows = np.union1d(touched, rhs_rows)
+    mask = np.zeros(len(system.edge_ids), dtype=bool)
+    mask[touched] = mask[rhs_rows] = True
+    rows = np.flatnonzero(mask)
     r = len(rows)
-    index = np.searchsorted(rows, touched).astype(np.int32)
-    value = matrix.data[at].astype(float)
     eye = np.arange(r, dtype=np.int32)
+    # each local row's position, read only at the local rows
+    position = np.empty(len(mask), dtype=np.int32)
+    position[rows] = eye
+    index = position[touched]
+    value = matrix.data[at].astype(float)
     return LocalLP(
         columns,
         rows,
@@ -373,20 +381,19 @@ def node_lp(
     """min cost.v subject to M v = b and lower <= v <= upper, with M
     ``lp``'s matrix and b its rows' right-hand side, on the system's HiGHS
     object: (v, row duals), or None unless HiGHS reports the LP optimal.
-    ``passModel`` replaces the object's LP and drops its basis, so each
-    solve starts cold, as a fresh object's would."""
+    The arrays go to ``passModel``'s array form as they are, with the
+    matrix column-wise, the sense minimise and an explicit integrality,
+    every column continuous (an empty integrality array is not read as
+    none).  ``passModel`` replaces the object's LP and drops its basis, so
+    each solve starts cold, as a fresh object's would."""
     model = system.highs_model
     k, m = len(cost), len(b)
-    model_lp = highs.HighsLp()
-    model_lp.num_col_, model_lp.num_row_ = k, m
-    model_lp.col_cost_ = cost
-    model_lp.col_lower_, model_lp.col_upper_ = lower, upper
-    model_lp.row_lower_, model_lp.row_upper_ = b, b
-    matrix = model_lp.a_matrix_
-    matrix.format_ = highs.MatrixFormat.kColwise
-    matrix.num_col_, matrix.num_row_ = k, m
-    matrix.start_, matrix.index_, matrix.value_ = lp.start, lp.index, lp.value
-    if model.passModel(model_lp) == highs.HighsStatus.kError:
+    colwise, minimise = int(highs.MatrixFormat.kColwise), int(highs.ObjSense.kMinimize)
+    status = model.passModel(
+        k, m, len(lp.index), colwise, minimise, 0.0, cost, lower, upper, b, b, lp.start, lp.index, lp.value,
+        np.zeros(k, dtype=np.int32),
+    )
+    if status == highs.HighsStatus.kError:
         raise InvariantError("HiGHS refused a node LP")
     model.run()
     if model.getModelStatus() != highs.HighsModelStatus.kOptimal:
@@ -468,7 +475,7 @@ def l1_fill(system: FillSystem, rhs: dict[int, int]) -> FillSolve:
     ``integer_solve`` could supply, raises InvariantError.
     """
     n = len(system.columns)
-    b = np.array(system.dense(rhs), dtype=np.int64)
+    b = system.dense(rhs)
     if not b.any():
         return FillSolve("optimal", [0] * n, 0, 0)
     rhs_rows = np.flatnonzero(b)

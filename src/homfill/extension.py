@@ -376,7 +376,9 @@ def embed_placement(h_ball: CayleyBall, coset: Word, k_ball: CayleyBall) -> Plac
 
 def conj_placement(h_ball: CayleyBall, lead: Word, k_ball: CayleyBall, lift: AutLift) -> Placement:
     """Where ``route_filling`` bases the conjugation cell of a kernel-ball
-    edge from x: lead phi(x), with phi the lift's forward image."""
+    edge from x: lead phi(x), with phi the lift's forward image.  The
+    placement carries no chain, so its ``cells`` table keeps the
+    conjugation cell of each kernel edge instead, once found."""
     lead = tuple(lead)
 
     def word(x: int) -> Word:
@@ -709,10 +711,13 @@ def route_filling(
         with relator (i, j) based at lead * phi_i(x), with the edge's
         coefficient times ``sign``."""
         place = conj_placement(h_ball, lead, k_ball, constants.lifts[i])
+        kept = place.cells
         cells: dict[int, int] = {}
         for edge, coeff in sorted(cycle.coeffs.items()):
-            source, g, _ = k_ball.edges[edge]
-            cell = h_ball.cell_at(place.vertex(source), layout.conj_relator(i, g - 1))
+            cell = kept.get(edge)
+            if cell is None:
+                source, g, _ = k_ball.edges[edge]
+                cell = kept[edge] = h_ball.cell_at(place.vertex(source), layout.conj_relator(i, g - 1))
             cells[cell] = cells.get(cell, 0) + sign * coeff
         return cells
 

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from heapq import heapify, heappop, heappush
+from itertools import compress
 
 from .backends import GroupBackend, letter_order
 from .cayley import (
@@ -159,7 +160,8 @@ def _fill_ilp(ball: CayleyBall, gamma: OneCycle) -> FillingResult:
         if solve.status == "budget":
             return FillingResult(TwoChain(), None, "budget_exceeded", ball.radius, **size)
         coeffs = solve.coeffs
-    chain = TwoChain([*forced.items(), *zip(free_cells, coeffs)])
+    # only the nonzero coefficients: the free cells can be most of the ball
+    chain = TwoChain(forced | dict(compress(zip(free_cells, coeffs), coeffs)))
     if boundary_2(ball, chain) != gamma:
         raise InvariantError("certified chain does not bound the query cycle")
     return FillingResult(chain, chain.area(), "optimal", ball.radius, **size)

@@ -4,7 +4,9 @@ distances the one-pass build records), the ordered boundary paths of a
 surface diagram (recorded by the ``surface-index:*`` golden sections), a
 diagram's radius from its (face, position) views (an oracle for
 ``surface.diagram_radius``), the exact-fill checks in Python integers
-(oracles for ``exactlp``'s int64 ``as_chain`` and ``lower_bound``),
+(oracles for ``exactlp``'s int64 ``as_chain`` and ``lower_bound``), a
+local LP whose rows are numbered by sorting (an oracle for
+``exactlp.local_lp``'s row mask),
 forced-cell peeling over the whole collapse order (an oracle for
 ``filling._peel_forced``), the identity loop walk that looks up every
 step in the ball's tables (an oracle for
@@ -14,10 +16,12 @@ endpoints' labels (an oracle for ``CayleyBall.edge_cosets`` and
 
 from collections import Counter
 
+import numpy as np
+
 from homfill.backends import letter_order
 from homfill.cayley import CayleyBall, OneCycle
 from homfill.errors import DomainError, InvariantError
-from homfill.exactlp import DUAL_SCALE, FillSystem
+from homfill.exactlp import DUAL_SCALE, FillSystem, LocalLP
 from homfill.surface import SlotRef, SurfaceDiagram, _glued
 
 
@@ -136,12 +140,38 @@ def lower_bound_reference(system: FillSystem, marginals, rhs: dict[int, int], lo
     summand the least of its values at lo_c, hi_c and, when the box holds
     it, 0."""
     y = [round(v * DUAL_SCALE) for v in map(float, marginals)]
-    total = sum(s * v for s, v in zip(y, system.dense(rhs)))
+    total = sum(s * v for s, v in zip(y, system.dense(rhs).tolist()))
     for col, l, h in zip(system.entries, lo, hi):
         s = sum(y[i] * v for i, v in col)
         low = min(DUAL_SCALE * abs(l) - s * l, DUAL_SCALE * abs(h) - s * h)
         total += min(low, 0) if l <= 0 <= h else low
     return -(-total // DUAL_SCALE)
+
+
+def local_lp_reference(system: FillSystem, columns: np.ndarray, rhs_rows: np.ndarray) -> LocalLP:
+    """``exactlp.local_lp`` with its rows numbered by sorting: the rows are
+    the sorted union of the rows the columns touch and ``rhs_rows``, and
+    each entry's local row is found in them by binary search."""
+    matrix = system.matrix
+    first = matrix.indptr[columns]
+    count = matrix.indptr[columns + 1] - first
+    cells = np.zeros(len(columns) + 1, dtype=np.int32)
+    np.cumsum(count, out=cells[1:])
+    nnz = int(cells[-1])
+    at = np.arange(nnz) + np.repeat(first - cells[:-1], count)
+    touched = matrix.indices[at]
+    rows = np.union1d(touched, rhs_rows)
+    r = len(rows)
+    index = np.searchsorted(rows, touched).astype(np.int32)
+    value = matrix.data[at].astype(float)
+    eye = np.arange(r, dtype=np.int32)
+    return LocalLP(
+        columns,
+        rows,
+        np.concatenate([cells, nnz + cells[1:], 2 * nnz + 1 + np.arange(2 * r, dtype=np.int32)]),
+        np.concatenate([index, index, eye, eye]),
+        np.concatenate([value, -value, np.ones(r), -np.ones(r)]),
+    )
 
 
 def peel_reference(ball: CayleyBall, residual: dict[int, int]):

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 from scipy.optimize import linprog
+from scipy.optimize._highspy import _core as highs
 
 from homfill import exactlp
 from homfill.cayley import OneCycle, build_ball, loop_to_cycle
@@ -17,7 +18,7 @@ from homfill.exactlp import FillSystem, as_chain, integer_solve, l1_fill, local_
 from homfill.filling import _peel_forced, enumerate_identity_cycles, harea_fill
 from homfill.words import parse_word
 
-from oracles import lower_bound_reference, solves
+from oracles import local_lp_reference, lower_bound_reference, solves
 
 GROUPS = os.path.join(os.path.dirname(__file__), "..", "groups")
 
@@ -629,8 +630,9 @@ def test_node_lp_equals_linprog_on_a_fresh_model(monkeypatch):
     # bit, the point and the equality duals that linprog gives on the same
     # local LP on a fresh model: on the path system, on every node of random
     # systems that each serve several fills, on every root LP of z3_ext at
-    # radius 3 and on both pricing rounds of a heis_ext fill at radius 5
-    fills = _random_fills(random.Random(3), 40, 3) + _root_systems() + [_two_round_fill()]
+    # radius 3 and at radius 4 (the benchmark's fa table) and on both
+    # pricing rounds of a heis_ext fill at radius 5
+    fills = _random_fills(random.Random(3), 40, 3) + _root_systems() + _root_systems(radius=4) + [_two_round_fill()]
     checked = branched = 0
     for system, rhs in fills:
         r, lps = _node_lps(monkeypatch, system, rhs)
@@ -641,6 +643,56 @@ def test_node_lp_equals_linprog_on_a_fresh_model(monkeypatch):
             assert np.array_equal(v, x) and np.array_equal(duals, y)
             checked += 1
     assert branched >= 5 and checked > len(fills)
+
+
+def test_highs_holds_a_continuous_lp_after_every_node(monkeypatch):
+    # node_lp passes an explicit integrality, every column continuous, so
+    # HiGHS never solves a node LP as a MIP: after every node LP of z3_ext's
+    # fills at radius 4 the object's LP has an integrality entry per column,
+    # each continuous, or none
+    integralities = []
+
+    def checked(system, *args):
+        out = node_lp(system, *args)
+        lp = system.highs_model.getLp()
+        integralities.append((lp.num_col_, [int(v) for v in lp.integrality_]))
+        return out
+
+    monkeypatch.setattr(exactlp, "node_lp", checked)
+    for system, rhs in _root_systems(radius=4)[1:]:
+        assert l1_fill(system, rhs).status == "optimal"
+    continuous = int(highs.HighsVarType.kContinuous)
+    assert len(integralities) > 100
+    for num_col, integrality in integralities:
+        assert integrality in ([], [continuous] * num_col)
+
+
+def _same_local_lp(got, expected):
+    """Whether two local LPs have equal arrays of equal dtypes."""
+    return all(a.dtype == b.dtype and np.array_equal(a, b) for a, b in zip(got, expected, strict=True))
+
+
+@pytest.mark.parametrize("name, radius", [("z3_ext.grp", 4), ("heis_ext.grp", 5)])
+def test_local_lp_equals_the_sorting_reference(name, radius):
+    # the row mask numbers a local LP's rows as sorting did, on random column
+    # subsets with random right-hand-side rows, which the chosen columns
+    # often do not touch, and on every single column
+    group = load_group(os.path.join(GROUPS, name))
+    system = build_ball(group.backend, group.hom_pres, radius).fill_system
+    n, m = len(system.columns), len(system.edge_ids)
+    rng = np.random.default_rng(11)
+    untouched = 0
+    for share in (0.02, 0.1, 0.5, 1.0):
+        for _ in range(25):
+            columns = np.flatnonzero(rng.random(n) < share)
+            rhs_rows = np.flatnonzero(rng.random(m) < 0.05)
+            lp = local_lp(system, columns, rhs_rows)
+            assert _same_local_lp(lp, local_lp_reference(system, columns, rhs_rows))
+            untouched += len(lp.rows) > len(np.unique(system.matrix[:, columns].indices))
+    assert untouched
+    for c in range(n):
+        columns, rhs_rows = np.array([c]), np.flatnonzero(rng.random(m) < 0.02)
+        assert _same_local_lp(local_lp(system, columns, rhs_rows), local_lp_reference(system, columns, rhs_rows))
 
 
 def test_fills_on_one_system_leave_no_state_behind(monkeypatch):

@@ -24,6 +24,7 @@ import pytest
 from homfill.cayley import (
     CayleyBall,
     OneCycle,
+    Placement,
     TwoChain,
     build_ball,
     carry_chain,
@@ -48,7 +49,7 @@ from homfill.extension import (
     push_down,
     route_filling,
 )
-from homfill.filling import harea_fill
+from homfill.filling import enumerate_identity_cycles, harea_fill
 from homfill.presentation import apply_lift
 from homfill.surface import assemble_surface, oriented_face, verify_surface
 from homfill.words import format_word, inverse_word, parse_word
@@ -222,8 +223,10 @@ def test_repeated_pushdown_takes_no_normal_form(route, direction, monkeypatch):
     """Routing and pushing down the same loop a second time reads every
     placement, certificate cells included, from the kept tables: the kernel
     backend (which the extension backend's normal form also calls) is asked
-    for no normal form, and the second push-down asks neither ball for an
-    edge (``step``) or a cell (``cell_at``)."""
+    for no normal form, the second push-down asks neither ball for an edge
+    (``step``) or a cell (``cell_at``), and the second routing, conjugation
+    cells included, asks for no cell and no placed vertex
+    (``Placement.vertex``) either."""
     group = load_group(str(GROUPS / "heis_ext.grp"))
     k_ball = build_ball(group.k_backend, group.k_pres, 6)
     h_ball = build_ball(group.backend, group.hom_pres, 5)
@@ -235,18 +238,21 @@ def test_repeated_pushdown_takes_no_normal_form(route, direction, monkeypatch):
     asked = []
     normal_form = k_ball.backend.normal_form
     monkeypatch.setattr(k_ball.backend, "normal_form", lambda w: asked.append(w) or normal_form(w))
-    lookups = {"step": 0, "cell_at": 0}
+    lookups = {"step": 0, "cell_at": 0, "vertex": 0}
     for name in lookups:
+        owner = Placement if name == "vertex" else CayleyBall
 
-        def counted(ball, *args, _name=name, _lookup=getattr(CayleyBall, name)):
+        def counted(obj, *args, _name=name, _lookup=getattr(owner, name)):
             lookups[_name] += 1
-            return _lookup(ball, *args)
+            return _lookup(obj, *args)
 
-        monkeypatch.setattr(CayleyBall, name, counted)
-    counts, pushdown_lookups = [], []
+        monkeypatch.setattr(owner, name, counted)
+    counts, route_lookups, pushdown_lookups = [], [], []
     for _ in range(2):
         before = len(asked)
+        looked_up = dict(lookups)
         chain = route_filling(h_ball, k_ball, constants, gamma, route)
+        route_lookups.append({name: lookups[name] - looked_up[name] for name in lookups})
         gamma_h = kernel_cycle_to_extension(h_ball, k_ball, gamma)
         looked_up = dict(lookups)
         trace = push_down(h_ball, gamma_h, chain, constants, quadratic)
@@ -256,10 +262,12 @@ def test_repeated_pushdown_takes_no_normal_form(route, direction, monkeypatch):
         counts.append(len(asked) - before)
     assert counts[0] > 0
     assert counts[1] == 0
-    # the second push-down reads every edge, cell and certificate translate
-    # from the kept tables: no ball lookup at all
-    assert all(pushdown_lookups[0].values())
-    assert pushdown_lookups[1] == {"step": 0, "cell_at": 0}
+    # the second routing and push-down read every vertex, edge, cell and
+    # certificate translate from the kept tables: no ball lookup at all
+    assert route_lookups[0]["vertex"] and route_lookups[0]["cell_at"]
+    assert route_lookups[1] == {"step": 0, "cell_at": 0, "vertex": 0}
+    assert pushdown_lookups[0]["step"] and pushdown_lookups[0]["cell_at"]
+    assert pushdown_lookups[1] == {"step": 0, "cell_at": 0, "vertex": 0}
 
 
 def _raises_alike(carry) -> bool:
@@ -275,10 +283,10 @@ def _raises_alike(carry) -> bool:
 
 
 def test_missing_pieces_are_never_kept():
-    """Carrying an edge or cell that the destination ball lacks, or
-    transferring a certificate whose translate leaves the kernel ball,
-    raises the same ResourceError each time, and no table keeps it; every
-    piece that carries is kept."""
+    """Carrying an edge or cell that the destination ball lacks, routing a
+    loop whose conjugation cell it lacks, or transferring a certificate
+    whose translate leaves the kernel ball, raises the same ResourceError
+    each time, and no table keeps it; every piece that carries is kept."""
     group, h_ball, k_ball = _balls("heis_ext", 3, 5)
     place = embed_placement(h_ball, (), k_ball)
     stepped = 0
@@ -295,7 +303,25 @@ def test_missing_pieces_are_never_kept():
     assert stepped and based
 
     constants = compute_constants(k_ball, group.layout, group.lifts, group.hom_pres.base.relators)
-    lift = group.lifts[0]
+    # routing up t1 looks up the conjugation cells first, each based at
+    # t1 phi(x) for a vertex x of the loop
+    t1 = group.hom_pres.generators.index("t1") + 1
+    i = group.layout.stable_index(t1)
+    lift = group.lifts[i]
+    missing = set()
+    for _, cycle, _word in enumerate_identity_cycles(k_ball, 6):
+        try:
+            route_filling(h_ball, k_ball, constants, cycle, (t1,))
+        except ResourceError as exc:
+            if str(exc).startswith("cell of relator"):
+                assert _raises_alike(lambda: route_filling(h_ball, k_ball, constants, cycle, (t1,)))
+                missing.add(str(exc))
+    place = conj_placement(h_ball, (t1,), k_ball, lift)
+    for edge, cell in place.cells.items():
+        source, g, _ = k_ball.edges[edge]
+        assert cell == h_ball.cell_at(place(source), group.layout.conj_relator(i, g - 1))
+    assert missing and place.cells
+
     kept = failed_cells = 0
     for cell, c in enumerate(k_ball.cells):
         failed = _raises_alike(lambda: _substitute(constants, "phi_relator", TwoChain({cell: 1}), lift, "forward"))
