@@ -13,13 +13,12 @@ vertex's coset label is read off its normal form.  The BFS layers are the
 distances, and the recorded +g targets become one neighbour table,
 ``succ[v][letter] -> edge`` (-1 when the edge leaves the ball), indexed by
 the signed letter itself; ``hop``, ``step``, cell construction, word
-tracing and edge lookups read it.  After the build only ``Placement``
-calls ``normal_form``, through ``vertex_of`` for the error of a word
-outside the ball.  Maps between balls that are fixed per ball pair
-(translation by a coset, a lift, a certificate's translation) are
-``Placement`` tables kept on a ball: each entry is the normal form's vertex,
-taken on first read and kept, and each edge or cell carried through the map
-keeps its target the same way.
+tracing and edge lookups read it.  After the build only ``vertex_of``
+calls ``normal_form``.  Maps between balls that are fixed per ball pair
+(translation by a coset, possibly after a lift) are ``Placement`` tables
+kept on a ball: each edge or cell carried through the map keeps its target,
+found on first carry, and a vertex is placed through ``vertex_of`` only
+then.
 
 A vertex, edge or cell that a ball lacks (``vertex_of``, ``step``,
 ``cell_at``, and so the carries between balls) raises the ResourceError of
@@ -286,35 +285,25 @@ class CayleyBall:
 
 class Placement:
     """Where a map sends the vertices of one ball in the ball ``dst``: x
-    goes to the vertex of the word ``word(x)``, or None when that lies
-    outside dst.  ``table`` holds one entry per source vertex, -1 until it
-    is first read; a read takes the entry through dst's normal form and
-    keeps it.  ``edges`` and ``cells`` keep the dst edge and cell that
-    ``carry_cycle`` and ``carry_chain`` found for each source edge and cell
-    (a conjugation placement's ``cells``, each kernel edge's conjugation
-    cell); a piece dst lacks is never kept, so it raises again when carried
-    again."""
+    goes to the vertex of the word ``word(x)``.  ``edges`` and ``cells``
+    keep the dst edge and cell that ``carry_cycle`` and ``carry_chain``
+    found for each source edge and cell (a conjugation placement's
+    ``cells``, each kernel edge's conjugation cell), so a vertex is placed
+    only when a piece is first carried; a piece dst lacks is never kept, so
+    it raises again when carried again."""
 
-    __slots__ = ("table", "dst", "word", "edges", "cells")
+    __slots__ = ("dst", "word", "edges", "cells")
 
-    def __init__(self, size: int, dst: "CayleyBall", word):
-        self.table: list = [-1] * size
+    def __init__(self, dst: "CayleyBall", word):
         self.dst = dst
         self.word = word
         self.edges: dict[int, int] = {}
         self.cells: dict[int, int] = {}
 
-    def __call__(self, x: int) -> int | None:
-        v = self.table[x]
-        if v == -1:
-            v = self.table[x] = self.dst.vertex_index.get(self.dst.backend.normal_form(self.word(x)))
-        return v
-
     def vertex(self, x: int) -> int:
-        """The entry of x; ``dst.vertex_of``'s ResourceError when it lies
-        outside dst."""
-        v = self(x)
-        return self.dst.vertex_of(self.word(x)) if v is None else v
+        """The vertex of ``word(x)``; ``dst.vertex_of``'s ResourceError when
+        it lies outside dst."""
+        return self.dst.vertex_of(self.word(x))
 
 
 def build_ball(

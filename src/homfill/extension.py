@@ -28,32 +28,32 @@ cycles move between the extension ball and the kernel ball with
 w^-1 into the kernel ball, ``embed_chain`` translates a kernel chain into
 K(w).
 
-Vertices are placed through memoised normal-form tables
-(``cayley.Placement``) indexed by vertex number and built on first use:
+Pieces are placed through tables (``cayley.Placement``) built on first
+use, each of which keeps the edge and cell that every carried edge and cell
+went to (``Placement.edges``/``cells``), so carrying a piece again is one
+lookup and a vertex is placed, through ``vertex_of``, only when a piece is
+first carried:
 
-- per coset w, extension vertex -> kernel vertex of w^-1 x, for ``chart``;
-- per coset w, kernel vertex -> extension vertex of w x, for
+- per coset w, extension vertex x -> kernel vertex of w^-1 x, for ``chart``;
+- per coset w, kernel vertex x -> extension vertex of w x, for
   ``embed_chain`` and ``kernel_cycle_to_extension`` (w = e);
-- per lead coset w and lift phi, kernel vertex -> extension vertex of
-  w phi(x), for the conjugation cells of ``route_filling``;
-- per lift and direction, kernel vertex -> kernel vertex of its image, plus
-  each edge's traced image steps, for ``lift_image_cycle``;
-- per lift, direction and base y of a certificate cell, kernel vertex ->
-  kernel vertex of f(x) y, f being the lift's image (the identity for
-  collars), for the certificate substitutions of the transfers.
+- per lead coset w and lift phi, kernel vertex x -> extension vertex of
+  w phi(x), whose ``cells`` keep the conjugation cell of each kernel edge
+  for ``route_filling``.
 
-A chart or embed table also keeps the edge and cell that each carried edge
-and cell went to (``Placement.edges``/``cells``), so carrying a piece again
-is one lookup.  The transfers keep each certificate translated to f(x) as
-its list of (cell, coefficient) in ``TransferConstants.translates``, keyed
-by family, lift, direction, certificate key and x.  A table keeps only
-lookups that succeeded: a piece the ball lacks raises again when asked
-again.
+Per lift and direction, ``lift_placement`` keeps each kernel edge's traced
+image steps, for ``lift_image_cycle``.  The transfers keep each certificate
+translated to f(x) as its list of (cell, coefficient) in
+``TransferConstants.translates``, keyed by family, lift, direction,
+certificate key and x: a certificate cell based at y goes to the cell with
+the same relator based at f(x) y, f being the lift's image (the identity
+for collars).  A table keeps only lookups that succeeded: a piece the ball
+lacks raises again when asked again.
 
-The lift and certificate tables are kept on the kernel ball (the
-translates on the constants, which hold only the kernel ball) and the
-others on the extension ball, so that a kernel ball shared by several
-extension balls keeps none of them alive.
+The lift tables are kept on the kernel ball, the translates on the
+constants (which hold only the kernel ball) and the others on the extension
+ball, so that a kernel ball shared by several extension balls keeps none of
+them alive.
 
 A ball too small for a transfer raises the ``cayley`` lookup's ResourceError
 unchanged, and a loop that does not fill inside the kernel ball is one too.
@@ -188,78 +188,63 @@ def compute_constants(
     return TransferConstants(C, C_prime, C_dbl, rho, M, k_ball, layout, lifts, certs)
 
 
-def lift_placement(k_ball: CayleyBall, lift: AutLift, direction: str) -> tuple[Placement, list]:
-    """The lift's placement of the kernel ball in itself, x -> the vertex of
-    its image word, and each edge's traced image steps (None until first
-    traced), kept on the ball."""
+def lift_placement(k_ball: CayleyBall, lift: AutLift, direction: str) -> list:
+    """Where the lift sends each kernel-ball edge: its traced image steps,
+    None until first traced, kept on the ball."""
     key = ("lift", lift, direction)
-    tables = k_ball.placements.get(key)
-    if tables is None:
-
-        def word(x: int) -> Word:
-            return apply_lift(lift, direction, k_ball.vertices[x])
-
-        place = Placement(len(k_ball.vertices), k_ball, word)
-        tables = k_ball.placements[key] = (place, [None] * len(k_ball.edges))
-    return tables
+    steps = k_ball.placements.get(key)
+    if steps is None:
+        steps = k_ball.placements[key] = [None] * len(k_ball.edges)
+    return steps
 
 
 def lift_image_cycle(k_ball: CayleyBall, cycle: OneCycle, lift: AutLift, direction: str) -> OneCycle:
     """Image of a 1-cycle under a lift: each vertex x maps to its image word,
     each edge to the traced image path of its label."""
-    place, traced = lift_placement(k_ball, lift, direction)
+    traced = lift_placement(k_ball, lift, direction)
     acc: dict[int, int] = {}
     for edge, coeff in cycle.coeffs.items():
         steps = traced[edge]
         if steps is None:
             source, g, _ = k_ball.edges[edge]
-            image = lift.images[direction][g]
-            steps = traced[edge] = trace_word(k_ball, place.vertex(source), image)[0]
+            base = k_ball.vertex_of(apply_lift(lift, direction, k_ball.vertices[source]))
+            steps = traced[edge] = trace_word(k_ball, base, lift.images[direction][g])[0]
         for e, s in steps:
             acc[e] = acc.get(e, 0) + coeff * s
     return OneCycle(acc)
 
 
-def _kept(owner: CayleyBall, key, src: CayleyBall, dst: CayleyBall, word) -> Placement:
-    """The placement of src's vertices in dst by ``word``, kept on ``owner``
-    under ``key`` and built on first use."""
+def _kept(owner: CayleyBall, key, dst: CayleyBall, word) -> Placement:
+    """The placement in dst by ``word``, kept on ``owner`` under ``key`` and
+    built on first use."""
     place = owner.placements.get(key)
     if place is None:
-        place = owner.placements[key] = Placement(len(src.vertices), dst, word)
+        place = owner.placements[key] = Placement(dst, word)
     return place
-
-
-def cert_placement(k_ball: CayleyBall, lift: AutLift | None, direction: str | None, y: int) -> Placement:
-    """Where a certificate cell based at y goes when its certificate is
-    translated to f(x): kernel vertex x -> the vertex of f(x) y, f being the
-    lift's ``direction`` image, or the identity when ``lift`` is None."""
-    vertices, tail = k_ball.vertices, k_ball.vertices[y]
-
-    def word(x: int) -> Word:
-        return (vertices[x] if lift is None else apply_lift(lift, direction, vertices[x])) + tail
-
-    return _kept(k_ball, ("cert", lift, direction, y), k_ball, k_ball, word)
 
 
 def _transfer(
     constants: TransferConstants, family: str, items, lift: AutLift | None, direction: str | None
 ) -> TwoChain:
     """The sum of coeff * ``constants.certs[family][key]`` over the (x, key,
-    coeff) items, each certificate translated to f(x) (see
-    ``cert_placement``): its cell based at y goes to the cell with the same
-    relator based at f(x) y.  Each translate is kept in
-    ``constants.translates`` once all its cells are found."""
+    coeff) items, each certificate translated to f(x), f being the lift's
+    ``direction`` image, or the identity when ``lift`` is None: its cell
+    based at y goes to the cell with the same relator based at f(x) y.
+    Each translate is kept in ``constants.translates`` once all its cells
+    are found."""
     k_ball, certs = constants.k_ball, constants.certs[family]
+    vertices = k_ball.vertices
     kept = constants.translates.setdefault((family, lift, direction), {})
     out: dict[int, int] = {}
     get = out.get
     for x, key, coeff in items:
         translate = kept.get((key, x))
         if translate is None:
+            fx = vertices[x] if lift is None else apply_lift(lift, direction, vertices[x])
             translate = []
             for cell_id, c in certs[key].chain.coeffs.items():
                 cell = k_ball.cells[cell_id]
-                base = cert_placement(k_ball, lift, direction, cell.base).vertex(x)
+                base = k_ball.vertex_of(fx + vertices[cell.base])
                 translate.append((k_ball.cell_at(base, cell.relator), c))
             kept[key, x] = translate
         for target, c in translate:
@@ -361,7 +346,7 @@ def chart_placement(h_ball: CayleyBall, k_ball: CayleyBall, coset: Word) -> Plac
     def word(x: int) -> Word:
         return backend.split(inv + h_ball.vertices[x]).k_part
 
-    return _kept(h_ball, ("chart", k_ball, tuple(coset)), h_ball, k_ball, word)
+    return _kept(h_ball, ("chart", k_ball, tuple(coset)), k_ball, word)
 
 
 def embed_placement(h_ball: CayleyBall, coset: Word, k_ball: CayleyBall) -> Placement:
@@ -371,7 +356,7 @@ def embed_placement(h_ball: CayleyBall, coset: Word, k_ball: CayleyBall) -> Plac
     def word(x: int) -> Word:
         return coset + k_ball.vertices[x]
 
-    return _kept(h_ball, ("embed", k_ball, coset), k_ball, h_ball, word)
+    return _kept(h_ball, ("embed", k_ball, coset), h_ball, word)
 
 
 def conj_placement(h_ball: CayleyBall, lead: Word, k_ball: CayleyBall, lift: AutLift) -> Placement:
@@ -384,7 +369,7 @@ def conj_placement(h_ball: CayleyBall, lead: Word, k_ball: CayleyBall, lift: Aut
     def word(x: int) -> Word:
         return lead + apply_lift(lift, "forward", k_ball.vertices[x])
 
-    return _kept(h_ball, ("conj", k_ball, lead, lift), k_ball, h_ball, word)
+    return _kept(h_ball, ("conj", k_ball, lead, lift), h_ball, word)
 
 
 def chart(h_ball: CayleyBall, k_ball: CayleyBall, coset: Word, item):

@@ -19,11 +19,13 @@ verified while they are.  ``assemble_surface`` builds its diagram's index
 from the numbering, the integer matching and the corner union-find it glued
 with, so the corner partition is joined once; any other diagram (decoded
 JSON, a hand-built one) builds its index, partition included, on first use
-of ``SurfaceDiagram.index``.  Verification, measurement, the radius search
-(``diagram_radius``), projection and DOT output all read that index's
-integer fields; the (face, position) views -- ``SlotNumbering.refs`` and
-``SurfaceIndex.unmatched`` and ``classes`` -- are derived on first read, so
-a caller that reads none of them does not pay for them.
+of ``SurfaceDiagram.index``.  The corner classes come only from the
+gluing; a diagram's declared classes (JSON ``vertex_classes``) are a claim
+that verification compares with them.  Verification, measurement, the
+radius search (``diagram_radius``), projection and DOT output all read that
+index's integer fields; the (face, position) views -- ``SlotNumbering.refs``
+and ``SurfaceIndex.unmatched`` and ``classes`` -- are derived on first
+read, so a caller that reads none of them does not pay for them.
 
 Assembly glues by one deterministic rule.  When no edge label occurs with
 its opposite label while one of the two has several copies, the rule's
@@ -237,8 +239,7 @@ class SurfaceIndex:
     - ``mate``/``flipped``: per slot, the slot glued to it (-1 for a
       boundary slot) and whether that gluing is flipped; ``mate`` is None
       when the gluing is not a partial matching.
-    - ``class_of``: per corner, its local vertex class, -1 for a corner
-      none holds.  The classes are the declared ones, else those the
+    - ``class_of``: per corner, its local vertex class: the classes the
       endpoint identifications generate, numbered by least corner.
     - ``free_sides``: per class, its unglued sides in increasing order --
       none around an interior vertex, the two ends of the fan around a
@@ -249,8 +250,7 @@ class SurfaceIndex:
     - ``unmatched``: the boundary slots as (face, position), in face order;
       [] when ``mate`` is None.
     - ``classes``: the local vertices as tuples of (face, position)
-      corners (the declared classes as given); [] when verification
-      stopped before the class stage.
+      corners; [] when verification stopped before the class stage.
 
     Verification stops at the first group of checks that fails, so the
     later fields are filled only as far as it got; ``measure`` reads them
@@ -265,8 +265,14 @@ class SurfaceIndex:
     ``corners``, when given, is a union-find whose sets are already those
     the gluing's endpoint identifications generate (``assemble_surface``
     passes the one it glued with), and the corner classes are read from it
-    instead of being joined again; without it, or with declared classes,
-    the index derives or checks the partition itself.
+    instead of being joined again; without it the index joins them itself.
+    The classes always come from the gluing.  Declared classes
+    (``SurfaceDiagram.declared_classes``) are a claim, and the class stage
+    reports them when they are not the generated ones: such classes would
+    split an identified corner pair or join two links.  Each side of a
+    corner has at most one glued partner, so the link of a generated class
+    is one path or one cycle; the link walk still checks it, which on the
+    assembled path checks the union-find the assembler passed.
     """
 
     def __init__(
@@ -278,8 +284,9 @@ class SurfaceIndex:
     ):
         self.slots = slots
         label, nxt, prv = slots.label, slots.next, slots.prev
-        self._declared = declared = diagram.declared_classes
-        members = None if declared is None else [[slots.number(c) for c in cls] for cls in declared]
+        declared = diagram.declared_classes
+        if declared is not None:  # numbered first: a corner no face has raises DomainError
+            declared = [[slots.number(c) for c in cls] for cls in declared]
         self.report = report = VerificationReport()
         self.mate: list[int] | None = None
         self.flipped: list[bool] = []
@@ -322,61 +329,37 @@ class SurfaceIndex:
             elif flip and sa != sb:
                 report.add(f"flipped gluing {slots.refs[a]},{slots.refs[b]} needs equal traversal signs")
 
-        def identified(a: int, b: int, flip: bool):
-            """The two corner pairs that gluing slot a to slot b identifies."""
-            return ((a, b), (nxt[a], nxt[b])) if flip else ((a, nxt[b]), (nxt[a], b))
-
-        self.class_of = class_of = [-1] * n
-        if members is None:
-            if corners is None:
-                corners = _Sets(n)
-                union = corners.union
-                for a, b, flip in pairs:
-                    if flip:
-                        union(a, b)
-                        union(nxt[a], nxt[b])
-                    else:
-                        union(a, nxt[b])
-                        union(nxt[a], b)
-            # a parent is a lesser member of its child's set, so in
-            # increasing order it is classed before the child
-            members = []
-            for x, p in enumerate(corners.parent):
-                if p == x:
-                    class_of[x] = len(members)
-                    members.append([x])
+        if corners is None:
+            corners = _Sets(n)
+            union = corners.union
+            for a, b, flip in pairs:
+                if flip:
+                    union(a, b)
+                    union(nxt[a], nxt[b])
                 else:
-                    k = class_of[x] = class_of[p]
-                    members[k].append(x)
-        else:
-            for i, cls in enumerate(members):
-                for x in cls:
-                    if class_of[x] >= 0:
-                        report.add(f"corner {slots.refs[x]} appears in two vertex classes")
-                    class_of[x] = i
-            for x in range(n):
-                if class_of[x] < 0:
-                    report.add(f"corner {slots.refs[x]} missing from vertex classes")
-        self._members = members
+                    union(a, nxt[b])
+                    union(nxt[a], b)
+        # a parent is a lesser member of its child's set, so in increasing
+        # order it is classed before the child
+        self.class_of = class_of = [-1] * n
+        self._members = members = []
+        for x, p in enumerate(corners.parent):
+            if p == x:
+                class_of[x] = len(members)
+                members.append([x])
+            else:
+                k = class_of[x] = class_of[p]
+                members[k].append(x)
+        # members is a partition in sorted form: each class's corners in
+        # increasing order, the classes by least corner
+        if declared is not None and sorted(map(sorted, declared)) != members:
+            report.add("declared vertex classes are not the classes the gluing generates")
         if not report.ok:
             return
 
-        # identified endpoints must land in the same class (derived classes
-        # are unions of these pairs)
-        if declared is not None:
-            for a, b, flip in pairs:
-                for x, y in identified(a, b, flip):
-                    if class_of[x] != class_of[y]:
-                        refs = slots.refs
-                        report.add(
-                            f"gluing {refs[a]},{refs[b]} identifies corners {refs[x]},{refs[y]} across distinct classes"
-                        )
-            if not report.ok:
-                return
-
         # link condition: the sides of each class form one open fan or one
-        # cycle.  The checks above already keep every corner in one class and
-        # every glued side's partner in its side's class.
+        # cycle.  Each class is generated by the gluing, so every glued
+        # side's partner lies in its side's class.
         walked = [-1] * n  # the class whose fan walk last passed each corner
         for i, cls in enumerate(members):
             free = []  # corner x's sides: the tail of slot x, the head of prev[x]
@@ -387,9 +370,7 @@ class SurfaceIndex:
                     free.append(2 * prv[x])
             free = tuple(sorted(free))
             self.free_sides.append(free)
-            if not cls:
-                report.add(f"vertex class {i} is empty")
-            elif not free:  # every side is glued: the walk from any side closes
+            if not free:  # every side is glued: the walk from any side closes
                 if self._walk_fan(2 * cls[0] + 1, i, walked)[0] != len(cls):
                     report.add(f"link of vertex class {i} is not a single cycle")
             elif len(free) == 2:
@@ -436,8 +417,6 @@ class SurfaceIndex:
         members = self._members
         if members is None:
             return []
-        if self._declared is not None:
-            return self._declared
         at = self.slots.refs.__getitem__
         return [tuple(map(at, cls)) for cls in members]
 

@@ -123,7 +123,7 @@ def test_boundary_of_boundary_random(z2_ball4, z3_setup):
 def test_equivariance_translation(z2_ball4):
     g = (1,)  # translation keeps distance-<=1-based cells inside the radius-4 ball
     V = z2_ball4.vertices
-    place = Placement(len(V), z2_ball4, lambda x: g + V[x])
+    place = Placement(z2_ball4, lambda x: g + V[x])
     inner = [c for c in range(len(z2_ball4.cells)) if z2_ball4.distance[z2_ball4.cells[c].base] <= 1]
     for cell in inner:
         chain = TwoChain({cell: 1})

@@ -1,17 +1,15 @@
 """The extension layer's placement tables against the normal-form placements
-they memoise.
+they stand for.
 
-Every chart, embed, lift, conjugation and certificate entry must equal the
-normal-form placement, None exactly where that leaves the destination ball;
-the balls are small enough that many placements leave.  An entry takes one
-normal form, on first read, and ``Placement.vertex`` raises ``vertex_of``'s
-error where the entry is None, so a push-down repeated on the same balls
-takes no normal form at all.  Placements also keep each edge and cell they
-carried and the transfers each certificate translate, so that push-down
-asks no ball for an edge or cell either; a lookup that failed is never
-kept.  The tables are kept on the extension ball, except the lift and
-certificate tables, so a kernel ball shared by several extension balls
-keeps none alive.
+Every chart, embed, lift, conjugation and certificate placement must equal
+the normal-form placement, and raise ``vertex_of``'s error exactly where
+that leaves the destination ball; the balls are small enough that many
+placements leave.  Placements keep each edge and cell they carried and the
+transfers each certificate translate, so that a push-down repeated on the
+same balls takes no normal form and asks no ball for an edge or cell; a
+lookup that failed is never kept.  The tables are kept on the extension
+ball, except the lift tables and the translates, so a kernel ball shared by
+several extension balls keeps none alive.
 """
 
 import gc
@@ -35,8 +33,8 @@ from homfill.cayley import (
 from homfill.cli import load_group
 from homfill.errors import ResourceError
 from homfill.extension import (
+    _collars,
     _substitute,
-    cert_placement,
     chart,
     chart_placement,
     compute_constants,
@@ -74,24 +72,38 @@ def _normal_form_place(ball, word):
     return ball.vertex_index.get(ball.backend.normal_form(word))
 
 
+def _outside(ball, word) -> str:
+    """The exact ResourceError message of ``vertex_of`` for a word outside
+    the ball, as a pattern."""
+    nf = ball.backend.normal_form(word)
+    message = (
+        f"vertex {format_word(nf, ball.generators)} is outside the radius-{ball.radius} ball"
+        f" over {' '.join(ball.generators)}; radius {len(nf)} holds it"
+    )
+    return "^" + re.escape(message) + "$"
+
+
 def _check(placement, expected):
-    """Every entry agrees with the normal form, and ``vertex`` raises the
-    destination's outside-ball message exactly where it is None; returns
-    the number of entries outside."""
-    assert [placement(x) for x in range(len(expected))] == expected
+    """``vertex`` agrees with the normal form, and raises the destination's
+    outside-ball message exactly where that is None; returns the number of
+    entries outside."""
     dst = placement.dst
     for x, v in enumerate(expected):
         if v is not None:
             assert placement.vertex(x) == v
             continue
-        nf = dst.backend.normal_form(placement.word(x))
-        message = (
-            f"vertex {format_word(nf, dst.generators)} is outside the radius-{dst.radius} ball"
-            f" over {' '.join(dst.generators)}; radius {len(nf)} holds it"
-        )
-        with pytest.raises(ResourceError, match="^" + re.escape(message) + "$"):
+        with pytest.raises(ResourceError, match=_outside(dst, placement.word(x))):
             placement.vertex(x)
     return expected.count(None)
+
+
+def _inside(placement, x) -> bool:
+    """Whether ``placement`` places x inside its destination ball."""
+    try:
+        placement.vertex(x)
+    except ResourceError:
+        return False
+    return True
 
 
 def test_chart_tables(balls):
@@ -118,42 +130,93 @@ def test_embed_tables(balls):
 
 
 def test_lift_tables(balls):
-    _, group, _, k_ball = balls
+    """An edge from x goes to the traced image of its label from the normal
+    form's place of x's image, and raises ``vertex_of``'s error where that
+    is outside the ball; only traced edges are kept."""
+    name, group, _, k_ball = balls
+    outside = 0
     for lift in group.lifts:
         for direction in ("forward", "backward"):
             expected = [_normal_form_place(k_ball, apply_lift(lift, direction, w)) for w in k_ball.vertices]
-            placement, traced = lift_placement(k_ball, lift, direction)
-            _check(placement, expected)
+            traced = lift_placement(k_ball, lift, direction)
             for edge, (source, g, _) in enumerate(k_ball.edges):
+                cycle = OneCycle({edge: 1})
+                base = expected[source]
+                if base is None:
+                    image = apply_lift(lift, direction, k_ball.vertices[source])
+                    with pytest.raises(ResourceError, match=_outside(k_ball, image)):
+                        lift_image_cycle(k_ball, cycle, lift, direction)
+                    assert traced[edge] is None
+                    outside += 1
+                    continue
                 try:
-                    base = k_ball.vertex_of(apply_lift(lift, direction, k_ball.vertices[source]))
                     want = trace_word(k_ball, base, getattr(lift, direction)[g - 1])[0]
                 except ResourceError as exc:
                     with pytest.raises(ResourceError, match="^" + re.escape(str(exc)) + "$"):
-                        lift_image_cycle(k_ball, OneCycle({edge: 1}), lift, direction)
+                        lift_image_cycle(k_ball, cycle, lift, direction)
                     assert traced[edge] is None
                     continue
-                assert lift_image_cycle(k_ball, OneCycle({edge: 1}), lift, direction) == OneCycle(want)
+                assert lift_image_cycle(k_ball, cycle, lift, direction) == OneCycle(want)
                 assert traced[edge] == want
+            assert lift_placement(k_ball, lift, direction) is traced
+    # only heis_ext's lift moves vertices; the others are the identity
+    assert outside or name != "heis_ext"
+
+
+def _expected_translate(k_ball, cert, fx):
+    """The certificate translated to f(x) = fx by normal forms: each cell
+    based at y as the cell with its relator based at f(x) y, or None when
+    some such vertex or cell is outside the ball."""
+    translate = []
+    width = len(k_ball.hom_pres.base.relators)
+    for cell_id, c in cert.chain.coeffs.items():
+        cell = k_ball.cells[cell_id]
+        base = _normal_form_place(k_ball, fx + k_ball.vertices[cell.base])
+        target = -1 if base is None else k_ball.cell_ids[base * width + cell.relator]
+        if target < 0:
+            return None
+        translate.append((target, c))
+    return translate
 
 
 def test_cert_tables(balls):
-    """A certificate cell based at y goes to f(x) y: the lift's image in
-    either direction, or x itself for a collar (no lift)."""
-    _, group, _, k_ball = balls
-    bases = [y for y, d in enumerate(k_ball.distance) if d <= 1]
-    outside = 0
-    for lift, direction in [(None, None)] + [(lift, d) for lift in group.lifts for d in ("forward", "backward")]:
-        for y in bases:
-            tail = k_ball.vertices[y]
-            expected = [
-                _normal_form_place(k_ball, (w if lift is None else apply_lift(lift, direction, w)) + tail)
-                for w in k_ball.vertices
-            ]
-            place = cert_placement(k_ball, lift, direction, y)
-            outside += _check(place, expected)
-            assert cert_placement(k_ball, lift, direction, y) is place
-    assert outside
+    """A certificate cell based at y goes to the cell with its relator based
+    at f(x) y: the lift's image in either direction for a relator
+    substitution, x itself for a collar.  Each translate that lies inside
+    the kernel ball is kept in ``constants.translates``; one that leaves it
+    raises and is not kept."""
+    name, group, _, k_ball = balls
+    constants = compute_constants(k_ball, group.layout, group.lifts, group.hom_pres.base.relators)
+    cells, edges, vertices = k_ball.cells, k_ball.edges, k_ball.vertices
+    inside = outside = 0
+    for i, lift in enumerate(group.lifts):
+        runs = [
+            (family, lift, direction, (i, cell.relator), cell.base, TwoChain({c: 1}))
+            for family, direction in (("phi_relator", "forward"), ("psi_relator", "backward"))
+            for c, cell in enumerate(cells)
+        ]
+        runs += [
+            ("collar_psi_phi", None, None, (i, g - 1), source, OneCycle({e: 1}))
+            for e, (source, g, _) in enumerate(edges)
+        ]
+        for family, f, direction, key, x, item in runs:
+            fx = vertices[x] if f is None else apply_lift(f, direction, vertices[x])
+            expected = _expected_translate(k_ball, constants.certs[family][key], fx)
+            try:
+                if f is None:
+                    _collars(constants, family, item, i)
+                else:
+                    _substitute(constants, family, item, f, direction)
+            except ResourceError:
+                assert expected is None
+                assert (key, x) not in constants.translates.get((family, f, direction), {})
+                outside += 1
+                continue
+            assert constants.translates[(family, f, direction)][(key, x)] == expected
+            inside += 1
+    # under an identity lift every translate of a cell the ball has stays
+    # inside it; heis_ext's lift moves vertices
+    assert inside and (outside or name != "heis_ext")
 
 
 def test_conj_tables_are_embed_after_lift(balls):
@@ -168,54 +231,13 @@ def test_conj_tables_are_embed_after_lift(balls):
             ]
             place = conj_placement(h_ball, lead, k_ball, lift)
             outside += _check(place, expected)
-            image, _ = lift_placement(k_ball, lift, "forward")
             embed = embed_placement(h_ball, lead, k_ball)
-            for x in range(len(k_ball.vertices)):
-                kv = image(x)
-                hv = None if kv is None else embed(kv)
-                if hv is not None:
-                    assert place(x) == hv
+            for x, w in enumerate(k_ball.vertices):
+                kv = _normal_form_place(k_ball, apply_lift(lift, "forward", w))
+                if kv is not None and _inside(embed, kv):
+                    assert place.vertex(x) == embed.vertex(kv)
                     both += 1
     assert both and outside
-
-
-class _Counted:
-    """Stands in for a placement's destination ball and counts the normal
-    forms the placement asks of its backend."""
-
-    def __init__(self, ball):
-        self.vertex_index = ball.vertex_index
-        self.backend = self
-        self.normal_forms = 0
-        self._normal_form = ball.backend.normal_form
-
-    def normal_form(self, word):
-        self.normal_forms += 1
-        return self._normal_form(word)
-
-
-@pytest.mark.parametrize("name", CASES)
-def test_each_entry_takes_one_normal_form(name):
-    """Reading every entry of fresh tables twice takes one normal form per
-    entry."""
-    group, h_ball, k_ball = _balls(name, 3, 2)
-    coset = next(w for w in h_ball.coset_labels if w)
-    lift = group.lifts[0]
-    tables = [
-        chart_placement(h_ball, k_ball, coset),
-        embed_placement(h_ball, coset, k_ball),
-        conj_placement(h_ball, coset, k_ball, lift),
-        lift_placement(k_ball, lift, "backward")[0],
-        cert_placement(k_ball, lift, "forward", 1),
-        cert_placement(k_ball, None, None, 1),
-    ]
-    for table in tables:
-        table.dst = counted = _Counted(table.dst)
-        entries = len(table.table)
-        for _ in range(2):
-            for x in range(entries):
-                table(x)
-        assert counted.normal_forms == entries
 
 
 @pytest.mark.parametrize("route, direction", [("t1", "backward"), ("t1'", "forward")])
@@ -294,12 +316,12 @@ def test_missing_pieces_are_never_kept():
         failed = _raises_alike(lambda: carry_cycle(k_ball, h_ball, OneCycle({edge: 1}), place))
         assert (edge in place.edges) is not failed
         # a placed source whose edge leaves the ball fails in ``step``
-        stepped += failed and place(source) is not None
+        stepped += failed and _inside(place, source)
     based = 0
     for cell, c in enumerate(k_ball.cells):
         failed = _raises_alike(lambda: carry_chain(k_ball, h_ball, TwoChain({cell: 1}), place))
         assert (cell in place.cells) is not failed
-        based += failed and place(c.base) is not None
+        based += failed and _inside(place, c.base)
     assert stepped and based
 
     constants = compute_constants(k_ball, group.layout, group.lifts, group.hom_pres.base.relators)
@@ -319,7 +341,7 @@ def test_missing_pieces_are_never_kept():
     place = conj_placement(h_ball, (t1,), k_ball, lift)
     for edge, cell in place.cells.items():
         source, g, _ = k_ball.edges[edge]
-        assert cell == h_ball.cell_at(place(source), group.layout.conj_relator(i, g - 1))
+        assert cell == h_ball.cell_at(place.vertex(source), group.layout.conj_relator(i, g - 1))
     assert missing and place.cells
 
     kept = failed_cells = 0
