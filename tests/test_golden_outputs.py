@@ -140,21 +140,21 @@ GOLDEN = {
     "surface:z2_redundant": "b8bce1ba67513ff5460f81f2e2460a29f2849f856fd1dfd96d3ef8dcf5894804",
     "surface:z3_ext": "49c1c9758f290d15298854f3904476df029c760ae5df09d60431d519109b2b8f",
     "surface-index:f2": "e0f799e87fad0b26ef055d50b9ca006c5ecd067805e5c339086fb90c059adde0",
-    "surface-index:f2_triangle": "5d4cc324e1fa405620b1038a8d8fecd2304d3b874952800a440dc16c81ce9914",
-    "surface-index:handmade": "4cf1ec5b48a640e21dee77c260bf5dab2d894a330a1f2540b73a1cc7f8ae4703",
-    "surface-index:heis_ext": "b8cc77563b2476dd494ebc943bbf3e7fa4f22592a523de767ab581eb10002b08",
-    "surface-index:z2": "d380facfe10dd95532f35493808e031e587ce0991dd655a5de30d78edc13f8f0",
-    "surface-index:z2_by_f2": "477bde4b4f454c4585dab0af3ec7f274c0d551f3a8254ef7165a5742ff9db4d5",
-    "surface-index:z2_redundant": "d787dd486c1be7d6bf797dbaa717c6887e24f0ff29721621c155e3149f55b5ae",
-    "surface-index:z3_ext": "c9ebaa4615d42952c8de2133ed679f70d5d7737033199ad0c9c58f600b5d253e",
+    "surface-index:f2_triangle": "f3ac8dd1301b1bd0321410ad1fe3e92d0c08a2a56a365928558ea7614d4b6165",
+    "surface-index:handmade": "f1805cc476ac373f2b51a414574b8941472a3a61d9cbf0ce6437e85265060216",
+    "surface-index:heis_ext": "be8dcc45adcab534f65297ca231c9bfe812fbde44e1b6aa7603b44f3e3df47af",
+    "surface-index:z2": "5b7450ad8e399b1238d8eb407387681acbf2e5a728f18abe75e8fa73bb51a75a",
+    "surface-index:z2_by_f2": "5db4195e4e74e2066843f983520aee30c6ba9f5a6d70daf14ad3dfc292b7e9f3",
+    "surface-index:z2_redundant": "3ba9122c0778509db2aaaa53cab126c4730caa57323c3702b307b26270029d5d",
+    "surface-index:z3_ext": "f70bcd7e57e2928c9c9d38683ba7210df643592853639eab3d2d8684f795b115",
     "surface-views:f2": "4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945",
-    "surface-views:f2_triangle": "510b4950e3033dc51134d1aa5aa1f07301c8a20ceddc9a3e136d25e0caa67463",
-    "surface-views:handmade": "ae6da4c0e2cf9171d7c2fa9f1a5f4ab89963109a75226d50c942c69a0abad6f9",
-    "surface-views:heis_ext": "afceece44c14771c32a2d22f2680888e77c7664cce48477e074d1b15d611b326",
-    "surface-views:z2": "c8d39799e573787bf4c86a7d9535c10251c28b8424fff1801facf561837b20fd",
-    "surface-views:z2_by_f2": "20d61416d1e3e7e870143e34fa5d1fed2e4a0989572a66a77feeb73014623e10",
-    "surface-views:z2_redundant": "346f1e957c298214472ac8d7de18db4d3c88e3f393f8ce9f188ac39b75a12285",
-    "surface-views:z3_ext": "199c0185549725540dcff97cdfbe36ccd7ee53ca78c63056789037ea95dde3d3",
+    "surface-views:f2_triangle": "066dfba05c4fed927876642152df099a6441163d164cddd7571ae62541c3be59",
+    "surface-views:handmade": "0ce651b2cec5a1df07bb205f46cf07e98f0b2f5ee1a59ed40fcf9d0c5506f058",
+    "surface-views:heis_ext": "068885da155d5c9bdab13fdd1ad006520a37f22f7fd01784703444eedacc3606",
+    "surface-views:z2": "0aa7bbdf8d632a7ad567176285f1541adcb0cb06fc0a6eba2be5aebb29cad613",
+    "surface-views:z2_by_f2": "b09839bfcd9c9506b010144e947c769994ce74f6f1322693a709e0cd10a46755",
+    "surface-views:z2_redundant": "83a3c83c0d29497be5a1d448b7fff8006958c5c1de74697d0a43901090a8815b",
+    "surface-views:z3_ext": "d9ec7f0b3c416d4b70c63768ebf8d8f3fe9bbf60543a1cec917ab955bc04ec13",
     "routed:z3": "fedbd6ca556438527b37ea19ff5124bfa330da911c864741ad1e49f638345a45",
     "routed:heis": "655f7c7d009aaf738e7bd09da09a249f64e51160a1a0e080b5abc4a67e78406e",
     "tight:z3:chart": "9ea52fe56f3d5645bbf013c6c4ea5a198a20d31f2df25df2676fee022d70a650",
