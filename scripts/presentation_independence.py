@@ -6,11 +6,12 @@ Usage: python scripts/presentation_independence.py [--max-n 8] [--ball 5]
 
 import argparse
 import sys
+from pathlib import Path
 
-from homfill.backends import FreeAbelianBackend
+from homfill.cli import load_group
 from homfill.experiments import compare_presentations
-from homfill.presentation import HomPresentation, Presentation
-from homfill.words import parse_word
+
+GROUPS = Path(__file__).resolve().parent.parent / "groups"
 
 
 def main() -> int:
@@ -19,22 +20,14 @@ def main() -> int:
     parser.add_argument("--ball", type=int, default=5)
     args = parser.parse_args()
 
-    ni = {"a": 0, "b": 1}
-    ni3 = {"a": 0, "b": 1, "c": 2}
-    pres_a = HomPresentation.mark_all(
-        Presentation(("a", "b"), (parse_word("a b a' b'", ni),))
-    )
-    pres_b = HomPresentation.mark_all(
-        Presentation(
-            ("a", "b", "c"),
-            (parse_word("a b a' b'", ni3), parse_word("c' a b", ni3)),
-        )
-    )
+    a = load_group(str(GROUPS / "z2.grp"))
+    b = load_group(str(GROUPS / "z2_redundant.grp"))
+    # the dictionaries a -> a, b -> b and a -> a, b -> b, c -> a b
     result = compare_presentations(
-        pres_a,
-        pres_b,
-        FreeAbelianBackend(2),
-        FreeAbelianBackend(2, [(1, 0), (0, 1), (1, 1)]),
+        a.hom_pres,
+        b.hom_pres,
+        a.backend,
+        b.backend,
         args.max_n,
         {0: (1,), 1: (2,)},
         {0: (1,), 1: (2,), 2: (1, 2)},

@@ -1,14 +1,15 @@
 """Route a kernel loop's filling through stable-letter cosets and push it
 back down, printing the audited trace.
 
-Usage: python scripts/pushdown_demo.py [--shear] [--word "a b a' b'"] [--route "t1 t1"]
+Usage: python scripts/pushdown_demo.py [--pres groups/heis_ext.grp] [--word "a b a' b'"] [--route "t1 t1"]
 """
 
 import argparse
 import sys
+from pathlib import Path
 
-from homfill.backends import ExtensionBackend, FreeAbelianBackend
 from homfill.cayley import build_ball, loop_to_cycle
+from homfill.cli import load_group
 from homfill.extension import (
     compute_constants,
     kernel_cycle_to_extension,
@@ -16,44 +17,40 @@ from homfill.extension import (
     route_filling,
     verify_theorem_bound,
 )
-from homfill.presentation import AutLift, HomPresentation, Presentation, build_extension_presentation
 from homfill.words import parse_word
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--shear", action="store_true", help="use the a -> ab lift instead of the identity")
+    parser.add_argument(
+        "--pres",
+        default="groups/z3_ext.grp",
+        help="the extension's group file, relative to the repository root unless absolute"
+        " (groups/heis_ext.grp has the a -> ab lift)",
+    )
     parser.add_argument("--word", default="a b a' b'")
     parser.add_argument("--route", default="t1")
     parser.add_argument("--h-ball", type=int, default=7)
     parser.add_argument("--k-ball", type=int, default=10)
     args = parser.parse_args()
 
-    k_names = {"a": 0, "b": 1}
-    k_pres = HomPresentation.mark_all(
-        Presentation(("a", "b"), (parse_word("a b a' b'", k_names),))
-    )
-    k_backend = FreeAbelianBackend(2)
-    lift = (
-        AutLift(((1, 2), (2,)), ((1, -2), (2,)))
-        if args.shear
-        else AutLift.identity(2)
-    )
-    h_pres, layout = build_extension_presentation(
-        k_pres, [lift], k_normal_form=k_backend.normal_form
-    )
-    h_backend = ExtensionBackend(k_backend, [lift])
-    k_ball = build_ball(k_backend, k_pres, args.k_ball)
-    h_ball = build_ball(h_backend, h_pres, args.h_ball)
-    constants = compute_constants(k_ball, layout, [lift], h_pres.base.relators)
+    group = load_group(str(ROOT / args.pres))
+    if group.k_backend is None:
+        parser.error(f"{args.pres} is not a 'backend: extension' group file")
+    k_pres, h_pres = group.k_pres, group.hom_pres
+    k_ball = build_ball(group.k_backend, k_pres, args.k_ball)
+    h_ball = build_ball(group.backend, h_pres, args.h_ball)
+    constants = compute_constants(k_ball, group.layout, group.lifts, h_pres.base.relators)
     print(
         f"constants: C={constants.C} C'={constants.C_prime} C''={constants.C_double_prime} "
         f"rho={constants.rho} M={constants.M}"
     )
 
-    h_names = {g: i for i, g in enumerate(h_pres.generators)}
+    k_names = {g: i for i, g in enumerate(k_pres.generators)}
     gamma_k = loop_to_cycle(k_ball, 0, parse_word(args.word, k_names))
-    route = parse_word(args.route, h_names) if args.route else ()
+    route = parse_word(args.route, group.name_index) if args.route else ()
     chain = route_filling(h_ball, k_ball, constants, gamma_k, route)
     gamma_h = kernel_cycle_to_extension(h_ball, k_ball, gamma_k)
     f_table = [max(n, n * n) for n in range(gamma_h.length() + 1)]

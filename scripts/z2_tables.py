@@ -6,12 +6,13 @@ Usage: python scripts/z2_tables.py [--max-n 8] [--ball 5]
 import argparse
 import sys
 import time
+from pathlib import Path
 
 from homfill import fa_estimate, measure_ar_pair
-from homfill.backends import FreeAbelianBackend
 from homfill.cayley import build_ball
-from homfill.presentation import HomPresentation, Presentation
-from homfill.words import parse_word
+from homfill.cli import load_group
+
+GROUPS = Path(__file__).resolve().parent.parent / "groups"
 
 
 def main() -> int:
@@ -20,10 +21,8 @@ def main() -> int:
     parser.add_argument("--ball", type=int, default=5)
     args = parser.parse_args()
 
-    pres = HomPresentation.mark_all(
-        Presentation(("a", "b"), (parse_word("a b a' b'", {"a": 0, "b": 1}),))
-    )
-    backend = FreeAbelianBackend(2)
+    group = load_group(str(GROUPS / "z2.grp"))
+    pres, backend = group.hom_pres, group.backend
     t0 = time.time()
     ball = build_ball(backend, pres, args.ball)
     fa = fa_estimate(backend, pres, args.max_n, args.ball, ball=ball)
