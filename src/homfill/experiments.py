@@ -22,6 +22,7 @@ from .filling import (
     check_preceq,
     enumerate_identity_cycles,
     harea_fill,
+    running_max,
 )
 from .presentation import HomPresentation
 from .surface import assemble_surface, diagram_radius
@@ -126,13 +127,8 @@ def measure_ar_pair(
         if radius > g[n]:
             g[n] = radius
             wg[n] = text
-    for n in range(1, n_max + 1):
-        if f[n] < f[n - 1]:
-            f[n] = f[n - 1]
-            wf[n] = wf[n - 1]
-        if g[n] < g[n - 1]:
-            g[n] = g[n - 1]
-            wg[n] = wg[n - 1]
+    running_max(f, wf)
+    running_max(g, wg)
     return ARPairReport(
         f_table=f,
         g_table=g,

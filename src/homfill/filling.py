@@ -369,9 +369,7 @@ def fa_estimate(
             witness[n] = format_word(word, names)
     for n in range(1, n_max + 1):
         examined[n] += examined[n - 1]
-        if best[n] < best[n - 1]:
-            best[n] = best[n - 1]
-            witness[n] = witness[n - 1]
+    running_max(best, witness)
     if scope == "loops_plus_superadditive":
         closed = superadditive_closure(best)
         for n in range(n_max + 1):
@@ -380,6 +378,16 @@ def fa_estimate(
                 witness[n] = (witness[n] or "") + " (superadditive combination)"
     entries = [FAEntry(best[n], witness[n], examined[n]) for n in range(n_max + 1)]
     return FATable(entries, ball.radius, scope, gaps=gaps)
+
+
+def running_max(values: list[int], witnesses: list) -> None:
+    """Carry the maximum and its witness forward, in place: entry n becomes
+    the largest of entries 0..n, and an entry below the one before it takes
+    that one's value and witness."""
+    for n in range(1, len(values)):
+        if values[n] < values[n - 1]:
+            values[n] = values[n - 1]
+            witnesses[n] = witnesses[n - 1]
 
 
 def superadditive_closure(f: list[int]) -> list[int]:
