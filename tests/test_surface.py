@@ -1,12 +1,16 @@
+import copy
 import random
 from collections import Counter
+from functools import lru_cache
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from homfill.cayley import TwoChain, boundary_2, build_ball, loop_to_cycle
 from homfill.cli import load_group
-from homfill.errors import DomainError
+from homfill.errors import DomainError, HomfillError
 from homfill.filling import enumerate_identity_cycles, harea_fill
 from homfill.surface import (
     Face,
@@ -616,3 +620,121 @@ def test_gluing_matches_the_rescan_rule(path):
     # a label can meet its opposite, which needs two slots over one edge
     slots = [e for cell in ball.cells for e, _ in cell.boundary]
     assert paths[False] and (paths[True] or len(set(slots)) == len(slots)), paths
+
+
+@lru_cache(maxsize=None)
+def _contested_z2_redundant():
+    """The radius-5 z2_redundant ball, the JSON of its assembled diagram of
+    the contested loop a a a c' b c' a' b, and that diagram's classes."""
+    group = load_group(str(GROUP_FILES[0].parent / "z2_redundant.grp"))
+    ball = build_ball(group.backend, group.hom_pres, 5)
+    gamma = loop_to_cycle(ball, 0, parse_word("a a a c' b c' a' b", group.name_index))
+    diagram = assemble_surface(ball, harea_fill(ball, gamma).chain)
+    classes = [[list(corner) for corner in cls] for cls in diagram.index.classes]
+    return ball, diagram_to_json(diagram), classes
+
+
+# values of the wrong type or shape, for the decoder to refuse
+JUNK = st.sampled_from([None, "x", 1.5, True, [], [0], {}])
+
+
+def _number(lo, hi):
+    """Mostly an integer in [lo, hi], sometimes junk."""
+    return st.one_of(st.integers(lo, hi), st.integers(lo, hi), JUNK)
+
+
+def _mutate(data, doc, classes, ball):
+    """Apply one drawn mutation to the diagram document or to the declared
+    classes, in place."""
+    faces, gluing = doc["faces"], doc["gluing"]
+    kind = data.draw(
+        st.sampled_from(
+            ["slot", "corner", "provenance", "glued", "flip", "drop", "truncate", "pop", "add", "merge", "empty"]
+        )
+    )
+    face = faces[data.draw(st.integers(0, len(faces) - 1))]
+    if kind == "slot" and face["slots"]:
+        p = data.draw(st.integers(0, len(face["slots"]) - 1))
+        face["slots"][p] = data.draw(
+            st.one_of(st.tuples(_number(-1, len(ball.edges)), _number(-2, 2)).map(list), JUNK)
+        )
+    elif kind == "corner":
+        corners = face["corner_images"]
+        if isinstance(corners, list) and corners and data.draw(st.booleans()):
+            corners[data.draw(st.integers(0, len(corners) - 1))] = data.draw(_number(-1, len(ball.vertices)))
+        else:
+            face["corner_images"] = data.draw(st.one_of(JUNK, st.lists(st.integers(-1, 3), max_size=5)))
+    elif kind == "provenance":
+        face["provenance"] = data.draw(
+            st.one_of(st.tuples(_number(-1, len(ball.cells)), _number(-2, 2)).map(list), JUNK)
+        )
+    elif kind in ("glued", "flip", "drop") and gluing:
+        k = data.draw(st.integers(0, len(gluing) - 1))
+        if kind == "glued":
+            end = data.draw(st.integers(0, 1))
+            gluing[k][end] = data.draw(
+                st.one_of(st.tuples(_number(-1, len(faces)), _number(-1, 5)).map(list), JUNK)
+            )
+        elif kind == "flip":
+            gluing[k][2] = data.draw(st.one_of(st.just(not gluing[k][2]), JUNK))
+        else:
+            del gluing[k]
+    elif kind == "truncate" and face["slots"]:
+        del face["slots"][data.draw(st.integers(0, len(face["slots"]) - 1)) :]
+    elif kind == "pop" and classes:
+        classes.pop(data.draw(st.integers(0, len(classes) - 1)))
+    elif kind == "add" and classes:
+        corner = [data.draw(st.integers(-1, len(faces))), data.draw(st.integers(-1, 4))]
+        classes[data.draw(st.integers(0, len(classes) - 1))].append(corner)
+    elif kind == "merge" and len(classes) > 1:
+        i, j = sorted(data.draw(st.lists(st.integers(0, len(classes) - 1), min_size=2, max_size=2, unique=True)))
+        classes[i] += classes.pop(j)
+    elif kind == "empty":
+        classes.insert(data.draw(st.integers(0, len(classes))), [])
+
+
+def _checked(doc, ball):
+    """The decoded diagram and its report, or (None, None) when decoding or
+    verification raises a HomfillError; on a valid diagram, measure, draw
+    and project it.  Any other exception escapes."""
+    try:
+        diagram = diagram_from_json(doc, ball)
+        report = verify_surface(diagram)
+        if report.ok:
+            measure(diagram)
+            diagram_to_dot(diagram)
+            project_boundary(diagram)
+    except HomfillError:
+        return None, None
+    return diagram, report
+
+
+def _partition(classes) -> list:
+    return sorted(sorted(map(tuple, cls)) for cls in classes)
+
+
+def check_mutated_diagram(data):
+    """Mutate the contested z2_redundant diagram's JSON and its derived
+    classes, then check that only HomfillError escapes decoding,
+    verification and the readers of a valid diagram; that a gluing whose
+    matching and labels check never breaks the link condition; and that
+    declared classes verify exactly when the diagram without them does and
+    they are its derived classes, in any order."""
+    ball, base, derived = _contested_z2_redundant()
+    doc, classes = copy.deepcopy(base), copy.deepcopy(derived)
+    for _ in range(data.draw(st.integers(0, 3))):
+        _mutate(data, doc, classes, ball)
+    if data.draw(st.booleans()):  # declared in another order
+        classes = [data.draw(st.permutations(cls)) for cls in data.draw(st.permutations(classes))]
+    diagram, report = _checked(doc, ball)
+    if report is not None:
+        assert not any("link of vertex class" in v or "free sides" in v for v in report.violations)
+    claimed, claimed_report = _checked({**doc, "vertex_classes": classes}, ball)
+    generated = report is not None and report.ok and _partition(classes) == _partition(diagram.index.classes)
+    assert (claimed_report is not None and claimed_report.ok) == generated
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_mutated_diagrams_fail_cleanly_and_declared_classes_are_a_claim(data):
+    check_mutated_diagram(data)
