@@ -569,7 +569,8 @@ def _rescan_gluing(faces):
     return [(a, b, False) for a, b in sorted(matched.items()) if a < b]
 
 
-GROUP_FILES = sorted((Path(__file__).resolve().parent.parent / "groups").glob("*.grp"))
+GROUPS = Path(__file__).resolve().parent.parent / "groups"
+GROUP_FILES = sorted(GROUPS.glob("*.grp"))
 
 INDEX_FIELDS = ("mate", "flipped", "unmatched", "classes", "class_of", "free_sides")
 
@@ -626,7 +627,7 @@ def test_gluing_matches_the_rescan_rule(path):
 def _contested_z2_redundant():
     """The radius-5 z2_redundant ball, the JSON of its assembled diagram of
     the contested loop a a a c' b c' a' b, and that diagram's classes."""
-    group = load_group(str(GROUP_FILES[0].parent / "z2_redundant.grp"))
+    group = load_group(str(GROUPS / "z2_redundant.grp"))
     ball = build_ball(group.backend, group.hom_pres, 5)
     gamma = loop_to_cycle(ball, 0, parse_word("a a a c' b c' a' b", group.name_index))
     diagram = assemble_surface(ball, harea_fill(ball, gamma).chain)
@@ -713,7 +714,7 @@ def _partition(classes) -> list:
     return sorted(sorted(map(tuple, cls)) for cls in classes)
 
 
-def check_mutated_diagram(data):
+def _check_mutated_diagram(data):
     """Mutate the contested z2_redundant diagram's JSON and its derived
     classes, then check that only HomfillError escapes decoding,
     verification and the readers of a valid diagram; that a gluing whose
@@ -729,7 +730,7 @@ def check_mutated_diagram(data):
     diagram, report = _checked(doc, ball)
     if report is not None:
         assert not any("link of vertex class" in v or "free sides" in v for v in report.violations)
-    claimed, claimed_report = _checked({**doc, "vertex_classes": classes}, ball)
+    _, claimed_report = _checked({**doc, "vertex_classes": classes}, ball)
     generated = report is not None and report.ok and _partition(classes) == _partition(diagram.index.classes)
     assert (claimed_report is not None and claimed_report.ok) == generated
 
@@ -737,4 +738,4 @@ def check_mutated_diagram(data):
 @settings(max_examples=300, deadline=None)
 @given(st.data())
 def test_mutated_diagrams_fail_cleanly_and_declared_classes_are_a_claim(data):
-    check_mutated_diagram(data)
+    _check_mutated_diagram(data)
