@@ -76,12 +76,11 @@ from .cayley import (
     carry_cycle,
     loop_to_cycle,
     trace_word,
-    vertex_incidence,
 )
 from .errors import DomainError, InvariantError, ResourceError
 from .filling import harea_fill
 from .presentation import AutLift, ExtensionLayout, apply_lift
-from .surface import SurfaceDiagram, project_boundary
+from .surface import SurfaceDiagram, _valid
 from .words import Word, format_word, inverse_word
 
 
@@ -415,19 +414,28 @@ class TCycle:
 
 def detect_t_cycles(diagram: SurfaceDiagram, layout: ExtensionLayout) -> list[TCycle]:
     """Group the diagram's conjugation-relator faces by the coset pair they
-    join; checks that both boundaries of every group close up."""
+    join.  The diagram must be valid and each face must have provenance;
+    the boundary of the diagram's chain (the sum of its faces' provenance)
+    must have no stable-letter edge.
+
+    Both boundaries of every group are closed.  Only the faces of one coset
+    pair touch the t-edges between its two cosets, and the chain's boundary
+    has none, so each group's boundary has none either: it is its inner
+    plus its outer cycle, which lie in two cosets with no common vertex,
+    and as a boundary it is closed.  On an assembled diagram the chain's
+    boundary is ``project_boundary``'s."""
     ball = diagram.ball
     if ball is None:
         raise DomainError("t-cycle detection needs ball provenance")
     _require_extension(ball)
-    boundary = project_boundary(diagram)
-    for edge in boundary.coeffs:
+    _valid(diagram, "detect t-cycles on")
+    if any(face.provenance is None for face in diagram.faces):
+        raise DomainError("t-cycle detection needs face provenance")
+    for edge in boundary_2(ball, TwoChain([face.provenance for face in diagram.faces])).coeffs:
         if ball.edges[edge][1] > layout.k_rank:
             raise DomainError("diagram boundary contains stable-letter edges; t-cycles undefined")
     groups: dict[tuple[int, Word, int, Word], list[int]] = {}
     for f, face in enumerate(diagram.faces):
-        if face.provenance is None:
-            raise DomainError("t-cycle detection needs face provenance")
         cell_id, _orient = face.provenance
         cosets = ball.cell_cosets[cell_id]
         if len(cosets) == 1:
@@ -440,9 +448,6 @@ def detect_t_cycles(diagram: SurfaceDiagram, layout: ExtensionLayout) -> list[TC
         chain_boundary = boundary_2(ball, TwoChain([diagram.faces[f].provenance for f in faces]))
         inner = restrict_to_coset(ball, chain_boundary, lower)
         outer = restrict_to_coset(ball, chain_boundary, upper)
-        for name, cyc in (("inner", inner), ("outer", outer)):
-            if vertex_incidence(ball, cyc):
-                raise InvariantError(f"{name} boundary of a t-cycle is not closed")
         out.append(TCycle(i, lower, sign, tuple(faces), inner, outer))
     return out
 
@@ -502,7 +507,19 @@ def push_down(
 
     Deterministic order: among maximal-length coset words, lexicographically
     smallest first.  Every step and the final chain are audited against the
-    affine bounds with the aggregate constant M."""
+    affine bounds with the aggregate constant M.
+
+    Each step checks only the cells it changes.  The input check makes the
+    chain bound gamma, and while it does: w has the greatest length among
+    the chain's cosets, so the only cells touching K(w) are the t-cycle T,
+    whose cosets are (w', w), and the outer filling S_out, inside K(w); and
+    T is the only piece with t-edges between K(w') and K(w), which gamma,
+    in the kernel subcomplex, does not have.  So T's t-edges cancel and
+    dT = inner - outer, and as gamma has no edge in K(w), dS_out = outer:
+    dT + dS_out = inner.  The step replaces T + S_out by s_in, so it keeps
+    the boundary exactly when ds_in = inner.  The loop stops only when no
+    cell touches a coset other than the kernel's, so the final chain lies
+    in the kernel subcomplex."""
     layout = constants.layout
     k_ball = constants.k_ball
     _require_extension(h_ball)
@@ -544,8 +561,6 @@ def push_down(
                 t_cells[cell_id] = coeff
             elif cell_cosets == w_only:
                 out_cells[cell_id] = coeff
-            elif w in cell_cosets:
-                raise InvariantError("a second t-cycle touches the maximal coset")
             else:
                 rest[cell_id] = coeff
         T = TwoChain(t_cells)
@@ -554,8 +569,6 @@ def push_down(
         t_boundary = boundary_2(h_ball, T)
         outer = -restrict_to_coset(h_ball, t_boundary, w)
         inner = restrict_to_coset(h_ball, t_boundary, w_prime)
-        if outer != boundary_2(h_ball, S_out):
-            raise InvariantError("outer filling does not bound the t-cycle's outer boundary")
 
         gamma_out = chart(h_ball, k_ball, w, outer)
         gamma_in = chart(h_ball, k_ball, w_prime, inner)
@@ -573,9 +586,9 @@ def push_down(
             direction = "forward"
 
         s_in = embed_chain(h_ball, w_prime, k_ball, s_in_chart)
-        new_chain = TwoChain(rest) + s_in
-        if boundary_2(h_ball, new_chain) != gamma:
+        if boundary_2(h_ball, s_in) != inner:
             raise InvariantError("push-down step changed the boundary")
+        new_chain = TwoChain(rest) + s_in
 
         area_before = current.area()
         area_after = new_chain.area()
@@ -600,9 +613,6 @@ def push_down(
         )
         current = new_chain
 
-    for cell_id in current.coeffs:
-        if h_ball.cell_cosets[cell_id] != ((),):
-            raise InvariantError("push-down terminated with cells outside the kernel")
     final_area = current.area()
     final_ok = final_area <= M ** (k_max + 1) * f_value
     return PushdownTrace(

@@ -4,9 +4,9 @@ their verification, and the area/radius/Euler measurements.
 A diagram is a multiset of oriented polygon faces (one per unit of chain
 coefficient, negative units entering orientation-reversed) plus a partial
 matching on boundary slots.  Local vertices are equivalence classes of face
-corners generated by the endpoint identifications of glued slots, and the
-link condition -- every class is a single corner fan, open or closed -- is
-what makes the complex a surface with boundary.
+corners generated by the endpoint identifications of glued slots; as every
+side of a corner has at most one glued partner, each class is one corner
+fan, open or closed, and the complex is a surface with boundary.
 
 Every layer numbers slots one way (``SlotNumbering``): slot (f, p) is
 ``first[f] + p``, corner x is where slot x starts, and side ``2*x`` /
@@ -191,6 +191,21 @@ class SlotNumbering:
         return first[f] + p
 
 
+def _identify_corners(union, nxt: list[int], a: int, b: int, flip: bool) -> None:
+    """Join the corners that gluing slot a to slot b identifies, with
+    ``union``: each end of one slot with the opposite end of the other, or
+    with the same end when the gluing is flipped.  Slot x runs from corner x
+    to corner ``nxt[x]``.  Assembly and ``SurfaceIndex`` both join by this
+    rule, so an assembler's corner partition is the one the index would
+    join."""
+    if flip:
+        union(a, b)
+        union(nxt[a], nxt[b])
+    else:
+        union(a, nxt[b])
+        union(nxt[a], b)
+
+
 def _check_bare_face(ball: CayleyBall, f: int, face: Face, report: VerificationReport) -> None:
     """Check face f, which has no provenance, against the ball: an edge or a
     vertex the ball does not have raises DomainError; a slot sign other than
@@ -230,12 +245,13 @@ class SurfaceIndex:
     of a local vertex is the graph its corners' sides trace through those
     pairs.  Slot numbers follow the (face, position) order and head sorts
     before tail, so the orders read off these integers -- classes by least
-    corner, free sides, the side a fan walk starts from -- are those of the
-    (face, position) and ((face, position), end) pairs.
+    corner, free sides -- are those of the (face, position) and
+    ((face, position), end) pairs.
 
     The integer fields are derived while the diagram is verified:
 
-    - ``report``: the violated surface invariants, in check order.
+    - ``report``: the violated surface invariants, in check order; a
+      diagram without faces is one line.
     - ``mate``/``flipped``: per slot, the slot glued to it (-1 for a
       boundary slot) and whether that gluing is flipped; ``mate`` is None
       when the gluing is not a partial matching.
@@ -266,13 +282,18 @@ class SurfaceIndex:
     the gluing's endpoint identifications generate (``assemble_surface``
     passes the one it glued with), and the corner classes are read from it
     instead of being joined again; without it the index joins them itself.
+    Both join by ``_identify_corners``, so the two partitions are one.
     The classes always come from the gluing.  Declared classes
     (``SurfaceDiagram.declared_classes``) are a claim, and the class stage
     reports them when they are not the generated ones: such classes would
-    split an identified corner pair or join two links.  Each side of a
-    corner has at most one glued partner, so the link of a generated class
-    is one path or one cycle; the link walk still checks it, which on the
-    assembled path checks the union-find the assembler passed.
+    split an identified corner pair or join two links.
+
+    The link condition needs no check.  Every side has exactly one corner
+    and, once the gluing is a partial matching, at most one glued partner,
+    so the link graph has degree at most 2; the class a set of
+    identifications generates is connected in it.  So, for any partial
+    matching, flipped or not, the sides of each class form one path (two
+    free sides) or one cycle (none).
     """
 
     def __init__(
@@ -294,6 +315,8 @@ class SurfaceIndex:
         self.free_sides: list[tuple[int, ...]] = []
         self._members: list[list[int]] | None = None  # per class, its corners; set at the class stage
 
+        if not diagram.faces:
+            report.add("diagram has no faces")
         for f, face in enumerate(diagram.faces):
             if not face.slots:
                 report.add(f"face {f} has no slots")
@@ -331,14 +354,8 @@ class SurfaceIndex:
 
         if corners is None:
             corners = _Sets(n)
-            union = corners.union
             for a, b, flip in pairs:
-                if flip:
-                    union(a, b)
-                    union(nxt[a], nxt[b])
-                else:
-                    union(a, nxt[b])
-                    union(nxt[a], b)
+                _identify_corners(corners.union, nxt, a, b, flip)
         # a parent is a lesser member of its child's set, so in increasing
         # order it is classed before the child
         self.class_of = class_of = [-1] * n
@@ -357,28 +374,16 @@ class SurfaceIndex:
         if not report.ok:
             return
 
-        # link condition: the sides of each class form one open fan or one
-        # cycle.  Each class is generated by the gluing, so every glued
-        # side's partner lies in its side's class.
-        walked = [-1] * n  # the class whose fan walk last passed each corner
-        for i, cls in enumerate(members):
+        # each class's link is one path or one cycle (see above), so it has
+        # two free sides or none
+        for cls in members:
             free = []  # corner x's sides: the tail of slot x, the head of prev[x]
             for x in cls:
                 if mate[x] < 0:
                     free.append(2 * x + 1)
                 if mate[prv[x]] < 0:
                     free.append(2 * prv[x])
-            free = tuple(sorted(free))
-            self.free_sides.append(free)
-            if not free:  # every side is glued: the walk from any side closes
-                if self._walk_fan(2 * cls[0] + 1, i, walked)[0] != len(cls):
-                    report.add(f"link of vertex class {i} is not a single cycle")
-            elif len(free) == 2:
-                seen, end = self._walk_fan(free[0], i, walked)
-                if end != free[1] or seen != len(cls):
-                    report.add(f"link of vertex class {i} is not a single path")
-            else:
-                report.add(f"vertex class {i} has {len(free)} free sides (needs 0 or 2)")
+            self.free_sides.append(tuple(sorted(free)))
 
         # provenance consistency: each face against its cell's oriented face;
         # a face without provenance against the ball's edges and vertices
@@ -419,29 +424,6 @@ class SurfaceIndex:
             return []
         at = self.slots.refs.__getitem__
         return [tuple(map(at, cls)) for cls in members]
-
-    def _walk_fan(self, start: int, i: int, walked: list[int]) -> tuple[int, int]:
-        """Walk the link of class i from side ``start``: cross its corner to
-        the corner's other side, then the glued pair to the next corner.
-        Returns the number of corners passed and the free side the walk
-        stops on, or -1 when it comes back to a corner it passed."""
-        mate, flipped, nxt, prv = self.mate, self.flipped, self.slots.next, self.slots.prev
-        seen, side = 0, start
-        while True:
-            x = side >> 1
-            if side & 1:  # the tail of slot x: corner x, the head of prev[x]
-                corner, other = x, 2 * prv[x]
-            else:  # the head of slot x: the tail of next[x]
-                corner = nxt[x]
-                other = 2 * corner + 1
-            if walked[corner] == i:
-                return seen, -1
-            walked[corner] = i
-            seen += 1
-            y = other >> 1
-            if mate[y] < 0:
-                return seen, other
-            side = 2 * mate[y] + (other & 1 if flipped[y] else 1 - (other & 1))
 
 
 def verify_surface(diagram: SurfaceDiagram) -> VerificationReport:
@@ -548,7 +530,7 @@ def measure(diagram: SurfaceDiagram) -> SurfaceMetrics:
         comp_chi[comp_of[f]] += 1
 
     # boundary components: unmatched slots joined where a boundary vertex's
-    # fan, walked from its lower free side, ends at its higher one
+    # fan runs from its lower free side to its higher one
     paths = _Sets(len(mate))
     for free in index.free_sides:
         if free:
@@ -627,9 +609,9 @@ def assemble_surface(ball: CayleyBall, chain: TwoChain) -> SurfaceDiagram:
     The faces are the ball's ``oriented_face`` objects.  The diagram's
     index is built from the same numbering and matching and from the
     union-find of corners that either path joined while gluing, so the
-    corner partition is computed once; the index still checks the matching,
-    the labels, the link condition and the provenance, and a violation is
-    an InvariantError.
+    corner partition is computed once, by the index's own rule
+    (``_identify_corners``); the index still checks the matching, the
+    labels and the provenance, and a violation is an InvariantError.
     """
     if not chain:
         raise DomainError("assemble_surface needs a nonzero 2-chain")
@@ -655,8 +637,7 @@ def assemble_surface(ball: CayleyBall, chain: TwoChain) -> SurfaceDiagram:
             if opposite is not None and row[0] < opposite[0]:
                 a, b = row[0], opposite[0]
                 matched[a], matched[b] = b, a
-                union(a, head[b])
-                union(head[a], b)
+                _identify_corners(union, head, a, b, False)
 
     # residual consistency: every image edge must end with one leftover sign
     leftovers: dict[int, set[int]] = {}
@@ -752,8 +733,7 @@ def _glue_contested(
                 place(face_of[b])
             matched[a] = b
             matched[b] = a
-            union(a, head[b])
-            union(head[a], b)
+            _identify_corners(union, head, a, b, False)
 
 
 # ---------------------------------------------------------------------------

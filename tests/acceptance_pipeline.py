@@ -13,7 +13,7 @@ import random
 import time
 
 from homfill.backends import ExtensionBackend, FreeAbelianBackend, FreeBackend
-from homfill.cayley import TwoChain, boundary_2, build_ball, loop_to_cycle
+from homfill.cayley import TwoChain, boundary_2, build_ball, loop_to_cycle, vertex_incidence
 from homfill.extension import (
     compute_constants,
     detect_t_cycles,
@@ -182,7 +182,8 @@ def criteria_4_5_6(rng, contexts):
             gamma_h = kernel_cycle_to_extension(ctx.h_ball, ctx.k_ball, cycle)
             chain = route_filling(ctx.h_ball, ctx.k_ball, ctx.constants, cycle, route)
 
-            # criterion 4: t-cycle partition on the assembled diagram
+            # criterion 4: t-cycle partition on the assembled diagram, each
+            # t-cycle's inner and outer boundary closed
             diagram = assemble_surface(ctx.h_ball, chain)
             tcycles = detect_t_cycles(diagram, ctx.layout)
             conj_faces = [
@@ -191,7 +192,11 @@ def criteria_4_5_6(rng, contexts):
                 if ctx.layout.is_conj_relator(ctx.h_ball.cells[face.provenance[0]].relator)
             ]
             seen = [f for tc in tcycles for f in tc.faces]
-            partition_ok = sorted(seen) == sorted(conj_faces)
+            partition_ok = sorted(seen) == sorted(conj_faces) and not any(
+                vertex_incidence(ctx.h_ball, cycle)
+                for tc in tcycles
+                for cycle in (tc.inner_boundary, tc.outer_boundary)
+            )
             if not partition_ok:
                 t_failures += 1
             tcycle_rows.append(

@@ -3,7 +3,9 @@ library with: hop distances over a ball's 1-skeleton (an oracle for the
 distances the one-pass build records), the ordered boundary paths of a
 surface diagram (recorded by the ``surface-index:*`` golden sections), a
 diagram's radius from its (face, position) views (an oracle for
-``surface.diagram_radius``), the exact-fill checks in Python integers
+``surface.diagram_radius``), the walk around each vertex class's link (a
+check of the link condition that ``surface.SurfaceIndex`` proves and of
+its free sides), the exact-fill checks in Python integers
 (oracles for ``exactlp``'s int64 ``as_chain`` and ``lower_bound``), a
 local LP whose rows are numbered by sorting (an oracle for
 ``exactlp.local_lp``'s row mask),
@@ -22,7 +24,7 @@ from homfill.backends import letter_order
 from homfill.cayley import CayleyBall, OneCycle
 from homfill.errors import DomainError, InvariantError
 from homfill.exactlp import DUAL_SCALE, FillSystem, LocalLP
-from homfill.surface import SlotRef, SurfaceDiagram, _glued
+from homfill.surface import SlotRef, SurfaceDiagram, SurfaceIndex, _glued
 
 
 def hop_distances(ball: CayleyBall, sources) -> list[int]:
@@ -114,6 +116,40 @@ def radius_reference(diagram: SurfaceDiagram) -> int | None:
     if len(dist) < len(index.classes):
         return None
     return max(dist.values(), default=0)
+
+
+def link_reference(index: SurfaceIndex) -> list[tuple[int, int]]:
+    """Walk the link of every class of an index that got past the class
+    stage: from the class's lower free side, or from the tail side of its
+    least corner when it has none, cross each corner to its other side and
+    each glued pair to the next corner.  Per class, the number of corners
+    passed and the free side the walk stopped on, or -1 when it came back
+    to a corner it had passed."""
+    mate, flipped, nxt, prv = index.mate, index.flipped, index.slots.next, index.slots.prev
+    least: dict[int, int] = {}
+    for x, k in enumerate(index.class_of):
+        least.setdefault(k, x)
+    walks = []
+    for k, free in enumerate(index.free_sides):
+        walked: set[int] = set()
+        side = free[0] if free else 2 * least[k] + 1
+        while True:
+            x = side >> 1
+            if side & 1:  # the tail of slot x: corner x, the head of prev[x]
+                corner, other = x, 2 * prv[x]
+            else:  # the head of slot x: the tail of next[x]
+                corner = nxt[x]
+                other = 2 * corner + 1
+            if corner in walked:
+                walks.append((len(walked), -1))
+                break
+            walked.add(corner)
+            y = other >> 1
+            if mate[y] < 0:
+                walks.append((len(walked), other))
+                break
+            side = 2 * mate[y] + (other & 1 if flipped[y] else 1 - (other & 1))
+    return walks
 
 
 def contested(diagram: SurfaceDiagram) -> bool:

@@ -98,6 +98,13 @@ def test_verify_flags_corruption(tmp_path, capsys):
     assert "matched twice" in capsys.readouterr().out
 
 
+def test_verify_refuses_a_diagram_without_faces(tmp_path, capsys):
+    empty = tmp_path / "empty.json"
+    empty.write_text('{"faces": []}')
+    assert run_cli(["verify", "--diagram", str(empty), "--pres", grp("z2.grp"), "--ball", "5"]) == 1
+    assert json.loads(capsys.readouterr().out) == {"ok": False, "violations": ["diagram has no faces"]}
+
+
 @pytest.mark.parametrize(
     "text, error",
     [

@@ -3,6 +3,7 @@ import os
 
 import pytest
 
+from homfill import extension
 from homfill.backends import ExtensionBackend, FreeAbelianBackend
 from homfill.cayley import OneCycle, TwoChain, boundary_2, build_ball, loop_to_cycle
 from homfill.errors import DomainError, InvariantError, ResourceError
@@ -26,7 +27,7 @@ from homfill.extension import (
 )
 from homfill.filling import harea_fill
 from homfill.presentation import AutLift, apply_lift, build_extension_presentation
-from homfill.surface import assemble_surface
+from homfill.surface import assemble_surface, diagram_from_json, diagram_to_json
 from homfill.words import inverse_word, parse_word
 
 from conftest import ExtensionSetup, z2_presentation
@@ -302,6 +303,24 @@ def test_detect_t_cycles_rejects_t_boundary(z3_setup):
         detect_t_cycles(diagram, z3_setup.layout)
 
 
+@pytest.mark.parametrize(
+    "corrupt, violation",
+    [
+        (lambda gluing: gluing.append(gluing[0]), "matched twice"),
+        (lambda gluing: gluing[0].__setitem__(2, True), "needs equal traversal signs"),
+    ],
+    ids=["glued-twice", "flipped"],
+)
+def test_detect_t_cycles_refuses_an_invalid_diagram(z3_setup, z3_constants, corrupt, violation):
+    # the decoded routed diagram with one gluing repeated, or flipped
+    _, chain = routed_commutator(z3_setup, z3_constants, (3,))
+    doc = diagram_to_json(assemble_surface(z3_setup.h_ball, chain))
+    corrupt(doc["gluing"])
+    diagram = diagram_from_json(doc, z3_setup.h_ball)
+    with pytest.raises(DomainError, match=f"cannot detect t-cycles on an invalid diagram: .*{violation}"):
+        detect_t_cycles(diagram, z3_setup.layout)
+
+
 def test_pushdown_worked_example(z3_setup, z3_constants):
     gamma_h, chain = routed_commutator(z3_setup, z3_constants, (3,))
     trace = push_down(z3_setup.h_ball, gamma_h, chain, z3_constants, QUAD_F, "quadratic")
@@ -315,6 +334,25 @@ def test_pushdown_worked_example(z3_setup, z3_constants):
     assert boundary_2(z3_setup.h_ball, trace.final_chain) == gamma_h
     assert trace.final_chain.area() == harea_fill(z3_setup.k_ball, loop_to_cycle(
         z3_setup.k_ball, 0, parse_word("a b a' b'", K_NI))).area
+
+
+def test_pushdown_checks_each_steps_inner_filling(z3_setup, z3_constants, monkeypatch):
+    # a kernel cell added to the first step's embedded inner filling changes
+    # the chain's boundary, and the step says so
+    gamma_h, chain = routed_commutator(z3_setup, z3_constants, (3,))
+    h_ball = z3_setup.h_ball
+    kernel_cell = h_ball.cell_cosets.index(((),))
+    embed, calls = extension.embed_chain, []
+
+    def corrupted(*args):
+        calls.append(args)
+        out = embed(*args)
+        return out + TwoChain({kernel_cell: 1}) if len(calls) == 1 else out
+
+    monkeypatch.setattr(extension, "embed_chain", corrupted)
+    with pytest.raises(InvariantError, match="push-down step changed the boundary"):
+        push_down(h_ball, gamma_h, chain, z3_constants, QUAD_F, "quadratic")
+    assert len(calls) == 1
 
 
 def test_pushdown_negative_route_uses_forward(z3_setup, z3_constants):

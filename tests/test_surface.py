@@ -26,7 +26,7 @@ from homfill.surface import (
     verify_surface,
 )
 from homfill.words import parse_word
-from oracles import boundary_paths, contested, hop_distances
+from oracles import boundary_paths, contested, hop_distances, link_reference
 
 NI = {"a": 0, "b": 1}
 
@@ -103,6 +103,18 @@ def test_opposite_cells_cancel_to_sphereless_pair(z2_ball4):
 def test_assemble_rejects_empty(z2_ball4):
     with pytest.raises(DomainError):
         assemble_surface(z2_ball4, TwoChain())
+
+
+@pytest.mark.parametrize("with_ball", [False, True], ids=["bare", "ball"])
+def test_diagram_without_faces_is_invalid(z2_ball4, with_ball):
+    # assembly refuses the empty chain, and verification the empty diagram
+    diagram = diagram_from_json({"faces": []}, z2_ball4 if with_ball else None)
+    assert verify_surface(diagram).violations == ["diagram has no faces"]
+    for read in (measure, diagram_radius):
+        with pytest.raises(DomainError, match="cannot measure an invalid diagram: diagram has no faces"):
+            read(diagram)
+    with pytest.raises(DomainError, match="cannot draw an invalid diagram: diagram has no faces"):
+        diagram_to_dot(diagram)
 
 
 def test_closed_component_radius_none(z3_setup):
@@ -623,16 +635,35 @@ def test_gluing_matches_the_rescan_rule(path):
     assert paths[False] and (paths[True] or len(set(slots)) == len(slots)), paths
 
 
+# the group files with 2-cells, whose diagrams the fuzzer mutates
+FUZZ_FILES = ("z2", "z2_redundant", "f2_triangle", "z3_ext", "heis_ext", "z2_by_f2")
+
+
+def _fuzz_base(ball, diagram):
+    return ball, diagram_to_json(diagram), [[list(corner) for corner in cls] for cls in diagram.index.classes]
+
+
 @lru_cache(maxsize=None)
-def _contested_z2_redundant():
-    """The radius-5 z2_redundant ball, the JSON of its assembled diagram of
-    the contested loop a a a c' b c' a' b, and that diagram's classes."""
+def _fuzz_bases():
+    """The diagrams the fuzzer mutates, as (ball, JSON, derived classes):
+    the assembled diagram of the contested loop a a a c' b c' a' b on the
+    radius-5 z2_redundant ball, and on the radius-3 ball of every file of
+    FUZZ_FILES a seeded one-face diagram and the assembled fill of largest
+    area among eight seeded identity loops of length <= 8."""
     group = load_group(str(GROUPS / "z2_redundant.grp"))
     ball = build_ball(group.backend, group.hom_pres, 5)
     gamma = loop_to_cycle(ball, 0, parse_word("a a a c' b c' a' b", group.name_index))
-    diagram = assemble_surface(ball, harea_fill(ball, gamma).chain)
-    classes = [[list(corner) for corner in cls] for cls in diagram.index.classes]
-    return ball, diagram_to_json(diagram), classes
+    bases = [_fuzz_base(ball, assemble_surface(ball, harea_fill(ball, gamma).chain))]
+    for stem in FUZZ_FILES:
+        group = load_group(str(GROUPS / f"{stem}.grp"))
+        ball = build_ball(group.backend, group.hom_pres, 3)
+        rng = random.Random(stem)
+        cell = TwoChain({rng.randrange(len(ball.cells)): rng.choice((1, -1))})
+        cycles = [cycle for _, cycle, _ in enumerate_identity_cycles(ball, 8)]
+        fills = [harea_fill(ball, cycle).chain for cycle in rng.sample(cycles, 8)]
+        fill = max(fills, key=lambda chain: (chain.area(), chain.key()))
+        bases += [_fuzz_base(ball, assemble_surface(ball, chain)) for chain in (cell, fill)]
+    return bases
 
 
 # values of the wrong type or shape, for the decoder to refuse
@@ -694,13 +725,27 @@ def _mutate(data, doc, classes, ball):
         classes.insert(data.draw(st.integers(0, len(classes))), [])
 
 
+def _check_links(index):
+    """Where verification got past the class stage, each class has 0 or 2
+    free sides, and its link is one path from one free side to the other
+    or one cycle, through all its corners."""
+    if not index.free_sides:  # stopped before the class stage
+        return
+    size = Counter(index.class_of)
+    for k, (free, walk) in enumerate(zip(index.free_sides, link_reference(index))):
+        assert len(free) in (0, 2)
+        assert walk == (size[k], free[1] if free else -1)
+
+
 def _checked(doc, ball):
     """The decoded diagram and its report, or (None, None) when decoding or
-    verification raises a HomfillError; on a valid diagram, measure, draw
-    and project it.  Any other exception escapes."""
+    verification raises a HomfillError; check the links of its classes and,
+    on a valid diagram, measure, draw and project it.  Any other exception
+    escapes."""
     try:
         diagram = diagram_from_json(doc, ball)
         report = verify_surface(diagram)
+        _check_links(diagram.index)
         if report.ok:
             measure(diagram)
             diagram_to_dot(diagram)
@@ -715,21 +760,21 @@ def _partition(classes) -> list:
 
 
 def _check_mutated_diagram(data):
-    """Mutate the contested z2_redundant diagram's JSON and its derived
-    classes, then check that only HomfillError escapes decoding,
-    verification and the readers of a valid diagram; that a gluing whose
-    matching and labels check never breaks the link condition; and that
-    declared classes verify exactly when the diagram without them does and
-    they are its derived classes, in any order."""
-    ball, base, derived = _contested_z2_redundant()
+    """Mutate one base diagram's JSON and its derived classes, then check
+    that only HomfillError escapes decoding, verification and the readers
+    of a valid diagram; that wherever verification got past the class
+    stage each class has 0 or 2 free sides and its link is one path from
+    one free side to the other or one cycle through all its corners; and
+    that declared classes verify exactly when the diagram without them does
+    and they are its derived classes, in any order."""
+    bases = _fuzz_bases()
+    ball, base, derived = bases[data.draw(st.integers(0, len(bases) - 1))]
     doc, classes = copy.deepcopy(base), copy.deepcopy(derived)
     for _ in range(data.draw(st.integers(0, 3))):
         _mutate(data, doc, classes, ball)
     if data.draw(st.booleans()):  # declared in another order
         classes = [data.draw(st.permutations(cls)) for cls in data.draw(st.permutations(classes))]
     diagram, report = _checked(doc, ball)
-    if report is not None:
-        assert not any("link of vertex class" in v or "free sides" in v for v in report.violations)
     _, claimed_report = _checked({**doc, "vertex_classes": classes}, ball)
     generated = report is not None and report.ok and _partition(classes) == _partition(diagram.index.classes)
     assert (claimed_report is not None and claimed_report.ok) == generated
