@@ -6,10 +6,15 @@ free abelian groups (optionally with redundant generators mapping to integer
 vectors), and split extensions of a kernel group by a free group acting
 through word lifts.
 
-An extension normal form costs time linear in the length of the words it
-rewrites: each kernel letter is pushed across the stable letters before it
-by substitution from its lifts' image tables, and the kernel normal form is
-taken once, over the whole pushed kernel word.
+Each backend has one normal-form product, ``times(nf, w)``: the normal form
+of nf*w for a normal form nf.  A ball's build takes one product per edge,
+nf*x for one letter x.  The free abelian product reads nf's exponent vector
+off its letter counts and adds w's.  The extension product cuts nf at its
+stable-letter suffix, pushes only w's kernel letters across that suffix by
+substitution from the lifts' image tables, and takes the kernel product of
+nf's kernel part with the pushed word once.  So a product costs time linear
+in w and its pushed image, not in nf, and ``normal_form(w)`` is the product
+``times((), w)``.  The free backend's product is its normal form of nf + w.
 """
 
 from __future__ import annotations
@@ -41,6 +46,12 @@ class GroupBackend:
 
     def normal_form(self, w) -> Word:
         raise NotImplementedError
+
+    def times(self, nf: Word, w) -> Word:
+        """The normal form of nf*w, where ``nf`` is already a normal form of
+        this backend; a backend that overrides it checks only the letters
+        of ``w``."""
+        return self.normal_form(nf + tuple(w))
 
     def is_identity(self, w) -> bool:
         return self.normal_form(w) == ()
@@ -99,14 +110,18 @@ class FreeAbelianBackend(GroupBackend):
                 acc[k] += s * v[k]
         return tuple(acc)
 
-    def normal_form(self, w) -> Word:
+    def times(self, nf: Word, w) -> Word:
+        """nf's exponent vector is its letter counts, as a normal form holds
+        only basis letters, each in one sign."""
         check_letters(tuple(w), self.rank)
-        vec = self.vector_of(w)
         out: list[int] = []
-        for k, e in enumerate(vec):
-            letter = k + 1 if e > 0 else -(k + 1)
-            out.extend([letter] * abs(e))
+        for k, e in enumerate(self.vector_of(w)):
+            e += nf.count(k + 1) - nf.count(-k - 1)
+            out += [k + 1 if e > 0 else -k - 1] * abs(e)
         return tuple(out)
+
+    def normal_form(self, w) -> Word:
+        return self.times((), w)
 
 
 @dataclass(frozen=True)
@@ -142,16 +157,24 @@ class ExtensionBackend(GroupBackend):
         return substitute(lift.images["forward" if t_letter > 0 else "backward"], k_word)
 
     def split(self, w) -> ExtensionNormalForm:
-        """The pair (K-normal form, reduced t-word) of ``w``.
+        """The pair (K-normal form, reduced t-word) of ``w``."""
+        return ExtensionNormalForm(*self._product((), w))
 
-        Each kernel letter is pushed left across the t-letters before it and
-        its image appended to one kernel word, whose normal form is taken
-        once at the end (kernel normal forms are canonical and compatible
-        with concatenation, so nf(nf(u) v) = nf(u v)): the cost is one
-        normal form of the whole pushed word, not one per kernel letter."""
+    def _product(self, nf: Word, w) -> tuple[Word, Word]:
+        """The K-normal form and the reduced t-word of nf*w for a normal
+        form ``nf``.
+
+        nf is cut at its stable-letter suffix, which starts the t-word.
+        Each kernel letter of w is pushed left across the t-letters before
+        it and its image appended to one kernel word, whose product with
+        nf's kernel part is taken once at the end (kernel normal forms are
+        canonical and compatible with concatenation, so nf(nf(u) v) =
+        nf(u v)): the cost is one kernel product of the whole pushed word,
+        not one normal form per kernel letter, and nf is not re-read."""
         check_letters(tuple(w), self.rank)
+        cut = stable_suffix_start(nf, self.k_rank)
         k_letters: list[int] = []
-        t_word: list[int] = []
+        t_word = list(nf[cut:])
         for x in w:
             if abs(x) <= self.k_rank:
                 pushed = (x,)
@@ -163,11 +186,24 @@ class ExtensionBackend(GroupBackend):
                     t_word.pop()
                 else:
                     t_word.append(x)
-        return ExtensionNormalForm(self.k_backend.normal_form(k_letters), tuple(t_word))
+        return self.k_backend.times(nf[:cut], k_letters), tuple(t_word)
+
+    def times(self, nf: Word, w) -> Word:
+        k_part, t_part = self._product(nf, w)
+        return k_part + t_part
 
     def normal_form(self, w) -> Word:
-        nf = self.split(w)
-        return nf.k_part + nf.t_part
+        return self.times((), w)
+
+
+def stable_suffix_start(nf: Word, k_rank: int) -> int:
+    """Where the stable-letter suffix of a normal form starts: an extension
+    normal form is its kernel part, letters up to ``k_rank``, then its
+    t-word, which is the vertex's coset label."""
+    cut = len(nf)
+    while cut and abs(nf[cut - 1]) > k_rank:
+        cut -= 1
+    return cut
 
 
 def equal_in_group(backend: GroupBackend, u, v) -> bool:

@@ -6,14 +6,15 @@ relator) whose full boundary loop stays inside the ball.  Indexing is
 deterministic: vertices in BFS-lexicographic discovery order, edges by
 (source, generator), cells by (base, relator).
 
-One breadth-first pass builds the ball.  Below the radius it takes the
-normal form of v*x for every signed letter x, at the radius only of v*g,
-so each (vertex, letter) normal form is computed at most once, and a
-vertex's coset label is read off its normal form.  The BFS layers are the
-distances, and the recorded +g targets become one neighbour table,
-``succ[v][letter] -> edge`` (-1 when the edge leaves the ball), indexed by
-the signed letter itself; ``hop``, ``step``, cell construction, word
-tracing and edge lookups read it.  After the build only ``vertex_of``
+One breadth-first pass builds the ball with one normal-form product
+(``backend.times``) per edge.  Below the radius it visits v*x for every
+signed letter x, at the radius only v*g; a product v*x = u also enters
+u*x^-1 = v, and a (vertex, letter) whose target is already entered takes
+no product.  A vertex's coset label is read off its normal form.  The BFS
+layers are the distances, and the recorded targets become one neighbour
+table, ``succ[v][letter] -> edge`` (-1 when the edge leaves the ball),
+indexed by the signed letter itself; ``hop``, ``step``, cell construction,
+word tracing and edge lookups read it.  After the build only ``vertex_of``
 calls ``normal_form``.  Maps between balls that are fixed per ball pair
 (translation by a coset, possibly after a lift) are ``Placement`` tables
 kept on a ball: each edge or cell carried through the map keeps its target,
@@ -32,7 +33,7 @@ import json
 from dataclasses import dataclass, field
 from functools import cached_property
 
-from .backends import ExtensionBackend, GroupBackend, letter_order, vertex_budget_default
+from .backends import ExtensionBackend, GroupBackend, letter_order, stable_suffix_start, vertex_budget_default
 from .errors import DomainError, InvariantError, ResourceError
 from .exactlp import FillSystem
 from .presentation import HomPresentation
@@ -317,11 +318,12 @@ def build_ball(
     if hom_pres.rank != backend.rank:
         raise DomainError("presentation and backend disagree on generator count")
     budget = vertex_budget if vertex_budget is not None else vertex_budget_default()
-    rank, normal_form = backend.rank, backend.normal_form
+    rank, times = backend.rank, backend.times
     vertices: list[Word] = [()]  # the identity's normal form is the empty word
     vertex_index = {(): 0}
     distance = [0]
-    # neighbour-table rows; +g holds the vertex of v*g (-1 outside) until the edges are numbered
+    # neighbour-table rows; the letter x holds the vertex of v*x (-1 unknown
+    # or outside) until the edges are numbered
     rows = [[-1] * (2 * rank + 1)]
     frontier = [0]
     for d in range(radius + 1):
@@ -331,7 +333,9 @@ def build_ball(
         for v in sorted(frontier, key=vertices.__getitem__):
             word, row = vertices[v], rows[v]
             for letter in letters:
-                nf = normal_form(word + (letter,))
+                if row[letter] >= 0:  # entered from the other end of its edge
+                    continue
+                nf = times(word, (letter,))
                 u = vertex_index.get(nf, -1)
                 if u < 0 and d < radius:
                     u = vertex_index[nf] = len(vertices)
@@ -344,8 +348,9 @@ def build_ball(
                             f"ball exceeds vertex budget {budget}"
                             " (HOMFILL_BUDGET_VERTICES or --budget-vertices raises it)"
                         )
-                if letter > 0:
+                if u >= 0:
                     row[letter] = u
+                    rows[u][-letter] = v
         frontier = new
 
     edges: list[tuple[int, int, int]] = []
@@ -391,15 +396,12 @@ def build_ball(
                 ball.cell_ids[base * len(hom_pres.base.relators) + r] = len(ball.cells)
                 ball.cells.append(Cell(base, r, tuple(boundary)))
 
-    # an extension normal form is the kernel part then the stable-letter
-    # word, which is the coset label; other backends have one coset, ()
+    # an extension normal form's stable-letter suffix is its coset label;
+    # other backends have one coset, ()
     k_rank = backend.k_rank if isinstance(backend, ExtensionBackend) else rank
     labels: dict[Word, Word] = {}  # one tuple per distinct label
     for nf in vertices:
-        cut = len(nf)
-        while cut and abs(nf[cut - 1]) > k_rank:
-            cut -= 1
-        label = nf[cut:]
+        label = nf[stable_suffix_start(nf, k_rank) :]
         ball.coset_labels.append(labels.setdefault(label, label))
     return ball
 

@@ -358,23 +358,32 @@ def cmd_arpair(args) -> int:
 
 
 def _read_json(path: str, what: str):
-    """The JSON document in ``path``; ParseError when it cannot be read or
-    is not JSON."""
+    """The JSON document in ``path``; ParseError when it cannot be read, is
+    not JSON, nests deeper than Python's recursion limit or holds an
+    integer longer than Python's digit limit for int()."""
     text = read_text(path, what)
     try:
         return json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"{what} is not JSON: {exc.msg}", exc.lineno, exc.colno) from None
+    except RecursionError:
+        raise ParseError(f"{what} nests too deeply to read") from None
+    except ValueError:
+        raise ParseError(f"{what} holds an integer too long to read") from None
+
+
+def read_constants_M(path: str) -> int:
+    """The integer "M" of a constants JSON file (``homfill constants``'s
+    artifact); ParseError when the file has none."""
+    doc = _read_json(path, "constants file")
+    M = doc.get("M") if isinstance(doc, dict) else None
+    if not isinstance(M, int) or isinstance(M, bool):
+        raise ParseError(f"constants file {path!r} needs an integer \"M\"")
+    return M
 
 
 def cmd_degree(args) -> int:
-    if args.constants:
-        doc = _read_json(args.constants, "constants file")
-        M = doc.get("M") if isinstance(doc, dict) else None
-        if not isinstance(M, int) or isinstance(M, bool):
-            raise ParseError(f"constants file {args.constants!r} needs an integer \"M\"")
-    else:
-        M = args.M
+    M = read_constants_M(args.constants) if args.constants else args.M
     hyp = hyperbolic_ar_pair(args.B, args.C, args.max_n)
     report = polynomial_degree_report(M, hyp)
     payload = {

@@ -1,5 +1,7 @@
 """Reference computations that the tests and golden records compare the
-library with: hop distances over a ball's 1-skeleton (an oracle for the
+library with: the ball build that takes one normal form per (vertex,
+letter) (an oracle for ``cayley.build_ball``'s one product per edge), hop
+distances over a ball's 1-skeleton (an oracle for the
 distances the one-pass build records), the ordered boundary paths of a
 surface diagram (recorded by the ``surface-index:*`` golden sections), a
 diagram's radius from its (face, position) views (an oracle for
@@ -21,10 +23,76 @@ from collections import Counter
 import numpy as np
 
 from homfill.backends import letter_order
-from homfill.cayley import CayleyBall, OneCycle
+from homfill.cayley import CayleyBall, Cell, OneCycle
 from homfill.errors import DomainError, InvariantError
 from homfill.exactlp import DUAL_SCALE, FillSystem, LocalLP
 from homfill.surface import SlotRef, SurfaceDiagram, SurfaceIndex, _glued
+
+
+def build_ball_reference(backend, hom_pres, radius: int) -> CayleyBall:
+    """``cayley.build_ball`` as one normal form of v*x per (vertex, letter):
+    below the radius every signed letter, at the radius every generator,
+    with only the +g targets entered before the edges are numbered.  The
+    cells are the relator loops walked in the neighbour table, and each
+    vertex's coset label is the t-part of ``split`` (the empty word for a
+    backend without one)."""
+    rank = backend.rank
+    vertices, vertex_index, distance = [()], {(): 0}, [0]
+    rows = [[-1] * (2 * rank + 1)]
+    frontier = [0]
+    for d in range(radius + 1):
+        letters = tuple(letter_order(rank)) if d < radius else range(1, rank + 1)
+        new = []
+        for v in sorted(frontier, key=vertices.__getitem__):
+            for letter in letters:
+                nf = backend.normal_form(vertices[v] + (letter,))
+                u = vertex_index.get(nf, -1)
+                if u < 0 and d < radius:
+                    u = vertex_index[nf] = len(vertices)
+                    vertices.append(nf)
+                    distance.append(d + 1)
+                    rows.append([-1] * (2 * rank + 1))
+                    new.append(u)
+                if letter > 0:
+                    rows[v][letter] = u
+        frontier = new
+    edges = []
+    for source, row in enumerate(rows):
+        for g in range(1, rank + 1):
+            if row[g] >= 0:
+                target, row[g] = row[g], len(edges)
+                rows[target][-g] = len(edges)
+                edges.append((source, g, target))
+    relators = hom_pres.base.relators
+    cells, cell_ids = [], [-1] * (len(vertices) * len(relators))
+    for base in range(len(vertices)):
+        for r in hom_pres.marked_relators:
+            boundary, v = [], base
+            for letter in relators[r]:
+                e = rows[v][letter]
+                if e < 0:
+                    break
+                sign = 1 if letter > 0 else -1
+                boundary.append((e, sign))
+                v = edges[e][2] if sign > 0 else edges[e][0]
+            else:
+                assert v == base
+                cell_ids[base * len(relators) + r] = len(cells)
+                cells.append(Cell(base, r, tuple(boundary)))
+    split = getattr(backend, "split", None)
+    return CayleyBall(
+        backend=backend,
+        hom_pres=hom_pres,
+        radius=radius,
+        vertices=vertices,
+        vertex_index=vertex_index,
+        distance=distance,
+        edges=edges,
+        succ=[tuple(row) for row in rows],
+        cells=cells,
+        cell_ids=cell_ids,
+        coset_labels=[split(v).t_part if split else () for v in vertices],
+    )
 
 
 def hop_distances(ball: CayleyBall, sources) -> list[int]:

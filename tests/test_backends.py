@@ -201,6 +201,59 @@ def test_split_matches_the_normalising_fold(name):
     assert any(ball.coset_labels)
 
 
+def vector_form(backend, w):
+    """Oracle for the free abelian product: the sum of the letters'
+    vectors, spelled out as the basis letters' powers."""
+    vec = [0] * backend.dim
+    for x in w:
+        for k, e in enumerate(backend.vectors[abs(x) - 1]):
+            vec[k] += e if x > 0 else -e
+    return tuple(k + 1 if e > 0 else -k - 1 for k, e in enumerate(vec) for _ in range(abs(e)))
+
+
+def reference_form(backend, w):
+    """The normal form of ``w`` by an oracle of its backend's kind: the
+    normalising fold for an extension, the vector sum for a free abelian
+    group; a free group's product is its normal form of nf + w."""
+    if isinstance(backend, ExtensionBackend):
+        nf = fold_split(backend, w)
+        return nf.k_part + nf.t_part
+    if isinstance(backend, FreeAbelianBackend):
+        return vector_form(backend, w)
+    return backend.normal_form(w)
+
+
+def _file_backends(path):
+    group = load_group(str(path))
+    out = [(path.stem, group.backend, group.hom_pres)]
+    if group.k_backend is not None:
+        out.append((f"{path.stem}:kernel", group.k_backend, group.k_pres))
+    return out
+
+
+FILE_BACKENDS = [b for path in sorted(GROUPS.glob("*.grp")) for b in _file_backends(path)]
+
+
+@pytest.mark.parametrize("name, backend, pres", FILE_BACKENDS, ids=[b[0] for b in FILE_BACKENDS])
+def test_times_is_the_normal_form_of_the_concatenation(name, backend, pres):
+    """On every signed letter, so z2_redundant's vector c, f2_triangle's
+    word c and z2_by_f2's two stable letters among them."""
+
+    def check(nf, w):
+        product = backend.times(nf, w)
+        assert product == backend.normal_form(nf + w) == reference_form(backend, nf + w), (nf, w)
+
+    letters = [x for g in range(1, backend.rank + 1) for x in (g, -g)]
+    ball = build_ball(backend, pres, 4)
+    for nf in ball.vertices:
+        for x in letters:
+            check(nf, (x,))
+    rng = random.Random(f"times:{name}")
+    words = random_words(rng, backend.rank, 300)
+    for u, w in zip(words, reversed(words)):
+        check(backend.normal_form(u), w)
+
+
 @pytest.mark.parametrize("name", EXTENSION_GROUPS)
 def test_apply_lift_matches_letterwise_substitution(name):
     group = load_group(str(GROUPS / name))
@@ -218,9 +271,13 @@ def test_apply_lift_matches_letterwise_substitution(name):
 def test_the_first_bad_letter_is_named(name):
     group = load_group(str(GROUPS / name))
     backend, lift = group.backend, group.lifts[0]
+    nf = backend.normal_form((1, backend.rank, -1))  # a kernel part and a t-part
     for rank, call in (
         (backend.rank, backend.split),
         (backend.rank, backend.normal_form),
+        (backend.rank, lambda w: backend.times((), w)),
+        (backend.rank, lambda w: backend.times(nf, w)),
+        (backend.k_rank, lambda w: backend.k_backend.times((1,), w)),
         (lift.rank, lambda w: apply_lift(lift, "forward", w)),
         (lift.rank, lambda w: apply_lift(lift, "backward", w)),
         (backend.rank, lambda w: check_letters(w, backend.rank)),

@@ -17,9 +17,12 @@ from homfill.cayley import (
     loop_to_cycle,
     vertex_incidence,
 )
+from homfill.backends import ExtensionBackend, FreeAbelianBackend, FreeBackend, GroupBackend
 from homfill.cli import load_group
 from homfill.errors import DomainError, ResourceError
 from homfill.words import parse_word
+
+from oracles import build_ball_reference
 
 GROUP_FILES = sorted(glob.glob(os.path.join(os.path.dirname(__file__), "..", "groups", "*.grp")))
 
@@ -226,3 +229,107 @@ def test_chain_classes_share_arithmetic_but_not_equality():
     assert {cycle: 1}[OneCycle({1: -1, 3: 2})] == 1
     with pytest.raises(TypeError):
         hash(chain)
+
+
+def _ball_tables(ball):
+    return (
+        ball.vertices,
+        ball.vertex_index,
+        ball.distance,
+        ball.edges,
+        ball.succ,
+        [(c.base, c.relator, c.boundary) for c in ball.cells],
+        ball.cell_ids,
+        ball.coset_labels,
+    )
+
+
+def _radius_cases():
+    """(id, file, kernel?, radius): every group file's ball, and each
+    extension file's kernel ball, at radii 1-5, then three larger
+    extension balls."""
+    cases = []
+    for path in GROUP_FILES:
+        name = os.path.basename(path)[: -len(".grp")]
+        kernel = (False, True) if load_group(path).k_backend is not None else (False,)
+        cases += [(f"{name}:{'k' if k else 'r'}{r}", path, k, r) for k in kernel for r in range(1, 6)]
+    groups = os.path.dirname(GROUP_FILES[0])
+    big = (("z3_ext", 7), ("heis_ext", 8), ("heis_ext", 10))
+    cases += [(f"{name}:r{r}", os.path.join(groups, f"{name}.grp"), False, r) for name, r in big]
+    return cases
+
+
+@pytest.mark.parametrize("case", _radius_cases(), ids=lambda case: case[0])
+def test_build_matches_the_normal_form_per_letter_reference(case):
+    _, path, kernel, radius = case
+    group = load_group(path)
+    backend, pres = (group.k_backend, group.k_pres) if kernel else (group.backend, group.hom_pres)
+    assert _ball_tables(build_ball(backend, pres, radius)) == _ball_tables(
+        build_ball_reference(backend, pres, radius)
+    )
+
+
+def _count(monkeypatch, method: str) -> list[int]:
+    """Count the calls of ``method`` on every backend class that defines it."""
+    calls = [0]
+    for cls in (GroupBackend, FreeBackend, FreeAbelianBackend, ExtensionBackend):
+        if method in vars(cls):
+            original = vars(cls)[method]
+
+            def counted(self, *args, original=original):
+                calls[0] += 1
+                return original(self, *args)
+
+            monkeypatch.setattr(cls, method, counted)
+    return calls
+
+
+def _count_products(monkeypatch, backend) -> list[int]:
+    """Count the calls of one backend's ``times``, not its kernel's."""
+    calls = [0]
+    times = backend.times
+
+    def counted(nf, w):
+        calls[0] += 1
+        return times(nf, w)
+
+    monkeypatch.setattr(backend, "times", counted)
+    return calls
+
+
+def test_the_build_takes_one_product_per_edge_and_no_normal_form(monkeypatch):
+    group = load_group(os.path.join(os.path.dirname(GROUP_FILES[0]), "heis_ext.grp"))
+    normal_forms = _count(monkeypatch, "normal_form")
+    products = _count_products(monkeypatch, group.backend)
+    ball = build_ball(group.backend, group.hom_pres, 8)
+    # 4,920 edges; the other 939 products are the +g letters that leave
+    # the ball at the radius
+    assert (len(ball.vertices), len(ball.edges), products[0], normal_forms[0]) == (1953, 4920, 5859, 0)
+    # the reference takes one normal form per (vertex, letter)
+    build_ball_reference(group.backend, group.hom_pres, 8)
+    assert normal_forms[0] == 9456
+
+
+@pytest.mark.parametrize("path", GROUP_FILES, ids=os.path.basename)
+def test_every_edge_is_derived_once(path, monkeypatch):
+    """Products: one per edge, plus one per generator that leaves the ball
+    from a vertex at the radius; no backend takes a normal form except the
+    free backend's product, which is its normal form of nf + w."""
+    group = load_group(path)
+    pairs = [(group.backend, group.hom_pres)]
+    if group.k_backend is not None:
+        pairs.append((group.k_backend, group.k_pres))
+    for backend, pres in pairs:
+        for radius in range(1, 6):
+            products = _count_products(monkeypatch, backend)
+            normal_forms = _count(monkeypatch, "normal_form")
+            ball = build_ball(backend, pres, radius)
+            monkeypatch.undo()
+            leaving = sum(
+                ball.succ[v][g] < 0
+                for v in range(len(ball.vertices))
+                if ball.distance[v] == radius
+                for g in range(1, backend.rank + 1)
+            )
+            assert products[0] == len(ball.edges) + leaving
+            assert normal_forms[0] == (products[0] if isinstance(backend, FreeBackend) else 0)

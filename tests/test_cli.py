@@ -4,8 +4,11 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from homfill.cli import main
+from homfill.cli import main, read_constants_M
+from homfill.errors import HomfillError
 
 GROUPS = os.path.join(os.path.dirname(__file__), "..", "groups")
 
@@ -241,8 +244,8 @@ def test_pres_not_utf8_exits_cleanly(tmp_path, capsys):
 
 @pytest.mark.parametrize(
     "data",
-    [b"not json", b"\xff\xfe", b'{"C": 1}', b'{"M": "2"}', b'{"M": 2.5}', b"[2]"],
-    ids=["not-json", "not-utf8", "no-M", "string-M", "float-M", "not-object"],
+    [b"not json", b"\xff\xfe", b'{"C": 1}', b'{"M": "2"}', b'{"M": 2.5}', b"[2]", b"[" * 100_000],
+    ids=["not-json", "not-utf8", "no-M", "string-M", "float-M", "not-object", "deep-nesting"],
 )
 def test_degree_bad_constants_exits_cleanly(tmp_path, capsys, data):
     consts = tmp_path / "c.json"
@@ -513,3 +516,32 @@ def test_subcommand_flags():
     for name, p in sub.choices.items():
         flags = {s: a.default for a in p._actions for s in a.option_strings if s not in ("-h", "--help")}
         assert flags == {**SUBCOMMAND_FLAGS[name], **SHARED_FLAGS}, name
+
+
+# fuzzed constants files: only HomfillError may escape ``homfill degree``'s reader
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.sampled_from(("M", "C", "m", "")), inner, max_size=3),
+    max_leaves=12,
+)
+constants_texts = (
+    json_values.map(json.dumps)
+    | st.fixed_dictionaries({"M": json_values}).map(json.dumps)
+    | st.text(alphabet=st.sampled_from('{}[]":,M0123456789-.eE ntrufalsNI'), max_size=24)
+    # past Python's recursion limit and its digit limit for int()
+    | st.integers(900, 3000).map(lambda depth: "[" * depth + "]" * depth)
+    | st.integers(4000, 6000).map(lambda digits: '{"M": ' + "7" * digits + "}")
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=constants_texts)
+def test_constants_files_raise_only_homfill_errors(tmp_path_factory, text):
+    path = tmp_path_factory.getbasetemp() / "fuzz_constants.json"
+    path.write_text(text, encoding="utf-8")
+    try:
+        M = read_constants_M(str(path))
+    except HomfillError:
+        return
+    assert type(M) is int and M == json.loads(text)["M"]

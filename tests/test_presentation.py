@@ -1,11 +1,14 @@
 import glob
 import os
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from homfill.backends import FreeAbelianBackend
 from homfill.cli import load_group
-from homfill.errors import DomainError, ParseError
+from homfill.errors import DomainError, HomfillError, ParseError
 from homfill.presentation import (
     AutLift,
     HomPresentation,
@@ -122,9 +125,6 @@ def test_every_relator_cyclically_reduced_property(z2_pres):
 
 
 def test_lift_roundtrip_on_short_words():
-    from hypothesis import given, settings
-    from hypothesis import strategies as st
-
     bk = FreeAbelianBackend(2)
     lift = AutLift(((1, 2), (2,)), ((1, -2), (2,)))
 
@@ -193,3 +193,65 @@ def test_conj_relator_numbering(path):
         t = layout.stable_letter(i)
         image = apply_lift(group.lifts[i], "forward", (j + 1,))
         assert relators[r] == cyclic_reduce((-t, j + 1, t) + inverse_word(image))
+
+
+# ---------------------------------------------------------------------------
+# fuzzed presentation files: only HomfillError may escape parsing and loading
+
+GROUP_LINES = [Path(path).read_text(encoding="utf-8").splitlines() for path in GROUP_FILES]
+# tokens of the file format and near misses of them; the numbers stay small
+# because a normal form spells each exponent out letter by letter
+TOKENS = (
+    "a", "b", "c", "t1", "t2", "A", "B", "a'", "b'", "c'", "t1'", "x", "''", "e",
+    "0", "1", "-1", "2", "-2", "3", "1.5", "->", ";", ":", "#", "inverse",
+    "backend:", "k-backend:", "generators:", "relator:", "lift", "vector", "word",
+    "free", "free_abelian", "extension",
+)
+
+
+@st.composite
+def presentation_texts(draw):
+    """A group file's lines with up to five edits: a token replaced,
+    dropped or inserted, a line of another file inserted, a line dropped,
+    or a line of arbitrary text inserted."""
+    lines = list(draw(st.sampled_from(GROUP_LINES)))
+    for _ in range(draw(st.integers(0, 5))):
+        kind = draw(st.sampled_from(("replace", "drop", "insert", "line", "remove", "text")))
+        at = draw(st.integers(0, len(lines)))
+        if kind == "line":
+            lines.insert(at, draw(st.sampled_from([line for file in GROUP_LINES for line in file])))
+        elif kind == "text":
+            lines.insert(at, draw(st.text(max_size=16)))
+        elif lines:
+            at = min(at, len(lines) - 1)
+            if kind == "remove":
+                del lines[at]
+                continue
+            tokens = lines[at].split()
+            i = draw(st.integers(0, len(tokens)))
+            if kind == "insert" or not tokens:
+                tokens.insert(i, draw(st.sampled_from(TOKENS)))
+            elif kind == "replace":
+                tokens[min(i, len(tokens) - 1)] = draw(st.sampled_from(TOKENS))
+            else:
+                del tokens[min(i, len(tokens) - 1)]
+            lines[at] = " ".join(tokens)
+    return "\n".join(lines)
+
+
+@settings(max_examples=400, deadline=None)
+@given(text=presentation_texts())
+def test_presentation_files_raise_only_homfill_errors(tmp_path_factory, text):
+    try:
+        pf = parse_presentation_text(text)
+    except HomfillError:
+        pf = None
+    path = tmp_path_factory.getbasetemp() / "fuzz_presentation.grp"
+    path.write_text(text, encoding="utf-8")
+    try:
+        group = load_group(str(path))
+    except HomfillError:
+        return
+    # what loads parses, and its relators are trivial in its backend
+    assert pf is not None and group.hom_pres.generators[: len(pf.generators)] == pf.generators
+    assert all(group.backend.is_identity(r) for r in group.hom_pres.base.relators)

@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from homfill.errors import DomainError
@@ -80,3 +80,19 @@ def test_parse_uppercase_shorthand():
 def test_parse_unknown_generator():
     with pytest.raises(DomainError):
         parse_word("a x", {"a": 0})
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    names=st.lists(st.sampled_from(("a", "b", "c", "t1", "B", "x2")), unique=True, max_size=4),
+    text=st.text(alphabet=st.sampled_from("abcABCt12x' \t\n#é:-"), max_size=24) | st.text(max_size=24),
+)
+def test_parse_word_raises_only_domain_errors(names, text):
+    """Only DomainError escapes, and what parses prints back to itself."""
+    name_index = {g: i for i, g in enumerate(names)}
+    try:
+        w = parse_word(text, name_index)
+    except DomainError:
+        return
+    assert all(0 < abs(x) <= len(names) for x in w)
+    assert parse_word(format_word(w, names), name_index) == w
