@@ -123,6 +123,12 @@ class FreeAbelianBackend(GroupBackend):
     def normal_form(self, w) -> Word:
         return self.times((), w)
 
+    def is_identity(self, w) -> bool:
+        """Whether w's exponent vector is zero: read off the vector, without
+        the normal form, which spells each exponent out letter by letter."""
+        check_letters(tuple(w), self.rank)
+        return not any(self.vector_of(w))
+
 
 @dataclass(frozen=True)
 class ExtensionNormalForm:

@@ -21,7 +21,8 @@ its right-hand side.
   ``integer_solve``'s chain is.  The root node, over the box |a_c| <= area
   - 1, certifies the incumbent; where the first LP's duals leave a gap the
   root is solved again over that box, and where that does not prune either
-  the search branches.
+  the search branches.  A fill that the root certified returns the root's
+  integer duals, per edge (``FillSolve.certificate``).
 * ``local_lp`` -- the elastic LP of a set of columns: their entries over
   the rows they touch and the right-hand side's, and one slack pair per row.
   The rows are found by a mask over the system's rows, which also numbers
@@ -49,6 +50,9 @@ its right-hand side.
   used only after a float64 check proves that no partial sum it forms
   reaches 2**63; a failed check raises InvariantError, never a wrapped
   bound.
+* ``certificate_bound`` -- the same bound from integer duals given per
+  edge, such as a fill's root certificate carried to another right-hand
+  side, over a box |a_c| <= cap.
 
 ``l1_fill`` keeps each node's box as int64 arrays over every column, so
 the exact side of a fill runs on arrays throughout.
@@ -277,17 +281,21 @@ def as_chain(system: FillSystem, point: np.ndarray, b: np.ndarray) -> np.ndarray
 
 def _integer_duals(system: FillSystem, marginals, b: np.ndarray) -> np.ndarray:
     """The float duals ``marginals``, one per row of the system, rounded half
-    to even to the int64 vector Y over D = DUAL_SCALE, after float64 checks
-    that max|Y| times the largest column weight and sum_i |Y_i b_i| are
-    below 2**62, so that A^T Y and Y.b are exact in int64; a dual that is not
-    finite or a failed check raises InvariantError."""
+    to even to the int64 vector Y over D = DUAL_SCALE, after
+    ``_check_duals``; a dual that is not finite raises InvariantError."""
     y = np.rint(np.asarray(marginals, dtype=float) * DUAL_SCALE)
     if not np.isfinite(y).all():
         raise InvariantError("a node LP dual is not finite")
-    y_abs = np.abs(y)
+    _check_duals(system, np.abs(y), b)
+    return y.astype(np.int64)
+
+
+def _check_duals(system: FillSystem, y_abs: np.ndarray, b: np.ndarray) -> None:
+    """Float64 checks, on |Y| as floats, that max|Y| times the largest column
+    weight and sum_i |Y_i b_i| are below 2**62, so that A^T Y and Y.b are
+    exact in int64; a failed check raises InvariantError."""
     _check_magnitude("max |Y| times the largest column weight", y_abs.max(initial=0.0) * system.max_weight)
     _check_magnitude("sum |Y_i rhs_i|", y_abs @ np.abs(b))
-    return y.astype(np.int64)
 
 
 def _bound(y: np.ndarray, s: np.ndarray, b: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> int:
@@ -328,6 +336,28 @@ def lower_bound(
     b = system.dense(rhs)
     y = _integer_duals(system, marginals, b)
     return _bound(y, system.matrix_t @ y, b, lo, hi)
+
+
+def certificate_bound(system: FillSystem, certificate: dict[int, int], rhs: dict[int, int], cap: int) -> int:
+    """``lower_bound``'s exact bound over the integer chains a with
+    |a_c| <= cap and sum_c a_c * columns[c] = rhs, from integer duals Y
+    over D = DUAL_SCALE given per edge, as ``FillSolve.certificate`` gives
+    them (or a translate of one).
+
+    An edge that is no row of the system meets no column and no entry of
+    rhs, so its entry is dropped without changing the bound.  Every Y gives
+    a valid bound, so a certificate made for another right-hand side is
+    checked here, never trusted; the int64 arithmetic is guarded by the
+    checks of ``lower_bound``."""
+    b = system.dense(rhs)
+    y = np.zeros(len(b), dtype=np.int64)
+    row = system.row
+    for edge, value in certificate.items():
+        if (i := row.get(edge)) is not None:
+            y[i] = value
+    _check_duals(system, np.abs(y).astype(float), b)
+    hi = np.full(len(system.columns), cap, dtype=np.int64)
+    return _bound(y, system.matrix_t @ y, b, -hi, hi)
 
 
 class LocalLP(NamedTuple):
@@ -412,6 +442,10 @@ class FillSolve:
     # priced every column outside them
     lp_columns: int = 0
     pricing_rounds: int = 0
+    # when the root node's bound certified the chain (so nodes == 1): its
+    # integer duals Y over DUAL_SCALE as {edge: Y_e}, nonzero entries only;
+    # else None
+    certificate: dict[int, int] | None = None
 
 
 def _split(x: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> tuple[int, int, bool] | None:
@@ -485,6 +519,7 @@ def l1_fill(system: FillSystem, rhs: dict[int, int]) -> FillSolve:
     first_slack_cost = float(np.abs(b).sum() + 1)
 
     nodes = rounds = 0
+    certificate = None
     stack = [None]  # the root's first LP, over free columns
     while stack:
         box = stack.pop()
@@ -546,6 +581,10 @@ def l1_fill(system: FillSystem, rhs: dict[int, int]) -> FillSolve:
             hi = np.full(n, best_value - 1, dtype=np.int64)
             lo = -hi
         if _bound(y, s, b, lo, hi) >= best_value:
+            if nodes == 1:
+                # the root prunes, so the search ends with its duals y
+                at = np.flatnonzero(y)
+                certificate = dict(zip(np.asarray(system.edge_ids)[at].tolist(), y[at].tolist()))
             continue
         if box is None:
             nodes -= 1  # the same root node
@@ -559,4 +598,4 @@ def l1_fill(system: FillSystem, rhs: dict[int, int]) -> FillSolve:
         floor_hi[c], ceil_lo[c] = k, k + 1
         floor_child, ceil_child = (lo, floor_hi), (ceil_lo, hi)
         stack.extend([ceil_child, floor_child] if floor_first else [floor_child, ceil_child])
-    return FillSolve("optimal", best, best_value, nodes, int(local.sum()), rounds)
+    return FillSolve("optimal", best, best_value, nodes, int(local.sum()), rounds, certificate)

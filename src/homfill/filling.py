@@ -1,14 +1,23 @@
 """Exact homological area: minimal-L1 integer fillings, FA tables,
 superadditive closure and finite-range relation checks.
 
-The exact solver has one path.  Forced cells are peeled first; a fill that
-peeling finishes takes 0 branch-and-bound nodes.  What is left goes to the
-one exact-fill call ``exactlp.l1_fill`` on the ball's fill system: branch
-and price over all free cells, whose node LPs run on the cells near the
-residual and grow by exact pricing over the whole system, pruning only
-with the exact integer bound ``exactlp.lower_bound``.  The root node, over
-the box |a_c| <= area - 1, is the certificate of the best chain found so
-far; when it closes, the fill took 1 node.
+``harea_fill``'s exact solver has one path.  Forced cells are peeled
+first; a fill that peeling finishes takes 0 branch-and-bound nodes.  What
+is left goes to the one exact-fill call ``exactlp.l1_fill`` on the ball's
+fill system: branch and price over all free cells, whose node LPs run on
+the cells near the residual and grow by exact pricing over the whole
+system, pruning only with the exact integer bound ``exactlp.lower_bound``.
+The root node, over the box |a_c| <= area - 1, is the certificate of the
+best chain found so far; when it closes, the fill took 1 node and carries
+the root's integer duals (``FillingResult.certificate``).
+
+An FA table is the one exception: before it fills a loop on that path it
+tries to reuse a fill across the loop's word class (``word_class``).  A
+loop whose class has a root-certified member is a translate of that
+member's loop, so the member's chain and root duals, carried to it, are
+checked against it in exact arithmetic (the duals through
+``exactlp.certificate_bound``, over the loop's own residual), and the loop
+is filled on its own only when the check fails.
 
 Every value is restricted to a finite ball.  The ball-restricted area of
 one cycle is an upper bound on its untruncated area, since a larger ball
@@ -27,15 +36,18 @@ from .backends import GroupBackend, letter_order
 from .cayley import (
     CayleyBall,
     OneCycle,
+    Placement,
     TwoChain,
     boundary_2,
     build_ball,
+    carry_chain,
+    carry_cycle,
     is_cycle,
 )
-from .errors import DomainError, InvariantError
-from .exactlp import l1_fill
+from .errors import DomainError, InvariantError, ResourceError
+from .exactlp import certificate_bound, l1_fill
 from .presentation import HomPresentation
-from .words import format_word
+from .words import Word, format_word, inverse_word
 
 # the brute_force oracle's search nodes per fill, and the largest area it
 # tries before reporting budget_exceeded
@@ -57,13 +69,19 @@ class FillingResult:
     area: int | None
     status: str  # optimal | infeasible_in_ball | budget_exceeded
     ball_radius: int
-    # exact_ilp: branch-and-bound nodes, 0 when peeling finished the fill and
-    # 1 when l1_fill's root certified its best chain; brute_force: steps
+    # exact_ilp: branch-and-bound nodes, 0 when peeling finished the fill (or
+    # fa_estimate certified a translate) and 1 when l1_fill's root certified
+    # its best chain; brute_force: steps
     nodes: int = 0
     # exact_ilp: l1_fill's local LP columns when it ended and its node LPs,
-    # each followed by pricing; 0 and 0 when peeling finished the fill
+    # each followed by pricing; 0 and 0 when no l1_fill ran
     lp_columns: int = 0
     pricing_rounds: int = 0
+    # exact_ilp, when l1_fill's root certified the chain (nodes == 1): the
+    # root's integer duals over the fill system's rows, {edge: Y_e} over
+    # exactlp.DUAL_SCALE, which exactlp.certificate_bound re-checks; None
+    # for a peeled fill, a branched one and brute_force
+    certificate: dict[int, int] | None = None
 
     def optimal(self) -> bool:
         return self.status == "optimal"
@@ -143,10 +161,14 @@ def harea_fill(
 def _fill_ilp(ball: CayleyBall, gamma: OneCycle) -> FillingResult:
     if not gamma:
         return FillingResult(TwoChain(), 0, "optimal", ball.radius)
-
     # forced-cell peeling over the full system is sound and often finishes
     # the job outright (planar-type balls have unique fillings)
-    peeled = _peel_forced(ball, gamma.coeffs)
+    return _fill_peeled(ball, gamma, _peel_forced(ball, gamma.coeffs))
+
+
+def _fill_peeled(ball: CayleyBall, gamma: OneCycle, peeled) -> FillingResult:
+    """The exact fill of a nonzero cycle from what ``_peel_forced`` returned
+    for it: the forced cells, and ``l1_fill`` over the residual, if any."""
     if peeled is None:
         return FillingResult(TwoChain(), None, "infeasible_in_ball", ball.radius)
     forced, free_cells, residual = peeled
@@ -154,7 +176,12 @@ def _fill_ilp(ball: CayleyBall, gamma: OneCycle) -> FillingResult:
     size = {}
     if residual:
         solve = l1_fill(ball.fill_system, residual)
-        size = {"nodes": solve.nodes, "lp_columns": solve.lp_columns, "pricing_rounds": solve.pricing_rounds}
+        size = {
+            "nodes": solve.nodes,
+            "lp_columns": solve.lp_columns,
+            "pricing_rounds": solve.pricing_rounds,
+            "certificate": solve.certificate,
+        }
         if solve.status == "infeasible":
             return FillingResult(TwoChain(), None, "infeasible_in_ball", ball.radius)
         if solve.status == "budget":
@@ -327,6 +354,81 @@ def enumerate_identity_cycles(ball: CayleyBall, max_len: int):
     return results
 
 
+def word_class(w: Word) -> Word:
+    """The key of a closed word's cyclic-word class: its least rotation over
+    the word and its inverse.  Two identity loops whose words share a key
+    are translates of each other, up to sign."""
+    return min((f[i:] + f[:i] for f in (w, inverse_word(w)) for i in range(len(f))), default=())
+
+
+def _rotation(a: Word, b: Word) -> tuple[int, Word]:
+    """(sign, p) for words of one class: b = q p where a = p q (sign 1) or
+    a^-1 = p q (sign -1).  As pq = 1 in the group, b's loop at the identity
+    is the translate by p^-1 of a's loop, times sign."""
+    for sign, f in ((1, a), (-1, inverse_word(a))):
+        for i in range(len(f)):
+            if f[i:] + f[:i] == b:
+                return sign, f[:i]
+    raise InvariantError("words of one class are not rotations of each other")
+
+
+class _ClassFills:
+    """``fa_estimate``'s exact fills, reusing work across each word class.
+
+    The class's root is its latest loop whose fill ``l1_fill``'s root
+    certified: its word, chain and root duals.  A later loop B of the
+    class is sign * p^-1 times the root's loop (``_rotation``), so it tries
+    the root's chain T and duals Y carried by p^-1 first: T must bound B's
+    loop exactly, and with forced_B the cells that peeling B's loop forces
+    (which every chain bounding it shares), Y must give an exact bound over
+    B's residual and the box |a_c| <= area(T) - |forced_B| - 1 that reaches
+    area(T) - |forced_B|, so that no chain bounding B is smaller than T.  A
+    translate that leaves the ball, bounds another cycle or falls short of
+    the area is dropped, and B is filled by ``harea_fill``.  Loops that
+    peeling finishes take no class key."""
+
+    def __init__(self, ball: CayleyBall):
+        self.ball = ball
+        self.roots: dict[Word, tuple[Word, TwoChain, OneCycle]] = {}
+
+    def fill(self, gamma: OneCycle, word: Word) -> FillingResult:
+        ball = self.ball
+        peeled = _peel_forced(ball, gamma.coeffs)
+        if peeled is None or not peeled[2]:
+            return _fill_peeled(ball, gamma, peeled)
+        key = word_class(word)
+        root = self.roots.get(key)
+        if root is not None:
+            chain = self._translate(root, gamma, word, peeled)
+            if chain is not None:
+                return FillingResult(chain, chain.area(), "optimal", ball.radius)
+        result = harea_fill(ball, gamma)
+        if result.certificate is not None:
+            self.roots[key] = (word, result.chain, OneCycle(result.certificate))
+        return result
+
+    def _translate(self, root, gamma: OneCycle, word: Word, peeled) -> TwoChain | None:
+        """The root's chain carried to ``gamma``, when its carried duals
+        certify it minimal over ``peeled``'s residual, else None."""
+        ball = self.ball
+        root_word, chain, dual = root
+        sign, prefix = _rotation(root_word, word)
+        shift, vertices = inverse_word(prefix), ball.vertices
+        place = Placement(ball, lambda x: shift + vertices[x])
+        try:
+            moved = carry_chain(ball, ball, chain, place).scale(sign)
+            if boundary_2(ball, moved) != gamma:
+                return None
+            y = carry_cycle(ball, ball, dual, place).scale(sign)
+        except ResourceError:
+            return None
+        forced, _, residual = peeled
+        free_area = moved.area() - sum(map(abs, forced.values()))
+        if certificate_bound(ball.fill_system, y.coeffs, residual, free_area - 1) < free_area:
+            return None
+        return moved
+
+
 def fa_estimate(
     backend: GroupBackend,
     hom_pres: HomPresentation,
@@ -341,6 +443,12 @@ def fa_estimate(
     Each loop's area is an upper bound on its untruncated area, but only
     loops inside the ball are enumerated, so an entry bounds the untruncated
     FA in neither direction.
+
+    Every area is exact.  With ``exact_ilp``, a loop that peeling does not
+    finish is first certified, when it can be, by a translate of the root
+    certificate of an earlier loop of its word class (``_ClassFills``), and
+    is filled by ``harea_fill`` otherwise; the table is the one that one
+    ``harea_fill`` per loop gives.
 
     Nondecreasing by construction; ``loops_plus_superadditive`` additionally
     closes the table under the superadditive combination rule, standing in
@@ -357,10 +465,11 @@ def fa_estimate(
     examined = [0] * (n_max + 1)
     gaps: list[str] = []
     names = ball.generators
+    classes = _ClassFills(ball)
     for _canon, cycle, word in enumerate_identity_cycles(ball, n_max):
         n = cycle.length()
         examined[n] += 1
-        result = harea_fill(ball, cycle, solver=solver)
+        result = classes.fill(cycle, word) if solver == "exact_ilp" else harea_fill(ball, cycle, solver=solver)
         if not result.optimal():
             gaps.append(f"{result.status} on loop '{format_word(word, names)}'")
             continue

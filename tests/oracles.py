@@ -14,9 +14,11 @@ local LP whose rows are numbered by sorting (an oracle for
 forced-cell peeling over the whole collapse order (an oracle for
 ``filling._peel_forced``), the identity loop walk that looks up every
 step in the ball's tables (an oracle for
-``filling.enumerate_identity_cycles``) and coset membership from both
+``filling.enumerate_identity_cycles``), coset membership from both
 endpoints' labels (an oracle for ``CayleyBall.edge_cosets`` and
-``extension.restrict_to_coset``)."""
+``extension.restrict_to_coset``) and the FA table that fills every loop
+on its own (an oracle for ``filling.fa_estimate``'s reuse across word
+classes)."""
 
 from collections import Counter
 
@@ -26,7 +28,9 @@ from homfill.backends import letter_order
 from homfill.cayley import CayleyBall, Cell, OneCycle
 from homfill.errors import DomainError, InvariantError
 from homfill.exactlp import DUAL_SCALE, FillSystem, LocalLP
+from homfill.filling import FAEntry, FATable, enumerate_identity_cycles, harea_fill, running_max
 from homfill.surface import SlotRef, SurfaceDiagram, SurfaceIndex, _glued
+from homfill.words import format_word
 
 
 def build_ball_reference(backend, hom_pres, radius: int) -> CayleyBall:
@@ -359,3 +363,28 @@ def in_coset_reference(ball: CayleyBall, edge: int, coset) -> bool:
 def restrict_reference(ball: CayleyBall, cycle: OneCycle, coset) -> OneCycle:
     """The part of a 1-chain on the edges that lie in K(coset)."""
     return OneCycle({e: c for e, c in cycle.coeffs.items() if in_coset_reference(ball, e, coset)})
+
+
+def fa_reference(ball: CayleyBall, n_max: int) -> FATable:
+    """``filling.fa_estimate`` on a built ball, scope ``loops_only``, with
+    one ``harea_fill`` per enumerated loop."""
+    best = [0] * (n_max + 1)
+    witness = [None] * (n_max + 1)
+    examined = [0] * (n_max + 1)
+    gaps = []
+    names = ball.generators
+    for _canon, cycle, word in enumerate_identity_cycles(ball, n_max):
+        n = cycle.length()
+        examined[n] += 1
+        result = harea_fill(ball, cycle)
+        if not result.optimal():
+            gaps.append(f"{result.status} on loop '{format_word(word, names)}'")
+            continue
+        if result.area > best[n]:
+            best[n] = result.area
+            witness[n] = format_word(word, names)
+    for n in range(1, n_max + 1):
+        examined[n] += examined[n - 1]
+    running_max(best, witness)
+    entries = [FAEntry(best[n], witness[n], examined[n]) for n in range(n_max + 1)]
+    return FATable(entries, ball.radius, "loops_only", gaps=gaps)

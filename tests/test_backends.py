@@ -252,6 +252,9 @@ def test_times_is_the_normal_form_of_the_concatenation(name, backend, pres):
     words = random_words(rng, backend.rank, 300)
     for u, w in zip(words, reversed(words)):
         check(backend.normal_form(u), w)
+        # is_identity, which the free abelian backend reads off the vector
+        assert backend.is_identity(u) == (backend.normal_form(u) == ()), u
+        assert backend.is_identity(u + inverse_word(w) + w + inverse_word(u)), (u, w)
 
 
 @pytest.mark.parametrize("name", EXTENSION_GROUPS)

@@ -1,7 +1,9 @@
 import json
 import os
+import resource
 import subprocess
 import sys
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -200,6 +202,33 @@ def test_nontrivial_relator_exits_cleanly(tmp_path, capsys, text, relator):
     err = json.loads(capsys.readouterr().err)
     assert err["error"] == "ParseError"
     assert repr(relator) in err["message"]
+
+
+def _cap_address_space():
+    limit = 1 << 30
+    resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+
+def test_a_large_vector_relator_is_refused_without_spelling_its_normal_form(tmp_path):
+    # the relator check reads the exponent vector: the normal form of c
+    # would spell out 10^9 letters, so the CLI runs in a child process
+    # capped at 1 GiB of address space, where spelling it fails at once
+    # with MemoryError instead of taking the machine's memory
+    pres = tmp_path / "big.grp"
+    pres.write_text("backend: free_abelian\ngenerators: a c\nvector c: 1000000000\nrelator: c\n")
+    src = os.path.join(os.path.dirname(__file__), "..", "src")
+    env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+    started = time.perf_counter()
+    result = subprocess.run(
+        [sys.executable, "-m", "homfill.cli", "fa", "--pres", str(pres), "--max-n", "4", "--ball", "3",
+         "--out", str(tmp_path / "fa.json"), "--json-errors"],
+        capture_output=True, text=True, env=env, preexec_fn=_cap_address_space, timeout=60,
+    )
+    assert time.perf_counter() - started < 30
+    assert result.returncode == 1, result.stderr
+    err = json.loads(result.stderr)
+    assert err["error"] == "ParseError"
+    assert "'c'" in err["message"]
 
 
 @pytest.mark.parametrize(

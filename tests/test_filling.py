@@ -20,9 +20,10 @@ from homfill.filling import (
     fa_estimate,
     harea_fill,
     superadditive_closure,
+    word_class,
 )
 from homfill.words import parse_word
-from oracles import identity_cycles_reference, peel_reference
+from oracles import fa_reference, identity_cycles_reference, peel_reference
 
 NI = {"a": 0, "b": 1}
 GROUP_FILES = sorted(glob.glob(os.path.join(os.path.dirname(__file__), "..", "groups", "*.grp")))
@@ -458,3 +459,102 @@ def test_the_first_lp_certifies_without_a_hermite_reduction(monkeypatch):
                 unpeeled += 1
         assert unpeeled > 100 and len(lps) == unpeeled
         assert "hermite" not in ball.fill_system.__dict__
+
+
+def _rotations(w):
+    # every rotation of w and of its inverse, read off the doubled word
+    inverse = tuple(-x for x in reversed(w))
+    return [(f + f)[i : i + len(f)] for f in (w, inverse) for i in range(len(f))]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.sampled_from([1, -1, 2, -2, 3, -3]), max_size=9))
+def test_word_class_is_the_least_rotation_over_the_word_and_its_inverse(letters):
+    w = tuple(letters)
+    key = word_class(w)
+    assert key == min(_rotations(w), default=())
+    # every rotation and the inverse share it
+    assert all(word_class(r) == key for r in _rotations(w))
+
+
+# (group file, radius) of the FA tables up to n = 8 checked against the
+# table that fills every loop on its own, beyond each file at radius 3
+FA_REFERENCE_BALLS = [(os.path.basename(path), 3) for path in GROUP_FILES] + [("z3_ext.grp", 4), ("heis_ext.grp", 5)]
+
+
+@pytest.mark.parametrize("file, radius", FA_REFERENCE_BALLS, ids=lambda v: str(v).removesuffix(".grp"))
+def test_fa_estimate_matches_a_fill_per_loop(file, radius):
+    # values, witnesses, cycles examined and gaps, loop by loop reused
+    # across word classes or not
+    ball = _lifetime_ball(file, radius)
+    group = load_group(os.path.join(os.path.dirname(__file__), "..", "groups", file))
+    assert fa_estimate(group.backend, group.hom_pres, 8, radius, ball=ball) == fa_reference(ball, 8)
+
+
+def test_translates_certify_only_minimal_chains(monkeypatch):
+    # heis_ext at radius 3 splits word classes by truncation: some of a
+    # class's loops have smaller areas than its root, so a translate whose
+    # boundary is right is certified only by the exact bound
+    ball = _lifetime_ball("heis_ext.grp", 3)
+    classes = filling._ClassFills(ball)
+    translate = classes._translate
+    tried = []
+
+    def recorded(*args):
+        tried.append(translate(*args))
+        return tried[-1]
+
+    monkeypatch.setattr(classes, "_translate", recorded)
+    certified = refused = 0
+    for _, cycle, word in enumerate_identity_cycles(ball, 8):
+        del tried[:]
+        result = classes.fill(cycle, word)
+        expected = harea_fill(ball, cycle)
+        assert (result.status, result.area) == (expected.status, expected.area), word
+        if tried and tried[0] is not None:
+            assert boundary_2(ball, tried[0]) == cycle and tried[0].area() == expected.area
+            certified += 1
+        refused += tried == [None]
+    assert certified > 500 and refused > 50
+
+
+def test_root_certificates_pass_the_exact_bound():
+    # a fill certified at l1_fill's root carries the root's integer duals,
+    # which bound its free cells' area over the box below it; a peeled fill
+    # carries none
+    ball = _lifetime_ball("z3_ext.grp", 3)
+    system = ball.fill_system
+    unpeeled = 0
+    for _, cycle, _word in enumerate_identity_cycles(ball, 6):
+        result = harea_fill(ball, cycle)
+        forced, _, residual = filling._peel_forced(ball, cycle.coeffs)
+        if not residual:
+            assert result.certificate is None and result.nodes == 0
+            continue
+        assert result.nodes == 1 and result.certificate
+        free_area = result.area - sum(map(abs, forced.values()))
+        assert exactlp.certificate_bound(system, result.certificate, residual, free_area - 1) >= free_area
+        # the box at the area itself holds the chain, so the bound stops there
+        assert exactlp.certificate_bound(system, result.certificate, residual, free_area) <= free_area
+        unpeeled += 1
+    assert unpeeled > 100
+
+
+def test_a_translate_that_bounds_another_loop_is_refused():
+    # the root's chain with one coefficient negated has the same area, and
+    # the carried duals still bound the loop's area, so only the boundary
+    # check refuses it
+    ball = _lifetime_ball("z3_ext.grp", 3)
+    classes = filling._ClassFills(ball)
+    tried = 0
+    for _, cycle, word in enumerate_identity_cycles(ball, 6):
+        root = classes.roots.get(word_class(word))
+        peeled = filling._peel_forced(ball, cycle.coeffs)
+        if root is not None and peeled[2] and classes._translate(root, cycle, word, peeled) is not None:
+            root_word, chain, dual = root
+            cell, coeff = next(iter(chain.coeffs.items()))
+            negated = TwoChain(chain.coeffs | {cell: -coeff})
+            assert classes._translate((root_word, negated, dual), cycle, word, peeled) is None, word
+            tried += 1
+        classes.fill(cycle, word)
+    assert tried > 50
