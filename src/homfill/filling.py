@@ -12,12 +12,18 @@ best chain found so far; when it closes, the fill took 1 node and carries
 the root's integer duals (``FillingResult.certificate``).
 
 An FA table is the one exception: before it fills a loop on that path it
-tries to reuse a fill across the loop's word class (``word_class``).  A
-loop whose class has a root-certified member is a translate of that
-member's loop, so the member's chain and root duals, carried to it, are
-checked against it in exact arithmetic (the duals through
-``exactlp.certificate_bound``, over the loop's own residual), and the loop
-is filled on its own only when the check fails.
+tries to reuse a fill across the orbit of the loop's word class
+(``word_class``) under the presentation's symmetries, the signed generator
+permutations that map the relators onto the relators
+(``presentation.symmetries``).  A loop whose class holds an image sigma(A)
+of a root-certified loop A is sign * p^-1 sigma(A), so A's chain and root
+duals, carried to it through x -> p^-1 sigma(x), are checked against it in
+exact arithmetic (the chain's boundary, and the duals through
+``exactlp.certificate_bound`` over the loop's own residual), and the loop
+is filled on its own only when the check fails.  With sigma the identity
+the carry is a translate.  The AR pairs of ``experiments`` fill every loop
+on its own: their radii depend on the gluing's tie-breaks, which follow
+the cell numbering, and no symmetry preserves that numbering.
 
 Every value is restricted to a finite ball.  The ball-restricted area of
 one cycle is an upper bound on its untruncated area, since a larger ball
@@ -31,23 +37,14 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from heapq import heapify, heappop, heappush
 from itertools import compress
+from typing import NamedTuple
 
 from .backends import GroupBackend, letter_order
-from .cayley import (
-    CayleyBall,
-    OneCycle,
-    Placement,
-    TwoChain,
-    boundary_2,
-    build_ball,
-    carry_chain,
-    carry_cycle,
-    is_cycle,
-)
+from .cayley import CayleyBall, OneCycle, TwoChain, boundary_2, build_ball, is_cycle
 from .errors import DomainError, InvariantError, ResourceError
 from .exactlp import certificate_bound, l1_fill
-from .presentation import HomPresentation
-from .words import Word, format_word, inverse_word
+from .presentation import HomPresentation, symmetries
+from .words import Word, format_word, inverse_word, word_class
 
 # the brute_force oracle's search nodes per fill, and the largest area it
 # tries before reporting budget_exceeded
@@ -70,8 +67,9 @@ class FillingResult:
     status: str  # optimal | infeasible_in_ball | budget_exceeded
     ball_radius: int
     # exact_ilp: branch-and-bound nodes, 0 when peeling finished the fill (or
-    # fa_estimate certified a translate) and 1 when l1_fill's root certified
-    # its best chain; brute_force: steps
+    # fa_estimate certified a carry of an earlier fill, a translate or a
+    # symmetric image) and 1 when l1_fill's root certified its best chain;
+    # brute_force: steps
     nodes: int = 0
     # exact_ilp: l1_fill's local LP columns when it ended and its node LPs,
     # each followed by pricing; 0 and 0 when no l1_fill ran
@@ -354,13 +352,6 @@ def enumerate_identity_cycles(ball: CayleyBall, max_len: int):
     return results
 
 
-def word_class(w: Word) -> Word:
-    """The key of a closed word's cyclic-word class: its least rotation over
-    the word and its inverse.  Two identity loops whose words share a key
-    are translates of each other, up to sign."""
-    return min((f[i:] + f[:i] for f in (w, inverse_word(w)) for i in range(len(f))), default=())
-
-
 def _rotation(a: Word, b: Word) -> tuple[int, Word]:
     """(sign, p) for words of one class: b = q p where a = p q (sign 1) or
     a^-1 = p q (sign -1).  As pq = 1 in the group, b's loop at the identity
@@ -372,59 +363,141 @@ def _rotation(a: Word, b: Word) -> tuple[int, Word]:
     raise InvariantError("words of one class are not rotations of each other")
 
 
-class _ClassFills:
-    """``fa_estimate``'s exact fills, reusing work across each word class.
+class _Symmetry(NamedTuple):
+    """A signed generator permutation sigma (``presentation.symmetries``)
+    as ``_ClassFills`` carries cells with it: ``letters[x]`` is sigma(x),
+    and ``cells[r]`` is (r', e, q) with sigma(r) = q s and s q = r'^e a
+    rotation of marked relator r' or of its inverse, so that sigma's image
+    of the cell of r at x is e times the cell of r' at sigma(x) q.  It is
+    None for a relator whose image lies in no marked relator's class."""
 
-    The class's root is its latest loop whose fill ``l1_fill``'s root
-    certified: its word, chain and root duals.  A later loop B of the
-    class is sign * p^-1 times the root's loop (``_rotation``), so it tries
-    the root's chain T and duals Y carried by p^-1 first: T must bound B's
-    loop exactly, and with forced_B the cells that peeling B's loop forces
-    (which every chain bounding it shares), Y must give an exact bound over
-    B's residual and the box |a_c| <= area(T) - |forced_B| - 1 that reaches
-    area(T) - |forced_B|, so that no chain bounding B is smaller than T.  A
-    translate that leaves the ball, bounds another cycle or falls short of
-    the area is dropped, and B is filled by ``harea_fill``.  Loops that
-    peeling finishes take no class key."""
+    letters: tuple[int, ...]
+    cells: tuple[tuple[int, int, Word] | None, ...]
+
+    @classmethod
+    def of(cls, hom_pres: HomPresentation, letters: tuple[int, ...]) -> "_Symmetry":
+        relators = hom_pres.base.relators
+        marked = {word_class(relators[i]): i for i in reversed(hom_pres.marked_relators)}
+        cells = []
+        for r in relators:
+            image = tuple(letters[x] for x in r)
+            target = marked.get(word_class(image))
+            if target is None:
+                cells.append(None)
+                continue
+            sign, s = _rotation(relators[target], image)
+            cells.append((target, sign, image[: len(image) - len(s)]))
+        return cls(letters, tuple(cells))
+
+
+class _Root(NamedTuple):
+    """A root-certified fill as ``_ClassFills`` keeps it under one class
+    key: ``word`` is sigma(w_A) for the filled loop's word w_A and the
+    symmetry sigma, and ``chain`` and ``dual`` are A's chain and its root's
+    integer duals per edge (``FillingResult.certificate``)."""
+
+    word: Word
+    chain: TwoChain
+    dual: dict[int, int]
+    symmetry: _Symmetry
+
+
+class _ClassFills:
+    """``fa_estimate``'s exact fills, reusing work across each orbit of word
+    classes under the presentation's symmetries.
+
+    A symmetry sigma (``presentation.symmetries``) is a signed generator
+    permutation that maps the marked relators into their word classes and
+    every relator to the identity; when it is an automorphism, it is an
+    isometry of the Cayley complex fixing the identity, so it maps the
+    ball onto itself.  A loop A whose fill ``l1_fill``'s root certified
+    becomes the root of every class that an image sigma(A) falls in: its
+    chain and root duals are kept, with sigma, under the class key of
+    sigma(w_A), the latest such loop replacing an earlier one.  A later
+    loop B of such a class is sign * p^-1 sigma(A) (``_rotation`` of
+    sigma(w_A) and w_B), so it tries A's chain T and duals Y carried
+    through x -> p^-1 sigma(x) first (``_carry``): the carried T must bound
+    B's loop exactly, and with forced_B the cells that peeling B's loop
+    forces (which every chain bounding it shares), the carried Y must give
+    an exact bound over B's residual and the box |a_c| <= area(T) -
+    |forced_B| - 1 that reaches area(T) - |forced_B|, so that no chain
+    bounding B is smaller than T.  A carry that leaves the ball, bounds
+    another cycle or falls short of the area is dropped, and B is filled
+    by ``harea_fill``; so sigma only proposes chains, and one that is no
+    automorphism costs refused carries, never a wrong area.  With sigma the
+    identity the carry is the translate by p^-1.  The symmetries are
+    searched once, at the first root; loops that peeling finishes take no
+    class key."""
 
     def __init__(self, ball: CayleyBall):
         self.ball = ball
-        self.roots: dict[Word, tuple[Word, TwoChain, OneCycle]] = {}
+        self.roots: dict[Word, _Root] = {}
+        self.symmetries: tuple[_Symmetry, ...] | None = None
 
     def fill(self, gamma: OneCycle, word: Word) -> FillingResult:
         ball = self.ball
         peeled = _peel_forced(ball, gamma.coeffs)
         if peeled is None or not peeled[2]:
             return _fill_peeled(ball, gamma, peeled)
-        key = word_class(word)
-        root = self.roots.get(key)
+        root = self.roots.get(word_class(word))
         if root is not None:
-            chain = self._translate(root, gamma, word, peeled)
+            chain = self._carry(root, gamma, word, peeled)
             if chain is not None:
                 return FillingResult(chain, chain.area(), "optimal", ball.radius)
         result = harea_fill(ball, gamma)
         if result.certificate is not None:
-            self.roots[key] = (word, result.chain, OneCycle(result.certificate))
+            self._register(word, result)
         return result
 
-    def _translate(self, root, gamma: OneCycle, word: Word, peeled) -> TwoChain | None:
+    def _register(self, word: Word, result: FillingResult) -> None:
+        """Key the fill of ``word``'s loop under the class of each of its
+        images, with the first symmetry that reaches that class."""
+        if self.symmetries is None:
+            hom_pres = self.ball.hom_pres
+            found = symmetries(hom_pres, self.ball.backend.is_identity)
+            self.symmetries = tuple(_Symmetry.of(hom_pres, letters) for letters in found)
+        keyed: dict[Word, _Root] = {}
+        for sym in self.symmetries:
+            image = tuple(sym.letters[x] for x in word)
+            keyed.setdefault(word_class(image), _Root(image, result.chain, result.certificate, sym))
+        self.roots.update(keyed)
+
+    def _carry(self, root: _Root, gamma: OneCycle, word: Word, peeled) -> TwoChain | None:
         """The root's chain carried to ``gamma``, when its carried duals
-        certify it minimal over ``peeled``'s residual, else None."""
+        certify it minimal over ``peeled``'s residual, else None.  A cell
+        (x, r) goes to e times the cell of r' at p^-1 sigma(x) q (``_Symmetry``)
+        and a dual's edge (x, g) to ``step(p^-1 sigma(x), sigma(g))`` with that
+        step's sign, both times the rotation's sign."""
         ball = self.ball
-        root_word, chain, dual = root
-        sign, prefix = _rotation(root_word, word)
-        shift, vertices = inverse_word(prefix), ball.vertices
-        place = Placement(ball, lambda x: shift + vertices[x])
+        sign, prefix = _rotation(root.word, word)
+        shift, letters, images = inverse_word(prefix), root.symmetry.letters, root.symmetry.cells
+        vertices, cells, edges = ball.vertices, ball.cells, ball.edges
+
+        def place(x: int, tail: Word = ()) -> int:
+            return ball.vertex_of(shift + tuple(letters[y] for y in vertices[x]) + tail)
+
+        out: dict[int, int] = {}
+        y: dict[int, int] = {}
         try:
-            moved = carry_chain(ball, ball, chain, place).scale(sign)
+            for cell, coeff in root.chain.coeffs.items():
+                c = cells[cell]
+                if (image := images[c.relator]) is None:
+                    return None
+                relator, orientation, q = image
+                target = ball.cell_at(place(c.base, q), relator)
+                out[target] = out.get(target, 0) + sign * orientation * coeff
+            moved = TwoChain(out)
             if boundary_2(ball, moved) != gamma:
                 return None
-            y = carry_cycle(ball, ball, dual, place).scale(sign)
+            for edge, value in root.dual.items():
+                source, label, _ = edges[edge]
+                target, step_sign, _ = ball.step(place(source), letters[label])
+                y[target] = y.get(target, 0) + sign * step_sign * value
         except ResourceError:
             return None
         forced, _, residual = peeled
         free_area = moved.area() - sum(map(abs, forced.values()))
-        if certificate_bound(ball.fill_system, y.coeffs, residual, free_area - 1) < free_area:
+        if certificate_bound(ball.fill_system, y, residual, free_area - 1) < free_area:
             return None
         return moved
 
@@ -445,10 +518,12 @@ def fa_estimate(
     FA in neither direction.
 
     Every area is exact.  With ``exact_ilp``, a loop that peeling does not
-    finish is first certified, when it can be, by a translate of the root
-    certificate of an earlier loop of its word class (``_ClassFills``), and
-    is filled by ``harea_fill`` otherwise; the table is the one that one
-    ``harea_fill`` per loop gives.
+    finish is first certified, when it can be, by the root certificate of
+    an earlier loop whose image under a symmetry of the presentation lies
+    in its word class, carried to it (``_ClassFills``), and is filled by
+    ``harea_fill`` otherwise; the table is the one that one ``harea_fill``
+    per loop gives.  The AR pairs take no such carries, since their radii
+    follow the cell numbering, which no symmetry preserves.
 
     Nondecreasing by construction; ``loops_plus_superadditive`` additionally
     closes the table under the superadditive combination rule, standing in

@@ -1,5 +1,7 @@
-"""Finite and homological finite presentations, automorphism lifts, and the
-extension presentation of a group K extended by a free group.
+"""Finite and homological finite presentations, automorphism lifts, the
+extension presentation of a group K extended by a free group, and a
+presentation's symmetries: the signed generator permutations that map its
+relators onto its relators.
 
 Also owns the line-oriented text format for presentation files::
 
@@ -29,6 +31,7 @@ from .words import (
     parse_word,
     signed_table,
     substitute,
+    word_class,
 )
 
 
@@ -226,6 +229,49 @@ def build_extension_presentation(
             relators[layout.conj_relator(i, j)] = cyclic_reduce((-t, j + 1, t) + inverse_word(image))
     hom = HomPresentation.mark_all(Presentation(generators, tuple(relators)))
     return hom, layout
+
+
+def symmetries(hom_pres: HomPresentation, is_identity) -> tuple[tuple[int, ...], ...]:
+    """The signed generator permutations sigma that map every marked
+    relator into a marked relator's word class and every relator to the
+    identity (``is_identity``, a backend's), each as a letter table: entry x
+    is sigma(x), the negative letters counting from the end, as in
+    ``words.signed_table``.
+
+    sigma commutes with rotation and inversion and is injective on words,
+    so it is injective on word classes; mapping the finite set of the
+    marked relators' classes into itself, it maps that set onto itself.
+    The search backtracks over the generators' images, +k before -k and k
+    ascending, so the identity comes first, and checks each relator once
+    its last generator has an image.
+    """
+    rank, relators = hom_pres.rank, hom_pres.base.relators
+    classes = {word_class(relators[i]) for i in hom_pres.marked_relators}
+    due: list[list[tuple[Word, bool]]] = [[] for _ in range(rank + 1)]
+    for i, r in enumerate(relators):
+        due[max(map(abs, r))].append((r, i in hom_pres.marked_relators))
+    image = [0] * (rank + 1)  # image[g] = sigma(g), 1 <= g <= rank
+    free = set(range(1, rank + 1))
+    found: list[tuple[int, ...]] = []
+
+    def fits(r: Word, marked: bool) -> bool:
+        w = tuple(image[x] if x > 0 else -image[-x] for x in r)
+        return (not marked or word_class(w) in classes) and is_identity(w)
+
+    def extend(g: int):
+        if g > rank:
+            found.append((0, *image[1:], *(-x for x in reversed(image[1:]))))
+            return
+        for k in sorted(free):
+            free.remove(k)
+            for x in (k, -k):
+                image[g] = x
+                if all(fits(r, marked) for r, marked in due[g]):
+                    extend(g + 1)
+            free.add(k)
+
+    extend(1)
+    return tuple(found)
 
 
 # ---------------------------------------------------------------------------

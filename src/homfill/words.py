@@ -55,6 +55,13 @@ def substitute(table: tuple[Word, ...], w) -> Word:
     return tuple(out)
 
 
+def word_class(w: Word) -> Word:
+    """The key of a closed word's cyclic-word class: its least rotation over
+    the word and its inverse.  Two identity loops whose words share a key
+    are translates of each other, up to sign."""
+    return min((f[i:] + f[:i] for f in (w, inverse_word(w)) for i in range(len(f))), default=())
+
+
 def is_reduced(w: Word) -> bool:
     return all(w[i] != -w[i + 1] for i in range(len(w) - 1))
 

@@ -493,29 +493,38 @@ def test_fa_estimate_matches_a_fill_per_loop(file, radius):
 
 def test_translates_certify_only_minimal_chains(monkeypatch):
     # heis_ext at radius 3 splits word classes by truncation: some of a
-    # class's loops have smaller areas than its root, so a translate whose
-    # boundary is right is certified only by the exact bound
+    # class's loops have smaller areas than its root, so a translate or a
+    # symmetric carry whose boundary is right is certified only by the
+    # exact bound
     ball = _lifetime_ball("heis_ext.grp", 3)
     classes = filling._ClassFills(ball)
-    translate = classes._translate
+    carry = classes._carry
     tried = []
 
-    def recorded(*args):
-        tried.append(translate(*args))
-        return tried[-1]
+    def recorded(root, *args):
+        tried.append((root.symmetry is classes.symmetries[0], carry(root, *args)))
+        return tried[-1][1]
 
-    monkeypatch.setattr(classes, "_translate", recorded)
-    certified = refused = 0
+    monkeypatch.setattr(classes, "_carry", recorded)
+    certified = {True: 0, False: 0}
+    refused = {True: 0, False: 0}
     for _, cycle, word in enumerate_identity_cycles(ball, 8):
         del tried[:]
         result = classes.fill(cycle, word)
         expected = harea_fill(ball, cycle)
         assert (result.status, result.area) == (expected.status, expected.area), word
-        if tried and tried[0] is not None:
-            assert boundary_2(ball, tried[0]) == cycle and tried[0].area() == expected.area
-            certified += 1
-        refused += tried == [None]
-    assert certified > 500 and refused > 50
+        if not tried:
+            continue
+        ((translate, chain),) = tried
+        if chain is not None:
+            assert boundary_2(ball, chain) == cycle and chain.area() == expected.area
+            certified[translate] += 1
+        else:
+            refused[translate] += 1
+    # heis_ext's one symmetry besides the identity, a -> t, b -> b', t -> a
+    assert len(classes.symmetries) == 2
+    assert certified[True] > 400 and refused[True] > 50
+    assert certified[False] > 500 and refused[False] > 20
 
 
 def test_root_certificates_pass_the_exact_bound():
@@ -541,20 +550,57 @@ def test_root_certificates_pass_the_exact_bound():
 
 
 def test_a_translate_that_bounds_another_loop_is_refused():
-    # the root's chain with one coefficient negated has the same area, and
-    # the carried duals still bound the loop's area, so only the boundary
-    # check refuses it
+    # the root's chain with one coefficient negated carries to a chain of
+    # the same area, and the carried duals still bound the loop's area, so
+    # only the boundary check refuses it
     ball = _lifetime_ball("z3_ext.grp", 3)
     classes = filling._ClassFills(ball)
     tried = 0
     for _, cycle, word in enumerate_identity_cycles(ball, 6):
         root = classes.roots.get(word_class(word))
         peeled = filling._peel_forced(ball, cycle.coeffs)
-        if root is not None and peeled[2] and classes._translate(root, cycle, word, peeled) is not None:
-            root_word, chain, dual = root
-            cell, coeff = next(iter(chain.coeffs.items()))
-            negated = TwoChain(chain.coeffs | {cell: -coeff})
-            assert classes._translate((root_word, negated, dual), cycle, word, peeled) is None, word
+        if root is not None and peeled[2] and classes._carry(root, cycle, word, peeled) is not None:
+            cell, coeff = next(iter(root.chain.coeffs.items()))
+            negated = root._replace(chain=TwoChain(root.chain.coeffs | {cell: -coeff}))
+            assert classes._carry(negated, cycle, word, peeled) is None, word
             tried += 1
         classes.fill(cycle, word)
     assert tried > 50
+
+
+def test_a_symmetry_that_is_no_automorphism_only_costs_refused_carries(monkeypatch):
+    # a <-> b maps heis_ext's commutator into its class but is no
+    # automorphism (t^-1 a t = a b goes to t^-1 b t = b a); listed as a
+    # symmetry, its carries are proposals the exact checks refuse
+    ball = _lifetime_ball("heis_ext.grp", 3)
+    swap = (0, 2, 1, 3, -3, -1, -2)
+    found = filling.symmetries
+    monkeypatch.setattr(filling, "symmetries", lambda *args: found(*args) + (swap,))
+    carry = filling._ClassFills._carry
+    swapped = []
+
+    def recorded(self, root, *args):
+        chain = carry(self, root, *args)
+        if root.symmetry.letters == swap:
+            swapped.append(chain)
+        return chain
+
+    monkeypatch.setattr(filling._ClassFills, "_carry", recorded)
+    group = load_group(os.path.join(os.path.dirname(__file__), "..", "groups", "heis_ext.grp"))
+    assert fa_estimate(group.backend, group.hom_pres, 8, 3, ball=ball) == fa_reference(ball, 8)
+    assert None in swapped
+
+
+# l1_fill calls of FA tables whose loops fall in few orbits of word classes
+# under the presentation's symmetries: z3_ext has 48 symmetries, z2_by_f2 64
+SYMMETRIC_FILLS = [("z3_ext.grp", 4, 6, 6), ("z3_ext.grp", 4, 8, 51), ("z2_by_f2.grp", 3, 8, 231)]
+
+
+@pytest.mark.parametrize("file, radius, n_max, fills", SYMMETRIC_FILLS)
+def test_fa_estimate_fills_one_loop_per_carried_orbit(monkeypatch, file, radius, n_max, fills):
+    ball = _lifetime_ball(file, radius)
+    group = load_group(os.path.join(os.path.dirname(__file__), "..", "groups", file))
+    calls = []
+    monkeypatch.setattr(filling, "l1_fill", lambda *args: calls.append(1) or l1_fill(*args))
+    fa_estimate(group.backend, group.hom_pres, n_max, radius, ball=ball)
+    assert len(calls) == fills

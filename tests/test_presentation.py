@@ -1,4 +1,5 @@
 import glob
+import itertools
 import os
 from pathlib import Path
 
@@ -16,9 +17,10 @@ from homfill.presentation import (
     apply_lift,
     build_extension_presentation,
     parse_presentation_text,
+    symmetries,
     validate_lift,
 )
-from homfill.words import cyclic_reduce, format_word, inverse_word, parse_word
+from homfill.words import cyclic_reduce, format_word, inverse_word, parse_word, word_class
 
 NI = {"a": 0, "b": 1}
 GROUP_FILES = sorted(glob.glob(os.path.join(os.path.dirname(__file__), "..", "groups", "*.grp")))
@@ -255,3 +257,64 @@ def test_presentation_files_raise_only_homfill_errors(tmp_path_factory, text):
     # what loads parses, and its relators are trivial in its backend
     assert pf is not None and group.hom_pres.generators[: len(pf.generators)] == pf.generators
     assert all(group.backend.is_identity(r) for r in group.hom_pres.base.relators)
+
+
+# the signed generator permutations of each group file that map the
+# marked relators into their word classes and every relator to the identity
+SYMMETRY_COUNTS = {"f2": 8, "f2_triangle": 6, "heis_ext": 2, "z2": 8, "z2_by_f2": 64, "z2_redundant": 2, "z3_ext": 48}
+
+
+def _signed_permutations(rank):
+    for images in itertools.permutations(range(1, rank + 1)):
+        for signs in itertools.product((1, -1), repeat=rank):
+            sigma = [x * s for x, s in zip(images, signs)]
+            yield (0, *sigma, *(-x for x in reversed(sigma)))
+
+
+@pytest.mark.parametrize("path", GROUP_FILES, ids=os.path.basename)
+def test_symmetries_of_the_group_files(path):
+    group = load_group(path)
+    hom, is_identity = group.hom_pres, group.backend.is_identity
+    relators = hom.base.relators
+    classes = {word_class(relators[i]) for i in hom.marked_relators}
+
+    def image(sigma, r):
+        return tuple(sigma[x] for x in r)
+
+    found = symmetries(hom, is_identity)
+    assert len(found) == SYMMETRY_COUNTS[os.path.basename(path).removesuffix(".grp")]
+    assert found[0] == next(_signed_permutations(hom.rank))  # the identity
+    for sigma in found:
+        assert all(word_class(image(sigma, relators[i])) in classes for i in hom.marked_relators)
+        assert all(is_identity(image(sigma, r)) for r in relators)
+    # exactly the signed permutations that pass both checks, each once
+    expected = {
+        sigma
+        for sigma in _signed_permutations(hom.rank)
+        if all(word_class(image(sigma, relators[i])) in classes for i in hom.marked_relators)
+        and all(is_identity(image(sigma, r)) for r in relators)
+    }
+    assert set(found) == expected and len(found) == len(expected)
+
+
+def test_a_relator_preserving_swap_that_breaks_a_relation_is_no_symmetry():
+    # a <-> b maps heis_ext's commutator into its class, but sends
+    # t^-1 a t (a b)^-1 out of every relator's class
+    group = load_group(os.path.join(os.path.dirname(__file__), "..", "groups", "heis_ext.grp"))
+    swap = (0, 2, 1, 3, -3, -1, -2)
+    found = symmetries(group.hom_pres, group.backend.is_identity)
+    assert swap not in found
+    assert found == ((0, 1, 2, 3, -3, -2, -1), (0, 3, -2, 1, -1, 2, -3))
+    # on z2 the same swap is one
+    z2 = load_group(os.path.join(os.path.dirname(__file__), "..", "groups", "z2.grp"))
+    assert (0, 2, 1, -1, -2) in symmetries(z2.hom_pres, z2.backend.is_identity)
+
+
+def test_symmetries_check_unmarked_relators_against_the_backend():
+    # x = y = 1 in Z: every signed permutation keeps the marked commutator
+    # in its class, but only those giving x and y one sign keep the
+    # unmarked relator x y^-1 trivial
+    backend = FreeAbelianBackend(1, [(1,), (1,)])
+    hom = HomPresentation(Presentation(("x", "y"), ((1, 2, -1, -2), (1, -2))), (0,))
+    assert symmetries(hom, lambda w: True) == tuple(_signed_permutations(2))
+    assert symmetries(hom, backend.is_identity) == ((0, 1, 2, -2, -1), (0, -1, -2, 2, 1), (0, 2, 1, -1, -2), (0, -2, -1, 1, 2))
