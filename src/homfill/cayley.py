@@ -15,11 +15,13 @@ layers are the distances, and the recorded targets become one neighbour
 table, ``succ[v][letter] -> edge`` (-1 when the edge leaves the ball),
 indexed by the signed letter itself; ``hop``, ``step``, cell construction,
 word tracing and edge lookups read it.  After the build only ``vertex_of``
-calls ``normal_form``.  Maps between balls that are fixed per ball pair
-(translation by a coset, possibly after a lift) are ``Placement`` tables
-kept on a ball: each edge or cell carried through the map keeps its target,
-found on first carry, and a vertex is placed through ``vertex_of`` only
-then.
+calls ``normal_form``; a breadth-first tree read off the distances and
+the table on first use (``CayleyBall.tree``) lets an FA table's carries
+place vertices by walks instead.  Maps between balls that are fixed per
+ball pair (translation by a coset, possibly after a lift) are
+``Placement`` tables kept on a ball: each edge or cell carried through the
+map keeps its target, found on first carry, and a vertex is placed
+through ``vertex_of`` only then.
 
 A vertex, edge or cell that a ball lacks (``vertex_of``, ``step``,
 ``cell_at``, and so the carries between balls) raises the ResourceError of
@@ -118,6 +120,13 @@ class Cell:
 
 @dataclass(eq=False)
 class CayleyBall:
+    """One ball's tables, as ``build_ball`` indexes them: vertices with their
+    normal forms and distances, edges, the neighbour table ``succ``, cells
+    and coset labels.  What depends on the ball alone and only some callers
+    read is derived on first use and kept: ``tree`` (a breadth-first parent
+    per vertex, for walks), ``net_columns``, ``collapse``, ``fill_system``
+    and the surface and coset views; a build computes none of them."""
+
     backend: GroupBackend
     hom_pres: HomPresentation
     radius: int
@@ -194,6 +203,28 @@ class CayleyBall:
             loop = len(self.hom_pres.base.relators[relator])
             raise self._outside(f"cell of relator {relator} at {where}", self.distance[base] + loop // 2)
         return cell
+
+    @cached_property
+    def tree(self) -> list[tuple[int, int] | None]:
+        """A breadth-first tree of the ball: (parent, letter) for each vertex
+        other than the identity (None there), with vertex = parent * letter
+        and the parent one step nearer the identity, the first letter x in
+        letter order with vertex * x that near giving parent = vertex * x and
+        letter = x^-1.  Read off ``distance`` and ``succ``; built on first
+        use."""
+        distance, hop = self.distance, self.hop
+        tree: list[tuple[int, int] | None] = [None]
+        letters = tuple(letter_order(self.backend.rank))
+        for v in range(1, len(self.vertices)):
+            nearer = distance[v] - 1
+            tree.append(
+                next(
+                    (step[2], -x)
+                    for x in letters
+                    if (step := hop(v, x)) is not None and distance[step[2]] == nearer
+                )
+            )
+        return tree
 
     @cached_property
     def net_columns(self) -> list[dict[int, int]]:

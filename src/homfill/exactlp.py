@@ -52,7 +52,8 @@ its right-hand side.
   bound.
 * ``certificate_bound`` -- the same bound from integer duals given per
   edge, such as a fill's root certificate carried to another right-hand
-  side, over a box |a_c| <= cap.
+  side, over a box |a_c| <= cap, summed in Python integers over the
+  columns that touch the duals' support.
 
 ``l1_fill`` keeps each node's box as int64 arrays over every column, so
 the exact side of a fill runs on arrays throughout.
@@ -281,21 +282,17 @@ def as_chain(system: FillSystem, point: np.ndarray, b: np.ndarray) -> np.ndarray
 
 def _integer_duals(system: FillSystem, marginals, b: np.ndarray) -> np.ndarray:
     """The float duals ``marginals``, one per row of the system, rounded half
-    to even to the int64 vector Y over D = DUAL_SCALE, after
-    ``_check_duals``; a dual that is not finite raises InvariantError."""
+    to even to the int64 vector Y over D = DUAL_SCALE, after float64 checks
+    that max|Y| times the largest column weight and sum_i |Y_i b_i| are
+    below 2**62, so that A^T Y and Y.b are exact in int64; a dual that is
+    not finite or a failed check raises InvariantError."""
     y = np.rint(np.asarray(marginals, dtype=float) * DUAL_SCALE)
     if not np.isfinite(y).all():
         raise InvariantError("a node LP dual is not finite")
-    _check_duals(system, np.abs(y), b)
-    return y.astype(np.int64)
-
-
-def _check_duals(system: FillSystem, y_abs: np.ndarray, b: np.ndarray) -> None:
-    """Float64 checks, on |Y| as floats, that max|Y| times the largest column
-    weight and sum_i |Y_i b_i| are below 2**62, so that A^T Y and Y.b are
-    exact in int64; a failed check raises InvariantError."""
+    y_abs = np.abs(y)
     _check_magnitude("max |Y| times the largest column weight", y_abs.max(initial=0.0) * system.max_weight)
     _check_magnitude("sum |Y_i rhs_i|", y_abs @ np.abs(b))
+    return y.astype(np.int64)
 
 
 def _bound(y: np.ndarray, s: np.ndarray, b: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> int:
@@ -342,22 +339,49 @@ def certificate_bound(system: FillSystem, certificate: dict[int, int], rhs: dict
     """``lower_bound``'s exact bound over the integer chains a with
     |a_c| <= cap and sum_c a_c * columns[c] = rhs, from integer duals Y
     over D = DUAL_SCALE given per edge, as ``FillSolve.certificate`` gives
-    them (or a translate of one).
+    them (or a carry of one to another loop).
 
     An edge that is no row of the system meets no column and no entry of
     rhs, so its entry is dropped without changing the bound.  Every Y gives
     a valid bound, so a certificate made for another right-hand side is
-    checked here, never trusted; the int64 arithmetic is guarded by the
-    checks of ``lower_bound``."""
-    b = system.dense(rhs)
-    y = np.zeros(len(b), dtype=np.int64)
+    checked here, never trusted.
+
+    The bound is summed in Python integers over the columns that touch
+    supp(Y) (``FillSystem.incident`` of Y's rows), each s_c read off the
+    column's ``entries``.  Every other column has s_c = 0, where the box
+    |a_c| <= cap, for cap >= 0, puts the minimiser at a_c = 0, so it adds
+    nothing and the sum is ``lower_bound``'s over every column.  The three
+    magnitude checks of ``lower_bound`` are kept, with their messages, on
+    the exact sums, and a right-hand-side edge that is no row raises
+    InvariantError, so it refuses what the int64 bound refused.
+    """
     row = system.row
-    for edge, value in certificate.items():
-        if (i := row.get(edge)) is not None:
-            y[i] = value
-    _check_duals(system, np.abs(y).astype(float), b)
-    hi = np.full(len(system.columns), cap, dtype=np.int64)
-    return _bound(y, system.matrix_t @ y, b, -hi, hi)
+    try:
+        b = {row[e]: v for e, v in rhs.items()}
+    except KeyError as exc:
+        raise InvariantError(f"right-hand side edge {exc.args[0]} is not a row of the fill system") from None
+    y = {i: value for edge, value in certificate.items() if value and (i := row.get(edge)) is not None}
+    largest = max(map(abs, y.values()), default=0)
+    _check_magnitude("max |Y| times the largest column weight", largest * system.max_weight)
+    _check_magnitude("sum |Y_i rhs_i|", sum(abs(y.get(i, 0) * v) for i, v in b.items()))
+    total = sum(y.get(i, 0) * v for i, v in b.items())
+    magnitude = 0
+    entries, incident, get = system.entries, system.incident, y.get
+    for c in {c for i in y for c in incident[i]}:
+        s = 0
+        for i, v in entries[c]:
+            s += get(i, 0) * v
+        # the summand (D sign(a_c) - s_c) a_c at a_c = cap, -cap or 0
+        if s > DUAL_SCALE:
+            term = (DUAL_SCALE - s) * cap
+        elif s < -DUAL_SCALE:
+            term = (DUAL_SCALE + s) * cap
+        else:
+            continue
+        total += term
+        magnitude += abs(term)
+    _check_magnitude("the box terms' sum of magnitudes", magnitude)
+    return -(-total // DUAL_SCALE)
 
 
 class LocalLP(NamedTuple):

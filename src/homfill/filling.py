@@ -402,6 +402,73 @@ class _Root(NamedTuple):
     symmetry: _Symmetry
 
 
+class _Places:
+    """Where one carry sends the ball's vertices: x to p^-1 sigma(x), for
+    the shift word p^-1 and the signed generator permutation sigma
+    (``letters``).
+
+    Each vertex is walked in the ball's step table: p^-1 from the identity,
+    once, and x from its parent's place in ``CayleyBall.tree`` by one hop
+    along sigma(letter), memoised; a cell's base is walked on from there
+    along its word q (``at``).  Where a walk leaves the ball, the vertex is
+    the normal form's, that of p^-1 sigma(nf(x)) q through ``vertex_of``, so
+    every vertex that the normal forms place is placed.  When sigma is an
+    automorphism, x = parent * letter gives sigma(x) = sigma(parent)
+    sigma(letter) in the group, so each walk ends at the normal form's
+    vertex; when it is not, a walk may end elsewhere, which only costs a
+    refused carry."""
+
+    __slots__ = ("ball", "shift", "letters", "placed")
+
+    def __init__(self, ball: CayleyBall, shift: Word, letters: tuple[int, ...]):
+        self.ball, self.shift, self.letters = ball, shift, letters
+        self.placed: dict[int, int | None] = {}
+        try:
+            self.placed[0] = self._settle(0, self._walk(0, shift))
+        except ResourceError:
+            self.placed[0] = None
+
+    def _walk(self, v: int | None, w: Word) -> int | None:
+        """The end of w's walk from v, or None once it leaves the ball."""
+        hop = self.ball.hop
+        for x in w:
+            if v is None:
+                return None
+            step = hop(v, x)
+            v = None if step is None else step[2]
+        return v
+
+    def _settle(self, x: int, v: int | None, tail: Word = ()) -> int:
+        """A walk's end v, or where the walk left the ball the vertex of
+        p^-1 sigma(nf(x)) tail, with ``vertex_of``'s ResourceError when that
+        lies outside the ball too."""
+        if v is None:
+            letters = self.letters
+            return self.ball.vertex_of(self.shift + tuple(letters[z] for z in self.ball.vertices[x]) + tail)
+        return v
+
+    def vertex(self, x: int) -> int | None:
+        """The vertex of p^-1 sigma(x), or None when it lies outside the ball."""
+        placed, tree, letters = self.placed, self.ball.tree, self.letters
+        path = []
+        while x not in placed:
+            path.append(x)
+            x = tree[x][0]
+        v = placed[x]
+        for x in reversed(path):
+            try:
+                v = self._settle(x, self._walk(v, (letters[tree[x][1]],)))
+            except ResourceError:
+                v = None
+            placed[x] = v
+        return v
+
+    def at(self, x: int, tail: Word) -> int:
+        """The vertex of p^-1 sigma(x) tail, or ``vertex_of``'s ResourceError
+        when it lies outside the ball."""
+        return self._settle(x, self._walk(self.vertex(x), tail), tail)
+
+
 class _ClassFills:
     """``fa_estimate``'s exact fills, reusing work across each orbit of word
     classes under the presentation's symmetries.
@@ -416,18 +483,19 @@ class _ClassFills:
     sigma(w_A), the latest such loop replacing an earlier one.  A later
     loop B of such a class is sign * p^-1 sigma(A) (``_rotation`` of
     sigma(w_A) and w_B), so it tries A's chain T and duals Y carried
-    through x -> p^-1 sigma(x) first (``_carry``): the carried T must bound
+    through x -> p^-1 sigma(x) first (``_carry``), each vertex placed by a
+    walk in the ball's step table (``_Places``): the carried T must bound
     B's loop exactly, and with forced_B the cells that peeling B's loop
     forces (which every chain bounding it shares), the carried Y must give
     an exact bound over B's residual and the box |a_c| <= area(T) -
-    |forced_B| - 1 that reaches area(T) - |forced_B|, so that no chain
-    bounding B is smaller than T.  A carry that leaves the ball, bounds
-    another cycle or falls short of the area is dropped, and B is filled
-    by ``harea_fill``; so sigma only proposes chains, and one that is no
-    automorphism costs refused carries, never a wrong area.  With sigma the
-    identity the carry is the translate by p^-1.  The symmetries are
-    searched once, at the first root; loops that peeling finishes take no
-    class key."""
+    |forced_B| - 1 that reaches area(T) - |forced_B| (``certificate_bound``,
+    over the columns that meet Y), so that no chain bounding B is smaller
+    than T.  A carry that leaves the ball, bounds another cycle or falls
+    short of the area is dropped, and B is filled by ``harea_fill``; so
+    sigma only proposes chains, and one that is no automorphism costs
+    refused carries, never a wrong area.  With sigma the identity the carry
+    is the translate by p^-1.  The symmetries are searched once, at the
+    first root; loops that peeling finishes take no class key."""
 
     def __init__(self, ball: CayleyBall):
         self.ball = ball
@@ -467,15 +535,21 @@ class _ClassFills:
         certify it minimal over ``peeled``'s residual, else None.  A cell
         (x, r) goes to e times the cell of r' at p^-1 sigma(x) q (``_Symmetry``)
         and a dual's edge (x, g) to ``step(p^-1 sigma(x), sigma(g))`` with that
-        step's sign, both times the rotation's sign."""
+        step's sign, both times the rotation's sign.
+
+        The vertices are placed by walks in the ball's step table
+        (``_Places``), from each vertex's breadth-first parent.  For an
+        automorphism sigma, x = parent * letter gives sigma(x) =
+        sigma(parent) sigma(letter) in the group, so a walk that stays in
+        the ball ends at the vertex that the normal form of p^-1 sigma(nf(x))
+        names, and one that leaves it takes that normal form.  Soundness
+        never rests on the places: the boundary check and the exact bound
+        judge every carry, wherever its vertices land."""
         ball = self.ball
         sign, prefix = _rotation(root.word, word)
-        shift, letters, images = inverse_word(prefix), root.symmetry.letters, root.symmetry.cells
-        vertices, cells, edges = ball.vertices, ball.cells, ball.edges
-
-        def place(x: int, tail: Word = ()) -> int:
-            return ball.vertex_of(shift + tuple(letters[y] for y in vertices[x]) + tail)
-
+        letters, images = root.symmetry.letters, root.symmetry.cells
+        places = _Places(ball, inverse_word(prefix), letters)
+        cells, edges = ball.cells, ball.edges
         out: dict[int, int] = {}
         y: dict[int, int] = {}
         try:
@@ -484,14 +558,16 @@ class _ClassFills:
                 if (image := images[c.relator]) is None:
                     return None
                 relator, orientation, q = image
-                target = ball.cell_at(place(c.base, q), relator)
+                target = ball.cell_at(places.at(c.base, q), relator)
                 out[target] = out.get(target, 0) + sign * orientation * coeff
             moved = TwoChain(out)
             if boundary_2(ball, moved) != gamma:
                 return None
             for edge, value in root.dual.items():
                 source, label, _ = edges[edge]
-                target, step_sign, _ = ball.step(place(source), letters[label])
+                if (v := places.vertex(source)) is None:
+                    return None
+                target, step_sign, _ = ball.step(v, letters[label])
                 y[target] = y.get(target, 0) + sign * step_sign * value
         except ResourceError:
             return None

@@ -8,7 +8,8 @@ diagram's radius from its (face, position) views (an oracle for
 ``surface.diagram_radius``), the walk around each vertex class's link (a
 check of the link condition that ``surface.SurfaceIndex`` proves and of
 its free sides), the exact-fill checks in Python integers
-(oracles for ``exactlp``'s int64 ``as_chain`` and ``lower_bound``), a
+(oracles for ``exactlp``'s int64 ``as_chain`` and ``lower_bound``, and
+for ``certificate_bound``'s sum over the columns that touch its duals), a
 local LP whose rows are numbered by sorting (an oracle for
 ``exactlp.local_lp``'s row mask),
 forced-cell peeling over the whole collapse order (an oracle for
@@ -18,7 +19,8 @@ step in the ball's tables (an oracle for
 endpoints' labels (an oracle for ``CayleyBall.edge_cosets`` and
 ``extension.restrict_to_coset``) and the FA table that fills every loop
 on its own (an oracle for ``filling.fa_estimate``'s reuse across word
-classes)."""
+classes), and a carry's vertices placed by normal forms (an oracle for
+``filling._Places``'s walks)."""
 
 from collections import Counter
 
@@ -26,11 +28,11 @@ import numpy as np
 
 from homfill.backends import letter_order
 from homfill.cayley import CayleyBall, Cell, OneCycle
-from homfill.errors import DomainError, InvariantError
+from homfill.errors import DomainError, InvariantError, ResourceError
 from homfill.exactlp import DUAL_SCALE, FillSystem, LocalLP
 from homfill.filling import FAEntry, FATable, enumerate_identity_cycles, harea_fill, running_max
 from homfill.surface import SlotRef, SurfaceDiagram, SurfaceIndex, _glued
-from homfill.words import format_word
+from homfill.words import Word, format_word
 
 
 def build_ball_reference(backend, hom_pres, radius: int) -> CayleyBall:
@@ -247,13 +249,42 @@ def lower_bound_reference(system: FillSystem, marginals, rhs: dict[int, int], lo
     the duals rounded half to even over DUAL_SCALE, and each column's
     summand the least of its values at lo_c, hi_c and, when the box holds
     it, 0."""
-    y = [round(v * DUAL_SCALE) for v in map(float, marginals)]
+    return _box_bound(system, [round(v * DUAL_SCALE) for v in map(float, marginals)], rhs, lo, hi)
+
+
+def certificate_bound_reference(
+    system: FillSystem, certificate: dict[int, int], rhs: dict[int, int], cap: int
+) -> int:
+    """``exactlp.certificate_bound``'s bound in Python integers, column by
+    column over every column of the system: the integer duals read per row
+    (0 on a row the certificate does not name, and an edge that is no row
+    dropped), over the box |a_c| <= cap."""
+    n = len(system.columns)
+    return _box_bound(system, [certificate.get(e, 0) for e in system.edge_ids], rhs, [-cap] * n, [cap] * n)
+
+
+def _box_bound(system: FillSystem, y: list[int], rhs: dict[int, int], lo: list[int], hi: list[int]) -> int:
+    """The bound of the integer duals ``y`` over DUAL_SCALE, one per row,
+    over the box lo <= a <= hi, summed column by column."""
     total = sum(s * v for s, v in zip(y, system.dense(rhs).tolist()))
     for col, l, h in zip(system.entries, lo, hi):
         s = sum(y[i] * v for i, v in col)
         low = min(DUAL_SCALE * abs(l) - s * l, DUAL_SCALE * abs(h) - s * h)
         total += min(low, 0) if l <= 0 <= h else low
     return -(-total // DUAL_SCALE)
+
+
+def carry_place_reference(
+    ball: CayleyBall, shift: Word, letters: tuple[int, ...], x: int, tail: Word = ()
+) -> int | None:
+    """The vertex of shift sigma(nf(x)) tail by its normal form, or None
+    outside the ball: where an FA table's carry through x -> shift sigma(x)
+    placed a vertex, and a cell's base with its word ``tail``, before
+    ``filling._Places`` walked them (sigma is ``letters``)."""
+    try:
+        return ball.vertex_of(shift + tuple(letters[z] for z in ball.vertices[x]) + tail)
+    except ResourceError:
+        return None
 
 
 def local_lp_reference(system: FillSystem, columns: np.ndarray, rhs_rows: np.ndarray) -> LocalLP:

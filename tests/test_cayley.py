@@ -269,6 +269,22 @@ def test_build_matches_the_normal_form_per_letter_reference(case):
     )
 
 
+@pytest.mark.parametrize("case", _radius_cases(), ids=lambda case: case[0])
+def test_the_tree_reaches_each_vertex_from_a_parent_one_step_nearer(case):
+    _, path, kernel, radius = case
+    group = load_group(path)
+    backend, pres = (group.k_backend, group.k_pres) if kernel else (group.backend, group.hom_pres)
+    ball = build_ball(backend, pres, radius)
+    # derived on first use, so a build pays nothing for it
+    assert "tree" not in ball.__dict__
+    tree = ball.tree
+    assert len(tree) == len(ball.vertices) and tree[0] is None
+    for v in range(1, len(ball.vertices)):
+        parent, letter = tree[v]
+        assert ball.distance[parent] == ball.distance[v] - 1
+        assert ball.hop(parent, letter)[2] == v
+
+
 def _count(monkeypatch, method: str) -> list[int]:
     """Count the calls of ``method`` on every backend class that defines it."""
     calls = [0]

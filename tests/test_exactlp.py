@@ -14,11 +14,20 @@ from homfill import exactlp
 from homfill.cayley import OneCycle, build_ball, loop_to_cycle
 from homfill.cli import load_group
 from homfill.errors import InvariantError
-from homfill.exactlp import FillSystem, as_chain, integer_solve, l1_fill, local_lp, lower_bound, node_lp
+from homfill.exactlp import (
+    FillSystem,
+    as_chain,
+    certificate_bound,
+    integer_solve,
+    l1_fill,
+    local_lp,
+    lower_bound,
+    node_lp,
+)
 from homfill.filling import _peel_forced, enumerate_identity_cycles, harea_fill
 from homfill.words import parse_word
 
-from oracles import local_lp_reference, lower_bound_reference, solves
+from oracles import certificate_bound_reference, local_lp_reference, lower_bound_reference, solves
 
 GROUPS = os.path.join(os.path.dirname(__file__), "..", "groups")
 
@@ -226,6 +235,21 @@ def test_lower_bound_equals_the_python_reference_on_root_duals(monkeypatch, name
     assert checked > 200
 
 
+def test_certificate_bound_equals_the_python_reference():
+    # integer duals near +-DUAL_SCALE (so that |s_c| lands on both sides of
+    # D and on it), zeros, and an edge that is no row, over caps 0 to 3
+    rng = random.Random(23)
+    scale = exactlp.DUAL_SCALE
+    for _ in range(400):
+        columns, edge_ids, rhs, _ = _random_system(rng)
+        system = FillSystem(columns, edge_ids)
+        certificate = {e: rng.choice([0, scale, -scale, rng.randint(-3 * scale, 3 * scale)]) for e in edge_ids}
+        certificate[len(edge_ids)] = rng.randint(-scale, scale)
+        for cap in range(4):
+            bound = certificate_bound(system, certificate, rhs, cap)
+            assert bound == certificate_bound_reference(system, certificate, rhs, cap)
+
+
 def test_as_chain_equals_the_python_check():
     rng = random.Random(17)
     chains = 0
@@ -266,6 +290,15 @@ def test_int64_checks_raise_rather_than_wrap():
         lower_bound(system, y, rhs, [0, 0], [2**41, 0])
     for box in (([0, 0], [2**40, 0]), ([-(2**40), -(2**39)], [0, 2**39])):
         assert lower_bound(system, y, rhs, *box) == lower_bound_reference(system, y, rhs, *box) < -(2**40)
+    # certificate_bound, in Python integers, keeps the same three checks
+    with pytest.raises(InvariantError, match="largest column weight is 2\\*\\*62.0"):
+        certificate_bound(system, {0: 2**61}, rhs, 0)
+    with pytest.raises(InvariantError, match="rhs_i"):
+        certificate_bound(system, {0: 2**50}, {0: 2**12}, 0)
+    y = {0: 4 * exactlp.DUAL_SCALE}
+    with pytest.raises(InvariantError, match="box terms"):
+        certificate_bound(system, y, rhs, 2**40)
+    assert certificate_bound(system, y, rhs, 2**39) == certificate_bound_reference(system, y, rhs, 2**39) < -(2**40)
     # a point past the bound is no chain, although its int64 product would
     # wrap to the right-hand side: 2 * 2**63 is 0 modulo 2**64
     wrap = FillSystem([{0: 2}, {}], [0])
@@ -344,6 +377,8 @@ def test_fill_system_refuses_edges_outside_its_rows():
             solve(system, {0: 1, 5: 1})
     with pytest.raises(InvariantError, match="right-hand side edge 5"):
         lower_bound(system, [0.0, 0.0], {5: 1}, [0], [0])
+    with pytest.raises(InvariantError, match="right-hand side edge 5"):
+        certificate_bound(system, {0: 1}, {0: 1, 5: 1}, 0)
 
 
 def test_node_budget_stops_the_search_with_the_shortened_chain(monkeypatch):

@@ -10,9 +10,9 @@ from hypothesis import strategies as st
 
 from homfill import exactlp, filling
 from homfill.backends import letter_order
-from homfill.cayley import OneCycle, TwoChain, boundary_2, build_ball, loop_to_cycle
+from homfill.cayley import CayleyBall, OneCycle, TwoChain, boundary_2, build_ball, loop_to_cycle
 from homfill.cli import load_group
-from homfill.errors import DomainError, InvariantError
+from homfill.errors import DomainError, InvariantError, ResourceError
 from homfill.exactlp import integer_solve, l1_fill
 from homfill.filling import (
     check_preceq,
@@ -22,8 +22,14 @@ from homfill.filling import (
     superadditive_closure,
     word_class,
 )
-from homfill.words import parse_word
-from oracles import fa_reference, identity_cycles_reference, peel_reference
+from homfill.words import inverse_word, parse_word
+from oracles import (
+    carry_place_reference,
+    certificate_bound_reference,
+    fa_reference,
+    identity_cycles_reference,
+    peel_reference,
+)
 
 NI = {"a": 0, "b": 1}
 GROUP_FILES = sorted(glob.glob(os.path.join(os.path.dirname(__file__), "..", "groups", "*.grp")))
@@ -604,3 +610,92 @@ def test_fa_estimate_fills_one_loop_per_carried_orbit(monkeypatch, file, radius,
     monkeypatch.setattr(filling, "l1_fill", lambda *args: calls.append(1) or l1_fill(*args))
     fa_estimate(group.backend, group.hom_pres, n_max, radius, ball=ball)
     assert len(calls) == fills
+
+
+def _fa_table(file, radius, n_max):
+    ball = _lifetime_ball(file, radius)
+    group = load_group(os.path.join(os.path.dirname(__file__), "..", "groups", file))
+    return fa_estimate(group.backend, group.hom_pres, n_max, radius, ball=ball)
+
+
+# (group file, radius, n_max, vertex_of calls, carries certified, carries
+# tried) of FA tables whose carries place their vertices by walks: a
+# normal form is taken only where a walk leaves the ball, which happens on
+# heis_ext's truncated radius-3 ball
+CARRY_PLACEMENTS = [
+    ("z3_ext.grp", 4, 6, 0, 186, 186),
+    ("z3_ext.grp", 4, 8, 0, 2861, 2867),
+    ("heis_ext.grp", 3, 8, 30, 1027, 1116),
+    ("z2_by_f2.grp", 3, 8, 0, 5201, 5346),
+]
+
+
+@pytest.mark.parametrize("file, radius, n_max, normal_forms, certified, tried", CARRY_PLACEMENTS)
+def test_carries_place_vertices_by_walks(monkeypatch, file, radius, n_max, normal_forms, certified, tried):
+    placed = []
+    vertex_of = CayleyBall.vertex_of
+    monkeypatch.setattr(CayleyBall, "vertex_of", lambda self, w: placed.append(w) or vertex_of(self, w))
+    carry = filling._ClassFills._carry
+    carried = []
+
+    def recorded(self, *args):
+        carried.append(carry(self, *args))
+        return carried[-1]
+
+    monkeypatch.setattr(filling._ClassFills, "_carry", recorded)
+    _fa_table(file, radius, n_max)
+    assert (len(placed), len(carried) - carried.count(None), len(carried)) == (normal_forms, certified, tried)
+
+
+@pytest.mark.parametrize("file, radius", [("z3_ext.grp", 4), ("heis_ext.grp", 3)])
+def test_carried_vertices_are_the_normal_forms_vertices(monkeypatch, file, radius):
+    # every vertex that a carry's walks reach, and every cell base walked on
+    # along its word q, is the vertex of its normal form, or outside the
+    # ball when that is
+    ball = _lifetime_ball(file, radius)
+    carry = filling._ClassFills._carry
+    compared = [0]
+
+    def checked(self, root, gamma, word, peeled):
+        shift, letters = inverse_word(filling._rotation(root.word, word)[1]), root.symmetry.letters
+        places = filling._Places(ball, shift, letters)
+        for cell in root.chain.coeffs:
+            c = ball.cells[cell]
+            if (image := root.symmetry.cells[c.relator]) is not None:
+                try:
+                    at = places.at(c.base, image[2])
+                except ResourceError:
+                    at = None
+                assert at == carry_place_reference(ball, shift, letters, c.base, image[2])
+        for edge in root.dual:
+            places.vertex(ball.edges[edge][0])
+        for x, v in places.placed.items():
+            assert v == carry_place_reference(ball, shift, letters, x)
+        compared[0] += len(places.placed)
+        return carry(self, root, gamma, word, peeled)
+
+    monkeypatch.setattr(filling._ClassFills, "_carry", checked)
+    _fa_table(file, radius, 8)
+    assert compared[0] > 5_000
+
+
+# (group file, radius, certificate_bound calls) of FA tables up to n = 8:
+# one per carry that bounds its loop
+CARRIED_BOUNDS = [("z3_ext.grp", 4, 2867), ("heis_ext.grp", 3, 1093), ("z2_by_f2.grp", 3, 5345)]
+
+
+@pytest.mark.parametrize("file, radius, calls", CARRIED_BOUNDS)
+def test_carried_bounds_equal_the_column_by_column_reference(monkeypatch, file, radius, calls):
+    # at the carry's cap and at caps 0, 1 and 3
+    bound = exactlp.certificate_bound
+    caps = []
+
+    def compared(system, y, rhs, cap):
+        for box in (cap, 0, 1, 3):
+            assert bound(system, y, rhs, box) == certificate_bound_reference(system, y, rhs, box)
+        caps.append(cap)
+        return bound(system, y, rhs, cap)
+
+    monkeypatch.setattr(filling, "certificate_bound", compared)
+    _fa_table(file, radius, 8)
+    assert len(caps) == calls
